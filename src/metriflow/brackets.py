@@ -5,6 +5,9 @@ the sharp-interface (GE/GNS) system, and its two transformed versions for
 the diffuse-interface a=1 and a=0 entropy variables.  The transformed
 brackets keep the corresponding entropy functional as a Casimir invariant.
 
+The ideal tendencies (ideal_rhs) are the ideal part of the shared kernel in
+metriplectic, so the RHS has one code path.
+
 Each antisymmetric pairing is evaluated as an explicit difference of the
 swapped expression, so antisymmetry holds to exact floating-point negation.
 Identities that rely on the continuum product rule (Casimir annihilation,
@@ -20,9 +23,8 @@ import numpy as np
 
 from .errors import UnsupportedFamilyError
 from .functionals import (FunctionalGradient, ModelConfig, State,
-                          gamma_xi_of_state, grad_H, sigma_total,
-                          thermo_point)
-from .thermo import eval_eos, lambda_f
+                          _capillary_stress, gamma_xi_of_state, thermo_point)
+from .metriplectic import _tendencies
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,12 @@ def _directional(grid, fm, scalar_field):
 
 def _vec_advect(grid, fm, gm):
     # vector field with components fm_j d_j gm_i
-    return np.stack([_directional(grid, fm, gm[i]) for i in range(grid.dim)])
+    return np.sum(fm[:, None] * grid.grad(gm), axis=0)
 
 
 def _div_outer(grid, u, w):
     # div over the first slot of u (x) w: (d_j (u_j w_i))_i
-    t = np.stack([u * w[i] for i in range(grid.dim)], axis=1)  # t[j, i]
-    return grid.div_tensor(t)
+    return grid.div(u[:, None] * w[None])
 
 
 def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
@@ -142,14 +143,8 @@ def capillary_force(state: State, model: ModelConfig) -> np.ndarray:
     g = state.grid
     if not model.is_diffuse:
         return g.zeros_vector()
-    pt = thermo_point(state, model)
-    lam_f = lambda_f(pt.T, model.surface)
-    gc, gamma, xi = gamma_xi_of_state(state, model)
-    a = model.a
-    force = -_div_outer(g, lam_f * state.rho ** a * gamma * xi, gc)
-    if a == 0:
-        force = force + g.grad(0.5 * lam_f * gamma * gamma)
-    return force / state.rho
+    pi, _ = _capillary_stress(state, model, np.asarray(thermo_point(state, model).T))
+    return g.div(pi) / state.rho
 
 
 def ideal_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
@@ -158,29 +153,4 @@ def ideal_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
     Advected densities use divergence form so the global mass, concentration
     and total-entropy budgets telescope to zero exactly on the periodic grid.
     """
-    g = state.grid
-    rho, ctilde = state.rho, state.ctilde
-    v = state.v
-    pt = thermo_point(state, model)
-
-    rho_dot = -g.div(rho * v)
-    ctilde_dot = -g.div(ctilde * v)
-
-    accel = -_vec_advect(g, v, v) - g.grad(np.asarray(pt.p)) / rho
-    accel = accel + capillary_force(state, model)
-    m_dot = rho * accel + v * rho_dot
-
-    sig_tot = sigma_total(state, model)
-    sig_tot_dot = -g.div(sig_tot * v)
-    if model.is_diffuse and model.surface.lambda_s != 0.0:
-        # chain rule back to the evolved sigma^a field
-        lam_s, a = model.surface.lambda_s, model.a
-        _, gamma, xi = gamma_xi_of_state(state, model)
-        c_dot = (ctilde_dot - state.c * rho_dot) / rho
-        grad_rate = rho ** a * lam_s * gamma * np.sum(xi * g.grad(c_dot), axis=0)
-        if a == 1:
-            grad_rate = grad_rate + 0.5 * lam_s * gamma * gamma * rho_dot
-        sigma_dot = sig_tot_dot - grad_rate
-    else:
-        sigma_dot = sig_tot_dot
-    return FunctionalGradient(m=m_dot, rho=rho_dot, ctilde=ctilde_dot, sigma=sigma_dot)
+    return _tendencies(state, model, dissipative=False)

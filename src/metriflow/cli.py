@@ -27,7 +27,6 @@ from .dynamics import diagnostics, step_rk4
 from .errors import ConfigError, IntegrationError
 from .functionals import generalized_mu, thermo_point
 from .scenarios import SCENARIO_NAMES, Scenario, make_scenario
-from .thermo import eval_eos
 from .verification import verify
 
 # keys allowed in a config file; values are parsed with the given callables
@@ -158,7 +157,8 @@ def _write_fields(path: Path, state, model) -> None:
     pt = thermo_point(state, model)
     T = np.asarray(pt.T) * np.ones(g.shape)
     mu_g = generalized_mu(state, model)
-    coords = g.coords()
+    # one row per cell, in C order
+    coords = [np.broadcast_to(x, g.shape) for x in g.coords()]
     if g.dim == 1:
         header = "x,rho,mx,ctilde,sigma,T,mu_gamma"
         cols = [coords[0], state.rho, state.m[0], state.ctilde, state.sigma,
@@ -167,11 +167,11 @@ def _write_fields(path: Path, state, model) -> None:
         header = "x,y,rho,mx,my,ctilde,sigma,T,mu_gamma"
         cols = [coords[0], coords[1], state.rho, state.m[0], state.m[1],
                 state.ctilde, state.sigma, T, mu_g]
-    flat = [np.ravel(col) for col in cols]
+    rows = zip(*(np.ravel(col).tolist() for col in cols))
+    fmt = ",".join(["%.17g"] * len(cols)) + "\n"  # the same digits as _fmt
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i in range(flat[0].size):
-            fh.write(",".join(_fmt(col[i]) for col in flat) + "\n")
+        fh.writelines(fmt % row for row in rows)
 
 
 def _set_threads(n: int) -> None:

@@ -13,20 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import ideal_rhs
 from .errors import InadmissibleStateError, IntegrationError
 from .functionals import (FunctionalGradient, ModelConfig, State, entropy,
                           hamiltonian, thermo_point)
-from .metriplectic import dissipative_rhs, entropy_production_rate
-from .thermo import eval_eos, lambda_f
+from .metriplectic import _tendencies, entropy_production_rate
+from .thermo import lambda_f
 
 
 def total_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
-    """Ideal plus dissipative tendencies."""
-    rhs = ideal_rhs(state, model)
-    if model.is_dissipative:
-        rhs = rhs + dissipative_rhs(state, model)
-    return rhs
+    """Ideal plus dissipative tendencies, in one pass of the shared kernel."""
+    return _tendencies(state, model)
 
 
 def _advance(state: State, rhs: FunctionalGradient, dt: float) -> State:

@@ -82,35 +82,17 @@ class State:
     ctilde: np.ndarray
     sigma: np.ndarray
 
-    def _cache(self) -> dict:
-        # per-instance memo for derived fields; states are never mutated,
-        # only replaced, so entries stay valid for the instance lifetime
-        memo = self.__dict__.get("_derived")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_derived", memo)
-        return memo
-
     @property
     def v(self) -> np.ndarray:
-        memo = self._cache()
-        if "v" not in memo:
-            memo["v"] = self.m / self.rho
-        return memo["v"]
+        return _memo(self, "v", None, lambda: self.m / self.rho)
 
     @property
     def c(self) -> np.ndarray:
-        memo = self._cache()
-        if "c" not in memo:
-            memo["c"] = self.ctilde / self.rho
-        return memo["c"]
+        return _memo(self, "c", None, lambda: self.ctilde / self.rho)
 
     @property
     def s(self) -> np.ndarray:
-        memo = self._cache()
-        if "s" not in memo:
-            memo["s"] = self.sigma / self.rho
-        return memo["s"]
+        return _memo(self, "s", None, lambda: self.sigma / self.rho)
 
     def validate(self, model: ModelConfig) -> None:
         """Admissibility: finite fields, rho > 0, derived T > 0, p > 0."""
@@ -166,24 +148,36 @@ class FunctionalGradient:
     __rmul__ = __mul__
 
 
+def _memo(state: State, name: str, key, compute):
+    """Per-state memo of a derived field computed with the object ``key``.
+
+    States are never mutated, only replaced.  The key object is stored with
+    the value and compared with ``is``, so a freed object whose id() is
+    reused never hits; one entry is kept per name.
+    """
+    memo = state.__dict__.setdefault("_derived", {})
+    hit = memo.get(name)
+    if hit is not None and hit[0] is key:
+        return hit[1]
+    value = compute()
+    memo[name] = (key, value)
+    return value
+
+
 def thermo_point(state: State, model: ModelConfig):
     """eval_eos at the state, memoized per state instance."""
-    memo = state._cache()
-    key = ("eos", id(model.eos))
-    if key not in memo:
-        memo[key] = eval_eos(state.rho, state.s, state.c, model.eos)
-    return memo[key]
+    return _memo(state, "eos", model.eos,
+                 lambda: eval_eos(state.rho, state.s, state.c, model.eos))
 
 
 def gamma_xi_of_state(state: State, model: ModelConfig):
     """(grad c, Gamma(grad c), xi(grad c)), memoized per state instance."""
-    memo = state._cache()
-    key = ("gamma", id(model.anisotropy))
-    if key not in memo:
+
+    def compute():
         gc = state.grid.grad(state.c)
-        gamma, xi = gamma_eval(gc, model.anisotropy)
-        memo[key] = (gc, gamma, xi)
-    return memo[key]
+        return (gc,) + gamma_eval(gc, model.anisotropy)
+
+    return _memo(state, "gamma", model.anisotropy, compute)
 
 
 def hamiltonian(state: State, model: ModelConfig) -> float:
@@ -261,20 +255,28 @@ def generalized_mu(state: State, model: ModelConfig) -> np.ndarray:
     mu_Gamma = mu - (1/rho) div(lambda_f(T) rho^a Gamma xi); reduces to the
     plain chemical potential for the sharp-interface families.
     """
-    memo = state._cache()
-    key = ("mu_gamma", id(model))
-    if key not in memo:
-        memo[key] = _generalized_mu(state, model)
-    return memo[key]
+
+    def compute():
+        pt = thermo_point(state, model)
+        mu = np.asarray(pt.mu) * np.ones(state.grid.shape)
+        if not model.is_diffuse:
+            return mu
+        _, flux = _capillary_stress(state, model, np.asarray(pt.T))
+        return mu - state.grid.div(flux) / state.rho
+
+    return _memo(state, "mu_gamma", model, compute)
 
 
-def _generalized_mu(state: State, model: ModelConfig) -> np.ndarray:
-    pt = thermo_point(state, model)
-    mu = np.asarray(pt.mu) * np.ones(state.grid.shape)
-    if not model.is_diffuse or (model.surface.lambda_u == 0.0
-                                and model.surface.lambda_s == 0.0):
-        return mu
-    lam_f = lambda_f(pt.T, model.surface)
-    _, gamma, xi = gamma_xi_of_state(state, model)
-    flux = lam_f * state.rho ** model.a * gamma * xi
-    return mu - state.grid.div(flux) / state.rho
+def _capillary_stress(state: State, model: ModelConfig, T: np.ndarray):
+    """(Pi, u) of a diffuse family: u = lambda_f(T) rho^a Gamma xi is the
+    flux in mu_Gamma, and Pi[j, i] = -u_j d_i c (plus lambda_f Gamma^2 / 2
+    on the diagonal for a = 0) is the capillary stress, whose divergence
+    d_j Pi[j, i] is the capillary force density."""
+    lam_f = lambda_f(T, model.surface)
+    gc, gamma, xi = gamma_xi_of_state(state, model)
+    u = lam_f * state.rho ** model.a * gamma * xi
+    pi = -u[:, None] * gc[None]
+    if model.a == 0:
+        for i in range(state.grid.dim):
+            pi[i, i] += 0.5 * lam_f * gamma * gamma
+    return pi, u

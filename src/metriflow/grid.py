@@ -92,30 +92,25 @@ class Grid:
         return out
 
     def grad(self, f: np.ndarray) -> np.ndarray:
-        """Gradient of a scalar field; returns shape (dim, *shape)."""
-        if f.shape != self.shape:
+        """Gradient (dim, *f.shape); leading axes of f are stacked fields,
+        e.g. grad(v)[k, l] = d_k v_l, at one deriv call per axis."""
+        if f.shape[f.ndim - self.dim:] != self.shape:
             raise ValueError(f"field shape {f.shape} does not match grid {self.shape}")
         return np.stack([self.deriv(f, k) for k in range(self.dim)])
 
     def div(self, u: np.ndarray) -> np.ndarray:
-        """Divergence of a vector field (dim, *shape) -> scalar field.
+        """Divergence over the leading axis: (dim, ..., *shape) -> (..., *shape);
+        for a rank-2 tensor t[j, i] this is the vector (div t)_i = d_j t[j, i].
 
         Exactly the negative adjoint of grad under the cell-sum inner
         product, by skew-symmetry of the periodic central stencil.
         """
-        if u.shape != (self.dim,) + self.shape:
+        if u.shape[0] != self.dim or u.shape[u.ndim - self.dim:] != self.shape:
             raise ValueError(f"vector field shape {u.shape} does not match grid")
         out = self.deriv(u[0], 0)
         for k in range(1, self.dim):
             out = out + self.deriv(u[k], k)
         return out
-
-    def div_tensor(self, t: np.ndarray) -> np.ndarray:
-        """Divergence of a rank-2 tensor field t[j, i] = T_{ji} over j.
-
-        Returns the vector field with components (div T)_i = d_j T_{ji}.
-        """
-        return np.stack([self.div(t[:, i]) for i in range(self.dim)])
 
     def integrate(self, f: np.ndarray) -> float:
         """Cell-sum quadrature with deterministic pairwise summation."""

@@ -1,4 +1,4 @@
-"""Kulkarni-Nomizu 4-brackets, dissipative dynamics, entropy production,
+"""Kulkarni-Nomizu 4-brackets, the tendency kernel, entropy production,
 Onsager blocks, and the sectional-curvature scalar.
 
 The 4-bracket uses the collocated weighted form (weight 1): two symmetric
@@ -10,7 +10,13 @@ the pseudodifferential combination that reduces to grad(mu_Gamma) on the
 Hamiltonian.
 
 Viscous contraction uses the full 3D isotropic rank-4 tensor (trace factor
-2/3) with absent velocity components treated as zero.
+2/3) in dim x dim form.  Absent velocity components and derivatives are
+zero, so the out-of-plane stress never enters a divergence or a pairing,
+and its one contribution to the viscous production is the analytic trace
+term |sym - (tr/3) I_3|^2 = |sym_dd|^2 - tr^2/3.
+
+All tendencies, ideal and dissipative, come from one kernel
+(_tendencies); ideal_rhs, dissipative_rhs and total_rhs select its parts.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedFamilyError
-from .functionals import (FunctionalGradient, ModelConfig, State,
-                          gamma_xi_of_state, generalized_mu, thermo_point)
+from .functionals import (FunctionalGradient, ModelConfig, State, _memo,
+                          _capillary_stress, gamma_xi_of_state,
+                          generalized_mu, sigma_total, thermo_point)
 from .grid import Grid
 from .thermo import eval_eos
 
@@ -91,6 +98,15 @@ def _quad_tensor(coef, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(x * _apply_tensor(coef, y), axis=0)
 
 
+def _stress(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
+    """eta*(gradv + gradv^T - (2/3) I tr) + zeta I tr on a (d, d, ...) block."""
+    trace = np.trace(gradv)
+    out = eta * (gradv + np.swapaxes(gradv, 0, 1))
+    for i in range(len(gradv)):
+        out[i, i] += (zeta - (2.0 / 3.0) * eta) * trace
+    return out
+
+
 def viscous_stress(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
     """Contract the isotropic rank-4 viscosity tensor with a velocity gradient.
 
@@ -101,37 +117,24 @@ def viscous_stress(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
     gradv = np.asarray(gradv, dtype=float)
     if gradv.shape[:2] != (3, 3):
         raise ValueError("gradv must be embedded as a 3x3 tensor")
-    trace = gradv[0, 0] + gradv[1, 1] + gradv[2, 2]
-    sym = gradv + np.swapaxes(gradv, 0, 1)
-    eye = np.zeros_like(gradv)
-    for i in range(3):
-        eye[i, i] = 1.0
-    return eta * (sym - (2.0 / 3.0) * eye * trace) + zeta * eye * trace
+    return _stress(gradv, eta, zeta)
 
 
-def grad_v3(grid: Grid, vec: np.ndarray) -> np.ndarray:
-    """Gradient of a vector field embedded in 3x3: out[k, l] = d_k vec_l."""
-    out = np.zeros((3, 3) + grid.shape)
-    for l in range(grid.dim):
-        gl = grid.grad(vec[l])
-        for k in range(grid.dim):
-            out[k, l] = gl[k]
-    return out
+def _visc_production(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
+    """gradv : Lambda : gradv for a dim x dim gradient (dim <= 2), as
+    2 eta |sym - (tr/3) I_3|^2 + zeta tr^2 with the deviator norm
+    |sym_dd|^2 - tr^2/3 (at least tr^2/6, so nonnegative)."""
+    trace = np.trace(gradv)
+    sym = 0.5 * (gradv + np.swapaxes(gradv, 0, 1))
+    dev2 = np.sum(sym * sym, axis=(0, 1)) - trace * trace / 3.0
+    return 2.0 * eta * dev2 + zeta * trace * trace
 
 
-def _lam_quad(x3: np.ndarray, y3: np.ndarray, eta: float, zeta: float) -> np.ndarray:
-    """Pointwise x : Lambda : y for 3x3-embedded tensor fields."""
-    return np.sum(x3 * viscous_stress(y3, eta, zeta), axis=(0, 1))
-
-
-def _visc_production_density(gradv3: np.ndarray, eta: float, zeta: float) -> np.ndarray:
-    """gradv : Lambda : gradv written in a manifestly nonnegative form."""
-    trace = gradv3[0, 0] + gradv3[1, 1] + gradv3[2, 2]
-    sym = 0.5 * (gradv3 + np.swapaxes(gradv3, 0, 1))
-    dev = sym.copy()
-    for i in range(3):
-        dev[i, i] = dev[i, i] - trace / 3.0
-    return 2.0 * eta * np.sum(dev * dev, axis=(0, 1)) + zeta * trace * trace
+def _production(T, gradv, gradT, grad_mu, tr, kappa, dcoef) -> np.ndarray:
+    """Pointwise entropy production (nonnegative by construction)."""
+    cond = _quad_tensor(kappa, gradT, gradT) / T
+    diff = _quad_tensor(dcoef, grad_mu, grad_mu)
+    return (_visc_production(gradv, tr.eta, tr.zeta) + cond + diff) / T
 
 
 def _conc_slot(Fg: FunctionalGradient, state: State, model: ModelConfig) -> np.ndarray:
@@ -146,29 +149,17 @@ def _conc_slot(Fg: FunctionalGradient, state: State, model: ModelConfig) -> np.n
     return g.grad(inner)
 
 
-
-def _gradv3_of_state(state: State) -> np.ndarray:
-    memo = state._cache()
-    if "gradv3" not in memo:
-        memo["gradv3"] = grad_v3(state.grid, state.v)
-    return memo["gradv3"]
-
-
-def _gradT_of_state(state: State, model: ModelConfig) -> np.ndarray:
-    memo = state._cache()
-    key = ("gradT", id(model.eos))
-    if key not in memo:
-        pt = thermo_point(state, model)
-        memo[key] = state.grid.grad(np.asarray(pt.T))
-    return memo[key]
+def _grad_vT_of_state(state: State, model: ModelConfig):
+    """(grad v, grad T), memoized; grad v[k, l] = d_k v_l."""
+    T = np.asarray(thermo_point(state, model).T)
+    grads = _memo(state, "grad_vT", model.eos,
+                  lambda: state.grid.grad(np.concatenate([state.v, T[None]])))
+    return grads[:, :-1], grads[:, -1]
 
 
 def _gradmu_of_state(state: State, model: ModelConfig) -> np.ndarray:
-    memo = state._cache()
-    key = ("grad_mu_gamma", id(model))
-    if key not in memo:
-        memo[key] = state.grid.grad(generalized_mu(state, model))
-    return memo[key]
+    return _memo(state, "grad_mu_gamma", model,
+                 lambda: state.grid.grad(generalized_mu(state, model)))
 
 
 def _require_dissipative(model: ModelConfig):
@@ -192,7 +183,7 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     T = np.asarray(pt.T)
 
     def d1(A, B):
-        return B.sigma * grad_v3(g, A.m) - A.sigma * grad_v3(g, B.m)
+        return B.sigma * g.grad(A.m) - A.sigma * g.grad(B.m)
 
     def d2(A, B):
         return B.sigma * g.grad(A.sigma) - A.sigma * g.grad(B.sigma)
@@ -200,7 +191,7 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     def d3(A, B):
         return B.sigma * _conc_slot(A, state, model) - A.sigma * _conc_slot(B, state, model)
 
-    integrand = _lam_quad(d1(Fg, Gg), d1(Kg, Ng), tr.eta, tr.zeta)
+    integrand = np.sum(d1(Fg, Gg) * _stress(d1(Kg, Ng), tr.eta, tr.zeta), axis=(0, 1))
     kappa = tr.kappa_of(state, model)
     integrand = integrand + _quad_tensor(kappa, d2(Fg, Gg), d2(Kg, Ng)) / T
     dcoef = tr.dcoef_of(state, model)
@@ -216,13 +207,12 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     tr = model.transport
     pt = thermo_point(state, model)
     T = np.asarray(pt.T)
-    gradv = _gradv3_of_state(state)
-    gradT = _gradT_of_state(state, model)
+    gradv, gradT = _grad_vT_of_state(state, model)
     grad_mu = _gradmu_of_state(state, model)
 
-    x1 = T * grad_v3(g, Fg.m) - Fg.sigma * gradv
-    y1 = T * grad_v3(g, Gg.m) - Gg.sigma * gradv
-    integrand = _lam_quad(x1, y1, tr.eta, tr.zeta)
+    x1 = T * g.grad(Fg.m) - Fg.sigma * gradv
+    y1 = T * g.grad(Gg.m) - Gg.sigma * gradv
+    integrand = np.sum(x1 * _stress(y1, tr.eta, tr.zeta), axis=(0, 1))
 
     x2 = T * g.grad(Fg.sigma) - Fg.sigma * gradT
     y2 = T * g.grad(Gg.sigma) - Gg.sigma * gradT
@@ -234,6 +224,82 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     return g.integrate(integrand / T)
 
 
+def _divergences(grid: Grid, fluxes: dict) -> dict:
+    """{name: divergence} of named fluxes (dim, ..., *shape), stacked so
+    that each axis takes a single deriv call."""
+    parts = [f.reshape((grid.dim, -1) + grid.shape) for f in fluxes.values()]
+    divs = np.split(grid.div(np.concatenate(parts, axis=1)),
+                    np.cumsum([p.shape[1] for p in parts])[:-1])
+    return {name: d.reshape(f.shape[1:]) for (name, f), d in zip(fluxes.items(), divs)}
+
+
+def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
+                dissipative: bool = True) -> FunctionalGradient:
+    """Tendencies of (m, rho, ctilde, sigma): the ideal (bracket) part, the
+    dissipative part or their sum, all from this one code path.
+
+    Every flux is in divergence form, so the mass, concentration and
+    total-entropy budgets telescope exactly on the periodic grid.  Each
+    stage stacks its fields to take one Grid.deriv call per axis: grad
+    (v, p, T); all flux divergences; grad mu_Gamma; div(D grad mu_Gamma);
+    grad c_dot.  The entropy tendency is pulled back to the evolved sigma^a
+    field once, on the total c_dot (the pullback is linear).
+    """
+    g, dim = state.grid, state.grid.dim
+    dissipative = dissipative and model.is_dissipative
+    if not (ideal or dissipative):
+        return FunctionalGradient.zeros(g)
+    rho, v = state.rho, state.v
+    pt = thermo_point(state, model)
+    T = np.asarray(pt.T)
+    grads = g.grad(np.concatenate([v, np.asarray(pt.p)[None], T[None]]))
+    gradv, grad_p, gradT = grads[:, :dim], grads[:, dim], grads[:, dim + 1]
+    if model.is_diffuse:
+        cap_stress, mu_flux = _capillary_stress(state, model, T)
+    fluxes = {}
+
+    def add(name, flux):
+        fluxes[name] = fluxes[name] + flux if name in fluxes else flux
+
+    if ideal:
+        add("rho", -rho * v)
+        add("ctilde", -state.ctilde * v)
+        add("sigma", -sigma_total(state, model) * v)
+        if model.is_diffuse:
+            add("m", cap_stress)
+    if dissipative:
+        tr = model.transport
+        kappa, dcoef = tr.kappa_of(state, model), tr.dcoef_of(state, model)
+        add("m", _stress(gradv, tr.eta, tr.zeta))
+        add("sigma", _apply_tensor(kappa, gradT) / T)
+        if model.is_diffuse:
+            add("mu", mu_flux)
+    divs = _divergences(g, fluxes)
+    rho_dot = divs.get("rho", g.zeros())
+    ctilde_dot = divs.get("ctilde", g.zeros())
+    m_dot = divs.get("m", g.zeros_vector())
+    sigma_dot = divs["sigma"]
+    if ideal:
+        advect = np.sum(v[:, None] * gradv, axis=0)  # v_j d_j v_i
+        m_dot = m_dot - rho * advect - grad_p + v * rho_dot
+    if dissipative:
+        mu_gamma = np.asarray(pt.mu)
+        if model.is_diffuse:
+            mu_gamma = mu_gamma - divs["mu"] / rho
+        grad_mu = g.grad(mu_gamma)
+        ctilde_dot = ctilde_dot + g.div(_apply_tensor(dcoef, grad_mu))
+        sigma_dot = sigma_dot + _production(T, gradv, gradT, grad_mu, tr, kappa, dcoef)
+    if model.is_diffuse and model.surface.lambda_s != 0.0:
+        # chain rule back to the evolved sigma^a field
+        lam_s, a = model.surface.lambda_s, model.a
+        _, gamma, xi = gamma_xi_of_state(state, model)
+        c_dot = (ctilde_dot - state.c * rho_dot) / rho
+        sigma_dot = sigma_dot - rho ** a * lam_s * gamma * np.sum(xi * g.grad(c_dot), axis=0)
+        if a == 1:
+            sigma_dot = sigma_dot - 0.5 * lam_s * gamma * gamma * rho_dot
+    return FunctionalGradient(m=m_dot, rho=rho_dot, ctilde=ctilde_dot, sigma=sigma_dot)
+
+
 def dissipative_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
     """Dissipative tendencies (zero for the ideal families).
 
@@ -242,51 +308,18 @@ def dissipative_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
     terms, pulled back to the evolved sigma^a field for the diffuse
     families.
     """
-    g = state.grid
-    if not model.is_dissipative:
-        return FunctionalGradient.zeros(g)
-    tr = model.transport
-    pt = thermo_point(state, model)
-    T = np.asarray(pt.T)
-
-    gradv = _gradv3_of_state(state)
-    stress = viscous_stress(gradv, tr.eta, tr.zeta)
-    m_dot = np.stack([g.div(stress[:g.dim, i]) for i in range(g.dim)])
-
-    grad_mu = _gradmu_of_state(state, model)
-    dcoef = tr.dcoef_of(state, model)
-    ctilde_dot = g.div(_apply_tensor(dcoef, grad_mu))
-
-    kappa = tr.kappa_of(state, model)
-    gradT = _gradT_of_state(state, model)
-    heat = _apply_tensor(kappa, gradT)
-    production = production_density(state, model)
-    sigma_dot = g.div(heat / T) + production
-
-    if model.is_diffuse and model.surface.lambda_s != 0.0:
-        lam_s, a = model.surface.lambda_s, model.a
-        _, gamma, xi = gamma_xi_of_state(state, model)
-        c_dot = ctilde_dot / state.rho
-        sigma_dot = sigma_dot - state.rho ** a * lam_s * gamma \
-            * np.sum(xi * g.grad(c_dot), axis=0)
-    return FunctionalGradient(m=m_dot, rho=g.zeros(), ctilde=ctilde_dot, sigma=sigma_dot)
+    return _tendencies(state, model, ideal=False)
 
 
 def production_density(state: State, model: ModelConfig) -> np.ndarray:
     """Pointwise entropy production rate (nonnegative by construction)."""
-    g = state.grid
     if not model.is_dissipative:
-        return g.zeros()
+        return state.grid.zeros()
     tr = model.transport
-    pt = thermo_point(state, model)
-    T = np.asarray(pt.T)
-    gradv = _gradv3_of_state(state)
-    gradT = _gradT_of_state(state, model)
-    grad_mu = _gradmu_of_state(state, model)
-    visc = _visc_production_density(gradv, tr.eta, tr.zeta)
-    cond = _quad_tensor(tr.kappa_of(state, model), gradT, gradT) / T
-    diff = _quad_tensor(tr.dcoef_of(state, model), grad_mu, grad_mu)
-    return (visc + cond + diff) / T
+    T = np.asarray(thermo_point(state, model).T)
+    gradv, gradT = _grad_vT_of_state(state, model)
+    return _production(T, gradv, gradT, _gradmu_of_state(state, model), tr,
+                       tr.kappa_of(state, model), tr.dcoef_of(state, model))
 
 
 def entropy_production_rate(state: State, model: ModelConfig) -> tuple[np.ndarray, float]:
@@ -304,13 +337,13 @@ def lam4(eta: float, zeta: float) -> np.ndarray:
     return lam
 
 
-def _embed3_matrix(coef, dim: int) -> np.ndarray:
+def _embed3_matrix(coef) -> np.ndarray:
     """Promote a scalar or (dim, dim) matrix coefficient to 3x3."""
     out = np.zeros((3, 3))
     if np.isscalar(coef) or (isinstance(coef, np.ndarray) and coef.ndim == 0):
         # isotropic coefficients act on all three directions
         return float(coef) * np.eye(3)
-    coef = np.asarray(coef)
+    coef = np.asarray(coef, dtype=float)
     out[:coef.shape[0], :coef.shape[1]] = coef
     return out
 
@@ -363,8 +396,8 @@ def onsager_blocks(rho: float, s: float, c: float, v, model: ModelConfig,
     v = np.atleast_1d(np.asarray(v, dtype=float))
     v3[:v.shape[0]] = v
     lam = lam4(tr.eta, tr.zeta)
-    kap = _embed3_matrix(_resolve_tensor(tr.kappa, None, model), model.grid.dim)
-    dmat = _embed3_matrix(_resolve_tensor(tr.dcoef, None, model), model.grid.dim)
+    kap = _embed3_matrix(_resolve_tensor(tr.kappa, None, model))
+    dmat = _embed3_matrix(_resolve_tensor(tr.dcoef, None, model))
     L_mm = T * lam
     L_me = T * np.einsum("ijkl,l->ijk", lam, v3)
     L_mc = np.zeros((3, 3, 3))

@@ -25,10 +25,11 @@ from .fields import random_gradient, smooth_state
 from .functionals import (FAMILIES, FunctionalGradient, ModelConfig, State,
                           grad_H, grad_S)
 from .grid import Grid
-from .metriplectic import (TransportCoefficients, dissipative_rhs,
-                           entropy_production_rate, kn_4bracket, lam4,
-                           metriplectic_2bracket, onsager_blocks,
-                           onsager_fluxes, sectional_curvature)
+from .metriplectic import (TransportCoefficients, _embed3_matrix,
+                           dissipative_rhs, entropy_production_rate,
+                           kn_4bracket, lam4, metriplectic_2bracket,
+                           onsager_blocks, onsager_fluxes,
+                           sectional_curvature)
 from .thermo import EosParams, SurfaceCoefficients, eval_eos
 
 DISSIPATIVE = ("GNS", "CHNS0", "CHNS1")
@@ -262,8 +263,8 @@ def onsager_suite(seed: int, level: str = "fast",
         aff_m = -gradv / T + np.outer(gradT, v3) / T ** 2
         aff_c = -gradmu / T + mu * gradT / T ** 2
         J_m, J_e, J_c = onsager_fluxes(blocks, aff_e, aff_m, aff_c)
-        kap3 = _as3(tr.kappa)
-        dmat3 = _as3(tr.dcoef)
+        kap3 = _embed3_matrix(tr.kappa)
+        dmat3 = _embed3_matrix(tr.dcoef)
         D_m, D_e, D_c = _direct_fluxes(tr.eta, tr.zeta, kap3, dmat3,
                                        T, mu, v3, gradv, gradT, gradmu)
         fs = max(float(np.abs(D_m).max()), float(np.abs(D_e).max()),
@@ -276,15 +277,6 @@ def onsager_suite(seed: int, level: str = "fast",
     return SuiteResult("onsager", passed,
                        dict(worst_symmetry=worst_sym, min_eigenvalue=min_eig,
                             worst_flux_residual=worst_flux, trials=n_trials))
-
-
-def _as3(coef) -> np.ndarray:
-    if np.isscalar(coef) or (isinstance(coef, np.ndarray) and coef.ndim == 0):
-        return float(coef) * np.eye(3)
-    coef = np.asarray(coef, dtype=float)
-    out = np.zeros((3, 3))
-    out[:coef.shape[0], :coef.shape[1]] = coef
-    return out
 
 
 def production_positivity_suite(seed: int, level: str = "fast") -> SuiteResult:

@@ -6,7 +6,6 @@ deliberately heavier than the unit tests: full trial counts, full runs.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -298,7 +297,6 @@ def test_09_capillary_force_1d():
 
 def test_10_physics_runs():
     from metriflow.functionals import thermo_point
-    warnings.simplefilter("ignore", RuntimeWarning)
 
     # heat relaxation: monotone total entropy, decaying temperature variance
     t0 = time.perf_counter()

@@ -78,6 +78,20 @@ def test_fields_snapshot_layout(tmp_path):
     assert header == "x,rho,mx,ctilde,sigma,T,mu_gamma"
 
 
+def test_2d_snapshot_has_one_row_per_cell(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("run", "--scenario", "spinodal2d", "--n", "8",
+                   "--t-end", "0.0005", "--seed", "4",
+                   "--out", str(out)) == EXIT_OK
+    state = scenario_from_config(
+        RunConfig(**json.loads((out / "run.json").read_text()))).state
+    rows = np.loadtxt(out / "fields_0.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] == state.grid.zeros().size
+    x, y = (np.broadcast_to(c, state.grid.shape) for c in state.grid.coords())
+    expected = np.stack([x.ravel(), y.ravel(), state.rho.ravel()], axis=1)
+    assert np.array_equal(rows[:, :3], expected)
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# heat relaxation\nscenario = heat_relax\nn = 48\n"

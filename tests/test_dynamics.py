@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from metriflow import (Grid, IntegrationError, ModelConfig,
-                       SurfaceCoefficients, TransportCoefficients,
-                       diagnostics, eval_eos, ideal_rhs, integrate,
+from metriflow import (FAMILIES, AnisotropyFn, Grid, IntegrationError,
+                       ModelConfig, SurfaceCoefficients,
+                       TransportCoefficients, diagnostics,
+                       dissipative_rhs, eval_eos, ideal_rhs, integrate,
                        smooth_state, stability_limit, step_rk4, total_rhs)
 from metriflow.functionals import State
 
@@ -30,6 +31,66 @@ def test_total_rhs_reduces_to_ideal_for_ge():
     b = ideal_rhs(state, GE)
     for slot in ("m", "rho", "ctilde", "sigma"):
         assert np.array_equal(getattr(a, slot), getattr(b, slot))
+
+
+def _coefficient(kind, dim, scale):
+    if kind == "scalar":
+        return scale
+    if kind == "matrix":
+        return scale * (np.eye(dim) + 0.3 * (np.ones((dim, dim)) - np.eye(dim)))
+
+    def field(state, model):
+        # positive, state-dependent tensor field of shape (dim, dim, *grid)
+        eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
+        return scale * eye * (1.0 + state.c ** 2)
+    return field
+
+
+def _kernel_model(family, dim, coef_kind="scalar"):
+    grid = Grid(dim=dim, n=(16,) * dim, length=(1.0,) * dim)
+    diffuse = family.startswith("CH")
+    surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
+                               lambda_s=1e-3 if diffuse else 0.0,
+                               a=0 if family.endswith("0") else 1)
+    tr = None
+    if family in ("GNS", "CHNS0", "CHNS1"):
+        tr = TransportCoefficients(eta=0.01, zeta=0.005,
+                                   kappa=_coefficient(coef_kind, dim, 0.02),
+                                   dcoef=_coefficient(coef_kind, dim, 0.03))
+    anis = AnisotropyFn(kind="fourfold", eps4=0.04) if dim == 2 else AnisotropyFn()
+    return ModelConfig(family=family, grid=grid, surface=surf, transport=tr,
+                       anisotropy=anis)
+
+
+@pytest.mark.parametrize("coef_kind", ["scalar", "matrix", "callable"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_total_rhs_is_ideal_plus_dissipative(family, dim, coef_kind):
+    model = _kernel_model(family, dim, coef_kind)
+    state = smooth_state(model.grid, model, seed=21)
+    total = total_rhs(state.replace(), model)
+    ideal = ideal_rhs(state.replace(), model)
+    diss = dissipative_rhs(state.replace(), model)
+    for slot in ("m", "rho", "ctilde", "sigma"):
+        a, b = getattr(ideal, slot), getattr(diss, slot)
+        scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
+        assert np.abs(getattr(total, slot) - (a + b)).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim, limit", [(1, 6), (2, 12)])
+def test_total_rhs_deriv_call_count(dim, limit, monkeypatch):
+    model = _kernel_model("CHNS1", dim)
+    state = smooth_state(model.grid, model, seed=22).replace()
+    calls = []
+    plain = Grid.deriv
+
+    def counted(self, f, axis):
+        calls.append(axis)
+        return plain(self, f, axis)
+
+    monkeypatch.setattr(Grid, "deriv", counted)
+    total_rhs(state, model)
+    assert len(calls) <= limit
 
 
 def test_fixed_point_is_bitwise_stationary():

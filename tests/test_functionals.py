@@ -11,7 +11,7 @@ from metriflow import (EosParams, FunctionalGradient, Grid,
                        smooth_state)
 from metriflow.brackets import TestFunctional
 from metriflow.fields import directional_derivative, random_gradient
-from metriflow.functionals import sigma_total
+from metriflow.functionals import sigma_total, thermo_point
 
 GRID1 = Grid(dim=1, n=(32,), length=(1.0,))
 GRID2 = Grid(dim=2, n=(16,), length=(1.0,))
@@ -231,6 +231,20 @@ def test_generalized_mu_a0_assembly():
     lam_f = lam_f_of(np.asarray(pt.T), model.surface)
     expected = np.asarray(pt.mu) - GRID1.div(lam_f * gamma * xi) / st.rho
     assert np.allclose(generalized_mu(st, model), expected, atol=1e-12)
+
+
+def test_memo_is_not_stale_across_fresh_models():
+    # a sweep that builds a fresh model per iteration on one state: freed
+    # parameter objects can hand their id() to the next iteration's
+    state = smooth_state(GRID1, make_model("GE"), seed=3)
+    stale = 0
+    for i in range(2000):
+        model = ModelConfig(family="GE", grid=GRID1,
+                            eos=EosParams(c_v=1.0 + 1e-3 * i))
+        pt = thermo_point(state, model)
+        ref = eval_eos(state.rho, state.s, state.c, model.eos)
+        stale += not np.array_equal(pt.T, ref.T)
+    assert stale == 0
 
 
 def test_functional_gradient_algebra():

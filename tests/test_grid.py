@@ -137,7 +137,7 @@ def test_div_tensor_contracts_first_slot():
     g = Grid(dim=2, n=(16,), length=(1.0,))
     rng = np.random.default_rng(9)
     t = rng.standard_normal((2, 2) + g.shape)
-    out = g.div_tensor(t)
+    out = g.div(t)
     for i in range(2):
         expected = g.deriv(t[0, i], 0) + g.deriv(t[1, i], 1)
         assert np.array_equal(out[i], expected)

@@ -11,7 +11,8 @@ from metriflow import (Grid, ModelConfig, SurfaceCoefficients,
                        sectional_curvature, smooth_state, viscous_stress)
 from metriflow.fields import random_gradient
 from metriflow.functionals import State
-from metriflow.metriplectic import production_density, validate_psd_matrix
+from metriflow.metriplectic import (_visc_production, production_density,
+                                    validate_psd_matrix)
 
 GRID = Grid(dim=1, n=(24,), length=(1.0,))
 TRANSPORT = TransportCoefficients(eta=0.01, zeta=0.005, kappa=0.02, dcoef=0.03)
@@ -88,6 +89,19 @@ def test_viscous_stress_matches_rank4_contraction():
 def test_viscous_stress_shape_guard():
     with pytest.raises(ValueError):
         viscous_stress(np.zeros((2, 2)), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dim_by_dim_production_matches_3x3_embedding(dim):
+    # the analytic out-of-plane trace term reproduces the zero-padded form
+    rng = np.random.default_rng(3)
+    gradv = rng.standard_normal((dim, dim, 5, 7))
+    gradv3 = np.zeros((3, 3, 5, 7))
+    gradv3[:dim, :dim] = gradv
+    embedded = np.sum(gradv3 * viscous_stress(gradv3, 0.4, 0.15), axis=(0, 1))
+    fast = _visc_production(gradv, 0.4, 0.15)
+    assert np.abs(fast - embedded).max() <= 1e-13 * np.abs(embedded).max()
+    assert np.all(fast >= 0.0)
 
 
 # -------------------------------------------------------------- 4-bracket
