@@ -8,8 +8,11 @@ Two subcommands:
   verify  -- run the structure-verification suites and write a
              machine-readable JSON report; exit 0 iff every suite passes.
 
-Configuration precedence: command-line flags > config file > scenario
-defaults.  The config file is flat ``key = value`` text; unknown keys are
+The run settings are the fields of one dataclass, ``RunConfig``.  Each is a
+``run`` flag (``t_end`` is ``--t-end``), a config-file key and a key of
+run.json, so ``run --config`` with the lines of a run.json rebuilds its run.
+Precedence: command-line flags > config file > scenario defaults.  The
+config file is flat ``key = value`` text; unknown keys and bad values are
 rejected with the offending line number.
 """
 
@@ -18,60 +21,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import diagnostics, step_rk4
 from .errors import ConfigError, IntegrationError
-from .functionals import generalized_mu, thermo_point
-from .scenarios import SCENARIO_NAMES, Scenario, make_scenario
+from .functionals import FAMILIES, generalized_mu, thermo_point
+from .scenarios import (SCENARIO_NAMES, SETTING_TYPES, RunConfig, Scenario,
+                        make_scenario, parse_setting)
 from .verification import verify
-
-# keys allowed in a config file; values are parsed with the given callables
-_CONFIG_KEYS = {
-    "scenario": str, "seed": int, "dim": int, "n": int, "length": float,
-    "dt": float, "t_end": float, "cadence": int, "model": str,
-    "eta": float, "zeta": float, "kappa": float, "dcoef": float,
-    "lambda_u": float, "lambda_s": float, "gamma": str,
-    "out": str, "threads": int, "t_global": float,
-}
-
-# config keys forwarded to make_scenario as overrides
-_OVERRIDE_KEYS = ("dim", "n", "length", "dt", "t_end", "cadence", "model",
-                  "eta", "zeta", "kappa", "dcoef", "lambda_u", "lambda_s",
-                  "gamma", "t_global")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
 EXIT_VERIFY = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run configuration (what run.json echoes)."""
-
-    scenario: str
-    seed: int
-    dim: int
-    n: int
-    length: float
-    dt: float
-    t_end: float
-    cadence: int
-    model: str
-    eta: float
-    zeta: float
-    kappa: float
-    dcoef: float
-    lambda_u: float
-    lambda_s: float
-    gamma: str
-    out: str
-    threads: int
-    t_global: float
 
 
 def parse_config_file(path: str) -> dict:
@@ -85,61 +50,26 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](val)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+            values[key.strip()] = parse_setting(key.strip(), val.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over config-file values over scenario defaults."""
-    file_vals = parse_config_file(args.config) if args.config else {}
-    cli_vals = {k: getattr(args, k) for k in _CONFIG_KEYS
-                if getattr(args, k, None) is not None}
-    merged = {**file_vals, **cli_vals}
-    scenario_name = merged.get("scenario")
-    if scenario_name is None:
+def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, Scenario]:
+    """Merge CLI flags over config-file values over scenario defaults, and
+    build the scenario they describe."""
+    settings = parse_config_file(args.config) if args.config else {}
+    settings.update((k, getattr(args, k)) for k in SETTING_TYPES
+                    if getattr(args, k) is not None)
+    name = settings.pop("scenario", None)
+    if name is None:
         raise ConfigError("no scenario given (use --scenario or a config file)")
-    if scenario_name not in SCENARIO_NAMES:
-        raise ConfigError(f"unknown scenario {scenario_name!r}; "
-                          f"choose from {SCENARIO_NAMES}")
-    seed = int(merged.get("seed", 0))
-    overrides = {k: merged[k] for k in _OVERRIDE_KEYS if k in merged}
-    scen = make_scenario(scenario_name, seed=seed, overrides=overrides)
-    tr = scen.model.transport
-    return RunConfig(
-        scenario=scenario_name, seed=seed,
-        dim=scen.model.grid.dim, n=scen.model.grid.n[0],
-        length=scen.model.grid.length[0],
-        dt=scen.dt, t_end=scen.t_end, cadence=scen.cadence,
-        model=scen.model.family.lower(),
-        eta=tr.eta if tr else 0.0, zeta=tr.zeta if tr else 0.0,
-        kappa=float(tr.kappa) if tr else 0.0,
-        dcoef=float(tr.dcoef) if tr else 0.0,
-        lambda_u=scen.model.surface.lambda_u,
-        lambda_s=scen.model.surface.lambda_s,
-        gamma=_gamma_spec(scen.model.anisotropy),
-        out=str(merged.get("out", "out")),
-        threads=int(merged.get("threads", 1)),
-        t_global=scen.t_global,
-    )
-
-
-def _gamma_spec(anis) -> str:
-    if anis.kind == "iso":
-        return "iso"
-    if anis.kind == "fourfold":
-        return f"fourfold:{anis.eps4:.17g}"
-    return "user"
-
-
-def scenario_from_config(cfg: RunConfig) -> Scenario:
-    overrides = {k: getattr(cfg, k) for k in _OVERRIDE_KEYS}
-    return make_scenario(cfg.scenario, seed=cfg.seed, overrides=overrides)
+    seed = settings.pop("seed", 0)
+    out = settings.pop("out", "out")
+    scen = make_scenario(name, seed=seed, overrides=settings)
+    return RunConfig(scenario=name, seed=seed, out=out, **scen.params), scen
 
 
 def _fmt(x: float) -> str:
@@ -174,29 +104,18 @@ def _write_fields(path: Path, state, model) -> None:
         fh.writelines(fmt % row for row in rows)
 
 
-def _set_threads(n: int) -> None:
-    # best effort; numpy's BLAS pools may already be fixed at import time
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=n)
-    except ImportError:
-        pass
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        cfg = resolve_config(args)
+        cfg, scen = resolve_config(args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _set_threads(cfg.threads)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "run.json", "w") as fh:
         json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    scen = scenario_from_config(cfg)
     model, state = scen.model, scen.state
     n_steps = scen.n_steps
     last_row = ""
@@ -221,14 +140,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _set_threads(args.threads if args.threads is not None else 1)
     try:
-        report = verify(seed=args.seed if args.seed is not None else 1,
-                        level=args.level)
+        report = verify(seed=args.seed, level=args.level)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    outdir = Path(args.out) if args.out else Path("out")
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "verify_report.json"
     with open(path, "w") as fh:
@@ -247,34 +164,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structure-preserving two-phase compressible flow")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="integrate a scenario")
-    run_p.add_argument("--scenario", choices=SCENARIO_NAMES)
+    run_p = sub.add_parser(
+        "run", help="integrate a scenario",
+        epilog=f"scenarios: {', '.join(SCENARIO_NAMES)}; models: "
+               f"{', '.join(f.lower() for f in FAMILIES)}; dim: 1 or 2; "
+               "gamma: iso or fourfold:<eps>; out: output directory "
+               "(default: out).  Unset settings take the scenario's defaults.")
     run_p.add_argument("--config", help="flat key = value config file")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--dim", type=int, choices=(1, 2))
-    run_p.add_argument("--n", type=int)
-    run_p.add_argument("--length", type=float)
-    run_p.add_argument("--dt", type=float)
-    run_p.add_argument("--t-end", dest="t_end", type=float)
-    run_p.add_argument("--model",
-                       choices=("ge", "gns", "che0", "che1", "chns0", "chns1"))
-    run_p.add_argument("--eta", type=float)
-    run_p.add_argument("--zeta", type=float)
-    run_p.add_argument("--kappa", type=float)
-    run_p.add_argument("--dcoef", type=float)
-    run_p.add_argument("--lambda-u", dest="lambda_u", type=float)
-    run_p.add_argument("--lambda-s", dest="lambda_s", type=float)
-    run_p.add_argument("--gamma", help="iso or fourfold:<eps>")
-    run_p.add_argument("--out", help="output directory (default: out)")
-    run_p.add_argument("--threads", type=int)
-    run_p.add_argument("--cadence", type=int)
-    run_p.set_defaults(func=cmd_run, t_global=None)
+    for f in fields(RunConfig):
+        run_p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=SETTING_TYPES[f.name])
+    run_p.set_defaults(func=cmd_run)
 
     ver_p = sub.add_parser("verify", help="run the verification suites")
     ver_p.add_argument("--seed", type=int, default=1)
     ver_p.add_argument("--level", choices=("fast", "full"), default="fast")
-    ver_p.add_argument("--out", help="report directory (default: out)")
-    ver_p.add_argument("--threads", type=int)
+    ver_p.add_argument("--out", default="out",
+                       help="report directory (default: out)")
     ver_p.set_defaults(func=cmd_verify)
     return parser
 

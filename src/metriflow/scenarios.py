@@ -12,12 +12,12 @@ resolution-independent (the initial data are fixed smooth functions of x).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
-from .anisotropy import AnisotropyFn, parse_anisotropy
+from .anisotropy import parse_anisotropy
 from .errors import ConfigError
 from .fields import FourierModes, fourier_field
 from .functionals import FAMILIES, ModelConfig, State
@@ -28,17 +28,52 @@ from .thermo import EosParams, SurfaceCoefficients
 SCENARIO_NAMES = ("spinodal1d", "spinodal2d", "heat_relax", "shear_decay",
                   "capillary_probe")
 
-# keys accepted in the overrides mapping (a subset of the run-config keys)
-OVERRIDE_KEYS = frozenset({
-    "dim", "n", "length", "dt", "t_end", "cadence", "model",
-    "eta", "zeta", "kappa", "dcoef", "lambda_u", "lambda_s", "lambda_v",
-    "gamma", "noise_amp", "t_global",
-})
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The run-config schema: every run setting and its type.
+
+    This is the only list of run settings.  The ``run`` command-line flags
+    (``--t-end`` for ``t_end``), the config-file keys, the ``make_scenario``
+    overrides (every field but scenario, seed and out) and ``run.json`` are
+    all derived from these fields.
+    """
+
+    scenario: str
+    seed: int
+    dim: int
+    n: int
+    length: float
+    dt: float
+    t_end: float
+    cadence: int
+    model: str
+    eta: float
+    zeta: float
+    kappa: float
+    dcoef: float
+    lambda_u: float
+    lambda_s: float
+    lambda_v: float
+    gamma: str
+    noise_amp: float
+    out: str
+
+
+# setting name -> type, which also parses a config-file value
+SETTING_TYPES = get_type_hints(RunConfig)
+# the settings a scenario is built from, given as make_scenario overrides
+_SCENARIO_SETTINGS = frozenset(SETTING_TYPES) - {"scenario", "seed", "out"}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully specified run: model, admissible initial state, and stepping."""
+    """A fully specified run: model, admissible initial state, and stepping.
+
+    params holds the resolved value of every setting the scenario was built
+    from (its defaults with the overrides applied); passed back to
+    make_scenario as overrides, it rebuilds the same scenario.
+    """
 
     name: str
     seed: int
@@ -47,7 +82,7 @@ class Scenario:
     dt: float
     t_end: float
     cadence: int
-    t_global: float = 1.0
+    params: dict
 
     @property
     def n_steps(self) -> int:
@@ -96,59 +131,53 @@ def _defaults(name: str) -> dict:
                     dt=1.5e-4, t_end=1.0, cadence=500,
                     lambda_u=3.75e-4, lambda_s=1.25e-4, lambda_v=0.25,
                     eta=0.01, zeta=0.0, kappa=0.01, dcoef=0.16,
-                    gamma="iso", noise_amp=1e-2, t_global=1.0)
+                    gamma="iso", noise_amp=1e-2)
     if name == "spinodal2d":
         return dict(model="chns1", dim=2, n=64, length=1.0,
                     dt=5e-4, t_end=0.75, cadence=250,
                     lambda_u=3.75e-4, lambda_s=1.25e-4, lambda_v=0.25,
                     eta=0.01, zeta=0.0, kappa=0.01, dcoef=0.16,
-                    gamma="iso", noise_amp=1e-2, t_global=1.0)
+                    gamma="iso", noise_amp=1e-2)
     if name == "heat_relax":
         return dict(model="gns", dim=1, n=64, length=1.0,
                     dt=1e-3, t_end=0.5, cadence=50,
-                    lambda_u=0.0, lambda_s=0.0,
+                    lambda_u=0.0, lambda_s=0.0, lambda_v=1.0,
                     eta=0.0, zeta=0.0, kappa=0.2, dcoef=0.0,
-                    gamma="iso", noise_amp=0.02, t_global=1.0)
+                    gamma="iso", noise_amp=0.02)
     if name == "shear_decay":
         return dict(model="gns", dim=2, n=32, length=1.0,
                     dt=2e-3, t_end=0.5, cadence=25,
-                    lambda_u=0.0, lambda_s=0.0,
+                    lambda_u=0.0, lambda_s=0.0, lambda_v=1.0,
                     eta=0.05, zeta=0.0, kappa=0.01, dcoef=0.0,
-                    gamma="iso", noise_amp=0.0, t_global=1.0)
+                    gamma="iso", noise_amp=0.0)
     if name == "capillary_probe":
         return dict(model="chns1", dim=1, n=256, length=1.0,
                     dt=5e-5, t_end=0.01, cadence=50,
-                    lambda_u=2e-3, lambda_s=1e-3,
+                    lambda_u=2e-3, lambda_s=1e-3, lambda_v=1.0,
                     eta=0.01, zeta=0.0, kappa=0.01, dcoef=0.01,
-                    gamma="iso", noise_amp=0.0, t_global=1.0)
+                    gamma="iso", noise_amp=0.0)
     raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
 
 
-def _build_model(p: dict) -> tuple[Grid, ModelConfig]:
-    family = str(p["model"]).upper()
+def _build_model(p: dict) -> ModelConfig:
+    family = p["model"].upper()
     if family not in FAMILIES:
         raise ConfigError(f"unknown model family {p['model']!r}")
-    dim, n = int(p["dim"]), int(p["n"])
-    grid = Grid(dim=dim, n=(n,) * dim, length=(float(p["length"]),) * dim)
-    diffuse = family.startswith("CH")
-    if diffuse:
-        surface = SurfaceCoefficients(lambda_u=float(p["lambda_u"]),
-                                      lambda_s=float(p["lambda_s"]),
+    dim = p["dim"]
+    grid = Grid(dim=dim, n=(p["n"],) * dim, length=(p["length"],) * dim)
+    if family.startswith("CH"):
+        surface = SurfaceCoefficients(lambda_u=p["lambda_u"],
+                                      lambda_s=p["lambda_s"],
                                       a=0 if family.endswith("0") else 1)
     else:
         surface = SurfaceCoefficients(lambda_u=0.0, lambda_s=0.0)
-    dissipative = family in ("GNS", "CHNS0", "CHNS1")
     transport = TransportCoefficients(
-        eta=float(p["eta"]), zeta=float(p["zeta"]),
-        kappa=p["kappa"] if not isinstance(p["kappa"], str) else float(p["kappa"]),
-        dcoef=p["dcoef"] if not isinstance(p["dcoef"], str) else float(p["dcoef"]),
-    ) if dissipative else None
-    gamma = p["gamma"]
-    anis = gamma if isinstance(gamma, AnisotropyFn) else parse_anisotropy(str(gamma))
-    eos = EosParams(lambda_V=float(p.get("lambda_v", 1.0)))
-    model = ModelConfig(family=family, grid=grid, eos=eos,
-                        surface=surface, anisotropy=anis, transport=transport)
-    return grid, model
+        eta=p["eta"], zeta=p["zeta"], kappa=p["kappa"], dcoef=p["dcoef"],
+    ) if family in ("GNS", "CHNS0", "CHNS1") else None
+    return ModelConfig(family=family, grid=grid,
+                       eos=EosParams(lambda_V=p["lambda_v"]), surface=surface,
+                       anisotropy=parse_anisotropy(p["gamma"]),
+                       transport=transport)
 
 
 def double_tanh_profile(x: np.ndarray, length: float, width: float) -> np.ndarray:
@@ -164,9 +193,9 @@ def _initial_state(name: str, grid: Grid, seed: int, p: dict) -> State:
     c = grid.zeros()
     s = grid.zeros()
     if name in ("spinodal1d", "spinodal2d"):
-        c = _noise(grid, seed, float(p["noise_amp"]))
+        c = _noise(grid, seed, p["noise_amp"])
     elif name == "heat_relax":
-        s = float(p["noise_amp"]) * np.sin(2.0 * np.pi * x[0] / grid.length[0])
+        s = p["noise_amp"] * np.sin(2.0 * np.pi * x[0] / grid.length[0])
     elif name == "shear_decay":
         v[1] = np.sin(2.0 * np.pi * x[0] / grid.length[0])
     elif name == "capillary_probe":
@@ -177,28 +206,40 @@ def _initial_state(name: str, grid: Grid, seed: int, p: dict) -> State:
     return State(grid=grid, m=rho * v, rho=rho, ctilde=rho * c, sigma=rho * s)
 
 
+def parse_setting(key: str, value):
+    """Convert one run setting to its RunConfig type; ConfigError names it."""
+    if key not in SETTING_TYPES:
+        raise ConfigError(f"unknown key {key!r}")
+    try:
+        return SETTING_TYPES[key](value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+
+
 def make_scenario(name: str, seed: int = 0, overrides: dict | None = None) -> Scenario:
-    """Build a named scenario, applying overrides on top of its defaults."""
-    params = _defaults(name)
-    if overrides:
-        unknown = set(overrides) - OVERRIDE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown override keys: {sorted(unknown)}")
-        params.update(overrides)
-    dt, t_end = float(params["dt"]), float(params["t_end"])
+    """Build a named scenario, applying overrides on top of its defaults.
+
+    The override keys are the RunConfig fields other than scenario, seed
+    and out; each value is converted to its field's type.
+    """
+    params = {**_defaults(name), **(overrides or {})}
+    unknown = set(params) - _SCENARIO_SETTINGS
+    if unknown:
+        raise ConfigError(f"unknown override keys: {sorted(unknown)}")
+    params = {k: parse_setting(k, v) for k, v in params.items()}
+    dt, t_end, cadence = params["dt"], params["t_end"], params["cadence"]
     if dt <= 0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    if t_end <= 0:
-        raise ConfigError(f"t_end must be positive, got {t_end}")
-    cadence = int(params["cadence"])
+    if not 0.5 < t_end / dt < np.inf:  # n_steps = round(t_end / dt) >= 1
+        raise ConfigError(f"t_end = {t_end} must be finite and more than "
+                          f"dt / 2 = {dt / 2}: the run takes no step")
     if cadence <= 0:
         raise ConfigError(f"cadence must be positive, got {cadence}")
-    grid, model = _build_model(params)
-    state = _initial_state(name, grid, seed, params)
+    model = _build_model(params)
+    state = _initial_state(name, model.grid, seed, params)
     state.validate(model)
     return Scenario(name=name, seed=seed, model=model, state=state,
-                    dt=dt, t_end=t_end, cadence=cadence,
-                    t_global=float(params["t_global"]))
+                    dt=dt, t_end=t_end, cadence=cadence, params=params)
 
 
 def zero_crossings(c: np.ndarray, axis: int = 0) -> int:

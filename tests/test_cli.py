@@ -1,13 +1,17 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import metriflow.cli as cli
+from metriflow import ConfigError
 from metriflow.cli import (EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK,
-                           EXIT_VERIFY, RunConfig, main, parse_config_file,
-                           resolve_config, scenario_from_config)
+                           EXIT_VERIFY, RunConfig, build_parser, main,
+                           parse_config_file, resolve_config)
+from metriflow.scenarios import make_scenario
 
 
 def run_cli(*argv):
@@ -83,8 +87,7 @@ def test_2d_snapshot_has_one_row_per_cell(tmp_path):
     assert run_cli("run", "--scenario", "spinodal2d", "--n", "8",
                    "--t-end", "0.0005", "--seed", "4",
                    "--out", str(out)) == EXIT_OK
-    state = scenario_from_config(
-        RunConfig(**json.loads((out / "run.json").read_text()))).state
+    state = make_scenario("spinodal2d", seed=4, overrides={"n": 8}).state
     rows = np.loadtxt(out / "fields_0.csv", delimiter=",", skiprows=1)
     assert rows.shape[0] == state.grid.zeros().size
     x, y = (np.broadcast_to(c, state.grid.shape) for c in state.grid.coords())
@@ -103,7 +106,6 @@ def test_config_file_parsing(tmp_path):
 def test_config_file_unknown_key_cites_line(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scenario = heat_relax\nviscosity = 1\n")
-    from metriflow import ConfigError
     with pytest.raises(ConfigError, match=r"run\.cfg:2"):
         parse_config_file(str(cfg))
 
@@ -111,7 +113,6 @@ def test_config_file_unknown_key_cites_line(tmp_path):
 def test_config_file_bad_syntax(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("just a line\n")
-    from metriflow import ConfigError
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_file(str(cfg))
 
@@ -133,11 +134,14 @@ def test_run_json_round_trips(tmp_path):
             "--out", str(out))
     meta = json.loads((out / "run.json").read_text())
     cfg = RunConfig(**meta)
-    scen = scenario_from_config(cfg)
-    ref = scenario_from_config(cfg)
+    overrides = {k: v for k, v in meta.items()
+                 if k not in ("scenario", "seed", "out")}
+    scen = make_scenario(cfg.scenario, seed=cfg.seed, overrides=overrides)
+    ref = make_scenario(cfg.scenario, seed=cfg.seed, overrides=overrides)
     assert np.array_equal(scen.state.ctilde, ref.state.ctilde)
     assert scen.model.family == "CHNS1"
     assert scen.dt == meta["dt"]
+    assert scen.params == overrides
 
 
 def test_verify_fast_passes(tmp_path, capsys):
@@ -178,8 +182,6 @@ def test_tampered_conductivity_fails_onsager_suite():
 
 
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch, capsys):
-    import metriflow.cli as cli
-
     def fake_verify(seed, level):
         return {"seed": seed, "level": level, "passed": False,
                 "suites": {"budgets": {"passed": False, "details": {}}}}
@@ -191,14 +193,96 @@ def test_verify_exit_code_on_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_resolve_config_echoes_scenario_defaults(tmp_path):
-    import argparse
-    args = argparse.Namespace(scenario="shear_decay", config=None, seed=None,
-                              dim=None, n=None, length=None, dt=None,
-                              t_end=None, cadence=None, model=None, eta=None,
-                              zeta=None, kappa=None, dcoef=None,
-                              lambda_u=None, lambda_s=None, gamma=None,
-                              out=None, threads=None, t_global=None)
-    cfg = resolve_config(args)
+    args = build_parser().parse_args(["run", "--scenario", "shear_decay"])
+    cfg, scen = resolve_config(args)
     assert cfg.model == "gns"
     assert cfg.dim == 2
     assert cfg.eta == 0.05
+    assert scen.model.transport.eta == 0.05
+
+
+def _config_text(meta):
+    return "".join(f"{k} = {v}\n" for k, v in meta.items())
+
+
+def test_run_settings_are_one_key_set(tmp_path):
+    schema = {f.name for f in fields(RunConfig)}
+    dests = set(vars(build_parser().parse_args(["run"])))
+    assert dests - {"command", "func", "config"} == schema
+
+    out = tmp_path / "o"
+    assert run_cli("run", "--scenario", "heat_relax", "--t-end", "0.002",
+                   "--out", str(out)) == EXIT_OK
+    meta = json.loads((out / "run.json").read_text())
+    assert set(meta) == schema
+
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(_config_text(meta))
+    assert parse_config_file(str(cfg)) == meta
+
+    # make_scenario takes every other setting as an override, and no more
+    overrides = {k: v for k, v in meta.items()
+                 if k not in ("scenario", "seed", "out")}
+    scen = make_scenario(meta["scenario"], seed=meta["seed"],
+                         overrides=overrides)
+    assert set(scen.params) | {"scenario", "seed", "out"} == schema
+    for key in ("scenario", "seed", "out", "threads", "t_global"):
+        with pytest.raises(ConfigError, match=key):
+            make_scenario("heat_relax", overrides={key: meta.get(key, 1)})
+
+
+def test_relaunch_from_run_json_is_byte_identical(tmp_path):
+    cfg = tmp_path / "first.cfg"
+    cfg.write_text("scenario = spinodal1d\nseed = 5\nt_end = 0.003\n"
+                   "cadence = 5\nlambda_v = 0.2\nnoise_amp = 0.02\n")
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert run_cli("run", "--config", str(cfg), "--out", str(first)) == EXIT_OK
+    meta = json.loads((first / "run.json").read_text())
+    assert (meta["lambda_v"], meta["noise_amp"]) == (0.2, 0.02)
+    relaunch = tmp_path / "relaunch.cfg"
+    relaunch.write_text(_config_text(meta))
+    assert run_cli("run", "--config", str(relaunch),
+                   "--out", str(second)) == EXIT_OK
+    names = sorted(p.name for p in first.iterdir() if p.name != "run.json")
+    assert "fields_5.csv" in names and "diagnostics.csv" in names
+    assert names == sorted(p.name for p in second.iterdir()
+                           if p.name != "run.json")
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_run_builds_the_scenario_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_scenario", counting)
+    assert run_cli("run", "--scenario", "heat_relax", "--t-end", "0.002",
+                   "--out", str(tmp_path / "o")) == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["--dim", "3"], None, "dim must be 1 or 2, got 3"),
+    (["--n", "0"], None, "got (0,)"),
+    (["--gamma", "sixfold:0.1"], None, "'sixfold:0.1'"),
+    (["--t-end", "0.0001"], None, "t_end = 0.0001"),
+    (["--t-end", "inf"], None, "t_end = inf"),
+    ([], "viscosity = 1\n", "unknown key 'viscosity'"),
+    ([], "n = many\n", "bad value for 'n': 'many'"),
+], ids=["dim", "n", "gamma", "zero_steps", "inf_steps", "unknown_key",
+        "bad_value"])
+def test_invalid_settings_exit_2_naming_them(tmp_path, capsys, argv, config,
+                                             named):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "o"
+    code = run_cli("run", "--scenario", "heat_relax", "--out", str(out), *argv)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not (out / "diagnostics.csv").exists()
