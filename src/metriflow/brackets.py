@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import UnsupportedFamilyError
 from .functionals import (FunctionalGradient, ModelConfig, State,
-                          _capillary_stress, gamma_xi_of_state, thermo_point)
+                          _capillary_stress, _lift, gamma_xi_of_state,
+                          thermo_point)
 from .metriplectic import _tendencies
 
 
@@ -57,10 +58,14 @@ def _div_outer(grid, u, w):
 
 
 def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
-                    state: State, model: ModelConfig) -> float:
-    """Family-selected Poisson bracket of two functional gradients."""
+                    state: State, model: ModelConfig) -> float | np.ndarray:
+    """Family-selected Poisson bracket of two functional gradients.
+
+    Fg and Gg may be batches with the same number of trial axes (sizes
+    broadcast); the result is then an array over the trial axes.
+    """
     g = state.grid
-    m, rho, ctilde, sigma = state.m, state.rho, state.ctilde, state.sigma
+    m, rho, ctilde, sigma = _lift(state.m, Fg), state.rho, state.ctilde, state.sigma
 
     def pair(f_of_FG):
         return f_of_FG(Fg, Gg) - f_of_FG(Gg, Fg)
@@ -77,6 +82,7 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
     lam_s, a = model.surface.lambda_s, model.a
     gc, gamma, xi = gamma_xi_of_state(state, model)
+    gc, xi = _lift(gc, Fg), _lift(xi, Fg)
 
     if a == 1:
         integrand = integrand - lam_s * pair(

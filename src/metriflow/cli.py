@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -39,12 +40,17 @@ EXIT_INTEGRATION = 3
 EXIT_VERIFY = 4
 
 
+# a comment starts with '#' at the start of a line or after whitespace, so
+# that a value such as ``out = run#1`` keeps its '#'
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+
 def parse_config_file(path: str) -> dict:
     """Parse a flat key = value config file; rejects unknown keys."""
     values = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         if "=" not in line:

@@ -19,11 +19,14 @@ from .grid import Grid
 
 @dataclass(frozen=True)
 class FourierModes:
-    """amp[i] * cos(2*pi*(k[i] . x)/L + phase[i]) summed over i."""
+    """amp[i] * cos(2*pi*(k[i] . x)/L + phase[i]) summed over i.
 
-    amps: np.ndarray     # (n_modes,)
-    kvecs: np.ndarray    # (n_modes, dim) integer wavevectors
-    phases: np.ndarray   # (n_modes,)
+    Leading axes before the mode axis, if any, index stacked fields.
+    """
+
+    amps: np.ndarray     # (..., n_modes)
+    kvecs: np.ndarray    # (..., n_modes, dim) integer wavevectors
+    phases: np.ndarray   # (..., n_modes)
 
 
 def make_modes(rng: np.random.Generator, dim: int, n_modes: int = 4,
@@ -39,13 +42,20 @@ def make_modes(rng: np.random.Generator, dim: int, n_modes: int = 4,
 
 
 def fourier_field(grid: Grid, modes: FourierModes) -> np.ndarray:
+    """The field(s) on the grid, shape (*modes.amps.shape[:-1], *grid.shape).
+
+    Modes are summed one at a time, in order, so stacked fields carry the
+    same bits as fields built one by one.
+    """
     x = grid.coords()
+    lead = modes.amps.shape[:-1] + (1,) * grid.dim
     out = grid.zeros()
-    for amp, k, ph in zip(modes.amps, modes.kvecs, modes.phases):
-        arg = ph
+    for j in range(modes.amps.shape[-1]):
+        arg = modes.phases[..., j].reshape(lead)
         for d in range(grid.dim):
-            arg = arg + 2.0 * np.pi * k[d] * x[d] / grid.length[d]
-        out = out + amp * np.cos(arg)
+            k = modes.kvecs[..., j, d].reshape(lead)
+            arg = arg + 2.0 * np.pi * k * x[d] / grid.length[d]
+        out = out + modes.amps[..., j].reshape(lead) * np.cos(arg)
     return out
 
 
@@ -72,17 +82,28 @@ def smooth_state(grid: Grid, model: ModelConfig, seed: int = 0,
     return state
 
 
-def random_gradient(grid: Grid, seed: int, amp: float = 1.0,
+def random_gradient(grid: Grid, seed: int | np.ndarray, amp: float = 1.0,
                     kmax: int = 3) -> FunctionalGradient:
-    """A smooth, seed-determined covector (functional-gradient) field."""
-    rng = np.random.default_rng(seed)
-    m = np.stack([amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
-                  for _ in range(grid.dim)])
-    return FunctionalGradient(
-        m=m,
-        rho=amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax)),
-        ctilde=amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax)),
-        sigma=amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax)))
+    """A smooth, seed-determined covector (functional-gradient) field.
+
+    For a 1-D array of K seeds, the batch of the K gradients (trial axis
+    after m's component axis); each equals the gradient of its own seed.
+    """
+    seeds = np.asarray(seed)
+    n_slots = grid.dim + 3  # m components, rho, ctilde, sigma
+    draws = [[make_modes(rng, grid.dim, kmax=kmax) for _ in range(n_slots)]
+             for rng in map(np.random.default_rng, seeds.ravel())]
+
+    def stacked(name):
+        # (n_slots, *seeds.shape, ...): the slot axis first, so that each
+        # slot of the result is one contiguous block
+        arr = np.array([[getattr(md, name) for md in per_seed] for per_seed in draws])
+        return np.moveaxis(arr, 0, 1).reshape((n_slots,) + seeds.shape + arr.shape[2:])
+
+    f = amp * fourier_field(grid, FourierModes(amps=stacked("amps"), kvecs=stacked("kvecs"),
+                                               phases=stacked("phases")))
+    return FunctionalGradient(m=f[:grid.dim], rho=f[grid.dim],
+                              ctilde=f[grid.dim + 1], sigma=f[grid.dim + 2])
 
 
 def linear_functional(grid: Grid, seed: int) -> TestFunctional:

@@ -113,7 +113,13 @@ class State:
 
 @dataclass(frozen=True)
 class FunctionalGradient:
-    """Per-field variational derivatives (also reused for tendencies)."""
+    """Per-field variational derivatives (also reused for tendencies).
+
+    A batch of K gradients stacks them on a trial axis: the scalar slots
+    have shape (K, *grid.shape) and m has (dim, K, *grid.shape), the
+    component axis first as for any stacked vector field.  The brackets,
+    dot and norm then return a (K,) array instead of a float.
+    """
 
     m: np.ndarray
     rho: np.ndarray
@@ -125,14 +131,19 @@ class FunctionalGradient:
         return cls(m=grid.zeros_vector(), rho=grid.zeros(),
                    ctilde=grid.zeros(), sigma=grid.zeros())
 
-    def dot(self, other: "FunctionalGradient", grid: Grid) -> float:
+    def dot(self, other: "FunctionalGradient", grid: Grid) -> float | np.ndarray:
         """Discrete L2 pairing summed over all slots."""
-        return (grid.inner(self.m, other.m) + grid.inner(self.rho, other.rho)
-                + grid.inner(self.ctilde, other.ctilde)
-                + grid.inner(self.sigma, other.sigma))
+        # m's component axis goes behind the trial axes, and each trial's
+        # components and cells are summed as one flat run, as for one gradient
+        mm = np.moveaxis(self.m * other.m, 0, self.rho.ndim - grid.dim)
+        mm = mm.reshape(mm.shape[:mm.ndim - grid.dim - 1] + (-1,) + grid.shape[1:])
+        return (grid.integrate(mm) + grid.integrate(self.rho * other.rho)
+                + grid.integrate(self.ctilde * other.ctilde)
+                + grid.integrate(self.sigma * other.sigma))
 
-    def norm(self, grid: Grid) -> float:
-        return float(np.sqrt(self.dot(self, grid)))
+    def norm(self, grid: Grid) -> float | np.ndarray:
+        d = self.dot(self, grid)
+        return float(np.sqrt(d)) if np.ndim(d) == 0 else np.sqrt(d)
 
     def __add__(self, other):
         return FunctionalGradient(self.m + other.m, self.rho + other.rho,
@@ -146,6 +157,14 @@ class FunctionalGradient:
         return FunctionalGradient(a * self.m, a * self.rho, a * self.ctilde, a * self.sigma)
 
     __rmul__ = __mul__
+
+
+def _lift(vec: np.ndarray, Fg: FunctionalGradient) -> np.ndarray:
+    """A state vector field (dim, *shape) with one singleton axis per trial
+    axis of Fg after its component axis, so that it broadcasts against a
+    batch; unchanged for a single gradient."""
+    n_trial = Fg.rho.ndim - (vec.ndim - 1)
+    return vec.reshape(vec.shape[:1] + (1,) * n_trial + vec.shape[1:])
 
 
 def _memo(state: State, name: str, key, compute):

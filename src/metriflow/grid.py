@@ -112,9 +112,12 @@ class Grid:
             out = out + self.deriv(u[k], k)
         return out
 
-    def integrate(self, f: np.ndarray) -> float:
-        """Cell-sum quadrature with deterministic pairwise summation."""
-        return float(np.sum(f) * self.cell_volume)
+    def integrate(self, f: np.ndarray) -> float | np.ndarray:
+        """Cell-sum quadrature with deterministic pairwise summation over the
+        trailing grid axes: a float for one field, an array of integrals
+        for stacked fields (leading axes)."""
+        total = np.sum(f, axis=tuple(range(f.ndim - self.dim, f.ndim))) * self.cell_volume
+        return float(total) if total.ndim == 0 else total
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """Discrete L2 inner product (sums over any leading component axes)."""

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import UnsupportedFamilyError
 from .functionals import (FunctionalGradient, ModelConfig, State, _memo,
-                          _capillary_stress, gamma_xi_of_state,
+                          _capillary_stress, _lift, gamma_xi_of_state,
                           generalized_mu, sigma_total, thermo_point)
 from .grid import Grid
 from .thermo import eval_eos
@@ -145,7 +145,8 @@ def _conc_slot(Fg: FunctionalGradient, state: State, model: ModelConfig) -> np.n
         return g.grad(Fg.ctilde)
     lam_s, a = model.surface.lambda_s, model.a
     _, gamma, xi = gamma_xi_of_state(state, model)
-    inner = Fg.ctilde + g.div(state.rho ** a * lam_s * gamma * xi * Fg.sigma) / state.rho
+    inner = Fg.ctilde + g.div(state.rho ** a * lam_s * gamma * _lift(xi, Fg)
+                              * Fg.sigma) / state.rho
     return g.grad(inner)
 
 
@@ -170,11 +171,13 @@ def _require_dissipative(model: ModelConfig):
 
 def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
                 Kg: FunctionalGradient, Ng: FunctionalGradient,
-                state: State, model: ModelConfig) -> float:
+                state: State, model: ModelConfig) -> float | np.ndarray:
     """Minimal metriplectic 4-bracket (F, G; K, N).
 
     Antisymmetric in (F, G) and in (K, N), symmetric under pair exchange;
-    (S, H; S, H) >= 0 whenever the transport coefficients are psd.
+    (S, H; S, H) >= 0 whenever the transport coefficients are psd.  The
+    four gradients may be batches with the same number of trial axes
+    (sizes broadcast); the result is then an array over the trial axes.
     """
     _require_dissipative(model)
     g = state.grid

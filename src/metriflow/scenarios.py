@@ -207,13 +207,20 @@ def _initial_state(name: str, grid: Grid, seed: int, p: dict) -> State:
 
 
 def parse_setting(key: str, value):
-    """Convert one run setting to its RunConfig type; ConfigError names it."""
+    """Convert one run setting to its RunConfig type; ConfigError names it.
+
+    An integer setting takes an integral value only: int() would truncate
+    48.7 to 48.
+    """
     if key not in SETTING_TYPES:
         raise ConfigError(f"unknown key {key!r}")
     try:
-        return SETTING_TYPES[key](value)
-    except (TypeError, ValueError) as exc:
+        out = SETTING_TYPES[key](value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+    if SETTING_TYPES[key] is int and not isinstance(value, str) and out != value:
+        raise ConfigError(f"bad value for {key!r}: {value!r} is not an integer")
+    return out
 
 
 def make_scenario(name: str, seed: int = 0, overrides: dict | None = None) -> Scenario:

@@ -251,6 +251,21 @@ def test_relaunch_from_run_json_is_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def test_relaunch_keeps_a_hash_in_out(tmp_path):
+    out = tmp_path / "run#1"
+    assert run_cli("run", "--scenario", "heat_relax", "--t-end", "0.002",
+                   "--out", str(out)) == EXIT_OK
+    meta = json.loads((out / "run.json").read_text())
+    assert meta["out"] == str(out)
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    for p in out.iterdir():
+        p.unlink()
+    relaunch = tmp_path / "relaunch.cfg"
+    relaunch.write_text(_config_text(meta))
+    assert run_cli("run", "--config", str(relaunch)) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
 def test_run_builds_the_scenario_once(tmp_path, monkeypatch):
     calls = []
 

@@ -50,6 +50,17 @@ def test_invalid_overrides_rejected():
         make_scenario("heat_relax", overrides={"model": "mhd"})
 
 
+def test_integer_settings_reject_non_integral_values():
+    with pytest.raises(ConfigError, match="'n'"):
+        make_scenario("heat_relax", overrides={"n": 48.7})
+    with pytest.raises(ConfigError, match="'cadence'"):
+        make_scenario("heat_relax", overrides={"cadence": 2.5})
+    with pytest.raises(ConfigError, match="'n'"):
+        make_scenario("heat_relax", overrides={"n": float("inf")})
+    for n in (48, "48", 48.0, np.int64(48)):
+        assert make_scenario("heat_relax", overrides={"n": n}).model.grid.n == (48,)
+
+
 def test_overrides_apply():
     sc = make_scenario("heat_relax", overrides={"n": 48, "kappa": 0.5})
     assert sc.model.grid.n == (48,)
