@@ -13,7 +13,8 @@ from .brackets import (TestFunctional, capillary_force, ideal_rhs,
 from .dynamics import (Diagnostics, diagnostics, integrate, stability_limit,
                        step_rk4, total_rhs)
 from .errors import (ConfigError, InadmissibleStateError, IntegrationError,
-                     MetriflowError, ThermoDomainError, UnsupportedFamilyError)
+                     MetriflowError, ParameterError, ThermoDomainError,
+                     UnsupportedFamilyError)
 from .fields import linear_functional, quadratic_functional, random_gradient, smooth_state
 from .functionals import (FAMILIES, FunctionalGradient, ModelConfig, State,
                           entropy, free_energy, generalized_mu, grad_H,
@@ -38,7 +39,8 @@ __all__ = [
     "Diagnostics", "diagnostics", "integrate", "stability_limit",
     "step_rk4", "total_rhs",
     "ConfigError", "InadmissibleStateError", "IntegrationError",
-    "MetriflowError", "ThermoDomainError", "UnsupportedFamilyError",
+    "MetriflowError", "ParameterError", "ThermoDomainError",
+    "UnsupportedFamilyError",
     "linear_functional", "quadratic_functional", "random_gradient", "smooth_state",
     "FAMILIES", "FunctionalGradient", "ModelConfig", "State", "entropy",
     "free_energy", "generalized_mu", "grad_H", "grad_S", "hamiltonian",

@@ -61,8 +61,10 @@ def gamma_eval(p: np.ndarray, fn: AnisotropyFn) -> tuple[np.ndarray, np.ndarray]
     p = np.asarray(p, dtype=float)
     if p.ndim == 0:
         p = p.reshape(1)
-    mag = np.sqrt(np.sum(p * p, axis=0))
-    rms = float(np.sqrt(np.mean(mag * mag)))
+    mag = np.sqrt((p * p).sum(axis=0))
+    # the mean as sum / size: the same bits as .mean(), without its
+    # Python-level wrapper
+    rms = float(np.sqrt((mag * mag).sum() / mag.size))
     cutoff = fn.eps_reg * (rms if rms > 0 else 1.0)
     safe = np.maximum(mag, cutoff)
 

@@ -44,12 +44,12 @@ class TestFunctional:
 
 def _directional(grid, fm, scalar_field):
     # (fm . grad)(scalar_field), fm a vector field
-    return np.sum(fm * grid.grad(scalar_field), axis=0)
+    return (fm * grid.grad(scalar_field)).sum(axis=0)
 
 
 def _vec_advect(grid, fm, gm):
     # vector field with components fm_j d_j gm_i
-    return np.sum(fm[:, None] * grid.grad(gm), axis=0)
+    return (fm[:, None] * grid.grad(gm)).sum(axis=0)
 
 
 def _div_outer(grid, u, w):
@@ -72,7 +72,7 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
     # momentum self-coupling and the rho / ctilde advection pairings are
     # shared by all three families
-    integrand = np.sum(m * pair(lambda F, G: _vec_advect(g, F.m, G.m)), axis=0)
+    integrand = (m * pair(lambda F, G: _vec_advect(g, F.m, G.m))).sum(axis=0)
     integrand = integrand + rho * pair(lambda F, G: _directional(g, F.m, G.rho))
     integrand = integrand + ctilde * pair(lambda F, G: _directional(g, F.m, G.ctilde))
 
@@ -86,14 +86,14 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
     if a == 1:
         integrand = integrand - lam_s * pair(
-            lambda F, G: np.sum(F.m * _div_outer(g, rho * G.sigma * gamma * xi, gc), axis=0))
+            lambda F, G: (F.m * _div_outer(g, rho * G.sigma * gamma * xi, gc)).sum(axis=0))
         sig_w = sigma + 0.5 * rho * lam_s * gamma * gamma
         integrand = integrand + sig_w * pair(lambda F, G: _directional(g, F.m, G.sigma))
         return -g.integrate(integrand)
 
     # a == 0
     integrand = integrand - lam_s * pair(
-        lambda F, G: np.sum(F.m * _div_outer(g, G.sigma * gamma * xi, gc), axis=0))
+        lambda F, G: (F.m * _div_outer(g, G.sigma * gamma * xi, gc)).sum(axis=0))
     integrand = integrand + 0.5 * lam_s * pair(
         lambda F, G: _directional(g, F.m, gamma * gamma * G.sigma))
     integrand = integrand + sigma * pair(lambda F, G: _directional(g, F.m, G.sigma))

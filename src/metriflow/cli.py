@@ -103,7 +103,7 @@ def _write_fields(path: Path, state, model) -> None:
         header = "x,y,rho,mx,my,ctilde,sigma,T,mu_gamma"
         cols = [coords[0], coords[1], state.rho, state.m[0], state.m[1],
                 state.ctilde, state.sigma, T, mu_g]
-    rows = zip(*(np.ravel(col).tolist() for col in cols))
+    rows = zip(*(col.ravel().tolist() for col in cols))
     fmt = ",".join(["%.17g"] * len(cols)) + "\n"  # the same digits as _fmt
     with open(path, "w") as fh:
         fh.write(header + "\n")

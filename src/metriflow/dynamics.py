@@ -26,10 +26,10 @@ def total_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
 
 
 def _advance(state: State, rhs: FunctionalGradient, dt: float) -> State:
-    return state.replace(m=state.m + dt * rhs.m,
-                         rho=state.rho + dt * rhs.rho,
-                         ctilde=state.ctilde + dt * rhs.ctilde,
-                         sigma=state.sigma + dt * rhs.sigma)
+    return State(grid=state.grid, m=state.m + dt * rhs.m,
+                 rho=state.rho + dt * rhs.rho,
+                 ctilde=state.ctilde + dt * rhs.ctilde,
+                 sigma=state.sigma + dt * rhs.sigma)
 
 
 def stability_limit(state: State, model: ModelConfig) -> float:
@@ -121,7 +121,7 @@ def diagnostics(state: State, model: ModelConfig, t: float = 0.0) -> Diagnostics
         energy=hamiltonian(state, model),
         entropy=entropy(state, model),
         entropy_production=float(prod),
-        temperature_min=float(np.min(np.asarray(pt.T))),
+        temperature_min=float(np.asarray(pt.T).min()),
     )
 
 

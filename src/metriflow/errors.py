@@ -17,6 +17,14 @@ class UnsupportedFamilyError(MetriflowError, ValueError):
     """Operation requested for a model family that does not support it."""
 
 
+class ParameterError(MetriflowError, ValueError):
+    """A constructor parameter out of its domain; ``name`` is the parameter."""
+
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.name = name
+
+
 class ConfigError(MetriflowError, ValueError):
     """Invalid or unparseable run configuration."""
 

@@ -97,14 +97,14 @@ class State:
     def validate(self, model: ModelConfig) -> None:
         """Admissibility: finite fields, rho > 0, derived T > 0, p > 0."""
         for name in ("m", "rho", "ctilde", "sigma"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise InadmissibleStateError(f"non-finite entries in {name}")
-        if np.any(self.rho <= 0):
+        if (self.rho <= 0).any():
             raise InadmissibleStateError("rho must be positive everywhere")
         pt = thermo_point(self, model)
-        if np.any(pt.T <= 0):
+        if (pt.T <= 0).any():
             raise InadmissibleStateError("derived temperature must be positive")
-        if np.any(pt.p <= 0):
+        if (pt.p <= 0).any():
             raise InadmissibleStateError("derived pressure must be positive")
 
     def replace(self, **kw) -> "State":
@@ -203,7 +203,7 @@ def hamiltonian(state: State, model: ModelConfig) -> float:
     """Total energy: kinetic + internal + surface-gradient part."""
     g = state.grid
     pt = thermo_point(state, model)
-    e = 0.5 * np.sum(state.m * state.m, axis=0) / state.rho + state.rho * pt.u
+    e = 0.5 * (state.m * state.m).sum(axis=0) / state.rho + state.rho * pt.u
     if model.is_diffuse and model.surface.lambda_u != 0.0:
         _, gamma, _ = gamma_xi_of_state(state, model)
         e = e + 0.5 * state.rho ** model.a * model.surface.lambda_u * gamma * gamma
@@ -236,7 +236,7 @@ def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
     pt = thermo_point(state, model)
     d_m = v
     d_sigma = np.asarray(pt.T)
-    d_rho = -0.5 * np.sum(v * v, axis=0) + pt.u + pt.p / rho - s * pt.T - c * pt.mu
+    d_rho = -0.5 * (v * v).sum(axis=0) + pt.u + pt.p / rho - s * pt.T - c * pt.mu
     d_ctilde = np.asarray(pt.mu).copy()
     if model.is_diffuse and model.surface.lambda_u != 0.0:
         lam_u, a = model.surface.lambda_u, model.a

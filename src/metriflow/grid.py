@@ -10,8 +10,29 @@ global budget and bracket identity in the rest of the package leans on this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
+
+from .errors import ParameterError
+
+
+@cache
+def _stencil(ndim: int, ax: int) -> tuple:
+    """(out, plus, minus) index tuples of the three np.subtract calls of a
+    periodic central difference along axis ax of an ndim-array: the
+    interior, then the first and the last cell with their wrapped
+    neighbours.  Keyed on the resolved axis, since one ndim holds stacked
+    1D fields and 2D fields alike."""
+
+    def at(s: slice) -> tuple:
+        idx = [slice(None)] * ndim
+        idx[ax] = s
+        return tuple(idx)
+
+    return ((at(slice(1, -1)), at(slice(2, None)), at(slice(None, -2))),
+            (at(slice(0, 1)), at(slice(1, 2)), at(slice(-1, None))),
+            (at(slice(-1, None)), at(slice(0, 1)), at(slice(-2, -1))))
 
 
 @dataclass(frozen=True)
@@ -28,7 +49,7 @@ class Grid:
 
     def __post_init__(self):
         if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+            raise ParameterError("dim", f"dim must be 1 or 2, got {self.dim}")
         n = self.n if isinstance(self.n, tuple) else (self.n,) * self.dim
         if len(n) == 1 and self.dim == 2:
             n = n * 2
@@ -36,9 +57,9 @@ class Grid:
         if len(length) == 1 and self.dim == 2:
             length = length * 2
         if any(ni < 4 for ni in n):
-            raise ValueError(f"need at least 4 cells per axis, got {n}")
+            raise ParameterError("n", f"need at least 4 cells per axis, got {n}")
         if any(li <= 0 for li in length):
-            raise ValueError(f"length must be positive, got {length}")
+            raise ParameterError("length", f"length must be positive, got {length}")
         object.__setattr__(self, "n", tuple(int(ni) for ni in n))
         object.__setattr__(self, "length", tuple(float(li) for li in length))
         object.__setattr__(self, "h", tuple(li / ni for li, ni in zip(self.length, self.n)))
@@ -47,7 +68,7 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.n
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
@@ -70,24 +91,14 @@ class Grid:
     def deriv(self, f: np.ndarray, axis: int) -> np.ndarray:
         """Central difference along one axis, periodic.
 
-        Hand-rolled shifts (slice assignments) rather than np.roll; this is
-        the innermost operation of every RHS evaluation and np.roll's
-        per-call overhead dominates at desk-scale grid sizes.
+        Hand-rolled shifts (slice assignments) rather than np.roll, with
+        the index tuples built once per (f.ndim, array axis): this is the
+        innermost operation of every RHS evaluation, and per-call overhead
+        dominates at desk-scale grid sizes.
         """
-        ax = f.ndim - self.dim + axis
         out = np.empty_like(f)
-        mid = [slice(None)] * f.ndim
-        plus = [slice(None)] * f.ndim
-        minus = [slice(None)] * f.ndim
-        mid[ax], plus[ax], minus[ax] = slice(1, -1), slice(2, None), slice(None, -2)
-        np.subtract(f[tuple(plus)], f[tuple(minus)], out=out[tuple(mid)])
-        lo = [slice(None)] * f.ndim
-        lo[ax] = slice(0, 1)
-        plus[ax], minus[ax] = slice(1, 2), slice(-1, None)
-        np.subtract(f[tuple(plus)], f[tuple(minus)], out=out[tuple(lo)])
-        lo[ax] = slice(-1, None)
-        plus[ax], minus[ax] = slice(0, 1), slice(-2, -1)
-        np.subtract(f[tuple(plus)], f[tuple(minus)], out=out[tuple(lo)])
+        for o, plus, minus in _stencil(f.ndim, f.ndim - self.dim + axis):
+            np.subtract(f[plus], f[minus], out=out[o])
         out *= 1.0 / (2.0 * self.h[axis])
         return out
 
@@ -96,7 +107,10 @@ class Grid:
         e.g. grad(v)[k, l] = d_k v_l, at one deriv call per axis."""
         if f.shape[f.ndim - self.dim:] != self.shape:
             raise ValueError(f"field shape {f.shape} does not match grid {self.shape}")
-        return np.stack([self.deriv(f, k) for k in range(self.dim)])
+        out = np.empty((self.dim,) + f.shape, dtype=f.dtype)
+        for k in range(self.dim):
+            out[k] = self.deriv(f, k)
+        return out
 
     def div(self, u: np.ndarray) -> np.ndarray:
         """Divergence over the leading axis: (dim, ..., *shape) -> (..., *shape);
@@ -109,22 +123,22 @@ class Grid:
             raise ValueError(f"vector field shape {u.shape} does not match grid")
         out = self.deriv(u[0], 0)
         for k in range(1, self.dim):
-            out = out + self.deriv(u[k], k)
+            out += self.deriv(u[k], k)
         return out
 
     def integrate(self, f: np.ndarray) -> float | np.ndarray:
         """Cell-sum quadrature with deterministic pairwise summation over the
         trailing grid axes: a float for one field, an array of integrals
         for stacked fields (leading axes)."""
-        total = np.sum(f, axis=tuple(range(f.ndim - self.dim, f.ndim))) * self.cell_volume
+        total = f.sum(axis=tuple(range(f.ndim - self.dim, f.ndim))) * self.cell_volume
         return float(total) if total.ndim == 0 else total
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """Discrete L2 inner product (sums over any leading component axes)."""
-        return float(np.sum(f * g) * self.cell_volume)
+        return float((f * g).sum() * self.cell_volume)
 
     def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(f * f) * self.cell_volume))
+        return float(np.sqrt((f * f).sum() * self.cell_volume))
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """div(grad(f)): the wide stencil, so summation by parts is exact."""

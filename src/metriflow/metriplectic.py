@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnsupportedFamilyError
+from .errors import ParameterError, UnsupportedFamilyError
 from .functionals import (FunctionalGradient, ModelConfig, State, _memo,
                           _capillary_stress, _lift, gamma_xi_of_state,
                           generalized_mu, sigma_total, thermo_point)
@@ -49,12 +49,14 @@ class TransportCoefficients:
     dcoef: float | np.ndarray | Callable = 0.0
 
     def __post_init__(self):
-        if self.eta < 0 or self.zeta < 0:
-            raise ValueError("viscosities must be nonnegative")
+        for name in ("eta", "zeta"):
+            if getattr(self, name) < 0:
+                raise ParameterError(name, "viscosities must be nonnegative, "
+                                           f"got {name} = {getattr(self, name)}")
         for name in ("kappa", "dcoef"):
             val = getattr(self, name)
             if isinstance(val, (int, float)) and val < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise ParameterError(name, f"{name} must be nonnegative")
             if isinstance(val, np.ndarray):
                 validate_psd_matrix(val, name)
 
@@ -95,13 +97,13 @@ def _apply_tensor(coef, w: np.ndarray) -> np.ndarray:
 
 def _quad_tensor(coef, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pointwise x . coef . y for vector fields x, y."""
-    return np.sum(x * _apply_tensor(coef, y), axis=0)
+    return (x * _apply_tensor(coef, y)).sum(axis=0)
 
 
 def _stress(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
     """eta*(gradv + gradv^T - (2/3) I tr) + zeta I tr on a (d, d, ...) block."""
-    trace = np.trace(gradv)
-    out = eta * (gradv + np.swapaxes(gradv, 0, 1))
+    trace = gradv.trace()
+    out = eta * (gradv + gradv.swapaxes(0, 1))
     for i in range(len(gradv)):
         out[i, i] += (zeta - (2.0 / 3.0) * eta) * trace
     return out
@@ -124,9 +126,9 @@ def _visc_production(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
     """gradv : Lambda : gradv for a dim x dim gradient (dim <= 2), as
     2 eta |sym - (tr/3) I_3|^2 + zeta tr^2 with the deviator norm
     |sym_dd|^2 - tr^2/3 (at least tr^2/6, so nonnegative)."""
-    trace = np.trace(gradv)
-    sym = 0.5 * (gradv + np.swapaxes(gradv, 0, 1))
-    dev2 = np.sum(sym * sym, axis=(0, 1)) - trace * trace / 3.0
+    trace = gradv.trace()
+    sym = 0.5 * (gradv + gradv.swapaxes(0, 1))
+    dev2 = (sym * sym).sum(axis=(0, 1)) - trace * trace / 3.0
     return 2.0 * eta * dev2 + zeta * trace * trace
 
 
@@ -194,7 +196,7 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     def d3(A, B):
         return B.sigma * _conc_slot(A, state, model) - A.sigma * _conc_slot(B, state, model)
 
-    integrand = np.sum(d1(Fg, Gg) * _stress(d1(Kg, Ng), tr.eta, tr.zeta), axis=(0, 1))
+    integrand = (d1(Fg, Gg) * _stress(d1(Kg, Ng), tr.eta, tr.zeta)).sum(axis=(0, 1))
     kappa = tr.kappa_of(state, model)
     integrand = integrand + _quad_tensor(kappa, d2(Fg, Gg), d2(Kg, Ng)) / T
     dcoef = tr.dcoef_of(state, model)
@@ -215,7 +217,7 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
     x1 = T * g.grad(Fg.m) - Fg.sigma * gradv
     y1 = T * g.grad(Gg.m) - Gg.sigma * gradv
-    integrand = np.sum(x1 * _stress(y1, tr.eta, tr.zeta), axis=(0, 1))
+    integrand = (x1 * _stress(y1, tr.eta, tr.zeta)).sum(axis=(0, 1))
 
     x2 = T * g.grad(Fg.sigma) - Fg.sigma * gradT
     y2 = T * g.grad(Gg.sigma) - Gg.sigma * gradT
@@ -231,9 +233,13 @@ def _divergences(grid: Grid, fluxes: dict) -> dict:
     """{name: divergence} of named fluxes (dim, ..., *shape), stacked so
     that each axis takes a single deriv call."""
     parts = [f.reshape((grid.dim, -1) + grid.shape) for f in fluxes.values()]
-    divs = np.split(grid.div(np.concatenate(parts, axis=1)),
-                    np.cumsum([p.shape[1] for p in parts])[:-1])
-    return {name: d.reshape(f.shape[1:]) for (name, f), d in zip(fluxes.items(), divs)}
+    div = grid.div(np.concatenate(parts, axis=1))
+    divs, start = {}, 0
+    for (name, f), part in zip(fluxes.items(), parts):
+        stop = start + part.shape[1]
+        divs[name] = div[start:stop].reshape(f.shape[1:])
+        start = stop
+    return divs
 
 
 def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
@@ -283,7 +289,7 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     m_dot = divs.get("m", g.zeros_vector())
     sigma_dot = divs["sigma"]
     if ideal:
-        advect = np.sum(v[:, None] * gradv, axis=0)  # v_j d_j v_i
+        advect = (v[:, None] * gradv).sum(axis=0)  # v_j d_j v_i
         m_dot = m_dot - rho * advect - grad_p + v * rho_dot
     if dissipative:
         mu_gamma = np.asarray(pt.mu)
@@ -297,7 +303,7 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
         lam_s, a = model.surface.lambda_s, model.a
         _, gamma, xi = gamma_xi_of_state(state, model)
         c_dot = (ctilde_dot - state.c * rho_dot) / rho
-        sigma_dot = sigma_dot - rho ** a * lam_s * gamma * np.sum(xi * g.grad(c_dot), axis=0)
+        sigma_dot = sigma_dot - rho ** a * lam_s * gamma * (xi * g.grad(c_dot)).sum(axis=0)
         if a == 1:
             sigma_dot = sigma_dot - 0.5 * lam_s * gamma * gamma * rho_dot
     return FunctionalGradient(m=m_dot, rho=rho_dot, ctilde=ctilde_dot, sigma=sigma_dot)

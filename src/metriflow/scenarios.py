@@ -18,7 +18,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .anisotropy import parse_anisotropy
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .fields import FourierModes, fourier_field
 from .functionals import FAMILIES, ModelConfig, State
 from .grid import Grid
@@ -159,25 +159,41 @@ def _defaults(name: str) -> dict:
     raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
 
 
+def _bad_value(key: str, exc: ValueError) -> ConfigError:
+    return ConfigError(f"bad value for {key!r}: {exc}")
+
+
 def _build_model(p: dict) -> ModelConfig:
+    """The model of the resolved settings p; a model parameter out of its
+    domain is a ConfigError that names the setting it came from."""
     family = p["model"].upper()
     if family not in FAMILIES:
         raise ConfigError(f"unknown model family {p['model']!r}")
     dim = p["dim"]
-    grid = Grid(dim=dim, n=(p["n"],) * dim, length=(p["length"],) * dim)
+    try:
+        anisotropy = parse_anisotropy(p["gamma"])
+    except ValueError as exc:
+        raise _bad_value("gamma", exc) from None
+    try:
+        eos = EosParams(lambda_V=p["lambda_v"])
+    except ValueError as exc:
+        raise _bad_value("lambda_v", exc) from None
+    try:
+        # the grid's and the transport's parameters are named as the settings
+        grid = Grid(dim=dim, n=(p["n"],) * dim, length=(p["length"],) * dim)
+        transport = TransportCoefficients(
+            eta=p["eta"], zeta=p["zeta"], kappa=p["kappa"], dcoef=p["dcoef"],
+        ) if family in ("GNS", "CHNS0", "CHNS1") else None
+    except ParameterError as exc:
+        raise _bad_value(exc.name, exc) from None
     if family.startswith("CH"):
         surface = SurfaceCoefficients(lambda_u=p["lambda_u"],
                                       lambda_s=p["lambda_s"],
                                       a=0 if family.endswith("0") else 1)
     else:
         surface = SurfaceCoefficients(lambda_u=0.0, lambda_s=0.0)
-    transport = TransportCoefficients(
-        eta=p["eta"], zeta=p["zeta"], kappa=p["kappa"], dcoef=p["dcoef"],
-    ) if family in ("GNS", "CHNS0", "CHNS1") else None
-    return ModelConfig(family=family, grid=grid,
-                       eos=EosParams(lambda_V=p["lambda_v"]), surface=surface,
-                       anisotropy=parse_anisotropy(p["gamma"]),
-                       transport=transport)
+    return ModelConfig(family=family, grid=grid, eos=eos, surface=surface,
+                       anisotropy=anisotropy, transport=transport)
 
 
 def double_tanh_profile(x: np.ndarray, length: float, width: float) -> np.ndarray:
@@ -257,7 +273,7 @@ def zero_crossings(c: np.ndarray, axis: int = 0) -> int:
     """
     sign = np.where(c >= 0, 1, -1)
     flips = sign * np.roll(sign, -1, axis=axis) < 0
-    return int(np.sum(flips))
+    return int(flips.sum())
 
 
 def analytic_capillary_force(x: np.ndarray, length: float, width: float,

@@ -72,7 +72,7 @@ class SurfaceCoefficients:
 def internal_energy(rho, s, c, params: EosParams):
     """Specific internal energy u(rho, s, c) of the default model."""
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
+    if (rho <= 0).any():
         raise ThermoDomainError("internal energy requires rho > 0")
     thermal = params.c_v * params.T_ref * (rho / params.rho_ref) ** (params.gamma_ad - 1.0) \
         * np.exp((np.asarray(s, dtype=float) - params.s_ref) / params.c_v)
@@ -86,7 +86,7 @@ def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
     rho = np.asarray(rho, dtype=float)
     s = np.asarray(s, dtype=float)
     c = np.asarray(c, dtype=float)
-    if np.any(rho <= 0):
+    if (rho <= 0).any():
         raise ThermoDomainError("eval_eos requires rho > 0")
     thermal = params.c_v * params.T_ref * (rho / params.rho_ref) ** (params.gamma_ad - 1.0) \
         * np.exp((s - params.s_ref) / params.c_v)
@@ -113,6 +113,6 @@ def modified_gibbs(rho, s, c, v, params: EosParams):
     """
     pt = eval_eos(rho, s, c, params)
     v = np.asarray(v, dtype=float)
-    ke = 0.5 * np.sum(v * v, axis=0) if v.ndim > 0 else 0.5 * v * v
+    ke = 0.5 * (v * v).sum(axis=0) if v.ndim > 0 else 0.5 * v * v
     return pt.u - pt.T * np.asarray(s, dtype=float) + pt.p / np.asarray(rho, dtype=float) \
         - pt.mu * np.asarray(c, dtype=float) - ke

@@ -35,6 +35,10 @@ from .thermo import EosParams, SurfaceCoefficients, eval_eos
 DISSIPATIVE = ("GNS", "CHNS0", "CHNS1")
 ORDER_MIN = 1.9
 FLOOR = 1e-12
+# grid sizes of casimir_convergence_suite; the observed order comes from
+# the two finest: with 64 cells as the finest the estimate is still
+# pre-asymptotic for some seeds (1.82 for seed 24 at level full)
+CASIMIR_SIZES = (16, 32, 64, 128)
 
 SUITE_NAMES = ("bracket_symmetry", "casimir_convergence", "curvature",
                "onsager", "production_positivity", "budgets")
@@ -163,10 +167,9 @@ def casimir_convergence_suite(seed: int, level: str = "fast") -> SuiteResult:
     each Casimir is paired with all of them in one bracket call.
     """
     n_trials = _counts(level)["casimir"]
-    sizes = (16, 32, 64)
     residuals = {(family, label): [] for family in FAMILIES
                  for label in ("entropy", "mass")}
-    for n in sizes:
+    for n in CASIMIR_SIZES:
         grid = Grid(dim=1, n=(n,), length=(1.0,))
         F = random_gradient(grid, seed + 100 + np.arange(n_trials), kmax=2)
         f_norm = F.norm(grid)
@@ -214,7 +217,8 @@ def curvature_suite(seed: int, level: str = "fast") -> SuiteResult:
         scale = (np.linalg.norm(sig_mat) * np.linalg.norm(m_mat)
                  * np.linalg.norm(F) ** 2 * np.linalg.norm(G) ** 2)
         k = sectional_curvature(F, G, sig_form, m_form)
-        min_psd = min(min_psd, k / scale)
+        # np.minimum / np.maximum keep a NaN, where min / max would drop it
+        min_psd = np.minimum(min_psd, k / scale)
 
         # strictly positive-definite, non-collinear case
         sig_pd = sig_mat + 0.1 * np.eye(d)
@@ -224,8 +228,8 @@ def curvature_suite(seed: int, level: str = "fast") -> SuiteResult:
             k_pd = sectional_curvature(
                 F, G, lambda x, y: float(x @ sig_pd @ y),
                 lambda x, y: float(x @ m_pd @ y))
-            min_pd = min(min_pd, k_pd / scale)
-    passed = min_psd >= -1e-12 and min_pd > 0.0
+            min_pd = np.minimum(min_pd, k_pd / scale)
+    passed = bool(min_psd >= -1e-12 and min_pd > 0.0)
     return SuiteResult("curvature", passed,
                        dict(min_normalized_psd=float(min_psd),
                             min_normalized_pd=float(min_pd), trials=n_trials))
@@ -270,8 +274,8 @@ def onsager_suite(seed: int, level: str = "fast",
         blocks = onsager_blocks(rho, s, c, v3, model, transport=tr)
         L = blocks.assemble()
         scale = max(float(np.abs(L).max()), 1.0)
-        worst_sym = max(worst_sym, float(np.abs(L - L.T).max()) / scale)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(0.5 * (L + L.T)).min()) / scale)
+        worst_sym = np.maximum(worst_sym, float(np.abs(L - L.T).max()) / scale)
+        min_eig = np.minimum(min_eig, float(np.linalg.eigvalsh(0.5 * (L + L.T)).min()) / scale)
 
         # flux reconstruction against the direct formulas
         pt = eval_eos(rho, s, c, model.eos)
@@ -289,14 +293,15 @@ def onsager_suite(seed: int, level: str = "fast",
                                        T, mu, v3, gradv, gradT, gradmu)
         fs = max(float(np.abs(D_m).max()), float(np.abs(D_e).max()),
                  float(np.abs(D_c).max()), 1.0)
-        worst_flux = max(worst_flux,
-                         float(np.abs(J_m - D_m).max()) / fs,
-                         float(np.abs(J_e - D_e).max()) / fs,
-                         float(np.abs(J_c - D_c).max()) / fs)
-    passed = worst_sym <= 1e-13 and min_eig >= -1e-12 and worst_flux <= 1e-10
+        worst_flux = np.max([worst_flux,
+                             float(np.abs(J_m - D_m).max()) / fs,
+                             float(np.abs(J_e - D_e).max()) / fs,
+                             float(np.abs(J_c - D_c).max()) / fs])
+    passed = bool(worst_sym <= 1e-13 and min_eig >= -1e-12 and worst_flux <= 1e-10)
     return SuiteResult("onsager", passed,
-                       dict(worst_symmetry=worst_sym, min_eigenvalue=min_eig,
-                            worst_flux_residual=worst_flux, trials=n_trials))
+                       dict(worst_symmetry=float(worst_sym),
+                            min_eigenvalue=float(min_eig),
+                            worst_flux_residual=float(worst_flux), trials=n_trials))
 
 
 def production_positivity_suite(seed: int, level: str = "fast") -> SuiteResult:
@@ -313,22 +318,22 @@ def production_positivity_suite(seed: int, level: str = "fast") -> SuiteResult:
         state = smooth_state(grid, model, seed=int(rng.integers(0, 2 ** 31)),
                              amp=0.15)
         _, prod = entropy_production_rate(state, model)
-        min_prod = min(min_prod, prod)
+        min_prod = np.minimum(min_prod, prod)
         if trial < counts["crosspath"]:
             Sg = grad_S(state, model)
             Hg = grad_H(state, model)
             rate = Sg.dot(dissipative_rhs(state, model), grid)
             scale = max(abs(prod), 1e-30)
-            worst_pair = max(worst_pair, abs(rate - prod) / scale)
+            worst_pair = np.maximum(worst_pair, abs(rate - prod) / scale)
             shsh = kn_4bracket(Sg, Hg, Sg, Hg, state, model)
             two = metriplectic_2bracket(Sg, Sg, state, model)
-            worst_cross = max(worst_cross, abs(shsh - prod) / scale,
-                              abs(two - prod) / scale)
-    passed = min_prod >= -1e-14 and worst_pair <= 1e-10 and worst_cross <= 1e-10
+            worst_cross = np.max([worst_cross, abs(shsh - prod) / scale,
+                                  abs(two - prod) / scale])
+    passed = bool(min_prod >= -1e-14 and worst_pair <= 1e-10 and worst_cross <= 1e-10)
     return SuiteResult("production_positivity", passed,
                        dict(min_production=float(min_prod),
-                            worst_rate_mismatch=worst_pair,
-                            worst_cross_path=worst_cross))
+                            worst_rate_mismatch=float(worst_pair),
+                            worst_cross_path=float(worst_cross)))
 
 
 def budgets_suite(seed: int, level: str = "fast") -> SuiteResult:

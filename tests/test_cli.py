@@ -287,8 +287,16 @@ def test_run_builds_the_scenario_once(tmp_path, monkeypatch):
     (["--t-end", "inf"], None, "t_end = inf"),
     ([], "viscosity = 1\n", "unknown key 'viscosity'"),
     ([], "n = many\n", "bad value for 'n': 'many'"),
+    (["--n", "0"], None, "bad value for 'n': "),
+    (["--length", "0"], None, "bad value for 'length': "),
+    (["--eta", "-1"], None, "bad value for 'eta': "),
+    (["--zeta", "-1"], None, "bad value for 'zeta': "),
+    (["--lambda-v", "-1"], None, "bad value for 'lambda_v': "),
+    (["--gamma", "fourfold:0.5"], None, "bad value for 'gamma': "),
+    ([], "kappa = -1\n", "bad value for 'kappa': "),
 ], ids=["dim", "n", "gamma", "zero_steps", "inf_steps", "unknown_key",
-        "bad_value"])
+        "bad_value", "n_key", "length_key", "eta_key", "zeta_key",
+        "lambda_v_key", "gamma_key", "kappa_key"])
 def test_invalid_settings_exit_2_naming_them(tmp_path, capsys, argv, config,
                                              named):
     if config is not None:

@@ -153,3 +153,47 @@ def test_norm_and_inner_consistency(grid):
     rng = np.random.default_rng(12)
     f = rng.standard_normal(grid.shape)
     assert grid.norm(f) == pytest.approx(np.sqrt(grid.inner(f, f)), rel=1e-14)
+
+
+def _roll_deriv(grid, f, axis):
+    ax = f.ndim - grid.dim + axis
+    return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) \
+        * (1.0 / (2.0 * grid.h[axis]))
+
+
+# a 1D grid's stacked (k, n) field and a 2D grid's (n, m) field share ndim 2
+# but are differentiated along different array axes
+_STACKED_CASES = [
+    (Grid(dim=1, n=(12,), length=(1.0,)), (12,)),
+    (Grid(dim=1, n=(12,), length=(1.0,)), (3, 12)),
+    (Grid(dim=2, n=(12, 10), length=(1.5, 0.5)), (12, 10)),
+    (Grid(dim=1, n=(12,), length=(1.0,)), (2, 3, 12)),
+    (Grid(dim=2, n=(12, 10), length=(1.5, 0.5)), (3, 12, 10)),
+]
+
+
+def test_deriv_of_stacked_fields_equals_roll_reference():
+    rng = np.random.default_rng(13)
+    # interleaved, in both orders, so that each stencil table is first
+    # built by one grid and then used by the other
+    for cases in (_STACKED_CASES, _STACKED_CASES[::-1]):
+        for g, shape in cases:
+            f = rng.standard_normal(shape)
+            for axis in range(g.dim):
+                assert np.array_equal(g.deriv(f, axis), _roll_deriv(g, f, axis)), \
+                    (g.dim, shape, axis)
+
+
+@pytest.mark.parametrize("case", range(len(_STACKED_CASES)))
+def test_grad_is_the_stack_of_derivs(case):
+    g, shape = _STACKED_CASES[case]
+    f = np.random.default_rng(14).standard_normal(shape)
+    out = g.grad(f)
+    assert np.array_equal(out, np.stack([g.deriv(f, k) for k in range(g.dim)]))
+    assert out.flags.c_contiguous
+
+
+def test_cell_volume_is_computed_once():
+    g = Grid(dim=2, n=(12, 10), length=(1.5, 0.5))
+    assert g.cell_volume == float(np.prod(g.h))
+    assert g.cell_volume is g.cell_volume

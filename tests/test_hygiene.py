@@ -28,3 +28,24 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path) == []
+
+
+# numpy functions with a Python-level wrapper around an array method; on
+# the per-step path, at desk-scale sizes, the wrapper costs more than the
+# arithmetic, so the package calls the methods instead
+NUMPY_WRAPPERS = {"sum", "any", "all", "mean", "trace", "swapaxes", "split"}
+
+
+def numpy_wrapper_calls(path: Path) -> list[str]:
+    """Calls np.<name>(...) of a name in NUMPY_WRAPPERS."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}: np.{node.func.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+            and node.func.attr in NUMPY_WRAPPERS]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_calls_array_methods_not_numpy_wrappers(path):
+    assert numpy_wrapper_calls(path) == []

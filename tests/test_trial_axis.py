@@ -16,9 +16,9 @@ from metriflow import (AnisotropyFn, FunctionalGradient, Grid, ModelConfig,
 from metriflow import verification
 from metriflow.fields import random_gradient
 from metriflow.functionals import FAMILIES
-from metriflow.verification import (DISSIPATIVE, FLOOR, ORDER_MIN, _counts,
-                                    _jsonable, _observed_order, model_for,
-                                    verify)
+from metriflow.verification import (CASIMIR_SIZES, DISSIPATIVE, FLOOR,
+                                    ORDER_MIN, _counts, _jsonable,
+                                    _observed_order, model_for, verify)
 
 SEEDS = np.array([3, 17, 40, 41, 1 << 30])
 
@@ -204,7 +204,7 @@ def _reference_casimir_convergence(seed, level):
     for family in FAMILIES:
         for label in ("entropy", "mass"):
             residuals = []
-            for n in (16, 32, 64):
+            for n in CASIMIR_SIZES:
                 grid = Grid(dim=1, n=(n,), length=(1.0,))
                 model = model_for(family, grid)
                 state = smooth_state(grid, model, seed=seed + 3, kmax=2)
