@@ -32,10 +32,12 @@ class FourierModes:
 def make_modes(rng: np.random.Generator, dim: int, n_modes: int = 4,
                kmax: int = 3, amp: float = 1.0) -> FourierModes:
     kvecs = rng.integers(-kmax, kmax + 1, size=(n_modes, dim))
-    # avoid the zero mode so the field has zero mean
-    for i in range(n_modes):
-        while not kvecs[i].any():
+    # avoid the zero mode so the field has zero mean: redraw each zero row,
+    # in order (the rows are checked as Python lists, which is cheaper)
+    for i, row in enumerate(kvecs.tolist()):
+        while not any(row):
             kvecs[i] = rng.integers(-kmax, kmax + 1, size=dim)
+            row = kvecs[i].tolist()
     amps = amp * rng.uniform(0.3, 1.0, size=n_modes) / n_modes
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
     return FourierModes(amps=amps, kvecs=kvecs, phases=phases)
@@ -72,11 +74,15 @@ def smooth_state(grid: Grid, model: ModelConfig, seed: int = 0,
     Resolution-independent: refining the grid samples the same functions.
     """
     rng = np.random.default_rng(seed)
-    rho = 1.0 + amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
-    v = np.stack([amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
-                  for _ in range(grid.dim)])
-    c = amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
-    s = amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
+    # the mode sets of rho, the dim components of v, c and s, in that order,
+    # stacked for one fourier_field call
+    modes = [make_modes(rng, grid.dim, kmax=kmax) for _ in range(grid.dim + 3)]
+    f = amp * fourier_field(grid, FourierModes(
+        amps=np.array([md.amps for md in modes]),
+        kvecs=np.array([md.kvecs for md in modes]),
+        phases=np.array([md.phases for md in modes])))
+    rho = 1.0 + f[0]
+    v, c, s = f[1:grid.dim + 1], f[grid.dim + 1], f[grid.dim + 2]
     state = State(grid=grid, m=rho * v, rho=rho, ctilde=rho * c, sigma=rho * s)
     state.validate(model)
     return state

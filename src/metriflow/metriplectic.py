@@ -21,6 +21,7 @@ All tendencies, ideal and dissipative, come from one kernel
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,16 +50,15 @@ class TransportCoefficients:
     dcoef: float | np.ndarray | Callable = 0.0
 
     def __post_init__(self):
-        for name in ("eta", "zeta"):
-            if getattr(self, name) < 0:
-                raise ParameterError(name, "viscosities must be nonnegative, "
-                                           f"got {name} = {getattr(self, name)}")
-        for name in ("kappa", "dcoef"):
+        for name in ("eta", "zeta", "kappa", "dcoef"):
             val = getattr(self, name)
-            if isinstance(val, (int, float)) and val < 0:
-                raise ParameterError(name, f"{name} must be nonnegative")
             if isinstance(val, np.ndarray):
                 validate_psd_matrix(val, name)
+            elif name in ("eta", "zeta") or isinstance(val, (int, float)):
+                if not math.isfinite(val):
+                    raise ParameterError(name, f"{name} must be finite, got {name} = {val}")
+                if val < 0:
+                    raise ParameterError(name, f"{name} must be nonnegative, got {name} = {val}")
 
     def kappa_of(self, state, model):
         return _resolve_tensor(self.kappa, state, model)
@@ -71,12 +71,18 @@ ZERO_TRANSPORT = TransportCoefficients()
 
 
 def validate_psd_matrix(mat: np.ndarray, name: str, tol: float = 1e-12) -> None:
+    """Raise a ParameterError naming ``name`` unless mat is a finite,
+    symmetric (to tol relative) positive semidefinite square matrix."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} matrix must be square")
-    if not np.allclose(mat, mat.T, rtol=0, atol=tol * max(1.0, float(np.abs(mat).max()))):
-        raise ValueError(f"{name} matrix must be symmetric")
+        raise ParameterError(name, f"{name} matrix must be square")
+    amax = float(np.abs(mat).max())
+    if not math.isfinite(amax):
+        raise ParameterError(name, f"{name} matrix must be finite")
+    atol = tol * max(1.0, amax)
+    if not (np.abs(mat - mat.T) <= atol).all():
+        raise ParameterError(name, f"{name} matrix must be symmetric")
     if np.linalg.eigvalsh(0.5 * (mat + mat.T)).min() < -tol:
-        raise ValueError(f"{name} matrix must be positive semidefinite")
+        raise ParameterError(name, f"{name} matrix must be positive semidefinite")
 
 
 def _resolve_tensor(coef, state, model):
@@ -284,9 +290,9 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
         if model.is_diffuse:
             add("mu", mu_flux)
     divs = _divergences(g, fluxes)
-    rho_dot = divs.get("rho", g.zeros())
-    ctilde_dot = divs.get("ctilde", g.zeros())
-    m_dot = divs.get("m", g.zeros_vector())
+    rho_dot = divs["rho"] if "rho" in divs else g.zeros()
+    ctilde_dot = divs["ctilde"] if "ctilde" in divs else g.zeros()
+    m_dot = divs["m"] if "m" in divs else g.zeros_vector()
     sigma_dot = divs["sigma"]
     if ideal:
         advect = (v[:, None] * gradv).sum(axis=0)  # v_j d_j v_i
@@ -337,24 +343,44 @@ def entropy_production_rate(state: State, model: ModelConfig) -> tuple[np.ndarra
     return field, state.grid.integrate(field)
 
 
-def lam4(eta: float, zeta: float) -> np.ndarray:
-    """The isotropic rank-4 viscosity tensor as an explicit 3x3x3x3 array."""
-    d = np.eye(3)
-    lam = eta * (np.einsum("il,jk->ijkl", d, d) + np.einsum("jl,ik->ijkl", d, d)
-                 - (2.0 / 3.0) * np.einsum("ij,kl->ijkl", d, d)) \
-        + zeta * np.einsum("ij,kl->ijkl", d, d)
-    return lam
+_EYE3 = np.eye(3)
+# isotropic rank-4 basis, by broadcasting (index order i, j, k, l): the shear
+# part delta_il delta_jk + delta_jl delta_ik - (2/3) delta_ij delta_kl and the
+# bulk part delta_ij delta_kl
+_LAM_BULK = _EYE3[:, :, None, None] * _EYE3[None, None, :, :]
+_LAM_SHEAR = (_EYE3[:, None, None, :] * _EYE3[None, :, :, None]
+              + _EYE3[None, :, None, :] * _EYE3[:, None, :, None]
+              - (2.0 / 3.0) * _LAM_BULK)
+
+
+def _trailing(x, n: int) -> np.ndarray:
+    """x (a scalar or an array of leading axes) with n unit axes appended."""
+    return np.asarray(x, dtype=float).reshape(np.shape(x) + (1,) * n)
+
+
+def lam4(eta, zeta) -> np.ndarray:
+    """The isotropic rank-4 viscosity tensor as an explicit 3x3x3x3 array.
+
+    eta and zeta may be arrays of equal shape; the result then has those
+    leading axes, each entry the tensor of its own (eta, zeta).
+    """
+    return _trailing(eta, 4) * _LAM_SHEAR + _trailing(zeta, 4) * _LAM_BULK
 
 
 def _embed3_matrix(coef) -> np.ndarray:
     """Promote a scalar or (dim, dim) matrix coefficient to 3x3."""
-    out = np.zeros((3, 3))
-    if np.isscalar(coef) or (isinstance(coef, np.ndarray) and coef.ndim == 0):
-        # isotropic coefficients act on all three directions
-        return float(coef) * np.eye(3)
     coef = np.asarray(coef, dtype=float)
+    if coef.ndim == 0:
+        # isotropic coefficients act on all three directions
+        return float(coef) * _EYE3
+    out = np.zeros((3, 3))
     out[:coef.shape[0], :coef.shape[1]] = coef
     return out
+
+
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec over leading axes: (..., n, n) with (..., n)."""
+    return np.matmul(mat, vec[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -362,29 +388,56 @@ class OnsagerBlocks:
     """Blocks of the Onsager matrix relating fluxes to affinities.
 
     Index layout (3D embedded): momentum flux rows are index pairs (i, j),
-    energy and concentration rows are single spatial indices.
+    energy and concentration rows are single spatial indices.  Every block
+    may carry the same leading axes, one set of blocks per entry.
     """
 
-    L_mm: np.ndarray   # (3,3,3,3)
-    L_me: np.ndarray   # (3,3,3)
-    L_mc: np.ndarray   # (3,3,3), identically zero
-    L_ee: np.ndarray   # (3,3)
-    L_ec: np.ndarray   # (3,3)
-    L_cc: np.ndarray   # (3,3)
+    L_mm: np.ndarray   # (...,3,3,3,3)
+    L_me: np.ndarray   # (...,3,3,3)
+    L_mc: np.ndarray   # (...,3,3,3), identically zero
+    L_ee: np.ndarray   # (...,3,3)
+    L_ec: np.ndarray   # (...,3,3)
+    L_cc: np.ndarray   # (...,3,3)
 
     def assemble(self) -> np.ndarray:
-        """Full symmetric 15x15 matrix over (m_(ij), e_k, c_k)."""
-        full = np.zeros((15, 15))
-        full[:9, :9] = self.L_mm.reshape(9, 9)
-        full[:9, 9:12] = self.L_me.reshape(9, 3)
-        full[9:12, :9] = self.L_me.reshape(9, 3).T
-        full[:9, 12:] = self.L_mc.reshape(9, 3)
-        full[12:, :9] = self.L_mc.reshape(9, 3).T
-        full[9:12, 9:12] = self.L_ee
-        full[9:12, 12:] = self.L_ec
-        full[12:, 9:12] = self.L_ec.T
-        full[12:, 12:] = self.L_cc
+        """Full symmetric 15x15 matrix over (m_(ij), e_k, c_k), with the
+        blocks' leading axes in front."""
+        lead = self.L_ee.shape[:-2]
+        L_mm = self.L_mm.reshape(lead + (9, 9))
+        L_me = self.L_me.reshape(lead + (9, 3))
+        L_mc = self.L_mc.reshape(lead + (9, 3))
+        full = np.zeros(lead + (15, 15))
+        full[..., :9, :9] = L_mm
+        full[..., :9, 9:12] = L_me
+        full[..., 9:12, :9] = L_me.swapaxes(-1, -2)
+        full[..., :9, 12:] = L_mc
+        full[..., 12:, :9] = L_mc.swapaxes(-1, -2)
+        full[..., 9:12, 9:12] = self.L_ee
+        full[..., 9:12, 12:] = self.L_ec
+        full[..., 12:, 9:12] = self.L_ec.swapaxes(-1, -2)
+        full[..., 12:, 12:] = self.L_cc
         return full
+
+
+def _onsager_blocks(T, mu, v3, eta, zeta, kap3, dmat3) -> OnsagerBlocks:
+    """Onsager blocks from the point values: T, mu, eta, zeta of shape lead,
+    v3 (*lead, 3), kap3 and dmat3 (*lead, 3, 3), for any leading axes lead
+    (none for a single point).  Raises if a temperature is not positive.
+    """
+    if (np.asarray(T) <= 0).any():
+        raise ValueError("Onsager blocks require T > 0")
+    lam = lam4(eta, zeta)
+    t = _trailing(T, 2)
+    m = _trailing(mu, 2)
+    L_mm = _trailing(T, 4) * lam
+    L_me = _trailing(T, 3) * np.einsum("...ijkl,...l->...ijk", lam, v3)
+    L_mc = np.zeros(lam.shape[:-1])
+    vlamv = np.einsum("...jikl,...j,...l->...ik", lam, v3, v3)
+    L_ee = t * t * kap3 + t * vlamv + t * m * m * dmat3
+    L_ec = t * m * dmat3
+    L_cc = t * dmat3
+    return OnsagerBlocks(L_mm=L_mm, L_me=L_me, L_mc=L_mc,
+                         L_ee=L_ee, L_ec=L_ec, L_cc=L_cc)
 
 
 def onsager_blocks(rho: float, s: float, c: float, v, model: ModelConfig,
@@ -398,42 +451,32 @@ def onsager_blocks(rho: float, s: float, c: float, v, model: ModelConfig,
     if tr is None:
         raise ValueError("transport coefficients required")
     pt = eval_eos(rho, s, c, model.eos)
-    T, mu = float(pt.T), float(pt.mu)
-    if T <= 0:
-        raise ValueError("Onsager blocks require T > 0")
     v3 = np.zeros(3)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     v3[:v.shape[0]] = v
-    lam = lam4(tr.eta, tr.zeta)
-    kap = _embed3_matrix(_resolve_tensor(tr.kappa, None, model))
-    dmat = _embed3_matrix(_resolve_tensor(tr.dcoef, None, model))
-    L_mm = T * lam
-    L_me = T * np.einsum("ijkl,l->ijk", lam, v3)
-    L_mc = np.zeros((3, 3, 3))
-    vlamv = np.einsum("jikl,j,l->ik", lam, v3, v3)
-    L_ee = T * T * kap + T * vlamv + T * mu * mu * dmat
-    L_ec = T * mu * dmat
-    L_cc = T * dmat
-    return OnsagerBlocks(L_mm=L_mm, L_me=L_me, L_mc=L_mc,
-                         L_ee=L_ee, L_ec=L_ec, L_cc=L_cc)
+    return _onsager_blocks(float(pt.T), float(pt.mu), v3, tr.eta, tr.zeta,
+                           _embed3_matrix(_resolve_tensor(tr.kappa, None, model)),
+                           _embed3_matrix(_resolve_tensor(tr.dcoef, None, model)))
 
 
 def onsager_fluxes(blocks: OnsagerBlocks, aff_e: np.ndarray, aff_m: np.ndarray,
                    aff_c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Contract the blocks with affinities at one point.
+    """Contract the blocks with affinities at one point, or at every point
+    of the blocks' leading axes (the affinities then carry them too).
 
-    aff_e = grad(1/T) (3,), aff_m = grad(-v/T) as (3,3) with [k, l] =
-    d_k(-v_l/T), aff_c = grad(-mu/T) (3,).  Returns (J_m, J_e, J_c).
+    aff_e = grad(1/T) (..., 3), aff_m = grad(-v/T) as (..., 3, 3) with
+    [k, l] = d_k(-v_l/T), aff_c = grad(-mu/T) (..., 3).  Returns
+    (J_m, J_e, J_c).
     """
-    J_m = np.einsum("ijk,k->ij", blocks.L_me, aff_e) \
-        + np.einsum("ijkl,kl->ij", blocks.L_mm, aff_m) \
-        + np.einsum("ijk,k->ij", blocks.L_mc, aff_c)
-    J_e = blocks.L_ee @ aff_e \
-        + np.einsum("kli,kl->i", blocks.L_me, aff_m) \
-        + blocks.L_ec @ aff_c
-    J_c = blocks.L_ec.T @ aff_e \
-        + np.einsum("kli,kl->i", blocks.L_mc, aff_m) \
-        + blocks.L_cc @ aff_c
+    J_m = np.einsum("...ijk,...k->...ij", blocks.L_me, aff_e) \
+        + np.einsum("...ijkl,...kl->...ij", blocks.L_mm, aff_m) \
+        + np.einsum("...ijk,...k->...ij", blocks.L_mc, aff_c)
+    J_e = _matvec(blocks.L_ee, aff_e) \
+        + np.einsum("...kli,...kl->...i", blocks.L_me, aff_m) \
+        + _matvec(blocks.L_ec, aff_c)
+    J_c = _matvec(blocks.L_ec.swapaxes(-1, -2), aff_e) \
+        + np.einsum("...kli,...kl->...i", blocks.L_mc, aff_m) \
+        + _matvec(blocks.L_cc, aff_c)
     return J_m, J_e, J_c
 
 

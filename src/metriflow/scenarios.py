@@ -12,6 +12,7 @@ resolution-independent (the initial data are fixed smooth functions of x).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -226,7 +227,7 @@ def parse_setting(key: str, value):
     """Convert one run setting to its RunConfig type; ConfigError names it.
 
     An integer setting takes an integral value only: int() would truncate
-    48.7 to 48.
+    48.7 to 48.  A float setting must be finite.
     """
     if key not in SETTING_TYPES:
         raise ConfigError(f"unknown key {key!r}")
@@ -236,6 +237,8 @@ def parse_setting(key: str, value):
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     if SETTING_TYPES[key] is int and not isinstance(value, str) and out != value:
         raise ConfigError(f"bad value for {key!r}: {value!r} is not an integer")
+    if SETTING_TYPES[key] is float and not math.isfinite(out):
+        raise ConfigError(f"bad value for {key!r}: {key} = {out} is not finite")
     return out
 
 

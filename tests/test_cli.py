@@ -294,9 +294,23 @@ def test_run_builds_the_scenario_once(tmp_path, monkeypatch):
     (["--lambda-v", "-1"], None, "bad value for 'lambda_v': "),
     (["--gamma", "fourfold:0.5"], None, "bad value for 'gamma': "),
     ([], "kappa = -1\n", "bad value for 'kappa': "),
+    (["--eta", "nan"], None, "bad value for 'eta': eta = nan"),
+    (["--zeta", "inf"], None, "bad value for 'zeta': zeta = inf"),
+    (["--kappa", "inf"], None, "bad value for 'kappa': kappa = inf"),
+    (["--dcoef", "nan"], None, "bad value for 'dcoef': dcoef = nan"),
+    (["--lambda-v", "nan"], None, "bad value for 'lambda_v': lambda_v = nan"),
+    (["--lambda-u", "nan"], None, "bad value for 'lambda_u': lambda_u = nan"),
+    (["--lambda-s", "inf"], None, "bad value for 'lambda_s': lambda_s = inf"),
+    (["--length", "nan"], None, "bad value for 'length': length = nan"),
+    (["--noise-amp", "nan"], None, "bad value for 'noise_amp': noise_amp = nan"),
+    (["--dt", "nan"], None, "bad value for 'dt': dt = nan"),
+    ([], "kappa = -inf\n", "bad value for 'kappa': kappa = -inf"),
 ], ids=["dim", "n", "gamma", "zero_steps", "inf_steps", "unknown_key",
         "bad_value", "n_key", "length_key", "eta_key", "zeta_key",
-        "lambda_v_key", "gamma_key", "kappa_key"])
+        "lambda_v_key", "gamma_key", "kappa_key", "eta_nan", "zeta_inf",
+        "kappa_inf", "dcoef_nan", "lambda_v_nan", "lambda_u_nan",
+        "lambda_s_inf", "length_nan", "noise_amp_nan", "dt_nan",
+        "kappa_cfg_inf"])
 def test_invalid_settings_exit_2_naming_them(tmp_path, capsys, argv, config,
                                              named):
     if config is not None:

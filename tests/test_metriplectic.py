@@ -1,9 +1,11 @@
 """Metriplectic 4-bracket, dissipative tendencies, Onsager blocks, curvature."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from metriflow import (Grid, ModelConfig, SurfaceCoefficients,
+from metriflow import (Grid, ModelConfig, ParameterError, SurfaceCoefficients,
                        TransportCoefficients, UnsupportedFamilyError,
                        dissipative_rhs, entropy_production_rate, eval_eos,
                        grad_H, grad_S, kn_4bracket, lam4,
@@ -48,6 +50,47 @@ def test_matrix_coefficients_must_be_psd():
 def test_validate_psd_matrix_shape():
     with pytest.raises(ValueError):
         validate_psd_matrix(np.zeros((2, 3)), "kappa")
+
+
+@pytest.mark.parametrize("name", ["eta", "zeta", "kappa", "dcoef"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_rejected_naming_them(name, value):
+    with pytest.raises(ParameterError, match="finite") as info:
+        TransportCoefficients(**{name: value})
+    assert info.value.name == name
+
+
+@pytest.mark.parametrize("mat", [[[np.inf, 0.0], [0.0, 1.0]],
+                                 [[np.nan, 0.0], [0.0, 1.0]],
+                                 [[1.0, np.nan], [np.nan, 1.0]]],
+                         ids=["inf", "nan_diagonal", "nan_off_diagonal"])
+def test_validate_psd_matrix_rejects_non_finite(mat):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="kappa matrix must be finite"):
+            validate_psd_matrix(np.array(mat), "kappa")
+
+
+def test_psd_symmetry_check_accepts_what_allclose_accepts():
+    rng = np.random.default_rng(3)
+    tol = 1e-12
+    for _ in range(400):
+        A = rng.standard_normal((3, 3)) * 10.0 ** rng.integers(-3, 4)
+        sym = A @ A.T + np.eye(3)
+        atol = tol * max(1.0, float(np.abs(sym).max()))
+        # skew perturbations straddling the tolerance, exactly at it included
+        skew = np.zeros((3, 3))
+        skew[0, 1] = atol * rng.choice([0.5, 1.0, 1.0 + 1e-9, 2.0])
+        mat = sym + skew
+        expected = np.allclose(mat, mat.T, rtol=0,
+                               atol=tol * max(1.0, float(np.abs(mat).max())))
+        try:
+            validate_psd_matrix(mat, "kappa", tol=tol)
+            accepted = True
+        except ParameterError as exc:
+            assert "symmetric" in str(exc)
+            accepted = False
+        assert accepted == expected
 
 
 def test_callable_coefficients_resolve():

@@ -1,8 +1,10 @@
-"""The trial axis: a batch of functional gradients through the bracket layer.
+"""The trial axis: a batch of functional gradients through the bracket layer,
+and a batch of points through the Onsager layer.
 
 Every batched result must carry the same bits as a loop of single calls,
-and the two verify suites that use batches must report exactly what their
-per-trial loops (kept here as the reference) report.
+and the verify suites that use batches must report exactly what their
+per-trial loops (kept here as the reference) report.  The same holds for
+the stacked draws of smooth_state and make_modes.
 """
 
 import json
@@ -11,14 +13,18 @@ import numpy as np
 import pytest
 
 from metriflow import (AnisotropyFn, FunctionalGradient, Grid, ModelConfig,
-                       SurfaceCoefficients, TransportCoefficients, grad_H,
-                       grad_S, kn_4bracket, poisson_bracket, smooth_state)
+                       State, SurfaceCoefficients, TransportCoefficients,
+                       eval_eos, grad_H, grad_S, kn_4bracket, lam4,
+                       onsager_blocks, onsager_fluxes, poisson_bracket,
+                       smooth_state)
 from metriflow import verification
-from metriflow.fields import random_gradient
+from metriflow.fields import fourier_field, make_modes, random_gradient
 from metriflow.functionals import FAMILIES
+from metriflow.metriplectic import _embed3_matrix, _onsager_blocks
 from metriflow.verification import (CASIMIR_SIZES, DISSIPATIVE, FLOOR,
                                     ORDER_MIN, _counts, _jsonable,
-                                    _observed_order, model_for, verify)
+                                    _observed_order, model_for, onsager_suite,
+                                    verify)
 
 SEEDS = np.array([3, 17, 40, 41, 1 << 30])
 
@@ -139,6 +145,108 @@ def test_batched_kn_4bracket_matches_single_calls(family, dim, coef_kind):
     assert np.array_equal(batched, loop)
 
 
+def _onsager_points(n, seed=12):
+    """n random points: (single-call arguments, batched helper arguments)."""
+    rng = np.random.default_rng(seed)
+    model = model_for("GNS", Grid(dim=1, n=(4,), length=(1.0,)))
+    singles, cols = [], []
+    for _ in range(n):
+        A = rng.standard_normal((3, 3))
+        B = rng.standard_normal((2, 2))
+        tr = TransportCoefficients(eta=float(rng.uniform(0.0, 1.0)),
+                                   zeta=float(rng.uniform(0.0, 1.0)),
+                                   kappa=A @ A.T, dcoef=B @ B.T)
+        rho, s, c = rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5), rng.uniform(-1.5, 1.5)
+        v3 = rng.uniform(-1.0, 1.0, size=3)
+        pt = eval_eos(rho, s, c, model.eos)
+        singles.append((rho, s, c, v3, model, tr))
+        cols.append((float(pt.T), float(pt.mu), v3, tr.eta, tr.zeta,
+                     _embed3_matrix(tr.kappa), _embed3_matrix(tr.dcoef)))
+    return singles, [np.array(col) for col in zip(*cols)]
+
+
+def test_batched_lam4_stacks_the_single_tensors():
+    rng = np.random.default_rng(4)
+    eta, zeta = rng.uniform(0.0, 1.0, size=(2, 3, 5))
+    batch = lam4(eta, zeta)
+    assert batch.shape == (3, 5, 3, 3, 3, 3)
+    loop = [[lam4(float(e), float(z)) for e, z in zip(*row)] for row in zip(eta, zeta)]
+    assert np.array_equal(batch, loop)
+    assert lam4(0.3, 0.1).shape == (3, 3, 3, 3)
+
+
+def test_batched_onsager_blocks_assemble_and_fluxes_match_single_calls():
+    singles, args = _onsager_points(7)
+    blocks = _onsager_blocks(*args)
+    loop = [onsager_blocks(*point, transport=tr) for *point, tr in singles]
+    for name in ("L_mm", "L_me", "L_mc", "L_ee", "L_ec", "L_cc"):
+        assert np.array_equal(getattr(blocks, name),
+                              [getattr(b, name) for b in loop]), name
+    full = blocks.assemble()
+    assert full.shape == (7, 15, 15) and loop[0].assemble().shape == (15, 15)
+    assert np.array_equal(full, [b.assemble() for b in loop])
+
+    rng = np.random.default_rng(5)
+    aff_e, aff_m, aff_c = (rng.uniform(-1, 1, size=(7,) + shape)
+                           for shape in ((3,), (3, 3), (3,)))
+    batched = onsager_fluxes(blocks, aff_e, aff_m, aff_c)
+    per_point = [onsager_fluxes(b, e, m, c)
+                 for b, e, m, c in zip(loop, aff_e, aff_m, aff_c)]
+    for J, J_loop in zip(batched, zip(*per_point)):
+        assert J.shape == (7,) + J_loop[0].shape
+        assert np.array_equal(J, J_loop)
+
+
+def _reference_smooth_state(grid, model, seed, amp=0.1, kmax=3):
+    """smooth_state as one fourier_field call per field."""
+    rng = np.random.default_rng(seed)
+    rho = 1.0 + amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
+    v = np.stack([amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
+                  for _ in range(grid.dim)])
+    c = amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
+    s = amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
+    return State(grid=grid, m=rho * v, rho=rho, ctilde=rho * c, sigma=rho * s)
+
+
+@pytest.mark.parametrize("kmax", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_smooth_state_equals_the_per_field_reference(dim, kmax):
+    model = _model("CHNS1", dim)
+    for seed in range(12):
+        state = smooth_state(model.grid, model, seed=seed, amp=0.15, kmax=kmax)
+        ref = _reference_smooth_state(model.grid, model, seed, amp=0.15, kmax=kmax)
+        for slot in ("m", "rho", "ctilde", "sigma"):
+            assert np.array_equal(getattr(state, slot), getattr(ref, slot)), (seed, slot)
+
+
+def _reference_make_modes(rng, dim, n_modes=4, kmax=3, amp=1.0):
+    """make_modes with its zero-row check on numpy rows."""
+    kvecs = rng.integers(-kmax, kmax + 1, size=(n_modes, dim))
+    for i in range(n_modes):
+        while not kvecs[i].any():
+            kvecs[i] = rng.integers(-kmax, kmax + 1, size=dim)
+    amps = amp * rng.uniform(0.3, 1.0, size=n_modes) / n_modes
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
+    return kvecs, amps, phases
+
+
+@pytest.mark.parametrize("kmax", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_make_modes_draws_what_the_row_loop_drew(dim, kmax):
+    redrawn = 0
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        first = np.random.default_rng(seed).integers(-kmax, kmax + 1, size=(4, dim))
+        redrawn += not first.any(axis=1).all()
+        modes = make_modes(rng, dim, kmax=kmax)
+        kvecs, amps, phases = _reference_make_modes(ref_rng, dim, kmax=kmax)
+        assert np.array_equal(modes.kvecs, kvecs) and modes.kvecs.dtype == kvecs.dtype
+        assert np.array_equal(modes.amps, amps) and np.array_equal(modes.phases, phases)
+        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)  # same stream position
+    # the redraw path is exercised (about 46% of 1D draws at kmax 3)
+    assert redrawn > 0
+
+
 # ------------------------------------------- the per-trial suites, as reference
 
 def _reference_bracket_symmetry(seed, level):
@@ -226,6 +334,71 @@ def _reference_casimir_convergence(seed, level):
                 residuals=residuals, order=None if floor_ok else order,
                 passed=floor_ok or order >= ORDER_MIN)
     return details
+
+
+def _reference_direct_fluxes(eta, zeta, kap3, dmat3, T, mu, v3, gradv, gradT, gradmu):
+    lam = lam4(eta, zeta)
+    J_m = -np.einsum("ijkl,kl->ij", lam, gradv)
+    J_c = -dmat3 @ gradmu
+    J_e = J_m @ v3 - kap3 @ gradT - mu * (dmat3 @ gradmu)
+    return J_m, J_e, J_c
+
+
+def _reference_onsager(seed, level):
+    """onsager_suite as one onsager_blocks / onsager_fluxes call per trial."""
+    n_trials = _counts(level)["onsager"]
+    rng = np.random.default_rng(seed)
+    grid = Grid(dim=1, n=(4,), length=(1.0,))
+    model = model_for("GNS", grid)
+    worst_sym = 0.0
+    min_eig = np.inf
+    worst_flux = 0.0
+    for _ in range(n_trials):
+        A = rng.standard_normal((3, 3))
+        B = rng.standard_normal((3, 3))
+        tr = TransportCoefficients(
+            eta=float(rng.uniform(0.0, 1.0)), zeta=float(rng.uniform(0.0, 1.0)),
+            kappa=A @ A.T, dcoef=B @ B.T)
+        rho = float(rng.uniform(0.5, 2.0))
+        s = float(rng.uniform(-0.5, 0.5))
+        c = float(rng.uniform(-1.5, 1.5))
+        v3 = rng.uniform(-1.0, 1.0, size=3)
+        blocks = onsager_blocks(rho, s, c, v3, model, transport=tr)
+        L = blocks.assemble()
+        scale = max(float(np.abs(L).max()), 1.0)
+        worst_sym = max(worst_sym, float(np.abs(L - L.T).max()) / scale)
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(0.5 * (L + L.T)).min()) / scale)
+
+        pt = eval_eos(rho, s, c, model.eos)
+        T, mu = float(pt.T), float(pt.mu)
+        gradv = rng.uniform(-1, 1, size=(3, 3))
+        gradT = rng.uniform(-1, 1, size=3)
+        gradmu = rng.uniform(-1, 1, size=3)
+        aff_e = -gradT / T ** 2
+        aff_m = -gradv / T + np.outer(gradT, v3) / T ** 2
+        aff_c = -gradmu / T + mu * gradT / T ** 2
+        J_m, J_e, J_c = onsager_fluxes(blocks, aff_e, aff_m, aff_c)
+        kap3 = _embed3_matrix(tr.kappa)
+        dmat3 = _embed3_matrix(tr.dcoef)
+        D_m, D_e, D_c = _reference_direct_fluxes(tr.eta, tr.zeta, kap3, dmat3,
+                                                 T, mu, v3, gradv, gradT, gradmu)
+        fs = max(float(np.abs(D_m).max()), float(np.abs(D_e).max()),
+                 float(np.abs(D_c).max()), 1.0)
+        worst_flux = max(worst_flux,
+                         float(np.abs(J_m - D_m).max()) / fs,
+                         float(np.abs(J_e - D_e).max()) / fs,
+                         float(np.abs(J_c - D_c).max()) / fs)
+    return dict(worst_symmetry=float(worst_sym), min_eigenvalue=float(min_eig),
+                worst_flux_residual=float(worst_flux), trials=n_trials)
+
+
+@pytest.mark.parametrize("level, seeds", [("fast", range(40)), ("full", [1])])
+def test_batched_onsager_suite_reports_what_the_per_trial_loop_reports(level, seeds):
+    for seed in seeds:
+        expected = json.dumps(_jsonable(_reference_onsager(seed, level)))
+        result = onsager_suite(seed, level)
+        assert result.passed
+        assert json.dumps(_jsonable(result.details)) == expected, seed
 
 
 def test_batched_suites_report_what_the_per_trial_loops_report():
