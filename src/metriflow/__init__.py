@@ -15,7 +15,7 @@ from .dynamics import (Diagnostics, diagnostics, integrate, stability_limit,
 from .errors import (ConfigError, InadmissibleStateError, IntegrationError,
                      MetriflowError, ParameterError, ThermoDomainError,
                      UnsupportedFamilyError)
-from .fields import linear_functional, quadratic_functional, random_gradient, smooth_state
+from .fields import random_gradient, smooth_state
 from .functionals import (FAMILIES, FunctionalGradient, ModelConfig, State,
                           entropy, free_energy, generalized_mu, grad_H,
                           grad_S, hamiltonian, sigma_total)
@@ -41,7 +41,7 @@ __all__ = [
     "ConfigError", "InadmissibleStateError", "IntegrationError",
     "MetriflowError", "ParameterError", "ThermoDomainError",
     "UnsupportedFamilyError",
-    "linear_functional", "quadratic_functional", "random_gradient", "smooth_state",
+    "random_gradient", "smooth_state",
     "FAMILIES", "FunctionalGradient", "ModelConfig", "State", "entropy",
     "free_energy", "generalized_mu", "grad_H", "grad_S", "hamiltonian",
     "sigma_total",

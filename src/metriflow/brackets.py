@@ -22,9 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedFamilyError
-from .functionals import (FunctionalGradient, ModelConfig, State,
-                          _capillary_stress, _lift, gamma_xi_of_state,
-                          thermo_point)
+from .functionals import FunctionalGradient, ModelConfig, State, _lift
 from .metriplectic import _tendencies
 
 
@@ -81,14 +79,13 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
         return -g.integrate(integrand)
 
     lam_s, a = model.surface.lambda_s, model.a
-    gc, gamma, xi = gamma_xi_of_state(state, model)
+    gc, gamma, xi = state.derived(model).gamma_xi
     gc, xi = _lift(gc, Fg), _lift(xi, Fg)
 
     if a == 1:
         integrand = integrand - lam_s * pair(
             lambda F, G: (F.m * _div_outer(g, rho * G.sigma * gamma * xi, gc)).sum(axis=0))
-        sig_w = sigma + 0.5 * rho * lam_s * gamma * gamma
-        integrand = integrand + sig_w * pair(lambda F, G: _directional(g, F.m, G.sigma))
+        integrand = integrand + sigma * pair(lambda F, G: _directional(g, F.m, G.sigma))
         return -g.integrate(integrand)
 
     # a == 0
@@ -114,7 +111,7 @@ def transform_gradients(hatFg: FunctionalGradient, state: State,
     g = state.grid
     lam_s, a = model.surface.lambda_s, model.a
     rho, ctilde = state.rho, state.ctilde
-    _, gamma, xi = gamma_xi_of_state(state, model)
+    _, gamma, xi = state.derived(model).gamma_xi
     div_flux = g.div(rho ** a * lam_s * gamma * xi * hatFg.sigma)
     d_rho = hatFg.rho - ctilde / rho ** 2 * div_flux
     if a == 1:
@@ -131,7 +128,7 @@ def untransform_gradients(Fg: FunctionalGradient, state: State,
     g = state.grid
     lam_s, a = model.surface.lambda_s, model.a
     rho, ctilde = state.rho, state.ctilde
-    _, gamma, xi = gamma_xi_of_state(state, model)
+    _, gamma, xi = state.derived(model).gamma_xi
     div_flux = g.div(rho ** a * lam_s * gamma * xi * Fg.sigma)
     d_rho = Fg.rho + ctilde / rho ** 2 * div_flux
     if a == 1:
@@ -149,7 +146,7 @@ def capillary_force(state: State, model: ModelConfig) -> np.ndarray:
     g = state.grid
     if not model.is_diffuse:
         return g.zeros_vector()
-    pi, _ = _capillary_stress(state, model, np.asarray(thermo_point(state, model).T))
+    pi, _ = state.derived(model).capillary_stress()
     return g.div(pi) / state.rho
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InadmissibleStateError, IntegrationError
 from .functionals import (FunctionalGradient, ModelConfig, State, entropy,
-                          hamiltonian, thermo_point)
+                          hamiltonian)
 from .metriplectic import _tendencies, entropy_production_rate
 from .thermo import lambda_f
 
@@ -45,7 +45,7 @@ def stability_limit(state: State, model: ModelConfig) -> float:
     g = state.grid
     h = min(g.h)
     dim = g.dim
-    pt = thermo_point(state, model)
+    pt = state.derived(model).eos
     rho_min = float(state.rho.min())
     cs2 = model.eos.gamma_ad * np.asarray(pt.p) / state.rho
     vmax = float(np.abs(state.v).max() + np.sqrt(cs2.max()))
@@ -110,7 +110,7 @@ class Diagnostics:
 def diagnostics(state: State, model: ModelConfig, t: float = 0.0) -> Diagnostics:
     g = state.grid
     mom = tuple(float(g.integrate(state.m[i])) for i in range(g.dim))
-    pt = thermo_point(state, model)
+    pt = state.derived(model).eos
     _, prod = entropy_production_rate(state, model) if model.is_dissipative \
         else (None, 0.0)
     return Diagnostics(

@@ -1,4 +1,5 @@
-"""Deterministic smooth random fields and test functionals.
+"""Deterministic smooth random fields, and directional derivatives of test
+functionals.
 
 Fields are built from short, seed-determined lists of Fourier modes, so
 the same seed produces the same continuum function on every grid
@@ -61,12 +62,6 @@ def fourier_field(grid: Grid, modes: FourierModes) -> np.ndarray:
     return out
 
 
-def smooth_field(grid: Grid, seed: int, amp: float = 1.0, kmax: int = 3) -> np.ndarray:
-    """A zero-mean smooth periodic scalar field determined by seed."""
-    rng = np.random.default_rng(seed)
-    return fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax, amp=amp))
-
-
 def smooth_state(grid: Grid, model: ModelConfig, seed: int = 0,
                  amp: float = 0.1, kmax: int = 3) -> State:
     """An admissible smooth state with O(amp) departures from rest.
@@ -110,41 +105,6 @@ def random_gradient(grid: Grid, seed: int | np.ndarray, amp: float = 1.0,
                                                phases=stacked("phases")))
     return FunctionalGradient(m=f[:grid.dim], rho=f[grid.dim],
                               ctilde=f[grid.dim + 1], sigma=f[grid.dim + 2])
-
-
-def linear_functional(grid: Grid, seed: int) -> TestFunctional:
-    """F[psi] = sum_slots int w_slot * psi_slot with fixed smooth weights."""
-    w = random_gradient(grid, seed)
-
-    def value(state: State) -> float:
-        return w.dot(FunctionalGradient(m=state.m, rho=state.rho,
-                                        ctilde=state.ctilde, sigma=state.sigma), grid)
-
-    return TestFunctional(value=value, gradient=lambda state: w)
-
-
-def quadratic_functional(grid: Grid, seed: int) -> TestFunctional:
-    """F[psi] = (1/2) sum_slots int w_slot * psi_slot**2."""
-    w = random_gradient(grid, seed, amp=0.5)
-
-    def fields(state: State) -> FunctionalGradient:
-        return FunctionalGradient(m=state.m, rho=state.rho,
-                                  ctilde=state.ctilde, sigma=state.sigma)
-
-    def value(state: State) -> float:
-        psi = fields(state)
-        half = FunctionalGradient(m=0.5 * w.m * psi.m, rho=0.5 * w.rho * psi.rho,
-                                  ctilde=0.5 * w.ctilde * psi.ctilde,
-                                  sigma=0.5 * w.sigma * psi.sigma)
-        return half.dot(psi, grid)
-
-    def gradient(state: State) -> FunctionalGradient:
-        psi = fields(state)
-        return FunctionalGradient(m=w.m * psi.m, rho=w.rho * psi.rho,
-                                  ctilde=w.ctilde * psi.ctilde,
-                                  sigma=w.sigma * psi.sigma)
-
-    return TestFunctional(value=value, gradient=gradient)
 
 
 def directional_derivative(func: TestFunctional, state: State,

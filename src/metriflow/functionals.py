@@ -14,7 +14,9 @@ makes the bracket identities downstream hold at the advertised tolerances.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,7 +30,6 @@ if TYPE_CHECKING:
     from .metriplectic import TransportCoefficients
 
 FAMILIES = ("GE", "GNS", "CHE0", "CHE1", "CHNS0", "CHNS1")
-IDEAL_FAMILIES = ("GE", "CHE0", "CHE1")
 DIFFUSE_FAMILIES = ("CHE0", "CHE1", "CHNS0", "CHNS1")
 
 
@@ -82,17 +83,26 @@ class State:
     ctilde: np.ndarray
     sigma: np.ndarray
 
-    @property
+    @cached_property
     def v(self) -> np.ndarray:
-        return _memo(self, "v", None, lambda: self.m / self.rho)
+        return self.m / self.rho
 
-    @property
+    @cached_property
     def c(self) -> np.ndarray:
-        return _memo(self, "c", None, lambda: self.ctilde / self.rho)
+        return self.ctilde / self.rho
 
-    @property
+    @cached_property
     def s(self) -> np.ndarray:
-        return _memo(self, "s", None, lambda: self.sigma / self.rho)
+        return self.sigma / self.rho
+
+    def derived(self, model: ModelConfig) -> "Derived":
+        """The Derived fields of this state under model.  One is kept, for
+        the last model asked about, compared with ``is``: a fresh model
+        object always gets fresh fields."""
+        d = self.__dict__.get("_derived")
+        if d is None or d.model is not model:
+            d = self.__dict__["_derived"] = Derived(self, model)
+        return d
 
     def validate(self, model: ModelConfig) -> None:
         """Admissibility: finite fields, rho > 0, derived T > 0, p > 0."""
@@ -101,7 +111,7 @@ class State:
                 raise InadmissibleStateError(f"non-finite entries in {name}")
         if (self.rho <= 0).any():
             raise InadmissibleStateError("rho must be positive everywhere")
-        pt = thermo_point(self, model)
+        pt = self.derived(model).eos
         if (pt.T <= 0).any():
             raise InadmissibleStateError("derived temperature must be positive")
         if (pt.p <= 0).any():
@@ -167,45 +177,77 @@ def _lift(vec: np.ndarray, Fg: FunctionalGradient) -> np.ndarray:
     return vec.reshape(vec.shape[:1] + (1,) * n_trial + vec.shape[1:])
 
 
-def _memo(state: State, name: str, key, compute):
-    """Per-state memo of a derived field computed with the object ``key``.
+class Derived:
+    """The derived fields of one state under one model, each computed on
+    first use and kept, as states are never mutated: ``eos`` (the EOS
+    point), ``gamma_xi`` (grad c, Gamma, xi), ``mu_gamma``, ``grad_vT``
+    (grad v, grad T) and ``grad_mu`` (grad mu_Gamma).  The state holds its
+    Derived (``State.derived``), so this holds the state by a weak proxy: a
+    strong reference back would make a cycle only the collector frees."""
 
-    States are never mutated, only replaced.  The key object is stored with
-    the value and compared with ``is``, so a freed object whose id() is
-    reused never hits; one entry is kept per name.
-    """
-    memo = state.__dict__.setdefault("_derived", {})
-    hit = memo.get(name)
-    if hit is not None and hit[0] is key:
-        return hit[1]
-    value = compute()
-    memo[name] = (key, value)
-    return value
+    def __init__(self, state: State, model: ModelConfig):
+        self.state = weakref.proxy(state)
+        self.model = model
+
+    @cached_property
+    def eos(self):
+        st = self.state
+        return eval_eos(st.rho, st.s, st.c, self.model.eos)
+
+    @cached_property
+    def gamma_xi(self):
+        gc = self.state.grid.grad(self.state.c)
+        return (gc,) + gamma_eval(gc, self.model.anisotropy)
+
+    @cached_property
+    def mu_gamma(self) -> np.ndarray:
+        st = self.state
+        mu = np.asarray(self.eos.mu) * np.ones(st.grid.shape)
+        if not self.model.is_diffuse:
+            return mu
+        _, flux = self.capillary_stress()
+        return mu - st.grid.div(flux) / st.rho
+
+    @cached_property
+    def grad_vT(self):
+        """(grad v, grad T), grad v[k, l] = d_k v_l."""
+        st = self.state
+        grads = st.grid.grad(np.concatenate([st.v, np.asarray(self.eos.T)[None]]))
+        return grads[:, :-1], grads[:, -1]
+
+    @cached_property
+    def grad_mu(self) -> np.ndarray:
+        return self.state.grid.grad(self.mu_gamma)
+
+    def capillary_stress(self):
+        """(Pi, u) of a diffuse family, not kept: u = lambda_f(T) rho^a
+        Gamma xi is the flux in mu_Gamma, and Pi[j, i] = -u_j d_i c (plus
+        lambda_f Gamma^2 / 2 on the diagonal for a = 0) is the capillary
+        stress, whose divergence d_j Pi[j, i] is the capillary force
+        density."""
+        model = self.model
+        lam_f = lambda_f(np.asarray(self.eos.T), model.surface)
+        gc, gamma, xi = self.gamma_xi
+        u = lam_f * self.state.rho ** model.a * gamma * xi
+        pi = -u[:, None] * gc[None]
+        if model.a == 0:
+            for i in range(self.state.grid.dim):
+                pi[i, i] += 0.5 * lam_f * gamma * gamma
+        return pi, u
 
 
 def thermo_point(state: State, model: ModelConfig):
-    """eval_eos at the state, memoized per state instance."""
-    return _memo(state, "eos", model.eos,
-                 lambda: eval_eos(state.rho, state.s, state.c, model.eos))
-
-
-def gamma_xi_of_state(state: State, model: ModelConfig):
-    """(grad c, Gamma(grad c), xi(grad c)), memoized per state instance."""
-
-    def compute():
-        gc = state.grid.grad(state.c)
-        return (gc,) + gamma_eval(gc, model.anisotropy)
-
-    return _memo(state, "gamma", model.anisotropy, compute)
+    """eval_eos at the state, computed once per state and model."""
+    return state.derived(model).eos
 
 
 def hamiltonian(state: State, model: ModelConfig) -> float:
     """Total energy: kinetic + internal + surface-gradient part."""
     g = state.grid
-    pt = thermo_point(state, model)
-    e = 0.5 * (state.m * state.m).sum(axis=0) / state.rho + state.rho * pt.u
+    d = state.derived(model)
+    e = 0.5 * (state.m * state.m).sum(axis=0) / state.rho + state.rho * d.eos.u
     if model.is_diffuse and model.surface.lambda_u != 0.0:
-        _, gamma, _ = gamma_xi_of_state(state, model)
+        _, gamma, _ = d.gamma_xi
         e = e + 0.5 * state.rho ** model.a * model.surface.lambda_u * gamma * gamma
     return g.integrate(e)
 
@@ -213,7 +255,7 @@ def hamiltonian(state: State, model: ModelConfig) -> float:
 def sigma_total(state: State, model: ModelConfig) -> np.ndarray:
     """Total entropy density field (equals sigma for the sharp families)."""
     if model.is_diffuse and model.surface.lambda_s != 0.0:
-        _, gamma, _ = gamma_xi_of_state(state, model)
+        _, gamma, _ = state.derived(model).gamma_xi
         return state.sigma + 0.5 * state.rho ** model.a * model.surface.lambda_s * gamma * gamma
     return state.sigma
 
@@ -233,14 +275,15 @@ def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
     g = state.grid
     rho, c, s = state.rho, state.c, state.s
     v = state.v
-    pt = thermo_point(state, model)
+    d = state.derived(model)
+    pt = d.eos
     d_m = v
     d_sigma = np.asarray(pt.T)
     d_rho = -0.5 * (v * v).sum(axis=0) + pt.u + pt.p / rho - s * pt.T - c * pt.mu
     d_ctilde = np.asarray(pt.mu).copy()
     if model.is_diffuse and model.surface.lambda_u != 0.0:
         lam_u, a = model.surface.lambda_u, model.a
-        _, gamma, xi = gamma_xi_of_state(state, model)
+        _, gamma, xi = d.gamma_xi
         div_flux = g.div(rho ** a * lam_u * gamma * xi)
         if a == 1:
             d_rho = d_rho + 0.5 * lam_u * gamma * gamma
@@ -259,7 +302,7 @@ def grad_S(state: State, model: ModelConfig) -> FunctionalGradient:
     if model.is_diffuse and model.surface.lambda_s != 0.0:
         lam_s, a = model.surface.lambda_s, model.a
         rho = state.rho
-        _, gamma, xi = gamma_xi_of_state(state, model)
+        _, gamma, xi = state.derived(model).gamma_xi
         div_flux = g.div(rho ** a * lam_s * gamma * xi)
         d_ctilde = -div_flux / rho
         d_rho = state.ctilde / rho ** 2 * div_flux
@@ -274,28 +317,4 @@ def generalized_mu(state: State, model: ModelConfig) -> np.ndarray:
     mu_Gamma = mu - (1/rho) div(lambda_f(T) rho^a Gamma xi); reduces to the
     plain chemical potential for the sharp-interface families.
     """
-
-    def compute():
-        pt = thermo_point(state, model)
-        mu = np.asarray(pt.mu) * np.ones(state.grid.shape)
-        if not model.is_diffuse:
-            return mu
-        _, flux = _capillary_stress(state, model, np.asarray(pt.T))
-        return mu - state.grid.div(flux) / state.rho
-
-    return _memo(state, "mu_gamma", model, compute)
-
-
-def _capillary_stress(state: State, model: ModelConfig, T: np.ndarray):
-    """(Pi, u) of a diffuse family: u = lambda_f(T) rho^a Gamma xi is the
-    flux in mu_Gamma, and Pi[j, i] = -u_j d_i c (plus lambda_f Gamma^2 / 2
-    on the diagonal for a = 0) is the capillary stress, whose divergence
-    d_j Pi[j, i] is the capillary force density."""
-    lam_f = lambda_f(T, model.surface)
-    gc, gamma, xi = gamma_xi_of_state(state, model)
-    u = lam_f * state.rho ** model.a * gamma * xi
-    pi = -u[:, None] * gc[None]
-    if model.a == 0:
-        for i in range(state.grid.dim):
-            pi[i, i] += 0.5 * lam_f * gamma * gamma
-    return pi, u
+    return state.derived(model).mu_gamma

@@ -28,9 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, UnsupportedFamilyError
-from .functionals import (FunctionalGradient, ModelConfig, State, _memo,
-                          _capillary_stress, _lift, gamma_xi_of_state,
-                          generalized_mu, sigma_total, thermo_point)
+from .functionals import (FunctionalGradient, ModelConfig, State, _lift,
+                          sigma_total)
 from .grid import Grid
 from .thermo import eval_eos
 
@@ -65,9 +64,6 @@ class TransportCoefficients:
 
     def dcoef_of(self, state, model):
         return _resolve_tensor(self.dcoef, state, model)
-
-
-ZERO_TRANSPORT = TransportCoefficients()
 
 
 def validate_psd_matrix(mat: np.ndarray, name: str, tol: float = 1e-12) -> None:
@@ -152,23 +148,10 @@ def _conc_slot(Fg: FunctionalGradient, state: State, model: ModelConfig) -> np.n
     if not model.is_diffuse or model.surface.lambda_s == 0.0:
         return g.grad(Fg.ctilde)
     lam_s, a = model.surface.lambda_s, model.a
-    _, gamma, xi = gamma_xi_of_state(state, model)
+    _, gamma, xi = state.derived(model).gamma_xi
     inner = Fg.ctilde + g.div(state.rho ** a * lam_s * gamma * _lift(xi, Fg)
                               * Fg.sigma) / state.rho
     return g.grad(inner)
-
-
-def _grad_vT_of_state(state: State, model: ModelConfig):
-    """(grad v, grad T), memoized; grad v[k, l] = d_k v_l."""
-    T = np.asarray(thermo_point(state, model).T)
-    grads = _memo(state, "grad_vT", model.eos,
-                  lambda: state.grid.grad(np.concatenate([state.v, T[None]])))
-    return grads[:, :-1], grads[:, -1]
-
-
-def _gradmu_of_state(state: State, model: ModelConfig) -> np.ndarray:
-    return _memo(state, "grad_mu_gamma", model,
-                 lambda: state.grid.grad(generalized_mu(state, model)))
 
 
 def _require_dissipative(model: ModelConfig):
@@ -190,8 +173,7 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     _require_dissipative(model)
     g = state.grid
     tr = model.transport
-    pt = thermo_point(state, model)
-    T = np.asarray(pt.T)
+    T = np.asarray(state.derived(model).eos.T)
 
     def d1(A, B):
         return B.sigma * g.grad(A.m) - A.sigma * g.grad(B.m)
@@ -216,10 +198,10 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     _require_dissipative(model)
     g = state.grid
     tr = model.transport
-    pt = thermo_point(state, model)
-    T = np.asarray(pt.T)
-    gradv, gradT = _grad_vT_of_state(state, model)
-    grad_mu = _gradmu_of_state(state, model)
+    d = state.derived(model)
+    T = np.asarray(d.eos.T)
+    gradv, gradT = d.grad_vT
+    grad_mu = d.grad_mu
 
     x1 = T * g.grad(Fg.m) - Fg.sigma * gradv
     y1 = T * g.grad(Gg.m) - Gg.sigma * gradv
@@ -265,12 +247,13 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     if not (ideal or dissipative):
         return FunctionalGradient.zeros(g)
     rho, v = state.rho, state.v
-    pt = thermo_point(state, model)
+    d = state.derived(model)
+    pt = d.eos
     T = np.asarray(pt.T)
     grads = g.grad(np.concatenate([v, np.asarray(pt.p)[None], T[None]]))
     gradv, grad_p, gradT = grads[:, :dim], grads[:, dim], grads[:, dim + 1]
     if model.is_diffuse:
-        cap_stress, mu_flux = _capillary_stress(state, model, T)
+        cap_stress, mu_flux = d.capillary_stress()
     fluxes = {}
 
     def add(name, flux):
@@ -307,7 +290,7 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     if model.is_diffuse and model.surface.lambda_s != 0.0:
         # chain rule back to the evolved sigma^a field
         lam_s, a = model.surface.lambda_s, model.a
-        _, gamma, xi = gamma_xi_of_state(state, model)
+        _, gamma, xi = d.gamma_xi
         c_dot = (ctilde_dot - state.c * rho_dot) / rho
         sigma_dot = sigma_dot - rho ** a * lam_s * gamma * (xi * g.grad(c_dot)).sum(axis=0)
         if a == 1:
@@ -331,9 +314,9 @@ def production_density(state: State, model: ModelConfig) -> np.ndarray:
     if not model.is_dissipative:
         return state.grid.zeros()
     tr = model.transport
-    T = np.asarray(thermo_point(state, model).T)
-    gradv, gradT = _grad_vT_of_state(state, model)
-    return _production(T, gradv, gradT, _gradmu_of_state(state, model), tr,
+    d = state.derived(model)
+    gradv, gradT = d.grad_vT
+    return _production(np.asarray(d.eos.T), gradv, gradT, d.grad_mu, tr,
                        tr.kappa_of(state, model), tr.dcoef_of(state, model))
 
 
@@ -445,18 +428,23 @@ def onsager_blocks(rho: float, s: float, c: float, v, model: ModelConfig,
     """Onsager blocks at a single thermodynamic point.
 
     v is the velocity, given with up to three components (missing ones are
-    zero).  Raises if the temperature at the point is not positive.
+    zero).  Raises if the temperature at the point is not positive, and a
+    ParameterError if kappa or dcoef is a callable: a field coefficient has
+    no value at a point without a state.
     """
     tr = transport if transport is not None else model.transport
     if tr is None:
         raise ValueError("transport coefficients required")
+    for name in ("kappa", "dcoef"):
+        if callable(getattr(tr, name)):
+            raise ParameterError(name, f"onsager_blocks needs a scalar or matrix {name}, "
+                                       "not a callable of (state, model)")
     pt = eval_eos(rho, s, c, model.eos)
     v3 = np.zeros(3)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     v3[:v.shape[0]] = v
     return _onsager_blocks(float(pt.T), float(pt.mu), v3, tr.eta, tr.zeta,
-                           _embed3_matrix(_resolve_tensor(tr.kappa, None, model)),
-                           _embed3_matrix(_resolve_tensor(tr.dcoef, None, model)))
+                           _embed3_matrix(tr.kappa), _embed3_matrix(tr.dcoef))
 
 
 def onsager_fluxes(blocks: OnsagerBlocks, aff_e: np.ndarray, aff_m: np.ndarray,
@@ -480,8 +468,7 @@ def onsager_fluxes(blocks: OnsagerBlocks, aff_e: np.ndarray, aff_m: np.ndarray,
     return J_m, J_e, J_c
 
 
-def sectional_curvature(Fg, Gg, sigma_form: Callable, m_form: Callable,
-                        state: State | None = None) -> float:
+def sectional_curvature(Fg, Gg, sigma_form: Callable, m_form: Callable) -> float:
     """K(F, G) for two symmetric bilinear forms on gradients.
 
     K = |F|^2_Sigma |G|^2_M - 2 <F,G>_Sigma <F,G>_M + |G|^2_Sigma |F|^2_M;

@@ -14,7 +14,6 @@ floor accepted for residuals that are exactly zero discretely.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,7 @@ import numpy as np
 from .brackets import poisson_bracket
 from .dynamics import integrate, total_rhs
 from .fields import random_gradient, smooth_state
-from .functionals import (FAMILIES, FunctionalGradient, ModelConfig, State,
-                          grad_H, grad_S)
+from .functionals import FAMILIES, FunctionalGradient, ModelConfig, grad_H, grad_S
 from .grid import Grid
 from .metriplectic import (TransportCoefficients, _embed3_matrix, _matvec,
                            _onsager_blocks, _trailing, dissipative_rhs,
@@ -75,13 +73,6 @@ def model_for(family: str, grid: Grid) -> ModelConfig:
                                       dcoef=0.03) if family in DISSIPATIVE else None
     return ModelConfig(family=family, grid=grid, eos=EosParams(),
                        surface=surface, transport=transport)
-
-
-def state_hash(state: State) -> str:
-    h = hashlib.sha256()
-    for arr in (state.m, state.rho, state.ctilde, state.sigma):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()[:16]
 
 
 def _observed_order(residuals: list[float]) -> float:

@@ -5,12 +5,14 @@ import pytest
 
 from metriflow import (Grid, ModelConfig, SurfaceCoefficients,
                        TransportCoefficients, UnsupportedFamilyError,
-                       capillary_force, entropy, grad_S, hamiltonian,
+                       capillary_force, entropy, grad_H, grad_S, hamiltonian,
                        ideal_rhs, poisson_bracket, smooth_state,
                        transform_gradients, untransform_gradients)
 from metriflow.fields import random_gradient
 from metriflow.functionals import FAMILIES, State
 from metriflow.scenarios import analytic_capillary_force, double_tanh_profile
+from metriflow.verification import (CASIMIR_SIZES, ORDER_MIN, _batch_of_one,
+                                    _observed_order)
 
 GRID = Grid(dim=1, n=(32,), length=(1.0,))
 
@@ -189,6 +191,23 @@ def test_ideal_entropy_rate_is_exactly_zero(family):
     Sg = grad_S(state, model)
     rate = Sg.dot(ideal_rhs(state, model), GRID)
     assert abs(rate) <= 1e-13
+
+
+@pytest.mark.parametrize("family", ["GE", "CHE0", "CHE1", "CHNS1"])
+def test_bracket_generates_ideal_rhs_at_second_order(family):
+    # F . ideal_rhs - {F, H} is a product-rule residual, so it falls at order
+    # 2; a bracket term that vanishes only for constant G.sigma (as for
+    # grad S) would level off instead
+    residuals = []
+    for n in CASIMIR_SIZES:
+        grid = Grid(dim=1, n=(n,), length=(1.0,))
+        model = model_for(family, grid)
+        state = smooth_state(grid, model, seed=4, kmax=2)
+        F = random_gradient(grid, 900 + np.arange(8), kmax=2)
+        lhs = F.dot(_batch_of_one(ideal_rhs(state, model)), grid)
+        rhs = poisson_bracket(F, _batch_of_one(grad_H(state, model)), state, model)
+        residuals.append(float(np.abs(lhs - rhs).max() / np.abs(rhs).max()))
+    assert np.isfinite(residuals).all() and _observed_order(residuals) >= ORDER_MIN, residuals
 
 
 def test_ideal_energy_rate_second_order():

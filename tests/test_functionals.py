@@ -1,14 +1,18 @@
 """Functionals: H and S values, exact discrete gradients, generalized mu."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from metriflow import (EosParams, FunctionalGradient, Grid,
                        InadmissibleStateError, ModelConfig, State,
                        SurfaceCoefficients, TransportCoefficients,
-                       UnsupportedFamilyError, entropy, eval_eos, free_energy,
-                       generalized_mu, grad_H, grad_S, hamiltonian,
-                       smooth_state)
+                       UnsupportedFamilyError, diagnostics, entropy, eval_eos,
+                       free_energy, generalized_mu, grad_H, grad_S,
+                       hamiltonian, smooth_state, total_rhs)
 from metriflow.brackets import TestFunctional
 from metriflow.fields import directional_derivative, random_gradient
 from metriflow.functionals import sigma_total, thermo_point
@@ -224,10 +228,9 @@ def test_generalized_mu_a0_assembly():
     # here independently with the same grid operators
     model = make_model("CHE0")
     st = smooth_state(GRID1, model, seed=13)
-    from metriflow.functionals import gamma_xi_of_state, thermo_point
     from metriflow.thermo import lambda_f as lam_f_of
     pt = thermo_point(st, model)
-    _, gamma, xi = gamma_xi_of_state(st, model)
+    _, gamma, xi = st.derived(model).gamma_xi
     lam_f = lam_f_of(np.asarray(pt.T), model.surface)
     expected = np.asarray(pt.mu) - GRID1.div(lam_f * gamma * xi) / st.rho
     assert np.allclose(generalized_mu(st, model), expected, atol=1e-12)
@@ -245,6 +248,36 @@ def test_memo_is_not_stale_across_fresh_models():
         ref = eval_eos(state.rho, state.s, state.c, model.eos)
         stale += not np.array_equal(pt.T, ref.T)
     assert stale == 0
+
+
+def test_derived_is_kept_for_the_last_model_object():
+    model = make_model("CHNS1")
+    state = smooth_state(GRID1, model, seed=3)
+    d = state.derived(model)
+    assert state.derived(model) is d
+    assert thermo_point(state, model) is d.eos
+    assert generalized_mu(state, model) is d.mu_gamma
+    # an equal but distinct model object gets its own fields
+    twin = dataclasses.replace(model)
+    assert twin == model
+    assert state.derived(twin) is not d
+    assert state.derived(twin) is state.derived(twin)
+
+
+def test_state_is_freed_without_the_garbage_collector():
+    # the Derived a state holds must not refer back to it strongly: a cycle
+    # would keep every evaluated state alive until a collection
+    model = make_model("CHNS1")
+    state = smooth_state(GRID1, model, seed=3)
+    total_rhs(state, model)
+    diagnostics(state, model)
+    alive = weakref.ref(state)
+    gc.disable()
+    try:
+        del state
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_functional_gradient_algebra():

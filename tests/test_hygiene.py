@@ -49,3 +49,31 @@ def numpy_wrapper_calls(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_calls_array_methods_not_numpy_wrappers(path):
     assert numpy_wrapper_calls(path) == []
+
+
+# derived fields live on Derived objects; the one place that writes a
+# state's __dict__ is State.derived, which keeps the state's Derived
+DICT_ACCESS_ALLOWED = {"functionals.py": {"State.derived"}}
+
+
+def dict_accesses(path: Path) -> list[str]:
+    """``__dict__`` accesses, each with its enclosing class/function path."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    allowed = DICT_ACCESS_ALLOWED.get(path.name, set())
+    return [f"{path.name}:{line}: __dict__ in {scope or '<module>'}"
+            for scope, line in found if scope not in allowed]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_dict_access_only_in_state_derived(path):
+    assert dict_accesses(path) == []

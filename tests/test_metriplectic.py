@@ -340,6 +340,14 @@ def test_onsager_requires_transport():
         onsager_blocks(1.0, 0.0, 0.0, np.zeros(3), model)
 
 
+@pytest.mark.parametrize("name", ["kappa", "dcoef"])
+def test_onsager_rejects_callable_coefficient_naming_it(name):
+    tr = TransportCoefficients(eta=0.1, **{name: lambda st, mo: 0.5 * (1.0 + st.c ** 2)})
+    with pytest.raises(ParameterError, match=name) as info:
+        onsager_blocks(1.0, 0.0, 0.0, np.zeros(3), model_for("GNS"), transport=tr)
+    assert info.value.name == name
+
+
 def test_onsager_matrix_symmetric_and_psd():
     model = model_for("GNS")
     rng = np.random.default_rng(18)
