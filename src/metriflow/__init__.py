@@ -7,9 +7,7 @@ suites for the conservation and entropy-production structure.
 """
 
 from .anisotropy import AnisotropyFn, gamma_eval, homogeneity_residuals, parse_anisotropy
-from .brackets import (TestFunctional, capillary_force, ideal_rhs,
-                       poisson_bracket, transform_gradients,
-                       untransform_gradients)
+from .brackets import capillary_force, ideal_rhs, poisson_bracket
 from .dynamics import (Diagnostics, diagnostics, integrate, stability_limit,
                        step_rk4, total_rhs)
 from .errors import (ConfigError, InadmissibleStateError, IntegrationError,
@@ -18,7 +16,8 @@ from .errors import (ConfigError, InadmissibleStateError, IntegrationError,
 from .fields import random_gradient, smooth_state
 from .functionals import (FAMILIES, FunctionalGradient, ModelConfig, State,
                           entropy, free_energy, generalized_mu, grad_H,
-                          grad_S, hamiltonian, sigma_total)
+                          grad_S, hamiltonian, sigma_total,
+                          transform_gradients, untransform_gradients)
 from .grid import Grid
 from .metriplectic import (OnsagerBlocks, TransportCoefficients,
                            dissipative_rhs, entropy_production_rate,
@@ -34,8 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnisotropyFn", "gamma_eval", "homogeneity_residuals", "parse_anisotropy",
-    "TestFunctional", "capillary_force", "ideal_rhs", "poisson_bracket",
-    "transform_gradients", "untransform_gradients",
+    "capillary_force", "ideal_rhs", "poisson_bracket",
     "Diagnostics", "diagnostics", "integrate", "stability_limit",
     "step_rk4", "total_rhs",
     "ConfigError", "InadmissibleStateError", "IntegrationError",
@@ -44,7 +42,7 @@ __all__ = [
     "random_gradient", "smooth_state",
     "FAMILIES", "FunctionalGradient", "ModelConfig", "State", "entropy",
     "free_energy", "generalized_mu", "grad_H", "grad_S", "hamiltonian",
-    "sigma_total",
+    "sigma_total", "transform_gradients", "untransform_gradients",
     "Grid",
     "OnsagerBlocks", "TransportCoefficients", "dissipative_rhs",
     "entropy_production_rate", "kn_4bracket", "lam4", "metriplectic_2bracket",

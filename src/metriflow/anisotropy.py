@@ -13,34 +13,27 @@ xi is regularized to 0 near p = 0 so products Gamma*xi vanish continuously.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 EPS4_CONVEXITY_LIMIT = 1.0 / 15.0
+# the cutoff radius of the regularization, relative to the RMS magnitude of p
+EPS_REG = 1e-12
 
 
 @dataclass(frozen=True)
 class AnisotropyFn:
-    """A surface-energy function Gamma with analytic gradient xi.
-
-    kind is "iso" or "fourfold"; user-supplied functions may be passed via
-    gamma_xi, a callable p -> (Gamma, xi) evaluated away from the origin.
-    eps_reg sets the cutoff radius, relative to the RMS magnitude of p.
-    """
+    """A surface-energy function Gamma with analytic gradient xi; kind is
+    "iso" or "fourfold"."""
 
     kind: str = "iso"
     eps4: float = 0.0
-    eps_reg: float = 1e-12
-    gamma_xi: Callable | None = None
 
     def __post_init__(self):
-        if self.kind not in ("iso", "fourfold", "user"):
+        if self.kind not in ("iso", "fourfold"):
             raise ValueError(f"unknown anisotropy kind {self.kind!r}")
         if self.kind == "fourfold" and abs(self.eps4) >= EPS4_CONVEXITY_LIMIT:
             raise ValueError(f"fourfold eps4 must satisfy |eps4| < 1/15, got {self.eps4}")
-        if self.kind == "user" and self.gamma_xi is None:
-            raise ValueError("user kind requires a gamma_xi callable")
 
 
 def parse_anisotropy(text: str) -> AnisotropyFn:
@@ -65,18 +58,13 @@ def gamma_eval(p: np.ndarray, fn: AnisotropyFn) -> tuple[np.ndarray, np.ndarray]
     # the mean as sum / size: the same bits as .mean(), without its
     # Python-level wrapper
     rms = float(np.sqrt((mag * mag).sum() / mag.size))
-    cutoff = fn.eps_reg * (rms if rms > 0 else 1.0)
+    cutoff = EPS_REG * (rms if rms > 0 else 1.0)
     safe = np.maximum(mag, cutoff)
 
     if fn.kind == "iso":
         gamma = mag
         xi = np.where(mag > cutoff, p / safe, 0.0)
         return gamma, xi
-
-    if fn.kind == "user":
-        gamma, xi = fn.gamma_xi(p)
-        mask = mag > cutoff
-        return np.where(mask, gamma, 0.0), np.where(mask, xi, 0.0)
 
     # fourfold, 2D only
     if p.shape[0] != 2:
@@ -108,7 +96,7 @@ def homogeneity_residuals(p: np.ndarray, lam: float, fn: AnisotropyFn,
     if lam <= 0:
         raise ValueError("lam must be positive")
     mag = float(np.linalg.norm(p))
-    if mag <= 10.0 * fn.eps_reg:
+    if mag <= 10.0 * EPS_REG:
         raise ValueError("p too close to the regularized origin")
 
     gamma_p, xi_p = gamma_eval(p, fn)

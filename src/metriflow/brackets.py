@@ -1,9 +1,11 @@
 """Noncanonical Poisson brackets and the ideal equations of motion.
 
-Three bracket families are implemented: the base Lie-Poisson bracket for
-the sharp-interface (GE/GNS) system, and its two transformed versions for
-the diffuse-interface a=1 and a=0 entropy variables.  The transformed
-brackets keep the corresponding entropy functional as a Casimir invariant.
+Three bracket families are implemented, on one code path: the base
+Lie-Poisson bracket for the sharp-interface (GE/GNS) system, and its two
+transformed versions for the diffuse-interface a=1 and a=0 entropy
+variables.  The transformed brackets keep the corresponding entropy
+functional as a Casimir invariant.  The change of variables itself
+(transform_gradients) is in functionals.
 
 The ideal tendencies (ideal_rhs) are the ideal part of the shared kernel in
 metriplectic, so the RHS has one code path.
@@ -16,28 +18,10 @@ bracket/RHS consistency) hold at second order in the grid spacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .errors import UnsupportedFamilyError
 from .functionals import FunctionalGradient, ModelConfig, State, _lift
 from .metriplectic import _tendencies
-
-
-@dataclass(frozen=True)
-class TestFunctional:
-    """A functional with both a scalar callback and its gradient.
-
-    Used by the property suites: the gradient can be validated against a
-    directional derivative of value().
-    """
-
-    __test__ = False  # not a pytest class, despite the name
-
-    value: Callable[[State], float]
-    gradient: Callable[[State], FunctionalGradient]
 
 
 def _directional(grid, fm, scalar_field):
@@ -73,68 +57,18 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     integrand = (m * pair(lambda F, G: _vec_advect(g, F.m, G.m))).sum(axis=0)
     integrand = integrand + rho * pair(lambda F, G: _directional(g, F.m, G.rho))
     integrand = integrand + ctilde * pair(lambda F, G: _directional(g, F.m, G.ctilde))
-
-    if model.family in ("GE", "GNS"):
-        integrand = integrand + sigma * pair(lambda F, G: _directional(g, F.m, G.sigma))
-        return -g.integrate(integrand)
-
-    lam_s, a = model.surface.lambda_s, model.a
-    gc, gamma, xi = state.derived(model).gamma_xi
-    gc, xi = _lift(gc, Fg), _lift(xi, Fg)
-
-    if a == 1:
+    if model.is_diffuse:
+        # the surface-entropy terms of the sigma^a variables, weighted by rho^a
+        lam_s, weight = model.surface.lambda_s, rho ** model.a
+        gc, gamma, xi = state.derived(model).gamma_xi
+        gc, xi = _lift(gc, Fg), _lift(xi, Fg)
         integrand = integrand - lam_s * pair(
-            lambda F, G: (F.m * _div_outer(g, rho * G.sigma * gamma * xi, gc)).sum(axis=0))
-        integrand = integrand + sigma * pair(lambda F, G: _directional(g, F.m, G.sigma))
-        return -g.integrate(integrand)
-
-    # a == 0
-    integrand = integrand - lam_s * pair(
-        lambda F, G: (F.m * _div_outer(g, G.sigma * gamma * xi, gc)).sum(axis=0))
-    integrand = integrand + 0.5 * lam_s * pair(
-        lambda F, G: _directional(g, F.m, gamma * gamma * G.sigma))
+            lambda F, G: (F.m * _div_outer(g, weight * G.sigma * gamma * xi, gc)).sum(axis=0))
+        if model.a == 0:
+            integrand = integrand + 0.5 * lam_s * pair(
+                lambda F, G: _directional(g, F.m, gamma * gamma * G.sigma))
     integrand = integrand + sigma * pair(lambda F, G: _directional(g, F.m, G.sigma))
     return -g.integrate(integrand)
-
-
-def transform_gradients(hatFg: FunctionalGradient, state: State,
-                        model: ModelConfig) -> FunctionalGradient:
-    """Map gradients in the transformed (sigma^a) variables to gradients in
-    the original (sigma) variables.
-
-    The m and sigma slots pass through unchanged; rho and ctilde pick up
-    the surface-gradient corrections.  With lambda_s = 0 this is the
-    identity.  See untransform_gradients for the inverse map.
-    """
-    if not model.is_diffuse:
-        raise UnsupportedFamilyError("gradient transform applies to diffuse families only")
-    g = state.grid
-    lam_s, a = model.surface.lambda_s, model.a
-    rho, ctilde = state.rho, state.ctilde
-    _, gamma, xi = state.derived(model).gamma_xi
-    div_flux = g.div(rho ** a * lam_s * gamma * xi * hatFg.sigma)
-    d_rho = hatFg.rho - ctilde / rho ** 2 * div_flux
-    if a == 1:
-        d_rho = d_rho - 0.5 * lam_s * gamma * gamma * hatFg.sigma
-    d_ctilde = hatFg.ctilde + div_flux / rho
-    return FunctionalGradient(m=hatFg.m, rho=d_rho, ctilde=d_ctilde, sigma=hatFg.sigma)
-
-
-def untransform_gradients(Fg: FunctionalGradient, state: State,
-                          model: ModelConfig) -> FunctionalGradient:
-    """Inverse of transform_gradients (original variables to sigma^a ones)."""
-    if not model.is_diffuse:
-        raise UnsupportedFamilyError("gradient transform applies to diffuse families only")
-    g = state.grid
-    lam_s, a = model.surface.lambda_s, model.a
-    rho, ctilde = state.rho, state.ctilde
-    _, gamma, xi = state.derived(model).gamma_xi
-    div_flux = g.div(rho ** a * lam_s * gamma * xi * Fg.sigma)
-    d_rho = Fg.rho + ctilde / rho ** 2 * div_flux
-    if a == 1:
-        d_rho = d_rho + 0.5 * lam_s * gamma * gamma * Fg.sigma
-    d_ctilde = Fg.ctilde - div_flux / rho
-    return FunctionalGradient(m=Fg.m, rho=d_rho, ctilde=d_ctilde, sigma=Fg.sigma)
 
 
 def capillary_force(state: State, model: ModelConfig) -> np.ndarray:

@@ -67,16 +67,15 @@ def stability_limit(state: State, model: ModelConfig) -> float:
 
 
 def step_rk4(state: State, model: ModelConfig, dt: float,
-             step_index: int = 0, check: bool = True) -> State:
+             step_index: int = 0) -> State:
     """One classical RK4 step; validates every stage state."""
 
     def guard(st: State, tag: str) -> State:
-        if check:
-            try:
-                st.validate(model)
-            except InadmissibleStateError as exc:
-                raise IntegrationError(
-                    f"inadmissible state at {tag}: {exc}", step=step_index) from exc
+        try:
+            st.validate(model)
+        except InadmissibleStateError as exc:
+            raise IntegrationError(
+                f"inadmissible state at {tag}: {exc}", step=step_index) from exc
         return st
 
     k1 = total_rhs(state, model)
@@ -126,8 +125,7 @@ def diagnostics(state: State, model: ModelConfig, t: float = 0.0) -> Diagnostics
 
 
 def integrate(state: State, model: ModelConfig, dt: float, n_steps: int,
-              callback=None, check: bool = True,
-              warn_on_stiff: bool = True) -> State:
+              callback=None, warn_on_stiff: bool = True) -> State:
     """Advance n_steps of size dt, optionally invoking callback(i, state).
 
     callback is called after each accepted step with the 1-based step index.
@@ -141,7 +139,7 @@ def integrate(state: State, model: ModelConfig, dt: float, n_steps: int,
                 f"dt = {dt:g} exceeds the estimated stability limit {limit:g}",
                 RuntimeWarning, stacklevel=2)
     for i in range(1, n_steps + 1):
-        state = step_rk4(state, model, dt, step_index=i, check=check)
+        state = step_rk4(state, model, dt, step_index=i)
         if callback is not None:
             callback(i, state)
     return state

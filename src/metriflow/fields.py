@@ -10,10 +10,11 @@ where the field must be a fixed function of x rather than per-grid noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .brackets import TestFunctional
+from .dynamics import _advance
 from .functionals import FunctionalGradient, ModelConfig, State
 from .grid import Grid
 
@@ -107,16 +108,9 @@ def random_gradient(grid: Grid, seed: int | np.ndarray, amp: float = 1.0,
                               ctilde=f[grid.dim + 1], sigma=f[grid.dim + 2])
 
 
-def directional_derivative(func: TestFunctional, state: State,
+def directional_derivative(value: Callable[[State], float], state: State,
                            direction: FunctionalGradient,
                            eps: float = 1e-6) -> float:
-    """Central-difference derivative of func.value along direction."""
-    plus = state.replace(m=state.m + eps * direction.m,
-                         rho=state.rho + eps * direction.rho,
-                         ctilde=state.ctilde + eps * direction.ctilde,
-                         sigma=state.sigma + eps * direction.sigma)
-    minus = state.replace(m=state.m - eps * direction.m,
-                          rho=state.rho - eps * direction.rho,
-                          ctilde=state.ctilde - eps * direction.ctilde,
-                          sigma=state.sigma - eps * direction.sigma)
-    return (func.value(plus) - func.value(minus)) / (2.0 * eps)
+    """Central-difference derivative of value(state) along direction."""
+    return (value(_advance(state, direction, eps))
+            - value(_advance(state, direction, -eps))) / (2.0 * eps)

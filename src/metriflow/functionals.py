@@ -4,7 +4,9 @@ discrete functional derivatives.
 The state carries the conserved densities (m, rho, ctilde, sigma).  For the
 diffuse-interface families the sigma field stores the transformed entropy
 density sigma^a; the total entropy density (sigma^a plus the gradient part)
-is reconstructed by sigma_total.
+is reconstructed by sigma_total, and transform_gradients /
+untransform_gradients carry functional gradients across that change of
+variables.
 
 Functional derivatives are hand-coded using the adjoint-consistent grid
 operators, so they are the exact gradients of the discrete functionals (to
@@ -47,16 +49,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnsupportedFamilyError(f"unknown family {self.family!r}")
-        if self.is_diffuse:
-            want_a = 0 if self.family.endswith("0") else 1
-            if self.surface.a != want_a:
-                raise ValueError(
-                    f"family {self.family} requires a={want_a}, got a={self.surface.a}")
-        else:
-            if self.surface.lambda_u != 0.0 or self.surface.lambda_s != 0.0:
-                raise ValueError(
-                    f"family {self.family} has no surface-energy terms; "
-                    "lambda_u and lambda_s must be 0")
+        if not self.is_diffuse and (self.surface.lambda_u != 0.0
+                                    or self.surface.lambda_s != 0.0):
+            raise ValueError(
+                f"family {self.family} has no surface-energy terms; "
+                "lambda_u and lambda_s must be 0")
         if self.is_dissipative and self.transport is None:
             raise ValueError(f"family {self.family} requires transport coefficients")
 
@@ -70,7 +67,9 @@ class ModelConfig:
 
     @property
     def a(self) -> int:
-        return self.surface.a if self.is_diffuse else 0
+        """The density weight rho^a of the surface terms: 1 for CHE1 and
+        CHNS1, 0 for every other family."""
+        return 1 if self.family in ("CHE1", "CHNS1") else 0
 
 
 @dataclass(frozen=True)
@@ -180,10 +179,11 @@ def _lift(vec: np.ndarray, Fg: FunctionalGradient) -> np.ndarray:
 class Derived:
     """The derived fields of one state under one model, each computed on
     first use and kept, as states are never mutated: ``eos`` (the EOS
-    point), ``gamma_xi`` (grad c, Gamma, xi), ``mu_gamma``, ``grad_vT``
-    (grad v, grad T) and ``grad_mu`` (grad mu_Gamma).  The state holds its
-    Derived (``State.derived``), so this holds the state by a weak proxy: a
-    strong reference back would make a cycle only the collector frees."""
+    point), ``gamma_xi`` (grad c, Gamma, xi), ``mu_gamma``, ``grad_vpT``
+    (grad v, grad p, grad T) and ``grad_mu`` (grad mu_Gamma).  The state
+    holds its Derived (``State.derived``), so this holds the state by a weak
+    proxy: a strong reference back would make a cycle only the collector
+    frees."""
 
     def __init__(self, state: State, model: ModelConfig):
         self.state = weakref.proxy(state)
@@ -209,11 +209,13 @@ class Derived:
         return mu - st.grid.div(flux) / st.rho
 
     @cached_property
-    def grad_vT(self):
-        """(grad v, grad T), grad v[k, l] = d_k v_l."""
-        st = self.state
-        grads = st.grid.grad(np.concatenate([st.v, np.asarray(self.eos.T)[None]]))
-        return grads[:, :-1], grads[:, -1]
+    def grad_vpT(self):
+        """(grad v, grad p, grad T), grad v[k, l] = d_k v_l, from one
+        stacked grad."""
+        st, pt, dim = self.state, self.eos, self.state.grid.dim
+        grads = st.grid.grad(np.concatenate([st.v, np.asarray(pt.p)[None],
+                                             np.asarray(pt.T)[None]]))
+        return grads[:, :dim], grads[:, dim], grads[:, dim + 1]
 
     @cached_property
     def grad_mu(self) -> np.ndarray:
@@ -293,22 +295,59 @@ def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
 
 
 def grad_S(state: State, model: ModelConfig) -> FunctionalGradient:
-    """Exact discrete functional derivatives of the entropy functional."""
+    """Exact discrete functional derivatives of the entropy functional: the
+    unit sigma gradient, taken out of the sigma^a variables where the
+    surface entropy is present."""
     g = state.grid
-    ones = np.ones(g.shape)
-    d_m = g.zeros_vector()
-    d_rho = g.zeros()
-    d_ctilde = g.zeros()
+    unit = FunctionalGradient(m=g.zeros_vector(), rho=g.zeros(), ctilde=g.zeros(),
+                              sigma=np.ones(g.shape))
     if model.is_diffuse and model.surface.lambda_s != 0.0:
-        lam_s, a = model.surface.lambda_s, model.a
-        rho = state.rho
-        _, gamma, xi = state.derived(model).gamma_xi
-        div_flux = g.div(rho ** a * lam_s * gamma * xi)
-        d_ctilde = -div_flux / rho
-        d_rho = state.ctilde / rho ** 2 * div_flux
-        if a == 1:
-            d_rho = d_rho + 0.5 * lam_s * gamma * gamma
-    return FunctionalGradient(m=d_m, rho=d_rho, ctilde=d_ctilde, sigma=ones)
+        return untransform_gradients(unit, state, model)
+    return unit
+
+
+def _sigma_flux_div(Fg: FunctionalGradient, state: State,
+                    model: ModelConfig) -> np.ndarray:
+    """div(rho^a lambda_s Gamma xi F_sigma), the surface part of the sigma^a
+    change of variables, for one gradient or a batch."""
+    _, gamma, xi = state.derived(model).gamma_xi
+    return state.grid.div(state.rho ** model.a * model.surface.lambda_s * gamma
+                          * _lift(xi, Fg) * Fg.sigma)
+
+
+def _change_variables(Fg: FunctionalGradient, state: State, model: ModelConfig,
+                      sign: float) -> FunctionalGradient:
+    """The sigma^a change of variables on gradients: sign -1 maps sigma^a
+    gradients to sigma ones, +1 maps back.  m and sigma pass through."""
+    if not model.is_diffuse:
+        raise UnsupportedFamilyError("gradient transform applies to diffuse families only")
+    rho = state.rho
+    div_flux = sign * _sigma_flux_div(Fg, state, model)
+    d_rho = Fg.rho + state.ctilde / rho ** 2 * div_flux
+    if model.a == 1:
+        _, gamma, _ = state.derived(model).gamma_xi
+        d_rho = d_rho + sign * 0.5 * model.surface.lambda_s * gamma * gamma * Fg.sigma
+    return FunctionalGradient(m=Fg.m, rho=d_rho, ctilde=Fg.ctilde - div_flux / rho,
+                              sigma=Fg.sigma)
+
+
+def transform_gradients(hatFg: FunctionalGradient, state: State,
+                        model: ModelConfig) -> FunctionalGradient:
+    """Map gradients in the transformed (sigma^a) variables to gradients in
+    the original (sigma) variables.
+
+    The m and sigma slots pass through unchanged; rho and ctilde pick up
+    the surface-gradient corrections.  With lambda_s = 0 this is the
+    identity.  hatFg may be a batch.  See untransform_gradients for the
+    inverse map.
+    """
+    return _change_variables(hatFg, state, model, -1.0)
+
+
+def untransform_gradients(Fg: FunctionalGradient, state: State,
+                          model: ModelConfig) -> FunctionalGradient:
+    """Inverse of transform_gradients (original variables to sigma^a ones)."""
+    return _change_variables(Fg, state, model, 1.0)
 
 
 def generalized_mu(state: State, model: ModelConfig) -> np.ndarray:

@@ -28,8 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, UnsupportedFamilyError
-from .functionals import (FunctionalGradient, ModelConfig, State, _lift,
-                          sigma_total)
+from .functionals import (FunctionalGradient, ModelConfig, State,
+                          _sigma_flux_div, sigma_total)
 from .grid import Grid
 from .thermo import eval_eos
 
@@ -147,11 +147,7 @@ def _conc_slot(Fg: FunctionalGradient, state: State, model: ModelConfig) -> np.n
     g = state.grid
     if not model.is_diffuse or model.surface.lambda_s == 0.0:
         return g.grad(Fg.ctilde)
-    lam_s, a = model.surface.lambda_s, model.a
-    _, gamma, xi = state.derived(model).gamma_xi
-    inner = Fg.ctilde + g.div(state.rho ** a * lam_s * gamma * _lift(xi, Fg)
-                              * Fg.sigma) / state.rho
-    return g.grad(inner)
+    return g.grad(Fg.ctilde + _sigma_flux_div(Fg, state, model) / state.rho)
 
 
 def _require_dissipative(model: ModelConfig):
@@ -200,7 +196,7 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     tr = model.transport
     d = state.derived(model)
     T = np.asarray(d.eos.T)
-    gradv, gradT = d.grad_vT
+    gradv, _, gradT = d.grad_vpT
     grad_mu = d.grad_mu
 
     x1 = T * g.grad(Fg.m) - Fg.sigma * gradv
@@ -238,11 +234,11 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     Every flux is in divergence form, so the mass, concentration and
     total-entropy budgets telescope exactly on the periodic grid.  Each
     stage stacks its fields to take one Grid.deriv call per axis: grad
-    (v, p, T); all flux divergences; grad mu_Gamma; div(D grad mu_Gamma);
-    grad c_dot.  The entropy tendency is pulled back to the evolved sigma^a
+    (v, p, T), kept on the state's Derived; all flux divergences; grad
+    mu_Gamma; div(D grad mu_Gamma); grad c_dot.  The entropy tendency is pulled back to the evolved sigma^a
     field once, on the total c_dot (the pullback is linear).
     """
-    g, dim = state.grid, state.grid.dim
+    g = state.grid
     dissipative = dissipative and model.is_dissipative
     if not (ideal or dissipative):
         return FunctionalGradient.zeros(g)
@@ -250,8 +246,7 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     d = state.derived(model)
     pt = d.eos
     T = np.asarray(pt.T)
-    grads = g.grad(np.concatenate([v, np.asarray(pt.p)[None], T[None]]))
-    gradv, grad_p, gradT = grads[:, :dim], grads[:, dim], grads[:, dim + 1]
+    gradv, grad_p, gradT = d.grad_vpT
     if model.is_diffuse:
         cap_stress, mu_flux = d.capillary_stress()
     fluxes = {}
@@ -315,7 +310,7 @@ def production_density(state: State, model: ModelConfig) -> np.ndarray:
         return state.grid.zeros()
     tr = model.transport
     d = state.derived(model)
-    gradv, gradT = d.grad_vT
+    gradv, _, gradT = d.grad_vpT
     return _production(np.asarray(d.eos.T), gradv, gradT, d.grad_mu, tr,
                        tr.kappa_of(state, model), tr.dcoef_of(state, model))
 
@@ -371,13 +366,13 @@ class OnsagerBlocks:
     """Blocks of the Onsager matrix relating fluxes to affinities.
 
     Index layout (3D embedded): momentum flux rows are index pairs (i, j),
-    energy and concentration rows are single spatial indices.  Every block
-    may carry the same leading axes, one set of blocks per entry.
+    energy and concentration rows are single spatial indices.  The
+    momentum-concentration blocks are identically zero and not stored.
+    Every block may carry the same leading axes, one set of blocks per entry.
     """
 
     L_mm: np.ndarray   # (...,3,3,3,3)
     L_me: np.ndarray   # (...,3,3,3)
-    L_mc: np.ndarray   # (...,3,3,3), identically zero
     L_ee: np.ndarray   # (...,3,3)
     L_ec: np.ndarray   # (...,3,3)
     L_cc: np.ndarray   # (...,3,3)
@@ -388,13 +383,10 @@ class OnsagerBlocks:
         lead = self.L_ee.shape[:-2]
         L_mm = self.L_mm.reshape(lead + (9, 9))
         L_me = self.L_me.reshape(lead + (9, 3))
-        L_mc = self.L_mc.reshape(lead + (9, 3))
         full = np.zeros(lead + (15, 15))
         full[..., :9, :9] = L_mm
         full[..., :9, 9:12] = L_me
         full[..., 9:12, :9] = L_me.swapaxes(-1, -2)
-        full[..., :9, 12:] = L_mc
-        full[..., 12:, :9] = L_mc.swapaxes(-1, -2)
         full[..., 9:12, 9:12] = self.L_ee
         full[..., 9:12, 12:] = self.L_ec
         full[..., 12:, 9:12] = self.L_ec.swapaxes(-1, -2)
@@ -414,13 +406,11 @@ def _onsager_blocks(T, mu, v3, eta, zeta, kap3, dmat3) -> OnsagerBlocks:
     m = _trailing(mu, 2)
     L_mm = _trailing(T, 4) * lam
     L_me = _trailing(T, 3) * np.einsum("...ijkl,...l->...ijk", lam, v3)
-    L_mc = np.zeros(lam.shape[:-1])
     vlamv = np.einsum("...jikl,...j,...l->...ik", lam, v3, v3)
     L_ee = t * t * kap3 + t * vlamv + t * m * m * dmat3
     L_ec = t * m * dmat3
     L_cc = t * dmat3
-    return OnsagerBlocks(L_mm=L_mm, L_me=L_me, L_mc=L_mc,
-                         L_ee=L_ee, L_ec=L_ec, L_cc=L_cc)
+    return OnsagerBlocks(L_mm=L_mm, L_me=L_me, L_ee=L_ee, L_ec=L_ec, L_cc=L_cc)
 
 
 def onsager_blocks(rho: float, s: float, c: float, v, model: ModelConfig,
@@ -457,14 +447,11 @@ def onsager_fluxes(blocks: OnsagerBlocks, aff_e: np.ndarray, aff_m: np.ndarray,
     (J_m, J_e, J_c).
     """
     J_m = np.einsum("...ijk,...k->...ij", blocks.L_me, aff_e) \
-        + np.einsum("...ijkl,...kl->...ij", blocks.L_mm, aff_m) \
-        + np.einsum("...ijk,...k->...ij", blocks.L_mc, aff_c)
+        + np.einsum("...ijkl,...kl->...ij", blocks.L_mm, aff_m)
     J_e = _matvec(blocks.L_ee, aff_e) \
         + np.einsum("...kli,...kl->...i", blocks.L_me, aff_m) \
         + _matvec(blocks.L_ec, aff_c)
-    J_c = _matvec(blocks.L_ec.swapaxes(-1, -2), aff_e) \
-        + np.einsum("...kli,...kl->...i", blocks.L_mc, aff_m) \
-        + _matvec(blocks.L_cc, aff_c)
+    J_c = _matvec(blocks.L_ec.swapaxes(-1, -2), aff_e) + _matvec(blocks.L_cc, aff_c)
     return J_m, J_e, J_c
 
 

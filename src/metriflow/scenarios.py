@@ -189,8 +189,7 @@ def _build_model(p: dict) -> ModelConfig:
         raise _bad_value(exc.name, exc) from None
     if family.startswith("CH"):
         surface = SurfaceCoefficients(lambda_u=p["lambda_u"],
-                                      lambda_s=p["lambda_s"],
-                                      a=0 if family.endswith("0") else 1)
+                                      lambda_s=p["lambda_s"])
     else:
         surface = SurfaceCoefficients(lambda_u=0.0, lambda_s=0.0)
     return ModelConfig(family=family, grid=grid, eos=eos, surface=surface,

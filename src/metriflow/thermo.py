@@ -3,8 +3,8 @@
 The internal energy model is an ideal-gas-like entropic form plus a quartic
 Landau double well in the concentration:
 
-    u(rho, s, c) = c_v * T_ref * (rho/rho_ref)**(gamma_ad - 1)
-                   * exp((s - s_ref)/c_v)  +  (lambda_V/4) * (c**2 - 1)**2
+    u(rho, s, c) = c_v * rho**(gamma_ad - 1) * exp(s/c_v)
+                   +  (lambda_V/4) * (c**2 - 1)**2
 
 so that T = du/ds, p = rho**2 du/drho, mu = du/dc are available in closed
 form and mu reduces to the classical c**3 - c when lambda_V = 1.  Any other
@@ -26,19 +26,12 @@ class EosParams:
     """Parameters of the default internal energy model."""
 
     c_v: float = 1.0
-    T_ref: float = 1.0
-    rho_ref: float = 1.0
     gamma_ad: float = 5.0 / 3.0
-    s_ref: float = 0.0
     lambda_V: float = 1.0
 
     def __post_init__(self):
         if self.c_v <= 0:
             raise ValueError("c_v must be positive")
-        if self.T_ref <= 0:
-            raise ValueError("T_ref must be positive")
-        if self.rho_ref <= 0:
-            raise ValueError("rho_ref must be positive")
         if self.gamma_ad <= 1:
             raise ValueError("gamma_ad must exceed 1")
         if self.lambda_V < 0:
@@ -58,27 +51,11 @@ class ThermoPoint:
 
 @dataclass(frozen=True)
 class SurfaceCoefficients:
-    """Surface-energy coefficients and the diffuse-interface selector a."""
+    """Surface-energy coefficients; the density weight rho^a is fixed by
+    the model family (ModelConfig.a)."""
 
     lambda_u: float = 0.0
     lambda_s: float = 0.0
-    a: int = 1
-
-    def __post_init__(self):
-        if self.a not in (0, 1):
-            raise ValueError(f"a must be 0 or 1, got {self.a}")
-
-
-def internal_energy(rho, s, c, params: EosParams):
-    """Specific internal energy u(rho, s, c) of the default model."""
-    rho = np.asarray(rho, dtype=float)
-    if (rho <= 0).any():
-        raise ThermoDomainError("internal energy requires rho > 0")
-    thermal = params.c_v * params.T_ref * (rho / params.rho_ref) ** (params.gamma_ad - 1.0) \
-        * np.exp((np.asarray(s, dtype=float) - params.s_ref) / params.c_v)
-    c = np.asarray(c, dtype=float)
-    well = 0.25 * params.lambda_V * (c * c - 1.0) ** 2
-    return thermal + well
 
 
 def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
@@ -88,8 +65,7 @@ def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
     c = np.asarray(c, dtype=float)
     if (rho <= 0).any():
         raise ThermoDomainError("eval_eos requires rho > 0")
-    thermal = params.c_v * params.T_ref * (rho / params.rho_ref) ** (params.gamma_ad - 1.0) \
-        * np.exp((s - params.s_ref) / params.c_v)
+    thermal = params.c_v * rho ** (params.gamma_ad - 1.0) * np.exp(s / params.c_v)
     well = 0.25 * params.lambda_V * (c * c - 1.0) ** 2
     u = thermal + well
     T = thermal / params.c_v
@@ -97,6 +73,11 @@ def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
     mu = params.lambda_V * c * (c * c - 1.0)
     f = u - T * s
     return ThermoPoint(u=u, T=T, p=p, mu=mu, f=f)
+
+
+def internal_energy(rho, s, c, params: EosParams):
+    """Specific internal energy u(rho, s, c) of the default model."""
+    return eval_eos(rho, s, c, params).u
 
 
 def lambda_f(T, coeffs: SurfaceCoefficients):

@@ -67,8 +67,7 @@ def model_for(family: str, grid: Grid) -> ModelConfig:
     diffuse = family.startswith("CH")
     surface = SurfaceCoefficients(
         lambda_u=2e-3 if diffuse else 0.0,
-        lambda_s=1e-3 if diffuse else 0.0,
-        a=0 if family.endswith("0") else 1)
+        lambda_s=1e-3 if diffuse else 0.0)
     transport = TransportCoefficients(eta=0.01, zeta=0.005, kappa=0.02,
                                       dcoef=0.03) if family in DISSIPATIVE else None
     return ModelConfig(family=family, grid=grid, eos=EosParams(),

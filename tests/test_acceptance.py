@@ -260,10 +260,9 @@ def test_08_cahn_hilliard_reduction():
     worst = 0.0
     for family in ("CHE1", "CHE0"):
         g = Grid(dim=1, n=(96,), length=(1.0,))
-        a = 0 if family.endswith("0") else 1
         model = ModelConfig(
             family=family, grid=g,
-            surface=SurfaceCoefficients(lambda_u=2e-3, lambda_s=0.0, a=a))
+            surface=SurfaceCoefficients(lambda_u=2e-3, lambda_s=0.0))
         x = g.coords()[0]
         rho = np.ones(g.shape)  # lambda_f * rho is then constant
         c = 0.4 * np.sin(2 * np.pi * x) + 0.2 * np.cos(4 * np.pi * x)

@@ -60,20 +60,6 @@ def test_parse_anisotropy():
         parse_anisotropy("sixfold:0.1")
 
 
-def test_user_kind_requires_callable():
-    with pytest.raises(ValueError):
-        AnisotropyFn(kind="user")
-
-
-def test_user_kind_dispatches():
-    fn = AnisotropyFn(kind="user",
-                      gamma_xi=lambda p: (2.0 * np.sqrt(np.sum(p * p, axis=0)),
-                                          2.0 * p / np.sqrt(np.sum(p * p, axis=0))))
-    gamma, xi = gamma_eval(np.array([0.0, 3.0]), fn)
-    assert gamma == pytest.approx(6.0)
-    assert np.allclose(xi, [0.0, 2.0])
-
-
 @settings(max_examples=80, deadline=None)
 @given(p=nonzero_vec, lam=st.floats(min_value=0.1, max_value=10.0))
 def test_iso_homogeneity_exact(p, lam):

@@ -20,8 +20,7 @@ GRID = Grid(dim=1, n=(32,), length=(1.0,))
 def model_for(family, grid=GRID):
     diffuse = family.startswith("CH")
     surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
-                               lambda_s=1e-3 if diffuse else 0.0,
-                               a=0 if family.endswith("0") else 1)
+                               lambda_s=1e-3 if diffuse else 0.0)
     tr = TransportCoefficients(eta=0.01, zeta=0.005, kappa=0.02, dcoef=0.03) \
         if family in ("GNS", "CHNS0", "CHNS1") else None
     return ModelConfig(family=family, grid=grid, surface=surf, transport=tr)
@@ -105,7 +104,7 @@ def test_transform_passes_m_and_sigma_through():
 
 def test_transform_identity_without_lambda_s():
     model = ModelConfig(family="CHE1", grid=GRID,
-                        surface=SurfaceCoefficients(lambda_u=1e-3, lambda_s=0.0, a=1))
+                        surface=SurfaceCoefficients(lambda_u=1e-3, lambda_s=0.0))
     state = smooth_state(GRID, model, seed=5)
     F = random_gradient(GRID, seed=92)
     out = transform_gradients(F, state, model)

@@ -23,8 +23,7 @@ TRANSPORT = TransportCoefficients(eta=0.01, zeta=0.005, kappa=0.02, dcoef=0.03)
 def model_for(family, grid=GRID, transport=TRANSPORT):
     diffuse = family.startswith("CH")
     surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
-                               lambda_s=1e-3 if diffuse else 0.0,
-                               a=0 if family.endswith("0") else 1)
+                               lambda_s=1e-3 if diffuse else 0.0)
     tr = transport if family in ("GNS", "CHNS0", "CHNS1") else None
     return ModelConfig(family=family, grid=grid, surface=surf, transport=tr)
 

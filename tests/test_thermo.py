@@ -104,11 +104,6 @@ def test_modified_gibbs_kinetic_shift():
     assert g2 - g1 == pytest.approx(-1.5 * float(np.sum(v1 * v1)), rel=1e-12)
 
 
-def test_surface_coefficients_validate_a():
-    with pytest.raises(ValueError):
-        SurfaceCoefficients(a=2)
-
-
 def test_eval_eos_broadcasts_fields():
     rho = np.full((4, 4), 1.1)
     s = np.linspace(-0.1, 0.1, 16).reshape(4, 4)

@@ -16,7 +16,7 @@ from metriflow import (AnisotropyFn, FunctionalGradient, Grid, ModelConfig,
                        State, SurfaceCoefficients, TransportCoefficients,
                        eval_eos, grad_H, grad_S, kn_4bracket, lam4,
                        onsager_blocks, onsager_fluxes, poisson_bracket,
-                       smooth_state)
+                       smooth_state, transform_gradients, untransform_gradients)
 from metriflow import verification
 from metriflow.fields import fourier_field, make_modes, random_gradient
 from metriflow.functionals import FAMILIES
@@ -49,8 +49,7 @@ def _coefficient(kind, dim, scale):
 def _model(family, dim, coef_kind="scalar"):
     diffuse = family.startswith("CH")
     surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
-                               lambda_s=1e-3 if diffuse else 0.0,
-                               a=0 if family.endswith("0") else 1)
+                               lambda_s=1e-3 if diffuse else 0.0)
     tr = None
     if family in DISSIPATIVE:
         tr = TransportCoefficients(eta=0.01, zeta=0.005,
@@ -118,6 +117,21 @@ def test_batched_poisson_bracket_matches_single_calls(family, dim):
     assert np.array_equal(batched, loop)
 
 
+@pytest.mark.parametrize("transform", [transform_gradients, untransform_gradients])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["CHE0", "CHE1", "CHNS0", "CHNS1"])
+def test_batched_gradient_transforms_match_single_calls(family, dim, transform):
+    model = _model(family, dim)
+    state = smooth_state(model.grid, model, seed=8)
+    (F,), (fs,) = _batches(model.grid, 1)
+    batched = transform(F, state, model)
+    loop = [transform(f, state, model) for f in fs]
+    assert np.array_equal(batched.m, np.stack([t.m for t in loop], axis=1))
+    for slot in ("rho", "ctilde", "sigma"):
+        assert np.array_equal(getattr(batched, slot),
+                              np.stack([getattr(t, slot) for t in loop])), slot
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_batch_of_one_broadcasts_against_a_batch(family, dim):
@@ -179,7 +193,7 @@ def test_batched_onsager_blocks_assemble_and_fluxes_match_single_calls():
     singles, args = _onsager_points(7)
     blocks = _onsager_blocks(*args)
     loop = [onsager_blocks(*point, transport=tr) for *point, tr in singles]
-    for name in ("L_mm", "L_me", "L_mc", "L_ee", "L_ec", "L_cc"):
+    for name in ("L_mm", "L_me", "L_ee", "L_ec", "L_cc"):
         assert np.array_equal(getattr(blocks, name),
                               [getattr(b, name) for b in loop]), name
     full = blocks.assemble()
