@@ -12,9 +12,12 @@ xi is regularized to 0 near p = 0 so products Gamma*xi vanish continuously.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .grid import _csum
 
 EPS4_CONVEXITY_LIMIT = 1.0 / 15.0
 # the cutoff radius of the regularization, relative to the RMS magnitude of p
@@ -54,10 +57,10 @@ def gamma_eval(p: np.ndarray, fn: AnisotropyFn) -> tuple[np.ndarray, np.ndarray]
     p = np.asarray(p, dtype=float)
     if p.ndim == 0:
         p = p.reshape(1)
-    mag = np.sqrt((p * p).sum(axis=0))
+    mag = np.sqrt(_csum(p * p))
     # the mean as sum / size: the same bits as .mean(), without its
     # Python-level wrapper
-    rms = float(np.sqrt((mag * mag).sum() / mag.size))
+    rms = math.sqrt((mag * mag).sum() / mag.size)
     cutoff = EPS_REG * (rms if rms > 0 else 1.0)
     safe = np.maximum(mag, cutoff)
 

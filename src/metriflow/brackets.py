@@ -21,17 +21,18 @@ from __future__ import annotations
 import numpy as np
 
 from .functionals import FunctionalGradient, ModelConfig, State, _lift
+from .grid import _csum
 from .metriplectic import _tendencies
 
 
 def _directional(grid, fm, scalar_field):
     # (fm . grad)(scalar_field), fm a vector field
-    return (fm * grid.grad(scalar_field)).sum(axis=0)
+    return _csum(fm * grid.grad(scalar_field))
 
 
 def _vec_advect(grid, fm, gm):
     # vector field with components fm_j d_j gm_i
-    return (fm[:, None] * grid.grad(gm)).sum(axis=0)
+    return _csum(fm[:, None] * grid.grad(gm))
 
 
 def _div_outer(grid, u, w):
@@ -54,16 +55,17 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
     # momentum self-coupling and the rho / ctilde advection pairings are
     # shared by all three families
-    integrand = (m * pair(lambda F, G: _vec_advect(g, F.m, G.m))).sum(axis=0)
+    integrand = _csum(m * pair(lambda F, G: _vec_advect(g, F.m, G.m)))
     integrand = integrand + rho * pair(lambda F, G: _directional(g, F.m, G.rho))
     integrand = integrand + ctilde * pair(lambda F, G: _directional(g, F.m, G.ctilde))
     if model.is_diffuse:
         # the surface-entropy terms of the sigma^a variables, weighted by rho^a
-        lam_s, weight = model.surface.lambda_s, rho ** model.a
-        gc, gamma, xi = state.derived(model).gamma_xi
+        d = state.derived(model)
+        lam_s, weight = model.surface.lambda_s, d.weight
+        gc, gamma, xi = d.gamma_xi
         gc, xi = _lift(gc, Fg), _lift(xi, Fg)
         integrand = integrand - lam_s * pair(
-            lambda F, G: (F.m * _div_outer(g, weight * G.sigma * gamma * xi, gc)).sum(axis=0))
+            lambda F, G: _csum(F.m * _div_outer(g, weight * G.sigma * gamma * xi, gc)))
         if model.a == 0:
             integrand = integrand + 0.5 * lam_s * pair(
                 lambda F, G: _directional(g, F.m, gamma * gamma * G.sigma))

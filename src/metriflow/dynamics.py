@@ -25,11 +25,9 @@ def total_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
     return _tendencies(state, model)
 
 
-def _advance(state: State, rhs: FunctionalGradient, dt: float) -> State:
-    return State(grid=state.grid, m=state.m + dt * rhs.m,
-                 rho=state.rho + dt * rhs.rho,
-                 ctilde=state.ctilde + dt * rhs.ctilde,
-                 sigma=state.sigma + dt * rhs.sigma)
+def _advance(state: State, rhs: np.ndarray, dt: float) -> State:
+    """The state whose pack is state.packed + dt * rhs, rhs a pack."""
+    return State(state.grid, packed=state.packed + dt * rhs)
 
 
 def stability_limit(state: State, model: ModelConfig) -> float:
@@ -68,7 +66,7 @@ def stability_limit(state: State, model: ModelConfig) -> float:
 
 def step_rk4(state: State, model: ModelConfig, dt: float,
              step_index: int = 0) -> State:
-    """One classical RK4 step; validates every stage state."""
+    """One classical RK4 step on whole packs; validates every stage state."""
 
     def guard(st: State, tag: str) -> State:
         try:
@@ -78,10 +76,10 @@ def step_rk4(state: State, model: ModelConfig, dt: float,
                 f"inadmissible state at {tag}: {exc}", step=step_index) from exc
         return st
 
-    k1 = total_rhs(state, model)
-    k2 = total_rhs(guard(_advance(state, k1, 0.5 * dt), "stage 2"), model)
-    k3 = total_rhs(guard(_advance(state, k2, 0.5 * dt), "stage 3"), model)
-    k4 = total_rhs(guard(_advance(state, k3, dt), "stage 4"), model)
+    k1 = total_rhs(state, model).packed
+    k2 = total_rhs(guard(_advance(state, k1, 0.5 * dt), "stage 2"), model).packed
+    k3 = total_rhs(guard(_advance(state, k2, 0.5 * dt), "stage 3"), model).packed
+    k4 = total_rhs(guard(_advance(state, k3, dt), "stage 4"), model).packed
     combined = (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (1.0 / 6.0)
     return guard(_advance(state, combined, dt), "step end")
 

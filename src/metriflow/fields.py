@@ -104,13 +104,12 @@ def random_gradient(grid: Grid, seed: int | np.ndarray, amp: float = 1.0,
 
     f = amp * fourier_field(grid, FourierModes(amps=stacked("amps"), kvecs=stacked("kvecs"),
                                                phases=stacked("phases")))
-    return FunctionalGradient(m=f[:grid.dim], rho=f[grid.dim],
-                              ctilde=f[grid.dim + 1], sigma=f[grid.dim + 2])
+    return FunctionalGradient.of_pack(f, grid.dim)
 
 
 def directional_derivative(value: Callable[[State], float], state: State,
                            direction: FunctionalGradient,
                            eps: float = 1e-6) -> float:
     """Central-difference derivative of value(state) along direction."""
-    return (value(_advance(state, direction, eps))
-            - value(_advance(state, direction, -eps))) / (2.0 * eps)
+    return (value(_advance(state, direction.packed, eps))
+            - value(_advance(state, direction.packed, -eps))) / (2.0 * eps)

@@ -1,7 +1,8 @@
 """State container and the generating functionals H, S with exact
 discrete functional derivatives.
 
-The state carries the conserved densities (m, rho, ctilde, sigma).  For the
+The state carries the conserved densities (m, rho, ctilde, sigma), as views
+of one packed array, so that an RK4 stage is one array operation.  For the
 diffuse-interface families the sigma field stores the transformed entropy
 density sigma^a; the total entropy density (sigma^a plus the gradient part)
 is reconstructed by sigma_total, and transform_gradients /
@@ -17,15 +18,14 @@ makes the bracket identities downstream hold at the advertised tolerances.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .anisotropy import AnisotropyFn, gamma_eval
 from .errors import InadmissibleStateError, UnsupportedFamilyError
-from .grid import Grid
+from .grid import Grid, _csum
 from .thermo import EosParams, SurfaceCoefficients, eval_eos, lambda_f
 
 if TYPE_CHECKING:
@@ -33,6 +33,26 @@ if TYPE_CHECKING:
 
 FAMILIES = ("GE", "GNS", "CHE0", "CHE1", "CHNS0", "CHNS1")
 DIFFUSE_FAMILIES = ("CHE0", "CHE1", "CHNS0", "CHNS1")
+
+
+class _lazy:
+    """functools.cached_property without its lock (Python 3.11 takes an
+    RLock on every first access).  It has no __set__, so the value kept by
+    object.__setattr__ (frozen dataclasses allow it) shadows it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -72,25 +92,37 @@ class ModelConfig:
         return 1 if self.family in ("CHE1", "CHNS1") else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class State:
-    """Grid fields (m, rho, ctilde, sigma)."""
+    """Grid fields (m, rho, ctilde, sigma), views of one packed array of
+    shape (dim + 3, *grid.shape): m is packed[:dim], then rho, ctilde and
+    sigma.  State(grid, m=..., rho=..., ctilde=..., sigma=...) copies the
+    fields into a new pack; State(grid, packed=p) wraps p without a copy."""
 
     grid: Grid
-    m: np.ndarray
-    rho: np.ndarray
-    ctilde: np.ndarray
-    sigma: np.ndarray
+    packed: np.ndarray
 
-    @cached_property
+    def __init__(self, grid: Grid, m=None, rho=None, ctilde=None, sigma=None, *,
+                 packed: np.ndarray | None = None):
+        dim = grid.dim
+        if packed is None:
+            packed = np.empty((dim + 3,) + grid.shape)
+            packed[:dim], packed[dim], packed[dim + 1], packed[dim + 2] = m, rho, ctilde, sigma
+        elif not (m is rho is ctilde is sigma is None):
+            raise TypeError("State takes the four fields or packed, not both")
+        for name, value in zip(("grid", "packed", "m", "rho", "ctilde", "sigma"),
+                               (grid, packed, packed[:dim], *packed[dim:])):
+            object.__setattr__(self, name, value)
+
+    @_lazy
     def v(self) -> np.ndarray:
         return self.m / self.rho
 
-    @cached_property
+    @_lazy
     def c(self) -> np.ndarray:
         return self.ctilde / self.rho
 
-    @cached_property
+    @_lazy
     def s(self) -> np.ndarray:
         return self.sigma / self.rho
 
@@ -105,9 +137,10 @@ class State:
 
     def validate(self, model: ModelConfig) -> None:
         """Admissibility: finite fields, rho > 0, derived T > 0, p > 0."""
-        for name in ("m", "rho", "ctilde", "sigma"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise InadmissibleStateError(f"non-finite entries in {name}")
+        if not np.isfinite(self.packed).all():
+            for name in ("m", "rho", "ctilde", "sigma"):
+                if not np.isfinite(getattr(self, name)).all():
+                    raise InadmissibleStateError(f"non-finite entries in {name}")
         if (self.rho <= 0).any():
             raise InadmissibleStateError("rho must be positive everywhere")
         pt = self.derived(model).eos
@@ -117,7 +150,9 @@ class State:
             raise InadmissibleStateError("derived pressure must be positive")
 
     def replace(self, **kw) -> "State":
-        return replace(self, **kw)
+        """A new state, in a new pack, with the given fields replaced."""
+        return State(**(dict(grid=self.grid, m=self.m, rho=self.rho,
+                              ctilde=self.ctilde, sigma=self.sigma) | kw))
 
 
 @dataclass(frozen=True)
@@ -139,6 +174,19 @@ class FunctionalGradient:
     def zeros(cls, grid: Grid) -> "FunctionalGradient":
         return cls(m=grid.zeros_vector(), rho=grid.zeros(),
                    ctilde=grid.zeros(), sigma=grid.zeros())
+
+    @classmethod
+    def of_pack(cls, packed: np.ndarray, dim: int) -> "FunctionalGradient":
+        """Slots that view packed, laid out as State.packed (slots first)."""
+        fg = cls(packed[:dim], packed[dim], packed[dim + 1], packed[dim + 2])
+        object.__setattr__(fg, "packed", packed)
+        return fg
+
+    @_lazy
+    def packed(self) -> np.ndarray:
+        """The slots as one State.packed-like array (of_pack's, or a new one)."""
+        return np.concatenate([self.m, self.rho[None], self.ctilde[None],
+                               self.sigma[None]])
 
     def dot(self, other: "FunctionalGradient", grid: Grid) -> float | np.ndarray:
         """Discrete L2 pairing summed over all slots."""
@@ -179,27 +227,40 @@ def _lift(vec: np.ndarray, Fg: FunctionalGradient) -> np.ndarray:
 class Derived:
     """The derived fields of one state under one model, each computed on
     first use and kept, as states are never mutated: ``eos`` (the EOS
-    point), ``gamma_xi`` (grad c, Gamma, xi), ``mu_gamma``, ``grad_vpT``
-    (grad v, grad p, grad T) and ``grad_mu`` (grad mu_Gamma).  The state
-    holds its Derived (``State.derived``), so this holds the state by a weak
-    proxy: a strong reference back would make a cycle only the collector
-    frees."""
+    point), ``grads`` (grad v, grad p, grad T, grad c), ``gamma_xi``
+    (grad c, Gamma, xi), ``weight`` (rho^a), ``mu_gamma`` and ``grad_mu``
+    (grad mu_Gamma).  The state holds its Derived (``State.derived``), so
+    this holds the state by a weak proxy: a strong reference back would
+    make a cycle only the collector frees."""
 
     def __init__(self, state: State, model: ModelConfig):
         self.state = weakref.proxy(state)
         self.model = model
 
-    @cached_property
+    @_lazy
     def eos(self):
         st = self.state
         return eval_eos(st.rho, st.s, st.c, self.model.eos)
 
-    @cached_property
+    @_lazy
+    def grads(self):
+        """(grad v, grad p, grad T, grad c) from one grad; grad v[k, l] = d_k v_l."""
+        st, pt, dim = self.state, self.eos, self.state.grid.dim
+        grads = st.grid.grad(np.concatenate([st.v, np.asarray(pt.p)[None],
+                                             np.asarray(pt.T)[None], st.c[None]]))
+        return grads[:, :dim], grads[:, dim], grads[:, dim + 1], grads[:, dim + 2]
+
+    @_lazy
     def gamma_xi(self):
-        gc = self.state.grid.grad(self.state.c)
+        gc = self.grads[3]
         return (gc,) + gamma_eval(gc, self.model.anisotropy)
 
-    @cached_property
+    @_lazy
+    def weight(self) -> np.ndarray:
+        """rho^a, the density weight of the surface terms."""
+        return self.state.rho ** self.model.a
+
+    @_lazy
     def mu_gamma(self) -> np.ndarray:
         st = self.state
         mu = np.asarray(self.eos.mu) * np.ones(st.grid.shape)
@@ -208,16 +269,7 @@ class Derived:
         _, flux = self.capillary_stress()
         return mu - st.grid.div(flux) / st.rho
 
-    @cached_property
-    def grad_vpT(self):
-        """(grad v, grad p, grad T), grad v[k, l] = d_k v_l, from one
-        stacked grad."""
-        st, pt, dim = self.state, self.eos, self.state.grid.dim
-        grads = st.grid.grad(np.concatenate([st.v, np.asarray(pt.p)[None],
-                                             np.asarray(pt.T)[None]]))
-        return grads[:, :dim], grads[:, dim], grads[:, dim + 1]
-
-    @cached_property
+    @_lazy
     def grad_mu(self) -> np.ndarray:
         return self.state.grid.grad(self.mu_gamma)
 
@@ -230,7 +282,7 @@ class Derived:
         model = self.model
         lam_f = lambda_f(np.asarray(self.eos.T), model.surface)
         gc, gamma, xi = self.gamma_xi
-        u = lam_f * self.state.rho ** model.a * gamma * xi
+        u = lam_f * self.weight * gamma * xi
         pi = -u[:, None] * gc[None]
         if model.a == 0:
             for i in range(self.state.grid.dim):
@@ -247,18 +299,19 @@ def hamiltonian(state: State, model: ModelConfig) -> float:
     """Total energy: kinetic + internal + surface-gradient part."""
     g = state.grid
     d = state.derived(model)
-    e = 0.5 * (state.m * state.m).sum(axis=0) / state.rho + state.rho * d.eos.u
+    e = 0.5 * _csum(state.m * state.m) / state.rho + state.rho * d.eos.u
     if model.is_diffuse and model.surface.lambda_u != 0.0:
         _, gamma, _ = d.gamma_xi
-        e = e + 0.5 * state.rho ** model.a * model.surface.lambda_u * gamma * gamma
+        e = e + 0.5 * d.weight * model.surface.lambda_u * gamma * gamma
     return g.integrate(e)
 
 
 def sigma_total(state: State, model: ModelConfig) -> np.ndarray:
     """Total entropy density field (equals sigma for the sharp families)."""
     if model.is_diffuse and model.surface.lambda_s != 0.0:
-        _, gamma, _ = state.derived(model).gamma_xi
-        return state.sigma + 0.5 * state.rho ** model.a * model.surface.lambda_s * gamma * gamma
+        d = state.derived(model)
+        _, gamma, _ = d.gamma_xi
+        return state.sigma + 0.5 * d.weight * model.surface.lambda_s * gamma * gamma
     return state.sigma
 
 
@@ -281,12 +334,12 @@ def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
     pt = d.eos
     d_m = v
     d_sigma = np.asarray(pt.T)
-    d_rho = -0.5 * (v * v).sum(axis=0) + pt.u + pt.p / rho - s * pt.T - c * pt.mu
+    d_rho = -0.5 * _csum(v * v) + pt.u + pt.p / rho - s * pt.T - c * pt.mu
     d_ctilde = np.asarray(pt.mu).copy()
     if model.is_diffuse and model.surface.lambda_u != 0.0:
         lam_u, a = model.surface.lambda_u, model.a
         _, gamma, xi = d.gamma_xi
-        div_flux = g.div(rho ** a * lam_u * gamma * xi)
+        div_flux = g.div(d.weight * lam_u * gamma * xi)
         if a == 1:
             d_rho = d_rho + 0.5 * lam_u * gamma * gamma
         d_rho = d_rho + c * div_flux / rho
@@ -310,8 +363,9 @@ def _sigma_flux_div(Fg: FunctionalGradient, state: State,
                     model: ModelConfig) -> np.ndarray:
     """div(rho^a lambda_s Gamma xi F_sigma), the surface part of the sigma^a
     change of variables, for one gradient or a batch."""
-    _, gamma, xi = state.derived(model).gamma_xi
-    return state.grid.div(state.rho ** model.a * model.surface.lambda_s * gamma
+    d = state.derived(model)
+    _, gamma, xi = d.gamma_xi
+    return state.grid.div(d.weight * model.surface.lambda_s * gamma
                           * _lift(xi, Fg) * Fg.sigma)
 
 

@@ -35,6 +35,23 @@ def _stencil(ndim: int, ax: int) -> tuple:
             (at(slice(-1, None)), at(slice(0, 1)), at(slice(-2, -1))))
 
 
+def _csum(x: np.ndarray) -> np.ndarray:
+    """x[0] + x[1] + ...: the same bits as x.sum(axis=0) without a
+    reduction call (x[0] itself, a view, for one component)."""
+    out = x[0]
+    for k in range(1, len(x)):
+        out = out + x[k]
+    return out
+
+
+def _trace(x: np.ndarray) -> np.ndarray:
+    """x[0, 0] + x[1, 1] + ...: the same bits as x.trace()."""
+    out = x[0, 0]
+    for k in range(1, len(x)):
+        out = out + x[k, k]
+    return out
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid in 1 or 2 dimensions.
@@ -88,15 +105,16 @@ class Grid:
     def zeros_vector(self) -> np.ndarray:
         return np.zeros((self.dim,) + self.shape)
 
-    def deriv(self, f: np.ndarray, axis: int) -> np.ndarray:
-        """Central difference along one axis, periodic.
+    def deriv(self, f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Central difference along one axis, periodic, into out (new if None).
 
         Hand-rolled shifts (slice assignments) rather than np.roll, with
         the index tuples built once per (f.ndim, array axis): this is the
         innermost operation of every RHS evaluation, and per-call overhead
         dominates at desk-scale grid sizes.
         """
-        out = np.empty_like(f)
+        if out is None:
+            out = np.empty_like(f)
         for o, plus, minus in _stencil(f.ndim, f.ndim - self.dim + axis):
             np.subtract(f[plus], f[minus], out=out[o])
         out *= 1.0 / (2.0 * self.h[axis])
@@ -109,7 +127,7 @@ class Grid:
             raise ValueError(f"field shape {f.shape} does not match grid {self.shape}")
         out = np.empty((self.dim,) + f.shape, dtype=f.dtype)
         for k in range(self.dim):
-            out[k] = self.deriv(f, k)
+            self.deriv(f, k, out=out[k])
         return out
 
     def div(self, u: np.ndarray) -> np.ndarray:

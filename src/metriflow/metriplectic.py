@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ParameterError, UnsupportedFamilyError
 from .functionals import (FunctionalGradient, ModelConfig, State,
                           _sigma_flux_div, sigma_total)
-from .grid import Grid
+from .grid import _csum, _trace
 from .thermo import eval_eos
 
 
@@ -99,12 +99,12 @@ def _apply_tensor(coef, w: np.ndarray) -> np.ndarray:
 
 def _quad_tensor(coef, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pointwise x . coef . y for vector fields x, y."""
-    return (x * _apply_tensor(coef, y)).sum(axis=0)
+    return _csum(x * _apply_tensor(coef, y))
 
 
 def _stress(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
     """eta*(gradv + gradv^T - (2/3) I tr) + zeta I tr on a (d, d, ...) block."""
-    trace = gradv.trace()
+    trace = _trace(gradv)
     out = eta * (gradv + gradv.swapaxes(0, 1))
     for i in range(len(gradv)):
         out[i, i] += (zeta - (2.0 / 3.0) * eta) * trace
@@ -128,10 +128,15 @@ def _visc_production(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
     """gradv : Lambda : gradv for a dim x dim gradient (dim <= 2), as
     2 eta |sym - (tr/3) I_3|^2 + zeta tr^2 with the deviator norm
     |sym_dd|^2 - tr^2/3 (at least tr^2/6, so nonnegative)."""
-    trace = gradv.trace()
+    trace = _trace(gradv)
     sym = 0.5 * (gradv + gradv.swapaxes(0, 1))
-    dev2 = (sym * sym).sum(axis=(0, 1)) - trace * trace / 3.0
+    dev2 = _pair_sum(sym * sym) - trace * trace / 3.0
     return 2.0 * eta * dev2 + zeta * trace * trace
+
+
+def _pair_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=(0, 1)), the same bits, over the flattened pair axes."""
+    return _csum(x.reshape((-1,) + x.shape[2:]))
 
 
 def _production(T, gradv, gradT, grad_mu, tr, kappa, dcoef) -> np.ndarray:
@@ -180,7 +185,7 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     def d3(A, B):
         return B.sigma * _conc_slot(A, state, model) - A.sigma * _conc_slot(B, state, model)
 
-    integrand = (d1(Fg, Gg) * _stress(d1(Kg, Ng), tr.eta, tr.zeta)).sum(axis=(0, 1))
+    integrand = _pair_sum(d1(Fg, Gg) * _stress(d1(Kg, Ng), tr.eta, tr.zeta))
     kappa = tr.kappa_of(state, model)
     integrand = integrand + _quad_tensor(kappa, d2(Fg, Gg), d2(Kg, Ng)) / T
     dcoef = tr.dcoef_of(state, model)
@@ -196,12 +201,12 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     tr = model.transport
     d = state.derived(model)
     T = np.asarray(d.eos.T)
-    gradv, _, gradT = d.grad_vpT
+    gradv, _, gradT, _ = d.grads
     grad_mu = d.grad_mu
 
     x1 = T * g.grad(Fg.m) - Fg.sigma * gradv
     y1 = T * g.grad(Gg.m) - Gg.sigma * gradv
-    integrand = (x1 * _stress(y1, tr.eta, tr.zeta)).sum(axis=(0, 1))
+    integrand = _pair_sum(x1 * _stress(y1, tr.eta, tr.zeta))
 
     x2 = T * g.grad(Fg.sigma) - Fg.sigma * gradT
     y2 = T * g.grad(Gg.sigma) - Gg.sigma * gradT
@@ -213,32 +218,20 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     return g.integrate(integrand / T)
 
 
-def _divergences(grid: Grid, fluxes: dict) -> dict:
-    """{name: divergence} of named fluxes (dim, ..., *shape), stacked so
-    that each axis takes a single deriv call."""
-    parts = [f.reshape((grid.dim, -1) + grid.shape) for f in fluxes.values()]
-    div = grid.div(np.concatenate(parts, axis=1))
-    divs, start = {}, 0
-    for (name, f), part in zip(fluxes.items(), parts):
-        stop = start + part.shape[1]
-        divs[name] = div[start:stop].reshape(f.shape[1:])
-        start = stop
-    return divs
-
-
 def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
                 dissipative: bool = True) -> FunctionalGradient:
     """Tendencies of (m, rho, ctilde, sigma): the ideal (bracket) part, the
-    dissipative part or their sum, all from this one code path.
+    dissipative part or their sum, all from this one code path, returned
+    as views of one pack laid out as State.packed.
 
     Every flux is in divergence form, so the mass, concentration and
     total-entropy budgets telescope exactly on the periodic grid.  Each
-    stage stacks its fields to take one Grid.deriv call per axis: grad
-    (v, p, T), kept on the state's Derived; all flux divergences; grad
-    mu_Gamma; div(D grad mu_Gamma); grad c_dot.  The entropy tendency is pulled back to the evolved sigma^a
-    field once, on the total c_dot (the pullback is linear).
+    stage takes one Grid.deriv call per axis: grad (v, p, T, c), kept on
+    the state's Derived; div of one flux buffer (slots rho, ctilde, sigma,
+    m_1..m_dim, then mu_Gamma's); grad mu_Gamma; div(D grad mu_Gamma);
+    grad c_dot, for the one pullback of the entropy tendency to sigma^a.
     """
-    g = state.grid
+    g, dim = state.grid, state.grid.dim
     dissipative = dissipative and model.is_dissipative
     if not (ideal or dissipative):
         return FunctionalGradient.zeros(g)
@@ -246,51 +239,63 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     d = state.derived(model)
     pt = d.eos
     T = np.asarray(pt.T)
-    gradv, grad_p, gradT = d.grad_vpT
+    gradv, grad_p, gradT, _ = d.grads
+    with_mu = dissipative and model.is_diffuse
+    # the advective slots are zero without the ideal part
+    flux = (np.empty if ideal else np.zeros)((dim, 3 + dim + with_mu) + g.shape)
+    m_flux = flux[:, 3:3 + dim]
+    if ideal:
+        dens = np.negative(state.packed[dim:])
+        if model.is_diffuse and model.surface.lambda_s != 0.0:
+            np.negative(sigma_total(state, model), out=dens[2])
+        np.multiply(dens[None], v[:, None], out=flux[:, :3])
     if model.is_diffuse:
         cap_stress, mu_flux = d.capillary_stress()
-    fluxes = {}
-
-    def add(name, flux):
-        fluxes[name] = fluxes[name] + flux if name in fluxes else flux
-
-    if ideal:
-        add("rho", -rho * v)
-        add("ctilde", -state.ctilde * v)
-        add("sigma", -sigma_total(state, model) * v)
-        if model.is_diffuse:
-            add("m", cap_stress)
     if dissipative:
         tr = model.transport
         kappa, dcoef = tr.kappa_of(state, model), tr.dcoef_of(state, model)
-        add("m", _stress(gradv, tr.eta, tr.zeta))
-        add("sigma", _apply_tensor(kappa, gradT) / T)
-        if model.is_diffuse:
-            add("mu", mu_flux)
-    divs = _divergences(g, fluxes)
-    rho_dot = divs["rho"] if "rho" in divs else g.zeros()
-    ctilde_dot = divs["ctilde"] if "ctilde" in divs else g.zeros()
-    m_dot = divs["m"] if "m" in divs else g.zeros_vector()
-    sigma_dot = divs["sigma"]
+        stress = _stress(gradv, tr.eta, tr.zeta)
+        if ideal and model.is_diffuse:
+            np.add(cap_stress, stress, out=m_flux)
+        else:
+            m_flux[...] = stress
+        flux[:, 2] += _apply_tensor(kappa, gradT) / T
+        if with_mu:
+            flux[:, -1] = mu_flux
+    else:
+        m_flux[...] = cap_stress if model.is_diffuse else 0.0
+    div = g.div(flux)
+    out = np.empty((dim + 3,) + g.shape)
+    rhs = FunctionalGradient.of_pack(out, dim)
+    m_dot, rho_dot, ctilde_dot, sigma_dot = rhs.m, rhs.rho, rhs.ctilde, rhs.sigma
+    rho_dot[...] = div[0]
     if ideal:
-        advect = (v[:, None] * gradv).sum(axis=0)  # v_j d_j v_i
-        m_dot = m_dot - rho * advect - grad_p + v * rho_dot
+        advect = _csum(v[:, None] * gradv)  # v_j d_j v_i
+        np.subtract(div[3:3 + dim], rho * advect, out=m_dot)
+        m_dot -= grad_p
+        m_dot += v * rho_dot
+    else:
+        m_dot[...] = div[3:3 + dim]
     if dissipative:
         mu_gamma = np.asarray(pt.mu)
         if model.is_diffuse:
-            mu_gamma = mu_gamma - divs["mu"] / rho
+            mu_gamma = mu_gamma - div[-1] / rho
         grad_mu = g.grad(mu_gamma)
-        ctilde_dot = ctilde_dot + g.div(_apply_tensor(dcoef, grad_mu))
-        sigma_dot = sigma_dot + _production(T, gradv, gradT, grad_mu, tr, kappa, dcoef)
+        np.add(div[1], g.div(_apply_tensor(dcoef, grad_mu)), out=ctilde_dot)
+        np.add(div[2], _production(T, gradv, gradT, grad_mu, tr, kappa, dcoef),
+               out=sigma_dot)
+    else:
+        ctilde_dot[...] = div[1]
+        sigma_dot[...] = div[2]
     if model.is_diffuse and model.surface.lambda_s != 0.0:
         # chain rule back to the evolved sigma^a field
-        lam_s, a = model.surface.lambda_s, model.a
+        lam_s = model.surface.lambda_s
         _, gamma, xi = d.gamma_xi
         c_dot = (ctilde_dot - state.c * rho_dot) / rho
-        sigma_dot = sigma_dot - rho ** a * lam_s * gamma * (xi * g.grad(c_dot)).sum(axis=0)
-        if a == 1:
-            sigma_dot = sigma_dot - 0.5 * lam_s * gamma * gamma * rho_dot
-    return FunctionalGradient(m=m_dot, rho=rho_dot, ctilde=ctilde_dot, sigma=sigma_dot)
+        sigma_dot -= d.weight * lam_s * gamma * _csum(xi * g.grad(c_dot))
+        if model.a == 1:
+            sigma_dot -= 0.5 * lam_s * gamma * gamma * rho_dot
+    return rhs
 
 
 def dissipative_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
@@ -310,7 +315,7 @@ def production_density(state: State, model: ModelConfig) -> np.ndarray:
         return state.grid.zeros()
     tr = model.transport
     d = state.derived(model)
-    gradv, _, gradT = d.grad_vpT
+    gradv, _, gradT, _ = d.grads
     return _production(np.asarray(d.eos.T), gradv, gradT, d.grad_mu, tr,
                        tr.kappa_of(state, model), tr.dcoef_of(state, model))
 

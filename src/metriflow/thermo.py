@@ -7,9 +7,9 @@ Landau double well in the concentration:
                    +  (lambda_V/4) * (c**2 - 1)**2
 
 so that T = du/ds, p = rho**2 du/drho, mu = du/dc are available in closed
-form and mu reduces to the classical c**3 - c when lambda_V = 1.  Any other
-equation of state can be plugged in by subclassing or by supplying exact
-derivative callbacks with the same signatures.
+form and mu reduces to the classical c**3 - c when lambda_V = 1.  eval_eos
+is the one equation of state: there is no hook for another, and its
+callers call it directly.
 """
 
 from __future__ import annotations
@@ -66,11 +66,12 @@ def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
     if (rho <= 0).any():
         raise ThermoDomainError("eval_eos requires rho > 0")
     thermal = params.c_v * rho ** (params.gamma_ad - 1.0) * np.exp(s / params.c_v)
-    well = 0.25 * params.lambda_V * (c * c - 1.0) ** 2
+    c2m1 = c * c - 1.0
+    well = 0.25 * params.lambda_V * c2m1 ** 2
     u = thermal + well
     T = thermal / params.c_v
     p = (params.gamma_ad - 1.0) * rho * thermal
-    mu = params.lambda_V * c * (c * c - 1.0)
+    mu = params.lambda_V * c * c2m1
     f = u - T * s
     return ThermoPoint(u=u, T=T, p=p, mu=mu, f=f)
 

@@ -76,8 +76,8 @@ def test_total_rhs_is_ideal_plus_dissipative(family, dim, coef_kind):
         assert np.abs(getattr(total, slot) - (a + b)).max() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("dim, limit", [(1, 6), (2, 12)])
-def test_total_rhs_deriv_call_count(dim, limit, monkeypatch):
+@pytest.mark.parametrize("dim", [1, 2])
+def test_total_rhs_deriv_call_count(dim, monkeypatch):
     model = _kernel_model("CHNS1", dim)
     fresh = smooth_state(model.grid, model, seed=22).replace()
     diagnosed = fresh.replace()
@@ -85,14 +85,16 @@ def test_total_rhs_deriv_call_count(dim, limit, monkeypatch):
     calls = []
     plain = Grid.deriv
 
-    def counted(self, f, axis):
+    def counted(self, f, axis, out=None):
         calls.append(axis)
-        return plain(self, f, axis)
+        return plain(self, f, axis, out=out)
 
     monkeypatch.setattr(Grid, "deriv", counted)
+    # a fresh state takes one call per axis for each of five stages:
+    # grad (v, p, T, c) and the four below
     total_rhs(fresh, model)
-    assert len(calls) <= limit
-    # a diagnosed state already holds grad c and grad (v, p, T), so the
+    assert len(calls) == 5 * dim
+    # a diagnosed state already holds grad (v, p, T, c), so the
     # kernel takes one call per axis for each of its other four stages: the
     # flux divergences, grad mu_Gamma, div(D grad mu_Gamma) and grad c_dot
     calls.clear()

@@ -68,13 +68,22 @@ def test_validate_rejects_nonpositive_density():
         bad.validate(model)
 
 
-def test_validate_rejects_nonfinite():
+@pytest.mark.parametrize("route", ["slots", "pack"])
+@pytest.mark.parametrize("name", ["m", "rho", "ctilde", "sigma"])
+def test_validate_rejects_nonfinite(name, route):
     model = make_model("GE")
     st = uniform_state(GRID1)
-    sig = st.sigma.copy()
-    sig[3] = np.nan
-    with pytest.raises(InadmissibleStateError):
-        st.replace(sigma=sig).validate(model)
+    if route == "slots":
+        bad = getattr(st, name).copy()
+        bad[..., 3] = np.nan
+        bad_state = st.replace(**{name: bad})
+    else:
+        packed = st.packed.copy()
+        row = {"m": 0, "rho": 1, "ctilde": 2, "sigma": 3}[name]
+        packed[row, 3] = np.nan
+        bad_state = State(GRID1, packed=packed)
+    with pytest.raises(InadmissibleStateError, match=f"non-finite entries in {name}"):
+        bad_state.validate(model)
 
 
 def test_derived_fields():

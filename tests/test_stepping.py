@@ -1,0 +1,269 @@
+"""The packed stepping path: RK4 on whole packs and the one-buffer tendency
+kernel must give the same bits as the per-field stepping and the dict of
+named fluxes they replaced, which are kept here as the reference.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from metriflow import (AnisotropyFn, Grid, ModelConfig, State,
+                       SurfaceCoefficients, TransportCoefficients,
+                       dissipative_rhs, gamma_eval, ideal_rhs, smooth_state,
+                       stability_limit, step_rk4, total_rhs)
+from metriflow.dynamics import _advance
+from metriflow.functionals import FAMILIES, FunctionalGradient
+from metriflow.grid import _csum, _trace
+from metriflow.metriplectic import _apply_tensor, _pair_sum
+from metriflow.thermo import lambda_f
+
+DISSIPATIVE = ("GNS", "CHNS0", "CHNS1")
+SLOTS = ("m", "rho", "ctilde", "sigma")
+
+
+def _coefficient(kind, dim, scale):
+    if kind == "scalar":
+        return scale
+    if kind == "matrix":
+        return scale * (np.eye(dim) + 0.3 * (np.ones((dim, dim)) - np.eye(dim)))
+
+    def field(state, model):
+        # positive, state-dependent tensor field of shape (dim, dim, *grid)
+        eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
+        return scale * eye * (1.0 + state.c ** 2)
+    return field
+
+
+def _model(family, dim, coef_kind="scalar"):
+    grid = Grid(dim=dim, n=(16,) * dim, length=(1.0,) * dim)
+    diffuse = family.startswith("CH")
+    surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
+                               lambda_s=1e-3 if diffuse else 0.0)
+    tr = None
+    if family in DISSIPATIVE:
+        tr = TransportCoefficients(eta=0.01, zeta=0.005,
+                                   kappa=_coefficient(coef_kind, dim, 0.02),
+                                   dcoef=_coefficient(coef_kind, dim, 0.03))
+    anis = AnisotropyFn(kind="fourfold", eps4=0.04) if dim == 2 else AnisotropyFn()
+    return ModelConfig(family=family, grid=grid, surface=surf, transport=tr,
+                       anisotropy=anis)
+
+
+# every family in 1D and 2D (fourfold anisotropy in 2D); the dissipative
+# families with scalar, matrix and callable kappa / dcoef
+CASES = [(family, dim, kind) for family in FAMILIES for dim in (1, 2)
+         for kind in (("scalar", "matrix", "callable") if family in DISSIPATIVE
+                      else ("scalar",))]
+
+
+# ------------------------------------------------------------ reference
+
+def _reference_divergences(grid, fluxes):
+    """{name: divergence} of named fluxes, stacked for one deriv per axis."""
+    parts = [f.reshape((grid.dim, -1) + grid.shape) for f in fluxes.values()]
+    div = grid.div(np.concatenate(parts, axis=1))
+    divs, start = {}, 0
+    for (name, f), part in zip(fluxes.items(), parts):
+        stop = start + part.shape[1]
+        divs[name] = div[start:stop].reshape(f.shape[1:])
+        start = stop
+    return divs
+
+
+def _reference_stress(gradv, eta, zeta):
+    trace = gradv.trace()
+    out = eta * (gradv + gradv.swapaxes(0, 1))
+    for i in range(len(gradv)):
+        out[i, i] += (zeta - (2.0 / 3.0) * eta) * trace
+    return out
+
+
+def _reference_production(T, gradv, gradT, grad_mu, tr, kappa, dcoef):
+    trace = gradv.trace()
+    sym = 0.5 * (gradv + gradv.swapaxes(0, 1))
+    dev2 = (sym * sym).sum(axis=(0, 1)) - trace * trace / 3.0
+    visc = 2.0 * tr.eta * dev2 + tr.zeta * trace * trace
+    cond = (gradT * _apply_tensor(kappa, gradT)).sum(axis=0) / T
+    diff = (grad_mu * _apply_tensor(dcoef, grad_mu)).sum(axis=0)
+    return (visc + cond + diff) / T
+
+
+def _reference_tendencies(state, model, ideal=True, dissipative=True):
+    """The kernel with a dict of named fluxes, its own grads and reductions
+    over the component axes."""
+    g, dim = state.grid, state.grid.dim
+    dissipative = dissipative and model.is_dissipative
+    if not (ideal or dissipative):
+        return FunctionalGradient.zeros(g)
+    rho, v = state.rho, state.v
+    pt = state.derived(model).eos
+    T = np.asarray(pt.T)
+    grads = g.grad(np.concatenate([v, np.asarray(pt.p)[None], T[None]]))
+    gradv, grad_p, gradT = grads[:, :dim], grads[:, dim], grads[:, dim + 1]
+    sig_tot = state.sigma
+    if model.is_diffuse:
+        gc = g.grad(state.c)
+        gamma, xi = gamma_eval(gc, model.anisotropy)
+        lam_f = lambda_f(T, model.surface)
+        mu_flux = lam_f * rho ** model.a * gamma * xi
+        cap_stress = -mu_flux[:, None] * gc[None]
+        if model.a == 0:
+            for i in range(dim):
+                cap_stress[i, i] += 0.5 * lam_f * gamma * gamma
+        if model.surface.lambda_s != 0.0:
+            sig_tot = state.sigma + 0.5 * rho ** model.a * model.surface.lambda_s * gamma * gamma
+    fluxes = {}
+
+    def add(name, flux):
+        fluxes[name] = fluxes[name] + flux if name in fluxes else flux
+
+    if ideal:
+        add("rho", -rho * v)
+        add("ctilde", -state.ctilde * v)
+        add("sigma", -sig_tot * v)
+        if model.is_diffuse:
+            add("m", cap_stress)
+    if dissipative:
+        tr = model.transport
+        kappa, dcoef = tr.kappa_of(state, model), tr.dcoef_of(state, model)
+        add("m", _reference_stress(gradv, tr.eta, tr.zeta))
+        add("sigma", _apply_tensor(kappa, gradT) / T)
+        if model.is_diffuse:
+            add("mu", mu_flux)
+    divs = _reference_divergences(g, fluxes)
+    rho_dot = divs["rho"] if "rho" in divs else g.zeros()
+    ctilde_dot = divs["ctilde"] if "ctilde" in divs else g.zeros()
+    m_dot = divs["m"] if "m" in divs else g.zeros_vector()
+    sigma_dot = divs["sigma"]
+    if ideal:
+        advect = (v[:, None] * gradv).sum(axis=0)
+        m_dot = m_dot - rho * advect - grad_p + v * rho_dot
+    if dissipative:
+        mu_gamma = np.asarray(pt.mu)
+        if model.is_diffuse:
+            mu_gamma = mu_gamma - divs["mu"] / rho
+        grad_mu = g.grad(mu_gamma)
+        ctilde_dot = ctilde_dot + g.div(_apply_tensor(dcoef, grad_mu))
+        sigma_dot = sigma_dot + _reference_production(T, gradv, gradT, grad_mu, tr,
+                                                      kappa, dcoef)
+    if model.is_diffuse and model.surface.lambda_s != 0.0:
+        lam_s, a = model.surface.lambda_s, model.a
+        c_dot = (ctilde_dot - state.c * rho_dot) / rho
+        sigma_dot = sigma_dot - rho ** a * lam_s * gamma * (xi * g.grad(c_dot)).sum(axis=0)
+        if a == 1:
+            sigma_dot = sigma_dot - 0.5 * lam_s * gamma * gamma * rho_dot
+    return FunctionalGradient(m=m_dot, rho=rho_dot, ctilde=ctilde_dot, sigma=sigma_dot)
+
+
+def _reference_advance(state, rhs, dt):
+    return State(grid=state.grid, m=state.m + dt * rhs.m,
+                 rho=state.rho + dt * rhs.rho,
+                 ctilde=state.ctilde + dt * rhs.ctilde,
+                 sigma=state.sigma + dt * rhs.sigma)
+
+
+def _reference_step(state, model, dt):
+    """RK4 slot by slot, combined as FunctionalGradients."""
+
+    def stage(st):
+        st.validate(model)
+        return st
+
+    k1 = _reference_tendencies(state, model)
+    k2 = _reference_tendencies(stage(_reference_advance(state, k1, 0.5 * dt)), model)
+    k3 = _reference_tendencies(stage(_reference_advance(state, k2, 0.5 * dt)), model)
+    k4 = _reference_tendencies(stage(_reference_advance(state, k3, dt)), model)
+    combined = (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (1.0 / 6.0)
+    return stage(_reference_advance(state, combined, dt))
+
+
+def _assert_same_bits(a, b, where):
+    for slot in SLOTS:
+        assert np.array_equal(getattr(a, slot), getattr(b, slot)), (where, slot)
+
+
+# ------------------------------------------------------------ bitwise
+
+@pytest.mark.parametrize("family, dim, coef_kind", CASES)
+def test_step_rk4_matches_the_per_field_reference(family, dim, coef_kind):
+    model = _model(family, dim, coef_kind)
+    state = smooth_state(model.grid, model, seed=31, amp=0.15)
+    dt = 0.2 * stability_limit(state, model)
+    new, ref = state, state.replace()
+    for step in range(3):
+        new = step_rk4(new, model, dt)
+        ref = _reference_step(ref, model, dt)
+        _assert_same_bits(new, ref, step)
+
+
+@pytest.mark.parametrize("route", ["slots", "pack"])
+@pytest.mark.parametrize("family, dim, coef_kind", CASES)
+def test_rhs_matches_the_reference_kernel(family, dim, coef_kind, route):
+    model = _model(family, dim, coef_kind)
+    base = smooth_state(model.grid, model, seed=32, amp=0.15)
+
+    def fresh():
+        if route == "slots":
+            return State(grid=base.grid, m=base.m.copy(), rho=base.rho.copy(),
+                         ctilde=base.ctilde.copy(), sigma=base.sigma.copy())
+        return State(base.grid, packed=base.packed.copy())
+
+    for name, rhs, flags in (("ideal", ideal_rhs, dict(dissipative=False)),
+                             ("dissipative", dissipative_rhs, dict(ideal=False)),
+                             ("total", total_rhs, {})):
+        _assert_same_bits(rhs(fresh(), model),
+                          _reference_tendencies(fresh(), model, **flags), name)
+
+
+# ------------------------------------------------------------ pack invariants
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stage_state_shares_memory_with_its_pack(dim):
+    model = _model("CHNS1", dim)
+    state = smooth_state(model.grid, model, seed=33)
+    k = total_rhs(state, model)
+    assert np.shares_memory(k.rho, k.packed)
+    stage = _advance(state, k.packed, 1e-4)
+    assert np.array_equal(stage.packed, state.packed + 1e-4 * k.packed)
+    for i, slot in enumerate(SLOTS[1:]):
+        assert np.shares_memory(getattr(stage, slot), stage.packed)
+        assert np.array_equal(getattr(stage, slot), stage.packed[dim + i])
+    assert np.shares_memory(stage.m, stage.packed)
+    assert stage.m.shape == (dim,) + model.grid.shape
+    wrapped = State(stage.grid, packed=stage.packed)
+    assert wrapped.packed is stage.packed
+
+
+def test_replace_carries_no_stale_pack():
+    model = _model("CHE1", 1)
+    st = smooth_state(model.grid, model, seed=34)
+    new = st.rho * 1.5
+    replaced = st.replace(rho=new)
+    assert np.array_equal(replaced.packed[1], new)
+    assert np.array_equal(replaced.rho, new)
+    assert not np.shares_memory(replaced.packed, st.packed)
+    assert np.array_equal(replaced.sigma, st.sigma)
+    # a pack and a field together would be ambiguous
+    with pytest.raises(TypeError):
+        dataclasses.replace(st, rho=new)
+
+
+def test_state_stays_frozen_and_keeps_its_lazy_fields():
+    model = _model("GE", 1)
+    st = smooth_state(model.grid, model, seed=35)
+    assert st.v is st.v and st.derived(model).eos is st.derived(model).eos
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.rho = st.rho * 2.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_component_sums_match_the_reductions(dim):
+    rng = np.random.default_rng(dim)
+    for shape in [(7,), (16,), (9, 5)]:
+        scale = 10.0 ** rng.integers(-6, 6, size=(dim, dim) + shape)
+        x = rng.standard_normal((dim, dim) + shape) * scale
+        assert np.array_equal(_csum(x[0]), x[0].sum(axis=0))
+        assert np.array_equal(_pair_sum(x), x.sum(axis=(0, 1)))
+        assert np.array_equal(_csum(x.reshape((-1,) + shape)), x.sum(axis=(0, 1)))
+        assert np.array_equal(_trace(x), x.trace())
