@@ -15,18 +15,15 @@ from .errors import (ConfigError, InadmissibleStateError, IntegrationError,
                      UnsupportedFamilyError)
 from .fields import random_gradient, smooth_state
 from .functionals import (FAMILIES, FunctionalGradient, ModelConfig, State,
-                          entropy, free_energy, generalized_mu, grad_H,
-                          grad_S, hamiltonian, sigma_total,
-                          transform_gradients, untransform_gradients)
+                          entropy, generalized_mu, grad_H, grad_S, hamiltonian,
+                          sigma_total, transform_gradients, untransform_gradients)
 from .grid import Grid
 from .metriplectic import (OnsagerBlocks, TransportCoefficients,
                            dissipative_rhs, entropy_production_rate,
                            kn_4bracket, lam4, metriplectic_2bracket,
-                           onsager_blocks, onsager_fluxes,
-                           sectional_curvature, viscous_stress)
+                           onsager_blocks, onsager_fluxes, sectional_curvature)
 from .scenarios import SCENARIO_NAMES, Scenario, make_scenario, zero_crossings
-from .thermo import (EosParams, SurfaceCoefficients, ThermoPoint, eval_eos,
-                     internal_energy, lambda_f, modified_gibbs)
+from .thermo import EosParams, SurfaceCoefficients, ThermoPoint, eval_eos, lambda_f
 from .verification import verify
 
 __version__ = "0.1.0"
@@ -41,14 +38,13 @@ __all__ = [
     "UnsupportedFamilyError",
     "random_gradient", "smooth_state",
     "FAMILIES", "FunctionalGradient", "ModelConfig", "State", "entropy",
-    "free_energy", "generalized_mu", "grad_H", "grad_S", "hamiltonian",
+    "generalized_mu", "grad_H", "grad_S", "hamiltonian",
     "sigma_total", "transform_gradients", "untransform_gradients",
     "Grid",
     "OnsagerBlocks", "TransportCoefficients", "dissipative_rhs",
     "entropy_production_rate", "kn_4bracket", "lam4", "metriplectic_2bracket",
-    "onsager_blocks", "onsager_fluxes", "sectional_curvature", "viscous_stress",
+    "onsager_blocks", "onsager_fluxes", "sectional_curvature",
     "SCENARIO_NAMES", "Scenario", "make_scenario", "zero_crossings",
-    "EosParams", "SurfaceCoefficients", "ThermoPoint", "eval_eos",
-    "internal_energy", "lambda_f", "modified_gibbs",
+    "EosParams", "SurfaceCoefficients", "ThermoPoint", "eval_eos", "lambda_f",
     "verify",
 ]

@@ -1,26 +1,29 @@
 """Noncanonical Poisson brackets and the ideal equations of motion.
 
-Three bracket families are implemented, on one code path: the base
-Lie-Poisson bracket for the sharp-interface (GE/GNS) system, and its two
-transformed versions for the diffuse-interface a=1 and a=0 entropy
-variables.  The transformed brackets keep the corresponding entropy
-functional as a Casimir invariant.  The change of variables itself
-(transform_gradients) is in functionals.
+One bracket serves all families: the base Lie-Poisson bracket of the
+sharp-interface (GE/GNS) system on (m, rho, ctilde, sigma).  The
+diffuse-interface brackets (a=1 and a=0 entropy variables sigma^a) are
+its pullback through the sigma^a change of variables: both gradients go
+through transform_gradients (in functionals) and the sigma slot pairs
+with sigma_total.  transform_gradients(grad S) is the unit sigma
+gradient, which the base pairings annihilate exactly, so the entropy is
+a Casimir to roundoff for every family.
 
 The ideal tendencies (ideal_rhs) are the ideal part of the shared kernel in
 metriplectic, so the RHS has one code path.
 
 Each antisymmetric pairing is evaluated as an explicit difference of the
 swapped expression, so antisymmetry holds to exact floating-point negation.
-Identities that rely on the continuum product rule (Casimir annihilation,
-bracket/RHS consistency) hold at second order in the grid spacing.
+Bracket/RHS consistency relies on the continuum product rule in the
+momentum slot, so it holds at second order in the grid spacing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .functionals import FunctionalGradient, ModelConfig, State, _lift
+from .functionals import (FunctionalGradient, ModelConfig, State, _lift, sigma_total,
+                          transform_gradients)
 from .grid import _csum
 from .metriplectic import _tendencies
 
@@ -35,40 +38,27 @@ def _vec_advect(grid, fm, gm):
     return _csum(fm[:, None] * grid.grad(gm))
 
 
-def _div_outer(grid, u, w):
-    # div over the first slot of u (x) w: (d_j (u_j w_i))_i
-    return grid.div(u[:, None] * w[None])
-
-
 def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
                     state: State, model: ModelConfig) -> float | np.ndarray:
-    """Family-selected Poisson bracket of two functional gradients.
+    """Poisson bracket of two functional gradients: the base pairings, after
+    transform_gradients and with sigma_total in the sigma slot for a
+    diffuse family.
 
     Fg and Gg may be batches with the same number of trial axes (sizes
     broadcast); the result is then an array over the trial axes.
     """
     g = state.grid
-    m, rho, ctilde, sigma = _lift(state.m, Fg), state.rho, state.ctilde, state.sigma
+    if model.is_diffuse:
+        Fg, Gg = transform_gradients(Fg, state, model), transform_gradients(Gg, state, model)
+    m, rho, ctilde = _lift(state.m, Fg), state.rho, state.ctilde
+    sigma = sigma_total(state, model)
 
     def pair(f_of_FG):
         return f_of_FG(Fg, Gg) - f_of_FG(Gg, Fg)
 
-    # momentum self-coupling and the rho / ctilde advection pairings are
-    # shared by all three families
     integrand = _csum(m * pair(lambda F, G: _vec_advect(g, F.m, G.m)))
     integrand = integrand + rho * pair(lambda F, G: _directional(g, F.m, G.rho))
     integrand = integrand + ctilde * pair(lambda F, G: _directional(g, F.m, G.ctilde))
-    if model.is_diffuse:
-        # the surface-entropy terms of the sigma^a variables, weighted by rho^a
-        d = state.derived(model)
-        lam_s, weight = model.surface.lambda_s, d.weight
-        gc, gamma, xi = d.gamma_xi
-        gc, xi = _lift(gc, Fg), _lift(xi, Fg)
-        integrand = integrand - lam_s * pair(
-            lambda F, G: _csum(F.m * _div_outer(g, weight * G.sigma * gamma * xi, gc)))
-        if model.a == 0:
-            integrand = integrand + 0.5 * lam_s * pair(
-                lambda F, G: _directional(g, F.m, gamma * gamma * G.sigma))
     integrand = integrand + sigma * pair(lambda F, G: _directional(g, F.m, G.sigma))
     return -g.integrate(integrand)
 

@@ -1,5 +1,5 @@
-"""Deterministic smooth random fields, and directional derivatives of test
-functionals.
+"""Deterministic smooth random fields: admissible states and functional
+gradients.
 
 Fields are built from short, seed-determined lists of Fourier modes, so
 the same seed produces the same continuum function on every grid
@@ -10,11 +10,9 @@ where the field must be a fixed function of x rather than per-grid noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .dynamics import _advance
 from .functionals import FunctionalGradient, ModelConfig, State
 from .grid import Grid
 
@@ -105,11 +103,3 @@ def random_gradient(grid: Grid, seed: int | np.ndarray, amp: float = 1.0,
     f = amp * fourier_field(grid, FourierModes(amps=stacked("amps"), kvecs=stacked("kvecs"),
                                                phases=stacked("phases")))
     return FunctionalGradient.of_pack(f, grid.dim)
-
-
-def directional_derivative(value: Callable[[State], float], state: State,
-                           direction: FunctionalGradient,
-                           eps: float = 1e-6) -> float:
-    """Central-difference derivative of value(state) along direction."""
-    return (value(_advance(state, direction.packed, eps))
-            - value(_advance(state, direction.packed, -eps))) / (2.0 * eps)

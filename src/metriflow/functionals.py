@@ -320,11 +320,6 @@ def entropy(state: State, model: ModelConfig) -> float:
     return state.grid.integrate(sigma_total(state, model))
 
 
-def free_energy(state: State, model: ModelConfig, T_global: float = 1.0) -> float:
-    """Diagnostic global free energy H - T_global * S."""
-    return hamiltonian(state, model) - T_global * entropy(state, model)
-
-
 def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
     """Exact discrete functional derivatives of the Hamiltonian."""
     g = state.grid

@@ -150,14 +150,3 @@ class Grid:
         for stacked fields (leading axes)."""
         total = f.sum(axis=tuple(range(f.ndim - self.dim, f.ndim))) * self.cell_volume
         return float(total) if total.ndim == 0 else total
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Discrete L2 inner product (sums over any leading component axes)."""
-        return float((f * g).sum() * self.cell_volume)
-
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt((f * f).sum() * self.cell_volume))
-
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        """div(grad(f)): the wide stencil, so summation by parts is exact."""
-        return self.div(self.grad(f))

@@ -111,19 +111,6 @@ def _stress(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
     return out
 
 
-def viscous_stress(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
-    """Contract the isotropic rank-4 viscosity tensor with a velocity gradient.
-
-    gradv[k, l] = d_k v_l, embedded in 3x3 (trailing axes are grid axes).
-    Returns stress[i, j] = eta*(dv_ij + dv_ji - (2/3) delta_ij div v)
-    + zeta * delta_ij * div v.
-    """
-    gradv = np.asarray(gradv, dtype=float)
-    if gradv.shape[:2] != (3, 3):
-        raise ValueError("gradv must be embedded as a 3x3 tensor")
-    return _stress(gradv, eta, zeta)
-
-
 def _visc_production(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
     """gradv : Lambda : gradv for a dim x dim gradient (dim <= 2), as
     2 eta |sym - (tr/3) I_3|^2 + zeta tr^2 with the deviator norm

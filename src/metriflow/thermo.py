@@ -76,25 +76,6 @@ def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
     return ThermoPoint(u=u, T=T, p=p, mu=mu, f=f)
 
 
-def internal_energy(rho, s, c, params: EosParams):
-    """Specific internal energy u(rho, s, c) of the default model."""
-    return eval_eos(rho, s, c, params).u
-
-
 def lambda_f(T, coeffs: SurfaceCoefficients):
     """Temperature-dependent surface coefficient lambda_u - T*lambda_s."""
     return coeffs.lambda_u - np.asarray(T, dtype=float) * coeffs.lambda_s
-
-
-def modified_gibbs(rho, s, c, v, params: EosParams):
-    """Modified specific Gibbs free energy.
-
-    g = u - T*s + p/rho - mu*c - |v|^2/2, the thermodynamic conjugate of
-    rho in the density-variable entropy relation.  v is a velocity vector
-    (components along the leading axis for fields).
-    """
-    pt = eval_eos(rho, s, c, params)
-    v = np.asarray(v, dtype=float)
-    ke = 0.5 * (v * v).sum(axis=0) if v.ndim > 0 else 0.5 * v * v
-    return pt.u - pt.T * np.asarray(s, dtype=float) + pt.p / np.asarray(rho, dtype=float) \
-        - pt.mu * np.asarray(c, dtype=float) - ke

@@ -1,15 +1,17 @@
 """Poisson bracket families, gradient transforms, and the ideal tendencies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from metriflow import (Grid, ModelConfig, SurfaceCoefficients,
+from metriflow import (FunctionalGradient, Grid, ModelConfig, SurfaceCoefficients,
                        TransportCoefficients, UnsupportedFamilyError,
                        capillary_force, entropy, grad_H, grad_S, hamiltonian,
-                       ideal_rhs, poisson_bracket, smooth_state,
+                       ideal_rhs, parse_anisotropy, poisson_bracket, smooth_state,
                        transform_gradients, untransform_gradients)
 from metriflow.fields import random_gradient
-from metriflow.functionals import FAMILIES, State
+from metriflow.functionals import DIFFUSE_FAMILIES, FAMILIES, State
 from metriflow.scenarios import analytic_capillary_force, double_tanh_profile
 from metriflow.verification import (CASIMIR_SIZES, ORDER_MIN, _batch_of_one,
                                     _observed_order)
@@ -236,3 +238,56 @@ def test_bracket_generates_ideal_rhs():
             lhs = F.dot(rhs, GRID)
             rhs_b = poisson_bracket(F, Hg, state, model)
             assert lhs == pytest.approx(rhs_b, rel=5e-2, abs=1e-4)
+
+
+# ------------------------------------------------- the pullback at roundoff
+
+CASES = {"1d": (Grid(dim=1, n=(32,), length=(1.0,)), "iso"),
+         "2d-fourfold": (Grid(dim=2, n=(16,), length=(1.0,)), "fourfold:0.05")}
+
+
+def case_model(family, case):
+    grid, gamma = CASES[case]
+    return dataclasses.replace(model_for(family, grid), anisotropy=parse_anisotropy(gamma))
+
+
+def basis_batch(grid):
+    """One trial per slot and cell, valued 1/cell_volume, so that the
+    trial's pairing with a field picks out that field's slot at that cell;
+    trial k is slot k // ncells, cell k % ncells."""
+    n = (grid.dim + 3) * int(np.prod(grid.shape))
+    eye = np.eye(n) / grid.cell_volume
+    return FunctionalGradient.of_pack(
+        np.moveaxis(eye.reshape((n, grid.dim + 3) + grid.shape), 1, 0), grid.dim)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bracket_generates_scalar_tendencies_at_roundoff(family, case):
+    # {z_k, H} for every slot and cell in one call is the generated tendency;
+    # rho, ctilde and sigma (through the sigma^a chain rule) are the
+    # kernel's, while momentum differs at O(h^2) (the order-2 test above)
+    model = case_model(family, case)
+    grid = model.grid
+    state = smooth_state(grid, model, seed=11, kmax=2)
+    generated = poisson_bracket(basis_batch(grid), _batch_of_one(grad_H(state, model)),
+                                state, model).reshape((grid.dim + 3,) + grid.shape)
+    rhs = ideal_rhs(state, model)
+    for k, slot in enumerate(("rho", "ctilde", "sigma"), start=grid.dim):
+        ref = getattr(rhs, slot)
+        assert np.abs(generated[k] - ref).max() <= 1e-14 * np.abs(ref).max(), slot
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("family", DIFFUSE_FAMILIES)
+def test_entropy_casimir_at_roundoff(family, case):
+    # transform_gradients(grad S) is the unit sigma gradient, which the
+    # base pairings annihilate exactly
+    model = case_model(family, case)
+    grid = model.grid
+    state = smooth_state(grid, model, seed=4)
+    Sg = grad_S(state, model)
+    F = random_gradient(grid, 80 + np.arange(16))
+    ratios = np.abs(poisson_bracket(F, _batch_of_one(Sg), state, model)) \
+        / (F.norm(grid) * Sg.norm(grid))
+    assert ratios.max() <= 1e-14, ratios.max()

@@ -11,9 +11,10 @@ from metriflow import (EosParams, FunctionalGradient, Grid,
                        InadmissibleStateError, ModelConfig, State,
                        SurfaceCoefficients, TransportCoefficients,
                        UnsupportedFamilyError, diagnostics, entropy, eval_eos,
-                       free_energy, generalized_mu, grad_H, grad_S,
+                       generalized_mu, grad_H, grad_S,
                        hamiltonian, smooth_state, total_rhs)
-from metriflow.fields import directional_derivative, random_gradient
+from metriflow.dynamics import _advance
+from metriflow.fields import random_gradient
 from metriflow.functionals import sigma_total, thermo_point
 
 GRID1 = Grid(dim=1, n=(32,), length=(1.0,))
@@ -145,14 +146,13 @@ def test_sigma_total_a_independent_at_unit_density():
     assert np.allclose(sigma_total(st, m1), sigma_total(st, m0), atol=1e-15)
 
 
-def test_free_energy_definition():
-    model = make_model("CHNS1")
-    st = smooth_state(GRID1, model, seed=6)
-    assert free_energy(st, model, T_global=0.7) == pytest.approx(
-        hamiltonian(st, model) - 0.7 * entropy(st, model), rel=1e-13)
-
-
 # ------------------------------------------------------------- gradients
+
+def directional_derivative(value, state, direction, eps=1e-6):
+    """Central-difference derivative of value(state) along direction."""
+    return (value(_advance(state, direction.packed, eps))
+            - value(_advance(state, direction.packed, -eps))) / (2.0 * eps)
+
 
 @pytest.mark.parametrize("family", ["GE", "GNS", "CHE0", "CHE1", "CHNS0", "CHNS1"])
 def test_grad_H_matches_directional_derivative(family):

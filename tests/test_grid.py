@@ -93,7 +93,7 @@ def test_div_is_negative_adjoint_of_grad(grid):
         f = rng.standard_normal(grid.shape)
         u = rng.standard_normal((grid.dim,) + grid.shape)
         lhs = grid.integrate(f * grid.div(u))
-        rhs = -grid.inner(grid.grad(f), u)
+        rhs = -float((grid.grad(f) * u).sum() * grid.cell_volume)
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-12
 
@@ -141,18 +141,6 @@ def test_div_tensor_contracts_first_slot():
     for i in range(2):
         expected = g.deriv(t[0, i], 0) + g.deriv(t[1, i], 1)
         assert np.array_equal(out[i], expected)
-
-
-def test_laplacian_is_wide_stencil(grid):
-    rng = np.random.default_rng(10)
-    f = rng.standard_normal(grid.shape)
-    assert np.array_equal(grid.laplacian(f), grid.div(grid.grad(f)))
-
-
-def test_norm_and_inner_consistency(grid):
-    rng = np.random.default_rng(12)
-    f = rng.standard_normal(grid.shape)
-    assert grid.norm(f) == pytest.approx(np.sqrt(grid.inner(f, f)), rel=1e-14)
 
 
 def _roll_deriv(grid, f, axis):

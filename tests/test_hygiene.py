@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,41 @@ def dict_accesses(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_dict_access_only_in_state_derived(path):
     assert dict_accesses(path) == []
+
+
+# module-level functions and classes that nothing in src, demos or
+# benchmarks calls, kept on purpose
+UNREFERENCED_ALLOWED = {
+    # checks the paper's homogeneity identities of Gamma (degree 1 and
+    # Euler's relation for xi), the property the surface terms rest on
+    "homogeneity_residuals",
+    # the documented single-point Onsager blocks; the onsager suite
+    # evaluates the same blocks batched through _onsager_blocks
+    "onsager_blocks",
+}
+ROOT = SRC.parents[1]
+USER_FILES = MODULES + sorted((ROOT / "demos").rglob("*.py")) \
+    + sorted((ROOT / "benchmarks").rglob("*.py"))
+
+
+def name_counts(node: ast.AST) -> Counter:
+    """How often each name is read, as a bare name or an attribute, in node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_definitions() -> list[str]:
+    """Module-level functions and classes of src/metriflow that no file of
+    src (but __init__.py), demos or benchmarks refers to outside their own
+    definition."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in USER_FILES]
+    total = sum((name_counts(tree) for tree in trees), Counter())
+    return [f"{path.name}:{node.lineno}: {node.name}"
+            for path, tree in zip(MODULES, trees) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in UNREFERENCED_ALLOWED
+            and total[node.name] == name_counts(node)[node.name]]
+
+
+def test_every_module_level_definition_is_used_outside_tests():
+    assert unreferenced_definitions() == []

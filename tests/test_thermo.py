@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from metriflow import (EosParams, SurfaceCoefficients, ThermoDomainError,
-                       eval_eos, internal_energy, lambda_f, modified_gibbs)
+from metriflow import (EosParams, Grid, ModelConfig, State, SurfaceCoefficients,
+                       ThermoDomainError, eval_eos, grad_H, lambda_f)
 
 DEFAULTS = EosParams()
 
@@ -27,7 +27,7 @@ def test_reference_point_values():
 
 def test_derivatives_match_finite_differences():
     rng = np.random.default_rng(21)
-    u = lambda rho, s, c: internal_energy(rho, s, c, DEFAULTS)
+    u = lambda rho, s, c: eval_eos(rho, s, c, DEFAULTS).u
     for _ in range(30):
         rho = rng.uniform(0.4, 2.5)
         s = rng.uniform(-0.8, 0.8)
@@ -60,7 +60,7 @@ def test_nonpositive_density_rejected():
     with pytest.raises(ThermoDomainError):
         eval_eos(-1.0, 0.0, 0.0, DEFAULTS)
     with pytest.raises(ThermoDomainError):
-        internal_energy(0.0, 0.0, 0.0, DEFAULTS)
+        eval_eos(0.0, 0.0, 0.0, DEFAULTS).u
 
 
 def test_eos_param_validation():
@@ -89,17 +89,28 @@ def test_lambda_f_slope():
     assert d == pytest.approx(-coeffs.lambda_s, abs=1e-8)
 
 
+def modified_gibbs(rho, s, c, v):
+    """The rho slot of grad_H on a uniform GE state: the modified specific
+    Gibbs free energy u - T*s + p/rho - mu*c - |v|^2/2, the conjugate of rho
+    in the density-variable entropy relation (v: a 2-vector)."""
+    grid = Grid(dim=2, n=(4,), length=(1.0,))
+    ones = np.ones(grid.shape)
+    state = State(grid=grid, m=rho * np.asarray(v)[:, None, None] * ones,
+                  rho=rho * ones, ctilde=rho * c * ones, sigma=rho * s * ones)
+    return grad_H(state, ModelConfig(family="GE", grid=grid)).rho
+
+
 def test_modified_gibbs_reference_point():
     # at (rho, s, c, v) = (1, 0, 0, 0) the double well contributes 1/4 to u,
     # so g = u + p/rho = 5/4 + 2/3 = 23/12
-    g = modified_gibbs(1.0, 0.0, 0.0, np.zeros(1), DEFAULTS)
-    assert float(g) == pytest.approx(23.0 / 12.0, abs=1e-14)
+    g = modified_gibbs(1.0, 0.0, 0.0, np.zeros(2))
+    assert g == pytest.approx(23.0 / 12.0, abs=1e-14)
 
 
 def test_modified_gibbs_kinetic_shift():
     v1 = np.array([0.3, -0.4])
-    g1 = modified_gibbs(1.2, 0.1, 0.5, v1, DEFAULTS)
-    g2 = modified_gibbs(1.2, 0.1, 0.5, 2.0 * v1, DEFAULTS)
+    g1 = modified_gibbs(1.2, 0.1, 0.5, v1)
+    g2 = modified_gibbs(1.2, 0.1, 0.5, 2.0 * v1)
     # quadrupling the kinetic energy: g(2v) - g(v) = -(3/2)|v|^2
     assert g2 - g1 == pytest.approx(-1.5 * float(np.sum(v1 * v1)), rel=1e-12)
 
