@@ -17,11 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .grid import _csum
 
 EPS4_CONVEXITY_LIMIT = 1.0 / 15.0
 # the cutoff radius of the regularization, relative to the RMS magnitude of p
 EPS_REG = 1e-12
+# the central-difference step of homogeneity_residuals, relative to |p|
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,8 @@ class AnisotropyFn:
     def __post_init__(self):
         if self.kind not in ("iso", "fourfold"):
             raise ValueError(f"unknown anisotropy kind {self.kind!r}")
-        if self.kind == "fourfold" and abs(self.eps4) >= EPS4_CONVEXITY_LIMIT:
-            raise ValueError(f"fourfold eps4 must satisfy |eps4| < 1/15, got {self.eps4}")
+        if self.kind == "fourfold" and not abs(self.eps4) < EPS4_CONVEXITY_LIMIT:  # NaN too
+            raise ParameterError("eps4", f"fourfold needs |eps4| < 1/15, got eps4 = {self.eps4}")
 
 
 def parse_anisotropy(text: str) -> AnisotropyFn:
@@ -87,8 +90,8 @@ def gamma_eval(p: np.ndarray, fn: AnisotropyFn) -> tuple[np.ndarray, np.ndarray]
     return gamma, xi
 
 
-def homogeneity_residuals(p: np.ndarray, lam: float, fn: AnisotropyFn,
-                          fd_step: float = 1e-6) -> tuple[float, float, float]:
+def homogeneity_residuals(p: np.ndarray, lam: float,
+                          fn: AnisotropyFn) -> tuple[float, float, float]:
     """Residuals of the three homogeneity identities at a single vector p.
 
     r1 = Gamma(lam*p) - lam*Gamma(p)
@@ -108,7 +111,7 @@ def homogeneity_residuals(p: np.ndarray, lam: float, fn: AnisotropyFn,
     r2 = float(p @ xi_p - gamma_p)
 
     d = len(p)
-    step = fd_step * mag
+    step = FD_STEP * mag
     hess_p = np.zeros(d)
     for j in range(d):
         e = np.zeros(d)

@@ -3,11 +3,12 @@
 One bracket serves all families: the base Lie-Poisson bracket of the
 sharp-interface (GE/GNS) system on (m, rho, ctilde, sigma).  The
 diffuse-interface brackets (a=1 and a=0 entropy variables sigma^a) are
-its pullback through the sigma^a change of variables: both gradients go
-through transform_gradients (in functionals) and the sigma slot pairs
-with sigma_total.  transform_gradients(grad S) is the unit sigma
-gradient, which the base pairings annihilate exactly, so the entropy is
-a Casimir to roundoff for every family.
+its pullback through the sigma^a change of variables, as is the
+metriplectic 4-bracket: the gradients go through transform_gradients (in
+functionals) and the sigma slot pairs with sigma_total.
+transform_gradients(grad S) is the unit sigma gradient, which the base
+pairings annihilate exactly, so the entropy is a Casimir to roundoff for
+every family.
 
 The ideal tendencies (ideal_rhs) are the ideal part of the shared kernel in
 metriplectic, so the RHS has one code path.

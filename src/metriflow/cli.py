@@ -78,12 +78,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, Scenario]:
     return RunConfig(scenario=name, seed=seed, out=out, **scen.params), scen
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_diag_row(fh, diag) -> str:
-    row = ",".join(_fmt(v) for v in diag.row())
+    row = ",".join(f"{v:.17g}" for v in diag.row())
     fh.write(row + "\n")
     return row
 
@@ -95,16 +91,11 @@ def _write_fields(path: Path, state, model) -> None:
     mu_g = generalized_mu(state, model)
     # one row per cell, in C order
     coords = [np.broadcast_to(x, g.shape) for x in g.coords()]
-    if g.dim == 1:
-        header = "x,rho,mx,ctilde,sigma,T,mu_gamma"
-        cols = [coords[0], state.rho, state.m[0], state.ctilde, state.sigma,
-                T, mu_g]
-    else:
-        header = "x,y,rho,mx,my,ctilde,sigma,T,mu_gamma"
-        cols = [coords[0], coords[1], state.rho, state.m[0], state.m[1],
-                state.ctilde, state.sigma, T, mu_g]
+    header = ",".join(["x", "y"][:g.dim] + ["rho"] + ["mx", "my"][:g.dim]
+                      + ["ctilde", "sigma", "T", "mu_gamma"])
+    cols = [*coords, state.rho, *state.m, state.ctilde, state.sigma, T, mu_g]
     rows = zip(*(col.ravel().tolist() for col in cols))
-    fmt = ",".join(["%.17g"] * len(cols)) + "\n"  # the same digits as _fmt
+    fmt = ",".join(["%.17g"] * len(cols)) + "\n"  # the digits of the diagnostics rows
     with open(path, "w") as fh:
         fh.write(header + "\n")
         fh.writelines(fmt % row for row in rows)

@@ -108,8 +108,7 @@ def diagnostics(state: State, model: ModelConfig, t: float = 0.0) -> Diagnostics
     g = state.grid
     mom = tuple(float(g.integrate(state.m[i])) for i in range(g.dim))
     pt = state.derived(model).eos
-    _, prod = entropy_production_rate(state, model) if model.is_dissipative \
-        else (None, 0.0)
+    _, prod = entropy_production_rate(state, model)
     return Diagnostics(
         t=t,
         mass=float(g.integrate(state.rho)),

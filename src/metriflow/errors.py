@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class MetriflowError(Exception):
     """Base class for all package errors."""
@@ -23,6 +25,12 @@ class ParameterError(MetriflowError, ValueError):
     def __init__(self, name, message):
         super().__init__(message)
         self.name = name
+
+
+def require_finite(name: str, value: float) -> None:
+    """Raise a ParameterError naming ``name`` unless value is finite."""
+    if not math.isfinite(value):
+        raise ParameterError(name, f"{name} must be finite, got {name} = {value}")
 
 
 class ConfigError(MetriflowError, ValueError):

@@ -16,6 +16,8 @@ import numpy as np
 from .functionals import FunctionalGradient, ModelConfig, State
 from .grid import Grid
 
+N_MODES = 4  # Fourier modes per field
+
 
 @dataclass(frozen=True)
 class FourierModes:
@@ -29,17 +31,16 @@ class FourierModes:
     phases: np.ndarray   # (..., n_modes)
 
 
-def make_modes(rng: np.random.Generator, dim: int, n_modes: int = 4,
-               kmax: int = 3, amp: float = 1.0) -> FourierModes:
-    kvecs = rng.integers(-kmax, kmax + 1, size=(n_modes, dim))
+def make_modes(rng: np.random.Generator, dim: int, kmax: int = 3) -> FourierModes:
+    kvecs = rng.integers(-kmax, kmax + 1, size=(N_MODES, dim))
     # avoid the zero mode so the field has zero mean: redraw each zero row,
     # in order (the rows are checked as Python lists, which is cheaper)
     for i, row in enumerate(kvecs.tolist()):
         while not any(row):
             kvecs[i] = rng.integers(-kmax, kmax + 1, size=dim)
             row = kvecs[i].tolist()
-    amps = amp * rng.uniform(0.3, 1.0, size=n_modes) / n_modes
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
+    amps = rng.uniform(0.3, 1.0, size=N_MODES) / N_MODES
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=N_MODES)
     return FourierModes(amps=amps, kvecs=kvecs, phases=phases)
 
 
@@ -82,8 +83,7 @@ def smooth_state(grid: Grid, model: ModelConfig, seed: int = 0,
     return state
 
 
-def random_gradient(grid: Grid, seed: int | np.ndarray, amp: float = 1.0,
-                    kmax: int = 3) -> FunctionalGradient:
+def random_gradient(grid: Grid, seed: int | np.ndarray, kmax: int = 3) -> FunctionalGradient:
     """A smooth, seed-determined covector (functional-gradient) field.
 
     For a 1-D array of K seeds, the batch of the K gradients (trial axis
@@ -100,6 +100,6 @@ def random_gradient(grid: Grid, seed: int | np.ndarray, amp: float = 1.0,
         arr = np.array([[getattr(md, name) for md in per_seed] for per_seed in draws])
         return np.moveaxis(arr, 0, 1).reshape((n_slots,) + seeds.shape + arr.shape[2:])
 
-    f = amp * fourier_field(grid, FourierModes(amps=stacked("amps"), kvecs=stacked("kvecs"),
-                                               phases=stacked("phases")))
+    f = fourier_field(grid, FourierModes(amps=stacked("amps"), kvecs=stacked("kvecs"),
+                                         phases=stacked("phases")))
     return FunctionalGradient.of_pack(f, grid.dim)

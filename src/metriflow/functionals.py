@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .anisotropy import AnisotropyFn, gamma_eval
-from .errors import InadmissibleStateError, UnsupportedFamilyError
+from .errors import InadmissibleStateError, ParameterError, UnsupportedFamilyError
 from .grid import Grid, _csum
 from .thermo import EosParams, SurfaceCoefficients, eval_eos, lambda_f
 
@@ -76,6 +76,8 @@ class ModelConfig:
                 "lambda_u and lambda_s must be 0")
         if self.is_dissipative and self.transport is None:
             raise ValueError(f"family {self.family} requires transport coefficients")
+        if self.anisotropy.kind == "fourfold" and self.grid.dim != 2:
+            raise ParameterError("anisotropy", f"fourfold is 2D only, got dim = {self.grid.dim}")
 
     @property
     def is_diffuse(self) -> bool:
@@ -228,10 +230,10 @@ class Derived:
     """The derived fields of one state under one model, each computed on
     first use and kept, as states are never mutated: ``eos`` (the EOS
     point), ``grads`` (grad v, grad p, grad T, grad c), ``gamma_xi``
-    (grad c, Gamma, xi), ``weight`` (rho^a), ``mu_gamma`` and ``grad_mu``
-    (grad mu_Gamma).  The state holds its Derived (``State.derived``), so
-    this holds the state by a weak proxy: a strong reference back would
-    make a cycle only the collector frees."""
+    (grad c, Gamma, xi), ``weight`` (rho^a) and ``mu_gamma``.  The state
+    holds its Derived (``State.derived``), so this holds the state by a
+    weak proxy: a strong reference back would make a cycle only the
+    collector frees."""
 
     def __init__(self, state: State, model: ModelConfig):
         self.state = weakref.proxy(state)
@@ -268,10 +270,6 @@ class Derived:
             return mu
         _, flux = self.capillary_stress()
         return mu - st.grid.div(flux) / st.rho
-
-    @_lazy
-    def grad_mu(self) -> np.ndarray:
-        return self.state.grid.grad(self.mu_gamma)
 
     def capillary_stress(self):
         """(Pi, u) of a diffuse family, not kept: u = lambda_f(T) rho^a
@@ -354,30 +352,39 @@ def grad_S(state: State, model: ModelConfig) -> FunctionalGradient:
     return unit
 
 
-def _sigma_flux_div(Fg: FunctionalGradient, state: State,
-                    model: ModelConfig) -> np.ndarray:
-    """div(rho^a lambda_s Gamma xi F_sigma), the surface part of the sigma^a
-    change of variables, for one gradient or a batch."""
-    d = state.derived(model)
-    _, gamma, xi = d.gamma_xi
-    return state.grid.div(d.weight * model.surface.lambda_s * gamma
-                          * _lift(xi, Fg) * Fg.sigma)
-
-
 def _change_variables(Fg: FunctionalGradient, state: State, model: ModelConfig,
                       sign: float) -> FunctionalGradient:
     """The sigma^a change of variables on gradients: sign -1 maps sigma^a
     gradients to sigma ones, +1 maps back.  m and sigma pass through."""
     if not model.is_diffuse:
         raise UnsupportedFamilyError("gradient transform applies to diffuse families only")
-    rho = state.rho
-    div_flux = sign * _sigma_flux_div(Fg, state, model)
+    rho, lam_s = state.rho, model.surface.lambda_s
+    d = state.derived(model)
+    _, gamma, xi = d.gamma_xi
+    # sign * div(rho^a lambda_s Gamma xi F_sigma), the surface part
+    div_flux = sign * state.grid.div(d.weight * lam_s * gamma * _lift(xi, Fg) * Fg.sigma)
     d_rho = Fg.rho + state.ctilde / rho ** 2 * div_flux
     if model.a == 1:
-        _, gamma, _ = state.derived(model).gamma_xi
-        d_rho = d_rho + sign * 0.5 * model.surface.lambda_s * gamma * gamma * Fg.sigma
+        d_rho = d_rho + sign * 0.5 * lam_s * gamma * gamma * Fg.sigma
     return FunctionalGradient(m=Fg.m, rho=d_rho, ctilde=Fg.ctilde - div_flux / rho,
                               sigma=Fg.sigma)
+
+
+def _tendency_to_sigma_a(rhs: FunctionalGradient, state: State,
+                         model: ModelConfig) -> None:
+    """Turn the total-entropy slot of a diffuse family's tendency into the
+    sigma^a one, in place: sigma^a_dot = sigma_dot - d/dt(rho^a lambda_s
+    Gamma^2 / 2) by the chain rule, the transpose of transform_gradients."""
+    lam_s = model.surface.lambda_s
+    if lam_s == 0.0:
+        return
+    d = state.derived(model)
+    _, gamma, xi = d.gamma_xi
+    c_dot = (rhs.ctilde - state.c * rhs.rho) / state.rho
+    sigma_dot = rhs.sigma
+    sigma_dot -= d.weight * lam_s * gamma * _csum(xi * state.grid.grad(c_dot))
+    if model.a == 1:
+        sigma_dot -= 0.5 * lam_s * gamma * gamma * rhs.rho
 
 
 def transform_gradients(hatFg: FunctionalGradient, state: State,

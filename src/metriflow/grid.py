@@ -52,11 +52,21 @@ def _trace(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _per_axis(name: str, value, dim: int) -> tuple:
+    """value as a dim-tuple, a scalar or a 1-sequence broadcast; any other
+    length is a ParameterError naming name."""
+    out = tuple(value) if np.ndim(value) else (value,)
+    if len(out) not in (1, dim):
+        raise ParameterError(name, f"{name} needs 1 or dim = {dim} entries, got {value!r}")
+    return out * dim if len(out) == 1 else out
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid in 1 or 2 dimensions.
 
-    n and length may be scalars (same per axis) or per-axis sequences.
+    n and length may be scalars (same per axis) or per-axis sequences;
+    n must be integral.
     """
 
     dim: int
@@ -67,16 +77,11 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ParameterError("dim", f"dim must be 1 or 2, got {self.dim}")
-        n = self.n if isinstance(self.n, tuple) else (self.n,) * self.dim
-        if len(n) == 1 and self.dim == 2:
-            n = n * 2
-        length = self.length if isinstance(self.length, tuple) else (float(self.length),) * self.dim
-        if len(length) == 1 and self.dim == 2:
-            length = length * 2
-        if any(ni < 4 for ni in n):
-            raise ParameterError("n", f"need at least 4 cells per axis, got {n}")
-        if any(li <= 0 for li in length):
-            raise ParameterError("length", f"length must be positive, got {length}")
+        n, length = (_per_axis(name, getattr(self, name), self.dim) for name in ("n", "length"))
+        if not all(float(ni).is_integer() and ni >= 4 for ni in n):
+            raise ParameterError("n", f"n must be whole numbers of at least 4 cells, got {n}")
+        if not all(0 < li < np.inf for li in length):
+            raise ParameterError("length", f"length must be positive and finite, got {length}")
         object.__setattr__(self, "n", tuple(int(ni) for ni in n))
         object.__setattr__(self, "length", tuple(float(li) for li in length))
         object.__setattr__(self, "h", tuple(li / ni for li, ni in zip(self.length, self.n)))

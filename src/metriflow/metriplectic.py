@@ -5,9 +5,10 @@ The 4-bracket uses the collocated weighted form (weight 1): two symmetric
 bilinear forms, one pointwise in the entropy slot and one built from
 gradients of the momentum / entropy / concentration slots, are combined by
 the Kulkarni-Nomizu product and integrated over the grid.  For the
-diffuse-interface families the concentration slot is differentiated through
-the pseudodifferential combination that reduces to grad(mu_Gamma) on the
-Hamiltonian.
+diffuse-interface families the bracket is the sharp one pulled back
+through the sigma^a change of variables: the four gradients go through
+transform_gradients (in functionals), which turns the concentration slot
+of grad H into mu_Gamma.  The 2-bracket is (F, H; G, H).
 
 Viscous contraction uses the full 3D isotropic rank-4 tensor (trace factor
 2/3) in dim x dim form.  Absent velocity components and derivatives are
@@ -27,9 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedFamilyError
-from .functionals import (FunctionalGradient, ModelConfig, State,
-                          _sigma_flux_div, sigma_total)
+from .errors import ParameterError, UnsupportedFamilyError, require_finite
+from .functionals import (FunctionalGradient, ModelConfig, State, _tendency_to_sigma_a,
+                          grad_H, sigma_total, transform_gradients)
 from .grid import _csum, _trace
 from .thermo import eval_eos
 
@@ -54,8 +55,7 @@ class TransportCoefficients:
             if isinstance(val, np.ndarray):
                 validate_psd_matrix(val, name)
             elif name in ("eta", "zeta") or isinstance(val, (int, float)):
-                if not math.isfinite(val):
-                    raise ParameterError(name, f"{name} must be finite, got {name} = {val}")
+                require_finite(name, val)
                 if val < 0:
                     raise ParameterError(name, f"{name} must be nonnegative, got {name} = {val}")
 
@@ -66,18 +66,21 @@ class TransportCoefficients:
         return _resolve_tensor(self.dcoef, state, model)
 
 
-def validate_psd_matrix(mat: np.ndarray, name: str, tol: float = 1e-12) -> None:
+PSD_TOL = 1e-12
+
+
+def validate_psd_matrix(mat: np.ndarray, name: str) -> None:
     """Raise a ParameterError naming ``name`` unless mat is a finite,
-    symmetric (to tol relative) positive semidefinite square matrix."""
+    symmetric (to PSD_TOL relative) positive semidefinite square matrix."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParameterError(name, f"{name} matrix must be square")
     amax = float(np.abs(mat).max())
     if not math.isfinite(amax):
         raise ParameterError(name, f"{name} matrix must be finite")
-    atol = tol * max(1.0, amax)
+    atol = PSD_TOL * max(1.0, amax)
     if not (np.abs(mat - mat.T) <= atol).all():
         raise ParameterError(name, f"{name} matrix must be symmetric")
-    if np.linalg.eigvalsh(0.5 * (mat + mat.T)).min() < -tol:
+    if np.linalg.eigvalsh(0.5 * (mat + mat.T)).min() < -PSD_TOL:
         raise ParameterError(name, f"{name} matrix must be positive semidefinite")
 
 
@@ -133,21 +136,6 @@ def _production(T, gradv, gradT, grad_mu, tr, kappa, dcoef) -> np.ndarray:
     return (_visc_production(gradv, tr.eta, tr.zeta) + cond + diff) / T
 
 
-def _conc_slot(Fg: FunctionalGradient, state: State, model: ModelConfig) -> np.ndarray:
-    """Gradient-type concentration slot: grad F_ctilde for the sharp
-    families, the pseudodifferential combination for the diffuse ones."""
-    g = state.grid
-    if not model.is_diffuse or model.surface.lambda_s == 0.0:
-        return g.grad(Fg.ctilde)
-    return g.grad(Fg.ctilde + _sigma_flux_div(Fg, state, model) / state.rho)
-
-
-def _require_dissipative(model: ModelConfig):
-    if not model.is_dissipative:
-        raise UnsupportedFamilyError(
-            f"family {model.family} has no metriplectic bracket")
-
-
 def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
                 Kg: FunctionalGradient, Ng: FunctionalGradient,
                 state: State, model: ModelConfig) -> float | np.ndarray:
@@ -157,8 +145,12 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     (S, H; S, H) >= 0 whenever the transport coefficients are psd.  The
     four gradients may be batches with the same number of trial axes
     (sizes broadcast); the result is then an array over the trial axes.
+    For a diffuse family the gradients first go through transform_gradients.
     """
-    _require_dissipative(model)
+    if not model.is_dissipative:
+        raise UnsupportedFamilyError(f"family {model.family} has no metriplectic bracket")
+    if model.is_diffuse:
+        Fg, Gg, Kg, Ng = (transform_gradients(X, state, model) for X in (Fg, Gg, Kg, Ng))
     g = state.grid
     tr = model.transport
     T = np.asarray(state.derived(model).eos.T)
@@ -170,7 +162,7 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
         return B.sigma * g.grad(A.sigma) - A.sigma * g.grad(B.sigma)
 
     def d3(A, B):
-        return B.sigma * _conc_slot(A, state, model) - A.sigma * _conc_slot(B, state, model)
+        return B.sigma * g.grad(A.ctilde) - A.sigma * g.grad(B.ctilde)
 
     integrand = _pair_sum(d1(Fg, Gg) * _stress(d1(Kg, Ng), tr.eta, tr.zeta))
     kappa = tr.kappa_of(state, model)
@@ -182,27 +174,9 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
 def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
                           state: State, model: ModelConfig) -> float:
-    """(F, G)_H = (F, H; G, H), computed directly for speed."""
-    _require_dissipative(model)
-    g = state.grid
-    tr = model.transport
-    d = state.derived(model)
-    T = np.asarray(d.eos.T)
-    gradv, _, gradT, _ = d.grads
-    grad_mu = d.grad_mu
-
-    x1 = T * g.grad(Fg.m) - Fg.sigma * gradv
-    y1 = T * g.grad(Gg.m) - Gg.sigma * gradv
-    integrand = _pair_sum(x1 * _stress(y1, tr.eta, tr.zeta))
-
-    x2 = T * g.grad(Fg.sigma) - Fg.sigma * gradT
-    y2 = T * g.grad(Gg.sigma) - Gg.sigma * gradT
-    integrand = integrand + _quad_tensor(tr.kappa_of(state, model), x2, y2) / T
-
-    x3 = T * _conc_slot(Fg, state, model) - Fg.sigma * grad_mu
-    y3 = T * _conc_slot(Gg, state, model) - Gg.sigma * grad_mu
-    integrand = integrand + _quad_tensor(tr.dcoef_of(state, model), x3, y3)
-    return g.integrate(integrand / T)
+    """(F, G)_H = (F, H; G, H) of two single gradients."""
+    Hg = grad_H(state, model)
+    return kn_4bracket(Fg, Hg, Gg, Hg, state, model)
 
 
 def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
@@ -233,8 +207,7 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     m_flux = flux[:, 3:3 + dim]
     if ideal:
         dens = np.negative(state.packed[dim:])
-        if model.is_diffuse and model.surface.lambda_s != 0.0:
-            np.negative(sigma_total(state, model), out=dens[2])
+        np.negative(sigma_total(state, model), out=dens[2])
         np.multiply(dens[None], v[:, None], out=flux[:, :3])
     if model.is_diffuse:
         cap_stress, mu_flux = d.capillary_stress()
@@ -274,14 +247,8 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     else:
         ctilde_dot[...] = div[1]
         sigma_dot[...] = div[2]
-    if model.is_diffuse and model.surface.lambda_s != 0.0:
-        # chain rule back to the evolved sigma^a field
-        lam_s = model.surface.lambda_s
-        _, gamma, xi = d.gamma_xi
-        c_dot = (ctilde_dot - state.c * rho_dot) / rho
-        sigma_dot -= d.weight * lam_s * gamma * _csum(xi * g.grad(c_dot))
-        if model.a == 1:
-            sigma_dot -= 0.5 * lam_s * gamma * gamma * rho_dot
+    if model.is_diffuse:
+        _tendency_to_sigma_a(rhs, state, model)
     return rhs
 
 
@@ -303,7 +270,7 @@ def production_density(state: State, model: ModelConfig) -> np.ndarray:
     tr = model.transport
     d = state.derived(model)
     gradv, _, gradT, _ = d.grads
-    return _production(np.asarray(d.eos.T), gradv, gradT, d.grad_mu, tr,
+    return _production(np.asarray(d.eos.T), gradv, gradT, state.grid.grad(d.mu_gamma), tr,
                        tr.kappa_of(state, model), tr.dcoef_of(state, model))
 
 

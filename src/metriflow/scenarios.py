@@ -192,8 +192,11 @@ def _build_model(p: dict) -> ModelConfig:
                                       lambda_s=p["lambda_s"])
     else:
         surface = SurfaceCoefficients(lambda_u=0.0, lambda_s=0.0)
-    return ModelConfig(family=family, grid=grid, eos=eos, surface=surface,
-                       anisotropy=anisotropy, transport=transport)
+    try:
+        return ModelConfig(family=family, grid=grid, eos=eos, surface=surface,
+                           anisotropy=anisotropy, transport=transport)
+    except ParameterError as exc:  # the anisotropy, set as gamma
+        raise _bad_value("gamma", exc) from None
 
 
 def double_tanh_profile(x: np.ndarray, length: float, width: float) -> np.ndarray:

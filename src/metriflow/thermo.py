@@ -14,11 +14,11 @@ callers call it directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ThermoDomainError
+from .errors import ParameterError, ThermoDomainError, require_finite
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,14 @@ class EosParams:
     lambda_V: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            require_finite(f.name, getattr(self, f.name))
         if self.c_v <= 0:
-            raise ValueError("c_v must be positive")
+            raise ParameterError("c_v", "c_v must be positive")
         if self.gamma_ad <= 1:
-            raise ValueError("gamma_ad must exceed 1")
+            raise ParameterError("gamma_ad", "gamma_ad must exceed 1")
         if self.lambda_V < 0:
-            raise ValueError("lambda_V must be nonnegative")
+            raise ParameterError("lambda_V", "lambda_V must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,6 @@ class ThermoPoint:
     T: np.ndarray | float
     p: np.ndarray | float
     mu: np.ndarray | float
-    f: np.ndarray | float
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,10 @@ class SurfaceCoefficients:
 
     lambda_u: float = 0.0
     lambda_s: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            require_finite(f.name, getattr(self, f.name))
 
 
 def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
@@ -72,8 +77,7 @@ def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
     T = thermal / params.c_v
     p = (params.gamma_ad - 1.0) * rho * thermal
     mu = params.lambda_V * c * c2m1
-    f = u - T * s
-    return ThermoPoint(u=u, T=T, p=p, mu=mu, f=f)
+    return ThermoPoint(u=u, T=T, p=p, mu=mu)
 
 
 def lambda_f(T, coeffs: SurfaceCoefficients):

@@ -305,12 +305,15 @@ def test_run_builds_the_scenario_once(tmp_path, monkeypatch):
     (["--noise-amp", "nan"], None, "bad value for 'noise_amp': noise_amp = nan"),
     (["--dt", "nan"], None, "bad value for 'dt': dt = nan"),
     ([], "kappa = -inf\n", "bad value for 'kappa': kappa = -inf"),
+    (["--gamma", "fourfold:0.05"], None, "bad value for 'gamma': fourfold is 2D only"),
+    (["--dim", "2", "--gamma", "fourfold:nan"], None,
+     "bad value for 'gamma': fourfold needs |eps4| < 1/15, got eps4 = nan"),
 ], ids=["dim", "n", "gamma", "zero_steps", "inf_steps", "unknown_key",
         "bad_value", "n_key", "length_key", "eta_key", "zeta_key",
         "lambda_v_key", "gamma_key", "kappa_key", "eta_nan", "zeta_inf",
         "kappa_inf", "dcoef_nan", "lambda_v_nan", "lambda_u_nan",
         "lambda_s_inf", "length_nan", "noise_amp_nan", "dt_nan",
-        "kappa_cfg_inf"])
+        "kappa_cfg_inf", "fourfold_1d", "fourfold_nan"])
 def test_invalid_settings_exit_2_naming_them(tmp_path, capsys, argv, config,
                                              named):
     if config is not None:

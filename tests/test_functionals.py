@@ -7,8 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from metriflow import (EosParams, FunctionalGradient, Grid,
-                       InadmissibleStateError, ModelConfig, State,
+from metriflow import (AnisotropyFn, EosParams, FunctionalGradient, Grid,
+                       InadmissibleStateError, ModelConfig, ParameterError, State,
                        SurfaceCoefficients, TransportCoefficients,
                        UnsupportedFamilyError, diagnostics, entropy, eval_eos,
                        generalized_mu, grad_H, grad_S,
@@ -52,6 +52,14 @@ def test_sharp_family_rejects_surface_terms():
 def test_dissipative_family_requires_transport():
     with pytest.raises(ValueError):
         ModelConfig(family="GNS", grid=GRID1)
+
+
+def test_fourfold_anisotropy_needs_a_2d_grid():
+    fourfold = AnisotropyFn(kind="fourfold", eps4=0.05)
+    with pytest.raises(ParameterError, match="dim = 1") as info:
+        make_model("CHE1", anisotropy=fourfold)
+    assert info.value.name == "anisotropy"
+    assert make_model("CHE1", grid=GRID2, anisotropy=fourfold).anisotropy == fourfold
 
 
 # ------------------------------------------------------------ state checks

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metriflow import Grid
+from metriflow import Grid, ParameterError
 
 
 @pytest.fixture(params=[1, 2])
@@ -32,6 +32,31 @@ def test_scalar_n_broadcasts_to_both_axes():
     assert g.shape == (16, 16)
     assert g.length == (2.0, 2.0)
     assert g.h == (0.125, 0.125)
+
+
+def test_sequences_and_one_tuples_broadcast():
+    g = Grid(dim=2, n=[16, 8], length=(2.0,))
+    assert g.shape == (16, 8) and g.length == (2.0, 2.0)
+    assert Grid(dim=1, n=np.int64(12), length=[1.0]).shape == (12,)
+    assert Grid(dim=1, n=(16.0,), length=1.0).n == (16,)
+
+
+@pytest.mark.parametrize("kw, name", [
+    (dict(dim=1, n=(16, 16), length=1.0), "n"),
+    (dict(dim=1, length=1.0), "n"),
+    (dict(dim=2, n=(8, 8, 8), length=1.0), "n"),
+    (dict(dim=1, n=(16.7,), length=1.0), "n"),
+    (dict(dim=1, n=np.nan, length=1.0), "n"),
+    (dict(dim=1, n=16), "length"),
+    (dict(dim=2, n=16, length=(1.0, 1.0, 1.0)), "length"),
+    (dict(dim=1, n=16, length=np.inf), "length"),
+    (dict(dim=1, n=16, length=np.nan), "length"),
+], ids=["n_2_axes_for_dim_1", "n_missing", "n_3_axes", "n_not_integral", "n_nan",
+        "length_missing", "length_3_axes", "length_inf", "length_nan"])
+def test_shape_must_match_dim_naming_the_setting(kw, name):
+    with pytest.raises(ParameterError) as info:
+        Grid(**kw)
+    assert info.value.name == name and name in str(info.value)
 
 
 def test_deriv_of_constant_is_zero(grid):

@@ -116,3 +116,25 @@ def unreferenced_definitions() -> list[str]:
 
 def test_every_module_level_definition_is_used_outside_tests():
     assert unreferenced_definitions() == []
+
+
+# the sigma^a change of variables is the one place that knows the surface
+# entropy coefficient, the density weight rho^a, the family's a and (Gamma,
+# xi); thermo's lambda_f reads lambda_s too.  Every other module goes
+# through transform_gradients, sigma_total and their kin.
+SIGMA_A_ATTRS = {"lambda_s", "weight", "a", "gamma_xi"}
+SIGMA_A_MODULES = {"functionals.py", "thermo.py"}
+
+
+def sigma_a_reads(path: Path) -> list[str]:
+    """Attribute reads of a name in SIGMA_A_ATTRS."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in SIGMA_A_ATTRS]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in SIGMA_A_MODULES],
+                         ids=lambda p: p.name)
+def test_only_functionals_knows_the_sigma_a_variables(path):
+    assert sigma_a_reads(path) == []

@@ -13,7 +13,7 @@ from metriflow import (Grid, ModelConfig, ParameterError, SurfaceCoefficients,
                        sectional_curvature, smooth_state)
 from metriflow.fields import random_gradient
 from metriflow.functionals import State
-from metriflow.metriplectic import (_stress, _visc_production, production_density,
+from metriflow.metriplectic import (PSD_TOL, _stress, _visc_production, production_density,
                                     validate_psd_matrix)
 
 GRID = Grid(dim=1, n=(24,), length=(1.0,))
@@ -72,7 +72,7 @@ def test_validate_psd_matrix_rejects_non_finite(mat):
 
 def test_psd_symmetry_check_accepts_what_allclose_accepts():
     rng = np.random.default_rng(3)
-    tol = 1e-12
+    tol = PSD_TOL
     for _ in range(400):
         A = rng.standard_normal((3, 3)) * 10.0 ** rng.integers(-3, 4)
         sym = A @ A.T + np.eye(3)
@@ -84,7 +84,7 @@ def test_psd_symmetry_check_accepts_what_allclose_accepts():
         expected = np.allclose(mat, mat.T, rtol=0,
                                atol=tol * max(1.0, float(np.abs(mat).max())))
         try:
-            validate_psd_matrix(mat, "kappa", tol=tol)
+            validate_psd_matrix(mat, "kappa")
             accepted = True
         except ParameterError as exc:
             assert "symmetric" in str(exc)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from metriflow import (EosParams, Grid, ModelConfig, State, SurfaceCoefficients,
-                       ThermoDomainError, eval_eos, grad_H, lambda_f)
+from metriflow import (AnisotropyFn, EosParams, Grid, ModelConfig, ParameterError, State,
+                       SurfaceCoefficients, ThermoDomainError, eval_eos, grad_H, lambda_f)
 
 DEFAULTS = EosParams()
 
@@ -51,11 +51,6 @@ def test_mu_is_cubic_minus_linear():
     assert np.allclose(pt.mu, c ** 3 - c, rtol=0, atol=1e-14)
 
 
-def test_free_energy_relation():
-    pt = eval_eos(1.3, 0.4, 0.2, DEFAULTS)
-    assert pt.f == pytest.approx(pt.u - pt.T * 0.4, rel=1e-14)
-
-
 def test_nonpositive_density_rejected():
     with pytest.raises(ThermoDomainError):
         eval_eos(-1.0, 0.0, 0.0, DEFAULTS)
@@ -70,6 +65,19 @@ def test_eos_param_validation():
         EosParams(gamma_ad=1.0)
     with pytest.raises(ValueError):
         EosParams(lambda_V=-0.1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cls, name", [(EosParams, "c_v"), (EosParams, "gamma_ad"),
+                                       (EosParams, "lambda_V"),
+                                       (SurfaceCoefficients, "lambda_u"),
+                                       (SurfaceCoefficients, "lambda_s"),
+                                       (AnisotropyFn, "eps4")])
+def test_non_finite_parameters_rejected_naming_them(cls, name, value):
+    kind = {"kind": "fourfold"} if cls is AnisotropyFn else {}
+    with pytest.raises(ParameterError, match=name) as info:
+        cls(**kind, **{name: value})
+    assert info.value.name == name
 
 
 def test_lambda_f_arithmetic():

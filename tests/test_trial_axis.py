@@ -71,8 +71,8 @@ def _batches(grid, n):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_random_gradient_batch_stacks_the_single_draws(dim):
     grid = _grid(dim)
-    batch = random_gradient(grid, SEEDS, amp=0.5, kmax=2)
-    singles = [random_gradient(grid, int(s), amp=0.5, kmax=2) for s in SEEDS]
+    batch = random_gradient(grid, SEEDS, kmax=2)
+    singles = [random_gradient(grid, int(s), kmax=2) for s in SEEDS]
     assert batch.m.shape == (dim, len(SEEDS)) + grid.shape
     assert np.array_equal(batch.m, np.stack([g.m for g in singles], axis=1))
     for slot in ("rho", "ctilde", "sigma"):
