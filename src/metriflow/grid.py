@@ -18,21 +18,20 @@ from .errors import ParameterError
 
 
 @cache
-def _stencil(ndim: int, ax: int) -> tuple:
-    """(out, plus, minus) index tuples of the three np.subtract calls of a
-    periodic central difference along axis ax of an ndim-array: the
-    interior, then the first and the last cell with their wrapped
-    neighbours.  Keyed on the resolved axis, since one ndim holds stacked
-    1D fields and 2D fields alike."""
+def _stencil(shape: tuple, ax: int) -> tuple:
+    """(step, wraps) of a periodic central difference along axis ax of a
+    C-contiguous array of this shape: neighbours along ax are step apart in
+    the flat array, and wraps are the (out, plus, minus) index tuples of the
+    first and the last cell with their wrapped neighbours."""
 
     def at(s: slice) -> tuple:
-        idx = [slice(None)] * ndim
+        idx = [slice(None)] * len(shape)
         idx[ax] = s
         return tuple(idx)
 
-    return ((at(slice(1, -1)), at(slice(2, None)), at(slice(None, -2))),
-            (at(slice(0, 1)), at(slice(1, 2)), at(slice(-1, None))),
-            (at(slice(-1, None)), at(slice(0, 1)), at(slice(-2, -1))))
+    return (int(np.prod(shape[ax + 1:])),
+            ((at(slice(0, 1)), at(slice(1, 2)), at(slice(-1, None))),
+             (at(slice(-1, None)), at(slice(0, 1)), at(slice(-2, -1)))))
 
 
 def _csum(x: np.ndarray) -> np.ndarray:
@@ -113,14 +112,20 @@ class Grid:
     def deriv(self, f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
         """Central difference along one axis, periodic, into out (new if None).
 
-        Hand-rolled shifts (slice assignments) rather than np.roll, with
-        the index tuples built once per (f.ndim, array axis): this is the
-        innermost operation of every RHS evaluation, and per-call overhead
-        dominates at desk-scale grid sizes.
+        One np.subtract over the flat C-contiguous field fills every interior
+        cell; it takes the first and last cell along the axis across rows, so
+        two wrap subtractions overwrite them.  f is made C-contiguous; out
+        must be, since its flat view would otherwise be a copy.
         """
+        f = np.ascontiguousarray(f)
         if out is None:
             out = np.empty_like(f)
-        for o, plus, minus in _stencil(f.ndim, f.ndim - self.dim + axis):
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        step, wraps = _stencil(f.shape, f.ndim - self.dim + axis)
+        flat = f.ravel()
+        np.subtract(flat[2 * step:], flat[:-2 * step], out=out.ravel()[step:-step])
+        for o, plus, minus in wraps:
             np.subtract(f[plus], f[minus], out=out[o])
         out *= 1.0 / (2.0 * self.h[axis])
         return out

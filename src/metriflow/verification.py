@@ -33,9 +33,9 @@ from .thermo import EosParams, SurfaceCoefficients, eval_eos
 DISSIPATIVE = ("GNS", "CHNS0", "CHNS1")
 ORDER_MIN = 1.9
 FLOOR = 1e-12
-# grid sizes of casimir_convergence_suite; the observed order comes from
-# the two finest: with 64 cells as the finest the estimate is still
-# pre-asymptotic for some seeds (1.82 for seed 24 at level full)
+# grid sizes of casimir_convergence_suite: every Casimir is exact (at FLOOR)
+# on each; were one to leave a residual, the order of the two finest would
+# tell an O(h^2) discretization error from a defect that does not shrink
 CASIMIR_SIZES = (16, 32, 64, 128)
 # trials per batched evaluation in onsager_suite: all 1,000 trials of level
 # full at once would raise the peak RSS of `verify --level full` by ~19%

@@ -1,7 +1,13 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import os
+import platform
+import resource
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +78,28 @@ def test_integration_failure_reports_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "step" in err
     assert "last diagnostics row" in err
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc heap trims")
+def test_run_keeps_freed_heap_between_steps(tmp_path):
+    """A 64x64 RK4 step frees ~2 MB at its end.  If glibc trims that back
+    to the OS, the next step faults it in again (hundreds of minor faults a
+    step); run keeps it, so extra steps cost next to no faults."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+    def faults(t_end):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run([sys.executable, "-m", "metriflow.cli", "run",
+                        "--scenario", "spinodal2d", "--t-end", t_end,
+                        "--out", str(tmp_path / t_end)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    # dt = 5e-4: 20 and 60 steps
+    assert (faults("0.03") - faults("0.01")) / 40 < 20
 
 
 def test_fields_snapshot_layout(tmp_path):

@@ -175,14 +175,27 @@ def _roll_deriv(grid, f, axis):
 
 
 # a 1D grid's stacked (k, n) field and a 2D grid's (n, m) field share ndim 2
-# but are differentiated along different array axes
+# but are differentiated along different array axes; the last three cases
+# are not C-contiguous: a transposed field, a strided slice of a wider
+# array and a Fortran-ordered stack
 _STACKED_CASES = [
-    (Grid(dim=1, n=(12,), length=(1.0,)), (12,)),
-    (Grid(dim=1, n=(12,), length=(1.0,)), (3, 12)),
-    (Grid(dim=2, n=(12, 10), length=(1.5, 0.5)), (12, 10)),
-    (Grid(dim=1, n=(12,), length=(1.0,)), (2, 3, 12)),
-    (Grid(dim=2, n=(12, 10), length=(1.5, 0.5)), (3, 12, 10)),
+    (Grid(dim=1, n=(12,), length=(1.0,)), (12,), "C"),
+    (Grid(dim=1, n=(12,), length=(1.0,)), (3, 12), "C"),
+    (Grid(dim=2, n=(12, 10), length=(1.5, 0.5)), (12, 10), "C"),
+    (Grid(dim=1, n=(12,), length=(1.0,)), (2, 3, 12), "C"),
+    (Grid(dim=2, n=(12, 10), length=(1.5, 0.5)), (3, 12, 10), "C"),
+    (Grid(dim=2, n=(12, 10), length=(1.5, 0.5)), (12, 10), "transposed"),
+    (Grid(dim=1, n=(12,), length=(1.0,)), (3, 12), "strided"),
+    (Grid(dim=2, n=(12, 10), length=(1.5, 0.5)), (3, 12, 10), "F"),
 ]
+
+
+def _field(rng, shape, layout):
+    if layout == "transposed":
+        return rng.standard_normal(shape[::-1]).T
+    if layout == "strided":
+        return rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    return np.asarray(rng.standard_normal(shape), order=layout)
 
 
 def test_deriv_of_stacked_fields_equals_roll_reference():
@@ -190,17 +203,22 @@ def test_deriv_of_stacked_fields_equals_roll_reference():
     # interleaved, in both orders, so that each stencil table is first
     # built by one grid and then used by the other
     for cases in (_STACKED_CASES, _STACKED_CASES[::-1]):
-        for g, shape in cases:
-            f = rng.standard_normal(shape)
+        for g, shape, layout in cases:
+            f = _field(rng, shape, layout)
+            assert f.flags.c_contiguous == (layout == "C")
             for axis in range(g.dim):
                 assert np.array_equal(g.deriv(f, axis), _roll_deriv(g, f, axis)), \
-                    (g.dim, shape, axis)
+                    (g.dim, shape, layout, axis)
+    # a flat view of a non-C-contiguous out would be a copy, not out
+    g = Grid(dim=2, n=(12, 10), length=(1.5, 0.5))
+    with pytest.raises(ValueError, match="out"):
+        g.deriv(rng.standard_normal((12, 10)), 0, out=np.empty((10, 12)).T)
 
 
 @pytest.mark.parametrize("case", range(len(_STACKED_CASES)))
 def test_grad_is_the_stack_of_derivs(case):
-    g, shape = _STACKED_CASES[case]
-    f = np.random.default_rng(14).standard_normal(shape)
+    g, shape, layout = _STACKED_CASES[case]
+    f = _field(np.random.default_rng(14), shape, layout)
     out = g.grad(f)
     assert np.array_equal(out, np.stack([g.deriv(f, k) for k in range(g.dim)]))
     assert out.flags.c_contiguous
