@@ -58,8 +58,6 @@ def gamma_eval(p: np.ndarray, fn: AnisotropyFn) -> tuple[np.ndarray, np.ndarray]
     are handled elementwise.  At the regularized origin Gamma = 0, xi = 0.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim == 0:
-        p = p.reshape(1)
     mag = np.sqrt(_csum(p * p))
     # the mean as sum / size: the same bits as .mean(), without its
     # Python-level wrapper

@@ -4,7 +4,8 @@ Two subcommands:
 
   run     -- integrate a named scenario, writing diagnostics.csv, periodic
              field snapshots fields_<step>.csv, and a run.json metadata file
-             echoing the fully resolved configuration.
+             echoing the fully resolved configuration; it steps through
+             dynamics.integrate, so a dt above the stability estimate warns.
   verify  -- run the structure-verification suites and write a
              machine-readable JSON report; exit 0 iff every suite passes.
 
@@ -14,6 +15,8 @@ run.json, so ``run --config`` with the lines of a run.json rebuilds its run.
 Precedence: command-line flags > config file > scenario defaults.  The
 config file is flat ``key = value`` text; unknown keys and bad values are
 rejected with the offending line number.
+Exit codes: 0 ok, 2 a bad setting or unusable file, 3 a failed step, 4 a
+failed verify suite.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import diagnostics, step_rk4
+from .dynamics import diagnostics, integrate
 from .errors import ConfigError, IntegrationError
 from .functionals import FAMILIES, generalized_mu, thermo_point
 from .scenarios import (SCENARIO_NAMES, SETTING_TYPES, RunConfig, Scenario,
@@ -53,7 +56,10 @@ _COMMENT = re.compile(r"(^|\s)#.*")
 def parse_config_file(path: str) -> dict:
     """Parse a flat key = value config file; rejects unknown keys."""
     values = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.sub("", raw).strip()
         if not line:
@@ -122,21 +128,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     if mallopt is not None:  # glibc; -1 is M_TRIM_THRESHOLD
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-1, TRIM_THRESHOLD)
-    model, state = scen.model, scen.state
-    n_steps = scen.n_steps
+    model, n_steps = scen.model, scen.n_steps
     last_row = ""
     with open(outdir / "diagnostics.csv", "w") as diag_fh:
         diag_fh.write("t,M,Px,Py,C,H,S,S_prod,T_min\n")
-        last_row = _write_diag_row(diag_fh, diagnostics(state, model, t=0.0))
-        _write_fields(outdir / "fields_0.csv", state, model)
+
+        def snapshot(step, state):
+            nonlocal last_row
+            if step % scen.cadence == 0 or step == n_steps:
+                last_row = _write_diag_row(
+                    diag_fh, diagnostics(state, model, t=step * scen.dt))
+                _write_fields(outdir / f"fields_{step}.csv", state, model)
+
+        snapshot(0, scen.state)
         try:
-            for step in range(1, n_steps + 1):
-                state = step_rk4(state, model, scen.dt, step_index=step)
-                if step % scen.cadence == 0 or step == n_steps:
-                    t = step * scen.dt
-                    last_row = _write_diag_row(
-                        diag_fh, diagnostics(state, model, t=t))
-                    _write_fields(outdir / f"fields_{step}.csv", state, model)
+            integrate(scen.state, model, scen.dt, n_steps, callback=snapshot)
         except IntegrationError as exc:
             print(f"integration failed at step {exc.step}: {exc}",
                   file=sys.stderr)
@@ -146,13 +152,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the suites
     try:
         report = verify(seed=args.seed, level=args.level)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "verify_report.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -196,7 +202,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError names its file
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

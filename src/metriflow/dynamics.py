@@ -122,19 +122,19 @@ def diagnostics(state: State, model: ModelConfig, t: float = 0.0) -> Diagnostics
 
 
 def integrate(state: State, model: ModelConfig, dt: float, n_steps: int,
-              callback=None, warn_on_stiff: bool = True) -> State:
+              callback=None) -> State:
     """Advance n_steps of size dt, optionally invoking callback(i, state).
 
     callback is called after each accepted step with the 1-based step index.
+    Warns (RuntimeWarning) first if dt exceeds stability_limit(state, model).
     """
     if dt <= 0 or n_steps < 0:
         raise ValueError("dt must be positive and n_steps nonnegative")
-    if warn_on_stiff:
-        limit = stability_limit(state, model)
-        if dt > limit:
-            warnings.warn(
-                f"dt = {dt:g} exceeds the estimated stability limit {limit:g}",
-                RuntimeWarning, stacklevel=2)
+    limit = stability_limit(state, model)
+    if dt > limit:
+        warnings.warn(
+            f"dt = {dt:g} exceeds the estimated stability limit {limit:g}",
+            RuntimeWarning, stacklevel=2)
     for i in range(1, n_steps + 1):
         state = step_rk4(state, model, dt, step_index=i)
         if callback is not None:

@@ -95,10 +95,10 @@ def random_gradient(grid: Grid, seed: int | np.ndarray, kmax: int = 3) -> Functi
              for rng in map(np.random.default_rng, seeds.ravel())]
 
     def stacked(name):
-        # (n_slots, *seeds.shape, ...): the slot axis first, so that each
-        # slot of the result is one contiguous block
-        arr = np.array([[getattr(md, name) for md in per_seed] for per_seed in draws])
-        return np.moveaxis(arr, 0, 1).reshape((n_slots,) + seeds.shape + arr.shape[2:])
+        # (n_slots, *seeds.shape, ...) in C order: fourier_field lays out its
+        # result as its inputs, so each slot of the result is C-contiguous
+        arr = np.array([[getattr(md, name) for md in slot] for slot in zip(*draws)])
+        return arr.reshape((n_slots,) + seeds.shape + arr.shape[2:])
 
     f = fourier_field(grid, FourierModes(amps=stacked("amps"), kvecs=stacked("kvecs"),
                                          phases=stacked("phases")))

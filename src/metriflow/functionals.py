@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 
 FAMILIES = ("GE", "GNS", "CHE0", "CHE1", "CHNS0", "CHNS1")
 DIFFUSE_FAMILIES = ("CHE0", "CHE1", "CHNS0", "CHNS1")
+DISSIPATIVE_FAMILIES = ("GNS", "CHNS0", "CHNS1")
 
 
 class _lazy:
@@ -85,7 +86,7 @@ class ModelConfig:
 
     @property
     def is_dissipative(self) -> bool:
-        return self.family in ("GNS", "CHNS0", "CHNS1")
+        return self.family in DISSIPATIVE_FAMILIES
 
     @property
     def a(self) -> int:

@@ -372,8 +372,7 @@ def _onsager_blocks(T, mu, v3, eta, zeta, kap3, dmat3) -> OnsagerBlocks:
     return OnsagerBlocks(L_mm=L_mm, L_me=L_me, L_ee=L_ee, L_ec=L_ec, L_cc=L_cc)
 
 
-def onsager_blocks(rho: float, s: float, c: float, v, model: ModelConfig,
-                   transport: TransportCoefficients | None = None) -> OnsagerBlocks:
+def onsager_blocks(rho: float, s: float, c: float, v, model: ModelConfig) -> OnsagerBlocks:
     """Onsager blocks at a single thermodynamic point.
 
     v is the velocity, given with up to three components (missing ones are
@@ -381,7 +380,7 @@ def onsager_blocks(rho: float, s: float, c: float, v, model: ModelConfig,
     ParameterError if kappa or dcoef is a callable: a field coefficient has
     no value at a point without a state.
     """
-    tr = transport if transport is not None else model.transport
+    tr = model.transport
     if tr is None:
         raise ValueError("transport coefficients required")
     for name in ("kappa", "dcoef"):

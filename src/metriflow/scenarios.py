@@ -21,7 +21,7 @@ import numpy as np
 from .anisotropy import parse_anisotropy
 from .errors import ConfigError, ParameterError
 from .fields import FourierModes, fourier_field
-from .functionals import FAMILIES, ModelConfig, State
+from .functionals import DIFFUSE_FAMILIES, DISSIPATIVE_FAMILIES, FAMILIES, ModelConfig, State
 from .grid import Grid
 from .metriplectic import TransportCoefficients
 from .thermo import EosParams, SurfaceCoefficients
@@ -106,17 +106,16 @@ def _dense_modes(rng: np.random.Generator, dim: int, kmax: int) -> FourierModes:
                         phases=rng.uniform(0.0, 2.0 * np.pi, size=n))
 
 
-def _noise(grid: Grid, seed: int, amp: float, kmax: int | None = None) -> np.ndarray:
+def _noise(grid: Grid, seed: int, amp: float) -> np.ndarray:
     """Seeded broadband noise normalized to peak amplitude amp.
 
-    The spectrum is dense up to kmax, so the linearly unstable band of the
-    mixture is always seeded regardless of the seed value (sparse random
-    mode draws can miss it entirely, leaving nothing to grow).
+    The spectrum is dense up to |k| = 16 in 1D and 6 in 2D, so the linearly
+    unstable band of the mixture is always seeded regardless of the seed
+    value (sparse random mode draws can miss it entirely, leaving nothing
+    to grow).
     """
     rng = np.random.default_rng(seed)
-    if kmax is None:
-        kmax = 16 if grid.dim == 1 else 6
-    field = fourier_field(grid, _dense_modes(rng, grid.dim, kmax))
+    field = fourier_field(grid, _dense_modes(rng, grid.dim, 16 if grid.dim == 1 else 6))
     peak = float(np.abs(field).max())
     return amp * field / peak if peak > 0 else field
 
@@ -164,6 +163,11 @@ def _bad_value(key: str, exc: ValueError) -> ConfigError:
     return ConfigError(f"bad value for {key!r}: {exc}")
 
 
+# the model parameters named otherwise than their settings; every other
+# parameter (of the grid, the transport, the surface) is named as its setting
+_SETTING_OF = {"lambda_V": "lambda_v", "anisotropy": "gamma"}
+
+
 def _build_model(p: dict) -> ModelConfig:
     """The model of the resolved settings p; a model parameter out of its
     domain is a ConfigError that names the setting it came from."""
@@ -177,26 +181,17 @@ def _build_model(p: dict) -> ModelConfig:
         raise _bad_value("gamma", exc) from None
     try:
         eos = EosParams(lambda_V=p["lambda_v"])
-    except ValueError as exc:
-        raise _bad_value("lambda_v", exc) from None
-    try:
-        # the grid's and the transport's parameters are named as the settings
         grid = Grid(dim=dim, n=(p["n"],) * dim, length=(p["length"],) * dim)
         transport = TransportCoefficients(
             eta=p["eta"], zeta=p["zeta"], kappa=p["kappa"], dcoef=p["dcoef"],
-        ) if family in ("GNS", "CHNS0", "CHNS1") else None
-    except ParameterError as exc:
-        raise _bad_value(exc.name, exc) from None
-    if family.startswith("CH"):
-        surface = SurfaceCoefficients(lambda_u=p["lambda_u"],
-                                      lambda_s=p["lambda_s"])
-    else:
-        surface = SurfaceCoefficients(lambda_u=0.0, lambda_s=0.0)
-    try:
+        ) if family in DISSIPATIVE_FAMILIES else None
+        surface = SurfaceCoefficients(
+            lambda_u=p["lambda_u"], lambda_s=p["lambda_s"],
+        ) if family in DIFFUSE_FAMILIES else SurfaceCoefficients()
         return ModelConfig(family=family, grid=grid, eos=eos, surface=surface,
                            anisotropy=anisotropy, transport=transport)
-    except ParameterError as exc:  # the anisotropy, set as gamma
-        raise _bad_value("gamma", exc) from None
+    except ParameterError as exc:
+        raise _bad_value(_SETTING_OF.get(exc.name, exc.name), exc) from None
 
 
 def double_tanh_profile(x: np.ndarray, length: float, width: float) -> np.ndarray:

@@ -6,6 +6,7 @@ deliberately heavier than the unit tests: full trial counts, full runs.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from metriflow import (Grid, ModelConfig, SurfaceCoefficients,
                        poisson_bracket, sectional_curvature, smooth_state,
                        total_rhs, zero_crossings)
 from metriflow.fields import random_gradient
-from metriflow.functionals import FAMILIES, State, generalized_mu
+from metriflow.functionals import DISSIPATIVE_FAMILIES, FAMILIES, State, generalized_mu
 from metriflow.metriplectic import lam4
 from metriflow.scenarios import analytic_capillary_force
-from metriflow.verification import DISSIPATIVE, model_for
+from metriflow.verification import model_for
 
 IDEAL = ("GE", "CHE0", "CHE1")
 
@@ -60,7 +61,7 @@ def test_01_bracket_axioms():
             lin = poisson_bracket(a * F + G, G, state, model)
             ref = a * fg + poisson_bracket(G, G, state, model)
             worst = max(worst, abs(lin - ref) / scale)
-            if family in DISSIPATIVE:
+            if family in DISSIPATIVE_FAMILIES:
                 K = random_gradient(grid, base + 2)
                 N = random_gradient(grid, base + 3)
                 b = kn_4bracket(F, G, K, N, state, model)
@@ -120,7 +121,7 @@ def test_03_energy_conservation():
             model = model_for(family, g)
             state = smooth_state(g, model, seed=29, kmax=2)
             Hg = grad_H(state, model)
-            rhs = dissipative_rhs(state, model) if family in DISSIPATIVE \
+            rhs = dissipative_rhs(state, model) if family in DISSIPATIVE_FAMILIES \
                 else total_rhs(state, model)
             residuals.append(abs(Hg.dot(rhs, g))
                              / (Hg.norm(g) * max(rhs.norm(g), 1e-30)))
@@ -141,7 +142,7 @@ def test_04_entropy_production():
     worst_pair = 0.0
     worst_cross = 0.0
     for trial in range(1000):
-        family = DISSIPATIVE[trial % 3]
+        family = DISSIPATIVE_FAMILIES[trial % 3]
         model = model_for(family, grid)
         state = smooth_state(grid, model, seed=int(rng.integers(1 << 30)),
                              amp=0.15)
@@ -168,8 +169,7 @@ def test_05_exact_budgets():
         state = smooth_state(g, model, seed=37)
         mass0 = g.integrate(state.rho)
         conc0 = g.integrate(state.ctilde)
-        final = integrate(state, model, dt=1e-4, n_steps=1000,
-                          warn_on_stiff=False)
+        final = integrate(state, model, dt=1e-4, n_steps=1000)
         worst = max(worst,
                     abs(g.integrate(final.rho) - mass0) / abs(mass0),
                     abs(g.integrate(final.ctilde) - conc0) / max(abs(conc0), 1e-3))
@@ -224,7 +224,7 @@ def test_07_onsager_matrix():
         s = float(rng.uniform(-0.5, 0.5))
         c = float(rng.uniform(-1.5, 1.5))
         v3 = rng.uniform(-1, 1, size=3)
-        blocks = onsager_blocks(rho, s, c, v3, model, transport=tr)
+        blocks = onsager_blocks(rho, s, c, v3, replace(model, transport=tr))
         L = blocks.assemble()
         scale = max(float(np.abs(L).max()), 1.0)
         worst_sym = max(worst_sym, float(np.abs(L - L.T).max()) / scale)
@@ -344,8 +344,7 @@ def test_11_temporal_order():
     state0 = smooth_state(grid, model, seed=47, amp=0.05)
     finals = []
     for n_steps in (10, 20, 40, 80):
-        st = integrate(state0, model, 0.05 / n_steps, n_steps,
-                       warn_on_stiff=False)
+        st = integrate(state0, model, 0.05 / n_steps, n_steps)
         finals.append(np.concatenate([st.m.ravel(), st.rho.ravel(),
                                       st.ctilde.ravel(), st.sigma.ravel()]))
     errs = [float(np.abs(a - b).max()) for a, b in zip(finals[:-1], finals[1:])]

@@ -24,6 +24,16 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def cli_subprocess(*argv, timeout=120):
+    """Run the CLI in a fresh interpreter, as a user does: warnings reach
+    its stderr unrecorded."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, "-m", "metriflow.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def read_csv_column(path, name):
     lines = path.read_text().splitlines()
     idx = lines[0].split(",").index(name)
@@ -71,13 +81,42 @@ def test_reruns_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_integration_failure_reports_step(tmp_path, capsys):
-    code = run_cli("run", "--scenario", "heat_relax", "--dt", "5.0",
-                   "--t-end", "10.0", "--out", str(tmp_path / "o"))
-    assert code == EXIT_INTEGRATION
-    err = capsys.readouterr().err
-    assert "step" in err
-    assert "last diagnostics row" in err
+def test_integration_failure_reports_step(tmp_path):
+    proc = cli_subprocess("run", "--scenario", "heat_relax", "--dt", "5.0",
+                          "--t-end", "10.0", "--out", str(tmp_path / "o"))
+    assert proc.returncode == EXIT_INTEGRATION
+    assert "exceeds the estimated stability limit" in proc.stderr
+    assert "integration failed at step 1" in proc.stderr
+    assert "last diagnostics row" in proc.stderr
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(ConfigError, match="missing.cfg"):
+        parse_config_file(str(missing))
+    assert run_cli("run", "--config", str(missing)) == EXIT_CONFIG
+    assert f"config error: cannot read config file {missing}" in capsys.readouterr().err
+
+
+def test_unwritable_run_output_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run_cli("run", "--scenario", "heat_relax", "--t-end", "0.002",
+                   "--out", str(blocker / "x"))
+    assert code == EXIT_CONFIG
+    assert str(blocker / "x") in capsys.readouterr().err
+
+
+def test_unwritable_verify_output_fails_before_the_suites(tmp_path, monkeypatch,
+                                                         capsys):
+    def no_suites(seed, level):
+        raise AssertionError("the suites ran before the output was checked")
+
+    monkeypatch.setattr(cli, "verify", no_suites)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli("verify", "--out", str(blocker / "x")) == EXIT_CONFIG
+    assert str(blocker / "x") in capsys.readouterr().err
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
@@ -86,16 +125,11 @@ def test_run_keeps_freed_heap_between_steps(tmp_path):
     """A 64x64 RK4 step frees ~2 MB at its end.  If glibc trims that back
     to the OS, the next step faults it in again (hundreds of minor faults a
     step); run keeps it, so extra steps cost next to no faults."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-
     def faults(t_end):
         before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-        subprocess.run([sys.executable, "-m", "metriflow.cli", "run",
-                        "--scenario", "spinodal2d", "--t-end", t_end,
-                        "--out", str(tmp_path / t_end)],
-                       env=env, check=True, capture_output=True, timeout=120)
+        proc = cli_subprocess("run", "--scenario", "spinodal2d", "--t-end", t_end,
+                              "--out", str(tmp_path / t_end))
+        assert proc.returncode == EXIT_OK, proc.stderr
         return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
 
     # dt = 5e-4: 20 and 60 steps

@@ -120,8 +120,7 @@ def test_rk4_self_convergence_order():
     t_end = 0.05
     finals = []
     for n_steps in (10, 20, 40, 80):
-        st = integrate(state0, model, t_end / n_steps, n_steps,
-                       warn_on_stiff=False)
+        st = integrate(state0, model, t_end / n_steps, n_steps)
         finals.append(np.concatenate([st.m.ravel(), st.rho.ravel(),
                                       st.ctilde.ravel(), st.sigma.ravel()]))
     errs = [np.abs(a - b).max() for a, b in zip(finals[:-1], finals[1:])]
@@ -132,15 +131,17 @@ def test_rk4_self_convergence_order():
 def test_mass_is_conserved_over_a_run():
     state = smooth_state(GRID, GNS, seed=3)
     mass0 = GRID.integrate(state.rho)
-    final = integrate(state, GNS, dt=2e-4, n_steps=200, warn_on_stiff=False)
+    final = integrate(state, GNS, dt=2e-4, n_steps=200)
     assert abs(GRID.integrate(final.rho) - mass0) <= 1e-12 * abs(mass0)
 
 
 def test_integration_error_carries_step_index():
-    # a huge dt destroys admissibility; the failure must report which step
+    # a huge dt destroys admissibility; the failure must report which step,
+    # after the warning that dt exceeds the stability estimate
     state = smooth_state(GRID, GNS, seed=4)
-    with pytest.raises(IntegrationError) as excinfo:
-        integrate(state, GNS, dt=10.0, n_steps=5, warn_on_stiff=False)
+    with pytest.raises(IntegrationError) as excinfo, \
+            pytest.warns(RuntimeWarning, match="stability limit"):
+        integrate(state, GNS, dt=10.0, n_steps=5)
     assert excinfo.value.step == 1
 
 
@@ -162,8 +163,7 @@ def test_integrate_warns_when_dt_exceeds_limit():
 def test_integrate_callback_sees_every_step():
     state = smooth_state(GRID, GE, seed=6)
     seen = []
-    integrate(state, GE, dt=1e-4, n_steps=7,
-              callback=lambda i, st: seen.append(i), warn_on_stiff=False)
+    integrate(state, GE, dt=1e-4, n_steps=7, callback=lambda i, st: seen.append(i))
     assert seen == list(range(1, 8))
 
 

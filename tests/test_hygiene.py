@@ -138,3 +138,37 @@ def sigma_a_reads(path: Path) -> list[str]:
                          ids=lambda p: p.name)
 def test_only_functionals_knows_the_sigma_a_variables(path):
     assert sigma_a_reads(path) == []
+
+
+# which family dissipates and which carries a diffuse interface is stated once,
+# in the family tables of functionals.py; every other module reads them
+def family_names() -> set[str]:
+    """The names in functionals.FAMILIES, read from its source."""
+    for node in ast.parse((SRC / "functionals.py").read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "FAMILIES":
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("functionals.py defines no FAMILIES")
+
+
+def family_literals(path: Path) -> list[str]:
+    """String constants that spell a model family."""
+    names = family_names()
+    return [f"{path.name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Constant) and node.value in names]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "functionals.py"),
+                         ids=lambda p: p.name)
+def test_family_names_are_spelled_only_in_functionals(path):
+    assert family_literals(path) == []
+
+
+def test_only_dynamics_steps_the_state():
+    """One stepping loop: every run advances through dynamics.integrate."""
+    callers = [f"{path.name}:{node.lineno}"
+               for path in SRC.glob("*.py") if path.name != "dynamics.py"
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "step_rk4"]
+    assert callers == []

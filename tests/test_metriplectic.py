@@ -1,6 +1,7 @@
 """Metriplectic 4-bracket, dissipative tendencies, Onsager blocks, curvature."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,7 +339,7 @@ def test_onsager_requires_transport():
 def test_onsager_rejects_callable_coefficient_naming_it(name):
     tr = TransportCoefficients(eta=0.1, **{name: lambda st, mo: 0.5 * (1.0 + st.c ** 2)})
     with pytest.raises(ParameterError, match=name) as info:
-        onsager_blocks(1.0, 0.0, 0.0, np.zeros(3), model_for("GNS"), transport=tr)
+        onsager_blocks(1.0, 0.0, 0.0, np.zeros(3), replace(model_for("GNS"), transport=tr))
     assert info.value.name == name
 
 

@@ -8,6 +8,7 @@ the stacked draws of smooth_state and make_modes.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,9 @@ from metriflow import (AnisotropyFn, FunctionalGradient, Grid, ModelConfig,
                        smooth_state, transform_gradients, untransform_gradients)
 from metriflow import verification
 from metriflow.fields import fourier_field, make_modes, random_gradient
-from metriflow.functionals import FAMILIES
+from metriflow.functionals import DISSIPATIVE_FAMILIES, FAMILIES
 from metriflow.metriplectic import _embed3_matrix, _onsager_blocks
-from metriflow.verification import (CASIMIR_SIZES, DISSIPATIVE, FLOOR,
-                                    ORDER_MIN, _counts, _jsonable,
+from metriflow.verification import (CASIMIR_SIZES, FLOOR, ORDER_MIN, _counts, _jsonable,
                                     _observed_order, model_for, onsager_suite,
                                     verify)
 
@@ -51,7 +51,7 @@ def _model(family, dim, coef_kind="scalar"):
     surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
                                lambda_s=1e-3 if diffuse else 0.0)
     tr = None
-    if family in DISSIPATIVE:
+    if family in DISSIPATIVE_FAMILIES:
         tr = TransportCoefficients(eta=0.01, zeta=0.005,
                                    kappa=_coefficient(coef_kind, dim, 0.02),
                                    dcoef=_coefficient(coef_kind, dim, 0.03))
@@ -80,6 +80,16 @@ def test_random_gradient_batch_stacks_the_single_draws(dim):
         assert np.array_equal(getattr(batch, slot),
                               np.stack([getattr(g, slot) for g in singles]))
     assert singles[0].rho.shape == grid.shape
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_random_gradient_batch_slots_are_c_contiguous(dim):
+    # Grid.deriv copies a strided field to C order before it differences it
+    grid = _grid(dim)
+    for seeds in (SEEDS, SEEDS.reshape(1, -1), int(SEEDS[0])):
+        batch = random_gradient(grid, seeds)
+        for slot in (batch.m, *batch.m, batch.rho, batch.ctilde, batch.sigma):
+            assert slot.flags.c_contiguous, (np.shape(seeds), slot.strides)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -147,7 +157,7 @@ def test_batch_of_one_broadcasts_against_a_batch(family, dim):
 
 @pytest.mark.parametrize("coef_kind", ["scalar", "matrix", "callable"])
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("family", DISSIPATIVE)
+@pytest.mark.parametrize("family", DISSIPATIVE_FAMILIES)
 def test_batched_kn_4bracket_matches_single_calls(family, dim, coef_kind):
     model = _model(family, dim, coef_kind)
     state = smooth_state(model.grid, model, seed=9)
@@ -192,7 +202,8 @@ def test_batched_lam4_stacks_the_single_tensors():
 def test_batched_onsager_blocks_assemble_and_fluxes_match_single_calls():
     singles, args = _onsager_points(7)
     blocks = _onsager_blocks(*args)
-    loop = [onsager_blocks(*point, transport=tr) for *point, tr in singles]
+    loop = [onsager_blocks(rho, s, c, v3, replace(model, transport=tr))
+            for rho, s, c, v3, model, tr in singles]
     for name in ("L_mm", "L_me", "L_ee", "L_ec", "L_cc"):
         assert np.array_equal(getattr(blocks, name),
                               [getattr(b, name) for b in loop]), name
@@ -289,7 +300,7 @@ def _reference_bracket_symmetry(seed, level):
             resid = abs(pb_lin - (a * pb_fg + b * poisson_bracket(G, G, state, model)))
             fam["bilinear"] = max(fam["bilinear"], resid / scale)
 
-            if family in DISSIPATIVE:
+            if family in DISSIPATIVE_FAMILIES:
                 K = random_gradient(grid, base + 2)
                 N = random_gradient(grid, base + 3)
                 b_fgkn = kn_4bracket(F, G, K, N, state, model)
@@ -377,7 +388,7 @@ def _reference_onsager(seed, level):
         s = float(rng.uniform(-0.5, 0.5))
         c = float(rng.uniform(-1.5, 1.5))
         v3 = rng.uniform(-1.0, 1.0, size=3)
-        blocks = onsager_blocks(rho, s, c, v3, model, transport=tr)
+        blocks = onsager_blocks(rho, s, c, v3, replace(model, transport=tr))
         L = blocks.assemble()
         scale = max(float(np.abs(L).max()), 1.0)
         worst_sym = max(worst_sym, float(np.abs(L - L.T).max()) / scale)
@@ -445,4 +456,4 @@ def test_nan_production_bracket_fails_the_symmetry_suite(monkeypatch):
 
     monkeypatch.setattr(verification, "kn_4bracket", nan_for_single)
     result = verification.bracket_symmetry_suite(seed=2, level="fast")
-    assert result.details["failures"] == [(f, "kn_psd") for f in DISSIPATIVE]
+    assert result.details["failures"] == [(f, "kn_psd") for f in DISSIPATIVE_FAMILIES]
