@@ -1,67 +1,56 @@
 """Noncanonical Poisson brackets and the ideal equations of motion.
 
 One bracket serves all families: the base Lie-Poisson bracket of the
-sharp-interface (GE/GNS) system on (m, rho, ctilde, sigma).  The
-diffuse-interface brackets (a=1 and a=0 entropy variables sigma^a) are
-its pullback through the sigma^a change of variables, as is the
-metriplectic 4-bracket: the gradients go through transform_gradients (in
-functionals) and the sigma slot pairs with sigma_total.
-transform_gradients(grad S) is the unit sigma gradient, which the base
-pairings annihilate exactly, so the entropy is a Casimir to roundoff for
-every family.
+sharp-interface (GE/GNS) system, one pairing over the slots of the pack
+(m_1..m_dim, rho, ctilde, sigma) in which every conserved density pairs
+with the gradients' momentum slot in the same way.  The diffuse-interface
+brackets (a=1 and a=0 entropy variables sigma^a) are its pullback through
+the sigma^a change of variables, as is the metriplectic 4-bracket: the
+gradients go through transform_gradients (in functionals) and the sigma
+slot pairs with sigma_total.  transform_gradients(grad S) is the unit
+sigma gradient, which the pairing annihilates exactly, so the entropy is
+a Casimir to roundoff for every family.
 
-The ideal tendencies (ideal_rhs) are the ideal part of the shared kernel in
-metriplectic, so the RHS has one code path.
-
-Each antisymmetric pairing is evaluated as an explicit difference of the
-swapped expression, so antisymmetry holds to exact floating-point negation.
-Bracket/RHS consistency relies on the continuum product rule in the
-momentum slot, so it holds at second order in the grid spacing.
+The pairing is an explicit difference of the swapped terms, so
+antisymmetry holds to exact floating-point negation.  ideal_rhs is the
+ideal part of the shared kernel in metriplectic; it is the tendency the
+bracket generates up to O(h^2) in the momentum slot.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .functionals import (FunctionalGradient, ModelConfig, State, _lift, sigma_total,
-                          transform_gradients)
+from .functionals import (FunctionalGradient, ModelConfig, State, _check_trial_axes, _lift,
+                          sigma_total, transform_gradients)
 from .grid import _csum
 from .metriplectic import _tendencies
 
 
-def _directional(grid, fm, scalar_field):
-    # (fm . grad)(scalar_field), fm a vector field
-    return _csum(fm * grid.grad(scalar_field))
-
-
-def _vec_advect(grid, fm, gm):
-    # vector field with components fm_j d_j gm_i
-    return _csum(fm[:, None] * grid.grad(gm))
-
-
 def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
                     state: State, model: ModelConfig) -> float | np.ndarray:
-    """Poisson bracket of two functional gradients: the base pairings, after
-    transform_gradients and with sigma_total in the sigma slot for a
-    diffuse family.
+    """Poisson bracket of two functional gradients,
+    -integral sum_s w_s [(F.m . grad) G_s - (G.m . grad) F_s] over the pack
+    slots s, w the state's pack with sigma_total in the sigma slot, after
+    transform_gradients for a diffuse family.
 
     Fg and Gg may be batches with the same number of trial axes (sizes
     broadcast); the result is then an array over the trial axes.
     """
+    _check_trial_axes(Fg, Gg)
     g = state.grid
     if model.is_diffuse:
         Fg, Gg = transform_gradients(Fg, state, model), transform_gradients(Gg, state, model)
-    m, rho, ctilde = _lift(state.m, Fg), state.rho, state.ctilde
-    sigma = sigma_total(state, model)
+    w = np.concatenate([state.packed[:-1], sigma_total(state, model)[None]])
 
-    def pair(f_of_FG):
-        return f_of_FG(Fg, Gg) - f_of_FG(Gg, Fg)
+    def advect(A, B):
+        # (A.m . grad) B_s for every slot s, from one grad of B's pack
+        return _csum(A.m[:, None] * g.grad(B.packed))
 
-    integrand = _csum(m * pair(lambda F, G: _vec_advect(g, F.m, G.m)))
-    integrand = integrand + rho * pair(lambda F, G: _directional(g, F.m, G.rho))
-    integrand = integrand + ctilde * pair(lambda F, G: _directional(g, F.m, G.ctilde))
-    integrand = integrand + sigma * pair(lambda F, G: _directional(g, F.m, G.sigma))
-    return -g.integrate(integrand)
+    pairing = advect(Fg, Gg)  # both terms have the broadcast trial shape
+    pairing -= advect(Gg, Fg)
+    pairing *= _lift(w, Fg)
+    return -g.integrate(_csum(pairing))
 
 
 def capillary_force(state: State, model: ModelConfig) -> np.ndarray:

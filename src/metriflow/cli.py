@@ -54,8 +54,9 @@ _COMMENT = re.compile(r"(^|\s)#.*")
 
 
 def parse_config_file(path: str) -> dict:
-    """Parse a flat key = value config file; rejects unknown keys."""
-    values = {}
+    """Parse a flat key = value config file; rejects unknown and repeated
+    keys."""
+    values, line_of = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -66,9 +67,12 @@ def parse_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {line_of[key]}")
+        line_of[key] = lineno
         try:
-            values[key.strip()] = parse_setting(key.strip(), val.strip())
+            values[key] = parse_setting(key, val)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values

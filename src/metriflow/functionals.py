@@ -227,6 +227,14 @@ def _lift(vec: np.ndarray, Fg: FunctionalGradient) -> np.ndarray:
     return vec.reshape(vec.shape[:1] + (1,) * n_trial + vec.shape[1:])
 
 
+def _check_trial_axes(*grads: FunctionalGradient) -> None:
+    """Raise a ValueError naming the shapes unless the gradients have one
+    number of trial axes, lest a component axis line up with a trial axis."""
+    shapes = [X.rho.shape for X in grads]
+    if len({len(shape) for shape in shapes}) > 1:
+        raise ValueError(f"gradients with different numbers of trial axes: rho shapes {shapes}")
+
+
 class Derived:
     """The derived fields of one state under one model, each computed on
     first use and kept, as states are never mutated: ``eos`` (the EOS

@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, UnsupportedFamilyError, require_finite
-from .functionals import (FunctionalGradient, ModelConfig, State, _tendency_to_sigma_a,
-                          grad_H, sigma_total, transform_gradients)
+from .functionals import (FunctionalGradient, ModelConfig, State, _check_trial_axes,
+                          _tendency_to_sigma_a, grad_H, sigma_total, transform_gradients)
 from .grid import _csum, _trace
 from .thermo import eval_eos
 
@@ -60,10 +60,10 @@ class TransportCoefficients:
                     raise ParameterError(name, f"{name} must be nonnegative, got {name} = {val}")
 
     def kappa_of(self, state, model):
-        return _resolve_tensor(self.kappa, state, model)
+        return self.kappa(state, model) if callable(self.kappa) else self.kappa
 
     def dcoef_of(self, state, model):
-        return _resolve_tensor(self.dcoef, state, model)
+        return self.dcoef(state, model) if callable(self.dcoef) else self.dcoef
 
 
 PSD_TOL = 1e-12
@@ -82,12 +82,6 @@ def validate_psd_matrix(mat: np.ndarray, name: str) -> None:
         raise ParameterError(name, f"{name} matrix must be symmetric")
     if np.linalg.eigvalsh(0.5 * (mat + mat.T)).min() < -PSD_TOL:
         raise ParameterError(name, f"{name} matrix must be positive semidefinite")
-
-
-def _resolve_tensor(coef, state, model):
-    if callable(coef):
-        return coef(state, model)
-    return coef
 
 
 def _apply_tensor(coef, w: np.ndarray) -> np.ndarray:
@@ -149,26 +143,22 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     """
     if not model.is_dissipative:
         raise UnsupportedFamilyError(f"family {model.family} has no metriplectic bracket")
+    _check_trial_axes(Fg, Gg, Kg, Ng)
     if model.is_diffuse:
         Fg, Gg, Kg, Ng = (transform_gradients(X, state, model) for X in (Fg, Gg, Kg, Ng))
     g = state.grid
     tr = model.transport
     T = np.asarray(state.derived(model).eos.T)
 
-    def d1(A, B):
-        return B.sigma * g.grad(A.m) - A.sigma * g.grad(B.m)
+    def d(A, B, slot):
+        # per-slot grads: the 4-bracket never differentiates rho
+        return B.sigma * g.grad(getattr(A, slot)) - A.sigma * g.grad(getattr(B, slot))
 
-    def d2(A, B):
-        return B.sigma * g.grad(A.sigma) - A.sigma * g.grad(B.sigma)
-
-    def d3(A, B):
-        return B.sigma * g.grad(A.ctilde) - A.sigma * g.grad(B.ctilde)
-
-    integrand = _pair_sum(d1(Fg, Gg) * _stress(d1(Kg, Ng), tr.eta, tr.zeta))
+    integrand = _pair_sum(d(Fg, Gg, "m") * _stress(d(Kg, Ng, "m"), tr.eta, tr.zeta))
     kappa = tr.kappa_of(state, model)
-    integrand = integrand + _quad_tensor(kappa, d2(Fg, Gg), d2(Kg, Ng)) / T
+    integrand = integrand + _quad_tensor(kappa, d(Fg, Gg, "sigma"), d(Kg, Ng, "sigma")) / T
     dcoef = tr.dcoef_of(state, model)
-    integrand = integrand + _quad_tensor(dcoef, d3(Fg, Gg), d3(Kg, Ng))
+    integrand = integrand + _quad_tensor(dcoef, d(Fg, Gg, "ctilde"), d(Kg, Ng, "ctilde"))
     return g.integrate(integrand / T)
 
 
@@ -185,12 +175,14 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     dissipative part or their sum, all from this one code path, returned
     as views of one pack laid out as State.packed.
 
-    Every flux is in divergence form, so the mass, concentration and
-    total-entropy budgets telescope exactly on the periodic grid.  Each
+    The fluxes go into one buffer whose slots follow State.packed (then
+    mu_Gamma's flux), so its divergence is the tendency pack; the terms not
+    in divergence form are then added in place.  The mass, concentration
+    and total-entropy budgets telescope exactly on the periodic grid.  Each
     stage takes one Grid.deriv call per axis: grad (v, p, T, c), kept on
-    the state's Derived; div of one flux buffer (slots rho, ctilde, sigma,
-    m_1..m_dim, then mu_Gamma's); grad mu_Gamma; div(D grad mu_Gamma);
-    grad c_dot, for the one pullback of the entropy tendency to sigma^a.
+    the state's Derived; div of the flux buffer; grad mu_Gamma;
+    div(D grad mu_Gamma); grad c_dot, for the one pullback of the entropy
+    tendency to sigma^a.
     """
     g, dim = state.grid, state.grid.dim
     dissipative = dissipative and model.is_dissipative
@@ -203,12 +195,12 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     gradv, grad_p, gradT, _ = d.grads
     with_mu = dissipative and model.is_diffuse
     # the advective slots are zero without the ideal part
-    flux = (np.empty if ideal else np.zeros)((dim, 3 + dim + with_mu) + g.shape)
-    m_flux = flux[:, 3:3 + dim]
+    flux = (np.empty if ideal else np.zeros)((dim, dim + 3 + with_mu) + g.shape)
+    m_flux = flux[:, :dim]
     if ideal:
         dens = np.negative(state.packed[dim:])
         np.negative(sigma_total(state, model), out=dens[2])
-        np.multiply(dens[None], v[:, None], out=flux[:, :3])
+        np.multiply(dens[None], v[:, None], out=flux[:, dim:dim + 3])
     if model.is_diffuse:
         cap_stress, mu_flux = d.capillary_stress()
     if dissipative:
@@ -219,34 +211,23 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
             np.add(cap_stress, stress, out=m_flux)
         else:
             m_flux[...] = stress
-        flux[:, 2] += _apply_tensor(kappa, gradT) / T
+        flux[:, dim + 2] += _apply_tensor(kappa, gradT) / T
         if with_mu:
             flux[:, -1] = mu_flux
     else:
         m_flux[...] = cap_stress if model.is_diffuse else 0.0
     div = g.div(flux)
-    out = np.empty((dim + 3,) + g.shape)
-    rhs = FunctionalGradient.of_pack(out, dim)
-    m_dot, rho_dot, ctilde_dot, sigma_dot = rhs.m, rhs.rho, rhs.ctilde, rhs.sigma
-    rho_dot[...] = div[0]
+    rhs = FunctionalGradient.of_pack(div[:dim + 3], dim)
     if ideal:
-        advect = _csum(v[:, None] * gradv)  # v_j d_j v_i
-        np.subtract(div[3:3 + dim], rho * advect, out=m_dot)
+        m_dot = rhs.m
+        m_dot -= rho * _csum(v[:, None] * gradv)  # v_j d_j v_i
         m_dot -= grad_p
-        m_dot += v * rho_dot
-    else:
-        m_dot[...] = div[3:3 + dim]
+        m_dot += v * rhs.rho
     if dissipative:
-        mu_gamma = np.asarray(pt.mu)
-        if model.is_diffuse:
-            mu_gamma = mu_gamma - div[-1] / rho
-        grad_mu = g.grad(mu_gamma)
-        np.add(div[1], g.div(_apply_tensor(dcoef, grad_mu)), out=ctilde_dot)
-        np.add(div[2], _production(T, gradv, gradT, grad_mu, tr, kappa, dcoef),
-               out=sigma_dot)
-    else:
-        ctilde_dot[...] = div[1]
-        sigma_dot[...] = div[2]
+        grad_mu = g.grad(pt.mu - div[-1] / rho if with_mu else pt.mu)  # grad mu_Gamma
+        np.add(rhs.ctilde, g.div(_apply_tensor(dcoef, grad_mu)), out=rhs.ctilde)
+        np.add(rhs.sigma, _production(T, gradv, gradT, grad_mu, tr, kappa, dcoef),
+               out=rhs.sigma)
     if model.is_diffuse:
         _tendency_to_sigma_a(rhs, state, model)
     return rhs

@@ -245,6 +245,8 @@ def make_scenario(name: str, seed: int = 0, overrides: dict | None = None) -> Sc
     The override keys are the RunConfig fields other than scenario, seed
     and out; each value is converted to its field's type.
     """
+    if seed < 0:
+        raise ConfigError(f"bad value for 'seed': seed = {seed} is negative")
     params = {**_defaults(name), **(overrides or {})}
     unknown = set(params) - _SCENARIO_SETTINGS
     if unknown:

@@ -91,8 +91,7 @@ def _judge_refinement(residuals: list[float]) -> dict:
 
 def _batch_of_one(Gg: FunctionalGradient) -> FunctionalGradient:
     """Gg with a trial axis of length 1, which broadcasts against a batch."""
-    return FunctionalGradient(m=Gg.m[:, None], rho=Gg.rho[None],
-                              ctilde=Gg.ctilde[None], sigma=Gg.sigma[None])
+    return FunctionalGradient.of_pack(Gg.packed[:, None], len(Gg.m))
 
 
 def bracket_symmetry_suite(seed: int, level: str = "fast") -> SuiteResult:
@@ -393,6 +392,8 @@ _SUITES = {
 
 def verify(seed: int = 1, level: str = "fast") -> dict:
     """Run every suite; returns a JSON-serializable report."""
+    if seed < 0:
+        raise ValueError(f"bad value for 'seed': seed = {seed} is negative")
     _counts(level)  # validate level early
     suites = {}
     for name, suite in _SUITES.items():

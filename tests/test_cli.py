@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import metriflow.cli as cli
-from metriflow import ConfigError
+from metriflow import ConfigError, verification
 from metriflow.cli import (EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK,
                            EXIT_VERIFY, RunConfig, build_parser, main,
                            parse_config_file, resolve_config)
@@ -172,6 +172,13 @@ def test_config_file_unknown_key_cites_line(tmp_path):
         parse_config_file(str(cfg))
 
 
+def test_config_file_repeated_key_cites_both_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 32\nscenario = heat_relax\nn = 48\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:3: key 'n' already set on line 1"):
+        parse_config_file(str(cfg))
+
+
 def test_config_file_bad_syntax(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("just a line\n")
@@ -218,6 +225,21 @@ def test_verify_fast_passes(tmp_path, capsys):
     report = json.loads((out / "verify_report.json").read_text())
     assert report["passed"] is True
     assert report["seed"] == 1
+
+
+def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    # spinodal1d draws its noise from the seed, verify its random trials
+    with pytest.raises(ConfigError, match="bad value for 'seed': seed = -1"):
+        make_scenario("spinodal1d", seed=-1)
+
+    def no_suite(seed, level):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verification, "_SUITES", dict.fromkeys(verification._SUITES, no_suite))
+    out = tmp_path / "v"
+    assert run_cli("verify", "--seed", "-3", "--out", str(out)) == EXIT_CONFIG
+    assert "config error: bad value for 'seed': seed = -3" in capsys.readouterr().err
+    assert not (out / "verify_report.json").exists()
 
 
 def test_verify_reports_are_identical_for_same_seed(tmp_path):
@@ -370,12 +392,16 @@ def test_run_builds_the_scenario_once(tmp_path, monkeypatch):
     (["--gamma", "fourfold:0.05"], None, "bad value for 'gamma': fourfold is 2D only"),
     (["--dim", "2", "--gamma", "fourfold:nan"], None,
      "bad value for 'gamma': fourfold needs |eps4| < 1/15, got eps4 = nan"),
+    (["--seed", "-1"], None, "bad value for 'seed': seed = -1 is negative"),
+    ([], "seed = -2\n", "bad value for 'seed': seed = -2 is negative"),
+    ([], "n = 32\nn = 48\n", "run.cfg:2: key 'n' already set on line 1"),
 ], ids=["dim", "n", "gamma", "zero_steps", "inf_steps", "unknown_key",
         "bad_value", "n_key", "length_key", "eta_key", "zeta_key",
         "lambda_v_key", "gamma_key", "kappa_key", "eta_nan", "zeta_inf",
         "kappa_inf", "dcoef_nan", "lambda_v_nan", "lambda_u_nan",
         "lambda_s_inf", "length_nan", "noise_amp_nan", "dt_nan",
-        "kappa_cfg_inf", "fourfold_1d", "fourfold_nan"])
+        "kappa_cfg_inf", "fourfold_1d", "fourfold_nan", "seed_negative",
+        "seed_cfg_negative", "repeated_key"])
 def test_invalid_settings_exit_2_naming_them(tmp_path, capsys, argv, config,
                                              named):
     if config is not None:

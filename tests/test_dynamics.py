@@ -11,6 +11,7 @@ from metriflow import (FAMILIES, AnisotropyFn, Grid, IntegrationError,
                        dissipative_rhs, eval_eos, ideal_rhs, integrate,
                        smooth_state, stability_limit, step_rk4, total_rhs)
 from metriflow.functionals import State
+from metriflow.scenarios import make_scenario
 
 GRID = Grid(dim=1, n=(32,), length=(1.0,))
 GE = ModelConfig(family="GE", grid=GRID)
@@ -77,29 +78,32 @@ def test_total_rhs_is_ideal_plus_dissipative(family, dim, coef_kind):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_total_rhs_deriv_call_count(dim, monkeypatch):
+def test_total_rhs_deriv_call_count(dim, deriv_calls):
     model = _kernel_model("CHNS1", dim)
     fresh = smooth_state(model.grid, model, seed=22).replace()
     diagnosed = fresh.replace()
     diagnostics(diagnosed, model)
-    calls = []
-    plain = Grid.deriv
-
-    def counted(self, f, axis, out=None):
-        calls.append(axis)
-        return plain(self, f, axis, out=out)
-
-    monkeypatch.setattr(Grid, "deriv", counted)
+    deriv_calls.clear()
     # a fresh state takes one call per axis for each of five stages:
     # grad (v, p, T, c) and the four below
     total_rhs(fresh, model)
-    assert len(calls) == 5 * dim
+    assert len(deriv_calls) == 5 * dim
     # a diagnosed state already holds grad (v, p, T, c), so the
     # kernel takes one call per axis for each of its other four stages: the
     # flux divergences, grad mu_Gamma, div(D grad mu_Gamma) and grad c_dot
-    calls.clear()
+    deriv_calls.clear()
     total_rhs(diagnosed, model)
-    assert len(calls) == 4 * dim
+    assert len(deriv_calls) == 4 * dim
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("spinodal1d", 5), ("spinodal2d", 10), ("heat_relax", 4), ("shear_decay", 8),
+    ("capillary_probe", 5)])
+def test_scenario_rhs_deriv_call_count(name, calls, deriv_calls):
+    scen = make_scenario(name, seed=3)
+    deriv_calls.clear()
+    total_rhs(scen.state, scen.model)
+    assert len(deriv_calls) == calls
 
 
 def test_fixed_point_is_bitwise_stationary():

@@ -155,6 +155,38 @@ def test_batch_of_one_broadcasts_against_a_batch(family, dim):
                           [poisson_bracket(f, Sg, state, model) for f in fs])
 
 
+@pytest.mark.parametrize("family", ["GNS", "CHNS1"])
+def test_gradients_with_different_numbers_of_trial_axes_raise(family):
+    # in 2D a batch of 2 against one gradient would broadcast the gradient's
+    # component axis against the trial axis and give wrong values unnoticed
+    model = _model(family, 2)
+    state = smooth_state(model.grid, model, seed=8)
+    F = random_gradient(model.grid, SEEDS[:2])
+    G = random_gradient(model.grid, 5)
+    shapes = r"rho shapes \[\(2, 16, 16\), \(16, 16\)"
+    with pytest.raises(ValueError, match=r"different numbers of trial axes: " + shapes):
+        poisson_bracket(F, G, state, model)
+    with pytest.raises(ValueError, match="different numbers of trial axes"):
+        kn_4bracket(F, F, F, G, state, model)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_poisson_bracket_deriv_call_count(family, dim, deriv_calls):
+    model = _model(family, dim)
+    state = smooth_state(model.grid, model, seed=8)
+    (F, G), (fs, gs) = _batches(model.grid, 2)
+    one = verification._batch_of_one(gs[0])
+    poisson_bracket(fs[0], gs[0], state, model)  # the state's derived fields
+    # one grad of each gradient's pack, and for a diffuse family one div of
+    # each in transform_gradients, whatever the batch size
+    expected = (4 if model.is_diffuse else 2) * dim
+    for pair in ((fs[0], gs[0]), (F, G), (F, one), (one, one)):
+        deriv_calls.clear()
+        poisson_bracket(*pair, state, model)
+        assert len(deriv_calls) == expected
+
+
 @pytest.mark.parametrize("coef_kind", ["scalar", "matrix", "callable"])
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("family", DISSIPATIVE_FAMILIES)
