@@ -21,7 +21,7 @@ from .grid import Grid
 from .metriplectic import (OnsagerBlocks, TransportCoefficients,
                            dissipative_rhs, entropy_production_rate,
                            kn_4bracket, lam4, metriplectic_2bracket,
-                           onsager_blocks, onsager_fluxes, sectional_curvature)
+                           onsager_blocks, onsager_fluxes)
 from .scenarios import SCENARIO_NAMES, Scenario, make_scenario, zero_crossings
 from .thermo import EosParams, SurfaceCoefficients, ThermoPoint, eval_eos, lambda_f
 from .verification import verify
@@ -43,7 +43,7 @@ __all__ = [
     "Grid",
     "OnsagerBlocks", "TransportCoefficients", "dissipative_rhs",
     "entropy_production_rate", "kn_4bracket", "lam4", "metriplectic_2bracket",
-    "onsager_blocks", "onsager_fluxes", "sectional_curvature",
+    "onsager_blocks", "onsager_fluxes",
     "SCENARIO_NAMES", "Scenario", "make_scenario", "zero_crossings",
     "EosParams", "SurfaceCoefficients", "ThermoPoint", "eval_eos", "lambda_f",
     "verify",

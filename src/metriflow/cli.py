@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import diagnostics, integrate
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError, IntegrationError, require_seed
 from .functionals import FAMILIES, generalized_mu, thermo_point
 from .scenarios import (SCENARIO_NAMES, SETTING_TYPES, RunConfig, Scenario,
                         make_scenario, parse_setting)
@@ -156,13 +156,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    require_seed(args.seed)  # before --out is made
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the suites
-    try:
-        report = verify(seed=args.seed, level=args.level)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    report = verify(seed=args.seed, level=args.level)
     path = outdir / "verify_report.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -37,6 +37,12 @@ class ConfigError(MetriflowError, ValueError):
     """Invalid or unparseable run configuration."""
 
 
+def require_seed(seed: int) -> None:
+    """Raise a ConfigError unless seed, the seed of every random draw, is >= 0."""
+    if seed < 0:
+        raise ConfigError(f"bad value for 'seed': seed = {seed} is negative")
+
+
 class IntegrationError(MetriflowError, RuntimeError):
     """Time integration produced an inadmissible or non-finite state."""
 

@@ -1,14 +1,14 @@
-"""Kulkarni-Nomizu 4-brackets, the tendency kernel, entropy production,
-Onsager blocks, and the sectional-curvature scalar.
+"""Kulkarni-Nomizu 4-brackets, the tendency kernel and its fluxes, entropy
+production, and the Onsager blocks.
 
 The 4-bracket uses the collocated weighted form (weight 1): two symmetric
 bilinear forms, one pointwise in the entropy slot and one built from
 gradients of the momentum / entropy / concentration slots, are combined by
-the Kulkarni-Nomizu product and integrated over the grid.  For the
-diffuse-interface families the bracket is the sharp one pulled back
-through the sigma^a change of variables: the four gradients go through
-transform_gradients (in functionals), which turns the concentration slot
-of grad H into mu_Gamma.  The 2-bracket is (F, H; G, H).
+the Kulkarni-Nomizu product and integrated over the grid.  For the diffuse-
+interface families it is the sharp bracket pulled back through the sigma^a
+change of variables: the four gradients go through transform_gradients (in
+functionals), which turns the concentration slot of grad H into mu_Gamma.
+The 2-bracket is (F, H; G, H); (F, G; F, G) is the sectional curvature.
 
 Viscous contraction uses the full 3D isotropic rank-4 tensor (trace factor
 2/3) in dim x dim form.  Absent velocity components and derivatives are
@@ -17,7 +17,8 @@ and its one contribution to the viscous production is the analytic trace
 term |sym - (tr/3) I_3|^2 = |sym_dd|^2 - tr^2/3.
 
 All tendencies, ideal and dissipative, come from one kernel
-(_tendencies); ideal_rhs, dissipative_rhs and total_rhs select its parts.
+(_tendencies, the divergence of the _fluxes buffer plus the terms not in
+flux form); ideal_rhs, dissipative_rhs and total_rhs select its parts.
 """
 
 from __future__ import annotations
@@ -169,30 +170,15 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     return kn_4bracket(Fg, Hg, Gg, Hg, state, model)
 
 
-def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
-                dissipative: bool = True) -> FunctionalGradient:
-    """Tendencies of (m, rho, ctilde, sigma): the ideal (bracket) part, the
-    dissipative part or their sum, all from this one code path, returned
-    as views of one pack laid out as State.packed.
-
-    The fluxes go into one buffer whose slots follow State.packed (then
-    mu_Gamma's flux), so its divergence is the tendency pack; the terms not
-    in divergence form are then added in place.  The mass, concentration
-    and total-entropy budgets telescope exactly on the periodic grid.  Each
-    stage takes one Grid.deriv call per axis: grad (v, p, T, c), kept on
-    the state's Derived; div of the flux buffer; grad mu_Gamma;
-    div(D grad mu_Gamma); grad c_dot, for the one pullback of the entropy
-    tendency to sigma^a.
-    """
+def _fluxes(state: State, model: ModelConfig, ideal: bool = True,
+            dissipative: bool = True) -> np.ndarray:
+    """The negated fluxes whose divergence is the tendency pack, (dim, slots,
+    *grid.shape), the slots as State.packed then a diffuse dissipative
+    family's mu_Gamma flux: stress (capillary if ideal, viscous if
+    dissipative), -(rho, ctilde, sigma_total) v if ideal, kappa grad T / T."""
     g, dim = state.grid, state.grid.dim
     dissipative = dissipative and model.is_dissipative
-    if not (ideal or dissipative):
-        return FunctionalGradient.zeros(g)
-    rho, v = state.rho, state.v
     d = state.derived(model)
-    pt = d.eos
-    T = np.asarray(pt.T)
-    gradv, grad_p, gradT, _ = d.grads
     with_mu = dissipative and model.is_diffuse
     # the advective slots are zero without the ideal part
     flux = (np.empty if ideal else np.zeros)((dim, dim + 3 + with_mu) + g.shape)
@@ -200,34 +186,56 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     if ideal:
         dens = np.negative(state.packed[dim:])
         np.negative(sigma_total(state, model), out=dens[2])
-        np.multiply(dens[None], v[:, None], out=flux[:, dim:dim + 3])
+        np.multiply(dens[None], state.v[:, None], out=flux[:, dim:dim + 3])
     if model.is_diffuse:
         cap_stress, mu_flux = d.capillary_stress()
     if dissipative:
         tr = model.transport
-        kappa, dcoef = tr.kappa_of(state, model), tr.dcoef_of(state, model)
-        stress = _stress(gradv, tr.eta, tr.zeta)
+        stress = _stress(d.grads[0], tr.eta, tr.zeta)
         if ideal and model.is_diffuse:
             np.add(cap_stress, stress, out=m_flux)
         else:
             m_flux[...] = stress
-        flux[:, dim + 2] += _apply_tensor(kappa, gradT) / T
+        flux[:, dim + 2] += _apply_tensor(tr.kappa_of(state, model), d.grads[2]) / d.eos.T
         if with_mu:
             flux[:, -1] = mu_flux
     else:
         m_flux[...] = cap_stress if model.is_diffuse else 0.0
-    div = g.div(flux)
+    return flux
+
+
+def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
+                dissipative: bool = True) -> FunctionalGradient:
+    """Tendencies of (m, rho, ctilde, sigma): the ideal (bracket) part, the
+    dissipative part or their sum, all from this one code path, returned
+    as views of one pack laid out as State.packed: the divergence of
+    _fluxes, with the terms not in divergence form added in place.  The
+    mass, concentration and total-entropy budgets telescope exactly on the
+    periodic grid.  Each stage takes one Grid.deriv call per axis: grad
+    (v, p, T, c), kept on the state's Derived; div of the flux buffer; grad
+    mu_Gamma; div(D grad mu_Gamma); grad c_dot, for the one pullback of the
+    entropy tendency to sigma^a.
+    """
+    g, dim = state.grid, state.grid.dim
+    dissipative = dissipative and model.is_dissipative
+    if not (ideal or dissipative):
+        return FunctionalGradient.zeros(g)
+    div = g.div(_fluxes(state, model, ideal, dissipative))
     rhs = FunctionalGradient.of_pack(div[:dim + 3], dim)
+    rho, v, d = state.rho, state.v, state.derived(model)
+    gradv, grad_p, gradT, _ = d.grads
     if ideal:
         m_dot = rhs.m
         m_dot -= rho * _csum(v[:, None] * gradv)  # v_j d_j v_i
         m_dot -= grad_p
         m_dot += v * rhs.rho
     if dissipative:
-        grad_mu = g.grad(pt.mu - div[-1] / rho if with_mu else pt.mu)  # grad mu_Gamma
+        tr, mu = model.transport, d.eos.mu
+        dcoef = tr.dcoef_of(state, model)
+        grad_mu = g.grad(mu - div[-1] / rho if model.is_diffuse else mu)  # grad mu_Gamma
         np.add(rhs.ctilde, g.div(_apply_tensor(dcoef, grad_mu)), out=rhs.ctilde)
-        np.add(rhs.sigma, _production(T, gradv, gradT, grad_mu, tr, kappa, dcoef),
-               out=rhs.sigma)
+        np.add(rhs.sigma, _production(np.asarray(d.eos.T), gradv, gradT, grad_mu, tr,
+                                      tr.kappa_of(state, model), dcoef), out=rhs.sigma)
     if model.is_diffuse:
         _tendency_to_sigma_a(rhs, state, model)
     return rhs
@@ -393,18 +401,3 @@ def onsager_fluxes(blocks: OnsagerBlocks, aff_e: np.ndarray, aff_m: np.ndarray,
     J_c = _matvec(blocks.L_ec.swapaxes(-1, -2), aff_e) + _matvec(blocks.L_cc, aff_c)
     return J_m, J_e, J_c
 
-
-def sectional_curvature(Fg, Gg, sigma_form: Callable, m_form: Callable) -> float:
-    """K(F, G) for two symmetric bilinear forms on gradients.
-
-    K = |F|^2_Sigma |G|^2_M - 2 <F,G>_Sigma <F,G>_M + |G|^2_Sigma |F|^2_M;
-    nonnegative whenever both forms are psd.
-    """
-    sfg, sgf = sigma_form(Fg, Gg), sigma_form(Gg, Fg)
-    mfg, mgf = m_form(Fg, Gg), m_form(Gg, Fg)
-    scale = max(abs(sfg), abs(mfg), 1.0)
-    if abs(sfg - sgf) > 1e-9 * scale or abs(mfg - mgf) > 1e-9 * scale:
-        raise ValueError("bilinear form specs must be symmetric")
-    return (sigma_form(Fg, Fg) * m_form(Gg, Gg)
-            - 2.0 * sfg * mfg
-            + sigma_form(Gg, Gg) * m_form(Fg, Fg))

@@ -19,7 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .anisotropy import parse_anisotropy
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, require_seed
 from .fields import FourierModes, fourier_field
 from .functionals import DIFFUSE_FAMILIES, DISSIPATIVE_FAMILIES, FAMILIES, ModelConfig, State
 from .grid import Grid
@@ -245,8 +245,7 @@ def make_scenario(name: str, seed: int = 0, overrides: dict | None = None) -> Sc
     The override keys are the RunConfig fields other than scenario, seed
     and out; each value is converted to its field's type.
     """
-    if seed < 0:
-        raise ConfigError(f"bad value for 'seed': seed = {seed} is negative")
+    require_seed(seed)
     params = {**_defaults(name), **(overrides or {})}
     unknown = set(params) - _SCENARIO_SETTINGS
     if unknown:

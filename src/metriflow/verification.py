@@ -14,22 +14,21 @@ floor accepted for residuals that are exactly zero discretely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .brackets import poisson_bracket
 from .dynamics import integrate, total_rhs
+from .errors import require_seed
 from .fields import random_gradient, smooth_state
 from .functionals import (DIFFUSE_FAMILIES, DISSIPATIVE_FAMILIES, FAMILIES,
-                          FunctionalGradient, ModelConfig, grad_H, grad_S)
+                          FunctionalGradient, ModelConfig, State, grad_H, grad_S)
 from .grid import Grid
-from .metriplectic import (TransportCoefficients, _embed3_matrix, _matvec,
-                           _onsager_blocks, _trailing, dissipative_rhs,
-                           entropy_production_rate, kn_4bracket, lam4,
-                           metriplectic_2bracket, onsager_fluxes,
-                           sectional_curvature)
-from .thermo import EosParams, SurfaceCoefficients, eval_eos
+from .metriplectic import (TransportCoefficients, _apply_tensor, _embed3_matrix, _fluxes,
+                           _onsager_blocks, dissipative_rhs, entropy_production_rate,
+                           kn_4bracket, metriplectic_2bracket, onsager_fluxes)
+from .thermo import EosParams, SurfaceCoefficients
 
 ORDER_MIN = 1.9
 FLOOR = 1e-12
@@ -37,9 +36,6 @@ FLOOR = 1e-12
 # on each; were one to leave a residual, the order of the two finest would
 # tell an O(h^2) discretization error from a defect that does not shrink
 CASIMIR_SIZES = (16, 32, 64, 128)
-# trials per batched evaluation in onsager_suite: all 1,000 trials of level
-# full at once would raise the peak RSS of `verify --level full` by ~19%
-ONSAGER_BLOCK = 100
 
 
 @dataclass
@@ -51,10 +47,10 @@ class SuiteResult:
 
 def _counts(level: str) -> dict:
     if level == "fast":
-        return dict(sym=25, casimir=6, curvature=200, onsager=200,
+        return dict(sym=25, casimir=6, onsager_states=1,
                     production=150, crosspath=10, budget_steps=50)
     if level == "full":
-        return dict(sym=200, casimir=50, curvature=1000, onsager=1000,
+        return dict(sym=200, casimir=50, onsager_states=2,
                     production=1000, crosspath=30, budget_steps=200)
     raise ValueError(f"unknown level {level!r}; use 'fast' or 'full'")
 
@@ -191,125 +187,98 @@ def casimir_convergence_suite(seed: int, level: str = "fast") -> SuiteResult:
 
 
 def curvature_suite(seed: int, level: str = "fast") -> SuiteResult:
-    """Nonnegative sectional curvature for psd forms; positive for pd."""
-    n_trials = _counts(level)["curvature"]
+    """Positive sectional curvature K(F, G) = (F, G; F, G) of each dissipative
+    model's 4-bracket, the smallest K per family over one batch of random
+    gradient pairs, on the state of bracket_symmetry_suite."""
+    n_trials = _counts(level)["sym"]
+    grid = Grid(dim=1, n=(32,), length=(1.0,))
+    base = np.random.default_rng(seed).integers(0, 2 ** 31, size=n_trials)
+    F, G = random_gradient(grid, base), random_gradient(grid, base + 1)
+    min_k = {}
+    for family in DISSIPATIVE_FAMILIES:
+        model = model_for(family, grid)
+        state = smooth_state(grid, model, seed=seed + 7)
+        # np.min keeps a NaN, which then fails the comparison below
+        min_k[family] = float(np.min(kn_4bracket(F, G, F, G, state, model)))
+    return SuiteResult("curvature", all(k > 0.0 for k in min_k.values()),
+                       dict(min_curvature=min_k, trials_per_family=n_trials))
+
+
+def _cells3(x: np.ndarray, grid: Grid) -> np.ndarray:
+    """A field with leading component axes (each of length dim) as one row
+    per cell, the components zero-padded to length 3."""
+    k = x.ndim - grid.dim
+    x = np.pad(x, [(0, 3 - grid.dim)] * k + [(0, 0)] * grid.dim)
+    return np.moveaxis(x.reshape(x.shape[:k] + (-1,)), -1, 0)
+
+
+def _onsager_cells(state: State, model: ModelConfig):
+    """Per cell: the asymmetry and least eigenvalue of the assembled Onsager
+    matrix (mu = mu_Gamma), and the largest gap between onsager_fluxes and
+    the kernel's fluxes, J_m = -stress and J_s = -kappa grad T / T from
+    _fluxes, J_c = -D grad mu_Gamma and J_e = T J_s + mu_Gamma J_c + v . J_m;
+    each relative to its own scale."""
+    g, dim, tr = state.grid, state.grid.dim, model.transport
+    d = state.derived(model)
+    T, mu = np.asarray(d.eos.T), d.mu_gamma
+    gradv, _, gradT, _ = d.grads
+    grad_mu = g.grad(mu)
+    flux = _fluxes(state, model, ideal=False)  # holds -J_m and -J_s
+    K_c = -_apply_tensor(tr.dcoef_of(state, model), grad_mu)
+    K_e = T * -flux[:, dim + 2] + mu * K_c + (-flux[:, :dim] * state.v).sum(axis=1)
+    K_m, K_e, K_c, T, mu, v3, gT, gv, gmu = (_cells3(x, g) for x in (
+        -flux[:, :dim], K_e, K_c, T, mu, state.v, gradT, gradv, grad_mu))
+
+    blocks = _onsager_blocks(T, mu, v3, tr.eta, tr.zeta, _embed3_matrix(tr.kappa),
+                             _embed3_matrix(tr.dcoef))
+    T2 = T * T
+    J_m, J_e, J_c = onsager_fluxes(
+        blocks, -gT / T2[:, None],
+        -gv / T[:, None, None] + gT[:, :, None] * v3[:, None, :] / T2[:, None, None],
+        -gmu / T[:, None] + mu[:, None] * gT / T2[:, None])
+    J_m[:, dim:] = J_m[:, :, dim:] = 0.0  # the out-of-plane stress enters no divergence
+    J = np.concatenate([J_m.reshape(-1, 9), J_e, J_c], axis=-1)
+    K = np.concatenate([K_m.reshape(-1, 9), K_e, K_c], axis=-1)
+    L = blocks.assemble()
+    L_t = L.swapaxes(-1, -2)
+    scale = np.maximum(np.abs(L).max(axis=(-2, -1)), 1.0)
+    # one scratch array, L - L^T and then 2 sym(L), holds down the peak RSS
+    work = np.subtract(L, L_t)
+    sym = np.abs(work, out=work).max(axis=(-2, -1)) / scale
+    np.add(L, L_t, out=work)
+    return (sym, np.linalg.eigvalsh(np.multiply(work, 0.5, out=work)).min(axis=-1) / scale,
+            np.abs(J - K).max(axis=-1) / np.maximum(np.abs(K).max(axis=-1), 1.0))
+
+
+def onsager_suite(seed: int, level: str = "fast") -> SuiteResult:
+    """Symmetry / psd of the assembled L, and onsager_fluxes against the
+    kernel's fluxes, at all cells at once of 1D and 2D states, each with its
+    own random transport coefficients, per dissipative family."""
+    n_states = _counts(level)["onsager_states"]
     rng = np.random.default_rng(seed)
-    d = 6
-    min_psd = np.inf
-    min_pd = np.inf
-    for _ in range(n_trials):
-        A = rng.standard_normal((d, d))
-        B = rng.standard_normal((d, d))
-        sig_mat = A @ A.T
-        m_mat = B @ B.T
-        F = rng.standard_normal(d)
-        G = rng.standard_normal(d)
-        sig_form = lambda x, y: float(x @ sig_mat @ y)
-        m_form = lambda x, y: float(x @ m_mat @ y)
-        scale = (np.linalg.norm(sig_mat) * np.linalg.norm(m_mat)
-                 * np.linalg.norm(F) ** 2 * np.linalg.norm(G) ** 2)
-        k = sectional_curvature(F, G, sig_form, m_form)
-        # np.minimum / np.maximum keep a NaN, where min / max would drop it
-        min_psd = np.minimum(min_psd, k / scale)
-
-        # strictly positive-definite, non-collinear case
-        sig_pd = sig_mat + 0.1 * np.eye(d)
-        m_pd = m_mat + 0.1 * np.eye(d)
-        cosang = abs(F @ G) / (np.linalg.norm(F) * np.linalg.norm(G))
-        if cosang < 0.999:
-            k_pd = sectional_curvature(
-                F, G, lambda x, y: float(x @ sig_pd @ y),
-                lambda x, y: float(x @ m_pd @ y))
-            min_pd = np.minimum(min_pd, k_pd / scale)
-    passed = bool(min_psd >= -1e-12 and min_pd > 0.0)
-    return SuiteResult("curvature", passed,
-                       dict(min_normalized_psd=float(min_psd),
-                            min_normalized_pd=float(min_pd), trials=n_trials))
-
-
-def _direct_fluxes(eta, zeta, kap3, dmat3, T, mu, v3, gradv, gradT, gradmu):
-    """Textbook flux formulas used as the oracle for the Onsager relation,
-    at one point or over leading trial axes."""
-    lam = lam4(eta, zeta)
-    J_m = -np.einsum("...ijkl,...kl->...ij", lam, gradv)
-    J_c = -_matvec(dmat3, gradmu)
-    J_e = _matvec(J_m, v3) - _matvec(kap3, gradT) - _trailing(mu, 1) * _matvec(dmat3, gradmu)
-    return J_m, J_e, J_c
-
-
-def _flux_abs_max(J_m, J_e, J_c) -> np.ndarray:
-    """The largest |entry| of the three fluxes, per trial (NaN if any is)."""
-    flat = np.concatenate([J_m.reshape(J_e.shape[:-1] + (9,)), J_e, J_c], axis=-1)
-    return np.abs(flat).max(axis=-1)
-
-
-def onsager_suite(seed: int, level: str = "fast",
-                  transport_factory=None) -> SuiteResult:
-    """Symmetry / psd of the assembled L and flux reconstruction.
-
-    Trials are drawn one at a time, in a fixed RNG order, and evaluated
-    ONSAGER_BLOCK at a time with the blocks' leading trial axis.
-    transport_factory, if given, supplies the transport coefficients per
-    trial (any object with eta/zeta/kappa/dcoef); used for fault injection.
-    """
-    n_trials = _counts(level)["onsager"]
-    rng = np.random.default_rng(seed)
-    eos = EosParams()
-    worst_sym = 0.0
+    worst_sym = worst_flux = 0.0
     min_eig = np.inf
-    worst_flux = 0.0
-    for start in range(0, n_trials, ONSAGER_BLOCK):
-        trials = []
-        for _ in range(min(ONSAGER_BLOCK, n_trials - start)):
-            if transport_factory is not None:
-                tr = transport_factory(rng)
-            else:
-                A = rng.standard_normal((3, 3))
-                B = rng.standard_normal((3, 3))
-                tr = TransportCoefficients(
-                    eta=float(rng.uniform(0.0, 1.0)), zeta=float(rng.uniform(0.0, 1.0)),
-                    kappa=A @ A.T, dcoef=B @ B.T)
-            rho = float(rng.uniform(0.5, 2.0))
-            s = float(rng.uniform(-0.5, 0.5))
-            c = float(rng.uniform(-1.5, 1.5))
-            v3 = rng.uniform(-1.0, 1.0, size=3)
-            gradv = rng.uniform(-1, 1, size=(3, 3))
-            gradT = rng.uniform(-1, 1, size=3)
-            gradmu = rng.uniform(-1, 1, size=3)
-            # the EOS and T ** 2 per trial, on floats: on arrays their pow
-            # can differ from the scalar path in the last bit
-            pt = eval_eos(rho, s, c, eos)
-            T = float(pt.T)
-            trials.append((T, float(pt.mu), T ** 2, v3, tr.eta, tr.zeta,
-                           _embed3_matrix(tr.kappa), _embed3_matrix(tr.dcoef),
-                           gradv, gradT, gradmu))
-        T, mu, T2, v3, eta, zeta, kap3, dmat3, gradv, gradT, gradmu = (
-            np.array(col) for col in zip(*trials))
-
-        blocks = _onsager_blocks(T, mu, v3, eta, zeta, kap3, dmat3)
-        L = blocks.assemble()
-        L_t = L.swapaxes(-1, -2)
-        scale = np.maximum(np.abs(L).max(axis=(-2, -1)), 1.0)
-        # array reductions and np.minimum / np.maximum keep a NaN
-        worst_sym = np.maximum(worst_sym, (np.abs(L - L_t).max(axis=(-2, -1)) / scale).max())
-        min_eig = np.minimum(min_eig, (np.linalg.eigvalsh(0.5 * (L + L_t)).min(axis=-1)
-                                       / scale).min())
-
-        # flux reconstruction against the direct formulas
-        aff_e = -gradT / T2[:, None]
-        aff_m = -gradv / T[:, None, None] + gradT[:, :, None] * v3[:, None, :] / T2[:, None, None]
-        aff_c = -gradmu / T[:, None] + mu[:, None] * gradT / T2[:, None]
-        J_m, J_e, J_c = onsager_fluxes(blocks, aff_e, aff_m, aff_c)
-        D_m, D_e, D_c = _direct_fluxes(eta, zeta, kap3, dmat3,
-                                       T, mu, v3, gradv, gradT, gradmu)
-        fs = np.maximum(_flux_abs_max(D_m, D_e, D_c), 1.0)
-        worst_flux = np.maximum(worst_flux, (_flux_abs_max(J_m - D_m, J_e - D_e, J_c - D_c)
-                                             / fs).max())
+    n_cells = 0
+    grids = (Grid(dim=1, n=(32,), length=(1.0,)), Grid(dim=2, n=(16, 16), length=(1.0, 1.0)))
+    for family in DISSIPATIVE_FAMILIES:
+        for grid in grids:
+            for _ in range(n_states):
+                A, B = rng.standard_normal((2, grid.dim, grid.dim))
+                eta, zeta = rng.uniform(0.0, 1.0, size=2)
+                model = replace(model_for(family, grid), transport=TransportCoefficients(
+                    eta=float(eta), zeta=float(zeta), kappa=A @ A.T, dcoef=B @ B.T))
+                state = smooth_state(grid, model, seed=int(rng.integers(0, 2 ** 31)))
+                sym, eig, flux = _onsager_cells(state, model)
+                # array reductions and np.minimum / np.maximum keep a NaN
+                worst_sym = np.maximum(worst_sym, sym.max())
+                min_eig = np.minimum(min_eig, eig.min())
+                worst_flux = np.maximum(worst_flux, flux.max())
+                n_cells += len(sym)
     passed = bool(worst_sym <= 1e-13 and min_eig >= -1e-12 and worst_flux <= 1e-10)
     return SuiteResult("onsager", passed,
                        dict(worst_symmetry=float(worst_sym),
                             min_eigenvalue=float(min_eig),
-                            worst_flux_residual=float(worst_flux), trials=n_trials))
+                            worst_flux_residual=float(worst_flux), cells=n_cells))
 
 
 def production_positivity_suite(seed: int, level: str = "fast") -> SuiteResult:
@@ -392,8 +361,7 @@ _SUITES = {
 
 def verify(seed: int = 1, level: str = "fast") -> dict:
     """Run every suite; returns a JSON-serializable report."""
-    if seed < 0:
-        raise ValueError(f"bad value for 'seed': seed = {seed} is negative")
+    require_seed(seed)
     _counts(level)  # validate level early
     suites = {}
     for name, suite in _SUITES.items():
@@ -409,10 +377,11 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    # bool before int: a bool is an int
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj

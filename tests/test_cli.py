@@ -239,7 +239,25 @@ def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys, monkeypatch
     out = tmp_path / "v"
     assert run_cli("verify", "--seed", "-3", "--out", str(out)) == EXIT_CONFIG
     assert "config error: bad value for 'seed': seed = -3" in capsys.readouterr().err
-    assert not (out / "verify_report.json").exists()
+    assert not out.exists()
+
+
+def test_verify_report_writes_every_passed_flag_as_a_json_boolean(tmp_path):
+    out = tmp_path / "v"
+    assert run_cli("verify", "--seed", "2", "--out", str(out)) == EXIT_OK
+    flags = []
+
+    def collect(obj):
+        if isinstance(obj, dict):
+            flags.extend(v for k, v in obj.items() if k == "passed")
+            obj = list(obj.values())
+        if isinstance(obj, list):
+            for v in obj:
+                collect(v)
+
+    collect(json.loads((out / "verify_report.json").read_text()))
+    assert len(flags) > len(verification._SUITES)
+    assert all(flag is True for flag in flags)
 
 
 def test_verify_reports_are_identical_for_same_seed(tmp_path):
@@ -251,18 +269,20 @@ def test_verify_reports_are_identical_for_same_seed(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_tampered_conductivity_fails_onsager_suite():
-    # inject a non-symmetric kappa matrix through the suite's factory hook
-    from metriflow.verification import onsager_suite
+def test_tampered_conductivity_fails_onsager_suite(monkeypatch):
+    # a non-symmetric kappa matrix, set past TransportCoefficients' own check
+    real = verification.TransportCoefficients
 
-    def tampered(rng):
-        from metriflow.metriplectic import TransportCoefficients
-        tr = TransportCoefficients(eta=0.1, zeta=0.1, kappa=0.5, dcoef=0.2)
-        object.__setattr__(tr, "kappa", np.array([[0.5, 0.3], [0.0, 0.5]]))
+    def tampered(**kwargs):
+        tr = real(**kwargs)
+        if np.ndim(tr.kappa) == 2:  # model_for's scalar kappa is replaced by the suite's
+            object.__setattr__(tr, "kappa", tr.kappa + np.triu(np.full_like(tr.kappa, 0.3), 1))
         return tr
 
-    result = onsager_suite(seed=1, level="fast", transport_factory=tampered)
+    monkeypatch.setattr(verification, "TransportCoefficients", tampered)
+    result = verification.onsager_suite(seed=1, level="fast")
     assert result.passed is False
+    assert result.details["worst_symmetry"] > 1e-13
 
 
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,13 @@
 """Verification suites: a NaN must fail its suite, on whichever grid of a
-refinement study it appears, and the Casimir order estimate must come from
-the asymptotic range."""
+refinement study it appears, a defect injected into the model's 4-bracket
+or fluxes must fail the suite that judges them, and the Casimir order
+estimate must come from the asymptotic range."""
 
 import numpy as np
 import pytest
 
-from metriflow import verification
+from metriflow import metriplectic, verification
+from metriflow.grid import _trace
 from metriflow.verification import CASIMIR_SIZES, casimir_convergence_suite
 
 
@@ -17,12 +19,60 @@ def test_nan_production_fails_the_positivity_suite(monkeypatch):
     assert np.isnan(result.details["min_production"])
 
 
+def test_model_suites_pass_for_seeds_0_to_39():
+    # the suites that judge the model's own 4-bracket and fluxes
+    for seed in range(40):
+        for suite in (verification.curvature_suite, verification.onsager_suite):
+            result = suite(seed, "fast")
+            assert result.passed, (seed, result.details)
+
+
 def test_nan_curvature_fails_the_curvature_suite(monkeypatch):
-    monkeypatch.setattr(verification, "sectional_curvature",
-                        lambda *args, **kwargs: float("nan"))
+    monkeypatch.setattr(verification, "kn_4bracket",
+                        lambda F, *args: np.full(F.rho.shape[:1], np.nan))
     result = verification.curvature_suite(seed=1, level="fast")
     assert not result.passed
-    assert np.isnan(result.details["min_normalized_psd"])
+    assert all(np.isnan(k) for k in result.details["min_curvature"].values())
+
+
+def test_indefinite_stress_fails_the_curvature_suite(monkeypatch):
+    # the viscous form of the 4-bracket turns negative definite
+    monkeypatch.setattr(metriplectic, "_stress",
+                        lambda gradv, eta, zeta: -1.5 * eta * (gradv + gradv.swapaxes(0, 1)))
+    result = verification.curvature_suite(seed=1, level="fast")
+    assert not result.passed
+    assert all(k < 0.0 for k in result.details["min_curvature"].values())
+
+
+def _one_third_stress(gradv, eta, zeta):
+    """_stress with 1/3 in place of the trace factor 2/3."""
+    out = eta * (gradv + gradv.swapaxes(0, 1))
+    for i in range(len(gradv)):
+        out[i, i] += (zeta - eta / 3.0) * _trace(gradv)
+    return out
+
+
+def test_wrong_trace_factor_in_the_stress_fails_the_onsager_suite(monkeypatch):
+    monkeypatch.setattr(metriplectic, "_stress", _one_third_stress)
+    result = verification.onsager_suite(seed=1, level="fast")
+    assert not result.passed
+    assert result.details["worst_flux_residual"] > 1e-3
+
+
+def test_doubled_heat_flux_fails_the_onsager_suite(monkeypatch):
+    plain = metriplectic._fluxes
+
+    def doubled(state, model, *args, **kwargs):
+        flux = plain(state, model, *args, **kwargs)
+        flux[:, state.grid.dim + 2] *= 2.0
+        return flux
+
+    # the kernel and the suite both read the flux buffer
+    for module in (metriplectic, verification):
+        monkeypatch.setattr(module, "_fluxes", doubled)
+    result = verification.onsager_suite(seed=1, level="fast")
+    assert not result.passed
+    assert result.details["worst_flux_residual"] > 1e-3
 
 
 def test_nan_flux_fails_the_onsager_suite(monkeypatch):
