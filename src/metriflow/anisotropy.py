@@ -56,13 +56,21 @@ def gamma_eval(p: np.ndarray, fn: AnisotropyFn) -> tuple[np.ndarray, np.ndarray]
 
     p has vector components along the leading axis; any trailing grid axes
     are handled elementwise.  At the regularized origin Gamma = 0, xi = 0.
+    The cutoff is relative to the RMS of |p| over the trailing len(p) (grid)
+    axes, so each member of a batch of states gets the one it gets alone.
     """
     p = np.asarray(p, dtype=float)
     mag = np.sqrt(_csum(p * p))
     # the mean as sum / size: the same bits as .mean(), without its
-    # Python-level wrapper
-    rms = math.sqrt((mag * mag).sum() / mag.size)
-    cutoff = EPS_REG * (rms if rms > 0 else 1.0)
+    # Python-level wrapper; per member, over its flat run of cells
+    lead = mag.shape[:max(mag.ndim - len(p), 0)]
+    if not lead:
+        rms = math.sqrt((mag * mag).sum() / mag.size)
+        cutoff = EPS_REG * (rms if rms > 0 else 1.0)
+    else:
+        cells = (mag * mag).reshape(lead + (-1,))
+        rms = np.sqrt(cells.sum(axis=-1) / cells.shape[-1]).reshape(lead + (1,) * len(p))
+        cutoff = EPS_REG * np.where(rms > 0, rms, 1.0)
     safe = np.maximum(mag, cutoff)
 
     if fn.kind == "iso":

@@ -30,20 +30,29 @@ def _advance(state: State, rhs: np.ndarray, dt: float) -> State:
     return State(state.grid, packed=state.packed + dt * rhs)
 
 
+def _eigenvalue_bound(coef) -> float:
+    """|coef| of a scalar, else Gershgorin's bound on the largest eigenvalue:
+    the largest absolute row sum, over every cell of a tensor field."""
+    a = np.abs(np.asarray(coef, dtype=float))
+    return float((a if a.ndim < 2 else a.sum(axis=1)).max())
+
+
 def stability_limit(state: State, model: ModelConfig) -> float:
     """Crude explicit step bound from the stiffest linearized scale.
 
     Uses the symbol of the wide (div-grad) central stencil: a diffusive
     operator with coefficient nu contributes at most nu * dim / h^2, and
     the fourth-order interfacial operator at most D * lambda_f * (dim/h^2)^2.
-    The classical four-stage Runge-Kutta method is stable out to about 2.79
-    on the negative real axis and 2.83 on the imaginary axis; 2.5 is used
-    throughout as a margin.
+    A matrix or field coefficient counts with a bound on its largest
+    eigenvalue.  The classical four-stage Runge-Kutta method is stable out
+    to about 2.79 on the negative real axis and 2.83 on the imaginary axis;
+    2.5 is used throughout as a margin.
     """
     g = state.grid
     h = min(g.h)
     dim = g.dim
-    pt = state.derived(model).eos
+    d = state.derived(model)
+    pt = d.eos
     rho_min = float(state.rho.min())
     cs2 = model.eos.gamma_ad * np.asarray(pt.p) / state.rho
     vmax = float(np.abs(state.v).max() + np.sqrt(cs2.max()))
@@ -53,10 +62,10 @@ def stability_limit(state: State, model: ModelConfig) -> float:
         eta_eff = (4.0 / 3.0) * tr.eta + tr.zeta
         if eta_eff > 0:
             limit = min(limit, 2.5 * h * h * rho_min / (dim * eta_eff))
-        kap_max = float(np.max(np.abs(np.asarray(tr.kappa_of(state, model)))))
+        kap_max = _eigenvalue_bound(d.kappa)
         if kap_max > 0:
             limit = min(limit, 2.5 * h * h * rho_min * model.eos.c_v / (dim * kap_max))
-        dmax = float(np.max(np.abs(np.asarray(tr.dcoef_of(state, model)))))
+        dmax = _eigenvalue_bound(d.dcoef)
         if dmax > 0 and model.is_diffuse:
             lam = float(np.max(np.abs(lambda_f(np.asarray(pt.T), model.surface))))
             if lam > 0:

@@ -62,23 +62,41 @@ def fourier_field(grid: Grid, modes: FourierModes) -> np.ndarray:
     return out
 
 
-def smooth_state(grid: Grid, model: ModelConfig, seed: int = 0,
+def _draw_fields(grid: Grid, seed: int | np.ndarray, order, kmax: int) -> np.ndarray:
+    """Fields of len(order) mode sets per seed, each seed's sets drawn in
+    turn from its own stream: field i of the result, of shape (len(order),
+    *seeds.shape, *grid.shape), is the order[i]-th set drawn."""
+    seeds = np.asarray(seed)
+    draws = [[make_modes(rng, grid.dim, kmax=kmax) for _ in order]
+             for rng in map(np.random.default_rng, seeds.ravel())]
+
+    def stacked(name):
+        # (fields, *seeds.shape, ...) in C order: fourier_field lays out its
+        # result as its inputs, so each field of the result is C-contiguous
+        arr = np.array([[getattr(draw[j], name) for draw in draws] for j in order])
+        return arr.reshape((len(order),) + seeds.shape + arr.shape[2:])
+
+    return fourier_field(grid, FourierModes(amps=stacked("amps"), kvecs=stacked("kvecs"),
+                                            phases=stacked("phases")))
+
+
+def smooth_state(grid: Grid, model: ModelConfig, seed: int | np.ndarray = 0,
                  amp: float = 0.1, kmax: int = 3) -> State:
     """An admissible smooth state with O(amp) departures from rest.
 
     Resolution-independent: refining the grid samples the same functions.
+    For a 1-D array of K seeds, the batch of the K states (member axis
+    after the pack's slot axis); each equals the state of its own seed.
     """
-    rng = np.random.default_rng(seed)
-    # the mode sets of rho, the dim components of v, c and s, in that order,
-    # stacked for one fourier_field call
-    modes = [make_modes(rng, grid.dim, kmax=kmax) for _ in range(grid.dim + 3)]
-    f = amp * fourier_field(grid, FourierModes(
-        amps=np.array([md.amps for md in modes]),
-        kvecs=np.array([md.kvecs for md in modes]),
-        phases=np.array([md.phases for md in modes])))
-    rho = 1.0 + f[0]
-    v, c, s = f[1:grid.dim + 1], f[grid.dim + 1], f[grid.dim + 2]
-    state = State(grid=grid, m=rho * v, rho=rho, ctilde=rho * c, sigma=rho * s)
+    dim = grid.dim
+    # each seed draws the modes of rho, v_1..v_dim, c and s in that order; the
+    # pack takes them as (v, rho, c, s) and becomes (m, rho, ctilde, sigma)
+    packed = _draw_fields(grid, seed, [*range(1, dim + 1), 0, dim + 1, dim + 2], kmax)
+    packed *= amp
+    rho = np.add(packed[dim], 1.0, out=packed[dim])
+    packed[:dim] *= rho
+    packed[dim + 1:] *= rho
+    state = State(grid, packed=packed)
     state.validate(model)
     return state
 
@@ -89,17 +107,5 @@ def random_gradient(grid: Grid, seed: int | np.ndarray, kmax: int = 3) -> Functi
     For a 1-D array of K seeds, the batch of the K gradients (trial axis
     after m's component axis); each equals the gradient of its own seed.
     """
-    seeds = np.asarray(seed)
-    n_slots = grid.dim + 3  # m components, rho, ctilde, sigma
-    draws = [[make_modes(rng, grid.dim, kmax=kmax) for _ in range(n_slots)]
-             for rng in map(np.random.default_rng, seeds.ravel())]
-
-    def stacked(name):
-        # (n_slots, *seeds.shape, ...) in C order: fourier_field lays out its
-        # result as its inputs, so each slot of the result is C-contiguous
-        arr = np.array([[getattr(md, name) for md in slot] for slot in zip(*draws)])
-        return arr.reshape((n_slots,) + seeds.shape + arr.shape[2:])
-
-    f = fourier_field(grid, FourierModes(amps=stacked("amps"), kvecs=stacked("kvecs"),
-                                         phases=stacked("phases")))
-    return FunctionalGradient.of_pack(f, grid.dim)
+    return FunctionalGradient.of_pack(_draw_fields(grid, seed, range(grid.dim + 3), kmax),
+                                      grid.dim)

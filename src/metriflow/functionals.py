@@ -100,7 +100,10 @@ class State:
     """Grid fields (m, rho, ctilde, sigma), views of one packed array of
     shape (dim + 3, *grid.shape): m is packed[:dim], then rho, ctilde and
     sigma.  State(grid, m=..., rho=..., ctilde=..., sigma=...) copies the
-    fields into a new pack; State(grid, packed=p) wraps p without a copy."""
+    fields into a new pack; State(grid, packed=p) wraps p without a copy.
+    A pack (dim + 3, *members, *grid.shape) is a batch of states: validate,
+    Derived, H, S and the production act member by member (integrals are
+    arrays over the members); the kernel and the brackets take one state."""
 
     grid: Grid
     packed: np.ndarray
@@ -139,7 +142,7 @@ class State:
         return d
 
     def validate(self, model: ModelConfig) -> None:
-        """Admissibility: finite fields, rho > 0, derived T > 0, p > 0."""
+        """Admissibility: finite fields, rho > 0, derived T and p finite and > 0."""
         if not np.isfinite(self.packed).all():
             for name in ("m", "rho", "ctilde", "sigma"):
                 if not np.isfinite(getattr(self, name)).all():
@@ -147,10 +150,10 @@ class State:
         if (self.rho <= 0).any():
             raise InadmissibleStateError("rho must be positive everywhere")
         pt = self.derived(model).eos
-        if (pt.T <= 0).any():
-            raise InadmissibleStateError("derived temperature must be positive")
-        if (pt.p <= 0).any():
-            raise InadmissibleStateError("derived pressure must be positive")
+        for name, x in (("temperature", pt.T), ("pressure", pt.p)):
+            # min is NaN if any entry is, and NaN > 0 is false
+            if not (x.min() > 0 and x.max() < np.inf):
+                raise InadmissibleStateError(f"derived {name} must be finite and positive")
 
     def replace(self, **kw) -> "State":
         """A new state, in a new pack, with the given fields replaced."""
@@ -239,13 +242,15 @@ class Derived:
     """The derived fields of one state under one model, each computed on
     first use and kept, as states are never mutated: ``eos`` (the EOS
     point), ``grads`` (grad v, grad p, grad T, grad c), ``gamma_xi``
-    (grad c, Gamma, xi), ``weight`` (rho^a) and ``mu_gamma``.  The state
+    (grad c, Gamma, xi), ``weight`` (rho^a), ``mu_gamma`` and the transport
+    coefficients ``kappa`` and ``dcoef``, a callable one called once.  The state
     holds its Derived (``State.derived``), so this holds the state by a
     weak proxy: a strong reference back would make a cycle only the
     collector frees."""
 
     def __init__(self, state: State, model: ModelConfig):
         self.state = weakref.proxy(state)
+        self._ref = weakref.ref(state)  # a coefficient callable gets the State itself
         self.model = model
 
     @_lazy
@@ -270,6 +275,14 @@ class Derived:
     def weight(self) -> np.ndarray:
         """rho^a, the density weight of the surface terms."""
         return self.state.rho ** self.model.a
+
+    @_lazy
+    def kappa(self):
+        return self.model.transport.kappa_of(self._ref(), self.model)
+
+    @_lazy
+    def dcoef(self):
+        return self.model.transport.dcoef_of(self._ref(), self.model)
 
     @_lazy
     def mu_gamma(self) -> np.ndarray:
@@ -302,7 +315,7 @@ def thermo_point(state: State, model: ModelConfig):
     return state.derived(model).eos
 
 
-def hamiltonian(state: State, model: ModelConfig) -> float:
+def hamiltonian(state: State, model: ModelConfig) -> float | np.ndarray:
     """Total energy: kinetic + internal + surface-gradient part."""
     g = state.grid
     d = state.derived(model)
@@ -322,7 +335,7 @@ def sigma_total(state: State, model: ModelConfig) -> np.ndarray:
     return state.sigma
 
 
-def entropy(state: State, model: ModelConfig) -> float:
+def entropy(state: State, model: ModelConfig) -> float | np.ndarray:
     """Entropy functional: integral of the total entropy density."""
     return state.grid.integrate(sigma_total(state, model))
 

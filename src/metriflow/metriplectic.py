@@ -42,7 +42,8 @@ class TransportCoefficients:
 
     kappa and dcoef may be nonnegative scalars (isotropic), constant
     symmetric psd matrices of shape (dim, dim), or callables
-    (state, model) -> tensor field of shape (dim, dim, *grid.shape).
+    (state, model) -> tensor field of shape (dim, dim, *members, *grid.shape),
+    called once per state by Derived.kappa and Derived.dcoef.
     """
 
     eta: float = 0.0
@@ -149,17 +150,16 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
         Fg, Gg, Kg, Ng = (transform_gradients(X, state, model) for X in (Fg, Gg, Kg, Ng))
     g = state.grid
     tr = model.transport
-    T = np.asarray(state.derived(model).eos.T)
+    der = state.derived(model)
+    T = np.asarray(der.eos.T)
 
     def d(A, B, slot):
         # per-slot grads: the 4-bracket never differentiates rho
         return B.sigma * g.grad(getattr(A, slot)) - A.sigma * g.grad(getattr(B, slot))
 
     integrand = _pair_sum(d(Fg, Gg, "m") * _stress(d(Kg, Ng, "m"), tr.eta, tr.zeta))
-    kappa = tr.kappa_of(state, model)
-    integrand = integrand + _quad_tensor(kappa, d(Fg, Gg, "sigma"), d(Kg, Ng, "sigma")) / T
-    dcoef = tr.dcoef_of(state, model)
-    integrand = integrand + _quad_tensor(dcoef, d(Fg, Gg, "ctilde"), d(Kg, Ng, "ctilde"))
+    integrand = integrand + _quad_tensor(der.kappa, d(Fg, Gg, "sigma"), d(Kg, Ng, "sigma")) / T
+    integrand = integrand + _quad_tensor(der.dcoef, d(Fg, Gg, "ctilde"), d(Kg, Ng, "ctilde"))
     return g.integrate(integrand / T)
 
 
@@ -196,7 +196,7 @@ def _fluxes(state: State, model: ModelConfig, ideal: bool = True,
             np.add(cap_stress, stress, out=m_flux)
         else:
             m_flux[...] = stress
-        flux[:, dim + 2] += _apply_tensor(tr.kappa_of(state, model), d.grads[2]) / d.eos.T
+        flux[:, dim + 2] += _apply_tensor(d.kappa, d.grads[2]) / d.eos.T
         if with_mu:
             flux[:, -1] = mu_flux
     else:
@@ -230,12 +230,11 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
         m_dot -= grad_p
         m_dot += v * rhs.rho
     if dissipative:
-        tr, mu = model.transport, d.eos.mu
-        dcoef = tr.dcoef_of(state, model)
+        mu = d.eos.mu
         grad_mu = g.grad(mu - div[-1] / rho if model.is_diffuse else mu)  # grad mu_Gamma
-        np.add(rhs.ctilde, g.div(_apply_tensor(dcoef, grad_mu)), out=rhs.ctilde)
-        np.add(rhs.sigma, _production(np.asarray(d.eos.T), gradv, gradT, grad_mu, tr,
-                                      tr.kappa_of(state, model), dcoef), out=rhs.sigma)
+        np.add(rhs.ctilde, g.div(_apply_tensor(d.dcoef, grad_mu)), out=rhs.ctilde)
+        np.add(rhs.sigma, _production(np.asarray(d.eos.T), gradv, gradT, grad_mu,
+                                      model.transport, d.kappa, d.dcoef), out=rhs.sigma)
     if model.is_diffuse:
         _tendency_to_sigma_a(rhs, state, model)
     return rhs
@@ -255,16 +254,15 @@ def dissipative_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
 def production_density(state: State, model: ModelConfig) -> np.ndarray:
     """Pointwise entropy production rate (nonnegative by construction)."""
     if not model.is_dissipative:
-        return state.grid.zeros()
-    tr = model.transport
+        return np.zeros(state.rho.shape)
     d = state.derived(model)
     gradv, _, gradT, _ = d.grads
-    return _production(np.asarray(d.eos.T), gradv, gradT, state.grid.grad(d.mu_gamma), tr,
-                       tr.kappa_of(state, model), tr.dcoef_of(state, model))
+    return _production(np.asarray(d.eos.T), gradv, gradT, state.grid.grad(d.mu_gamma),
+                       model.transport, d.kappa, d.dcoef)
 
 
 def entropy_production_rate(state: State, model: ModelConfig) -> tuple[np.ndarray, float]:
-    """(pointwise production field, its integral)."""
+    """(pointwise production field, its integral: per member for a batch)."""
     field = production_density(state, model)
     return field, state.grid.integrate(field)
 

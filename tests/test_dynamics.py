@@ -164,6 +164,25 @@ def test_integrate_warns_when_dt_exceeds_limit():
         integrate(state, GNS, dt=2.0 * limit, n_steps=0)
 
 
+def test_stability_limit_counts_the_largest_eigenvalue_of_kappa():
+    # kappa = [[1, 1], [1, 1]] has eigenvalue 2 and largest entry 1; the
+    # bound counts it, and the field of it, as the isotropic kappa = 2
+    grid = Grid(dim=2, n=(16, 16), length=(1.0, 1.0))
+
+    def model(kappa):
+        return ModelConfig(family="GNS", grid=grid, transport=TransportCoefficients(
+            eta=0.01, zeta=0.0, kappa=kappa, dcoef=0.0))
+
+    aniso = model(np.ones((2, 2)))
+    state = smooth_state(grid, aniso, seed=5)
+    limit = stability_limit(state, aniso)
+    assert limit == stability_limit(state, model(2.0)) < 0.003
+    field = model(lambda st, m: np.ones((2, 2) + grid.shape))
+    assert stability_limit(state, field) == limit
+    with pytest.warns(RuntimeWarning, match="exceeds the estimated stability limit"):
+        integrate(state, aniso, dt=0.003, n_steps=0)
+
+
 def test_integrate_callback_sees_every_step():
     state = smooth_state(GRID, GE, seed=6)
     seen = []

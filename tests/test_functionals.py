@@ -13,6 +13,7 @@ from metriflow import (AnisotropyFn, EosParams, FunctionalGradient, Grid,
                        UnsupportedFamilyError, diagnostics, entropy, eval_eos,
                        generalized_mu, grad_H, grad_S,
                        hamiltonian, smooth_state, total_rhs)
+from metriflow import functionals
 from metriflow.dynamics import _advance
 from metriflow.fields import random_gradient
 from metriflow.functionals import sigma_total, thermo_point
@@ -93,6 +94,42 @@ def test_validate_rejects_nonfinite(name, route):
         bad_state = State(GRID1, packed=packed)
     with pytest.raises(InadmissibleStateError, match=f"non-finite entries in {name}"):
         bad_state.validate(model)
+
+
+@pytest.mark.parametrize("members", [False, True])
+@pytest.mark.parametrize("name", ["temperature", "pressure"])
+def test_validate_rejects_an_overflowing_eos(name, members):
+    # exp(s) overflows at s = 800, so T = p = inf; at rho = 1e200, T stays
+    # finite and p = (gamma - 1) rho^2 u_rho overflows alone
+    grid = Grid(dim=1, n=(16,), length=(1.0,))
+    model = make_model("GNS", grid=grid)
+    good = smooth_state(grid, model, seed=2)
+    if name == "temperature":
+        bad = good.replace(sigma=800.0 * good.rho)
+    else:
+        bad = good.replace(rho=1e200 * good.rho, m=1e200 * good.m,
+                           ctilde=1e200 * good.ctilde, sigma=1e200 * good.sigma)
+    if members:  # one member of three overflows
+        bad = State(grid, packed=np.stack([good.packed, bad.packed, good.packed], axis=1))
+    with np.errstate(over="ignore"), pytest.raises(
+            InadmissibleStateError, match=f"derived {name} must be finite and positive"):
+        bad.validate(model)
+
+
+@pytest.mark.parametrize("name, slot", [("temperature", "T"), ("pressure", "p")])
+def test_validate_rejects_a_nan_eos(name, slot, monkeypatch):
+    plain = functionals.eval_eos
+
+    def with_nan(*args):
+        pt = plain(*args)
+        value = getattr(pt, slot).copy()
+        value[3] = np.nan
+        return dataclasses.replace(pt, **{slot: value})
+
+    monkeypatch.setattr(functionals, "eval_eos", with_nan)
+    model = make_model("GNS")
+    with pytest.raises(InadmissibleStateError, match=f"derived {name} must be finite"):
+        smooth_state(GRID1, model, seed=1)
 
 
 def test_derived_fields():

@@ -140,6 +140,25 @@ def test_only_functionals_knows_the_sigma_a_variables(path):
     assert sigma_a_reads(path) == []
 
 
+# a callable kappa or dcoef is called once per state, by Derived.kappa and
+# Derived.dcoef; every other module reads those fields
+COEFFICIENT_RESOLVERS = {"kappa_of", "dcoef_of"}
+
+
+def coefficient_resolutions(path: Path) -> list[str]:
+    """Attribute reads of kappa_of or dcoef_of."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in COEFFICIENT_RESOLVERS]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "functionals.py"],
+                         ids=lambda p: p.name)
+def test_only_derived_resolves_the_transport_coefficients(path):
+    assert coefficient_resolutions(path) == []
+
+
 # which family dissipates and which carries a diffuse interface is stated once,
 # in the family tables of functionals.py; every other module reads them
 def family_names() -> set[str]:

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from metriflow import (Grid, ModelConfig, ParameterError, SurfaceCoefficients,
-                       TransportCoefficients, UnsupportedFamilyError,
+                       TransportCoefficients, UnsupportedFamilyError, diagnostics,
                        dissipative_rhs, entropy_production_rate, eval_eos,
                        grad_H, grad_S, kn_4bracket, lam4,
                        metriplectic_2bracket, onsager_blocks, onsager_fluxes,
-                       smooth_state)
+                       smooth_state, total_rhs)
 from metriflow.fields import random_gradient
 from metriflow.functionals import State
 from metriflow.metriplectic import (PSD_TOL, _stress, _visc_production, production_density,
@@ -98,6 +98,26 @@ def test_callable_coefficients_resolve():
     model = model_for("GNS", transport=tr)
     state = smooth_state(GRID, model, seed=1)
     assert tr.kappa_of(state, model) == 0.5
+
+
+@pytest.mark.parametrize("family", ["GNS", "CHNS1"])
+def test_callable_coefficients_are_called_once_per_state(family):
+    calls = []
+
+    def counted(name, value):
+        def coefficient(state, model):
+            assert type(state) is State
+            calls.append(name)
+            return value
+        return coefficient
+
+    tr = TransportCoefficients(eta=0.01, zeta=0.005, kappa=counted("kappa", 0.02),
+                               dcoef=counted("dcoef", 0.03))
+    model = model_for(family, transport=tr)
+    state = smooth_state(GRID, model, seed=1)
+    total_rhs(state, model)
+    diagnostics(state, model)
+    assert sorted(calls) == ["dcoef", "kappa"]
 
 
 # ------------------------------------------------------------ viscous stress

@@ -1,5 +1,6 @@
 """The trial axis: a batch of functional gradients through the bracket layer,
-and a batch of points through the Onsager layer.
+and a batch of points through the Onsager layer; the member axis: a batch of
+states through Derived, the functionals and the production.
 
 Every batched result must carry the same bits as a loop of single calls,
 and the verify suites that use batches must report exactly what their
@@ -15,16 +16,19 @@ import pytest
 
 from metriflow import (AnisotropyFn, FunctionalGradient, Grid, ModelConfig,
                        State, SurfaceCoefficients, TransportCoefficients,
-                       eval_eos, grad_H, grad_S, kn_4bracket, lam4,
-                       onsager_blocks, onsager_fluxes, poisson_bracket,
-                       smooth_state, transform_gradients, untransform_gradients)
+                       dissipative_rhs, entropy, entropy_production_rate,
+                       eval_eos, grad_H, grad_S, hamiltonian, kn_4bracket, lam4,
+                       metriplectic_2bracket, onsager_blocks, onsager_fluxes,
+                       poisson_bracket, smooth_state, transform_gradients,
+                       untransform_gradients)
 from metriflow import verification
 from metriflow.fields import fourier_field, make_modes, random_gradient
 from metriflow.functionals import DISSIPATIVE_FAMILIES, FAMILIES
-from metriflow.metriplectic import _apply_tensor, _embed3_matrix, _fluxes, _onsager_blocks
+from metriflow.metriplectic import (_apply_tensor, _embed3_matrix, _fluxes, _onsager_blocks,
+                                    production_density)
 from metriflow.verification import (CASIMIR_SIZES, FLOOR, ORDER_MIN, _counts, _jsonable,
                                     _observed_order, model_for, onsager_suite,
-                                    verify)
+                                    production_positivity_suite, verify)
 
 SEEDS = np.array([3, 17, 40, 41, 1 << 30])
 
@@ -40,8 +44,9 @@ def _coefficient(kind, dim, scale):
         return scale * (np.eye(dim) + 0.3 * (np.ones((dim, dim)) - np.eye(dim)))
 
     def field(state, model):
-        # positive, state-dependent tensor field of shape (dim, dim, *grid)
-        eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
+        # positive, state-dependent tensor field of shape (dim, dim, *grid),
+        # with the member axes of a batch of states before the grid's
+        eye = np.eye(dim).reshape((dim, dim) + (1,) * state.c.ndim)
         return scale * eye * (1.0 + state.c ** 2)
     return field
 
@@ -276,6 +281,63 @@ def test_smooth_state_equals_the_per_field_reference(dim, kmax):
             assert np.array_equal(getattr(state, slot), getattr(ref, slot)), (seed, slot)
 
 
+def _member(x, i, grid):
+    """Member i of a batched field: the axis before the grid axes."""
+    return np.take(x, i, axis=x.ndim - grid.dim - 1)
+
+
+MEMBER_CASES = [("GNS", 1), ("CHNS0", 1), ("CHNS1", 1), ("CHNS1", 2)]
+
+
+@pytest.mark.parametrize("coef_kind", ["scalar", "callable"])
+@pytest.mark.parametrize("family, dim", MEMBER_CASES)
+def test_member_batch_matches_the_single_states(family, dim, coef_kind):
+    # 2D models carry the fourfold anisotropy
+    model = _model(family, dim, coef_kind)
+    grid = model.grid
+    batch = smooth_state(grid, model, seed=SEEDS, amp=0.15)
+    singles = [smooth_state(grid, model, seed=int(s), amp=0.15) for s in SEEDS]
+    assert batch.packed.shape == (dim + 3, len(SEEDS)) + grid.shape
+    assert batch.m.shape == (dim, len(SEEDS)) + grid.shape
+    db = batch.derived(model)
+    prod_field, prod = entropy_production_rate(batch, model)
+    assert prod.shape == hamiltonian(batch, model).shape == entropy(batch, model).shape \
+        == (len(SEEDS),)
+    for i, single in enumerate(singles):
+        ds = single.derived(model)
+        assert np.array_equal(batch.packed[:, i], single.packed), i
+        for name in ("u", "T", "p", "mu"):
+            assert np.array_equal(_member(getattr(db.eos, name), i, grid),
+                                  getattr(ds.eos, name)), (i, name)
+        for b, s in zip(db.grads + db.gamma_xi, ds.grads + ds.gamma_xi):
+            assert np.array_equal(_member(b, i, grid), s), i
+        assert np.array_equal(_member(db.mu_gamma, i, grid), ds.mu_gamma), i
+        field_i, prod_i = entropy_production_rate(single, model)
+        assert np.array_equal(_member(prod_field, i, grid), field_i), i
+        assert np.array_equal(_member(production_density(batch, model), i, grid),
+                              production_density(single, model)), i
+        assert prod[i] == prod_i
+        assert hamiltonian(batch, model)[i] == hamiltonian(single, model)
+        assert entropy(batch, model)[i] == entropy(single, model)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_each_member_gets_its_own_rms_cutoff(dim):
+    # beside an O(1) member, a member whose grad c is about 1e-14 keeps its
+    # xi; a cutoff from the RMS of the whole batch (about 1e-12) zeroes it
+    model = _model("CHNS1", dim)
+    grid = model.grid
+    strong, weak = smooth_state(grid, model, seed=4), smooth_state(grid, model, seed=5)
+    wave = np.cos(2 * np.pi * grid.coords()[0]) * np.ones(grid.shape)
+    faint = weak.replace(ctilde=weak.rho * 1e-14 * wave)
+    batch = State(grid, packed=np.stack([strong.packed, faint.packed], axis=1))
+    for i, single in enumerate((strong, faint)):
+        for b, s in zip(batch.derived(model).gamma_xi, single.derived(model).gamma_xi):
+            assert np.array_equal(_member(b, i, grid), s), i
+    gc, _, xi = faint.derived(model).gamma_xi
+    assert np.abs(gc).max() < 1e-12 and np.abs(xi).max() > 0.5
+
+
 def _reference_make_modes(rng, dim, n_modes=4, kmax=3, amp=1.0):
     """make_modes with its zero-row check on numpy rows."""
     kvecs = rng.integers(-kmax, kmax + 1, size=(n_modes, dim))
@@ -393,6 +455,32 @@ def _reference_casimir_convergence(seed, level):
     return details
 
 
+def _reference_production_positivity(seed, level):
+    """production_positivity_suite as one state per trial."""
+    counts = _counts(level)
+    grid = Grid(dim=1, n=(16,), length=(1.0,))
+    rng = np.random.default_rng(seed)
+    min_prod = np.inf
+    worst_pair = 0.0
+    worst_cross = 0.0
+    for trial in range(counts["production"]):
+        family = DISSIPATIVE_FAMILIES[trial % len(DISSIPATIVE_FAMILIES)]
+        model = model_for(family, grid)
+        state = smooth_state(grid, model, seed=int(rng.integers(0, 2 ** 31)),
+                             amp=0.15)
+        _, prod = entropy_production_rate(state, model)
+        min_prod = np.minimum(min_prod, prod)
+        if trial < counts["crosspath"]:
+            Sg = grad_S(state, model)
+            rate = Sg.dot(dissipative_rhs(state, model), grid)
+            scale = max(abs(prod), 1e-30)
+            worst_pair = np.maximum(worst_pair, abs(rate - prod) / scale)
+            two = metriplectic_2bracket(Sg, Sg, state, model)
+            worst_cross = np.maximum(worst_cross, abs(two - prod) / scale)
+    return dict(min_production=float(min_prod), worst_rate_mismatch=float(worst_pair),
+                worst_cross_path=float(worst_cross))
+
+
 def _pad3(x, dim):
     """A dim-vector or dim x dim matrix zero-padded to 3 components."""
     return np.pad(x, [(0, 3 - dim)] * x.ndim)
@@ -456,6 +544,15 @@ def test_batched_onsager_suite_reports_what_the_per_trial_loop_reports(level, se
     for seed in seeds:
         expected = json.dumps(_jsonable(_reference_onsager(seed, level)))
         result = onsager_suite(seed, level)
+        assert result.passed
+        assert json.dumps(_jsonable(result.details)) == expected, seed
+
+
+@pytest.mark.parametrize("level, seeds", [("fast", range(4)), ("full", [1])])
+def test_batched_production_suite_reports_what_the_per_trial_loop_reports(level, seeds):
+    for seed in seeds:
+        expected = json.dumps(_jsonable(_reference_production_positivity(seed, level)))
+        result = production_positivity_suite(seed, level)
         assert result.passed
         assert json.dumps(_jsonable(result.details)) == expected, seed
 
