@@ -34,8 +34,8 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     slots s, w the state's pack with sigma_total in the sigma slot, after
     transform_gradients for a diffuse family.
 
-    Fg and Gg may be batches with the same number of trial axes (sizes
-    broadcast); the result is then an array over the trial axes.
+    Fg and Gg may be batches with the same number of batch axes (sizes
+    broadcast); the result is then an array over the batch axes.
     """
     _check_trial_axes(Fg, Gg)
     g = state.grid
@@ -59,11 +59,10 @@ def capillary_force(state: State, model: ModelConfig) -> np.ndarray:
     Zero for the sharp-interface families; for the diffuse families this is
     the non-pressure part of the interface stress divergence.
     """
-    g = state.grid
     if not model.is_diffuse:
-        return g.zeros_vector()
+        return np.zeros(state.m.shape)
     pi, _ = state.derived(model).capillary_stress()
-    return g.div(pi) / state.rho
+    return state.grid.div(pi) / state.rho
 
 
 def ideal_rhs(state: State, model: ModelConfig) -> FunctionalGradient:

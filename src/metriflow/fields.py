@@ -107,5 +107,4 @@ def random_gradient(grid: Grid, seed: int | np.ndarray, kmax: int = 3) -> Functi
     For a 1-D array of K seeds, the batch of the K gradients (trial axis
     after m's component axis); each equals the gradient of its own seed.
     """
-    return FunctionalGradient.of_pack(_draw_fields(grid, seed, range(grid.dim + 3), kmax),
-                                      grid.dim)
+    return FunctionalGradient(packed=_draw_fields(grid, seed, range(grid.dim + 3), kmax))

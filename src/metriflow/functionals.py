@@ -96,29 +96,48 @@ class ModelConfig:
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class State:
-    """Grid fields (m, rho, ctilde, sigma), views of one packed array of
-    shape (dim + 3, *grid.shape): m is packed[:dim], then rho, ctilde and
-    sigma.  State(grid, m=..., rho=..., ctilde=..., sigma=...) copies the
-    fields into a new pack; State(grid, packed=p) wraps p without a copy.
-    A pack (dim + 3, *members, *grid.shape) is a batch of states: validate,
-    Derived, H, S and the production act member by member (integrals are
-    arrays over the members); the kernel and the brackets take one state."""
+class _Pack:
+    """The slots (m, rho, ctilde, sigma) as views of one pack of shape
+    (dim + 3, *batch, *grid.shape): m is packed[:dim], then rho, ctilde and
+    sigma.  Built from a pack, which it wraps without a copy, or from the
+    four fields, broadcast to one shape and copied into a new pack.
+
+    The batch rule: any state may carry batch (member) axes, and it pairs
+    with gradients batched along the same axes; every function of a state
+    but diagnostics then gives, member by member, the bits of the single
+    states.  Gradients paired with one state may carry trial axes."""
+
+    packed: np.ndarray
+
+    def __init__(self, m=None, rho=None, ctilde=None, sigma=None, *,
+                 packed: np.ndarray | None = None):
+        if packed is None:
+            dim = len(m)
+            packed = np.empty((dim + 3,) + np.broadcast(m[0], rho, ctilde, sigma).shape)
+            packed[:dim], packed[dim], packed[dim + 1], packed[dim + 2] = m, rho, ctilde, sigma
+        elif not (m is rho is ctilde is sigma is None):
+            raise TypeError(f"{type(self).__name__} takes the four fields or packed, not both")
+        dim = len(packed) - 3
+        for name, value in zip(("packed", "m", "rho", "ctilde", "sigma"),
+                               (packed, packed[:dim], *packed[dim:])):
+            object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class State(_Pack):
+    """Grid fields (m, rho, ctilde, sigma) in one pack (see _Pack): a pack
+    (dim + 3, *members, *grid.shape) is a batch of states."""
 
     grid: Grid
-    packed: np.ndarray
 
     def __init__(self, grid: Grid, m=None, rho=None, ctilde=None, sigma=None, *,
                  packed: np.ndarray | None = None):
-        dim = grid.dim
-        if packed is None:
-            packed = np.empty((dim + 3,) + grid.shape)
-            packed[:dim], packed[dim], packed[dim + 1], packed[dim + 2] = m, rho, ctilde, sigma
-        elif not (m is rho is ctilde is sigma is None):
-            raise TypeError("State takes the four fields or packed, not both")
-        for name, value in zip(("grid", "packed", "m", "rho", "ctilde", "sigma"),
-                               (grid, packed, packed[:dim], *packed[dim:])):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "grid", grid)
+        _Pack.__init__(self, m, rho, ctilde, sigma, packed=packed)
+        shape = self.packed.shape
+        if packed is None and (shape[0] != grid.dim + 3
+                               or shape[len(shape) - grid.dim:] != grid.shape):
+            raise ValueError(f"fields of pack shape {shape} do not fit the grid {grid.shape}")
 
     @_lazy
     def v(self) -> np.ndarray:
@@ -161,43 +180,17 @@ class State:
                               ctilde=self.ctilde, sigma=self.sigma) | kw))
 
 
-@dataclass(frozen=True)
-class FunctionalGradient:
-    """Per-field variational derivatives (also reused for tendencies).
-
-    A batch of K gradients stacks them on a trial axis: the scalar slots
-    have shape (K, *grid.shape) and m has (dim, K, *grid.shape), the
-    component axis first as for any stacked vector field.  The brackets,
-    dot and norm then return a (K,) array instead of a float.
-    """
-
-    m: np.ndarray
-    rho: np.ndarray
-    ctilde: np.ndarray
-    sigma: np.ndarray
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "FunctionalGradient":
-        return cls(m=grid.zeros_vector(), rho=grid.zeros(),
-                   ctilde=grid.zeros(), sigma=grid.zeros())
-
-    @classmethod
-    def of_pack(cls, packed: np.ndarray, dim: int) -> "FunctionalGradient":
-        """Slots that view packed, laid out as State.packed (slots first)."""
-        fg = cls(packed[:dim], packed[dim], packed[dim + 1], packed[dim + 2])
-        object.__setattr__(fg, "packed", packed)
-        return fg
-
-    @_lazy
-    def packed(self) -> np.ndarray:
-        """The slots as one State.packed-like array (of_pack's, or a new one)."""
-        return np.concatenate([self.m, self.rho[None], self.ctilde[None],
-                               self.sigma[None]])
+@dataclass(frozen=True, init=False, eq=False)
+class FunctionalGradient(_Pack):
+    """Per-field variational derivatives (also reused for tendencies), in
+    one pack (see _Pack).  The brackets, dot and norm return an array over
+    the batch axes, a float for one gradient."""
 
     def dot(self, other: "FunctionalGradient", grid: Grid) -> float | np.ndarray:
         """Discrete L2 pairing summed over all slots."""
-        # m's component axis goes behind the trial axes, and each trial's
+        # m's component axis goes behind the batch axes, and each member's
         # components and cells are summed as one flat run, as for one gradient
+        _check_trial_axes(self, other)
         mm = np.moveaxis(self.m * other.m, 0, self.rho.ndim - grid.dim)
         mm = mm.reshape(mm.shape[:mm.ndim - grid.dim - 1] + (-1,) + grid.shape[1:])
         return (grid.integrate(mm) + grid.integrate(self.rho * other.rho)
@@ -209,15 +202,13 @@ class FunctionalGradient:
         return float(np.sqrt(d)) if np.ndim(d) == 0 else np.sqrt(d)
 
     def __add__(self, other):
-        return FunctionalGradient(self.m + other.m, self.rho + other.rho,
-                                  self.ctilde + other.ctilde, self.sigma + other.sigma)
+        return FunctionalGradient(packed=self.packed + other.packed)
 
     def __sub__(self, other):
-        return FunctionalGradient(self.m - other.m, self.rho - other.rho,
-                                  self.ctilde - other.ctilde, self.sigma - other.sigma)
+        return FunctionalGradient(packed=self.packed - other.packed)
 
     def __mul__(self, a):
-        return FunctionalGradient(a * self.m, a * self.rho, a * self.ctilde, a * self.sigma)
+        return FunctionalGradient(packed=a * self.packed)
 
     __rmul__ = __mul__
 
@@ -347,10 +338,8 @@ def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
     v = state.v
     d = state.derived(model)
     pt = d.eos
-    d_m = v
-    d_sigma = np.asarray(pt.T)
     d_rho = -0.5 * _csum(v * v) + pt.u + pt.p / rho - s * pt.T - c * pt.mu
-    d_ctilde = np.asarray(pt.mu).copy()
+    d_ctilde = pt.mu
     if model.is_diffuse and model.surface.lambda_u != 0.0:
         lam_u, a = model.surface.lambda_u, model.a
         _, gamma, xi = d.gamma_xi
@@ -359,16 +348,15 @@ def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
             d_rho = d_rho + 0.5 * lam_u * gamma * gamma
         d_rho = d_rho + c * div_flux / rho
         d_ctilde = d_ctilde - div_flux / rho
-    return FunctionalGradient(m=d_m, rho=d_rho, ctilde=d_ctilde, sigma=d_sigma)
+    return FunctionalGradient(m=v, rho=d_rho, ctilde=d_ctilde, sigma=pt.T)
 
 
 def grad_S(state: State, model: ModelConfig) -> FunctionalGradient:
     """Exact discrete functional derivatives of the entropy functional: the
     unit sigma gradient, taken out of the sigma^a variables where the
     surface entropy is present."""
-    g = state.grid
-    unit = FunctionalGradient(m=g.zeros_vector(), rho=g.zeros(), ctilde=g.zeros(),
-                              sigma=np.ones(g.shape))
+    unit = FunctionalGradient(packed=np.zeros(state.packed.shape))
+    unit.sigma[...] = 1.0
     if model.is_diffuse and model.surface.lambda_s != 0.0:
         return untransform_gradients(unit, state, model)
     return unit

@@ -139,8 +139,8 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
     Antisymmetric in (F, G) and in (K, N), symmetric under pair exchange;
     (S, H; S, H) >= 0 whenever the transport coefficients are psd.  The
-    four gradients may be batches with the same number of trial axes
-    (sizes broadcast); the result is then an array over the trial axes.
+    four gradients may be batches with the same number of batch axes
+    (sizes broadcast); the result is then an array over the batch axes.
     For a diffuse family the gradients first go through transform_gradients.
     """
     if not model.is_dissipative:
@@ -164,8 +164,8 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
 
 def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
-                          state: State, model: ModelConfig) -> float:
-    """(F, G)_H = (F, H; G, H) of two single gradients."""
+                          state: State, model: ModelConfig) -> float | np.ndarray:
+    """(F, G)_H = (F, H; G, H) of two gradients."""
     Hg = grad_H(state, model)
     return kn_4bracket(Fg, Hg, Gg, Hg, state, model)
 
@@ -173,7 +173,7 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 def _fluxes(state: State, model: ModelConfig, ideal: bool = True,
             dissipative: bool = True) -> np.ndarray:
     """The negated fluxes whose divergence is the tendency pack, (dim, slots,
-    *grid.shape), the slots as State.packed then a diffuse dissipative
+    *members, *grid.shape), the slots as State.packed then a diffuse dissipative
     family's mu_Gamma flux: stress (capillary if ideal, viscous if
     dissipative), -(rho, ctilde, sigma_total) v if ideal, kappa grad T / T."""
     g, dim = state.grid, state.grid.dim
@@ -181,7 +181,7 @@ def _fluxes(state: State, model: ModelConfig, ideal: bool = True,
     d = state.derived(model)
     with_mu = dissipative and model.is_diffuse
     # the advective slots are zero without the ideal part
-    flux = (np.empty if ideal else np.zeros)((dim, dim + 3 + with_mu) + g.shape)
+    flux = (np.empty if ideal else np.zeros)((dim, dim + 3 + with_mu) + state.rho.shape)
     m_flux = flux[:, :dim]
     if ideal:
         dens = np.negative(state.packed[dim:])
@@ -219,9 +219,9 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     g, dim = state.grid, state.grid.dim
     dissipative = dissipative and model.is_dissipative
     if not (ideal or dissipative):
-        return FunctionalGradient.zeros(g)
+        return FunctionalGradient(packed=np.zeros(state.packed.shape))
     div = g.div(_fluxes(state, model, ideal, dissipative))
-    rhs = FunctionalGradient.of_pack(div[:dim + 3], dim)
+    rhs = FunctionalGradient(packed=div[:dim + 3])
     rho, v, d = state.rho, state.v, state.derived(model)
     gradv, grad_p, gradT, _ = d.grads
     if ideal:

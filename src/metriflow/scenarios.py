@@ -26,10 +26,6 @@ from .grid import Grid
 from .metriplectic import TransportCoefficients
 from .thermo import EosParams, SurfaceCoefficients
 
-SCENARIO_NAMES = ("spinodal1d", "spinodal2d", "heat_relax", "shear_decay",
-                  "capillary_probe")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """The run-config schema: every run setting and its type.
@@ -120,43 +116,34 @@ def _noise(grid: Grid, seed: int, amp: float) -> np.ndarray:
     return amp * field / peak if peak > 0 else field
 
 
-def _defaults(name: str) -> dict:
-    # spinodal parameters: the well depth lambda_v is kept well below the
-    # background pressure (gamma_ad - 1) * rho * c_v * T so the Laplace
-    # pressure drop across an interface (about lambda_v / 2) cannot
-    # cavitate the density; lambda_f and dcoef are scaled to keep the
-    # unstable band (modes 1..5) and its growth rate of order 10
-    if name == "spinodal1d":
-        return dict(model="chns1", dim=1, n=128, length=1.0,
-                    dt=1.5e-4, t_end=1.0, cadence=500,
-                    lambda_u=3.75e-4, lambda_s=1.25e-4, lambda_v=0.25,
-                    eta=0.01, zeta=0.0, kappa=0.01, dcoef=0.16,
-                    gamma="iso", noise_amp=1e-2)
-    if name == "spinodal2d":
-        return dict(model="chns1", dim=2, n=64, length=1.0,
-                    dt=5e-4, t_end=0.75, cadence=250,
-                    lambda_u=3.75e-4, lambda_s=1.25e-4, lambda_v=0.25,
-                    eta=0.01, zeta=0.0, kappa=0.01, dcoef=0.16,
-                    gamma="iso", noise_amp=1e-2)
-    if name == "heat_relax":
-        return dict(model="gns", dim=1, n=64, length=1.0,
-                    dt=1e-3, t_end=0.5, cadence=50,
-                    lambda_u=0.0, lambda_s=0.0, lambda_v=1.0,
-                    eta=0.0, zeta=0.0, kappa=0.2, dcoef=0.0,
-                    gamma="iso", noise_amp=0.02)
-    if name == "shear_decay":
-        return dict(model="gns", dim=2, n=32, length=1.0,
-                    dt=2e-3, t_end=0.5, cadence=25,
-                    lambda_u=0.0, lambda_s=0.0, lambda_v=1.0,
-                    eta=0.05, zeta=0.0, kappa=0.01, dcoef=0.0,
-                    gamma="iso", noise_amp=0.0)
-    if name == "capillary_probe":
-        return dict(model="chns1", dim=1, n=256, length=1.0,
-                    dt=5e-5, t_end=0.01, cadence=50,
-                    lambda_u=2e-3, lambda_s=1e-3, lambda_v=1.0,
-                    eta=0.01, zeta=0.0, kappa=0.01, dcoef=0.01,
-                    gamma="iso", noise_amp=0.0)
-    raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+# spinodal parameters: the well depth lambda_v is kept well below the
+# background pressure (gamma_ad - 1) * rho * c_v * T so the Laplace
+# pressure drop across an interface (about lambda_v / 2) cannot
+# cavitate the density; lambda_f and dcoef are scaled to keep the
+# unstable band (modes 1..5) and its growth rate of order 10
+_SPINODAL = dict(model="chns1", length=1.0, lambda_u=3.75e-4, lambda_s=1.25e-4,
+                 lambda_v=0.25, eta=0.01, zeta=0.0, kappa=0.01, dcoef=0.16,
+                 gamma="iso", noise_amp=1e-2)
+_DEFAULTS = {
+    "spinodal1d": dict(_SPINODAL, dim=1, n=128, dt=1.5e-4, t_end=1.0, cadence=500),
+    "spinodal2d": dict(_SPINODAL, dim=2, n=64, dt=5e-4, t_end=0.75, cadence=250),
+    "heat_relax": dict(model="gns", dim=1, n=64, length=1.0,
+                       dt=1e-3, t_end=0.5, cadence=50,
+                       lambda_u=0.0, lambda_s=0.0, lambda_v=1.0,
+                       eta=0.0, zeta=0.0, kappa=0.2, dcoef=0.0,
+                       gamma="iso", noise_amp=0.02),
+    "shear_decay": dict(model="gns", dim=2, n=32, length=1.0,
+                        dt=2e-3, t_end=0.5, cadence=25,
+                        lambda_u=0.0, lambda_s=0.0, lambda_v=1.0,
+                        eta=0.05, zeta=0.0, kappa=0.01, dcoef=0.0,
+                        gamma="iso", noise_amp=0.0),
+    "capillary_probe": dict(model="chns1", dim=1, n=256, length=1.0,
+                            dt=5e-5, t_end=0.01, cadence=50,
+                            lambda_u=2e-3, lambda_s=1e-3, lambda_v=1.0,
+                            eta=0.01, zeta=0.0, kappa=0.01, dcoef=0.01,
+                            gamma="iso", noise_amp=0.0),
+}
+SCENARIO_NAMES = tuple(_DEFAULTS)
 
 
 def _bad_value(key: str, exc: ValueError) -> ConfigError:
@@ -246,7 +233,9 @@ def make_scenario(name: str, seed: int = 0, overrides: dict | None = None) -> Sc
     and out; each value is converted to its field's type.
     """
     require_seed(seed)
-    params = {**_defaults(name), **(overrides or {})}
+    if name not in _DEFAULTS:
+        raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    params = {**_DEFAULTS[name], **(overrides or {})}
     unknown = set(params) - _SCENARIO_SETTINGS
     if unknown:
         raise ConfigError(f"unknown override keys: {sorted(unknown)}")

@@ -257,8 +257,8 @@ def basis_batch(grid):
     trial k is slot k // ncells, cell k % ncells."""
     n = (grid.dim + 3) * int(np.prod(grid.shape))
     eye = np.eye(n) / grid.cell_volume
-    return FunctionalGradient.of_pack(
-        np.moveaxis(eye.reshape((n, grid.dim + 3) + grid.shape), 1, 0), grid.dim)
+    return FunctionalGradient(
+        packed=np.moveaxis(eye.reshape((n, grid.dim + 3) + grid.shape), 1, 0))
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -317,6 +317,22 @@ def test_state_is_freed_without_the_garbage_collector():
         gc.enable()
 
 
+@pytest.mark.parametrize("family", ["GNS", "CHNS1"])
+def test_gradients_share_no_memory_with_the_state(family):
+    model = make_model(family)
+    st = smooth_state(GRID1, model, seed=16)
+    v, packed = st.v.copy(), st.packed.copy()
+    eos = st.derived(model).eos
+    cached = {name: np.copy(getattr(eos, name)) for name in ("u", "T", "p", "mu")}
+    for Xg in (grad_H(st, model), grad_S(st, model)):
+        for slot in (Xg.m, Xg.rho, Xg.ctilde, Xg.sigma):
+            slot *= 2.0
+    assert np.array_equal(st.v, v)
+    assert np.array_equal(st.packed, packed)
+    for name, value in cached.items():
+        assert np.array_equal(getattr(st.derived(model).eos, name), value), name
+
+
 def test_functional_gradient_algebra():
     a = random_gradient(GRID1, seed=14)
     b = random_gradient(GRID1, seed=15)
@@ -324,6 +340,6 @@ def test_functional_gradient_algebra():
     assert np.allclose(s.rho, a.rho + 2.0 * b.rho)
     d = s - a
     assert np.allclose(d.sigma, 2.0 * b.sigma)
-    z = FunctionalGradient.zeros(GRID1)
+    z = FunctionalGradient(packed=np.zeros((GRID1.dim + 3,) + GRID1.shape))
     assert z.norm(GRID1) == 0.0
     assert a.dot(b, GRID1) == pytest.approx(b.dot(a, GRID1), rel=1e-14)

@@ -95,7 +95,7 @@ def _reference_tendencies(state, model, ideal=True, dissipative=True):
     g, dim = state.grid, state.grid.dim
     dissipative = dissipative and model.is_dissipative
     if not (ideal or dissipative):
-        return FunctionalGradient.zeros(g)
+        return FunctionalGradient(packed=np.zeros(state.packed.shape))
     rho, v = state.rho, state.v
     pt = state.derived(model).eos
     T = np.asarray(pt.T)
@@ -247,6 +247,31 @@ def test_replace_carries_no_stale_pack():
     # a pack and a field together would be ambiguous
     with pytest.raises(TypeError):
         dataclasses.replace(st, rho=new)
+
+
+def test_replace_on_a_member_batch_matches_the_single_states():
+    model = _model("CHNS1", 1)
+    seeds = np.array([3, 17, 40])
+    batch = smooth_state(model.grid, model, seed=seeds)
+    sigma = batch.sigma * 1.01
+    replaced = batch.replace(sigma=sigma)
+    replaced.validate(model)
+    for i, seed in enumerate(seeds):
+        single = smooth_state(model.grid, model, seed=int(seed)).replace(sigma=sigma[i])
+        assert np.array_equal(replaced.packed[:, i], single.packed), i
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fields_that_do_not_fit_the_grid_raise(dim):
+    model = _model("GNS", dim)
+    fine = Grid(dim=dim, n=(32,) * dim, length=(1.0,) * dim)
+    st = smooth_state(fine, dataclasses.replace(model, grid=fine), seed=36)
+    # 32-cell fields broadcast among themselves, but not onto 16 cells
+    with pytest.raises(ValueError):
+        State(model.grid, m=st.m, rho=st.rho, ctilde=st.ctilde, sigma=st.sigma)
+    if dim == 2:  # one momentum component on a 2D grid
+        with pytest.raises(ValueError):
+            State(fine, m=st.m[:1], rho=st.rho, ctilde=st.ctilde, sigma=st.sigma)
 
 
 def test_state_stays_frozen_and_keeps_its_lazy_fields():

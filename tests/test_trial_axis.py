@@ -1,6 +1,7 @@
 """The trial axis: a batch of functional gradients through the bracket layer,
 and a batch of points through the Onsager layer; the member axis: a batch of
-states through Derived, the functionals and the production.
+states through Derived, the functionals, the production, the kernel, the
+brackets and the step.
 
 Every batched result must carry the same bits as a loop of single calls,
 and the verify suites that use batches must report exactly what their
@@ -16,11 +17,11 @@ import pytest
 
 from metriflow import (AnisotropyFn, FunctionalGradient, Grid, ModelConfig,
                        State, SurfaceCoefficients, TransportCoefficients,
-                       dissipative_rhs, entropy, entropy_production_rate,
-                       eval_eos, grad_H, grad_S, hamiltonian, kn_4bracket, lam4,
+                       capillary_force, dissipative_rhs, entropy, entropy_production_rate,
+                       eval_eos, grad_H, grad_S, hamiltonian, ideal_rhs, kn_4bracket, lam4,
                        metriplectic_2bracket, onsager_blocks, onsager_fluxes,
-                       poisson_bracket, smooth_state, transform_gradients,
-                       untransform_gradients)
+                       poisson_bracket, smooth_state, step_rk4, total_rhs,
+                       transform_gradients, untransform_gradients)
 from metriflow import verification
 from metriflow.fields import fourier_field, make_modes, random_gradient
 from metriflow.functionals import DISSIPATIVE_FAMILIES, FAMILIES
@@ -114,6 +115,11 @@ def test_batched_dot_and_norm_match_single_calls(dim):
     (F, G), singles = _batches(grid, 2)
     assert np.array_equal(F.dot(G, grid),
                           [f.dot(g, grid) for f, g in zip(*singles)])
+    # one gradient against a batch raises, as in the brackets, from either
+    # side (in 1D it had summed every member's momentum into each pairing)
+    for X, Y in ((singles[0][0], G), (G, singles[0][0])):
+        with pytest.raises(ValueError, match="trial axes"):
+            X.dot(Y, grid)
     norms = [f.norm(grid) for f in singles[0]]
     assert type(norms[0]) is float
     assert np.array_equal(F.norm(grid), norms)
@@ -319,6 +325,43 @@ def test_member_batch_matches_the_single_states(family, dim, coef_kind):
         assert prod[i] == prod_i
         assert hamiltonian(batch, model)[i] == hamiltonian(single, model)
         assert entropy(batch, model)[i] == entropy(single, model)
+
+
+def _functions_of_a_state(state, model):
+    """Every function of a state under the batch rule, by name."""
+    Hg, Sg = grad_H(state, model), grad_S(state, model)
+    rhs = total_rhs(state, model)
+    out = dict(total_rhs=rhs.packed, ideal_rhs=ideal_rhs(state, model).packed,
+               dissipative_rhs=dissipative_rhs(state, model).packed,
+               grad_H=Hg.packed, grad_S=Sg.packed,
+               capillary_force=capillary_force(state, model),
+               poisson_bracket=poisson_bracket(Sg, Hg, state, model),
+               dot=Hg.dot(rhs, model.grid),
+               step_rk4=step_rk4(state, model, 1e-4).packed)
+    if model.is_diffuse:
+        out["transform_gradients"] = transform_gradients(Hg, state, model).packed
+    if model.is_dissipative:
+        out["kn_4bracket"] = kn_4bracket(Sg, Hg, Sg, Hg, state, model)
+    return out
+
+
+@pytest.mark.parametrize("family, dim",
+                         [(family, 1) for family in FAMILIES] + [("CHE1", 2), ("CHNS1", 2)])
+def test_every_function_of_a_state_takes_a_member_batch(family, dim):
+    # 2D models carry the fourfold anisotropy
+    model = _model(family, dim)
+    grid = model.grid
+    seeds = SEEDS[:3]
+    batched = _functions_of_a_state(smooth_state(grid, model, seed=seeds), model)
+    for i, seed in enumerate(seeds):
+        single = _functions_of_a_state(smooth_state(grid, model, seed=int(seed)), model)
+        assert single.keys() == batched.keys()
+        for name, value in single.items():
+            if np.ndim(value) == 0:
+                assert batched[name].shape == seeds.shape, name
+                assert batched[name][i] == value, (i, name)
+            else:
+                assert np.array_equal(_member(batched[name], i, grid), value), (i, name)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
