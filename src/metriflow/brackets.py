@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functionals import (FunctionalGradient, ModelConfig, State, _check_trial_axes, _lift,
+from .functionals import (FunctionalGradient, ModelConfig, State, _align_batch, _lift,
                           sigma_total, transform_gradients)
 from .grid import _csum
 from .metriplectic import _tendencies
@@ -37,7 +37,7 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     Fg and Gg may be batches with the same number of batch axes (sizes
     broadcast); the result is then an array over the batch axes.
     """
-    _check_trial_axes(Fg, Gg)
+    Fg, Gg = _align_batch(Fg, Gg, state=state)
     g = state.grid
     if model.is_diffuse:
         Fg, Gg = transform_gradients(Fg, state, model), transform_gradients(Gg, state, model)
@@ -49,7 +49,7 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
     pairing = advect(Fg, Gg)  # both terms have the broadcast trial shape
     pairing -= advect(Gg, Fg)
-    pairing *= _lift(w, Fg)
+    pairing = pairing * _lift(w, Fg)  # not in place: members widen it
     return -g.integrate(_csum(pairing))
 
 

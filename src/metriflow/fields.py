@@ -31,19 +31,6 @@ class FourierModes:
     phases: np.ndarray   # (..., n_modes)
 
 
-def make_modes(rng: np.random.Generator, dim: int, kmax: int = 3) -> FourierModes:
-    kvecs = rng.integers(-kmax, kmax + 1, size=(N_MODES, dim))
-    # avoid the zero mode so the field has zero mean: redraw each zero row,
-    # in order (the rows are checked as Python lists, which is cheaper)
-    for i, row in enumerate(kvecs.tolist()):
-        while not any(row):
-            kvecs[i] = rng.integers(-kmax, kmax + 1, size=dim)
-            row = kvecs[i].tolist()
-    amps = rng.uniform(0.3, 1.0, size=N_MODES) / N_MODES
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=N_MODES)
-    return FourierModes(amps=amps, kvecs=kvecs, phases=phases)
-
-
 def fourier_field(grid: Grid, modes: FourierModes) -> np.ndarray:
     """The field(s) on the grid, shape (*modes.amps.shape[:-1], *grid.shape).
 
@@ -63,21 +50,34 @@ def fourier_field(grid: Grid, modes: FourierModes) -> np.ndarray:
 
 
 def _draw_fields(grid: Grid, seed: int | np.ndarray, order, kmax: int) -> np.ndarray:
-    """Fields of len(order) mode sets per seed, each seed's sets drawn in
-    turn from its own stream: field i of the result, of shape (len(order),
-    *seeds.shape, *grid.shape), is the order[i]-th set drawn."""
+    """Fields of len(order) mode sets per seed, drawn in turn from the seed's
+    own stream: field i, of shape (*seeds.shape, *grid.shape), is the
+    order[i]-th set.  A set draws its wavevectors in one call (each zero row
+    again entry by entry: zero mean), then the unit doubles of its amplitudes
+    and of its phases in one call, as two uniform calls would draw them."""
     seeds = np.asarray(seed)
-    draws = [[make_modes(rng, grid.dim, kmax=kmax) for _ in order]
-             for rng in map(np.random.default_rng, seeds.ravel())]
-
-    def stacked(name):
-        # (fields, *seeds.shape, ...) in C order: fourier_field lays out its
-        # result as its inputs, so each field of the result is C-contiguous
-        arr = np.array([[getattr(draw[j], name) for draw in draws] for j in order])
-        return arr.reshape((len(order),) + seeds.shape + arr.shape[2:])
-
-    return fourier_field(grid, FourierModes(amps=stacked("amps"), kvecs=stacked("kvecs"),
-                                            phases=stacked("phases")))
+    if seeds.size == 0:
+        raise ValueError("seed: an empty array of seeds draws no field")
+    dim, n_sets, size = grid.dim, len(order), N_MODES * grid.dim
+    kvecs = [[None] * seeds.size for _ in range(n_sets)]
+    unit = np.empty((n_sets, seeds.size, 2 * N_MODES))
+    for i, rng in enumerate(map(np.random.default_rng, seeds.ravel())):
+        for j in range(n_sets):
+            k = rng.integers(-kmax, kmax + 1, size=size).tolist()
+            for r in range(0, size, dim):
+                while not any(k[r:r + dim]):
+                    k[r:r + dim] = [rng.integers(-kmax, kmax + 1) for _ in range(dim)]
+            kvecs[j][i] = k
+            rng.random(out=unit[j, i])
+    # (fields, *seeds.shape, ...) in C order: fourier_field lays out its
+    # result as its inputs, so each field of the result is C-contiguous
+    lead = (n_sets,) + seeds.shape
+    unit = unit[list(order)].reshape(lead + (2 * N_MODES,))
+    kvecs = np.array([kvecs[j] for j in order], dtype=np.int64).reshape(lead + (N_MODES, dim))
+    # Generator.uniform(low, high) is low + (high - low) * (a unit double)
+    return fourier_field(grid, FourierModes(
+        amps=(0.3 + (1.0 - 0.3) * unit[..., :N_MODES]) / N_MODES, kvecs=kvecs,
+        phases=2.0 * np.pi * unit[..., N_MODES:]))
 
 
 def smooth_state(grid: Grid, model: ModelConfig, seed: int | np.ndarray = 0,

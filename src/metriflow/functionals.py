@@ -190,7 +190,7 @@ class FunctionalGradient(_Pack):
         """Discrete L2 pairing summed over all slots."""
         # m's component axis goes behind the batch axes, and each member's
         # components and cells are summed as one flat run, as for one gradient
-        _check_trial_axes(self, other)
+        _align_batch(self, other)
         mm = np.moveaxis(self.m * other.m, 0, self.rho.ndim - grid.dim)
         mm = mm.reshape(mm.shape[:mm.ndim - grid.dim - 1] + (-1,) + grid.shape[1:])
         return (grid.integrate(mm) + grid.integrate(self.rho * other.rho)
@@ -213,20 +213,21 @@ class FunctionalGradient(_Pack):
     __rmul__ = __mul__
 
 
-def _lift(vec: np.ndarray, Fg: FunctionalGradient) -> np.ndarray:
-    """A state vector field (dim, *shape) with one singleton axis per trial
-    axis of Fg after its component axis, so that it broadcasts against a
-    batch; unchanged for a single gradient."""
-    n_trial = Fg.rho.ndim - (vec.ndim - 1)
-    return vec.reshape(vec.shape[:1] + (1,) * n_trial + vec.shape[1:])
+def _lift(x: np.ndarray, like: _Pack) -> np.ndarray:
+    """x (lead, *shape) with singleton axes after its leading axis until shape
+    has as many axes as like.rho, to broadcast against like's batch."""
+    return x.reshape(x.shape[:1] + (1,) * (like.rho.ndim - x.ndim + 1) + x.shape[1:])
 
 
-def _check_trial_axes(*grads: FunctionalGradient) -> None:
-    """Raise a ValueError naming the shapes unless the gradients have one
-    number of trial axes, lest a component axis line up with a trial axis."""
+def _align_batch(*grads: FunctionalGradient, state: State | None = None) -> list:
+    """The gradients, lifted to the member axes of state they lack; a
+    ValueError naming the shapes unless they have one number of trial axes,
+    lest a component axis line up with a trial axis."""
     shapes = [X.rho.shape for X in grads]
     if len({len(shape) for shape in shapes}) > 1:
         raise ValueError(f"gradients with different numbers of trial axes: rho shapes {shapes}")
+    return [X if state is None or X.rho.ndim >= state.rho.ndim
+            else FunctionalGradient(packed=_lift(X.packed, state)) for X in grads]
 
 
 class Derived:
@@ -369,6 +370,7 @@ def _change_variables(Fg: FunctionalGradient, state: State, model: ModelConfig,
     if not model.is_diffuse:
         raise UnsupportedFamilyError("gradient transform applies to diffuse families only")
     rho, lam_s = state.rho, model.surface.lambda_s
+    Fg, = _align_batch(Fg, state=state)
     d = state.derived(model)
     _, gamma, xi = d.gamma_xi
     # sign * div(rho^a lambda_s Gamma xi F_sigma), the surface part

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, UnsupportedFamilyError, require_finite
-from .functionals import (FunctionalGradient, ModelConfig, State, _check_trial_axes,
+from .functionals import (FunctionalGradient, ModelConfig, State, _align_batch,
                           _tendency_to_sigma_a, grad_H, sigma_total, transform_gradients)
 from .grid import _csum, _trace
 from .thermo import eval_eos
@@ -145,7 +145,7 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     """
     if not model.is_dissipative:
         raise UnsupportedFamilyError(f"family {model.family} has no metriplectic bracket")
-    _check_trial_axes(Fg, Gg, Kg, Ng)
+    Fg, Gg, Kg, Ng = _align_batch(Fg, Gg, Kg, Ng, state=state)
     if model.is_diffuse:
         Fg, Gg, Kg, Ng = (transform_gradients(X, state, model) for X in (Fg, Gg, Kg, Ng))
     g = state.grid

@@ -140,13 +140,10 @@ def bracket_symmetry_suite(seed: int, level: str = "fast") -> SuiteResult:
             Sg = grad_S(state, model)
             fam["kn_psd"] = np.minimum(0.0, kn_4bracket(Sg, Hg, Sg, Hg, state, model))
         for key, val in fam.items():
-            if key == "kn_psd":
-                worst[key] = min(worst[key], val)
-                ok = val >= -1e-15
-            else:
-                worst[key] = max(worst[key], val)
-                ok = val <= 1e-12
-            if not ok:
+            # np.minimum and np.maximum keep a NaN, where min and max drop it
+            psd = key == "kn_psd"
+            worst[key] = np.minimum(worst[key], val) if psd else np.maximum(worst[key], val)
+            if not (val >= -1e-15 if psd else val <= 1e-12):
                 failures.append((family, key))
     passed = not failures
     return SuiteResult(passed,

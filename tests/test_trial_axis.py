@@ -6,11 +6,14 @@ brackets and the step.
 Every batched result must carry the same bits as a loop of single calls,
 and the verify suites that use batches must report exactly what their
 per-trial or per-cell loops (kept here as the reference) report.  The same
-holds for the stacked draws of smooth_state and make_modes.
+holds for the stacked draws of smooth_state and random_gradient, which must
+also take the numbers of the per-set draw and leave each stream where it did.
 """
 
 import json
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +25,8 @@ from metriflow import (AnisotropyFn, FunctionalGradient, Grid, ModelConfig,
                        metriplectic_2bracket, onsager_blocks, onsager_fluxes,
                        poisson_bracket, smooth_state, step_rk4, total_rhs,
                        transform_gradients, untransform_gradients)
-from metriflow import verification
-from metriflow.fields import fourier_field, make_modes, random_gradient
+from metriflow import fields, verification
+from metriflow.fields import FourierModes, fourier_field, random_gradient
 from metriflow.functionals import DISSIPATIVE_FAMILIES, FAMILIES
 from metriflow.metriplectic import (_apply_tensor, _embed3_matrix, _fluxes, _onsager_blocks,
                                     production_density)
@@ -265,14 +268,19 @@ def test_batched_onsager_blocks_assemble_and_fluxes_match_single_calls():
         assert np.array_equal(J, J_loop)
 
 
+def _reference_field(grid, rng, kmax):
+    """One field from one per-set draw of rng's stream."""
+    kvecs, amps, phases = _reference_make_modes(rng, grid.dim, kmax=kmax)
+    return fourier_field(grid, FourierModes(amps=amps, kvecs=kvecs, phases=phases))
+
+
 def _reference_smooth_state(grid, model, seed, amp=0.1, kmax=3):
     """smooth_state as one fourier_field call per field."""
-    rng = np.random.default_rng(seed)
-    rho = 1.0 + amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
-    v = np.stack([amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
-                  for _ in range(grid.dim)])
-    c = amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
-    s = amp * fourier_field(grid, make_modes(rng, grid.dim, kmax=kmax))
+    rng = _reference_rng(seed)
+    rho = 1.0 + amp * _reference_field(grid, rng, kmax)
+    v = np.stack([amp * _reference_field(grid, rng, kmax) for _ in range(grid.dim)])
+    c = amp * _reference_field(grid, rng, kmax)
+    s = amp * _reference_field(grid, rng, kmax)
     return State(grid=grid, m=rho * v, rho=rho, ctilde=rho * c, sigma=rho * s)
 
 
@@ -365,6 +373,25 @@ def test_every_function_of_a_state_takes_a_member_batch(family, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_single_gradients_pair_with_a_member_batch(family, dim):
+    # single gradients broadcast over the members of a batch of states
+    model = _model(family, dim)
+    grid = model.grid
+    F, G, K, N = (random_gradient(grid, seed) for seed in range(1, 5))
+    seeds = SEEDS[:3]
+    batch = smooth_state(grid, model, seed=seeds)
+    brackets = [poisson_bracket]
+    if model.is_dissipative:
+        brackets.append(lambda F, G, state, model: kn_4bracket(F, G, K, N, state, model))
+    for bracket in brackets:
+        values = bracket(F, G, batch, model)
+        assert values.shape == seeds.shape
+        for i, seed in enumerate(seeds):
+            assert values[i] == bracket(F, G, smooth_state(grid, model, seed=int(seed)), model)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 def test_each_member_gets_its_own_rms_cutoff(dim):
     # beside an O(1) member, a member whose grad c is about 1e-14 keeps its
     # xi; a cutoff from the RMS of the whole batch (about 1e-12) zeroes it
@@ -381,8 +408,14 @@ def test_each_member_gets_its_own_rms_cutoff(dim):
     assert np.abs(gc).max() < 1e-12 and np.abs(xi).max() > 0.5
 
 
+def _reference_rng(seed):
+    """np.random.default_rng(seed), built past the draws fixture's wrapper."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def _reference_make_modes(rng, dim, n_modes=4, kmax=3, amp=1.0):
-    """make_modes with its zero-row check on numpy rows."""
+    """One mode set as the per-set draw took it: a sized integers call, a
+    size=dim call per zero row redrawn, and two uniform calls."""
     kvecs = rng.integers(-kmax, kmax + 1, size=(n_modes, dim))
     for i in range(n_modes):
         while not kvecs[i].any():
@@ -392,21 +425,98 @@ def _reference_make_modes(rng, dim, n_modes=4, kmax=3, amp=1.0):
     return kvecs, amps, phases
 
 
-@pytest.mark.parametrize("kmax", [1, 3])
+class _CountingGenerator:
+    """A Generator whose method calls are counted by name in calls, a call
+    with a size as "<name>[size]"; rng is the generator itself."""
+
+    def __init__(self, rng, calls):
+        self.rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kw):
+            sized = kw.get("size", args[2] if len(args) > 2 else None) is not None
+            self._calls[name + "[size]" * sized] += 1
+            return method(*args, **kw)
+        return counted
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """What fields draws: the generators it builds (each a _CountingGenerator
+    adding to one Counter, calls) and the modes it hands to fourier_field."""
+    seen = SimpleNamespace(rngs=[], calls=Counter(), modes=[])
+    plain_field = fields.fourier_field
+
+    def counted_rng(seed):
+        seen.rngs.append(_CountingGenerator(_reference_rng(seed), seen.calls))
+        return seen.rngs[-1]
+
+    def recorded_field(grid, modes):
+        seen.modes.append(modes)
+        return plain_field(grid, modes)
+
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    monkeypatch.setattr(fields, "fourier_field", recorded_field)
+    return seen
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 3])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_make_modes_draws_what_the_row_loop_drew(dim, kmax):
+def test_draws_take_the_per_set_stream(dim, kmax, draws):
+    # every number and every stream position of the per-set draw, one seed
+    # at a time and as a batch, for random_gradient and smooth_state
+    model = _model("CHNS1", dim)
+    grid, seeds, n_sets = model.grid, np.arange(200), dim + 3
+    batch = random_gradient(grid, seeds, kmax=kmax)
+    states = smooth_state(grid, model, seed=seeds, kmax=kmax)
+    batch_rngs, state_rngs = draws.rngs[:200], draws.rngs[200:]
     redrawn = 0
-    for seed in range(200):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        first = np.random.default_rng(seed).integers(-kmax, kmax + 1, size=(4, dim))
+    for seed in seeds:
+        first = _reference_rng(seed).integers(-kmax, kmax + 1, size=(4, dim))
         redrawn += not first.any(axis=1).all()
-        modes = make_modes(rng, dim, kmax=kmax)
-        kvecs, amps, phases = _reference_make_modes(ref_rng, dim, kmax=kmax)
-        assert np.array_equal(modes.kvecs, kvecs) and modes.kvecs.dtype == kvecs.dtype
-        assert np.array_equal(modes.amps, amps) and np.array_equal(modes.phases, phases)
-        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)  # same stream position
+        ref_rng = _reference_rng(seed)
+        ref = [_reference_make_modes(ref_rng, dim, kmax=kmax) for _ in range(n_sets)]
+        single = random_gradient(grid, seed, kmax=kmax)
+        rng, modes = draws.rngs[-1].rng, draws.modes[-1]
+        for j, (kvecs, amps, phases) in enumerate(ref):
+            assert np.array_equal(modes.kvecs[j], kvecs) and modes.kvecs.dtype == kvecs.dtype
+            assert np.array_equal(modes.amps[j], amps) and np.array_equal(modes.phases[j], phases)
+            field = fourier_field(grid, FourierModes(amps=amps, kvecs=kvecs, phases=phases))
+            assert np.array_equal(single.packed[j], field), (seed, j)
+            assert np.array_equal(batch.packed[j, seed], field), (seed, j)
+        # the same stream position, down to PCG64's buffered 32-bit half
+        for drawn in (rng, batch_rngs[seed].rng):
+            assert drawn.bit_generator.state == ref_rng.bit_generator.state, seed
+        ref_state = _reference_smooth_state(grid, model, seed, kmax=kmax)
+        assert np.array_equal(states.packed[:, seed], ref_state.packed), seed
+        assert np.array_equal(smooth_state(grid, model, seed=seed, kmax=kmax).packed,
+                              ref_state.packed), seed
+        assert state_rngs[seed].rng.bit_generator.state == ref_rng.bit_generator.state, seed
     # the redraw path is exercised (about 46% of 1D draws at kmax 3)
     assert redrawn > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_batch_draw_makes_one_sized_call_per_mode_set(dim, draws):
+    # kmax 1 redraws many zero rows, each with scalar calls
+    model = _model("CHNS1", dim)
+    random_gradient(model.grid, np.arange(50), kmax=1)
+    smooth_state(model.grid, model, seed=np.arange(50), kmax=1)
+    n_sets = 2 * 50 * (dim + 3)
+    assert len(draws.rngs) == 100 and len(draws.modes) == 2
+    assert draws.calls["integers[size]"] == draws.calls["random"] == n_sets
+    assert draws.calls["integers"] > 0
+    assert set(draws.calls) == {"integers[size]", "integers", "random"}
+
+
+@pytest.mark.parametrize("draw", [
+    random_gradient, lambda grid, seed: smooth_state(grid, _model("CHNS1", grid.dim), seed=seed)],
+    ids=["random_gradient", "smooth_state"])
+def test_an_empty_seed_array_is_rejected(draw):
+    with pytest.raises(ValueError, match="seed"):
+        draw(_grid(1), np.array([], dtype=int))
 
 
 # ------------------------------------------- the per-trial suites, as reference

@@ -19,6 +19,21 @@ def test_nan_production_fails_the_positivity_suite(monkeypatch):
     assert np.isnan(result.details["min_production"])
 
 
+
+def test_nan_poisson_bracket_shows_in_the_symmetry_suite_worst(monkeypatch):
+    plain = verification.poisson_bracket
+
+    def nan_for_ge(Fg, Gg, state, model):
+        out = plain(Fg, Gg, state, model)
+        return np.full_like(out, np.nan) if model.family == "GE" else out
+
+    monkeypatch.setattr(verification, "poisson_bracket", nan_for_ge)
+    result = verification.bracket_symmetry_suite(seed=1, level="fast")
+    assert not result.passed
+    assert result.details["failures"] == [("GE", "antisym"), ("GE", "bilinear")]
+    assert np.isnan(result.details["worst"]["antisym"])
+    assert np.isnan(result.details["worst"]["bilinear"])
+
 def test_model_suites_pass_for_seeds_0_to_39():
     # the suites that judge the model's own 4-bracket and fluxes
     for seed in range(40):
