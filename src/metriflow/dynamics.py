@@ -89,8 +89,13 @@ def step_rk4(state: State, model: ModelConfig, dt: float,
     k2 = total_rhs(guard(_advance(state, k1, 0.5 * dt), "stage 2"), model).packed
     k3 = total_rhs(guard(_advance(state, k2, 0.5 * dt), "stage 3"), model).packed
     k4 = total_rhs(guard(_advance(state, k3, dt), "stage 4"), model).packed
-    combined = (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (1.0 / 6.0)
-    return guard(_advance(state, combined, dt), "step end")
+    # (k1 + 2 k2 + 2 k3 + k4) / 6 in place, in packs no one else holds:
+    # the same operations in the same order, so the same bits
+    k1 += np.multiply(k2, 2.0, out=k2)
+    k1 += np.multiply(k3, 2.0, out=k3)
+    k1 += k4
+    k1 *= 1.0 / 6.0
+    return guard(_advance(state, k1, dt), "step end")
 
 
 @dataclass(frozen=True)
@@ -137,8 +142,9 @@ def integrate(state: State, model: ModelConfig, dt: float, n_steps: int,
     callback is called after each accepted step with the 1-based step index.
     Warns (RuntimeWarning) first if dt exceeds stability_limit(state, model).
     """
-    if dt <= 0 or n_steps < 0:
-        raise ValueError("dt must be positive and n_steps nonnegative")
+    if not 0 < dt < np.inf or n_steps < 0:  # NaN too
+        raise ValueError(f"dt must be finite and positive and n_steps nonnegative, "
+                         f"got dt = {dt}, n_steps = {n_steps}")
     limit = stability_limit(state, model)
     if dt > limit:
         warnings.warn(

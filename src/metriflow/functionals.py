@@ -66,10 +66,18 @@ class ModelConfig:
     surface: SurfaceCoefficients = field(default_factory=SurfaceCoefficients)
     anisotropy: AnisotropyFn = field(default_factory=AnisotropyFn)
     transport: "TransportCoefficients | None" = None
+    # set from family, once: the stepping path reads them dozens of times a step
+    is_diffuse: bool = field(init=False, repr=False, compare=False)
+    is_dissipative: bool = field(init=False, repr=False, compare=False)
+    # the density weight rho^a of the surface terms: 1 for CHE1 and CHNS1
+    a: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnsupportedFamilyError(f"unknown family {self.family!r}")
+        object.__setattr__(self, "is_diffuse", self.family in DIFFUSE_FAMILIES)
+        object.__setattr__(self, "is_dissipative", self.family in DISSIPATIVE_FAMILIES)
+        object.__setattr__(self, "a", 1 if self.family in ("CHE1", "CHNS1") else 0)
         if not self.is_diffuse and (self.surface.lambda_u != 0.0
                                     or self.surface.lambda_s != 0.0):
             raise ValueError(
@@ -79,20 +87,6 @@ class ModelConfig:
             raise ValueError(f"family {self.family} requires transport coefficients")
         if self.anisotropy.kind == "fourfold" and self.grid.dim != 2:
             raise ParameterError("anisotropy", f"fourfold is 2D only, got dim = {self.grid.dim}")
-
-    @property
-    def is_diffuse(self) -> bool:
-        return self.family in DIFFUSE_FAMILIES
-
-    @property
-    def is_dissipative(self) -> bool:
-        return self.family in DISSIPATIVE_FAMILIES
-
-    @property
-    def a(self) -> int:
-        """The density weight rho^a of the surface terms: 1 for CHE1 and
-        CHNS1, 0 for every other family."""
-        return 1 if self.family in ("CHE1", "CHNS1") else 0
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -118,9 +112,12 @@ class _Pack:
         elif not (m is rho is ctilde is sigma is None):
             raise TypeError(f"{type(self).__name__} takes the four fields or packed, not both")
         dim = len(packed) - 3
-        for name, value in zip(("packed", "m", "rho", "ctilde", "sigma"),
-                               (packed, packed[:dim], *packed[dim:])):
-            object.__setattr__(self, name, value)
+        setattr_ = object.__setattr__
+        setattr_(self, "packed", packed)
+        setattr_(self, "m", packed[:dim])
+        setattr_(self, "rho", packed[dim])
+        setattr_(self, "ctilde", packed[dim + 1])
+        setattr_(self, "sigma", packed[dim + 2])
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -139,17 +136,16 @@ class State(_Pack):
                                or shape[len(shape) - grid.dim:] != grid.shape):
             raise ValueError(f"fields of pack shape {shape} do not fit the grid {grid.shape}")
 
-    @_lazy
-    def v(self) -> np.ndarray:
-        return self.m / self.rho
+    def _per_mass(self, name: str) -> np.ndarray:
+        """v, c or s; all three are kept, views of one division of the pack by rho."""
+        q, dim = self.packed / self.rho, self.grid.dim
+        for key, value in (("v", q[:dim]), ("c", q[dim + 1]), ("s", q[dim + 2])):
+            object.__setattr__(self, key, value)
+        return getattr(self, name)
 
-    @_lazy
-    def c(self) -> np.ndarray:
-        return self.ctilde / self.rho
-
-    @_lazy
-    def s(self) -> np.ndarray:
-        return self.sigma / self.rho
+    v = _lazy(lambda self: self._per_mass("v"))
+    c = _lazy(lambda self: self._per_mass("c"))
+    s = _lazy(lambda self: self._per_mass("s"))
 
     def derived(self, model: ModelConfig) -> "Derived":
         """The Derived fields of this state under model.  One is kept, for
@@ -162,17 +158,23 @@ class State(_Pack):
 
     def validate(self, model: ModelConfig) -> None:
         """Admissibility: finite fields, rho > 0, derived T and p finite and > 0."""
+        if not self.packed.size:
+            raise ValueError(f"an empty batch, pack shape {self.packed.shape}, has no state")
         if not np.isfinite(self.packed).all():
             for name in ("m", "rho", "ctilde", "sigma"):
                 if not np.isfinite(getattr(self, name)).all():
                     raise InadmissibleStateError(f"non-finite entries in {name}")
-        if (self.rho <= 0).any():
+        if not self.rho.min() > 0:  # one reduction; rho is finite here
             raise InadmissibleStateError("rho must be positive everywhere")
-        pt = self.derived(model).eos
-        for name, x in (("temperature", pt.T), ("pressure", pt.p)):
-            # min is NaN if any entry is, and NaN > 0 is false
-            if not (x.min() > 0 and x.max() < np.inf):
-                raise InadmissibleStateError(f"derived {name} must be finite and positive")
+        d, dim = self.derived(model), self.grid.dim
+        # one min and one max over p and T side by side, then each alone to
+        # name the one that failed (min is NaN if any entry is, and NaN > 0
+        # is false)
+        pT = d.stack[dim:dim + 2]
+        if not (pT.min() > 0 and pT.max() < np.inf):
+            for name, x in (("temperature", d.eos.T), ("pressure", d.eos.p)):
+                if not (x.min() > 0 and x.max() < np.inf):
+                    raise InadmissibleStateError(f"derived {name} must be finite and positive")
 
     def replace(self, **kw) -> "State":
         """A new state, in a new pack, with the given fields replaced."""
@@ -233,7 +235,7 @@ def _align_batch(*grads: FunctionalGradient, state: State | None = None) -> list
 class Derived:
     """The derived fields of one state under one model, each computed on
     first use and kept, as states are never mutated: ``eos`` (the EOS
-    point), ``grads`` (grad v, grad p, grad T, grad c), ``gamma_xi``
+    point), ``stack`` (v, p, T, c), ``grads`` (its grad), ``gamma_xi``
     (grad c, Gamma, xi), ``weight`` (rho^a), ``mu_gamma`` and the transport
     coefficients ``kappa`` and ``dcoef``, a callable one called once.  The state
     holds its Derived (``State.derived``), so this holds the state by a
@@ -251,11 +253,19 @@ class Derived:
         return eval_eos(st.rho, st.s, st.c, self.model.eos)
 
     @_lazy
+    def stack(self) -> np.ndarray:
+        """(v, p, T, c) in one array: grads is its grad, and State.validate
+        checks p and T in it side by side."""
+        st, pt, dim = self.state, self.eos, self.state.grid.dim
+        stack = np.empty((dim + 3,) + st.rho.shape)
+        stack[:dim], stack[dim], stack[dim + 1], stack[dim + 2] = st.v, pt.p, pt.T, st.c
+        return stack
+
+    @_lazy
     def grads(self):
         """(grad v, grad p, grad T, grad c) from one grad; grad v[k, l] = d_k v_l."""
-        st, pt, dim = self.state, self.eos, self.state.grid.dim
-        grads = st.grid.grad(np.concatenate([st.v, np.asarray(pt.p)[None],
-                                             np.asarray(pt.T)[None], st.c[None]]))
+        dim = self.state.grid.dim
+        grads = self.state.grid.grad(self.stack)
         return grads[:, :dim], grads[:, dim], grads[:, dim + 1], grads[:, dim + 2]
 
     @_lazy
@@ -265,8 +275,9 @@ class Derived:
 
     @_lazy
     def weight(self) -> np.ndarray:
-        """rho^a, the density weight of the surface terms."""
-        return self.state.rho ** self.model.a
+        """rho^a, the density weight of the surface terms: rho itself for a = 1."""
+        rho = self.state.rho
+        return rho if self.model.a == 1 else rho ** self.model.a
 
     @_lazy
     def kappa(self):

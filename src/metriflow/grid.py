@@ -19,19 +19,19 @@ from .errors import ParameterError
 
 @cache
 def _stencil(shape: tuple, ax: int) -> tuple:
-    """(step, wraps) of a periodic central difference along axis ax of a
-    C-contiguous array of this shape: neighbours along ax are step apart in
-    the flat array, and wraps are the (out, plus, minus) index tuples of the
-    first and the last cell with their wrapped neighbours."""
+    """(step, out, plus, minus) of a periodic central difference along axis
+    ax of a C-contiguous array of this shape: neighbours along ax are step
+    apart in the flat array, and the strided views out (cells 0 and n - 1),
+    plus (1 and 0) and minus (n - 1 and n - 2) give both wrapped cells."""
 
     def at(s: slice) -> tuple:
         idx = [slice(None)] * len(shape)
         idx[ax] = s
         return tuple(idx)
 
-    return (int(np.prod(shape[ax + 1:])),
-            ((at(slice(0, 1)), at(slice(1, 2)), at(slice(-1, None))),
-             (at(slice(-1, None)), at(slice(0, 1)), at(slice(-2, -1)))))
+    n = shape[ax]
+    return (int(np.prod(shape[ax + 1:])), at(slice(None, None, n - 1)),
+            at(slice(1, None, -1)), at(slice(-1, -3, -1)))
 
 
 def _csum(x: np.ndarray) -> np.ndarray:
@@ -114,19 +114,19 @@ class Grid:
 
         One np.subtract over the flat C-contiguous field fills every interior
         cell; it takes the first and last cell along the axis across rows, so
-        two wrap subtractions overwrite them.  f is made C-contiguous; out
-        must be, since its flat view would otherwise be a copy.
+        one wrap subtraction over strided views overwrites both.  f is made
+        C-contiguous; out must be, since its flat view would otherwise be a
+        copy.
         """
         f = np.ascontiguousarray(f)
         if out is None:
             out = np.empty_like(f)
         elif not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
-        step, wraps = _stencil(f.shape, f.ndim - self.dim + axis)
+        step, o, plus, minus = _stencil(f.shape, f.ndim - self.dim + axis)
         flat = f.ravel()
         np.subtract(flat[2 * step:], flat[:-2 * step], out=out.ravel()[step:-step])
-        for o, plus, minus in wraps:
-            np.subtract(f[plus], f[minus], out=out[o])
+        np.subtract(f[plus], f[minus], out=out[o])
         out *= 1.0 / (2.0 * self.h[axis])
         return out
 

@@ -88,7 +88,7 @@ def validate_psd_matrix(mat: np.ndarray, name: str) -> None:
 
 def _apply_tensor(coef, w: np.ndarray) -> np.ndarray:
     """Contract a scalar / matrix / tensor-field coefficient with a vector field."""
-    if np.isscalar(coef) or (isinstance(coef, np.ndarray) and coef.ndim == 0):
+    if isinstance(coef, (int, float)) or np.ndim(coef) == 0:
         return coef * w
     coef = np.asarray(coef)
     if coef.ndim == 2:

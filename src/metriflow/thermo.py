@@ -15,6 +15,7 @@ callers call it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -42,12 +43,19 @@ class EosParams:
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Thermodynamic quantities at one state point (arrays broadcast)."""
+    """Thermodynamic quantities at one state point (arrays broadcast); u,
+    which the tendencies never read, is computed from thermal and c2m1 when read."""
 
-    u: np.ndarray | float
     T: np.ndarray | float
     p: np.ndarray | float
     mu: np.ndarray | float
+    thermal: np.ndarray | float
+    c2m1: np.ndarray | float
+    lambda_V: float
+
+    @cached_property
+    def u(self) -> np.ndarray | float:
+        return self.thermal + 0.25 * self.lambda_V * self.c2m1 ** 2
 
 
 @dataclass(frozen=True)
@@ -72,12 +80,11 @@ def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
         raise ThermoDomainError("eval_eos requires rho > 0")
     thermal = params.c_v * rho ** (params.gamma_ad - 1.0) * np.exp(s / params.c_v)
     c2m1 = c * c - 1.0
-    well = 0.25 * params.lambda_V * c2m1 ** 2
-    u = thermal + well
     T = thermal / params.c_v
     p = (params.gamma_ad - 1.0) * rho * thermal
     mu = params.lambda_V * c * c2m1
-    return ThermoPoint(u=u, T=T, p=p, mu=mu)
+    return ThermoPoint(T=T, p=p, mu=mu, thermal=thermal, c2m1=c2m1,
+                       lambda_V=params.lambda_V)
 
 
 def lambda_f(T, coeffs: SurfaceCoefficients):

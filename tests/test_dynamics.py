@@ -157,6 +157,16 @@ def test_integrate_rejects_bad_arguments():
         integrate(state, GE, dt=1e-3, n_steps=-1)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_integrate_rejects_a_non_finite_dt_naming_it(dt):
+    sc = make_scenario("heat_relax", seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dt must be finite and positive") as info:
+            integrate(sc.state, sc.model, dt=dt, n_steps=3)
+    assert f"dt = {dt}" in str(info.value)
+
+
 def test_integrate_warns_when_dt_exceeds_limit():
     state = smooth_state(GRID, GNS, seed=5)
     limit = stability_limit(state, GNS)

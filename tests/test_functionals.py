@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ from metriflow import (AnisotropyFn, EosParams, FunctionalGradient, Grid,
                        SurfaceCoefficients, TransportCoefficients,
                        UnsupportedFamilyError, diagnostics, entropy, eval_eos,
                        generalized_mu, grad_H, grad_S,
-                       hamiltonian, smooth_state, total_rhs)
+                       hamiltonian, make_scenario, smooth_state, total_rhs)
 from metriflow import functionals
 from metriflow.dynamics import _advance
 from metriflow.fields import random_gradient
@@ -94,6 +95,14 @@ def test_validate_rejects_nonfinite(name, route):
         bad_state = State(GRID1, packed=packed)
     with pytest.raises(InadmissibleStateError, match=f"non-finite entries in {name}"):
         bad_state.validate(model)
+
+
+@pytest.mark.parametrize("scenario", ["heat_relax", "spinodal1d"], ids=["GNS", "CHNS1"])
+def test_validate_rejects_an_empty_batch_naming_its_shape(scenario):
+    model = make_scenario(scenario, seed=0).model
+    shape = (model.grid.dim + 3, 0) + model.grid.shape
+    with pytest.raises(ValueError, match=re.escape(f"pack shape {shape}")):
+        State(model.grid, packed=np.ones(shape)).validate(model)
 
 
 @pytest.mark.parametrize("members", [False, True])

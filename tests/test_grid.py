@@ -215,6 +215,32 @@ def test_deriv_of_stacked_fields_equals_roll_reference():
         g.deriv(rng.standard_normal((12, 10)), 0, out=np.empty((10, 12)).T)
 
 
+# the smallest grids, where the strided wrap views (cells 0 and n - 1;
+# 1 and 0; n - 1 and n - 2) are shortest and, at n = 4, share every cell
+_SMALLEST_CASES = [
+    (Grid(dim=1, n=(4,), length=(1.0,)), (4,), "C"),
+    (Grid(dim=1, n=(5,), length=(0.7,)), (5,), "C"),
+    (Grid(dim=2, n=(4, 5), length=(1.5, 0.5)), (4, 5), "C"),
+    (Grid(dim=1, n=(4,), length=(1.0,)), (3, 4), "C"),
+    (Grid(dim=1, n=(5,), length=(0.7,)), (2, 3, 5), "C"),
+    (Grid(dim=2, n=(4, 5), length=(1.5, 0.5)), (3, 4, 5), "C"),
+    (Grid(dim=2, n=(4, 5), length=(1.5, 0.5)), (4, 5), "transposed"),
+    (Grid(dim=1, n=(5,), length=(0.7,)), (3, 5), "strided"),
+    (Grid(dim=2, n=(4, 5), length=(1.5, 0.5)), (2, 4, 5), "F"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_SMALLEST_CASES)))
+def test_deriv_on_the_smallest_grids_equals_roll_reference(case):
+    g, shape, layout = _SMALLEST_CASES[case]
+    f = _field(np.random.default_rng(15), shape, layout)
+    assert f.flags.c_contiguous == (layout == "C")
+    for axis in range(g.dim):
+        out = g.deriv(f, axis)
+        assert np.array_equal(out, _roll_deriv(g, f, axis)), (shape, layout, axis)
+        assert np.array_equal(g.deriv(f, axis, out=np.full(shape, np.nan)), out)
+
+
 @pytest.mark.parametrize("case", range(len(_STACKED_CASES)))
 def test_grad_is_the_stack_of_derivs(case):
     g, shape, layout = _STACKED_CASES[case]

@@ -31,10 +31,11 @@ def test_module_imports_are_used(path):
     assert unused_imports(path) == []
 
 
-# numpy functions with a Python-level wrapper around an array method; on
+# numpy functions with a Python-level wrapper around an array method, and
+# np.isscalar, a Python-level type test that isinstance makes faster; on
 # the per-step path, at desk-scale sizes, the wrapper costs more than the
 # arithmetic, so the package calls the methods instead
-NUMPY_WRAPPERS = {"sum", "any", "all", "mean", "trace", "swapaxes", "split"}
+NUMPY_WRAPPERS = {"sum", "any", "all", "mean", "trace", "swapaxes", "split", "isscalar"}
 
 
 def numpy_wrapper_calls(path: Path) -> list[str]:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from metriflow import (AnisotropyFn, EosParams, Grid, ModelConfig, ParameterError, State,
-                       SurfaceCoefficients, ThermoDomainError, eval_eos, grad_H, lambda_f)
+                       SurfaceCoefficients, ThermoDomainError, TransportCoefficients, eval_eos,
+                       grad_H, lambda_f, smooth_state, thermo, total_rhs)
 
 DEFAULTS = EosParams()
 
@@ -130,3 +131,53 @@ def test_eval_eos_broadcasts_fields():
     pt = eval_eos(rho, s, c, DEFAULTS)
     assert np.asarray(pt.T).shape == (4, 4)
     assert np.all(np.asarray(pt.p) > 0)
+
+
+def _u_reference(rho, s, c, params):
+    """thermal + 0.25 lambda_V (c^2 - 1)^2, written out as eval_eos evaluates it."""
+    rho, s, c = (np.asarray(x, dtype=float) for x in (rho, s, c))
+    thermal = params.c_v * rho ** (params.gamma_ad - 1.0) * np.exp(s / params.c_v)
+    c2m1 = c * c - 1.0
+    return thermal + 0.25 * params.lambda_V * c2m1 ** 2
+
+
+@pytest.mark.parametrize("shape", [(), (16,), (3, 16)], ids=["scalar", "field", "members"])
+def test_u_read_later_equals_the_written_out_energy(shape):
+    rng = np.random.default_rng(23)
+    params = EosParams(c_v=1.3, gamma_ad=1.4, lambda_V=0.7)
+    rho = 1.0 + 0.2 * rng.standard_normal(shape) ** 2
+    s, c = rng.standard_normal(shape), rng.standard_normal(shape)
+    if not shape:
+        rho, s, c = float(rho), float(s), float(c)
+    pt = eval_eos(rho, s, c, params)
+    assert np.array_equal(pt.u, _u_reference(rho, s, c, params))
+    assert np.shape(pt.u) == shape
+    assert pt.u is pt.u  # computed once
+
+
+def test_u_of_a_member_batch_is_each_members_u():
+    grid = Grid(dim=1, n=(16,), length=(1.0,))
+    model = ModelConfig(family="CHE1", grid=grid,
+                        surface=SurfaceCoefficients(lambda_u=2e-3, lambda_s=1e-3))
+    batch = smooth_state(grid, model, seed=np.arange(3))
+    u = batch.derived(model).eos.u
+    assert np.array_equal(u, _u_reference(batch.rho, batch.s, batch.c, model.eos))
+    for k in range(3):
+        one = smooth_state(grid, model, seed=k)
+        assert np.array_equal(u[k], one.derived(model).eos.u)
+
+
+def test_the_tendencies_never_read_u(monkeypatch):
+    grid = Grid(dim=2, n=(16, 16), length=(1.0, 1.0))
+    model = ModelConfig(family="CHNS1", grid=grid,
+                        surface=SurfaceCoefficients(lambda_u=2e-3, lambda_s=1e-3),
+                        transport=TransportCoefficients(eta=0.01, zeta=0.005,
+                                                        kappa=0.02, dcoef=0.03))
+    state = smooth_state(grid, model, seed=4)
+    reads = []
+    plain = thermo.ThermoPoint.u
+    monkeypatch.setattr(thermo.ThermoPoint, "u",
+                        property(lambda pt: reads.append(1) or plain.func(pt)))
+    total_rhs(state, model)
+    assert reads == []
+    assert state.derived(model).eos.u.shape == grid.shape and reads == [1]
