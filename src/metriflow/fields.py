@@ -17,6 +17,7 @@ from .functionals import FunctionalGradient, ModelConfig, State
 from .grid import Grid
 
 N_MODES = 4  # Fourier modes per field
+SLACK, BLOCK = 8, 64  # spare raw words per seed; seeds decoded together (as Python ints)
 
 
 @dataclass(frozen=True)
@@ -49,30 +50,74 @@ def fourier_field(grid: Grid, modes: FourierModes) -> np.ndarray:
     return out
 
 
+def _decode(words: np.ndarray, kmax: int):
+    """Raw PCG64 words (..., n) as lists: integers(-kmax, kmax + 1) of each
+    32-bit half, low first (kmax + 1 where Lemire's method rejects it), and
+    random()'s unit double of each word."""
+    span = np.uint64(2 * kmax + 1)
+    m = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).reshape(*words.shape[:-1], -1) * span
+    ints = np.where(m & 0xFFFFFFFF < 2 ** 32 % span, kmax + 1, (m >> 32).astype(np.int64) - kmax)
+    return ints.tolist(), ((words >> 11) * 2.0 ** -53).tolist()
+
+
+class _Stream:
+    """A seed's PCG64 stream read as default_rng(seed) reads it, from
+    _decode's lists; a long redraw chain draws more words from bitgen."""
+
+    def __init__(self, bitgen, ints, units, kmax):
+        self.bitgen, self.ints, self.units, self.kmax = bitgen, ints, units, kmax
+        self.used, self.pending = 0, None  # words read; ints index of a buffered high half
+
+    def random(self, n):  # a unit double of each of the next n words
+        if (short := self.used + n - len(self.units)) > 0:
+            more = _decode(self.bitgen.random_raw(short + SLACK), self.kmax)
+            self.ints, self.units = self.ints + more[0], self.units + more[1]
+        self.used += n
+        return self.units[self.used - n:self.used]
+
+    def integers(self, n):
+        """n draws of integers(-kmax, kmax + 1): a buffered high half, then the
+        next words' halves, low first, less Lemire's rejects, drawn again."""
+        out = [] if self.pending is None else [self.ints[self.pending]]
+        m, h = n - len(out), 2 * self.used
+        self.random((m + 1) // 2)  # the words of the next m halves; an odd m buffers one
+        self.pending, out = h + m if m % 2 else None, out + self.ints[h:h + m]
+        if max(out) > self.kmax:
+            out = [x for x in out if x <= self.kmax]
+            out += self.integers(n - len(out))
+        return out
+
+
 def _draw_fields(grid: Grid, seed: int | np.ndarray, order, kmax: int) -> np.ndarray:
     """Fields of len(order) mode sets per seed, drawn in turn from the seed's
     own stream: field i, of shape (*seeds.shape, *grid.shape), is the
     order[i]-th set.  A set draws its wavevectors in one call (each zero row
     again entry by entry: zero mean), then the unit doubles of its amplitudes
-    and of its phases in one call, as two uniform calls would draw them."""
+    and of its phases in one call, as default_rng(seed) would (see _Stream)."""
     seeds = np.asarray(seed)
-    if seeds.size == 0:
-        raise ValueError("seed: an empty array of seeds draws no field")
-    dim, n_sets, size = grid.dim, len(order), N_MODES * grid.dim
+    if seeds.size == 0 or seeds.dtype.kind not in "iu" or (seeds < 0).any():
+        raise ValueError(f"seed: expected non-negative integers, at least one, got {seed!r}")
+    if not (isinstance(kmax, (int, np.integer)) and 1 <= kmax < 2 ** 31):  # numpy's 32-bit path
+        raise ValueError(f"kmax: expected an integer from 1 to 2**31 - 1, got {kmax!r}")
+    kmax, dim, n_sets, size = int(kmax), grid.dim, len(order), N_MODES * grid.dim
     kvecs = [[None] * seeds.size for _ in range(n_sets)]
-    unit = np.empty((n_sets, seeds.size, 2 * N_MODES))
-    for i, rng in enumerate(map(np.random.default_rng, seeds.ravel())):
-        for j in range(n_sets):
-            k = rng.integers(-kmax, kmax + 1, size=size).tolist()
-            for r in range(0, size, dim):
-                while not any(k[r:r + dim]):
-                    k[r:r + dim] = [rng.integers(-kmax, kmax + 1) for _ in range(dim)]
-            kvecs[j][i] = k
-            rng.random(out=unit[j, i])
+    unit = [[None] * seeds.size for _ in range(n_sets)]
+    n_words, flat = n_sets * (size // 2 + 2 * N_MODES) + SLACK, seeds.ravel().tolist()
+    for b in range(0, len(flat), BLOCK):
+        bitgens = [np.random.PCG64(s) for s in flat[b:b + BLOCK]]
+        ints, units = _decode(np.array([g.random_raw(n_words) for g in bitgens]), kmax)
+        for i, rng in enumerate(map(_Stream, bitgens, ints, units, [kmax] * BLOCK), b):
+            for j in range(n_sets):
+                k = rng.integers(size)
+                for r in range(0, size, dim):
+                    while not any(k[r:r + dim]):
+                        k[r:r + dim] = rng.integers(dim)
+                kvecs[j][i] = k
+                unit[j][i] = rng.random(2 * N_MODES)
     # (fields, *seeds.shape, ...) in C order: fourier_field lays out its
     # result as its inputs, so each field of the result is C-contiguous
     lead = (n_sets,) + seeds.shape
-    unit = unit[list(order)].reshape(lead + (2 * N_MODES,))
+    unit = np.array([unit[j] for j in order]).reshape(lead + (2 * N_MODES,))
     kvecs = np.array([kvecs[j] for j in order], dtype=np.int64).reshape(lead + (N_MODES, dim))
     # Generator.uniform(low, high) is low + (high - low) * (a unit double)
     return fourier_field(grid, FourierModes(

@@ -151,3 +151,13 @@ def test_nan_on_the_coarsest_grid_fails_the_energy_rate_refinement(monkeypatch):
     assert np.isnan(entry["residuals"][0]) and entry["passed"] is False
     assert all(d["passed"] for key, d in result.details.items()
                if key != "GE:energy_rate")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "pre-asymptotic energy rate: for seed 206 the CHE0 and CHE1 residuals read "
+    "orders 0.60 and 0.61 from n = 32 to 64, and 1.78, 1.95, 1.99 from n = 64 "
+    "to 512; ROADMAP item 1b makes the ideal energy rate exact"))
+def test_budgets_pass_for_seed_206():
+    # about 1% of seeds fail this way (206, 258, 260, 291 and 326 of 0-399);
+    # ORDER_MIN, FLOOR and the grid sizes stay as they are
+    assert verification.budgets_suite(206, "fast").passed
