@@ -6,6 +6,9 @@ Two subcommands:
              field snapshots fields_<step>.csv, and a run.json metadata file
              echoing the fully resolved configuration; it steps through
              dynamics.integrate, so a dt above the stability estimate warns.
+             The rows and snapshots come from a writer process forked at
+             the start (os.fork, so POSIX only), while the stepping goes on;
+             a write error stops the run at the next snapshot, exit 2.
   verify  -- run the structure-verification suites and write a
              machine-readable JSON report; exit 0 iff every suite passes.
 
@@ -24,6 +27,8 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
+import pickle
 import re
 import sys
 from dataclasses import asdict, fields
@@ -33,7 +38,7 @@ import numpy as np
 
 from .dynamics import diagnostics, integrate
 from .errors import ConfigError, IntegrationError, require_seed
-from .functionals import FAMILIES, generalized_mu, thermo_point
+from .functionals import FAMILIES, State, generalized_mu, thermo_point
 from .scenarios import (SCENARIO_NAMES, SETTING_TYPES, RunConfig, Scenario,
                         make_scenario, parse_setting)
 from .verification import verify
@@ -116,6 +121,91 @@ def _write_fields(path: Path, state, model) -> None:
         fh.writelines(fmt % row for row in rows)
 
 
+class SnapshotWriter:
+    """A forked process that owns diagnostics.csv and the fields_<step>.csv
+    files, so that their formatting and writing run beside the stepping.
+    ``send`` passes it a step and the state's pack down a pipe, after
+    reading its answer to the snapshot before: that row, or the exception
+    that stopped it, raised here.  So a write error surfaces at the next
+    snapshot, and a writer that falls behind holds the stepping there."""
+
+    def __init__(self, outdir: Path, scen: Scenario):
+        diag_fh = open(outdir / "diagnostics.csv", "w")  # a bad path fails here
+        (to_r, self._to), (self._back, back_w) = (
+            (open(r, "rb"), open(w, "wb")) for r, w in (os.pipe(), os.pipe()))
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fh in (to_r, self._to, self._back, back_w, diag_fh):
+                fh.close()
+            raise
+        if self.pid == 0:
+            self._to.close()
+            self._back.close()
+            _serve(to_r, back_w, diag_fh, outdir, scen)
+        for fh in (to_r, back_w, diag_fh):  # the writer's; this diag_fh holds nothing
+            fh.close()
+        self.last_row = ""
+
+    def _answer(self) -> None:
+        try:
+            answer = pickle.load(self._back)
+        except EOFError:
+            raise RuntimeError("the snapshot writer stopped without an answer") from None
+        if isinstance(answer, BaseException):
+            raise answer
+        self.last_row = answer
+
+    def send(self, step: int, state) -> None:
+        self._answer()
+        self._to.write(step.to_bytes(8, "little") + state.packed.tobytes())
+        self._to.flush()
+
+    def close(self) -> str:
+        """Wait for the writer to finish; the last row it wrote, or its error raised."""
+        try:
+            self._to.close()  # the end mark: the writer reads EOF
+            self._answer()
+        finally:
+            self.reap()
+        return self.last_row
+
+    def reap(self) -> None:
+        """Close the pipes and wait for the writer, which ends at EOF."""
+        if self.pid:
+            self._to.close()
+            self._back.close()
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+
+
+def _serve(to_fh, back_fh, diag_fh, outdir: Path, scen: Scenario) -> None:
+    """The writer: it answers "" once up, then each snapshot's row.  It
+    leaves only through os._exit, so it never returns into its caller or
+    flushes the caller's buffers."""
+    model, shape = scen.model, scen.state.packed.shape
+    code, row = 1, ""
+    try:
+        with diag_fh:
+            diag_fh.write("t,M,Px,Py,C,H,S,S_prod,T_min\n")
+            while True:
+                pickle.dump(row, back_fh)
+                back_fh.flush()
+                head, packed = to_fh.read(8), np.empty(shape)
+                if len(head) < 8 or to_fh.readinto(packed) < packed.nbytes:
+                    break  # EOF: the end mark, or the run is gone
+                step = int.from_bytes(head, "little")
+                state = State(model.grid, packed=packed)
+                row = _write_diag_row(diag_fh, diagnostics(state, model, t=step * scen.dt))
+                _write_fields(outdir / f"fields_{step}.csv", state, model)
+        code = 0
+    except BaseException as exc:
+        pickle.dump(exc, back_fh)
+        back_fh.flush()
+    finally:
+        os._exit(code)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg, scen = resolve_config(args)
@@ -132,26 +222,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     if mallopt is not None:  # glibc; -1 is M_TRIM_THRESHOLD
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-1, TRIM_THRESHOLD)
-    model, n_steps = scen.model, scen.n_steps
-    last_row = ""
-    with open(outdir / "diagnostics.csv", "w") as diag_fh:
-        diag_fh.write("t,M,Px,Py,C,H,S,S_prod,T_min\n")
+    n_steps = scen.n_steps
+    writer = SnapshotWriter(outdir, scen)
 
-        def snapshot(step, state):
-            nonlocal last_row
-            if step % scen.cadence == 0 or step == n_steps:
-                last_row = _write_diag_row(
-                    diag_fh, diagnostics(state, model, t=step * scen.dt))
-                _write_fields(outdir / f"fields_{step}.csv", state, model)
+    def snapshot(step, state):
+        if step % scen.cadence == 0 or step == n_steps:
+            writer.send(step, state)
 
+    try:
         snapshot(0, scen.state)
-        try:
-            integrate(scen.state, model, scen.dt, n_steps, callback=snapshot)
-        except IntegrationError as exc:
-            print(f"integration failed at step {exc.step}: {exc}",
-                  file=sys.stderr)
-            print(f"last diagnostics row: {last_row}", file=sys.stderr)
-            return EXIT_INTEGRATION
+        integrate(scen.state, scen.model, scen.dt, n_steps, callback=snapshot)
+        writer.close()
+    except IntegrationError as exc:
+        last_row = writer.close()
+        print(f"integration failed at step {exc.step}: {exc}",
+              file=sys.stderr)
+        print(f"last diagnostics row: {last_row}", file=sys.stderr)
+        return EXIT_INTEGRATION
+    finally:
+        writer.reap()
     return EXIT_OK
 
 

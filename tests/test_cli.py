@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import errno
+import gc
 import json
 import os
 import platform
 import resource
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,10 +16,11 @@ import numpy as np
 import pytest
 
 import metriflow.cli as cli
-from metriflow import ConfigError, verification
+from metriflow import ConfigError, dynamics, verification
 from metriflow.cli import (EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK,
                            EXIT_VERIFY, RunConfig, build_parser, main,
                            parse_config_file, resolve_config)
+from metriflow.dynamics import integrate
 from metriflow.scenarios import make_scenario
 
 
@@ -32,6 +36,34 @@ def cli_subprocess(*argv, timeout=120):
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     return subprocess.run([sys.executable, "-m", "metriflow.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def reference_run(out, *argv):
+    """The run's outputs from the in-process body that preceded the snapshot
+    writer: integrate with a callback that writes each diagnostics row and
+    snapshot itself, in order."""
+    cfg, scen = resolve_config(build_parser().parse_args(["run", *argv]))
+    out.mkdir(parents=True)
+    with open(out / "diagnostics.csv", "w") as fh:
+        fh.write("t,M,Px,Py,C,H,S,S_prod,T_min\n")
+
+        def snapshot(step, state):
+            if step % scen.cadence == 0 or step == scen.n_steps:
+                cli._write_diag_row(fh, cli.diagnostics(state, scen.model, t=step * scen.dt))
+                cli._write_fields(out / f"fields_{step}.csv", state, scen.model)
+
+        snapshot(0, scen.state)
+        integrate(scen.state, scen.model, scen.dt, scen.n_steps, callback=snapshot)
+
+
+def output_bytes(out):
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.json"}
+
+
+def assert_no_child_left():
+    """run reaps its snapshot writer on every path out of main."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def read_csv_column(path, name):
@@ -87,7 +119,79 @@ def test_integration_failure_reports_step(tmp_path):
     assert proc.returncode == EXIT_INTEGRATION
     assert "exceeds the estimated stability limit" in proc.stderr
     assert "integration failed at step 1" in proc.stderr
-    assert "last diagnostics row" in proc.stderr
+    row = proc.stderr.partition("last diagnostics row: ")[2]
+    assert row == (tmp_path / "o" / "diagnostics.csv").read_text().splitlines()[-1] + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--scenario", "spinodal1d", "--cadence", "5", "--t-end", "0.003"),
+    ("--scenario", "spinodal2d", "--n", "8"),
+], ids=["spinodal1d", "spinodal2d"])
+def test_run_writes_the_bytes_of_the_in_process_body(tmp_path, argv):
+    reference_run(tmp_path / "ref", *argv)
+    assert run_cli("run", *argv, "--out", str(tmp_path / "o")) == EXIT_OK
+    assert_no_child_left()
+    expected = output_bytes(tmp_path / "ref")
+    assert len(expected) > 2 and output_bytes(tmp_path / "o") == expected
+
+
+def test_a_snapshot_write_error_exits_2_naming_the_file(tmp_path, capsys, monkeypatch):
+    steps = []
+    step_rk4 = dynamics.step_rk4
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return step_rk4(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step_rk4", counted)
+    out = tmp_path / "o"
+    (out / "fields_100.csv").mkdir(parents=True)
+    assert run_cli("run", "--scenario", "heat_relax", "--out", str(out)) == EXIT_CONFIG
+    assert_no_child_left()
+    assert capsys.readouterr().err == (
+        f"config error: [Errno 21] Is a directory: '{out / 'fields_100.csv'}'\n")
+    # the stepping stops at the next snapshot (cadence 50) at the latest,
+    # with rows 0, 50 and 100 as the in-process body wrote them
+    assert 100 <= len(steps) <= 150
+    reference_run(tmp_path / "ref", "--scenario", "heat_relax", "--t-end", "0.1")
+    assert (out / "diagnostics.csv").read_bytes() == (tmp_path / "ref" / "diagnostics.csv").read_bytes()
+
+
+def test_a_failed_fork_exits_2_and_closes_its_files(tmp_path, capsys, monkeypatch):
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("run", "--scenario", "heat_relax", "--out", str(tmp_path)) == EXIT_CONFIG
+        gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []
+    assert capsys.readouterr().err == f"config error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+
+
+def test_a_failed_run_leaves_no_writer_behind(tmp_path, monkeypatch):
+    with pytest.warns(RuntimeWarning, match="stability limit"):
+        assert run_cli("run", "--scenario", "heat_relax", "--dt", "5.0", "--t-end", "10.0",
+                       "--out", str(tmp_path / "a")) == EXIT_INTEGRATION
+    assert_no_child_left()
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stop
+
+    monkeypatch.setattr(dynamics, "step_rk4", stop)
+    with pytest.raises(Stop):
+        run_cli("run", "--scenario", "heat_relax", "--out", str(tmp_path / "b"))
+    assert_no_child_left()
+    monkeypatch.undo()
+    reference_run(tmp_path / "ref", "--scenario", "heat_relax", "--t-end", "0.002")
+    ref = output_bytes(tmp_path / "ref")
+    assert output_bytes(tmp_path / "b") == {
+        "diagnostics.csv": b"".join(ref["diagnostics.csv"].splitlines(keepends=True)[:2]),
+        "fields_0.csv": ref["fields_0.csv"]}
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):
@@ -213,7 +317,11 @@ def test_run_json_round_trips(tmp_path):
     assert scen.params == overrides
 
 
-def test_verify_fast_passes(tmp_path, capsys):
+def test_verify_fast_passes(tmp_path, capsys, monkeypatch):
+    def no_fork():
+        raise AssertionError("verify started a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     out = tmp_path / "v"
     code = run_cli("verify", "--seed", "1", "--level", "fast",
                    "--out", str(out))

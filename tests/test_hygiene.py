@@ -192,3 +192,31 @@ def test_only_dynamics_steps_the_state():
                if isinstance(node, ast.Call)
                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "step_rk4"]
     assert callers == []
+
+
+# run's snapshot writer is the one other process: only the CLI may fork, and
+# no module starts a process or a thread any other way
+PROCESS_MODULES = {"multiprocessing", "subprocess", "threading"}
+
+
+def process_machinery(path: Path) -> list[str]:
+    """Imports of a module in PROCESS_MODULES, and uses of os.fork."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                  if name.split(".")[0] in PROCESS_MODULES or name == "os.fork"]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "cli.py"),
+                         ids=lambda p: p.name)
+def test_only_the_cli_starts_a_process(path):
+    assert process_machinery(path) == []
