@@ -11,6 +11,9 @@ Two subcommands:
              a write error stops the run at the next snapshot, exit 2.
   verify  -- run the structure-verification suites and write a
              machine-readable JSON report; exit 0 iff every suite passes.
+             The suites that take no step run in a worker process forked
+             at the start (os.fork, so POSIX only, as for run), beside the
+             ones that step.
 
 The run settings are the fields of one dataclass, ``RunConfig``.  Each is a
 ``run`` flag (``t_end`` is ``--t-end``), a config-file key and a key of
@@ -30,18 +33,19 @@ import json
 import os
 import pickle
 import re
+import signal
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import verification
 from .dynamics import diagnostics, integrate
 from .errors import ConfigError, IntegrationError, require_seed
 from .functionals import FAMILIES, State, generalized_mu, thermo_point
 from .scenarios import (SCENARIO_NAMES, SETTING_TYPES, RunConfig, Scenario,
                         make_scenario, parse_setting)
-from .verification import verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,89 +125,109 @@ def _write_fields(path: Path, state, model) -> None:
         fh.writelines(fmt % row for row in rows)
 
 
-class SnapshotWriter:
+def _put(fh, obj) -> None:
+    pickle.dump(obj, fh)
+    fh.flush()
+
+
+class Forked:
+    """A process forked to run ``work(inbox, outbox)`` on two pipe ends:
+    ``to`` writes to its inbox, and ``answer`` reads the next object it
+    pickled to its outbox, raising it if it is an exception.  An exception
+    that stops ``work`` is its last answer.  The process leaves only through
+    os._exit, so it never returns into its caller or flushes the caller's
+    buffers; ``files`` are the process's, closed here after the fork."""
+
+    def __init__(self, name: str, work, *files):
+        (inbox, self.to), (self.back, outbox) = (
+            (open(r, "rb"), open(w, "wb")) for r, w in (os.pipe(), os.pipe()))
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fh in (inbox, self.to, self.back, outbox, *files):
+                fh.close()
+            raise
+        if self.pid == 0:
+            self.to.close()
+            self.back.close()
+            code = 1
+            try:
+                work(inbox, outbox)
+                code = 0
+            except BaseException as exc:
+                _put(outbox, exc)
+            finally:
+                os._exit(code)
+        for fh in (inbox, outbox, *files):
+            fh.close()
+        self.name = name
+
+    def answer(self):
+        try:
+            answer = pickle.load(self.back)
+        except EOFError:
+            raise RuntimeError(f"the {self.name} stopped without an answer") from None
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
+
+    def reap(self, kill: bool = False) -> None:
+        """Close the pipes and wait for the process, killed first if ``kill``."""
+        if self.pid:
+            self.to.close()
+            self.back.close()
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+
+
+class SnapshotWriter(Forked):
     """A forked process that owns diagnostics.csv and the fields_<step>.csv
     files, so that their formatting and writing run beside the stepping.
     ``send`` passes it a step and the state's pack down a pipe, after
     reading its answer to the snapshot before: that row, or the exception
     that stopped it, raised here.  So a write error surfaces at the next
-    snapshot, and a writer that falls behind holds the stepping there."""
+    snapshot, and a writer that falls behind holds the stepping there.  It
+    ends at EOF, so ``reap`` waits for the snapshots it was sent."""
 
     def __init__(self, outdir: Path, scen: Scenario):
         diag_fh = open(outdir / "diagnostics.csv", "w")  # a bad path fails here
-        (to_r, self._to), (self._back, back_w) = (
-            (open(r, "rb"), open(w, "wb")) for r, w in (os.pipe(), os.pipe()))
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fh in (to_r, self._to, self._back, back_w, diag_fh):
-                fh.close()
-            raise
-        if self.pid == 0:
-            self._to.close()
-            self._back.close()
-            _serve(to_r, back_w, diag_fh, outdir, scen)
-        for fh in (to_r, back_w, diag_fh):  # the writer's; this diag_fh holds nothing
-            fh.close()
+        super().__init__("snapshot writer",
+                         lambda inbox, outbox: _serve(inbox, outbox, diag_fh, outdir, scen),
+                         diag_fh)  # this process's diag_fh holds nothing
         self.last_row = ""
 
-    def _answer(self) -> None:
-        try:
-            answer = pickle.load(self._back)
-        except EOFError:
-            raise RuntimeError("the snapshot writer stopped without an answer") from None
-        if isinstance(answer, BaseException):
-            raise answer
-        self.last_row = answer
-
     def send(self, step: int, state) -> None:
-        self._answer()
-        self._to.write(step.to_bytes(8, "little") + state.packed.tobytes())
-        self._to.flush()
+        self.last_row = self.answer()
+        self.to.write(step.to_bytes(8, "little") + state.packed.tobytes())
+        self.to.flush()
 
     def close(self) -> str:
         """Wait for the writer to finish; the last row it wrote, or its error raised."""
         try:
-            self._to.close()  # the end mark: the writer reads EOF
-            self._answer()
+            self.to.close()  # the end mark: the writer reads EOF
+            self.last_row = self.answer()
         finally:
             self.reap()
         return self.last_row
 
-    def reap(self) -> None:
-        """Close the pipes and wait for the writer, which ends at EOF."""
-        if self.pid:
-            self._to.close()
-            self._back.close()
-            os.waitpid(self.pid, 0)
-            self.pid = 0
-
 
 def _serve(to_fh, back_fh, diag_fh, outdir: Path, scen: Scenario) -> None:
-    """The writer: it answers "" once up, then each snapshot's row.  It
-    leaves only through os._exit, so it never returns into its caller or
-    flushes the caller's buffers."""
+    """The writer: it answers "" once up, then each snapshot's row."""
     model, shape = scen.model, scen.state.packed.shape
-    code, row = 1, ""
-    try:
-        with diag_fh:
-            diag_fh.write("t,M,Px,Py,C,H,S,S_prod,T_min\n")
-            while True:
-                pickle.dump(row, back_fh)
-                back_fh.flush()
-                head, packed = to_fh.read(8), np.empty(shape)
-                if len(head) < 8 or to_fh.readinto(packed) < packed.nbytes:
-                    break  # EOF: the end mark, or the run is gone
-                step = int.from_bytes(head, "little")
-                state = State(model.grid, packed=packed)
-                row = _write_diag_row(diag_fh, diagnostics(state, model, t=step * scen.dt))
-                _write_fields(outdir / f"fields_{step}.csv", state, model)
-        code = 0
-    except BaseException as exc:
-        pickle.dump(exc, back_fh)
-        back_fh.flush()
-    finally:
-        os._exit(code)
+    row = ""
+    with diag_fh:
+        diag_fh.write("t,M,Px,Py,C,H,S,S_prod,T_min\n")
+        while True:
+            _put(back_fh, row)
+            head, packed = to_fh.read(8), np.empty(shape)
+            if len(head) < 8 or to_fh.readinto(packed) < packed.nbytes:
+                break  # EOF: the end mark, or the run is gone
+            step = int.from_bytes(head, "little")
+            state = State(model.grid, packed=packed)
+            row = _write_diag_row(diag_fh, diagnostics(state, model, t=step * scen.dt))
+            _write_fields(outdir / f"fields_{step}.csv", state, model)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -242,6 +266,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     finally:
         writer.reap()
     return EXIT_OK
+
+
+def verify(seed: int, level: str) -> dict:
+    """verification.verify's report.  The suites that step run in this
+    process and the others meanwhile in a forked worker (os.fork, so POSIX
+    only), which sends back their report entries.  A suite's exception is
+    raised here, the earlier suite's if both processes raise one."""
+    beside = [name for name in verification._SUITES
+              if name not in verification.STEPPING_SUITES]
+    worker = Forked("verify worker", lambda inbox, outbox: _put(
+        outbox, verification.run_suites(beside, seed, level)))
+    try:
+        try:
+            entries = verification.run_suites(verification.STEPPING_SUITES, seed, level)
+        except Exception:
+            worker.answer()  # the worker's suites come first in _SUITES
+            raise
+        entries.update(worker.answer())
+    finally:
+        worker.reap(kill=True)  # at once on any way out: it has nothing left to write
+    return verification.assemble_report(seed, level, entries)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -26,6 +26,10 @@ class ParameterError(MetriflowError, ValueError):
         super().__init__(message)
         self.name = name
 
+    def __reduce__(self):
+        # pickle rebuilds an exception as cls(*args), and args holds the message only
+        return type(self), (self.name, *self.args)
+
 
 def require_finite(name: str, value: float) -> None:
     """Raise a ParameterError naming ``name`` unless value is finite."""

@@ -2,9 +2,10 @@
 
 Each suite is deterministic for a fixed seed and returns a SuiteResult with
 a pass flag and numeric details.  verify() runs all suites at one of two
-levels (fast / full, differing only in trial counts) and assembles a
-machine-readable report; the report content is reproducible, so two runs
-with the same seed produce identical files.
+levels (fast / full, differing only in trial counts) with run_suites and
+assembles a machine-readable report with assemble_report; the report
+content is reproducible, so two runs with the same seed produce identical
+files.
 
 Tolerances: identities that hold by discrete adjointness or by construction
 are checked near roundoff; identities limited by the discrete product rule
@@ -361,17 +362,33 @@ _SUITES = {
 }
 
 
-def verify(seed: int = 1, level: str = "fast") -> dict:
-    """Run every suite; returns a JSON-serializable report."""
+# the suites that take RK4 steps, last in _SUITES: a caller may run them
+# beside the others and still raise an earlier suite's error first
+STEPPING_SUITES = ("budgets",)
+
+
+def run_suites(names, seed: int, level: str) -> dict:
+    """The report entries of the suites ``names``, run in that order."""
     require_seed(seed)
     _counts(level)  # validate level early
-    suites = {}
-    for name, suite in _SUITES.items():
-        result = suite(seed, level)
-        suites[name] = {"passed": bool(result.passed),
-                        "details": _jsonable(result.details)}
+    entries = {}
+    for name in names:
+        result = _SUITES[name](seed, level)
+        entries[name] = {"passed": bool(result.passed),
+                         "details": _jsonable(result.details)}
+    return entries
+
+
+def assemble_report(seed: int, level: str, entries: dict) -> dict:
+    """The JSON-serializable report of every suite's entry."""
+    suites = {name: entries[name] for name in _SUITES}
     return {"seed": seed, "level": level,
             "passed": all(s["passed"] for s in suites.values()), "suites": suites}
+
+
+def verify(seed: int = 1, level: str = "fast") -> dict:
+    """Run every suite; returns a JSON-serializable report."""
+    return assemble_report(seed, level, run_suites(_SUITES, seed, level))
 
 
 def _jsonable(obj):

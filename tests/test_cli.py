@@ -8,6 +8,7 @@ import platform
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 import metriflow.cli as cli
-from metriflow import ConfigError, dynamics, verification
+from metriflow import (ConfigError, IntegrationError, ParameterError, dynamics,
+                       verification)
 from metriflow.cli import (EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK,
                            EXIT_VERIFY, RunConfig, build_parser, main,
                            parse_config_file, resolve_config)
@@ -61,9 +63,21 @@ def output_bytes(out):
 
 
 def assert_no_child_left():
-    """run reaps its snapshot writer on every path out of main."""
+    """run reaps its snapshot writer, and verify its worker, on every path
+    out of main."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class Stop(Exception):
+    pass
+
+
+def raises(exc):
+    """A function that raises exc, whatever it is called with."""
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
 
 
 def read_csv_column(path, name):
@@ -157,14 +171,16 @@ def test_a_snapshot_write_error_exits_2_naming_the_file(tmp_path, capsys, monkey
     assert (out / "diagnostics.csv").read_bytes() == (tmp_path / "ref" / "diagnostics.csv").read_bytes()
 
 
-def test_a_failed_fork_exits_2_and_closes_its_files(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [("run", "--scenario", "heat_relax"), ("verify",)],
+                         ids=["run", "verify"])
+def test_a_failed_fork_exits_2_and_closes_its_files(tmp_path, capsys, monkeypatch, argv):
     def no_fork():
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "fork", no_fork)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run_cli("run", "--scenario", "heat_relax", "--out", str(tmp_path)) == EXIT_CONFIG
+        assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_CONFIG
         gc.collect()
     assert [w for w in caught if w.category is ResourceWarning] == []
     assert capsys.readouterr().err == f"config error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
@@ -175,14 +191,7 @@ def test_a_failed_run_leaves_no_writer_behind(tmp_path, monkeypatch):
         assert run_cli("run", "--scenario", "heat_relax", "--dt", "5.0", "--t-end", "10.0",
                        "--out", str(tmp_path / "a")) == EXIT_INTEGRATION
     assert_no_child_left()
-
-    class Stop(Exception):
-        pass
-
-    def stop(*args, **kwargs):
-        raise Stop
-
-    monkeypatch.setattr(dynamics, "step_rk4", stop)
+    monkeypatch.setattr(dynamics, "step_rk4", raises(Stop))
     with pytest.raises(Stop):
         run_cli("run", "--scenario", "heat_relax", "--out", str(tmp_path / "b"))
     assert_no_child_left()
@@ -317,15 +326,27 @@ def test_run_json_round_trips(tmp_path):
     assert scen.params == overrides
 
 
-def test_verify_fast_passes(tmp_path, capsys, monkeypatch):
-    def no_fork():
-        raise AssertionError("verify started a process")
+@pytest.fixture
+def forks(monkeypatch):
+    """The list to which each os.fork of the test appends a 1."""
+    calls = []
+    fork = os.fork
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def test_verify_fast_passes(tmp_path, capsys, forks):
     out = tmp_path / "v"
     code = run_cli("verify", "--seed", "1", "--level", "fast",
                    "--out", str(out))
     assert code == EXIT_OK
+    assert forks == [1]
+    assert_no_child_left()
     text = capsys.readouterr().out
     for suite in ("bracket_symmetry", "casimir_convergence", "curvature",
                   "onsager", "production_positivity", "budgets"):
@@ -333,6 +354,83 @@ def test_verify_fast_passes(tmp_path, capsys, monkeypatch):
     report = json.loads((out / "verify_report.json").read_text())
     assert report["passed"] is True
     assert report["seed"] == 1
+
+
+@pytest.mark.parametrize("level, seed, code", [
+    ("fast", 1, EXIT_OK), ("fast", 2, EXIT_OK), ("fast", 9, EXIT_OK),
+    ("full", 1, EXIT_OK),
+    ("fast", 206, EXIT_VERIFY),  # budgets fails there: a pre-asymptotic energy rate
+])
+def test_verify_writes_the_in_process_report(tmp_path, forks, level, seed, code):
+    out = tmp_path / "v"
+    assert run_cli("verify", "--seed", str(seed), "--level", level, "--out", str(out)) == code
+    assert forks == [1]
+    assert_no_child_left()
+    expected = json.dumps(verification.verify(seed, level), indent=2, sort_keys=True) + "\n"
+    assert (out / "verify_report.json").read_text() == expected
+
+
+@pytest.fixture
+def quick_suites(monkeypatch):
+    """Every verify suite replaced by one that passes at once; a test sets
+    its own entries of the returned dict, verification._SUITES."""
+    def passes(seed, level):
+        return verification.SuiteResult(True, {"seed": seed})
+
+    for name in verification._SUITES:
+        monkeypatch.setitem(verification._SUITES, name, passes)
+    return verification._SUITES
+
+
+def test_verify_exits_2_and_reaps_its_worker_on_an_unwritable_report(tmp_path, capsys,
+                                                                     quick_suites, forks):
+    (tmp_path / "verify_report.json").mkdir()
+    assert run_cli("verify", "--out", str(tmp_path)) == EXIT_CONFIG
+    assert forks == [1]
+    assert_no_child_left()
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_a_worker_suites_error_reaches_the_caller(tmp_path, quick_suites):
+    quick_suites["onsager"] = raises(ParameterError("eta", "eta must be finite"))
+    with pytest.raises(ParameterError, match="eta must be finite") as caught:
+        run_cli("verify", "--out", str(tmp_path))
+    assert caught.value.name == "eta"
+    assert_no_child_left()
+
+
+def test_a_stepping_suites_error_reaches_the_caller(tmp_path, quick_suites):
+    quick_suites["budgets"] = raises(IntegrationError("non-finite state", step=3))
+    with pytest.raises(IntegrationError, match="non-finite state") as caught:
+        run_cli("verify", "--out", str(tmp_path))
+    assert caught.value.step == 3
+    assert_no_child_left()
+
+
+def test_the_earlier_suites_error_wins(quick_suites):
+    quick_suites["curvature"] = raises(ParameterError("eta", "eta must be finite"))
+    quick_suites["budgets"] = raises(Stop("budgets"))
+    for verify in (verification.verify, cli.verify):  # the serial loop, then the CLI's
+        with pytest.raises(ParameterError):
+            verify(1, "fast")
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_without_an_answer_is_named(tmp_path, quick_suites):
+    quick_suites["onsager"] = lambda seed, level: os._exit(0)
+    with pytest.raises(RuntimeError, match="the verify worker stopped without an answer"):
+        run_cli("verify", "--out", str(tmp_path))
+    assert_no_child_left()
+
+
+def test_an_interrupted_verify_kills_its_worker(tmp_path, quick_suites):
+    quick_suites["bracket_symmetry"] = lambda seed, level: time.sleep(60)
+    quick_suites["budgets"] = raises(KeyboardInterrupt)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("verify", "--out", str(tmp_path))
+    assert time.monotonic() - t0 < 30
+    assert_no_child_left()
 
 
 def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):

@@ -58,22 +58,29 @@ def test_module_calls_array_methods_not_numpy_wrappers(path):
 DICT_ACCESS_ALLOWED = {"functionals.py": {"State.derived"}}
 
 
-def dict_accesses(path: Path) -> list[str]:
-    """``__dict__`` accesses, each with its enclosing class/function path."""
+def scoped_nodes(path: Path, match) -> list[tuple[str, ast.AST]]:
+    """The nodes for which match holds, each with its enclosing class/function path."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = scope + (node.name,)
-        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
-            found.append((".".join(scope), node.lineno))
+        if match(node):
+            found.append((".".join(scope), node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return found
+
+
+def dict_accesses(path: Path) -> list[str]:
+    """``__dict__`` accesses, each with its enclosing class/function path."""
+    found = scoped_nodes(path, lambda node: isinstance(node, ast.Attribute)
+                         and node.attr == "__dict__")
     allowed = DICT_ACCESS_ALLOWED.get(path.name, set())
-    return [f"{path.name}:{line}: __dict__ in {scope or '<module>'}"
-            for scope, line in found if scope not in allowed]
+    return [f"{path.name}:{node.lineno}: __dict__ in {scope or '<module>'}"
+            for scope, node in found if scope not in allowed]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -194,8 +201,9 @@ def test_only_dynamics_steps_the_state():
     assert callers == []
 
 
-# run's snapshot writer is the one other process: only the CLI may fork, and
-# no module starts a process or a thread any other way
+# run's snapshot writer and verify's worker are the only other processes:
+# only the CLI may fork, and no module starts a process or a thread any
+# other way
 PROCESS_MODULES = {"multiprocessing", "subprocess", "threading"}
 
 
@@ -220,3 +228,13 @@ def process_machinery(path: Path) -> list[str]:
                          ids=lambda p: p.name)
 def test_only_the_cli_starts_a_process(path):
     assert process_machinery(path) == []
+
+
+def test_the_cli_forks_and_exits_in_one_place():
+    """One fork helper serves run's writer and verify's worker, so the
+    pipe, the pickled answer, os._exit and the reaping are written once."""
+    calls = scoped_nodes(SRC / "cli.py", lambda node: isinstance(node, ast.Attribute)
+                         and isinstance(node.value, ast.Name) and node.value.id == "os"
+                         and node.attr in ("fork", "_exit"))
+    assert sorted((node.attr, scope) for scope, node in calls) == [
+        ("_exit", "Forked.__init__"), ("fork", "Forked.__init__")]

@@ -6,7 +6,7 @@ estimate must come from the asymptotic range."""
 import numpy as np
 import pytest
 
-from metriflow import metriplectic, verification
+from metriflow import dynamics, metriplectic, verification
 from metriflow.grid import _trace
 from metriflow.verification import CASIMIR_SIZES, casimir_convergence_suite
 
@@ -161,3 +161,24 @@ def test_budgets_pass_for_seed_206():
     # about 1% of seeds fail this way (206, 258, 260, 291 and 326 of 0-399);
     # ORDER_MIN, FLOOR and the grid sizes stay as they are
     assert verification.budgets_suite(206, "fast").passed
+
+
+def test_only_the_stepping_suites_step_and_they_come_last(monkeypatch):
+    # the CLI runs STEPPING_SUITES in its own process and the rest in a
+    # worker; it raises the worker's error first, as the serial loop would
+    steps = []
+    step_rk4 = dynamics.step_rk4
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return step_rk4(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step_rk4", counted)
+    stepping = []
+    for name, suite in verification._SUITES.items():
+        del steps[:]
+        suite(1, "fast")
+        if steps:
+            stepping.append(name)
+    assert stepping == list(verification.STEPPING_SUITES)
+    assert list(verification._SUITES)[-len(stepping):] == stepping
