@@ -171,9 +171,7 @@ def test_a_snapshot_write_error_exits_2_naming_the_file(tmp_path, capsys, monkey
     assert (out / "diagnostics.csv").read_bytes() == (tmp_path / "ref" / "diagnostics.csv").read_bytes()
 
 
-@pytest.mark.parametrize("argv", [("run", "--scenario", "heat_relax"), ("verify",)],
-                         ids=["run", "verify"])
-def test_a_failed_fork_exits_2_and_closes_its_files(tmp_path, capsys, monkeypatch, argv):
+def assert_a_failed_fork_exits_2_and_closes_its_files(tmp_path, capsys, monkeypatch, *argv):
     def no_fork():
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
@@ -184,6 +182,15 @@ def test_a_failed_fork_exits_2_and_closes_its_files(tmp_path, capsys, monkeypatc
         gc.collect()
     assert [w for w in caught if w.category is ResourceWarning] == []
     assert capsys.readouterr().err == f"config error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+
+
+def test_a_failed_fork_exits_2_and_closes_its_files(tmp_path, capsys, monkeypatch):
+    assert_a_failed_fork_exits_2_and_closes_its_files(
+        tmp_path, capsys, monkeypatch, "run", "--scenario", "heat_relax")
+
+
+def test_a_failed_verify_fork_exits_2_and_closes_its_files(tmp_path, capsys, monkeypatch):
+    assert_a_failed_fork_exits_2_and_closes_its_files(tmp_path, capsys, monkeypatch, "verify")
 
 
 def test_a_failed_run_leaves_no_writer_behind(tmp_path, monkeypatch):
