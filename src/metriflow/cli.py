@@ -42,7 +42,7 @@ import numpy as np
 
 from . import verification
 from .dynamics import diagnostics, integrate
-from .errors import ConfigError, IntegrationError, require_seed
+from .errors import ConfigError, IntegrationError
 from .functionals import FAMILIES, State, generalized_mu, thermo_point
 from .scenarios import (SCENARIO_NAMES, SETTING_TYPES, RunConfig, Scenario,
                         make_scenario, parse_setting)
@@ -290,7 +290,7 @@ def verify(seed: int, level: str) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    require_seed(args.seed)  # before --out is made
+    verification.require_suite_seed(args.seed, args.level)  # before --out is made
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the suites
     report = verify(seed=args.seed, level=args.level)

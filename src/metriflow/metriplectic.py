@@ -9,6 +9,9 @@ interface families it is the sharp bracket pulled back through the sigma^a
 change of variables: the four gradients go through transform_gradients (in
 functionals), which turns the concentration slot of grad H into mu_Gamma.
 The 2-bracket is (F, H; G, H); (F, G; F, G) is the sectional curvature.
+Its slot table (Lambda for m, kappa / T for sigma, D for ctilde) is summed
+pointwise by _pairing and _pairing_end, and the entropy production
+(S, H; S, H) pairs the kernel's own fluxes with their gradients through them.
 
 Viscous contraction uses the full 3D isotropic rank-4 tensor (trace factor
 2/3) in dim x dim form.  Absent velocity components and derivatives are
@@ -19,6 +22,7 @@ term |sym - (tr/3) I_3|^2 = |sym_dd|^2 - tr^2/3.
 All tendencies, ideal and dissipative, come from one kernel
 (_tendencies, the divergence of the _fluxes buffer plus the terms not in
 flux form); ideal_rhs, dissipative_rhs and total_rhs select its parts.
+The Onsager blocks are built from a state's cells, all at once.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .errors import ParameterError, UnsupportedFamilyError, require_finite
 from .functionals import (FunctionalGradient, ModelConfig, State, _align_batch,
                           _tendency_to_sigma_a, grad_H, sigma_total, transform_gradients)
 from .grid import _csum, _trace
-from .thermo import eval_eos
 
 
 @dataclass(frozen=True)
@@ -96,26 +99,25 @@ def _apply_tensor(coef, w: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,j...->i...", coef, w)
 
 
-def _quad_tensor(coef, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pointwise x . coef . y for vector fields x, y."""
-    return _csum(x * _apply_tensor(coef, y))
+def _strain(gradv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gradv + gradv^T, tr gradv): what the stress and viscous production share."""
+    return gradv + gradv.swapaxes(0, 1), _trace(gradv)
 
 
-def _stress(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
-    """eta*(gradv + gradv^T - (2/3) I tr) + zeta I tr on a (d, d, ...) block."""
-    trace = _trace(gradv)
-    out = eta * (gradv + gradv.swapaxes(0, 1))
-    for i in range(len(gradv)):
+def _stress(strain, eta: float, zeta: float, out: np.ndarray | None = None) -> np.ndarray:
+    """eta*(gradv + gradv^T - (2/3) I tr) + zeta I tr from gradv's _strain, into out."""
+    sym2, trace = strain
+    out = np.multiply(eta, sym2, out=out)
+    for i in range(len(sym2)):
         out[i, i] += (zeta - (2.0 / 3.0) * eta) * trace
     return out
 
 
-def _visc_production(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
-    """gradv : Lambda : gradv for a dim x dim gradient (dim <= 2), as
-    2 eta |sym - (tr/3) I_3|^2 + zeta tr^2 with the deviator norm
-    |sym_dd|^2 - tr^2/3 (at least tr^2/6, so nonnegative)."""
-    trace = _trace(gradv)
-    sym = 0.5 * (gradv + gradv.swapaxes(0, 1))
+def _visc_production(strain, eta: float, zeta: float) -> np.ndarray:
+    """gradv : Lambda : gradv from the _strain of a dim x dim gradient
+    (dim <= 2), as 2 eta |sym - (tr/3) I_3|^2 + zeta tr^2 with the deviator
+    norm |sym_dd|^2 - tr^2/3 (at least tr^2/6, so nonnegative)."""
+    sym, trace = 0.5 * strain[0], strain[1]
     dev2 = _pair_sum(sym * sym) - trace * trace / 3.0
     return 2.0 * eta * dev2 + zeta * trace * trace
 
@@ -125,11 +127,42 @@ def _pair_sum(x: np.ndarray) -> np.ndarray:
     return _csum(x.reshape((-1,) + x.shape[2:]))
 
 
-def _production(T, gradv, gradT, grad_mu, tr, kappa, dcoef) -> np.ndarray:
-    """Pointwise entropy production (nonnegative by construction)."""
-    cond = _quad_tensor(kappa, gradT, gradT) / T
-    diff = _quad_tensor(dcoef, grad_mu, grad_mu)
-    return (_visc_production(gradv, tr.eta, tr.zeta) + cond + diff) / T
+def _pairing(m_term, x_sigma, kappa_y, T) -> np.ndarray:
+    """The m and sigma slots of the slot table (Lambda, kappa / T, then D for
+    ctilde in _pairing_end) summed pointwise: m_term + x_sigma . kappa y_sigma
+    / T, m_term = x_m : Lambda y_m.  Both the 4-bracket and the production
+    (S, H; S, H), the kernel's fluxes with their gradients, sum through it."""
+    return m_term + _csum(x_sigma * kappa_y) / T
+
+
+def _pairing_end(head, x_c, dcoef_y, T) -> np.ndarray:
+    """(head + x_c . D y_c) / T: the slot table after _pairing's head."""
+    return (head + _csum(x_c * dcoef_y)) / T
+
+
+class _Closure:
+    """A state's dissipative closure, each part formed once: one _strain of
+    grad v and kappa grad T give the viscous and heat fluxes, written into
+    flux if given, and their _pairing (head); diffuse adds D grad mu_Gamma
+    (diffusion) and the production.  Per stage: on Derived it outlives it."""
+
+    def __init__(self, state: State, model: ModelConfig, flux: np.ndarray | None = None):
+        self.d, tr = state.derived(model), model.transport
+        gradv, _, gradT, _ = self.d.grads
+        strain = _strain(gradv)
+        visc = _visc_production(strain, tr.eta, tr.zeta)
+        heat = _apply_tensor(self.d.kappa, gradT)
+        if flux is not None:
+            dim = len(gradv)
+            _stress(strain, tr.eta, tr.zeta, out=flux[:, :dim])
+            flux[:, dim + 2] += heat / self.d.eos.T
+        self.head = _pairing(visc, gradT, heat, np.asarray(self.d.eos.T))
+
+    def diffuse(self, grad_mu: np.ndarray) -> "_Closure":
+        self.diffusion = _apply_tensor(self.d.dcoef, grad_mu)
+        self.production = _pairing_end(self.head, grad_mu, self.diffusion,
+                                       np.asarray(self.d.eos.T))
+        return self
 
 
 def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
@@ -148,19 +181,17 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     Fg, Gg, Kg, Ng = _align_batch(Fg, Gg, Kg, Ng, state=state)
     if model.is_diffuse:
         Fg, Gg, Kg, Ng = (transform_gradients(X, state, model) for X in (Fg, Gg, Kg, Ng))
-    g = state.grid
-    tr = model.transport
-    der = state.derived(model)
+    g, tr, der = state.grid, model.transport, state.derived(model)
     T = np.asarray(der.eos.T)
 
     def d(A, B, slot):
         # per-slot grads: the 4-bracket never differentiates rho
         return B.sigma * g.grad(getattr(A, slot)) - A.sigma * g.grad(getattr(B, slot))
 
-    integrand = _pair_sum(d(Fg, Gg, "m") * _stress(d(Kg, Ng, "m"), tr.eta, tr.zeta))
-    integrand = integrand + _quad_tensor(der.kappa, d(Fg, Gg, "sigma"), d(Kg, Ng, "sigma")) / T
-    integrand = integrand + _quad_tensor(der.dcoef, d(Fg, Gg, "ctilde"), d(Kg, Ng, "ctilde"))
-    return g.integrate(integrand / T)
+    m_term = _pair_sum(d(Fg, Gg, "m") * _stress(_strain(d(Kg, Ng, "m")), tr.eta, tr.zeta))
+    head = _pairing(m_term, d(Fg, Gg, "sigma"), _apply_tensor(der.kappa, d(Kg, Ng, "sigma")), T)
+    return g.integrate(_pairing_end(head, d(Fg, Gg, "ctilde"),
+                                    _apply_tensor(der.dcoef, d(Kg, Ng, "ctilde")), T))
 
 
 def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
@@ -171,37 +202,33 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
 
 def _fluxes(state: State, model: ModelConfig, ideal: bool = True,
-            dissipative: bool = True) -> np.ndarray:
+            dissipative: bool = True) -> tuple[np.ndarray, _Closure | None]:
     """The negated fluxes whose divergence is the tendency pack, (dim, slots,
     *members, *grid.shape), the slots as State.packed then a diffuse dissipative
     family's mu_Gamma flux: stress (capillary if ideal, viscous if
-    dissipative), -(rho, ctilde, sigma_total) v if ideal, kappa grad T / T."""
+    dissipative), -(rho, ctilde, sigma_total) v if ideal, kappa grad T / T;
+    and the _Closure that formed the dissipative ones (None without them)."""
     g, dim = state.grid, state.grid.dim
     dissipative = dissipative and model.is_dissipative
     d = state.derived(model)
     with_mu = dissipative and model.is_diffuse
     # the advective slots are zero without the ideal part
     flux = (np.empty if ideal else np.zeros)((dim, dim + 3 + with_mu) + state.rho.shape)
-    m_flux = flux[:, :dim]
     if ideal:
         dens = np.negative(state.packed[dim:])
         np.negative(sigma_total(state, model), out=dens[2])
         np.multiply(dens[None], state.v[:, None], out=flux[:, dim:dim + 3])
+        del dens  # its memory goes to the closure, formed next (before the capillary stress)
+    closure = _Closure(state, model, flux) if dissipative else None
     if model.is_diffuse:
         cap_stress, mu_flux = d.capillary_stress()
-    if dissipative:
-        tr = model.transport
-        stress = _stress(d.grads[0], tr.eta, tr.zeta)
-        if ideal and model.is_diffuse:
-            np.add(cap_stress, stress, out=m_flux)
-        else:
-            m_flux[...] = stress
-        flux[:, dim + 2] += _apply_tensor(d.kappa, d.grads[2]) / d.eos.T
         if with_mu:
             flux[:, -1] = mu_flux
-    else:
-        m_flux[...] = cap_stress if model.is_diffuse else 0.0
-    return flux
+    if not dissipative:
+        flux[:, :dim] = cap_stress if model.is_diffuse else 0.0
+    elif ideal and model.is_diffuse:
+        flux[:, :dim] += cap_stress
+    return flux, closure
 
 
 def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
@@ -220,10 +247,12 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     dissipative = dissipative and model.is_dissipative
     if not (ideal or dissipative):
         return FunctionalGradient(packed=np.zeros(state.packed.shape))
-    div = g.div(_fluxes(state, model, ideal, dissipative))
+    flux, closure = _fluxes(state, model, ideal, dissipative)
+    div = g.div(flux)
+    del flux  # not read again: held, it would raise the stage's peak
     rhs = FunctionalGradient(packed=div[:dim + 3])
     rho, v, d = state.rho, state.v, state.derived(model)
-    gradv, grad_p, gradT, _ = d.grads
+    gradv, grad_p, _, _ = d.grads
     if ideal:
         m_dot = rhs.m
         m_dot -= rho * _csum(v[:, None] * gradv)  # v_j d_j v_i
@@ -231,10 +260,9 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
         m_dot += v * rhs.rho
     if dissipative:
         mu = d.eos.mu
-        grad_mu = g.grad(mu - div[-1] / rho if model.is_diffuse else mu)  # grad mu_Gamma
-        np.add(rhs.ctilde, g.div(_apply_tensor(d.dcoef, grad_mu)), out=rhs.ctilde)
-        np.add(rhs.sigma, _production(np.asarray(d.eos.T), gradv, gradT, grad_mu,
-                                      model.transport, d.kappa, d.dcoef), out=rhs.sigma)
+        closure.diffuse(g.grad(mu - div[-1] / rho if model.is_diffuse else mu))  # grad mu_Gamma
+        np.add(rhs.ctilde, g.div(closure.diffusion), out=rhs.ctilde)
+        np.add(rhs.sigma, closure.production, out=rhs.sigma)
     if model.is_diffuse:
         _tendency_to_sigma_a(rhs, state, model)
     return rhs
@@ -244,26 +272,20 @@ def dissipative_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
     """Dissipative tendencies (zero for the ideal families).
 
     Momentum and concentration are in divergence (flux) form; the entropy
-    tendency carries the heat-flux divergence plus the three production
-    terms, pulled back to the evolved sigma^a field for the diffuse
-    families.
+    tendency carries the heat-flux divergence plus the production, pulled
+    back to the evolved sigma^a field for the diffuse families.
     """
     return _tendencies(state, model, ideal=False)
 
 
-def production_density(state: State, model: ModelConfig) -> np.ndarray:
-    """Pointwise entropy production rate (nonnegative by construction)."""
-    if not model.is_dissipative:
-        return np.zeros(state.rho.shape)
-    d = state.derived(model)
-    gradv, _, gradT, _ = d.grads
-    return _production(np.asarray(d.eos.T), gradv, gradT, state.grid.grad(d.mu_gamma),
-                       model.transport, d.kappa, d.dcoef)
-
-
 def entropy_production_rate(state: State, model: ModelConfig) -> tuple[np.ndarray, float]:
-    """(pointwise production field, its integral: per member for a batch)."""
-    field = production_density(state, model)
+    """(pointwise production field, its integral: per member for a batch);
+    the field is the kernel's (see _Closure), nonnegative by construction."""
+    if model.is_dissipative:
+        grad_mu = state.grid.grad(state.derived(model).mu_gamma)
+        field = _Closure(state, model).diffuse(grad_mu).production
+    else:
+        field = np.zeros(state.rho.shape)
     return field, state.grid.integrate(field)
 
 
@@ -297,9 +319,7 @@ def _embed3_matrix(coef) -> np.ndarray:
     if coef.ndim == 0:
         # isotropic coefficients act on all three directions
         return float(coef) * _EYE3
-    out = np.zeros((3, 3))
-    out[:coef.shape[0], :coef.shape[1]] = coef
-    return out
+    return np.pad(coef, [(0, 3 - len(coef))] * 2)
 
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -327,17 +347,10 @@ class OnsagerBlocks:
         """Full symmetric 15x15 matrix over (m_(ij), e_k, c_k), with the
         blocks' leading axes in front."""
         lead = self.L_ee.shape[:-2]
-        L_mm = self.L_mm.reshape(lead + (9, 9))
-        L_me = self.L_me.reshape(lead + (9, 3))
-        full = np.zeros(lead + (15, 15))
-        full[..., :9, :9] = L_mm
-        full[..., :9, 9:12] = L_me
-        full[..., 9:12, :9] = L_me.swapaxes(-1, -2)
-        full[..., 9:12, 9:12] = self.L_ee
-        full[..., 9:12, 12:] = self.L_ec
-        full[..., 12:, 9:12] = self.L_ec.swapaxes(-1, -2)
-        full[..., 12:, 12:] = self.L_cc
-        return full
+        L_me, zero = self.L_me.reshape(lead + (9, 3)), np.zeros(lead + (9, 3))
+        return np.block([[self.L_mm.reshape(lead + (9, 9)), L_me, zero],
+                         [L_me.swapaxes(-1, -2), self.L_ee, self.L_ec],
+                         [zero.swapaxes(-1, -2), self.L_ec.swapaxes(-1, -2), self.L_cc]])
 
 
 def _onsager_blocks(T, mu, v3, eta, zeta, kap3, dmat3) -> OnsagerBlocks:
@@ -357,29 +370,6 @@ def _onsager_blocks(T, mu, v3, eta, zeta, kap3, dmat3) -> OnsagerBlocks:
     L_ec = t * m * dmat3
     L_cc = t * dmat3
     return OnsagerBlocks(L_mm=L_mm, L_me=L_me, L_ee=L_ee, L_ec=L_ec, L_cc=L_cc)
-
-
-def onsager_blocks(rho: float, s: float, c: float, v, model: ModelConfig) -> OnsagerBlocks:
-    """Onsager blocks at a single thermodynamic point.
-
-    v is the velocity, given with up to three components (missing ones are
-    zero).  Raises if the temperature at the point is not positive, and a
-    ParameterError if kappa or dcoef is a callable: a field coefficient has
-    no value at a point without a state.
-    """
-    tr = model.transport
-    if tr is None:
-        raise ValueError("transport coefficients required")
-    for name in ("kappa", "dcoef"):
-        if callable(getattr(tr, name)):
-            raise ParameterError(name, f"onsager_blocks needs a scalar or matrix {name}, "
-                                       "not a callable of (state, model)")
-    pt = eval_eos(rho, s, c, model.eos)
-    v3 = np.zeros(3)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    v3[:v.shape[0]] = v
-    return _onsager_blocks(float(pt.T), float(pt.mu), v3, tr.eta, tr.zeta,
-                           _embed3_matrix(tr.kappa), _embed3_matrix(tr.dcoef))
 
 
 def onsager_fluxes(blocks: OnsagerBlocks, aff_e: np.ndarray, aff_m: np.ndarray,

@@ -21,12 +21,12 @@ import numpy as np
 
 from .brackets import poisson_bracket
 from .dynamics import integrate, total_rhs
-from .errors import require_seed
+from .errors import ConfigError, require_seed
 from .fields import random_gradient, smooth_state
 from .functionals import (DIFFUSE_FAMILIES, DISSIPATIVE_FAMILIES, FAMILIES,
                           FunctionalGradient, ModelConfig, State, grad_H, grad_S)
 from .grid import Grid
-from .metriplectic import (TransportCoefficients, _apply_tensor, _embed3_matrix, _fluxes,
+from .metriplectic import (TransportCoefficients, _embed3_matrix, _fluxes,
                            _onsager_blocks, dissipative_rhs, entropy_production_rate,
                            kn_4bracket, metriplectic_2bracket, onsager_fluxes)
 from .thermo import EosParams, SurfaceCoefficients
@@ -37,6 +37,7 @@ FLOOR = 1e-12
 # on each; were one to leave a residual, the order of the two finest would
 # tell an O(h^2) discretization error from a defect that does not shrink
 CASIMIR_SIZES = (16, 32, 64, 128)
+CASIMIR_SEED = 100  # casimir_convergence's trial seeds, the largest drawn, start here
 
 
 @dataclass
@@ -163,7 +164,7 @@ def casimir_convergence_suite(seed: int, level: str = "fast") -> SuiteResult:
                  for label in ("entropy", "mass")}
     for n in CASIMIR_SIZES:
         grid = Grid(dim=1, n=(n,), length=(1.0,))
-        F = random_gradient(grid, seed + 100 + np.arange(n_trials), kmax=2)
+        F = random_gradient(grid, seed + CASIMIR_SEED + np.arange(n_trials), kmax=2)
         f_norm = F.norm(grid)
         for family in FAMILIES:
             model = model_for(family, grid)
@@ -212,16 +213,16 @@ def _cells3(x: np.ndarray, grid: Grid) -> np.ndarray:
 def _onsager_cells(state: State, model: ModelConfig):
     """Per cell: the asymmetry and least eigenvalue of the assembled Onsager
     matrix (mu = mu_Gamma), and the largest gap between onsager_fluxes and
-    the kernel's fluxes, J_m = -stress and J_s = -kappa grad T / T from
-    _fluxes, J_c = -D grad mu_Gamma and J_e = T J_s + mu_Gamma J_c + v . J_m;
-    each relative to its own scale."""
+    the fluxes of the kernel's own _Closure: J_m = -stress and J_s = -kappa
+    grad T / T as _fluxes builds them, J_c = -D grad mu_Gamma and J_e =
+    T J_s + mu_Gamma J_c + v . J_m; each relative to its own scale."""
     g, dim, tr = state.grid, state.grid.dim, model.transport
     d = state.derived(model)
     T, mu = np.asarray(d.eos.T), d.mu_gamma
     gradv, _, gradT, _ = d.grads
     grad_mu = g.grad(mu)
-    flux = _fluxes(state, model, ideal=False)  # holds -J_m and -J_s
-    K_c = -_apply_tensor(d.dcoef, grad_mu)
+    flux, closure = _fluxes(state, model, ideal=False)  # flux holds -J_m and -J_s
+    K_c = -closure.diffuse(grad_mu).diffusion
     K_e = T * -flux[:, dim + 2] + mu * K_c + (-flux[:, :dim] * state.v).sum(axis=1)
     K_m, K_e, K_c, T, mu, v3, gT, gv, gmu = (_cells3(x, g) for x in (
         -flux[:, :dim], K_e, K_c, T, mu, state.v, gradT, gradv, grad_mu))
@@ -367,10 +368,19 @@ _SUITES = {
 STEPPING_SUITES = ("budgets",)
 
 
+def require_suite_seed(seed: int, level: str) -> None:
+    """Raise a ConfigError naming seed unless it is >= 0 and every seed the
+    suites of level draw from fits in int64 (a ValueError for a bad level)."""
+    require_seed(seed)
+    offset = CASIMIR_SEED + _counts(level)["casimir"] - 1
+    if seed > np.iinfo(np.int64).max - offset:
+        raise ConfigError(f"bad value for 'seed': seed = {seed} is too large; the {level} "
+                          f"suites draw from int64 seeds up to seed + {offset}")
+
+
 def run_suites(names, seed: int, level: str) -> dict:
     """The report entries of the suites ``names``, run in that order."""
-    require_seed(seed)
-    _counts(level)  # validate level early
+    require_suite_seed(seed, level)
     entries = {}
     for name in names:
         result = _SUITES[name](seed, level)

@@ -15,7 +15,7 @@ from metriflow import (Grid, ModelConfig, SurfaceCoefficients,
                        TransportCoefficients, capillary_force, diagnostics,
                        dissipative_rhs, entropy, entropy_production_rate,
                        grad_H, grad_S, ideal_rhs, integrate, kn_4bracket,
-                       make_scenario, onsager_blocks, onsager_fluxes,
+                       make_scenario, onsager_fluxes,
                        poisson_bracket, smooth_state,
                        total_rhs, zero_crossings)
 from metriflow.fields import random_gradient
@@ -192,7 +192,7 @@ def test_06_sectional_curvature():
            ", ".join(f"min {family} {k:.1e}" for family, k in min_k.items()))
 
 
-def test_07_onsager_matrix():
+def test_07_onsager_matrix(onsager_point):
     grid = Grid(dim=1, n=(4,), length=(1.0,))
     model = model_for("GNS", grid)
     rng = np.random.default_rng(43)
@@ -209,7 +209,7 @@ def test_07_onsager_matrix():
         s = float(rng.uniform(-0.5, 0.5))
         c = float(rng.uniform(-1.5, 1.5))
         v3 = rng.uniform(-1, 1, size=3)
-        blocks = onsager_blocks(rho, s, c, v3, replace(model, transport=tr))
+        blocks = onsager_point(rho, s, c, v3, replace(model, transport=tr))
         L = blocks.assemble()
         scale = max(float(np.abs(L).max()), 1.0)
         worst_sym = max(worst_sym, float(np.abs(L - L.T).max()) / scale)

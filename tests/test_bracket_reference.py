@@ -13,7 +13,8 @@ from metriflow import (AnisotropyFn, Grid, ModelConfig, SurfaceCoefficients,
                        smooth_state)
 from metriflow.fields import random_gradient
 from metriflow.functionals import _lift
-from metriflow.metriplectic import _pair_sum, _quad_tensor, _stress
+from metriflow.grid import _csum
+from metriflow.metriplectic import _apply_tensor, _pair_sum, _strain, _stress
 
 TRIALS = 20
 
@@ -75,10 +76,11 @@ def _reference_kn_4bracket(Fg, Gg, Kg, Ng, state, model):
         return (B.sigma * _reference_conc_slot(A, state, model)
                 - A.sigma * _reference_conc_slot(B, state, model))
 
-    integrand = _pair_sum(d1(Fg, Gg) * _stress(d1(Kg, Ng), tr.eta, tr.zeta))
-    integrand = integrand + _quad_tensor(tr.kappa_of(state, model),
-                                         d2(Fg, Gg), d2(Kg, Ng)) / T
-    integrand = integrand + _quad_tensor(tr.dcoef_of(state, model), d3(Fg, Gg), d3(Kg, Ng))
+    integrand = _pair_sum(d1(Fg, Gg) * _stress(_strain(d1(Kg, Ng)), tr.eta, tr.zeta))
+    integrand = integrand + _csum(d2(Fg, Gg) * _apply_tensor(tr.kappa_of(state, model),
+                                                             d2(Kg, Ng))) / T
+    integrand = integrand + _csum(d3(Fg, Gg) * _apply_tensor(tr.dcoef_of(state, model),
+                                                             d3(Kg, Ng)))
     return g.integrate(integrand / T)
 
 
@@ -93,13 +95,13 @@ def _reference_2bracket(Fg, Gg, state, model):
 
     x1 = T * g.grad(Fg.m) - Fg.sigma * gradv
     y1 = T * g.grad(Gg.m) - Gg.sigma * gradv
-    integrand = _pair_sum(x1 * _stress(y1, tr.eta, tr.zeta))
+    integrand = _pair_sum(x1 * _stress(_strain(y1), tr.eta, tr.zeta))
     x2 = T * g.grad(Fg.sigma) - Fg.sigma * gradT
     y2 = T * g.grad(Gg.sigma) - Gg.sigma * gradT
-    integrand = integrand + _quad_tensor(tr.kappa_of(state, model), x2, y2) / T
+    integrand = integrand + _csum(x2 * _apply_tensor(tr.kappa_of(state, model), y2)) / T
     x3 = T * _reference_conc_slot(Fg, state, model) - Fg.sigma * grad_mu
     y3 = T * _reference_conc_slot(Gg, state, model) - Gg.sigma * grad_mu
-    integrand = integrand + _quad_tensor(tr.dcoef_of(state, model), x3, y3)
+    integrand = integrand + _csum(x3 * _apply_tensor(tr.dcoef_of(state, model), y3))
     return g.integrate(integrand / T)
 
 

@@ -455,6 +455,41 @@ def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["9223372036854775807", "18446744073709551610"])
+def test_verify_rejects_a_seed_whose_suite_seeds_leave_int64(tmp_path, capsys, monkeypatch,
+                                                              seed):
+    # casimir_convergence draws from seed + 100 + trial; numpy takes that as an int64
+    def no_suite(seed, level):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verification, "_SUITES", dict.fromkeys(verification._SUITES, no_suite))
+    out = tmp_path / "v"
+    assert run_cli("verify", "--seed", seed, "--out", str(out)) == EXIT_CONFIG
+    assert f"config error: bad value for 'seed': seed = {seed} is too large" \
+        in capsys.readouterr().err
+    assert not out.exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_the_largest_accepted_verify_seed_draws_without_overflow(level):
+    top = np.iinfo(np.int64).max - verification.CASIMIR_SEED - \
+        verification._counts(level)["casimir"] + 1
+    with pytest.raises(ConfigError, match="seed"):
+        verification.require_suite_seed(top + 1, level)
+    verification.require_suite_seed(top, level)
+    # the suite that adds the largest offset, and those that add one to a state seed
+    verification.run_suites(["bracket_symmetry", "casimir_convergence", "curvature"], top,
+                            level)
+
+
+def test_run_still_takes_a_seed_past_int64(tmp_path):
+    out = tmp_path / "r"
+    assert run_cli("run", "--scenario", "heat_relax", "--seed", "18446744073709551616",
+                   "--t-end", "0.002", "--out", str(out)) == EXIT_OK
+    assert (out / "diagnostics.csv").exists()
+
+
 def test_verify_report_writes_every_passed_flag_as_a_json_boolean(tmp_path):
     out = tmp_path / "v"
     assert run_cli("verify", "--seed", "2", "--out", str(out)) == EXIT_OK

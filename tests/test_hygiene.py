@@ -94,9 +94,6 @@ UNREFERENCED_ALLOWED = {
     # checks the paper's homogeneity identities of Gamma (degree 1 and
     # Euler's relation for xi), the property the surface terms rest on
     "homogeneity_residuals",
-    # the documented single-point Onsager blocks; the onsager suite
-    # evaluates the same blocks batched through _onsager_blocks
-    "onsager_blocks",
 }
 ROOT = SRC.parents[1]
 USER_FILES = MODULES + sorted((ROOT / "demos").rglob("*.py")) \

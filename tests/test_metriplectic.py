@@ -1,7 +1,7 @@
 """Metriplectic 4-bracket and its curvature, dissipative tendencies, Onsager blocks."""
 
 import warnings
-from dataclasses import replace
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,11 +10,11 @@ from metriflow import (Grid, ModelConfig, ParameterError, SurfaceCoefficients,
                        TransportCoefficients, UnsupportedFamilyError, diagnostics,
                        dissipative_rhs, entropy_production_rate, eval_eos,
                        grad_H, grad_S, kn_4bracket, lam4,
-                       metriplectic_2bracket, onsager_blocks, onsager_fluxes,
-                       smooth_state, total_rhs)
+                       metriplectic_2bracket, onsager_fluxes, smooth_state, total_rhs)
+from metriflow import metriplectic
 from metriflow.fields import random_gradient
 from metriflow.functionals import State
-from metriflow.metriplectic import (PSD_TOL, _stress, _visc_production, production_density,
+from metriflow.metriplectic import (PSD_TOL, _strain, _stress, _visc_production,
                                     validate_psd_matrix)
 
 GRID = Grid(dim=1, n=(24,), length=(1.0,))
@@ -123,11 +123,11 @@ def test_callable_coefficients_are_called_once_per_state(family):
 # ------------------------------------------------------------ viscous stress
 
 def test_viscous_stress_zero_input():
-    assert np.all(_stress(np.zeros((3, 3)), 1.0, 2.0) == 0.0)
+    assert np.all(_stress(_strain(np.zeros((3, 3))), 1.0, 2.0) == 0.0)
 
 
 def test_viscous_stress_pure_dilation():
-    stress = _stress(np.eye(3), eta=0.7, zeta=0.3)
+    stress = _stress(_strain(np.eye(3)), eta=0.7, zeta=0.3)
     # deviatoric part cancels, leaving 3*zeta on the diagonal
     assert np.allclose(stress, 3 * 0.3 * np.eye(3), atol=1e-14)
 
@@ -135,7 +135,7 @@ def test_viscous_stress_pure_dilation():
 def test_viscous_stress_pure_shear():
     gradv = np.zeros((3, 3))
     gradv[0, 1] = 1.0  # d_x v_y
-    stress = _stress(gradv, eta=0.25, zeta=0.9)
+    stress = _stress(_strain(gradv), eta=0.25, zeta=0.9)
     expected = np.zeros((3, 3))
     expected[0, 1] = expected[1, 0] = 0.25
     assert np.allclose(stress, expected, atol=1e-14)
@@ -146,7 +146,7 @@ def test_viscous_stress_matches_rank4_contraction():
     gradv = rng.standard_normal((3, 3))
     lam = lam4(0.4, 0.15)
     brute = np.einsum("ijkl,kl->ij", lam, gradv)
-    assert np.allclose(_stress(gradv, 0.4, 0.15), brute, atol=1e-13)
+    assert np.allclose(_stress(_strain(gradv), 0.4, 0.15), brute, atol=1e-13)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -156,8 +156,8 @@ def test_dim_by_dim_production_matches_3x3_embedding(dim):
     gradv = rng.standard_normal((dim, dim, 5, 7))
     gradv3 = np.zeros((3, 3, 5, 7))
     gradv3[:dim, :dim] = gradv
-    embedded = np.sum(gradv3 * _stress(gradv3, 0.4, 0.15), axis=(0, 1))
-    fast = _visc_production(gradv, 0.4, 0.15)
+    embedded = np.sum(gradv3 * _stress(_strain(gradv3), 0.4, 0.15), axis=(0, 1))
+    fast = _visc_production(_strain(gradv), 0.4, 0.15)
     assert np.abs(fast - embedded).max() <= 1e-13 * np.abs(embedded).max()
     assert np.all(fast >= 0.0)
 
@@ -303,6 +303,39 @@ def test_shear_momentum_tendency_oracle():
     assert np.abs(rhs.m[0]).max() <= 1e-13
 
 
+@pytest.mark.parametrize("family, derivs_per_axis", [("GNS", 4), ("CHNS1", 5)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_each_dissipative_flux_is_formed_once_per_rhs(monkeypatch, deriv_calls, family,
+                                                      derivs_per_axis, dim):
+    # kappa grad T and D grad mu_Gamma are one _apply_tensor call each, and
+    # the stress and the viscous production share one strain of grad v, so
+    # gradv + gradv^T and its trace are formed once
+    grid = Grid(dim=dim, n=(16,) * dim, length=(1.0,) * dim)
+    model = model_for(family, grid=grid)
+    state = smooth_state(grid, model, seed=5)
+    calls, strains = Counter(), []
+
+    def counted(name):
+        plain = getattr(metriplectic, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name in ("_stress", "_visc_production"):
+                strains.append(args[0])
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(metriplectic, name, wrapper)
+
+    for name in ("_apply_tensor", "_trace", "_strain", "_stress", "_visc_production"):
+        counted(name)
+    deriv_calls.clear()
+    total_rhs(state, model)
+    assert calls == {"_apply_tensor": 2, "_trace": 1, "_strain": 1, "_stress": 1,
+                     "_visc_production": 1}
+    assert strains[0] is strains[1]
+    assert len(deriv_calls) == derivs_per_axis * dim
+
+
 @pytest.mark.parametrize("family", ["GNS", "CHNS0", "CHNS1"])
 def test_entropy_rate_identities(family):
     model = model_for(family)
@@ -334,14 +367,14 @@ def test_production_density_matches_anisotropic_kappa():
     T = np.asarray(thermo_point(state, model).T)
     gT = GRID.grad(T)
     oracle = 0.05 * gT[0] ** 2 / T ** 2
-    assert np.allclose(production_density(state, model), oracle, atol=1e-13)
+    assert np.allclose(entropy_production_rate(state, model)[0], oracle, atol=1e-13)
 
 
 # --------------------------------------------------------------- onsager
 
-def test_onsager_rest_point_reduction():
+def test_onsager_rest_point_reduction(onsager_point):
     model = model_for("GNS")
-    blocks = onsager_blocks(1.0, 0.0, 0.0, np.zeros(3), model)
+    blocks = onsager_point(1.0, 0.0, 0.0, np.zeros(3), model)
     pt = eval_eos(1.0, 0.0, 0.0, model.eos)
     T = float(pt.T)
     assert np.allclose(blocks.L_ee, T * T * 0.02 * np.eye(3), atol=1e-14)
@@ -349,38 +382,24 @@ def test_onsager_rest_point_reduction():
     assert np.all(blocks.L_ec == 0.0)
 
 
-def test_onsager_requires_transport():
-    model = model_for("GE")
-    with pytest.raises(ValueError):
-        onsager_blocks(1.0, 0.0, 0.0, np.zeros(3), model)
-
-
-@pytest.mark.parametrize("name", ["kappa", "dcoef"])
-def test_onsager_rejects_callable_coefficient_naming_it(name):
-    tr = TransportCoefficients(eta=0.1, **{name: lambda st, mo: 0.5 * (1.0 + st.c ** 2)})
-    with pytest.raises(ParameterError, match=name) as info:
-        onsager_blocks(1.0, 0.0, 0.0, np.zeros(3), replace(model_for("GNS"), transport=tr))
-    assert info.value.name == name
-
-
-def test_onsager_matrix_symmetric_and_psd():
+def test_onsager_matrix_symmetric_and_psd(onsager_point):
     model = model_for("GNS")
     rng = np.random.default_rng(18)
     for _ in range(50):
-        blocks = onsager_blocks(float(rng.uniform(0.5, 2.0)),
-                                float(rng.uniform(-0.5, 0.5)),
-                                float(rng.uniform(-1.5, 1.5)),
-                                rng.uniform(-1, 1, size=3), model)
+        blocks = onsager_point(float(rng.uniform(0.5, 2.0)),
+                               float(rng.uniform(-0.5, 0.5)),
+                               float(rng.uniform(-1.5, 1.5)),
+                               rng.uniform(-1, 1, size=3), model)
         L = blocks.assemble()
         assert np.abs(L - L.T).max() <= 1e-13 * max(np.abs(L).max(), 1.0)
         assert np.linalg.eigvalsh(0.5 * (L + L.T)).min() >= -1e-12 * max(np.abs(L).max(), 1.0)
 
 
-def test_onsager_fluxes_reduce_at_rest():
+def test_onsager_fluxes_reduce_at_rest(onsager_point):
     model = model_for("GNS")
     pt = eval_eos(1.0, 0.0, 0.0, model.eos)
     T = float(pt.T)
-    blocks = onsager_blocks(1.0, 0.0, 0.0, np.zeros(3), model)
+    blocks = onsager_point(1.0, 0.0, 0.0, np.zeros(3), model)
     gradT = np.array([0.3, -0.2, 0.1])
     J_m, J_e, J_c = onsager_fluxes(blocks, aff_e=-gradT / T ** 2,
                                    aff_m=np.zeros((3, 3)), aff_c=np.zeros(3))

@@ -22,14 +22,13 @@ from metriflow import (AnisotropyFn, FunctionalGradient, Grid, ModelConfig,
                        State, SurfaceCoefficients, TransportCoefficients,
                        capillary_force, dissipative_rhs, entropy, entropy_production_rate,
                        eval_eos, grad_H, grad_S, hamiltonian, ideal_rhs, kn_4bracket, lam4,
-                       metriplectic_2bracket, onsager_blocks, onsager_fluxes,
+                       metriplectic_2bracket, onsager_fluxes,
                        poisson_bracket, smooth_state, step_rk4, total_rhs,
                        transform_gradients, untransform_gradients)
 from metriflow import fields, verification
 from metriflow.fields import FourierModes, fourier_field, random_gradient
 from metriflow.functionals import DISSIPATIVE_FAMILIES, FAMILIES
-from metriflow.metriplectic import (_apply_tensor, _embed3_matrix, _fluxes, _onsager_blocks,
-                                    production_density)
+from metriflow.metriplectic import _apply_tensor, _embed3_matrix, _fluxes, _onsager_blocks
 from metriflow.verification import (CASIMIR_SIZES, FLOOR, ORDER_MIN, _counts, _jsonable,
                                     _observed_order, model_for, onsager_suite,
                                     production_positivity_suite, verify)
@@ -216,10 +215,11 @@ def test_batched_kn_4bracket_matches_single_calls(family, dim, coef_kind):
 
 
 def _onsager_points(n, seed=12):
-    """n random points: (single-call arguments, batched helper arguments)."""
+    """n random points: the point values _onsager_blocks takes, one column
+    per argument, each column stacked over the points."""
     rng = np.random.default_rng(seed)
     model = model_for("GNS", Grid(dim=1, n=(4,), length=(1.0,)))
-    singles, cols = [], []
+    cols = []
     for _ in range(n):
         A = rng.standard_normal((3, 3))
         B = rng.standard_normal((2, 2))
@@ -229,10 +229,9 @@ def _onsager_points(n, seed=12):
         rho, s, c = rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5), rng.uniform(-1.5, 1.5)
         v3 = rng.uniform(-1.0, 1.0, size=3)
         pt = eval_eos(rho, s, c, model.eos)
-        singles.append((rho, s, c, v3, model, tr))
         cols.append((float(pt.T), float(pt.mu), v3, tr.eta, tr.zeta,
                      _embed3_matrix(tr.kappa), _embed3_matrix(tr.dcoef)))
-    return singles, [np.array(col) for col in zip(*cols)]
+    return [np.array(col) for col in zip(*cols)]
 
 
 def test_batched_lam4_stacks_the_single_tensors():
@@ -245,11 +244,11 @@ def test_batched_lam4_stacks_the_single_tensors():
     assert lam4(0.3, 0.1).shape == (3, 3, 3, 3)
 
 
-def test_batched_onsager_blocks_assemble_and_fluxes_match_single_calls():
-    singles, args = _onsager_points(7)
+def test_batched_onsager_blocks_assemble_and_fluxes_match_single_calls(onsager_reference):
+    args = _onsager_points(7)
     blocks = _onsager_blocks(*args)
-    loop = [onsager_blocks(rho, s, c, v3, replace(model, transport=tr))
-            for rho, s, c, v3, model, tr in singles]
+    loop = [onsager_reference(float(T), float(mu), v3, float(eta), float(zeta), kap3, dmat3)
+            for T, mu, v3, eta, zeta, kap3, dmat3 in zip(*args)]
     for name in ("L_mm", "L_me", "L_ee", "L_ec", "L_cc"):
         assert np.array_equal(getattr(blocks, name),
                               [getattr(b, name) for b in loop]), name
@@ -328,8 +327,6 @@ def test_member_batch_matches_the_single_states(family, dim, coef_kind):
         assert np.array_equal(_member(db.mu_gamma, i, grid), ds.mu_gamma), i
         field_i, prod_i = entropy_production_rate(single, model)
         assert np.array_equal(_member(prod_field, i, grid), field_i), i
-        assert np.array_equal(_member(production_density(batch, model), i, grid),
-                              production_density(single, model)), i
         assert prod[i] == prod_i
         assert hamiltonian(batch, model)[i] == hamiltonian(single, model)
         assert entropy(batch, model)[i] == entropy(single, model)
@@ -863,7 +860,7 @@ def _reference_onsager(seed, level):
                 d = state.derived(model)
                 gradv, _, gradT, _ = d.grads
                 grad_mu = grid.grad(d.mu_gamma)
-                flux = _fluxes(state, model, ideal=False)
+                flux, _ = _fluxes(state, model, ideal=False)
                 K_c = -_apply_tensor(tr.dcoef, grad_mu)
                 for cell in np.ndindex(grid.shape):
                     at = (slice(None),) + cell
