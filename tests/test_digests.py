@@ -1,6 +1,7 @@
 """The seeded outputs, pinned by their sha256 digests: diagnostics.csv and
 every fields_<step>.csv of the five scenarios at --seed 3 --t-end 0.02
---cadence 10, and verify_report.json at --level fast --seed 1.
+--cadence 10, and verify_report.json at --seed 1 at both --level fast and
+--level full.
 
 A change that alters any output bit fails here, from one commit to the
 next.  A deliberate re-baseline records new digests with
@@ -25,7 +26,7 @@ from metriflow.cli import EXIT_OK, main
 
 BOOK = Path(__file__).with_name("output_digests.json")
 RUN_ARGS = ("--seed", "3", "--t-end", "0.02", "--cadence", "10")
-VERIFY_ARGS = ("--level", "fast", "--seed", "1")
+VERIFY_LEVELS = ("fast", "full")
 
 
 def _sha256(path: Path) -> str:
@@ -40,8 +41,8 @@ def run_digests(scenario: str, out: Path) -> dict:
     return {name: _sha256(out / name) for name in names}
 
 
-def verify_digest(out: Path) -> str:
-    main(["verify", *VERIFY_ARGS, "--out", str(out)])
+def verify_digest(level: str, out: Path) -> str:
+    main(["verify", "--level", level, "--seed", "1", "--out", str(out)])
     return _sha256(out / "verify_report.json")
 
 
@@ -59,7 +60,13 @@ def test_run_outputs_keep_their_digests(tmp_path, scenario):
 
 
 def test_verify_report_keeps_its_digest(tmp_path):
-    assert verify_digest(tmp_path) == _book()["verify"]["fast-1"]
+    assert verify_digest("fast", tmp_path) == _book()["verify"]["fast-1"]
+
+
+def test_full_verify_report_keeps_its_digest(tmp_path):
+    # the full-level suites share eval_eos, Derived, the dissipative fluxes
+    # and Grid with the stepping, on states and grids the scenarios never make
+    assert verify_digest("full", tmp_path) == _book()["verify"]["full-1"]
 
 
 if __name__ == "__main__":
@@ -68,6 +75,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         books[np.__version__] = {
             "run": {name: run_digests(name, Path(tmp) / name) for name in SCENARIO_NAMES},
-            "verify": {"fast-1": verify_digest(Path(tmp) / "verify")}}
+            "verify": {f"{level}-1": verify_digest(level, Path(tmp) / level)
+                       for level in VERIFY_LEVELS}}
     BOOK.write_text(json.dumps(books, indent=1) + "\n")
     sys.exit(0)
