@@ -65,23 +65,19 @@ def gamma_eval(p: np.ndarray, fn: AnisotropyFn) -> tuple[np.ndarray, np.ndarray]
     # Python-level wrapper; per member, over its flat run of cells
     lead = mag.shape[:max(mag.ndim - len(p), 0)]
     if not lead:
-        rms = math.sqrt((mag * mag).sum() / mag.size)
+        rms = math.sqrt(np.add.reduce(mag * mag, axis=None) / mag.size)
         cutoff = EPS_REG * (rms if rms > 0 else 1.0)
     else:
         cells = (mag * mag).reshape(lead + (-1,))
         rms = np.sqrt(cells.sum(axis=-1) / cells.shape[-1]).reshape(lead + (1,) * len(p))
         cutoff = EPS_REG * np.where(rms > 0, rms, 1.0)
-    safe = np.maximum(mag, cutoff)
-
-    if fn.kind == "iso":
-        gamma = mag
-        xi = np.where(mag > cutoff, p / safe, 0.0)
-        return gamma, xi
+    if fn.kind == "iso":  # p / |p| where |p| > cutoff, else 0
+        return mag, np.divide(p, mag, out=np.zeros(p.shape), where=mag > cutoff)
 
     # fourfold, 2D only
     if p.shape[0] != 2:
         raise ValueError("fourfold anisotropy is defined for 2D vectors only")
-    px, py = p[0], p[1]
+    px, py, safe = p[0], p[1], np.maximum(mag, cutoff)
     theta = np.arctan2(py, px)
     c4, s4 = np.cos(4.0 * theta), np.sin(4.0 * theta)
     gamma = mag * (1.0 + fn.eps4 * c4)

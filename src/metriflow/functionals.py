@@ -26,7 +26,7 @@ import numpy as np
 from .anisotropy import AnisotropyFn, gamma_eval
 from .errors import InadmissibleStateError, ParameterError, UnsupportedFamilyError
 from .grid import Grid, _csum
-from .thermo import EosParams, SurfaceCoefficients, eval_eos, lambda_f
+from .thermo import EosParams, SurfaceCoefficients, _eos, lambda_f
 
 if TYPE_CHECKING:
     from .metriplectic import TransportCoefficients
@@ -138,9 +138,10 @@ class State(_Pack):
 
     def _per_mass(self, name: str) -> np.ndarray:
         """v, c or s; all three are kept, views of one division of the pack by rho."""
-        q, dim = self.packed / self.rho, self.grid.dim
-        for key, value in (("v", q[:dim]), ("c", q[dim + 1]), ("s", q[dim + 2])):
-            object.__setattr__(self, key, value)
+        q, dim, setattr_ = self.packed / self.rho, self.grid.dim, object.__setattr__
+        setattr_(self, "v", q[:dim])
+        setattr_(self, "c", q[dim + 1])
+        setattr_(self, "s", q[dim + 2])
         return getattr(self, name)
 
     v = _lazy(lambda self: self._per_mass("v"))
@@ -157,21 +158,20 @@ class State(_Pack):
         return d
 
     def validate(self, model: ModelConfig) -> None:
-        """Admissibility: finite fields, rho > 0, derived T and p finite and > 0."""
+        """Admissibility: finite fields, rho > 0 (checked by Derived.stack),
+        derived T and p finite and > 0."""
         if not self.packed.size:
             raise ValueError(f"an empty batch, pack shape {self.packed.shape}, has no state")
-        if not np.isfinite(self.packed).all():
+        if not np.logical_and.reduce(np.isfinite(self.packed), axis=None):
             for name in ("m", "rho", "ctilde", "sigma"):
                 if not np.isfinite(getattr(self, name)).all():
                     raise InadmissibleStateError(f"non-finite entries in {name}")
-        if not self.rho.min() > 0:  # one reduction; rho is finite here
-            raise InadmissibleStateError("rho must be positive everywhere")
         d, dim = self.derived(model), self.grid.dim
         # one min and one max over p and T side by side, then each alone to
-        # name the one that failed (min is NaN if any entry is, and NaN > 0
-        # is false)
+        # name the one that failed (min is NaN if any entry is; NaN > 0 is false)
         pT = d.stack[dim:dim + 2]
-        if not (pT.min() > 0 and pT.max() < np.inf):
+        if not (np.minimum.reduce(pT, axis=None) > 0
+                and np.maximum.reduce(pT, axis=None) < np.inf):
             for name, x in (("temperature", d.eos.T), ("pressure", d.eos.p)):
                 if not (x.min() > 0 and x.max() < np.inf):
                     raise InadmissibleStateError(f"derived {name} must be finite and positive")
@@ -247,19 +247,21 @@ class Derived:
         self._ref = weakref.ref(state)  # a coefficient callable gets the State itself
         self.model = model
 
-    @_lazy
-    def eos(self):
+    def _thermo(self, name: str):
+        """eos (the EOS point) or stack ((v, p, T, c): grads is its grad), both
+        kept, from one pass: rho > 0 checked before the pack is divided by it,
+        then p and T computed straight into the stack."""
         st = self.state
-        return eval_eos(st.rho, st.s, st.c, self.model.eos)
+        rho, dim = st.rho, st.grid.dim
+        if not np.minimum.reduce(rho, axis=None) > 0:  # NaN > 0 is false
+            raise InadmissibleStateError("rho must be positive everywhere")
+        stack = self.stack = np.empty((dim + 3,) + rho.shape)
+        self.eos = _eos(rho, st.s, st.c, self.model.eos, stack[dim], stack[dim + 1])
+        stack[:dim], stack[dim + 2] = st.v, st.c
+        return getattr(self, name)
 
-    @_lazy
-    def stack(self) -> np.ndarray:
-        """(v, p, T, c) in one array: grads is its grad, and State.validate
-        checks p and T in it side by side."""
-        st, pt, dim = self.state, self.eos, self.state.grid.dim
-        stack = np.empty((dim + 3,) + st.rho.shape)
-        stack[:dim], stack[dim], stack[dim + 1], stack[dim + 2] = st.v, pt.p, pt.T, st.c
-        return stack
+    eos = _lazy(lambda self: self._thermo("eos"))
+    stack = _lazy(lambda self: self._thermo("stack"))
 
     @_lazy
     def grads(self):
@@ -296,6 +298,14 @@ class Derived:
         _, flux = self.capillary_stress()
         return mu - st.grid.div(flux) / st.rho
 
+    def sigma_total(self) -> np.ndarray:
+        """The total entropy density field (sigma itself for the sharp families)."""
+        st, lam_s = self.state, self.model.surface.lambda_s
+        if not (self.model.is_diffuse and lam_s != 0.0):
+            return st.sigma
+        _, gamma, _ = self.gamma_xi
+        return st.sigma + 0.5 * self.weight * lam_s * gamma * gamma
+
     def capillary_stress(self):
         """(Pi, u) of a diffuse family, not kept: u = lambda_f(T) rho^a
         Gamma xi is the flux in mu_Gamma, and Pi[j, i] = -u_j d_i c (plus
@@ -303,7 +313,7 @@ class Derived:
         stress, whose divergence d_j Pi[j, i] is the capillary force
         density."""
         model = self.model
-        lam_f = lambda_f(np.asarray(self.eos.T), model.surface)
+        lam_f = lambda_f(self.eos.T, model.surface)
         gc, gamma, xi = self.gamma_xi
         u = lam_f * self.weight * gamma * xi
         pi = -u[:, None] * gc[None]
@@ -331,11 +341,7 @@ def hamiltonian(state: State, model: ModelConfig) -> float | np.ndarray:
 
 def sigma_total(state: State, model: ModelConfig) -> np.ndarray:
     """Total entropy density field (equals sigma for the sharp families)."""
-    if model.is_diffuse and model.surface.lambda_s != 0.0:
-        d = state.derived(model)
-        _, gamma, _ = d.gamma_xi
-        return state.sigma + 0.5 * d.weight * model.surface.lambda_s * gamma * gamma
-    return state.sigma
+    return state.derived(model).sigma_total()
 
 
 def entropy(state: State, model: ModelConfig) -> float | np.ndarray:
@@ -393,20 +399,18 @@ def _change_variables(Fg: FunctionalGradient, state: State, model: ModelConfig,
                               sigma=Fg.sigma)
 
 
-def _tendency_to_sigma_a(rhs: FunctionalGradient, state: State,
-                         model: ModelConfig) -> None:
-    """Turn the total-entropy slot of a diffuse family's tendency into the
-    sigma^a one, in place: sigma^a_dot = sigma_dot - d/dt(rho^a lambda_s
-    Gamma^2 / 2) by the chain rule, the transpose of transform_gradients."""
-    lam_s = model.surface.lambda_s
+def _tendency_to_sigma_a(rhs: FunctionalGradient, d: Derived) -> None:
+    """Turn the total-entropy slot of a diffuse family's tendency (on Derived
+    d) into the sigma^a one, in place: sigma^a_dot = sigma_dot - d/dt(rho^a
+    lambda_s Gamma^2 / 2) by the chain rule, the transpose of transform_gradients."""
+    state, lam_s = d.state, d.model.surface.lambda_s
     if lam_s == 0.0:
         return
-    d = state.derived(model)
     _, gamma, xi = d.gamma_xi
     c_dot = (rhs.ctilde - state.c * rhs.rho) / state.rho
     sigma_dot = rhs.sigma
     sigma_dot -= d.weight * lam_s * gamma * _csum(xi * state.grid.grad(c_dot))
-    if model.a == 1:
+    if d.model.a == 1:
         sigma_dot -= 0.5 * lam_s * gamma * gamma * rhs.rho
 
 

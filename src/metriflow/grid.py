@@ -9,29 +9,36 @@ global budget and bracket identity in the rest of the package leans on this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError
 
 
-@cache
-def _stencil(shape: tuple, ax: int) -> tuple:
-    """(step, out, plus, minus) of a periodic central difference along axis
-    ax of a C-contiguous array of this shape: neighbours along ax are step
-    apart in the flat array, and the strided views out (cells 0 and n - 1),
-    plus (1 and 0) and minus (n - 1 and n - 2) give both wrapped cells."""
+class _Plans(dict):
+    """(field shape, axis) -> Grid.deriv's slices on one grid, built at the
+    first use, which checks that the field fits: on the flat field,
+    out[mid] = f[hi] - f[lo] fills every interior cell and the first and last
+    along the axis, which the strided views o (cells 0 and n - 1), plus (1
+    and 0) and minus (n - 1 and n - 2) overwrite; then the scale 1 / (2 h)."""
 
-    def at(s: slice) -> tuple:
-        idx = [slice(None)] * len(shape)
-        idx[ax] = s
-        return tuple(idx)
+    def __init__(self, n: tuple, h: tuple):
+        self.n, self.h = n, h
 
-    n = shape[ax]
-    return (int(np.prod(shape[ax + 1:])), at(slice(None, None, n - 1)),
-            at(slice(1, None, -1)), at(slice(-1, -3, -1)))
+    def __missing__(self, key: tuple) -> tuple:
+        shape, axis = key
+        if shape[-len(self.n):] != self.n:  # shorter than n if f has fewer axes
+            raise ValueError(f"field shape {shape} does not match grid {self.n}")
+        ax = len(shape) - len(self.n) + axis
+        n, step, lead = shape[ax], math.prod(shape[ax + 1:]), (slice(None),) * ax
+        plan = self[key] = (
+            slice(step, -step), slice(2 * step, None), slice(None, -2 * step),
+            lead + (slice(None, None, n - 1),), lead + (slice(1, None, -1),),
+            lead + (slice(-1, -3, -1),), 1.0 / (2.0 * self.h[axis]))
+        return plan
 
 
 def _csum(x: np.ndarray) -> np.ndarray:
@@ -45,10 +52,7 @@ def _csum(x: np.ndarray) -> np.ndarray:
 
 def _trace(x: np.ndarray) -> np.ndarray:
     """x[0, 0] + x[1, 1] + ...: the same bits as x.trace()."""
-    out = x[0, 0]
-    for k in range(1, len(x)):
-        out = out + x[k, k]
-    return out
+    return _csum([x[k, k] for k in range(len(x))])
 
 
 def _per_axis(name: str, value, dim: int) -> tuple:
@@ -95,13 +99,8 @@ class Grid:
 
     def coords(self) -> list[np.ndarray]:
         """Cell-center coordinates, broadcastable to the grid shape."""
-        axes = []
-        for k in range(self.dim):
-            x = (np.arange(self.n[k]) + 0.5) * self.h[k]
-            shape = [1] * self.dim
-            shape[k] = self.n[k]
-            axes.append(x.reshape(shape))
-        return axes
+        return [((np.arange(n) + 0.5) * h).reshape((1,) * k + (n,) + (1,) * (self.dim - k - 1))
+                for k, (n, h) in enumerate(zip(self.n, self.h))]
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
@@ -109,35 +108,34 @@ class Grid:
     def zeros_vector(self) -> np.ndarray:
         return np.zeros((self.dim,) + self.shape)
 
-    def deriv(self, f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Central difference along one axis, periodic, into out (new if None).
+    @cached_property
+    def _plans(self) -> _Plans:
+        return _Plans(self.n, self.h)
 
-        One np.subtract over the flat C-contiguous field fills every interior
-        cell; it takes the first and last cell along the axis across rows, so
-        one wrap subtraction over strided views overwrites both.  f is made
-        C-contiguous; out must be, since its flat view would otherwise be a
-        copy.
-        """
+    def deriv(self, f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Central difference along one axis, periodic, into out (new if None),
+        by the plan for f's shape and axis (see _Plans); f's trailing axes
+        must be the grid's.  f is made C-contiguous, and out must be, since
+        its flat view would otherwise be a copy."""
         f = np.ascontiguousarray(f)
+        mid, hi, lo, o, plus, minus, scale = self._plans[f.shape, axis]
         if out is None:
-            out = np.empty_like(f)
+            out = np.empty(f.shape, f.dtype)
         elif not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
-        step, o, plus, minus = _stencil(f.shape, f.ndim - self.dim + axis)
         flat = f.ravel()
-        np.subtract(flat[2 * step:], flat[:-2 * step], out=out.ravel()[step:-step])
+        np.subtract(flat[hi], flat[lo], out=out.ravel()[mid])
         np.subtract(f[plus], f[minus], out=out[o])
-        out *= 1.0 / (2.0 * self.h[axis])
+        out *= scale
         return out
 
     def grad(self, f: np.ndarray) -> np.ndarray:
         """Gradient (dim, *f.shape); leading axes of f are stacked fields,
         e.g. grad(v)[k, l] = d_k v_l, at one deriv call per axis."""
-        if f.shape[f.ndim - self.dim:] != self.shape:
-            raise ValueError(f"field shape {f.shape} does not match grid {self.shape}")
-        out = np.empty((self.dim,) + f.shape, dtype=f.dtype)
+        f = np.ascontiguousarray(f)
+        out = np.empty((self.dim,) + f.shape, f.dtype)
         for k in range(self.dim):
-            self.deriv(f, k, out=out[k])
+            self.deriv(f, k, out[k])
         return out
 
     def div(self, u: np.ndarray) -> np.ndarray:
@@ -147,7 +145,7 @@ class Grid:
         Exactly the negative adjoint of grad under the cell-sum inner
         product, by skew-symmetry of the periodic central stencil.
         """
-        if u.shape[0] != self.dim or u.shape[u.ndim - self.dim:] != self.shape:
+        if u.shape[0] != self.dim:
             raise ValueError(f"vector field shape {u.shape} does not match grid")
         out = self.deriv(u[0], 0)
         for k in range(1, self.dim):
@@ -158,5 +156,5 @@ class Grid:
         """Cell-sum quadrature with deterministic pairwise summation over the
         trailing grid axes: a float for one field, an array of integrals
         for stacked fields (leading axes)."""
-        total = f.sum(axis=tuple(range(f.ndim - self.dim, f.ndim))) * self.cell_volume
+        total = np.add.reduce(f, axis=tuple(range(f.ndim - self.dim, f.ndim))) * self.cell_volume
         return float(total) if total.ndim == 0 else total

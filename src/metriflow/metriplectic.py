@@ -34,8 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, UnsupportedFamilyError, require_finite
-from .functionals import (FunctionalGradient, ModelConfig, State, _align_batch,
-                          _tendency_to_sigma_a, grad_H, sigma_total, transform_gradients)
+from .functionals import (Derived, FunctionalGradient, ModelConfig, State, _align_batch,
+                          _tendency_to_sigma_a, grad_H, transform_gradients)
 from .grid import _csum, _trace
 
 
@@ -141,27 +141,27 @@ def _pairing_end(head, x_c, dcoef_y, T) -> np.ndarray:
 
 
 class _Closure:
-    """A state's dissipative closure, each part formed once: one _strain of
-    grad v and kappa grad T give the viscous and heat fluxes, written into
-    flux if given, and their _pairing (head); diffuse adds D grad mu_Gamma
-    (diffusion) and the production.  Per stage: on Derived it outlives it."""
+    """A state's dissipative closure (from its Derived d), each part formed
+    once: one _strain of grad v and kappa grad T give the viscous and heat
+    fluxes, written into flux if given, and their _pairing (head); diffuse
+    adds D grad mu_Gamma (diffusion) and the production.  Per stage: kept
+    on Derived, it would outlive the stage."""
 
-    def __init__(self, state: State, model: ModelConfig, flux: np.ndarray | None = None):
-        self.d, tr = state.derived(model), model.transport
-        gradv, _, gradT, _ = self.d.grads
+    def __init__(self, d: Derived, flux: np.ndarray | None = None):
+        tr, T = d.model.transport, d.eos.T
+        gradv, _, gradT, _ = d.grads
         strain = _strain(gradv)
         visc = _visc_production(strain, tr.eta, tr.zeta)
-        heat = _apply_tensor(self.d.kappa, gradT)
+        heat = _apply_tensor(d.kappa, gradT)
         if flux is not None:
             dim = len(gradv)
             _stress(strain, tr.eta, tr.zeta, out=flux[:, :dim])
-            flux[:, dim + 2] += heat / self.d.eos.T
-        self.head = _pairing(visc, gradT, heat, np.asarray(self.d.eos.T))
+            flux[:, dim + 2] += heat / T
+        self.d, self.head = d, _pairing(visc, gradT, heat, T)
 
     def diffuse(self, grad_mu: np.ndarray) -> "_Closure":
         self.diffusion = _apply_tensor(self.d.dcoef, grad_mu)
-        self.production = _pairing_end(self.head, grad_mu, self.diffusion,
-                                       np.asarray(self.d.eos.T))
+        self.production = _pairing_end(self.head, grad_mu, self.diffusion, self.d.eos.T)
         return self
 
 
@@ -182,7 +182,7 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     if model.is_diffuse:
         Fg, Gg, Kg, Ng = (transform_gradients(X, state, model) for X in (Fg, Gg, Kg, Ng))
     g, tr, der = state.grid, model.transport, state.derived(model)
-    T = np.asarray(der.eos.T)
+    T = der.eos.T
 
     def d(A, B, slot):
         # per-slot grads: the 4-bracket never differentiates rho
@@ -208,18 +208,17 @@ def _fluxes(state: State, model: ModelConfig, ideal: bool = True,
     family's mu_Gamma flux: stress (capillary if ideal, viscous if
     dissipative), -(rho, ctilde, sigma_total) v if ideal, kappa grad T / T;
     and the _Closure that formed the dissipative ones (None without them)."""
-    g, dim = state.grid, state.grid.dim
+    dim, d = state.grid.dim, state.derived(model)
     dissipative = dissipative and model.is_dissipative
-    d = state.derived(model)
     with_mu = dissipative and model.is_diffuse
     # the advective slots are zero without the ideal part
     flux = (np.empty if ideal else np.zeros)((dim, dim + 3 + with_mu) + state.rho.shape)
     if ideal:
         dens = np.negative(state.packed[dim:])
-        np.negative(sigma_total(state, model), out=dens[2])
+        np.negative(d.sigma_total(), out=dens[2])
         np.multiply(dens[None], state.v[:, None], out=flux[:, dim:dim + 3])
         del dens  # its memory goes to the closure, formed next (before the capillary stress)
-    closure = _Closure(state, model, flux) if dissipative else None
+    closure = _Closure(d, flux) if dissipative else None
     if model.is_diffuse:
         cap_stress, mu_flux = d.capillary_stress()
         if with_mu:
@@ -264,7 +263,7 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
         np.add(rhs.ctilde, g.div(closure.diffusion), out=rhs.ctilde)
         np.add(rhs.sigma, closure.production, out=rhs.sigma)
     if model.is_diffuse:
-        _tendency_to_sigma_a(rhs, state, model)
+        _tendency_to_sigma_a(rhs, d)
     return rhs
 
 
@@ -282,8 +281,8 @@ def entropy_production_rate(state: State, model: ModelConfig) -> tuple[np.ndarra
     """(pointwise production field, its integral: per member for a batch);
     the field is the kernel's (see _Closure), nonnegative by construction."""
     if model.is_dissipative:
-        grad_mu = state.grid.grad(state.derived(model).mu_gamma)
-        field = _Closure(state, model).diffuse(grad_mu).production
+        d = state.derived(model)
+        field = _Closure(d).diffuse(state.grid.grad(d.mu_gamma)).production
     else:
         field = np.zeros(state.rho.shape)
     return field, state.grid.integrate(field)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,10 +42,11 @@ class EosParams:
             raise ParameterError("lambda_V", "lambda_V must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+@dataclass(frozen=True, init=False)
+class ThermoPoint(SimpleNamespace):
     """Thermodynamic quantities at one state point (arrays broadcast); u,
-    which the tendencies never read, is computed from thermal and c2m1 when read."""
+    which the tendencies never read, is computed from thermal and c2m1 when
+    read.  SimpleNamespace's __init__ sets the fields in one C call."""
 
     T: np.ndarray | float
     p: np.ndarray | float
@@ -72,18 +74,21 @@ class SurfaceCoefficients:
 
 
 def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
-    """Evaluate u and its exact partial derivatives T, p, mu at (rho, s, c)."""
+    """Evaluate u and its exact partial derivatives T, p, mu at (rho, s, c);
+    a rho not > 0 (NaN too) is a ThermoDomainError."""
     rho = np.asarray(rho, dtype=float)
-    s = np.asarray(s, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if (rho <= 0).any():
+    if not np.logical_and.reduce(rho > 0, axis=None):
         raise ThermoDomainError("eval_eos requires rho > 0")
+    return _eos(rho, np.asarray(s, dtype=float), np.asarray(c, dtype=float), params)
+
+
+def _eos(rho, s, c, params: EosParams, p=None, T=None) -> ThermoPoint:
+    """eval_eos at admissible arrays, unchecked; p and T go into p and T if given."""
     thermal = params.c_v * rho ** (params.gamma_ad - 1.0) * np.exp(s / params.c_v)
     c2m1 = c * c - 1.0
-    T = thermal / params.c_v
-    p = (params.gamma_ad - 1.0) * rho * thermal
-    mu = params.lambda_V * c * c2m1
-    return ThermoPoint(T=T, p=p, mu=mu, thermal=thermal, c2m1=c2m1,
+    return ThermoPoint(T=np.divide(thermal, params.c_v, out=T),
+                       p=np.multiply((params.gamma_ad - 1.0) * rho, thermal, out=p),
+                       mu=params.lambda_V * c * c2m1, thermal=thermal, c2m1=c2m1,
                        lambda_V=params.lambda_V)
 
 

@@ -26,6 +26,21 @@ def rest_state(grid, rho=1.0, c=0.0, s=0.0):
                  ctilde=c * r, sigma=s * r)
 
 
+def test_a_stage_with_nonpositive_rho_fails_naming_the_stage(monkeypatch):
+    # k1 takes stage 2 (at dt / 2 = 0.5) to rho = 0 in one cell and -1e-3 in
+    # another: the stage's one rho check fails, before any division by rho
+    state = rest_state(GRID)
+    k1 = np.zeros(state.packed.shape)
+    k1[1, 3], k1[1, 7] = -2.0, -2.002
+    monkeypatch.setattr("metriflow.dynamics.total_rhs",
+                        lambda st, model: State(GRID, packed=k1.copy()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="at stage 2: rho must be positive") as info:
+            step_rk4(state, GE, 1.0, step_index=5)
+    assert info.value.step == 5
+
+
 def test_total_rhs_reduces_to_ideal_for_ge():
     state = smooth_state(GRID, GE, seed=1)
     a = total_rhs(state, GE)

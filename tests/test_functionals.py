@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -127,18 +128,42 @@ def test_validate_rejects_an_overflowing_eos(name, members):
 
 @pytest.mark.parametrize("name, slot", [("temperature", "T"), ("pressure", "p")])
 def test_validate_rejects_a_nan_eos(name, slot, monkeypatch):
-    plain = functionals.eval_eos
+    # the EOS kernel of the Derived pass writes p and T into the state's
+    # stack, which validate checks
+    plain = functionals._eos
 
     def with_nan(*args):
         pt = plain(*args)
-        value = getattr(pt, slot).copy()
-        value[3] = np.nan
-        return dataclasses.replace(pt, **{slot: value})
+        getattr(pt, slot)[3] = np.nan
+        return pt
 
-    monkeypatch.setattr(functionals, "eval_eos", with_nan)
+    monkeypatch.setattr(functionals, "_eos", with_nan)
     model = make_model("GNS")
     with pytest.raises(InadmissibleStateError, match=f"derived {name} must be finite"):
         smooth_state(GRID1, model, seed=1)
+
+
+def _state_with_rho_zero_and_negative():
+    st = smooth_state(GRID1, make_model("GNS"), seed=4)
+    rho = st.rho.copy()
+    rho[3], rho[7] = 0.0, -1e-3
+    return st.replace(rho=rho)
+
+
+def test_validate_checks_rho_before_dividing_by_it():
+    # rho is checked once, by the pass that fills the Derived fields, and
+    # before the pack is divided by rho: no divide-by-zero warning
+    st = _state_with_rho_zero_and_negative()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InadmissibleStateError, match="rho must be positive"):
+            st.validate(make_model("GNS"))
+
+
+def test_thermo_point_is_frozen():
+    pt = thermo_point(smooth_state(GRID1, make_model("GNS"), seed=4), make_model("GNS"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pt.T = pt.T * 2.0
 
 
 def test_derived_fields():

@@ -103,6 +103,17 @@ def test_grad_shape_check():
         g.grad(np.zeros((8, 9)))
 
 
+@pytest.mark.parametrize("grid, field", [
+    (Grid(dim=2, n=(8,), length=(1.0,)), np.arange(8.0)),   # one axis of a 2D grid
+    (Grid(dim=1, n=(8,), length=(1.0,)), np.arange(10.0)),  # 10 cells on an 8-cell grid
+], ids=["1d_field_on_2d_grid", "10_cells_on_8"])
+def test_deriv_rejects_a_field_that_does_not_fit_the_grid(grid, field):
+    with pytest.raises(ValueError, match="does not match grid"):
+        grid.deriv(field, 0)
+    with pytest.raises(ValueError, match="does not match grid"):
+        grid.grad(field)
+
+
 def test_div_shape_check():
     g = Grid(dim=1, n=(8,), length=(1.0,))
     with pytest.raises(ValueError):

@@ -59,6 +59,12 @@ def test_nonpositive_density_rejected():
         eval_eos(0.0, 0.0, 0.0, DEFAULTS).u
 
 
+def test_nan_density_rejected():
+    # NaN <= 0 is false, so the check must ask for rho > 0
+    with pytest.raises(ThermoDomainError):
+        eval_eos([1.0, np.nan], 0.0, 0.0, DEFAULTS)
+
+
 def test_eos_param_validation():
     with pytest.raises(ValueError):
         EosParams(c_v=0.0)
