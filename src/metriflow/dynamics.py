@@ -48,8 +48,11 @@ def stability_limit(state: State, model: ModelConfig) -> float:
     to about 2.79 on the negative real axis and 2.83 on the imaginary axis;
     2.5 is used throughout as a margin.
     """
-    g, d = state.grid, state.derived(model)
-    h, dim, pt = min(g.h), g.dim, d.eos
+    g = state.grid
+    h = min(g.h)
+    dim = g.dim
+    d = state.derived(model)
+    pt = d.eos
     rho_min = float(state.rho.min())
     cs2 = model.eos.gamma_ad * np.asarray(pt.p) / state.rho
     vmax = float(np.abs(state.v).max() + np.sqrt(cs2.max()))

@@ -138,10 +138,9 @@ class State(_Pack):
 
     def _per_mass(self, name: str) -> np.ndarray:
         """v, c or s; all three are kept, views of one division of the pack by rho."""
-        q, dim, setattr_ = self.packed / self.rho, self.grid.dim, object.__setattr__
-        setattr_(self, "v", q[:dim])
-        setattr_(self, "c", q[dim + 1])
-        setattr_(self, "s", q[dim + 2])
+        q, dim = self.packed / self.rho, self.grid.dim
+        for key, value in (("v", q[:dim]), ("c", q[dim + 1]), ("s", q[dim + 2])):
+            object.__setattr__(self, key, value)
         return getattr(self, name)
 
     v = _lazy(lambda self: self._per_mass("v"))

@@ -19,11 +19,10 @@ from .errors import ParameterError
 
 
 class _Plans(dict):
-    """(field shape, axis) -> Grid.deriv's slices on one grid, built at the
-    first use, which checks that the field fits: on the flat field,
-    out[mid] = f[hi] - f[lo] fills every interior cell and the first and last
-    along the axis, which the strided views o (cells 0 and n - 1), plus (1
-    and 0) and minus (n - 1 and n - 2) overwrite; then the scale 1 / (2 h)."""
+    """(field shape, axis) -> Grid.deriv's slices on one grid, built at first
+    use, which checks that the field fits: flat out[mid] = f[hi] - f[lo] fills
+    every interior cell and the first and last along the axis, which o (cells
+    0, n - 1) = plus (1, 0) - minus (n - 1, n - 2) overwrites; then 1 / (2 h)."""
 
     def __init__(self, n: tuple, h: tuple):
         self.n, self.h = n, h

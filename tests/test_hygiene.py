@@ -34,7 +34,8 @@ def test_module_imports_are_used(path):
 # numpy functions with a Python-level wrapper around an array method, and
 # np.isscalar, a Python-level type test that isinstance makes faster; on
 # the per-step path, at desk-scale sizes, the wrapper costs more than the
-# arithmetic, so the package calls the methods instead
+# arithmetic, so the package calls the methods (or, on the stepping path,
+# the ufunc's reduce) instead
 NUMPY_WRAPPERS = {"sum", "any", "all", "mean", "trace", "swapaxes", "split", "isscalar"}
 
 
