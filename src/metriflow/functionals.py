@@ -250,12 +250,11 @@ class Derived:
         """eos (the EOS point) or stack ((v, p, T, c): grads is its grad), both
         kept, from one pass: rho > 0 checked before the pack is divided by it,
         then p and T computed straight into the stack."""
-        st = self.state
-        rho, dim = st.rho, st.grid.dim
-        if not np.minimum.reduce(rho, axis=None) > 0:  # NaN > 0 is false
+        st, dim = self.state, self.state.grid.dim
+        if not np.minimum.reduce(st.rho, axis=None) > 0:  # NaN > 0 is false
             raise InadmissibleStateError("rho must be positive everywhere")
-        stack = self.stack = np.empty((dim + 3,) + rho.shape)
-        self.eos = _eos(rho, st.s, st.c, self.model.eos, stack[dim], stack[dim + 1])
+        stack = self.stack = np.empty((dim + 3,) + st.rho.shape)
+        self.eos = _eos(st.rho, st.s, st.c, self.model.eos, stack[dim], stack[dim + 1])
         stack[:dim], stack[dim + 2] = st.v, st.c
         return getattr(self, name)
 

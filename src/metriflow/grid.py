@@ -22,7 +22,8 @@ class _Plans(dict):
     """(field shape, axis) -> Grid.deriv's slices on one grid, built at first
     use, which checks that the field fits: flat out[mid] = f[hi] - f[lo] fills
     every interior cell and the first and last along the axis, which o (cells
-    0, n - 1) = plus (1, 0) - minus (n - 1, n - 2) overwrites; then 1 / (2 h)."""
+    0, n - 1) = plus (1, 0) - minus (n - 1, n - 2) overwrites; then 1 / (2 h),
+    a 0-d array: numpy scales by it without the Python-float scalar path."""
 
     def __init__(self, n: tuple, h: tuple):
         self.n, self.h = n, h
@@ -36,7 +37,7 @@ class _Plans(dict):
         plan = self[key] = (
             slice(step, -step), slice(2 * step, None), slice(None, -2 * step),
             lead + (slice(None, None, n - 1),), lead + (slice(1, None, -1),),
-            lead + (slice(-1, -3, -1),), 1.0 / (2.0 * self.h[axis]))
+            lead + (slice(-1, -3, -1),), np.array(1.0 / (2.0 * self.h[axis])))
         return plan
 
 
