@@ -251,7 +251,7 @@ class Derived:
         kept, from one pass: rho > 0 checked before the pack is divided by it,
         then p and T computed straight into the stack."""
         st, dim = self.state, self.state.grid.dim
-        if not np.minimum.reduce(st.rho, axis=None) > 0:  # NaN > 0 is false
+        if not np.minimum.reduce(st.rho, axis=None, initial=np.inf) > 0:  # NaN fails
             raise InadmissibleStateError("rho must be positive everywhere")
         stack = self.stack = np.empty((dim + 3,) + st.rho.shape)
         self.eos = _eos(st.rho, st.s, st.c, self.model.eos, stack[dim], stack[dim + 1])

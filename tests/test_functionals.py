@@ -106,6 +106,12 @@ def test_validate_rejects_an_empty_batch_naming_its_shape(scenario):
         State(model.grid, packed=np.ones(shape)).validate(model)
 
 
+def test_hamiltonian_of_an_empty_batch_is_empty():
+    # the one rho check of the Derived pass has nothing to reject here
+    state = State(GRID1, packed=np.ones((4, 0) + GRID1.shape))
+    assert hamiltonian(state, make_model("GNS")).shape == (0,)
+
+
 @pytest.mark.parametrize("members", [False, True])
 @pytest.mark.parametrize("name", ["temperature", "pressure"])
 def test_validate_rejects_an_overflowing_eos(name, members):
