@@ -5,6 +5,12 @@ Fields are built from short, seed-determined lists of Fourier modes, so
 the same seed produces the same continuum function on every grid
 resolution.  That makes them usable in refinement (convergence) studies,
 where the field must be a fixed function of x rather than per-grid noise.
+
+The modes are read from a stateless, counter-based stream (Salmon et al.,
+SC11, 2011): word w of seed s is the SplitMix64 finalizer (Steele, Lea &
+Flood, OOPSLA 2014) of _mix(s) + (w + 1) * GAMMA.  Every seed's words are
+formed at once in uint64 arrays, so a batch of seeds carries the bits of
+the single seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from .functionals import FunctionalGradient, ModelConfig, State
 from .grid import Grid
 
 N_MODES = 4  # Fourier modes per field
-SLACK, BLOCK = 8, 64  # spare raw words per seed; seeds decoded together (as Python ints)
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter increment
 
 
 @dataclass(frozen=True)
@@ -50,78 +56,39 @@ def fourier_field(grid: Grid, modes: FourierModes) -> np.ndarray:
     return out
 
 
-def _decode(words: np.ndarray, kmax: int):
-    """Raw PCG64 words (..., n) as lists: integers(-kmax, kmax + 1) of each
-    32-bit half, low first (kmax + 1 where Lemire's method rejects it), and
-    random()'s unit double of each word."""
-    span = np.uint64(2 * kmax + 1)
-    m = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).reshape(*words.shape[:-1], -1) * span
-    ints = np.where(m & 0xFFFFFFFF < 2 ** 32 % span, kmax + 1, (m >> 32).astype(np.int64) - kmax)
-    return ints.tolist(), ((words >> 11) * 2.0 ** -53).tolist()
-
-
-class _Stream:
-    """A seed's PCG64 stream read as default_rng(seed) reads it, from
-    _decode's lists; a long redraw chain draws more words from bitgen."""
-
-    def __init__(self, bitgen, ints, units, kmax):
-        self.bitgen, self.ints, self.units, self.kmax = bitgen, ints, units, kmax
-        self.used, self.pending = 0, None  # words read; ints index of a buffered high half
-
-    def random(self, n):  # a unit double of each of the next n words
-        if (short := self.used + n - len(self.units)) > 0:
-            more = _decode(self.bitgen.random_raw(short + SLACK), self.kmax)
-            self.ints, self.units = self.ints + more[0], self.units + more[1]
-        self.used += n
-        return self.units[self.used - n:self.used]
-
-    def integers(self, n):
-        """n draws of integers(-kmax, kmax + 1): a buffered high half, then the
-        next words' halves, low first, less Lemire's rejects, drawn again."""
-        out = [] if self.pending is None else [self.ints[self.pending]]
-        m, h = n - len(out), 2 * self.used
-        self.random((m + 1) // 2)  # the words of the next m halves; an odd m buffers one
-        self.pending, out = h + m if m % 2 else None, out + self.ints[h:h + m]
-        if max(out) > self.kmax:
-            out = [x for x in out if x <= self.kmax]
-            out += self.integers(n - len(out))
-        return out
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of each word of a uint64 array, mod 2**64."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
+    return z ^ z >> 31
 
 
 def _draw_fields(grid: Grid, seed: int | np.ndarray, order, kmax: int) -> np.ndarray:
-    """Fields of len(order) mode sets per seed, drawn in turn from the seed's
-    own stream: field i, of shape (*seeds.shape, *grid.shape), is the
-    order[i]-th set.  A set draws its wavevectors in one call (each zero row
-    again entry by entry: zero mean), then the unit doubles of its amplitudes
-    and of its phases in one call, as default_rng(seed) would (see _Stream)."""
+    """Fields of len(order) mode sets per seed: field i, of shape
+    (*seeds.shape, *grid.shape), is the order[i]-th set.  Set j reads words
+    j * width to (j + 1) * width - 1 of its seed: the wavevector entries row by row,
+    (low 32 bits * (2 kmax + 1) >> 32) - kmax (+1 on the first entry of an
+    all-zero row: zero mean), then the unit doubles (word >> 11) * 2**-53
+    of the amplitudes and of the phases."""
     seeds = np.asarray(seed)
     if seeds.size == 0 or seeds.dtype.kind not in "iu" or (seeds < 0).any():
         raise ValueError(f"seed: expected non-negative integers, at least one, got {seed!r}")
-    if not (isinstance(kmax, (int, np.integer)) and 1 <= kmax < 2 ** 31):  # numpy's 32-bit path
+    if not (isinstance(kmax, (int, np.integer)) and 1 <= kmax < 2 ** 31):  # 2 kmax + 1 < 2**32
         raise ValueError(f"kmax: expected an integer from 1 to 2**31 - 1, got {kmax!r}")
-    kmax, dim, n_sets, size = int(kmax), grid.dim, len(order), N_MODES * grid.dim
-    kvecs = [[None] * seeds.size for _ in range(n_sets)]
-    unit = [[None] * seeds.size for _ in range(n_sets)]
-    n_words, flat = n_sets * (size // 2 + 2 * N_MODES) + SLACK, seeds.ravel().tolist()
-    for b in range(0, len(flat), BLOCK):
-        bitgens = [np.random.PCG64(s) for s in flat[b:b + BLOCK]]
-        ints, units = _decode(np.array([g.random_raw(n_words) for g in bitgens]), kmax)
-        for i, rng in enumerate(map(_Stream, bitgens, ints, units, [kmax] * BLOCK), b):
-            for j in range(n_sets):
-                k = rng.integers(size)
-                for r in range(0, size, dim):
-                    while not any(k[r:r + dim]):
-                        k[r:r + dim] = rng.integers(dim)
-                kvecs[j][i] = k
-                unit[j][i] = rng.random(2 * N_MODES)
+    kmax, dim, n_k, width = int(kmax), grid.dim, N_MODES * grid.dim, N_MODES * (grid.dim + 2)
     # (fields, *seeds.shape, ...) in C order: fourier_field lays out its
-    # result as its inputs, so each field of the result is C-contiguous
-    lead = (n_sets,) + seeds.shape
-    unit = np.array([unit[j] for j in order]).reshape(lead + (2 * N_MODES,))
-    kvecs = np.array([kvecs[j] for j in order], dtype=np.int64).reshape(lead + (N_MODES, dim))
-    # Generator.uniform(low, high) is low + (high - low) * (a unit double)
+    # result as its inputs, so each field of the result is C-contiguous.
+    # Every operand is an array, since wrapping numpy scalars warn
+    count = np.asarray(order, np.uint64)[:, None, None] * width  # w + 1, (fields, 1, width)
+    count = count + np.arange(1, width + 1, dtype=np.uint64)
+    words = _mix(_mix(seeds.astype(np.uint64).reshape(-1, 1)) + count * GAMMA)
+    lead = (len(order),) + seeds.shape
+    kvecs = ((words[..., :n_k] & 0xFFFFFFFF) * (2 * kmax + 1) >> 32).astype(np.int64) - kmax
+    kvecs = kvecs.reshape(lead + (N_MODES, dim))
+    kvecs[..., 0] += ~kvecs.any(axis=-1)
+    unit = ((words[..., n_k:] >> 11) * 2.0 ** -53).reshape(lead + (2 * N_MODES,))
     return fourier_field(grid, FourierModes(
-        amps=(0.3 + (1.0 - 0.3) * unit[..., :N_MODES]) / N_MODES, kvecs=kvecs,
+        amps=(0.3 + 0.7 * unit[..., :N_MODES]) / N_MODES, kvecs=kvecs,
         phases=2.0 * np.pi * unit[..., N_MODES:]))
 
 

@@ -20,16 +20,18 @@ from .errors import ParameterError
 
 class _Plans(dict):
     """(field shape, axis) -> Grid.deriv's slices on one grid, built at first
-    use, which checks that the field fits: flat out[mid] = f[hi] - f[lo] fills
-    every interior cell and the first and last along the axis, which o (cells
-    0, n - 1) = plus (1, 0) - minus (n - 1, n - 2) overwrites; then 1 / (2 h),
-    a 0-d array: numpy scales by it without the Python-float scalar path."""
+    use, which checks the axis and the field's fit: flat out[mid] = f[hi] -
+    f[lo] fills every interior cell and the first and last along the axis,
+    which o (cells 0, n - 1) = plus (1, 0) - minus (n - 1, n - 2) overwrites;
+    then 1 / (2 h), a 0-d array, which skips numpy's Python-float path."""
 
     def __init__(self, n: tuple, h: tuple):
         self.n, self.h = n, h
 
     def __missing__(self, key: tuple) -> tuple:
         shape, axis = key
+        if axis not in range(len(self.n)):
+            raise ValueError(f"axis {axis!r} is not an axis of the {len(self.n)}-D grid")
         if shape[-len(self.n):] != self.n:  # shorter than n if f has fewer axes
             raise ValueError(f"field shape {shape} does not match grid {self.n}")
         ax = len(shape) - len(self.n) + axis

@@ -1,16 +1,16 @@
 """The 4-bracket of a diffuse family is the sharp 4-bracket of the gradients
 mapped through transform_gradients, and the 2-bracket is (F, H; G, H).
-Both must agree with the hand-written concentration slot and the direct
-2-bracket they replaced, which are kept here as the reference: the same
-bits for the 4-bracket, roundoff for the 2-bracket.
+Both must give the bits of the 4-bracket written out with the hand-written
+concentration slot it replaced, kept here as the reference; and the slots
+of grad H that the 2-bracket reads are v, T and mu_Gamma.
 """
 
 import numpy as np
 import pytest
 
 from metriflow import (AnisotropyFn, Grid, ModelConfig, SurfaceCoefficients,
-                       TransportCoefficients, kn_4bracket, metriplectic_2bracket,
-                       smooth_state)
+                       TransportCoefficients, grad_H, kn_4bracket, metriplectic_2bracket,
+                       smooth_state, transform_gradients)
 from metriflow.fields import random_gradient
 from metriflow.functionals import _lift
 from metriflow.grid import _csum
@@ -84,27 +84,6 @@ def _reference_kn_4bracket(Fg, Gg, Kg, Ng, state, model):
     return g.integrate(integrand / T)
 
 
-def _reference_2bracket(Fg, Gg, state, model):
-    """(F, H; G, H) written out with grad H's slots in closed form."""
-    g = state.grid
-    tr = model.transport
-    d = state.derived(model)
-    T = np.asarray(d.eos.T)
-    gradv, _, gradT, _ = d.grads
-    grad_mu = g.grad(d.mu_gamma)
-
-    x1 = T * g.grad(Fg.m) - Fg.sigma * gradv
-    y1 = T * g.grad(Gg.m) - Gg.sigma * gradv
-    integrand = _pair_sum(x1 * _stress(_strain(y1), tr.eta, tr.zeta))
-    x2 = T * g.grad(Fg.sigma) - Fg.sigma * gradT
-    y2 = T * g.grad(Gg.sigma) - Gg.sigma * gradT
-    integrand = integrand + _csum(x2 * _apply_tensor(tr.kappa_of(state, model), y2)) / T
-    x3 = T * _reference_conc_slot(Fg, state, model) - Fg.sigma * grad_mu
-    y3 = T * _reference_conc_slot(Gg, state, model) - Gg.sigma * grad_mu
-    integrand = integrand + _csum(x3 * _apply_tensor(tr.dcoef_of(state, model), y3))
-    return g.integrate(integrand / T)
-
-
 # ------------------------------------------------------------ comparisons
 
 @pytest.mark.parametrize("family,dim,kind", CASES)
@@ -120,10 +99,27 @@ def test_4bracket_gives_the_reference_bits(family, dim, kind):
 
 @pytest.mark.parametrize("family,dim,kind", CASES)
 def test_2bracket_matches_the_direct_body(family, dim, kind):
+    # (F, H; G, H): the reference 4-bracket with grad H in both H slots
     model = _model(family, dim, kind)
     state = smooth_state(model.grid, model, seed=22, amp=0.15)
+    Hg = grad_H(state, model)
     for trial in range(TRIALS):
         F = random_gradient(model.grid, 700 + trial)
         G = random_gradient(model.grid, 800 + trial)
-        ref = _reference_2bracket(F, G, state, model)
-        assert abs(metriplectic_2bracket(F, G, state, model) - ref) <= 1e-15 * abs(ref)
+        ref = _reference_kn_4bracket(F, Hg, G, Hg, state, model)
+        assert metriplectic_2bracket(F, G, state, model) == ref, trial
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["GNS", "CHNS0", "CHNS1"])
+def test_the_2bracket_reads_v_T_and_mu_gamma_from_grad_H(family, dim):
+    # the m, sigma and ctilde slots of grad H, mapped through
+    # transform_gradients for a diffuse family: v and T bit for bit, and
+    # mu_Gamma, whose surface part the map assembles in another order
+    model = _model(family, dim, "scalar")
+    state = smooth_state(model.grid, model, seed=22, amp=0.15)
+    Hg, d = grad_H(state, model), state.derived(model)
+    if model.is_diffuse:
+        Hg = transform_gradients(Hg, state, model)
+    assert np.array_equal(Hg.m, state.v) and np.array_equal(Hg.sigma, d.eos.T)
+    assert np.abs(Hg.ctilde - d.mu_gamma).max() <= 1e-15 * np.abs(d.mu_gamma).max()

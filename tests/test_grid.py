@@ -114,6 +114,16 @@ def test_deriv_rejects_a_field_that_does_not_fit_the_grid(grid, field):
         grid.grad(field)
 
 
+@pytest.mark.parametrize("grid, field, axis", [
+    (Grid(dim=1, n=(8,), length=(1.0,)), np.arange(24.0).reshape(3, 8), -1),  # a stacked axis
+    (Grid(dim=1, n=(8,), length=(1.0,)), np.arange(8.0), 1),
+    (Grid(dim=2, n=(8,), length=(1.0,)), np.zeros((8, 8)), 2),
+], ids=["stacked_axis_minus_1", "axis_1_of_1d", "axis_2_of_2d"])
+def test_deriv_rejects_an_axis_that_is_not_the_grids(grid, field, axis):
+    with pytest.raises(ValueError, match=f"axis {axis} is not an axis"):
+        grid.deriv(field, axis)
+
+
 def test_div_shape_check():
     g = Grid(dim=1, n=(8,), length=(1.0,))
     with pytest.raises(ValueError):

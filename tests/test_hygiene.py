@@ -236,3 +236,26 @@ def test_the_cli_forks_and_exits_in_one_place():
                          and node.attr in ("fork", "_exit"))
     assert sorted((node.attr, scope) for scope, node in calls) == [
         ("_exit", "Forked.__init__"), ("fork", "Forked.__init__")]
+
+
+# verify's random fields come from the counter-based stream of fields.py; it
+# builds no numpy generator, nor an emulation that would need one to check it
+def numpy_random_uses(path: Path) -> list[str]:
+    """Reads of np.random or numpy.random, and imports of numpy.random."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                  if name.split(".")[:2] in (["np", "random"], ["numpy", "random"])]
+    return found
+
+
+def test_the_field_draws_use_nothing_of_numpy_random():
+    assert numpy_random_uses(SRC / "fields.py") == []

@@ -7,13 +7,12 @@ Every batched result must carry the same bits as a loop of single calls,
 and the verify suites that use batches must report exactly what their
 per-trial or per-cell loops (kept here as the reference) report.  The same
 holds for the stacked draws of smooth_state and random_gradient, which must
-also take the numbers of the per-set draw and leave each stream where it did.
+also take the numbers of the stream as transcribed here in plain Python ints.
 """
 
 import hashlib
 import json
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -267,19 +266,20 @@ def test_batched_onsager_blocks_assemble_and_fluxes_match_single_calls(onsager_r
         assert np.array_equal(J, J_loop)
 
 
-def _reference_field(grid, rng, kmax):
-    """One field from one per-set draw of rng's stream."""
-    kvecs, amps, phases = _reference_make_modes(rng, grid.dim, kmax=kmax)
+def _reference_field(grid, seed, j, kmax):
+    """Mode set j of seed's stream as one field."""
+    kvecs, amps, phases, _ = _reference_modes(seed, j, grid.dim, kmax)
     return fourier_field(grid, FourierModes(amps=amps, kvecs=kvecs, phases=phases))
 
 
 def _reference_smooth_state(grid, model, seed, amp=0.1, kmax=3):
-    """smooth_state as one fourier_field call per field."""
-    rng = _reference_rng(seed)
-    rho = 1.0 + amp * _reference_field(grid, rng, kmax)
-    v = np.stack([amp * _reference_field(grid, rng, kmax) for _ in range(grid.dim)])
-    c = amp * _reference_field(grid, rng, kmax)
-    s = amp * _reference_field(grid, rng, kmax)
+    """smooth_state as one fourier_field call per field: sets 0 to dim + 2
+    are rho, v_1..v_dim, c and s."""
+    dim = grid.dim
+    rho = 1.0 + amp * _reference_field(grid, seed, 0, kmax)
+    v = np.stack([amp * _reference_field(grid, seed, j, kmax) for j in range(1, dim + 1)])
+    c = amp * _reference_field(grid, seed, dim + 1, kmax)
+    s = amp * _reference_field(grid, seed, dim + 2, kmax)
     return State(grid=grid, m=rho * v, rho=rho, ctilde=rho * c, sigma=rho * s)
 
 
@@ -405,270 +405,98 @@ def test_each_member_gets_its_own_rms_cutoff(dim):
     assert np.abs(gc).max() < 1e-12 and np.abs(xi).max() > 0.5
 
 
-# numpy's own classes, kept before the draws fixture replaces them
-_PCG64, _GENERATOR = np.random.PCG64, np.random.Generator
+# ------------------------------------------- the draws' stream, transcribed
+
+M64 = 2 ** 64 - 1
 
 
-def _reference_rng(seed):
-    """np.random.default_rng(seed), built past the draws fixture's stand-ins."""
-    return _GENERATOR(_PCG64(seed))
+def _splitmix(z):
+    """The SplitMix64 finalizer of a Python int, mod 2**64."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & M64
+    return z ^ z >> 31
 
 
-def _reference_make_modes(rng, dim, n_modes=4, kmax=3, amp=1.0):
-    """One mode set as the per-set draw took it: a sized integers call, a
-    size=dim call per zero row redrawn, and two uniform calls."""
-    kvecs = rng.integers(-kmax, kmax + 1, size=(n_modes, dim))
-    for i in range(n_modes):
-        while not kvecs[i].any():
-            kvecs[i] = rng.integers(-kmax, kmax + 1, size=dim)
-    amps = amp * rng.uniform(0.3, 1.0, size=n_modes) / n_modes
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
-    return kvecs, amps, phases
-
-
-class _TranscribedGenerator:
-    """Generator.integers (int64, a span under 2**32) and Generator.uniform
-    on a list of raw PCG64 words, transcribed from numpy's C source:
-    next_uint32 returns a buffered high half, else the low half of the next
-    word, buffering its high half; Lemire's bounded draw takes x * span >> 32
-    and draws x again (counted in rejected) while the low word of x * span
-    is under (2**32 - span) % span; next_double is (word >> 11) * 2**-53."""
-
-    def __init__(self, words):
-        self.words, self.used, self.buffered, self.rejected = [int(w) for w in words], 0, None, 0
-
-    def _next_uint64(self):
-        self.used += 1
-        return self.words[self.used - 1]
-
-    def _next_uint32(self):
-        if self.buffered is not None:
-            x, self.buffered = self.buffered, None
-            return x
-        word = self._next_uint64()
-        self.buffered = word >> 32
-        return word & 0xFFFFFFFF
-
-    def _bounded(self, low, span):
-        m = self._next_uint32() * span
-        if m & 0xFFFFFFFF < span:
-            threshold = (0xFFFFFFFF - (span - 1)) % span
-            while m & 0xFFFFFFFF < threshold:
-                self.rejected += 1
-                m = self._next_uint32() * span
-        return low + (m >> 32)
-
-    def integers(self, low, high, size):
-        draws = [self._bounded(low, high - low) for _ in range(int(np.prod(size)))]
-        return np.array(draws, dtype=np.int64).reshape(size)
-
-    def uniform(self, low, high, size):
-        units = [(self._next_uint64() >> 11) * 2.0 ** -53 for _ in range(size)]
-        return low + (high - low) * np.array(units)
-
-
-def test_the_transcribed_generator_is_numpys():
-    # the transcription takes numpy's numbers from PCG64's raw words and
-    # stops where numpy's generator stops, down to the buffered half
-    for seed in range(50):
-        rng, ref_rng = _TranscribedGenerator(_PCG64(seed).random_raw(200)), _reference_rng(seed)
-        for dim, kmax in ((1, 1), (1, 3), (2, 2)):
-            for got, want in zip(_reference_make_modes(rng, dim, kmax=kmax),
-                                 _reference_make_modes(ref_rng, dim, kmax=kmax)):
-                assert np.array_equal(got, want), seed
-        assert (_position_after(seed, rng.used, rng.buffered)
-                == _position(ref_rng.bit_generator.state)), seed
-
-
-def _position(state):
-    """The stream position in a PCG64 bit_generator.state: the generator's
-    state and the 32-bit half it has buffered (None: none; numpy leaves a
-    spent half's bits in uinteger)."""
-    return state["state"], state["uinteger"] if state["has_uint32"] else None
-
-
-def _position_after(seed, used, buffered):
-    """_position of PCG64(seed) once used raw words are read and the 32-bit
-    half buffered is left over."""
-    bitgen = _PCG64(seed)
-    bitgen.random_raw(used)
-    return bitgen.state["state"], buffered
-
-
-def _buffered(stream, words):
-    """The raw 32-bit half that a fields._Stream of words has buffered."""
-    return None if stream.pending is None else int(words[stream.pending // 2] >> 32)
-
-
-def _stream_position(seed, stream):
-    """_position of default_rng(seed) after the words and the buffered half
-    that a fields._Stream of seed's words has read."""
-    words = _PCG64(seed).random_raw(stream.used)
-    return _position_after(seed, stream.used, _buffered(stream, words))
+def _reference_modes(seed, j, dim, kmax):
+    """(kvecs, amps, phases, zero rows) of mode set j of seed, word by word in
+    Python ints: word w is _splitmix(_splitmix(seed) + (w + 1) * 0x9E3779B97F4A7C15),
+    and set j reads words j * W to (j + 1) * W - 1, W = 4 dim + 8: the 4 x dim
+    wavevector entries row by row, ((w & 0xFFFFFFFF) * (2 kmax + 1) >> 32) -
+    kmax, with +1 on the first entry of an all-zero row; then the unit
+    doubles (w >> 11) * 2**-53 of the 4 amplitudes, 0.3 + 0.7 u over 4, and
+    of the 4 phases, 2 pi u."""
+    width, key = 4 * dim + 8, _splitmix(seed)
+    words = [_splitmix(key + (w + 1) * 0x9E3779B97F4A7C15 & M64)
+             for w in range(j * width, (j + 1) * width)]
+    entries = [((w & 0xFFFFFFFF) * (2 * kmax + 1) >> 32) - kmax for w in words[:4 * dim]]
+    kvecs = [entries[r:r + dim] for r in range(0, 4 * dim, dim)]
+    zero_rows = [row for row in kvecs if not any(row)]
+    for row in zero_rows:
+        row[0] += 1
+    units = [(w >> 11) * 2.0 ** -53 for w in words[4 * dim:]]
+    return (np.array(kvecs, dtype=np.int64), np.array([(0.3 + 0.7 * u) / 4 for u in units[:4]]),
+            np.array([2.0 * np.pi * u for u in units[4:]]), len(zero_rows))
 
 
 @pytest.fixture
-def draws(monkeypatch):
-    """What fields draws: the bit generators it builds (each with the sizes
-    of its random_raw calls), the streams it reads them through, and the
-    modes it hands to fourier_field.  Building a numpy Generator fails."""
-    seen = SimpleNamespace(bitgens=[], streams=[], modes=[])
-    plain_stream, plain_field = fields._Stream, fields.fourier_field
+def drawn_modes(monkeypatch):
+    """The FourierModes that the draws hand to fourier_field, in call order."""
+    seen, plain = [], fields.fourier_field
 
-    class CountedPCG64(_PCG64):
-        def __init__(self, seed):
-            super().__init__(seed)
-            self.sizes = []
-            seen.bitgens.append(self)
+    def recorded(grid, modes):
+        seen.append(modes)
+        return plain(grid, modes)
 
-        def random_raw(self, size=None, output=True):
-            self.sizes.append(size)
-            return super().random_raw(size, output)
-
-    def recorded_stream(*args):
-        seen.streams.append(plain_stream(*args))
-        return seen.streams[-1]
-
-    def recorded_field(grid, modes):
-        seen.modes.append(modes)
-        return plain_field(grid, modes)
-
-    def no_generator(*args, **kw):
-        raise AssertionError("fields built a numpy Generator")
-
-    monkeypatch.setattr(np.random, "PCG64", CountedPCG64)
-    monkeypatch.setattr(np.random, "Generator", no_generator)
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
-    monkeypatch.setattr(fields, "_Stream", recorded_stream)
-    monkeypatch.setattr(fields, "fourier_field", recorded_field)
+    monkeypatch.setattr(fields, "fourier_field", recorded)
     return seen
 
 
-def _check_the_per_set_stream(dim, kmax, draws):
-    """Every number and every stream position of the per-set draw, one seed
-    at a time and as a batch, for random_gradient and smooth_state."""
+@pytest.mark.parametrize("kmax", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_draws_take_the_per_set_stream(dim, kmax, drawn_modes):
+    # every number of every set, one seed at a time and as a batch, for
+    # random_gradient and smooth_state
     model = _model("CHNS1", dim)
     grid, seeds, n_sets = model.grid, np.arange(200), dim + 3
     batch = random_gradient(grid, seeds, kmax=kmax)
     states = smooth_state(grid, model, seed=seeds, kmax=kmax)
-    batch_streams, state_streams = draws.streams[:200], draws.streams[200:]
-    redrawn = 0
+    modes, zero_rows = drawn_modes[0], 0
     for seed in seeds:
-        first = _reference_rng(seed).integers(-kmax, kmax + 1, size=(4, dim))
-        redrawn += not first.any(axis=1).all()
-        ref_rng = _reference_rng(seed)
-        ref = [_reference_make_modes(ref_rng, dim, kmax=kmax) for _ in range(n_sets)]
         single = random_gradient(grid, seed, kmax=kmax)
-        stream, modes = draws.streams[-1], draws.modes[-1]
-        for j, (kvecs, amps, phases) in enumerate(ref):
-            assert np.array_equal(modes.kvecs[j], kvecs) and modes.kvecs.dtype == kvecs.dtype
-            assert np.array_equal(modes.amps[j], amps) and np.array_equal(modes.phases[j], phases)
+        for j in range(n_sets):
+            kvecs, amps, phases, zeros = _reference_modes(int(seed), j, dim, kmax)
+            zero_rows += zeros
+            assert np.array_equal(modes.kvecs[j, seed], kvecs) and modes.kvecs.dtype == kvecs.dtype
+            assert np.array_equal(modes.amps[j, seed], amps)
+            assert np.array_equal(modes.phases[j, seed], phases)
             field = fourier_field(grid, FourierModes(amps=amps, kvecs=kvecs, phases=phases))
             assert np.array_equal(single.packed[j], field), (seed, j)
             assert np.array_equal(batch.packed[j, seed], field), (seed, j)
-        ref_state = _reference_smooth_state(grid, model, seed, kmax=kmax)
+        ref_state = _reference_smooth_state(grid, model, int(seed), kmax=kmax)
         assert np.array_equal(states.packed[:, seed], ref_state.packed), seed
         assert np.array_equal(smooth_state(grid, model, seed=seed, kmax=kmax).packed,
                               ref_state.packed), seed
-        # the same stream position, down to PCG64's buffered 32-bit half
-        for read in (stream, batch_streams[seed], state_streams[seed]):
-            assert _stream_position(seed, read) == _position(ref_rng.bit_generator.state), seed
-    # the redraw path is exercised (about 46% of 1D draws at kmax 3)
-    assert redrawn > 0
-
-
-@pytest.mark.parametrize("kmax", [1, 2, 3])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_draws_take_the_per_set_stream(dim, kmax, draws):
-    _check_the_per_set_stream(dim, kmax, draws)
-
-
-@pytest.mark.parametrize("kmax", [1, 2, 3])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_a_stream_that_runs_out_draws_more_of_its_own(dim, kmax, draws, monkeypatch):
-    # with no slack, a stream reads past its first random_raw call at its
-    # first zero-row redraw, and each call draws just the words it reads
-    monkeypatch.setattr(fields, "SLACK", 0)
-    _check_the_per_set_stream(dim, kmax, draws)
-    assert len(draws.bitgens) == len(draws.streams)
-    assert sum(len(bitgen.sizes) > 1 for bitgen in draws.bitgens) > 0
-    for bitgen, stream in zip(draws.bitgens, draws.streams):
-        assert sum(bitgen.sizes) == stream.used
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_a_batch_draw_makes_one_raw_call_per_seed(dim, draws):
-    # kmax 1 redraws many zero rows: a few streams run past the slack
-    model = _model("CHNS1", dim)
-    random_gradient(model.grid, np.arange(50), kmax=1)
-    smooth_state(model.grid, model, seed=np.arange(50), kmax=1)
-    n_words = (dim + 3) * (2 * dim + 2 * 4)  # read by a draw without redraws
-    assert len(draws.bitgens) == len(draws.streams) == 100 and len(draws.modes) == 2
-    assert max(stream.used for stream in draws.streams) > n_words
-    for bitgen, stream in zip(draws.bitgens, draws.streams):
-        # a call after the first only once the stream has read all it drew
-        assert bitgen.sizes[0] == n_words + fields.SLACK
-        assert stream.used > sum(bitgen.sizes[:-1]) and sum(bitgen.sizes) == len(stream.units)
-
-
-@pytest.mark.parametrize("kmax", [1, 2, 3])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_draws_skip_what_lemire_rejects(dim, kmax, draws, monkeypatch):
-    # Lemire's method rejects x when the low word of x * span falls under
-    # 2**32 % span, so a zero 32-bit half is rejected for each span here;
-    # crafted words, about a quarter of their halves zero, against the
-    # transcribed per-set draw
-    assert all(2 ** 32 % (2 * k + 1) > 0 for k in (1, 2, 3))
-    rng = _reference_rng(11)
-    halves = rng.integers(1, 2 ** 32, size=(20, 300, 2), dtype=np.uint64)
-    halves *= rng.random(halves.shape) >= 0.25
-    words = halves[..., 0] | halves[..., 1] << np.uint64(32)
-
-    class CraftedPCG64:
-        """A bit generator whose raw words are words[seed]."""
-
-        def __init__(self, seed):
-            self.seed, self.used = seed, 0
-
-        def random_raw(self, size):
-            self.used += size
-            return words[self.seed, self.used - size:self.used]
-
-    monkeypatch.setattr(np.random, "PCG64", CraftedPCG64)
-    random_gradient(_grid(dim), np.arange(20), kmax=kmax)
-    (modes,), rejected = draws.modes, 0
-    for seed, stream in enumerate(draws.streams):
-        ref_rng = _TranscribedGenerator(words[seed])
-        for j in range(dim + 3):
-            kvecs, amps, phases = _reference_make_modes(ref_rng, dim, kmax=kmax)
-            assert np.array_equal(modes.kvecs[j, seed], kvecs), (seed, j)
-            assert np.array_equal(modes.amps[j, seed], amps), (seed, j)
-            assert np.array_equal(modes.phases[j, seed], phases), (seed, j)
-        assert stream.used == ref_rng.used, seed
-        assert _buffered(stream, words[seed]) == ref_rng.buffered, seed
-        rejected += ref_rng.rejected
-    assert rejected > 0
+    # the zero-row rule is exercised (a row is zero with odds (2 kmax + 1)**-dim)
+    assert zero_rows > 0
 
 
 # sha256 of the (kvecs, amps, phases) that random_gradient draws for seeds
 # 0-199 on a 16-cell grid, by (dim, kmax)
 MODES_SHA256 = {
-    (1, 1): "08731a9570f2c40f3944ebb1b8645c1835b35fc2dc62b168274162a4b03bce4e",
-    (1, 2): "efcb1e7852ea844008bdd462f99cf5fb5ab38cb28060aa637c064c65e5477425",
-    (1, 3): "a2cbc30e051e453821bac0b6b9c2d018d435fb8f57ba282e9de4b0bb3beebfce",
-    (2, 1): "e9609d1d6d15159096dc0e6bfed1252691abf98a6f1d0a595e617d36b870ac5a",
-    (2, 2): "41d7c19c2ea720cc5c4ced96ef885634ff3f244c3ffb0ba6a2d084a1f4087534",
-    (2, 3): "ce0abe0d6945cf7837efa63de1581e5b2e33867a3cb0b2d134f6ca88e8833713",
+    (1, 1): "ce5e6a483f4e720a228e9db07ab9480cc417839e1ef5db7ddc7564b883acb4fb",
+    (1, 2): "7a278493bf6fe2701812e1bdd0fb02e6d9bd0f7818feeed8c01b3d55572ef777",
+    (1, 3): "a9ab54826bc8eae8fc8f9b4bcac3f840f00c69abdcb3bb09eeb75fd17f9915ca",
+    (2, 1): "1d06d67fe62c5d86e7e440fcffdc0f76c53d37d8f0cc1e60907fdd31d62ba5af",
+    (2, 2): "e549e54b9a31226c45fa2630cbb1c8a472216c9fb4fae04d9f77352d998e63c7",
+    (2, 3): "ed04c5b81484dbfc213aa38f255e54b1c0a96c7900b412176daba9c3d4e19788",
 }
 
 
 @pytest.mark.parametrize("kmax", [1, 2, 3])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_the_drawn_modes_are_pinned(dim, kmax, draws):
-    # the modes rest on PCG64's raw words alone, which numpy keeps stable,
-    # and not on how Generator.integers draws
+def test_the_drawn_modes_are_pinned(dim, kmax, drawn_modes):
     random_gradient(_grid(dim), np.arange(200), kmax=kmax)
-    (modes,) = draws.modes
+    (modes,) = drawn_modes
     digest = hashlib.sha256()
     for array in (modes.kvecs, modes.amps, modes.phases):
         digest.update(np.ascontiguousarray(array).tobytes())
@@ -697,7 +525,7 @@ def _no_draw(*args, **kw):
                          ids=["negative", "a_negative_one", "float", "floats", "bool"])
 @DRAWS
 def test_a_bad_seed_is_rejected_before_any_draw(draw, seed, monkeypatch):
-    monkeypatch.setattr(np.random, "PCG64", _no_draw)
+    monkeypatch.setattr(fields, "_mix", _no_draw)
     with pytest.raises(ValueError, match="seed"):
         draw(_grid(1), seed)
 
@@ -705,18 +533,21 @@ def test_a_bad_seed_is_rejected_before_any_draw(draw, seed, monkeypatch):
 @pytest.mark.parametrize("kmax", [0, -1, 1.5, 2 ** 31])
 @DRAWS
 def test_a_bad_kmax_is_rejected_before_any_draw(draw, kmax, monkeypatch):
-    # kmax 0 draws only zero rows, which were redrawn for ever
-    monkeypatch.setattr(np.random, "PCG64", _no_draw)
+    # kmax 0 would draw only zero rows
+    monkeypatch.setattr(fields, "_mix", _no_draw)
     with pytest.raises(ValueError, match="kmax"):
         draw(_grid(1), 1, kmax=kmax)
 
 
-def test_the_largest_kmax_takes_numpys_numbers():
-    # span 2**32 - 1, the widest that numpy draws by Lemire's 32-bit path
-    kmax = 2 ** 31 - 1
-    kvecs, amps, phases = _reference_make_modes(_reference_rng(4), 1, kmax=kmax)
-    field = fourier_field(_grid(1), FourierModes(amps=amps, kvecs=kvecs, phases=phases))
-    assert np.array_equal(random_gradient(_grid(1), 4, kmax=kmax).packed[0], field)
+def test_the_largest_kmax_and_seed_take_the_transcribed_numbers():
+    # span 2**32 - 1, the widest the 32-bit multiply-shift takes, and seeds
+    # up to 2**64 - 1, past int64
+    kmax, seeds = 2 ** 31 - 1, np.array([4, 2 ** 63 + 5, M64], dtype=np.uint64)
+    batch = random_gradient(_grid(1), seeds, kmax=kmax)
+    for i, seed in enumerate(seeds.tolist()):
+        kvecs, amps, phases, _ = _reference_modes(seed, 0, 1, kmax)
+        field = fourier_field(_grid(1), FourierModes(amps=amps, kvecs=kvecs, phases=phases))
+        assert np.array_equal(batch.packed[0, i], field), seed
 
 
 # ------------------------------------------- the per-trial suites, as reference

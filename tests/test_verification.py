@@ -153,13 +153,14 @@ def test_nan_on_the_coarsest_grid_fails_the_energy_rate_refinement(monkeypatch):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "pre-asymptotic energy rate: for seed 206 the CHE0 and CHE1 residuals read "
-    "orders 0.60 and 0.61 from n = 32 to 64, and 1.78, 1.95, 1.99 from n = 64 "
-    "to 512; ROADMAP item 1b makes the ideal energy rate exact"))
-def test_budgets_pass_for_seed_206():
-    # about 1% of seeds fail this way (206, 258, 260, 291 and 326 of 0-399);
-    # ORDER_MIN, FLOOR and the grid sizes stay as they are
-    assert verification.budgets_suite(206, "fast").passed
+    "pre-asymptotic energy rate: for seed 9 the CHE0 and CHE1 residuals read "
+    "orders 1.71 and 1.84 from n = 32 to 64, and 1.93, 1.98, 2.00 and 1.96, "
+    "1.99, 2.00 from n = 64 to 512; ROADMAP item 1b makes the ideal energy rate exact"))
+def test_budgets_pass_for_seed_9():
+    # about 2% of seeds fail this way (9, 23, 26, 113, 179, 181, 189, 211,
+    # 246, 278, 310, 341, 342 and 396 of 0-399); ORDER_MIN, FLOOR and the
+    # grid sizes stay as they are
+    assert verification.budgets_suite(9, "fast").passed
 
 
 def test_only_the_stepping_suites_step_and_they_come_last(monkeypatch):
