@@ -13,26 +13,34 @@ a Casimir to roundoff for every family.
 
 The pairing is an explicit difference of the swapped terms, so
 antisymmetry holds to exact floating-point negation.  ideal_rhs is the
-ideal part of the shared kernel in metriplectic; it is the tendency the
-bracket generates up to O(h^2) in the momentum slot.
+ideal part of the shared kernel in metriplectic and the tendency the
+bracket generates, in every slot, to roundoff: every slot s is advected by
+the flux -w_s v, w the pairing's weights, and momentum takes the source
+-sum_s w_s grad H_s, H the gradient of H the pairing sees (the capillary
+force in Jacqmin's potential form).  So energy is conserved exactly by the
+semi-discrete system, and momentum only to O(h^2).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .functionals import (FunctionalGradient, ModelConfig, State, _align_batch, _lift,
-                          sigma_total, transform_gradients)
+                          transform_gradients)
 from .grid import _csum
 from .metriplectic import _tendencies
+from .thermo import SurfaceCoefficients
 
 
 def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
                     state: State, model: ModelConfig) -> float | np.ndarray:
     """Poisson bracket of two functional gradients,
     -integral sum_s w_s [(F.m . grad) G_s - (G.m . grad) F_s] over the pack
-    slots s, w the state's pack with sigma_total in the sigma slot, after
-    transform_gradients for a diffuse family.
+    slots s, w the slot table Derived.weights (the state's pack with
+    sigma_total in the sigma slot), after transform_gradients for a diffuse
+    family.
 
     Fg and Gg may be batches with the same number of batch axes (sizes
     broadcast); the result is then an array over the batch axes.
@@ -41,7 +49,7 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     g = state.grid
     if model.is_diffuse:
         Fg, Gg = transform_gradients(Fg, state, model), transform_gradients(Gg, state, model)
-    w = np.concatenate([state.packed[:-1], sigma_total(state, model)[None]])
+    w = state.derived(model).weights
 
     def advect(A, B):
         # (A.m . grad) B_s for every slot s, from one grad of B's pack
@@ -54,15 +62,13 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
 
 def capillary_force(state: State, model: ModelConfig) -> np.ndarray:
-    """Capillary acceleration (force per unit mass) in the momentum equation.
-
-    Zero for the sharp-interface families; for the diffuse families this is
-    the non-pressure part of the interface stress divergence.
+    """Capillary acceleration (force per unit mass) in the momentum equation:
+    the kernel's ideal momentum tendency minus that of the same state with
+    no surface terms, over rho.  Zero for the sharp-interface families.
     """
-    if not model.is_diffuse:
-        return np.zeros(state.m.shape)
-    pi, _ = state.derived(model).capillary_stress()
-    return state.grid.div(pi) / state.rho
+    bare = replace(model, surface=SurfaceCoefficients())
+    bare_m = ideal_rhs(State(state.grid, packed=state.packed), bare).m  # state keeps its Derived
+    return (ideal_rhs(state, model).m - bare_m) / state.rho
 
 
 def ideal_rhs(state: State, model: ModelConfig) -> FunctionalGradient:

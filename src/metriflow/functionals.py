@@ -85,6 +85,11 @@ class ModelConfig:
                 "lambda_u and lambda_s must be 0")
         if self.is_dissipative and self.transport is None:
             raise ValueError(f"family {self.family} requires transport coefficients")
+        for name in ("kappa", "dcoef"):
+            val, dim = getattr(self.transport, name, None), self.grid.dim
+            if not callable(val) and np.ndim(val) == 2 and np.shape(val) != (dim, dim):
+                raise ParameterError(name, f"{name} must be a {dim} x {dim} matrix on a {dim}D "
+                                           f"grid, got shape {np.shape(val)}")
         if self.anisotropy.kind == "fourfold" and self.grid.dim != 2:
             raise ParameterError("anisotropy", f"fourfold is 2D only, got dim = {self.grid.dim}")
 
@@ -166,11 +171,11 @@ class State(_Pack):
                 if not np.isfinite(getattr(self, name)).all():
                     raise InadmissibleStateError(f"non-finite entries in {name}")
         d, dim = self.derived(model), self.grid.dim
-        # one min and one max over p and T side by side, then each alone to
+        # one min and one max over T and p side by side, then each alone to
         # name the one that failed (min is NaN if any entry is; NaN > 0 is false)
-        pT = d.stack[dim:dim + 2]
-        if not (np.minimum.reduce(pT, axis=None) > 0
-                and np.maximum.reduce(pT, axis=None) < np.inf):
+        Tp = d.stack[dim + 2:]
+        if not (np.minimum.reduce(Tp, axis=None) > 0
+                and np.maximum.reduce(Tp, axis=None) < np.inf):
             for name, x in (("temperature", d.eos.T), ("pressure", d.eos.p)):
                 if not (x.min() > 0 and x.max() < np.inf):
                     raise InadmissibleStateError(f"derived {name} must be finite and positive")
@@ -234,12 +239,13 @@ def _align_batch(*grads: FunctionalGradient, state: State | None = None) -> list
 class Derived:
     """The derived fields of one state under one model, each computed on
     first use and kept, as states are never mutated: ``eos`` (the EOS
-    point), ``stack`` (v, p, T, c), ``grads`` (its grad), ``gamma_xi``
-    (grad c, Gamma, xi), ``weight`` (rho^a), ``mu_gamma`` and the transport
-    coefficients ``kappa`` and ``dcoef``, a callable one called once.  The state
-    holds its Derived (``State.derived``), so this holds the state by a
-    weak proxy: a strong reference back would make a cycle only the
-    collector frees."""
+    point), ``stack`` (v, H_rho, mu_Gamma, T, p), ``h_hat`` (the gradient of
+    H that the brackets pair with), ``grads`` (its grad), ``gamma_xi`` (grad
+    c, Gamma, xi), ``weight`` (rho^a), ``mu_gamma``, ``weights`` (the Poisson
+    slot table) and the transport coefficients ``kappa`` and ``dcoef``, a
+    callable one called once.  The state holds its Derived
+    (``State.derived``), so this holds the state by a weak proxy: a strong
+    reference back would make a cycle only the collector frees."""
 
     def __init__(self, state: State, model: ModelConfig):
         self.state = weakref.proxy(state)
@@ -247,30 +253,56 @@ class Derived:
         self.model = model
 
     def _thermo(self, name: str):
-        """eos (the EOS point) or stack ((v, p, T, c): grads is its grad), both
-        kept, from one pass: rho > 0 checked before the pack is divided by it,
-        then p and T computed straight into the stack."""
+        """eos (the EOS point) or stack ((v, H_rho, mu_Gamma, T, p), whose
+        H_rho and mu_Gamma rows mu_gamma and h_hat fill), both kept, from
+        one pass: rho > 0 checked before the pack is divided by it, then p
+        and T computed straight into the stack."""
         st, dim = self.state, self.state.grid.dim
         if not np.minimum.reduce(st.rho, axis=None, initial=np.inf) > 0:  # NaN fails
             raise InadmissibleStateError("rho must be positive everywhere")
-        stack = self.stack = np.empty((dim + 3,) + st.rho.shape)
-        self.eos = _eos(st.rho, st.s, st.c, self.model.eos, stack[dim], stack[dim + 1])
-        stack[:dim], stack[dim + 2] = st.v, st.c
+        stack = self.stack = np.empty((dim + 4,) + st.rho.shape)
+        self.eos = _eos(st.rho, st.s, st.c, self.model.eos, stack[dim + 3], stack[dim + 2])
+        stack[:dim] = st.v
         return getattr(self, name)
 
     eos = _lazy(lambda self: self._thermo("eos"))
     stack = _lazy(lambda self: self._thermo("stack"))
 
     @_lazy
-    def grads(self):
-        """(grad v, grad p, grad T, grad c) from one grad; grad v[k, l] = d_k v_l."""
-        dim = self.state.grid.dim
-        grads = self.state.grid.grad(self.stack)
-        return grads[:, :dim], grads[:, dim], grads[:, dim + 1], grads[:, dim + 2]
+    def mu_gamma(self) -> np.ndarray:
+        """mu - div(u) / rho, u = lambda_f(T) rho^a Gamma xi (mu for a sharp
+        family), in its row of the stack."""
+        st, excess = self.state, 0.0
+        if self.model.is_diffuse:
+            _, gamma, xi = self.gamma_xi
+            u = lambda_f(self.eos.T, self.model.surface) * self.weight * gamma * xi
+            excess = st.grid.div(u) / st.rho
+        return np.subtract(self.eos.mu, excess, out=self.stack[st.grid.dim + 1])
+
+    @_lazy
+    def h_hat(self) -> np.ndarray:
+        """The gradient of H that the brackets pair with, the pack (v, H_rho,
+        mu_Gamma, T), a view of the stack: transform_gradients(grad_H) for a
+        diffuse family, to roundoff, and grad_H itself for a sharp one.
+        H_rho = -|v|^2 / 2 + g - c mu_Gamma, g the Gibbs energy, plus
+        lambda_f Gamma^2 / 2 for a = 1."""
+        st, model, dim = self.state, self.model, self.state.grid.dim
+        h = -0.5 * _csum(st.v * st.v) + self.eos.g - st.c * self.mu_gamma
+        if model.is_diffuse and model.a == 1:
+            _, gamma, _ = self.gamma_xi
+            h += 0.5 * lambda_f(self.eos.T, model.surface) * gamma * gamma
+        self.stack[dim] = h
+        return self.stack[:dim + 3]
+
+    @_lazy
+    def grads(self) -> np.ndarray:
+        """grad h_hat, (dim, dim + 3, *members, *grid.shape) from one grad:
+        [k, s] = d_k of slot s, so [:, :dim] is grad v[k, l] = d_k v_l."""
+        return self.state.grid.grad(self.h_hat)
 
     @_lazy
     def gamma_xi(self):
-        gc = self.grads[3]
+        gc = self.state.grid.grad(self.state.c)
         return (gc,) + gamma_eval(gc, self.model.anisotropy)
 
     @_lazy
@@ -288,13 +320,11 @@ class Derived:
         return self.model.transport.dcoef_of(self._ref(), self.model)
 
     @_lazy
-    def mu_gamma(self) -> np.ndarray:
-        st = self.state
-        mu = np.asarray(self.eos.mu) * np.ones(st.grid.shape)
-        if not self.model.is_diffuse:
-            return mu
-        _, flux = self.capillary_stress()
-        return mu - st.grid.div(flux) / st.rho
+    def weights(self) -> np.ndarray:
+        """The Poisson bracket's slot table: the pack with sigma_total in the
+        sigma slot (the pack itself where the two agree)."""
+        st, sigma = self.state, self.sigma_total()
+        return st.packed if sigma is st.sigma else np.concatenate([st.packed[:-1], sigma[None]])
 
     def sigma_total(self) -> np.ndarray:
         """The total entropy density field (sigma itself for the sharp families)."""
@@ -303,22 +333,6 @@ class Derived:
             return st.sigma
         _, gamma, _ = self.gamma_xi
         return st.sigma + 0.5 * self.weight * lam_s * gamma * gamma
-
-    def capillary_stress(self):
-        """(Pi, u) of a diffuse family, not kept: u = lambda_f(T) rho^a
-        Gamma xi is the flux in mu_Gamma, and Pi[j, i] = -u_j d_i c (plus
-        lambda_f Gamma^2 / 2 on the diagonal for a = 0) is the capillary
-        stress, whose divergence d_j Pi[j, i] is the capillary force
-        density."""
-        model = self.model
-        lam_f = lambda_f(self.eos.T, model.surface)
-        gc, gamma, xi = self.gamma_xi
-        u = lam_f * self.weight * gamma * xi
-        pi = -u[:, None] * gc[None]
-        if model.a == 0:
-            for i in range(self.state.grid.dim):
-                pi[i, i] += 0.5 * lam_f * gamma * gamma
-        return pi, u
 
 
 def thermo_point(state: State, model: ModelConfig):
@@ -350,11 +364,10 @@ def entropy(state: State, model: ModelConfig) -> float | np.ndarray:
 def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
     """Exact discrete functional derivatives of the Hamiltonian."""
     g = state.grid
-    rho, c, s = state.rho, state.c, state.s
-    v = state.v
+    rho, c, v = state.rho, state.c, state.v
     d = state.derived(model)
     pt = d.eos
-    d_rho = -0.5 * _csum(v * v) + pt.u + pt.p / rho - s * pt.T - c * pt.mu
+    d_rho = -0.5 * _csum(v * v) + pt.g - c * pt.mu
     d_ctilde = pt.mu
     if model.is_diffuse and model.surface.lambda_u != 0.0:
         lam_u, a = model.surface.lambda_u, model.a

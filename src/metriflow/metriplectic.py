@@ -10,19 +10,18 @@ change of variables: the four gradients go through transform_gradients (in
 functionals), which turns the concentration slot of grad H into mu_Gamma.
 The 2-bracket is (F, H; G, H); (F, G; F, G) is the sectional curvature.
 Its slot table (Lambda for m, kappa / T for sigma, D for ctilde) is summed
-pointwise by _pairing and _pairing_end, and the entropy production
-(S, H; S, H) pairs the kernel's own fluxes with their gradients through them.
+pointwise by _pairing.  Viscous contraction uses the full 3D isotropic
+rank-4 tensor (trace factor 2/3) in dim x dim form; absent velocity
+components and derivatives are zero.
 
-Viscous contraction uses the full 3D isotropic rank-4 tensor (trace factor
-2/3) in dim x dim form.  Absent velocity components and derivatives are
-zero, so the out-of-plane stress never enters a divergence or a pairing,
-and its one contribution to the viscous production is the analytic trace
-term |sym - (tr/3) I_3|^2 = |sym_dd|^2 - tr^2/3.
-
-All tendencies, ideal and dissipative, come from one kernel
-(_tendencies, the divergence of the _fluxes buffer plus the terms not in
-flux form); ideal_rhs, dissipative_rhs and total_rhs select its parts.
-The Onsager blocks are built from a state's cells, all at once.
+All tendencies, ideal and dissipative, come from one kernel (_tendencies,
+the divergence of the _fluxes buffer plus momentum's source and the
+production), and each is the tendency its bracket generates from the two
+slot tables: the Poisson bracket's weights (Derived.weights) and the
+4-bracket's (Lambda, kappa / T, D).  The production (S, H; S, H) pairs the
+kernel's own fluxes with their gradients through _pairing.  ideal_rhs,
+dissipative_rhs and total_rhs select the kernel's parts.  The Onsager
+blocks are built from a state's cells, all at once.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, UnsupportedFamilyError, require_finite
-from .functionals import (Derived, FunctionalGradient, ModelConfig, State, _align_batch,
+from .functionals import (FunctionalGradient, ModelConfig, State, _align_batch,
                           _tendency_to_sigma_a, grad_H, transform_gradients)
 from .grid import _csum, _trace
 
@@ -56,12 +55,18 @@ class TransportCoefficients:
 
     def __post_init__(self):
         for name in ("eta", "zeta", "kappa", "dcoef"):
-            val = getattr(self, name)
-            if isinstance(val, np.ndarray):
-                validate_psd_matrix(val, name)
-            elif name in ("eta", "zeta") or isinstance(val, (int, float)):
-                require_finite(name, val)
-                if val < 0:
+            val, tensor = getattr(self, name), name in ("kappa", "dcoef")
+            if tensor and callable(val):
+                continue
+            arr = np.asarray(val)
+            if arr.dtype.kind not in "iuf" or arr.ndim not in ((0, 2) if tensor else (0,)):
+                kinds = "a number, a (dim, dim) matrix or a callable" if tensor else "a number"
+                raise ParameterError(name, f"{name} must be {kinds}, got {name} = {val!r}")
+            if arr.ndim:
+                validate_psd_matrix(arr.astype(float), name)
+            else:
+                require_finite(name, float(arr))
+                if arr < 0:
                     raise ParameterError(name, f"{name} must be nonnegative, got {name} = {val}")
 
     def kappa_of(self, state, model):
@@ -99,27 +104,13 @@ def _apply_tensor(coef, w: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,j...->i...", coef, w)
 
 
-def _strain(gradv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gradv + gradv^T, tr gradv): what the stress and viscous production share."""
-    return gradv + gradv.swapaxes(0, 1), _trace(gradv)
-
-
-def _stress(strain, eta: float, zeta: float, out: np.ndarray | None = None) -> np.ndarray:
-    """eta*(gradv + gradv^T - (2/3) I tr) + zeta I tr from gradv's _strain, into out."""
-    sym2, trace = strain
-    out = np.multiply(eta, sym2, out=out)
-    for i in range(len(sym2)):
+def _stress(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
+    """Lambda gradv = eta (gradv + gradv^T - (2/3) I tr) + zeta I tr."""
+    trace = _trace(gradv)
+    out = eta * (gradv + gradv.swapaxes(0, 1))
+    for i in range(len(gradv)):
         out[i, i] += (zeta - (2.0 / 3.0) * eta) * trace
     return out
-
-
-def _visc_production(strain, eta: float, zeta: float) -> np.ndarray:
-    """gradv : Lambda : gradv from the _strain of a dim x dim gradient
-    (dim <= 2), as 2 eta |sym - (tr/3) I_3|^2 + zeta tr^2 with the deviator
-    norm |sym_dd|^2 - tr^2/3 (at least tr^2/6, so nonnegative)."""
-    sym, trace = 0.5 * strain[0], strain[1]
-    dev2 = _pair_sum(sym * sym) - trace * trace / 3.0
-    return 2.0 * eta * dev2 + zeta * trace * trace
 
 
 def _pair_sum(x: np.ndarray) -> np.ndarray:
@@ -127,42 +118,13 @@ def _pair_sum(x: np.ndarray) -> np.ndarray:
     return _csum(x.reshape((-1,) + x.shape[2:]))
 
 
-def _pairing(m_term, x_sigma, kappa_y, T) -> np.ndarray:
-    """The m and sigma slots of the slot table (Lambda, kappa / T, then D for
-    ctilde in _pairing_end) summed pointwise: m_term + x_sigma . kappa y_sigma
-    / T, m_term = x_m : Lambda y_m.  Both the 4-bracket and the production
-    (S, H; S, H), the kernel's fluxes with their gradients, sum through it."""
-    return m_term + _csum(x_sigma * kappa_y) / T
-
-
-def _pairing_end(head, x_c, dcoef_y, T) -> np.ndarray:
-    """(head + x_c . D y_c) / T: the slot table after _pairing's head."""
-    return (head + _csum(x_c * dcoef_y)) / T
-
-
-class _Closure:
-    """A state's dissipative closure (from its Derived d), each part formed
-    once: one _strain of grad v and kappa grad T give the viscous and heat
-    fluxes, written into flux if given, and their _pairing (head); diffuse
-    adds D grad mu_Gamma (diffusion) and the production.  Per stage: kept
-    on Derived, it would outlive the stage."""
-
-    def __init__(self, d: Derived, flux: np.ndarray | None = None):
-        tr, T = d.model.transport, d.eos.T
-        gradv, _, gradT, _ = d.grads
-        strain = _strain(gradv)
-        visc = _visc_production(strain, tr.eta, tr.zeta)
-        heat = _apply_tensor(d.kappa, gradT)
-        if flux is not None:
-            dim = len(gradv)
-            _stress(strain, tr.eta, tr.zeta, out=flux[:, :dim])
-            flux[:, dim + 2] += heat / T
-        self.d, self.head = d, _pairing(visc, gradT, heat, T)
-
-    def diffuse(self, grad_mu: np.ndarray) -> "_Closure":
-        self.diffusion = _apply_tensor(self.d.dcoef, grad_mu)
-        self.production = _pairing_end(self.head, grad_mu, self.diffusion, self.d.eos.T)
-        return self
+def _pairing(x_m, y_m, x_sigma, y_sigma, x_c, y_c, T) -> np.ndarray:
+    """The slot table (Lambda, kappa / T, D) over (m, sigma, ctilde) summed
+    pointwise, each y already contracted with its coefficient:
+    (x_m : y_m + x_sigma . y_sigma / T + x_c . y_c) / T.  Both the 4-bracket
+    and the production (S, H; S, H), the kernel's fluxes with their
+    gradients, sum through it."""
+    return (_pair_sum(x_m * y_m) + _csum(x_sigma * y_sigma) / T + _csum(x_c * y_c)) / T
 
 
 def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
@@ -188,10 +150,10 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
         # per-slot grads: the 4-bracket never differentiates rho
         return B.sigma * g.grad(getattr(A, slot)) - A.sigma * g.grad(getattr(B, slot))
 
-    m_term = _pair_sum(d(Fg, Gg, "m") * _stress(_strain(d(Kg, Ng, "m")), tr.eta, tr.zeta))
-    head = _pairing(m_term, d(Fg, Gg, "sigma"), _apply_tensor(der.kappa, d(Kg, Ng, "sigma")), T)
-    return g.integrate(_pairing_end(head, d(Fg, Gg, "ctilde"),
-                                    _apply_tensor(der.dcoef, d(Kg, Ng, "ctilde")), T))
+    return g.integrate(_pairing(
+        d(Fg, Gg, "m"), _stress(d(Kg, Ng, "m"), tr.eta, tr.zeta),
+        d(Fg, Gg, "sigma"), _apply_tensor(der.kappa, d(Kg, Ng, "sigma")),
+        d(Fg, Gg, "ctilde"), _apply_tensor(der.dcoef, d(Kg, Ng, "ctilde")), T))
 
 
 def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
@@ -202,32 +164,30 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
 
 def _fluxes(state: State, model: ModelConfig, ideal: bool = True,
-            dissipative: bool = True) -> tuple[np.ndarray, _Closure | None]:
-    """The negated fluxes whose divergence is the tendency pack, (dim, slots,
-    *members, *grid.shape), the slots as State.packed then a diffuse dissipative
-    family's mu_Gamma flux: stress (capillary if ideal, viscous if
-    dissipative), -(rho, ctilde, sigma_total) v if ideal, kappa grad T / T;
-    and the _Closure that formed the dissipative ones (None without them)."""
+            dissipative: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """(flux, production).  flux, (dim, dim + 3, *members, *grid.shape), holds
+    the negated fluxes whose divergence is the tendency pack, its slots as
+    State.packed: -w_s v in every slot s if ideal, w the Poisson slot table
+    (Derived.weights); if dissipative, plus C_X grad H_X in the slots X = m,
+    ctilde, sigma of the 4-bracket's slot table C = (Lambda, D, kappa / T),
+    H = Derived.h_hat = (v, H_rho, mu_Gamma, T).  production is their
+    _pairing with the gradients, the (S, H; S, H) density (None without the
+    dissipative part)."""
     dim, d = state.grid.dim, state.derived(model)
-    dissipative = dissipative and model.is_dissipative
-    with_mu = dissipative and model.is_diffuse
-    # the advective slots are zero without the ideal part
-    flux = (np.empty if ideal else np.zeros)((dim, dim + 3 + with_mu) + state.rho.shape)
     if ideal:
-        dens = np.negative(state.packed[dim:])
-        np.negative(d.sigma_total(), out=dens[2])
-        np.multiply(dens[None], state.v[:, None], out=flux[:, dim:dim + 3])
-        del dens  # its memory goes to the closure, formed next (before the capillary stress)
-    closure = _Closure(d, flux) if dissipative else None
-    if model.is_diffuse:
-        cap_stress, mu_flux = d.capillary_stress()
-        if with_mu:
-            flux[:, -1] = mu_flux
-    if not dissipative:
-        flux[:, :dim] = cap_stress if model.is_diffuse else 0.0
-    elif ideal and model.is_diffuse:
-        flux[:, :dim] += cap_stress
-    return flux, closure
+        flux = d.weights[None] * np.negative(state.v)[:, None]
+    else:
+        flux = np.zeros((dim, dim + 3) + state.rho.shape)
+    if not (dissipative and model.is_dissipative):
+        return flux, None
+    tr, T = model.transport, d.eos.T
+    gradv, grad_mu, gradT = d.grads[:, :dim], d.grads[:, dim + 1], d.grads[:, dim + 2]
+    stress = _stress(gradv, tr.eta, tr.zeta)
+    heat, diffusion = _apply_tensor(d.kappa, gradT), _apply_tensor(d.dcoef, grad_mu)
+    flux[:, :dim] += stress
+    flux[:, dim + 1] += diffusion
+    flux[:, dim + 2] += heat / T
+    return flux, _pairing(gradv, stress, gradT, heat, grad_mu, diffusion, T)
 
 
 def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
@@ -235,33 +195,27 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     """Tendencies of (m, rho, ctilde, sigma): the ideal (bracket) part, the
     dissipative part or their sum, all from this one code path, returned
     as views of one pack laid out as State.packed: the divergence of
-    _fluxes, with the terms not in divergence form added in place.  The
-    mass, concentration and total-entropy budgets telescope exactly on the
-    periodic grid.  Each stage takes one Grid.deriv call per axis: grad
-    (v, p, T, c), kept on the state's Derived; div of the flux buffer; grad
-    mu_Gamma; div(D grad mu_Gamma); grad c_dot, for the one pullback of the
-    entropy tendency to sigma^a.
+    _fluxes, plus momentum's source -sum_s w_s grad H_s if ideal and the
+    production if dissipative, H = Derived.h_hat.  Each is the tendency its
+    bracket generates, so energy is conserved exactly; the mass,
+    concentration and total-entropy budgets telescope exactly on the
+    periodic grid, and momentum's only to O(h^2).  Each stage takes one
+    Grid.deriv call per axis: grad H, kept on the state's Derived; div of
+    the flux buffer; and for a diffuse family grad c and div(u) in mu_Gamma
+    before them and grad c_dot, for the one pullback of the entropy tendency
+    to sigma^a, after them.
     """
-    g, dim = state.grid, state.grid.dim
-    dissipative = dissipative and model.is_dissipative
-    if not (ideal or dissipative):
+    if not (ideal or dissipative and model.is_dissipative):
         return FunctionalGradient(packed=np.zeros(state.packed.shape))
-    flux, closure = _fluxes(state, model, ideal, dissipative)
-    div = g.div(flux)
+    flux, production = _fluxes(state, model, ideal, dissipative)
+    rhs = FunctionalGradient(packed=state.grid.div(flux))
     del flux  # not read again: held, it would raise the stage's peak
-    rhs = FunctionalGradient(packed=div[:dim + 3])
-    rho, v, d = state.rho, state.v, state.derived(model)
-    gradv, grad_p, _, _ = d.grads
+    d = state.derived(model)
     if ideal:
         m_dot = rhs.m
-        m_dot -= rho * _csum(v[:, None] * gradv)  # v_j d_j v_i
-        m_dot -= grad_p
-        m_dot += v * rhs.rho
-    if dissipative:
-        mu = d.eos.mu
-        closure.diffuse(g.grad(mu - div[-1] / rho if model.is_diffuse else mu))  # grad mu_Gamma
-        np.add(rhs.ctilde, g.div(closure.diffusion), out=rhs.ctilde)
-        np.add(rhs.sigma, closure.production, out=rhs.sigma)
+        m_dot -= np.einsum("s...,is...->i...", d.weights, d.grads)  # sum_s w_s d_i H_s
+    if production is not None:
+        np.add(rhs.sigma, production, out=rhs.sigma)
     if model.is_diffuse:
         _tendency_to_sigma_a(rhs, d)
     return rhs
@@ -279,10 +233,9 @@ def dissipative_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
 
 def entropy_production_rate(state: State, model: ModelConfig) -> tuple[np.ndarray, float]:
     """(pointwise production field, its integral: per member for a batch);
-    the field is the kernel's (see _Closure), nonnegative by construction."""
+    the field is the kernel's (see _fluxes), nonnegative by construction."""
     if model.is_dissipative:
-        d = state.derived(model)
-        field = _Closure(d).diffuse(state.grid.grad(d.mu_gamma)).production
+        _, field = _fluxes(state, model, ideal=False)
     else:
         field = np.zeros(state.rho.shape)
     return field, state.grid.integrate(field)

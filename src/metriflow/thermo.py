@@ -15,7 +15,6 @@ callers call it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,20 +43,15 @@ class EosParams:
 
 @dataclass(frozen=True, init=False)
 class ThermoPoint(SimpleNamespace):
-    """Thermodynamic quantities at one state point (arrays broadcast); u,
-    which the tendencies never read, is computed from thermal and c2m1 when
-    read.  SimpleNamespace's __init__ sets the fields in one C call."""
+    """Thermodynamic quantities at one state point (arrays broadcast): g is
+    the specific Gibbs energy u + p / rho - s T.  SimpleNamespace's __init__
+    sets the fields in one C call."""
 
+    u: np.ndarray | float
+    g: np.ndarray | float
     T: np.ndarray | float
     p: np.ndarray | float
     mu: np.ndarray | float
-    thermal: np.ndarray | float
-    c2m1: np.ndarray | float
-    lambda_V: float
-
-    @cached_property
-    def u(self) -> np.ndarray | float:
-        return self.thermal + 0.25 * self.lambda_V * self.c2m1 ** 2
 
 
 @dataclass(frozen=True)
@@ -74,8 +68,8 @@ class SurfaceCoefficients:
 
 
 def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
-    """Evaluate u and its exact partial derivatives T, p, mu at (rho, s, c);
-    a rho not > 0 (NaN too) is a ThermoDomainError."""
+    """Evaluate u, its exact partial derivatives T, p, mu and the Gibbs energy
+    g at (rho, s, c); a rho not > 0 (NaN too) is a ThermoDomainError."""
     rho = np.asarray(rho, dtype=float)
     if not np.logical_and.reduce(rho > 0, axis=None):
         raise ThermoDomainError("eval_eos requires rho > 0")
@@ -84,12 +78,15 @@ def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
 
 def _eos(rho, s, c, params: EosParams, p=None, T=None) -> ThermoPoint:
     """eval_eos at admissible arrays, unchecked; p and T go into p and T if given."""
-    thermal = params.c_v * rho ** (params.gamma_ad - 1.0) * np.exp(s / params.c_v)
+    s_cv = s / params.c_v
+    thermal = params.c_v * rho ** (params.gamma_ad - 1.0) * np.exp(s_cv)
     c2m1 = c * c - 1.0
-    return ThermoPoint(T=np.divide(thermal, params.c_v, out=T),
+    quartic = 0.25 * params.lambda_V * c2m1 ** 2
+    # g = u + p / rho - s T, with p / rho = (gamma_ad - 1) thermal and s T = s_cv thermal
+    return ThermoPoint(u=thermal + quartic, g=thermal * (params.gamma_ad - s_cv) + quartic,
+                       T=np.divide(thermal, params.c_v, out=T),
                        p=np.multiply((params.gamma_ad - 1.0) * rho, thermal, out=p),
-                       mu=params.lambda_V * c * c2m1, thermal=thermal, c2m1=c2m1,
-                       lambda_V=params.lambda_V)
+                       mu=params.lambda_V * c * c2m1)
 
 
 def lambda_f(T, coeffs: SurfaceCoefficients):

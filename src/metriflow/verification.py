@@ -213,16 +213,15 @@ def _cells3(x: np.ndarray, grid: Grid) -> np.ndarray:
 def _onsager_cells(state: State, model: ModelConfig):
     """Per cell: the asymmetry and least eigenvalue of the assembled Onsager
     matrix (mu = mu_Gamma), and the largest gap between onsager_fluxes and
-    the fluxes of the kernel's own _Closure: J_m = -stress and J_s = -kappa
-    grad T / T as _fluxes builds them, J_c = -D grad mu_Gamma and J_e =
-    T J_s + mu_Gamma J_c + v . J_m; each relative to its own scale."""
+    the kernel's own fluxes, as _fluxes builds them: J_m = -stress, J_c =
+    -D grad mu_Gamma, J_s = -kappa grad T / T and J_e = T J_s + mu_Gamma J_c
+    + v . J_m; each relative to its own scale."""
     g, dim, tr = state.grid, state.grid.dim, model.transport
     d = state.derived(model)
     T, mu = np.asarray(d.eos.T), d.mu_gamma
-    gradv, _, gradT, _ = d.grads
-    grad_mu = g.grad(mu)
-    flux, closure = _fluxes(state, model, ideal=False)  # flux holds -J_m and -J_s
-    K_c = -closure.diffuse(grad_mu).diffusion
+    gradv, grad_mu, gradT = d.grads[:, :dim], d.grads[:, dim + 1], d.grads[:, dim + 2]
+    flux, _ = _fluxes(state, model, ideal=False)  # flux holds -J_m, -J_c and -J_s
+    K_c = -flux[:, dim + 1]
     K_e = T * -flux[:, dim + 2] + mu * K_c + (-flux[:, :dim] * state.v).sum(axis=1)
     K_m, K_e, K_c, T, mu, v3, gT, gv, gmu = (_cells3(x, g) for x in (
         -flux[:, :dim], K_e, K_c, T, mu, state.v, gradT, gradv, grad_mu))

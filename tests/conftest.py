@@ -46,7 +46,8 @@ def onsager_reference():
 def onsager_point():
     """(rho, s, c, v3, model) -> the Onsager blocks that _onsager_blocks
     gives at that thermodynamic point of model (a scalar or matrix kappa and
-    dcoef), each block checked bit for bit against the reference body."""
+    dcoef; only its eos and transport are read), each block checked bit for
+    bit against the reference body."""
 
     def blocks_at(rho, s, c, v3, model):
         tr, pt = model.transport, eval_eos(rho, s, c, model.eos)

@@ -7,6 +7,7 @@ deliberately heavier than the unit tests: full trial counts, full runs.
 
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,7 +210,9 @@ def test_07_onsager_matrix(onsager_point):
         s = float(rng.uniform(-0.5, 0.5))
         c = float(rng.uniform(-1.5, 1.5))
         v3 = rng.uniform(-1, 1, size=3)
-        blocks = onsager_point(rho, s, c, v3, replace(model, transport=tr))
+        # 3 x 3 coefficients fit no grid, so no ModelConfig takes them: a
+        # point's blocks are 3D, and onsager_point reads eos and transport only
+        blocks = onsager_point(rho, s, c, v3, SimpleNamespace(eos=model.eos, transport=tr))
         L = blocks.assemble()
         scale = max(float(np.abs(L).max()), 1.0)
         worst_sym = max(worst_sym, float(np.abs(L - L.T).max()) / scale)

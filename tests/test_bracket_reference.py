@@ -14,7 +14,7 @@ from metriflow import (AnisotropyFn, Grid, ModelConfig, SurfaceCoefficients,
 from metriflow.fields import random_gradient
 from metriflow.functionals import _lift
 from metriflow.grid import _csum
-from metriflow.metriplectic import _apply_tensor, _pair_sum, _strain, _stress
+from metriflow.metriplectic import _apply_tensor, _pair_sum, _stress
 
 TRIALS = 20
 
@@ -76,7 +76,7 @@ def _reference_kn_4bracket(Fg, Gg, Kg, Ng, state, model):
         return (B.sigma * _reference_conc_slot(A, state, model)
                 - A.sigma * _reference_conc_slot(B, state, model))
 
-    integrand = _pair_sum(d1(Fg, Gg) * _stress(_strain(d1(Kg, Ng)), tr.eta, tr.zeta))
+    integrand = _pair_sum(d1(Fg, Gg) * _stress(d1(Kg, Ng), tr.eta, tr.zeta))
     integrand = integrand + _csum(d2(Fg, Gg) * _apply_tensor(tr.kappa_of(state, model),
                                                              d2(Kg, Ng))) / T
     integrand = integrand + _csum(d3(Fg, Gg) * _apply_tensor(tr.dcoef_of(state, model),

@@ -366,7 +366,7 @@ def test_verify_fast_passes(tmp_path, capsys, forks):
 @pytest.mark.parametrize("level, seed, code", [
     ("fast", 1, EXIT_OK), ("fast", 2, EXIT_OK), ("fast", 10, EXIT_OK),
     ("full", 1, EXIT_OK),
-    ("fast", 9, EXIT_VERIFY),  # budgets fails there: a pre-asymptotic energy rate
+    ("fast", 9, EXIT_OK),  # an O(h^2) energy rate read order 1.71 < ORDER_MIN here
 ])
 def test_verify_writes_the_in_process_report(tmp_path, forks, level, seed, code):
     out = tmp_path / "v"
@@ -375,6 +375,22 @@ def test_verify_writes_the_in_process_report(tmp_path, forks, level, seed, code)
     assert_no_child_left()
     expected = json.dumps(verification.verify(seed, level), indent=2, sort_keys=True) + "\n"
     assert (out / "verify_report.json").read_text() == expected
+
+
+@pytest.mark.parametrize("suite", ["curvature", "budgets"])  # the worker's lane, the CLI's
+def test_verify_writes_the_report_of_a_failing_suite(tmp_path, monkeypatch, forks, suite):
+    # the suite runs as it is but reports a failure, patched in before the fork
+    plain = verification._SUITES[suite]
+    monkeypatch.setitem(verification._SUITES, suite, lambda seed, level: verification.SuiteResult(
+        False, plain(seed, level).details))
+    out = tmp_path / "v"
+    assert run_cli("verify", "--seed", "1", "--out", str(out)) == EXIT_VERIFY
+    assert forks == [1]
+    assert_no_child_left()
+    expected = verification.verify(1, "fast")
+    assert [name for name, entry in expected["suites"].items() if not entry["passed"]] == [suite]
+    assert (out / "verify_report.json").read_text() == json.dumps(
+        expected, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture

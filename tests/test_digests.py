@@ -69,13 +69,45 @@ def test_full_verify_report_keeps_its_digest(tmp_path):
     assert verify_digest("full", tmp_path) == _book()["verify"]["full-1"]
 
 
+def _flat(book: dict, prefix: str = "") -> dict:
+    """{"run/<scenario>/<file>" or "verify/<level>-1": sha256} of a book."""
+    flat = {}
+    for key, value in book.items():
+        flat.update(_flat(value, f"{prefix}{key}/") if isinstance(value, dict)
+                    else {prefix + key: value})
+    return flat
+
+
+def report_changes(old: dict, new: dict) -> list[str]:
+    """One line per changed, added or removed entry of two books, then the
+    count of the unchanged ones."""
+    old, new = _flat(old), _flat(new)
+    lines = [f"changed {key}: {old[key][:12]} -> {new[key][:12]}"
+             for key in new if key in old and old[key] != new[key]]
+    lines += [f"added {key}: {new[key][:12]}" for key in new if key not in old]
+    lines += [f"removed {key}: {old[key][:12]}" for key in old if key not in new]
+    same = sum(old.get(key) == digest for key, digest in new.items())
+    return lines + [f"{same} unchanged"]
+
+
+def test_the_recorder_reports_each_change():
+    old = {"run": {"a": {"x.csv": "1" * 64, "y.csv": "2" * 64}}, "verify": {"fast-1": "3" * 64}}
+    new = {"run": {"a": {"x.csv": "1" * 64, "z.csv": "4" * 64}}, "verify": {"fast-1": "5" * 64}}
+    assert report_changes(old, new) == [
+        f"changed verify/fast-1: {'3' * 12} -> {'5' * 12}", f"added run/a/z.csv: {'4' * 12}",
+        f"removed run/a/y.csv: {'2' * 12}", "1 unchanged"]
+
+
 if __name__ == "__main__":
-    # record this numpy version's digests, keeping the other versions' books
+    # record this numpy version's digests, keeping the other versions' books,
+    # and print what changed against the book recorded before
     books = json.loads(BOOK.read_text()) if BOOK.exists() else {}
+    old = books.get(np.__version__, {})
     with tempfile.TemporaryDirectory() as tmp:
         books[np.__version__] = {
             "run": {name: run_digests(name, Path(tmp) / name) for name in SCENARIO_NAMES},
             "verify": {f"{level}-1": verify_digest(level, Path(tmp) / level)
                        for level in VERIFY_LEVELS}}
     BOOK.write_text(json.dumps(books, indent=1) + "\n")
+    print(f"numpy {np.__version__}:", *report_changes(old, books[np.__version__]), sep="\n")
     sys.exit(0)

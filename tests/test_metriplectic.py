@@ -14,8 +14,7 @@ from metriflow import (Grid, ModelConfig, ParameterError, SurfaceCoefficients,
 from metriflow import metriplectic
 from metriflow.fields import random_gradient
 from metriflow.functionals import State
-from metriflow.metriplectic import (PSD_TOL, _strain, _stress, _visc_production,
-                                    validate_psd_matrix)
+from metriflow.metriplectic import PSD_TOL, _pair_sum, _stress, validate_psd_matrix
 
 GRID = Grid(dim=1, n=(24,), length=(1.0,))
 TRANSPORT = TransportCoefficients(eta=0.01, zeta=0.005, kappa=0.02, dcoef=0.03)
@@ -45,6 +44,29 @@ def test_matrix_coefficients_must_be_psd():
     asym = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
         TransportCoefficients(dcoef=asym)
+
+
+@pytest.mark.parametrize("name, value, match", [
+    ("kappa", np.int64(-1), "nonnegative"), ("kappa", np.float32(-1.0), "nonnegative"),
+    ("kappa", [[-1.0]], "positive semidefinite"), ("dcoef", [[1.0, 2.0], [0.0, 1.0]], "symmetric"),
+    ("kappa", "x", "a number, a"), ("kappa", "1.5", "a number, a"), ("kappa", True, "a number, a"),
+    ("dcoef", np.ones(3), "a number, a"),
+    ("eta", "x", "a number"), ("zeta", np.eye(2), "a number")],
+    ids=["int64", "float32", "list", "non_symmetric", "str", "numeric_str", "bool", "vector",
+         "str_eta", "matrix_zeta"])
+def test_coefficients_it_cannot_vouch_for_are_rejected_naming_them(name, value, match):
+    with pytest.raises(ParameterError, match=match) as info:
+        TransportCoefficients(**{name: value})
+    assert info.value.name == name
+
+
+@pytest.mark.parametrize("name", ["kappa", "dcoef"])
+def test_a_matrix_coefficient_must_fit_the_grid(name):
+    tr = TransportCoefficients(**{name: np.eye(2)})
+    with pytest.raises(ParameterError, match="1 x 1 matrix on a 1D grid") as info:
+        ModelConfig(family="GNS", grid=GRID, transport=tr)
+    assert info.value.name == name
+    ModelConfig(family="GNS", grid=GRID, transport=TransportCoefficients(**{name: [[0.5]]}))
 
 
 def test_validate_psd_matrix_shape():
@@ -123,11 +145,11 @@ def test_callable_coefficients_are_called_once_per_state(family):
 # ------------------------------------------------------------ viscous stress
 
 def test_viscous_stress_zero_input():
-    assert np.all(_stress(_strain(np.zeros((3, 3))), 1.0, 2.0) == 0.0)
+    assert np.all(_stress(np.zeros((3, 3)), 1.0, 2.0) == 0.0)
 
 
 def test_viscous_stress_pure_dilation():
-    stress = _stress(_strain(np.eye(3)), eta=0.7, zeta=0.3)
+    stress = _stress(np.eye(3), eta=0.7, zeta=0.3)
     # deviatoric part cancels, leaving 3*zeta on the diagonal
     assert np.allclose(stress, 3 * 0.3 * np.eye(3), atol=1e-14)
 
@@ -135,7 +157,7 @@ def test_viscous_stress_pure_dilation():
 def test_viscous_stress_pure_shear():
     gradv = np.zeros((3, 3))
     gradv[0, 1] = 1.0  # d_x v_y
-    stress = _stress(_strain(gradv), eta=0.25, zeta=0.9)
+    stress = _stress(gradv, eta=0.25, zeta=0.9)
     expected = np.zeros((3, 3))
     expected[0, 1] = expected[1, 0] = 0.25
     assert np.allclose(stress, expected, atol=1e-14)
@@ -146,18 +168,19 @@ def test_viscous_stress_matches_rank4_contraction():
     gradv = rng.standard_normal((3, 3))
     lam = lam4(0.4, 0.15)
     brute = np.einsum("ijkl,kl->ij", lam, gradv)
-    assert np.allclose(_stress(_strain(gradv), 0.4, 0.15), brute, atol=1e-13)
+    assert np.allclose(_stress(gradv, 0.4, 0.15), brute, atol=1e-13)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_dim_by_dim_production_matches_3x3_embedding(dim):
-    # the analytic out-of-plane trace term reproduces the zero-padded form
+    # gradv : stress on dim x dim, as the kernel's production pairs them,
+    # holds the out-of-plane trace term of the zero-padded form
     rng = np.random.default_rng(3)
     gradv = rng.standard_normal((dim, dim, 5, 7))
     gradv3 = np.zeros((3, 3, 5, 7))
     gradv3[:dim, :dim] = gradv
-    embedded = np.sum(gradv3 * _stress(_strain(gradv3), 0.4, 0.15), axis=(0, 1))
-    fast = _visc_production(_strain(gradv), 0.4, 0.15)
+    embedded = np.sum(gradv3 * _stress(gradv3, 0.4, 0.15), axis=(0, 1))
+    fast = _pair_sum(gradv * _stress(gradv, 0.4, 0.15))
     assert np.abs(fast - embedded).max() <= 1e-13 * np.abs(embedded).max()
     assert np.all(fast >= 0.0)
 
@@ -303,36 +326,40 @@ def test_shear_momentum_tendency_oracle():
     assert np.abs(rhs.m[0]).max() <= 1e-13
 
 
-@pytest.mark.parametrize("family, derivs_per_axis", [("GNS", 4), ("CHNS1", 5)])
+@pytest.mark.parametrize("family, derivs_per_axis", [("GNS", 2), ("CHNS1", 5)])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_each_dissipative_flux_is_formed_once_per_rhs(monkeypatch, deriv_calls, family,
                                                       derivs_per_axis, dim):
-    # kappa grad T and D grad mu_Gamma are one _apply_tensor call each, and
-    # the stress and the viscous production share one strain of grad v, so
-    # gradv + gradv^T and its trace are formed once
+    # kappa grad T and D grad mu_Gamma are one _apply_tensor call each, the
+    # stress one _stress call (so gradv + gradv^T and its trace are formed
+    # once), and the production pairs those very fluxes in one _pairing
     grid = Grid(dim=dim, n=(16,) * dim, length=(1.0,) * dim)
     model = model_for(family, grid=grid)
     state = smooth_state(grid, model, seed=5)
-    calls, strains = Counter(), []
+    calls, formed, paired = Counter(), [], []
 
     def counted(name):
         plain = getattr(metriplectic, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name in ("_stress", "_visc_production"):
-                strains.append(args[0])
-            return plain(*args, **kwargs)
+            out = plain(*args, **kwargs)
+            if name == "_pairing":
+                paired.extend(args[1:6:2])
+            elif name != "_trace":
+                formed.append(out)
+            return out
 
         monkeypatch.setattr(metriplectic, name, wrapper)
 
-    for name in ("_apply_tensor", "_trace", "_strain", "_stress", "_visc_production"):
+    for name in ("_apply_tensor", "_trace", "_stress", "_pairing"):
         counted(name)
     deriv_calls.clear()
     total_rhs(state, model)
-    assert calls == {"_apply_tensor": 2, "_trace": 1, "_strain": 1, "_stress": 1,
-                     "_visc_production": 1}
-    assert strains[0] is strains[1]
+    assert calls == {"_apply_tensor": 2, "_trace": 1, "_stress": 1, "_pairing": 1}
+    # the stress, kappa grad T and D grad mu_Gamma, in the slot table's order
+    assert len(paired) == len(formed) == 3
+    assert all(p is f for p, f in zip(paired, formed))
     assert len(deriv_calls) == derivs_per_axis * dim
 
 

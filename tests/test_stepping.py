@@ -79,77 +79,75 @@ def _reference_stress(gradv, eta, zeta):
     return out
 
 
-def _reference_production(T, gradv, gradT, grad_mu, tr, kappa, dcoef):
-    trace = gradv.trace()
-    sym = 0.5 * (gradv + gradv.swapaxes(0, 1))
-    dev2 = (sym * sym).sum(axis=(0, 1)) - trace * trace / 3.0
-    visc = 2.0 * tr.eta * dev2 + tr.zeta * trace * trace
-    cond = (gradT * _apply_tensor(kappa, gradT)).sum(axis=0) / T
-    diff = (grad_mu * _apply_tensor(dcoef, grad_mu)).sum(axis=0)
+def _reference_production(T, gradv, stress, gradT, heat, grad_mu, diffusion):
+    """Each dissipative flux paired with its gradient, over T (see _pairing)."""
+    visc = (gradv * stress).sum(axis=(0, 1))
+    cond = (gradT * heat).sum(axis=0) / T
+    diff = (grad_mu * diffusion).sum(axis=0)
     return (visc + cond + diff) / T
 
 
 def _reference_tendencies(state, model, ideal=True, dissipative=True):
     """The kernel with a dict of named fluxes, its own grads and reductions
-    over the component axes."""
+    over the component axes: every slot advected by -w_s v, w the pack with
+    sigma_total in the sigma slot, momentum's source -sum_s w_s grad H_s
+    with H = (v, H_rho, mu_Gamma, T), and the dissipative fluxes C_X grad
+    H_X with their production."""
     g, dim = state.grid, state.grid.dim
     dissipative = dissipative and model.is_dissipative
     if not (ideal or dissipative):
         return FunctionalGradient(packed=np.zeros(state.packed.shape))
-    rho, v = state.rho, state.v
+    rho, v, c = state.rho, state.v, state.c
     pt = state.derived(model).eos
     T = np.asarray(pt.T)
-    grads = g.grad(np.concatenate([v, np.asarray(pt.p)[None], T[None]]))
-    gradv, grad_p, gradT = grads[:, :dim], grads[:, dim], grads[:, dim + 1]
+    grads = g.grad(np.concatenate([v, T[None]]))
+    gradv, gradT = grads[:, :dim], grads[:, dim]
     sig_tot = state.sigma
+    mu_gamma = np.asarray(pt.mu) * np.ones(g.shape)
+    h_rho = -0.5 * (v * v).sum(axis=0) + pt.g  # g = u + p / rho - s T
     if model.is_diffuse:
-        gc = g.grad(state.c)
+        gc = g.grad(c)
         gamma, xi = gamma_eval(gc, model.anisotropy)
         lam_f = lambda_f(T, model.surface)
-        mu_flux = lam_f * rho ** model.a * gamma * xi
-        cap_stress = -mu_flux[:, None] * gc[None]
-        if model.a == 0:
-            for i in range(dim):
-                cap_stress[i, i] += 0.5 * lam_f * gamma * gamma
+        mu_gamma = mu_gamma - g.div(lam_f * rho ** model.a * gamma * xi) / rho
         if model.surface.lambda_s != 0.0:
             sig_tot = state.sigma + 0.5 * rho ** model.a * model.surface.lambda_s * gamma * gamma
+    h_rho = h_rho - c * mu_gamma
+    if model.is_diffuse and model.a == 1:
+        h_rho = h_rho + 0.5 * lam_f * gamma * gamma
     fluxes = {}
 
     def add(name, flux):
         fluxes[name] = fluxes[name] + flux if name in fluxes else flux
 
     if ideal:
+        grad_h = g.grad(h_rho)
+        add("m", -v[:, None] * state.m[None])
         add("rho", -rho * v)
         add("ctilde", -state.ctilde * v)
         add("sigma", -sig_tot * v)
-        if model.is_diffuse:
-            add("m", cap_stress)
     if dissipative:
         tr = model.transport
         kappa, dcoef = tr.kappa_of(state, model), tr.dcoef_of(state, model)
-        add("m", _reference_stress(gradv, tr.eta, tr.zeta))
-        add("sigma", _apply_tensor(kappa, gradT) / T)
-        if model.is_diffuse:
-            add("mu", mu_flux)
+        grad_mu = g.grad(mu_gamma)
+        stress = _reference_stress(gradv, tr.eta, tr.zeta)
+        heat, diffusion = _apply_tensor(kappa, gradT), _apply_tensor(dcoef, grad_mu)
+        add("m", stress)
+        add("ctilde", diffusion)
+        add("sigma", heat / T)
     divs = _reference_divergences(g, fluxes)
     rho_dot = divs["rho"] if "rho" in divs else g.zeros()
-    ctilde_dot = divs["ctilde"] if "ctilde" in divs else g.zeros()
-    m_dot = divs["m"] if "m" in divs else g.zeros_vector()
-    sigma_dot = divs["sigma"]
+    m_dot, ctilde_dot, sigma_dot = divs["m"], divs["ctilde"], divs["sigma"]
     if ideal:
-        advect = (v[:, None] * gradv).sum(axis=0)
-        m_dot = m_dot - rho * advect - grad_p + v * rho_dot
-    if dissipative:
-        mu_gamma = np.asarray(pt.mu)
-        if model.is_diffuse:
-            mu_gamma = mu_gamma - divs["mu"] / rho
         grad_mu = g.grad(mu_gamma)
-        ctilde_dot = ctilde_dot + g.div(_apply_tensor(dcoef, grad_mu))
-        sigma_dot = sigma_dot + _reference_production(T, gradv, gradT, grad_mu, tr,
-                                                      kappa, dcoef)
+        m_dot = m_dot - ((state.m[:, None] * gradv.swapaxes(0, 1)).sum(axis=0)
+                         + rho * grad_h + state.ctilde * grad_mu + sig_tot * gradT)
+    if dissipative:
+        sigma_dot = sigma_dot + _reference_production(T, gradv, stress, gradT, heat,
+                                                      grad_mu, diffusion)
     if model.is_diffuse and model.surface.lambda_s != 0.0:
         lam_s, a = model.surface.lambda_s, model.a
-        c_dot = (ctilde_dot - state.c * rho_dot) / rho
+        c_dot = (ctilde_dot - c * rho_dot) / rho
         sigma_dot = sigma_dot - rho ** a * lam_s * gamma * (xi * g.grad(c_dot)).sum(axis=0)
         if a == 1:
             sigma_dot = sigma_dot - 0.5 * lam_s * gamma * gamma * rho_dot

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from metriflow import (AnisotropyFn, EosParams, Grid, ModelConfig, ParameterError, State,
-                       SurfaceCoefficients, ThermoDomainError, TransportCoefficients, eval_eos,
-                       grad_H, lambda_f, smooth_state, thermo, total_rhs)
+                       SurfaceCoefficients, ThermoDomainError, eval_eos, grad_H, lambda_f,
+                       smooth_state)
 
 DEFAULTS = EosParams()
 
@@ -147,6 +147,15 @@ def _u_reference(rho, s, c, params):
     return thermal + 0.25 * params.lambda_V * c2m1 ** 2
 
 
+def test_gibbs_energy_is_u_plus_p_over_rho_minus_s_T():
+    rng = np.random.default_rng(24)
+    params = EosParams(c_v=1.3, gamma_ad=1.4, lambda_V=0.7)
+    rho, s, c = 1.0 + rng.random(16), rng.standard_normal(16), rng.standard_normal(16)
+    pt = eval_eos(rho, s, c, params)
+    ref = pt.u + pt.p / rho - s * pt.T
+    assert np.abs(pt.g - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("shape", [(), (16,), (3, 16)], ids=["scalar", "field", "members"])
 def test_u_read_later_equals_the_written_out_energy(shape):
     rng = np.random.default_rng(23)
@@ -171,19 +180,3 @@ def test_u_of_a_member_batch_is_each_members_u():
     for k in range(3):
         one = smooth_state(grid, model, seed=k)
         assert np.array_equal(u[k], one.derived(model).eos.u)
-
-
-def test_the_tendencies_never_read_u(monkeypatch):
-    grid = Grid(dim=2, n=(16, 16), length=(1.0, 1.0))
-    model = ModelConfig(family="CHNS1", grid=grid,
-                        surface=SurfaceCoefficients(lambda_u=2e-3, lambda_s=1e-3),
-                        transport=TransportCoefficients(eta=0.01, zeta=0.005,
-                                                        kappa=0.02, dcoef=0.03))
-    state = smooth_state(grid, model, seed=4)
-    reads = []
-    plain = thermo.ThermoPoint.u
-    monkeypatch.setattr(thermo.ThermoPoint, "u",
-                        property(lambda pt: reads.append(1) or plain.func(pt)))
-    total_rhs(state, model)
-    assert reads == []
-    assert state.derived(model).eos.u.shape == grid.shape and reads == [1]
