@@ -38,9 +38,8 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
                     state: State, model: ModelConfig) -> float | np.ndarray:
     """Poisson bracket of two functional gradients,
     -integral sum_s w_s [(F.m . grad) G_s - (G.m . grad) F_s] over the pack
-    slots s, w the slot table Derived.weights (the state's pack with
-    sigma_total in the sigma slot), after transform_gradients for a diffuse
-    family.
+    slots s, w the slot table (the state's pack with sigma_total in the
+    sigma slot), after transform_gradients for a diffuse family.
 
     Fg and Gg may be batches with the same number of batch axes (sizes
     broadcast); the result is then an array over the batch axes.
@@ -49,7 +48,8 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     g = state.grid
     if model.is_diffuse:
         Fg, Gg = transform_gradients(Fg, state, model), transform_gradients(Gg, state, model)
-    w = state.derived(model).weights
+    sigma = state.derived(model).sigma_total
+    w = state.packed if sigma is state.sigma else np.concatenate([state.packed[:-1], sigma[None]])
 
     def advect(A, B):
         # (A.m . grad) B_s for every slot s, from one grad of B's pack

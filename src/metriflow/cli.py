@@ -55,6 +55,11 @@ EXIT_VERIFY = 4
 # ~2 MB and frees it at the end; at the default 128 KiB glibc hands it back
 # to the OS, and the next step page-faults it in again (~480 faults a step)
 TRIM_THRESHOLD = 64 << 20
+# glibc mmap threshold for `run`, its largest value: setting the trim
+# threshold turns off glibc's sliding mmap threshold, which would otherwise
+# stay where it was, so every pack-sized temporary above it (640 KB at
+# 128x128) would be mapped and unmapped again at each use
+MMAP_THRESHOLD = 32 << 20
 
 
 # a comment starts with '#' at the start of a line or after whitespace, so
@@ -243,9 +248,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         fh.write("\n")
 
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:  # glibc; -1 is M_TRIM_THRESHOLD
+    if mallopt is not None:  # glibc; -1 is M_TRIM_THRESHOLD, -3 M_MMAP_THRESHOLD
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-1, TRIM_THRESHOLD)
+        mallopt(-3, MMAP_THRESHOLD)
     n_steps = scen.n_steps
     writer = SnapshotWriter(outdir, scen)
 

@@ -17,7 +17,10 @@ from .errors import InadmissibleStateError, IntegrationError
 from .functionals import (FunctionalGradient, ModelConfig, State, entropy,
                           hamiltonian)
 from .metriplectic import _tendencies, entropy_production_rate
-from .thermo import lambda_f
+from .thermo import _frozen, lambda_f
+
+# the RK4 weights, as 0-d arrays (see thermo._frozen)
+_TWO, _SIXTH = _frozen(2.0), _frozen(1.0 / 6.0)
 
 
 def total_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
@@ -25,8 +28,9 @@ def total_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
     return _tendencies(state, model)
 
 
-def _advance(state: State, rhs: np.ndarray, dt: float) -> State:
-    """The state whose pack is state.packed + dt * rhs, rhs a pack."""
+def _advance(state: State, rhs: np.ndarray, dt) -> State:
+    """The state whose pack is state.packed + dt * rhs, rhs a pack and dt a
+    float or, faster, a 0-d array."""
     return State(state.grid, packed=state.packed + dt * rhs)
 
 
@@ -85,17 +89,18 @@ def step_rk4(state: State, model: ModelConfig, dt: float,
                 f"inadmissible state at {tag}: {exc}", step=step_index) from exc
         return st
 
+    half, full = np.array(0.5 * dt, dtype=float), np.array(dt, dtype=float)
     k1 = total_rhs(state, model).packed
-    k2 = total_rhs(guard(_advance(state, k1, 0.5 * dt), "stage 2"), model).packed
-    k3 = total_rhs(guard(_advance(state, k2, 0.5 * dt), "stage 3"), model).packed
-    k4 = total_rhs(guard(_advance(state, k3, dt), "stage 4"), model).packed
+    k2 = total_rhs(guard(_advance(state, k1, half), "stage 2"), model).packed
+    k3 = total_rhs(guard(_advance(state, k2, half), "stage 3"), model).packed
+    k4 = total_rhs(guard(_advance(state, k3, full), "stage 4"), model).packed
     # (k1 + 2 k2 + 2 k3 + k4) / 6 in place, in packs no one else holds:
     # the same operations in the same order, so the same bits
-    k1 += np.multiply(k2, 2.0, out=k2)
-    k1 += np.multiply(k3, 2.0, out=k3)
+    k1 += np.multiply(k2, _TWO, out=k2)
+    k1 += np.multiply(k3, _TWO, out=k3)
     k1 += k4
-    k1 *= 1.0 / 6.0
-    return guard(_advance(state, k1, dt), "step end")
+    k1 *= _SIXTH
+    return guard(_advance(state, k1, full), "step end")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ makes the bracket identities downstream hold at the advertised tolerances.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -26,7 +27,7 @@ import numpy as np
 from .anisotropy import AnisotropyFn, gamma_eval
 from .errors import InadmissibleStateError, ParameterError, UnsupportedFamilyError
 from .grid import Grid, _csum
-from .thermo import EosParams, SurfaceCoefficients, _eos, lambda_f
+from .thermo import EosParams, SurfaceCoefficients, _eos, _frozen, lambda_f
 
 if TYPE_CHECKING:
     from .metriplectic import TransportCoefficients
@@ -34,26 +35,6 @@ if TYPE_CHECKING:
 FAMILIES = ("GE", "GNS", "CHE0", "CHE1", "CHNS0", "CHNS1")
 DIFFUSE_FAMILIES = ("CHE0", "CHE1", "CHNS0", "CHNS1")
 DISSIPATIVE_FAMILIES = ("GNS", "CHNS0", "CHNS1")
-
-
-class _lazy:
-    """functools.cached_property without its lock (Python 3.11 takes an
-    RLock on every first access).  It has no __set__, so the value kept by
-    object.__setattr__ (frozen dataclasses allow it) shadows it."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.fn(obj)
-        object.__setattr__(obj, self.name, value)
-        return value
 
 
 @dataclass(frozen=True)
@@ -94,12 +75,54 @@ class ModelConfig:
             raise ParameterError("anisotropy", f"fourfold is 2D only, got dim = {self.grid.dim}")
 
 
+_HALF, _MINUS_HALF = _frozen(0.5), _frozen(-0.5)
+
+
+class _fill:
+    """A field set at its first read by the named method of its object, which
+    may set others beside it, each with object.__setattr__ (frozen dataclasses
+    allow it).  It has no __set__, so the value kept shadows it.  Unlike
+    functools.cached_property it takes no lock (Python 3.11 takes an RLock
+    on every first access), and one method fills a group of fields."""
+
+    def __init__(self, method: str):
+        self.method = method
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        getattr(obj, self.method)()
+        return getattr(obj, self.name)
+
+
+class _slot:
+    """A slot's view of the pack, packed[index], made at its first read and
+    kept as _fill keeps a field: one view, with no method call."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        view = obj.packed[self.index]
+        object.__setattr__(obj, self.name, view)
+        return view
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class _Pack:
     """The slots (m, rho, ctilde, sigma) as views of one pack of shape
     (dim + 3, *batch, *grid.shape): m is packed[:dim], then rho, ctilde and
     sigma.  Built from a pack, which it wraps without a copy, or from the
-    four fields, broadcast to one shape and copied into a new pack.
+    four fields, broadcast to one shape and copied into a new pack.  Each
+    view is made at its first read, and kept (_slot).
 
     The batch rule: any state may carry batch (member) axes, and it pairs
     with gradients batched along the same axes; every function of a state
@@ -116,19 +139,17 @@ class _Pack:
             packed[:dim], packed[dim], packed[dim + 1], packed[dim + 2] = m, rho, ctilde, sigma
         elif not (m is rho is ctilde is sigma is None):
             raise TypeError(f"{type(self).__name__} takes the four fields or packed, not both")
-        dim = len(packed) - 3
-        setattr_ = object.__setattr__
-        setattr_(self, "packed", packed)
-        setattr_(self, "m", packed[:dim])
-        setattr_(self, "rho", packed[dim])
-        setattr_(self, "ctilde", packed[dim + 1])
-        setattr_(self, "sigma", packed[dim + 2])
+        object.__setattr__(self, "packed", packed)
+
+    m, rho, ctilde, sigma = _slot(slice(None, -3)), _slot(-3), _slot(-2), _slot(-1)
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class State(_Pack):
     """Grid fields (m, rho, ctilde, sigma) in one pack (see _Pack): a pack
-    (dim + 3, *members, *grid.shape) is a batch of states."""
+    (dim + 3, *members, *grid.shape) is a batch of states.  v, c and s are
+    views of one division of the pack by rho (its rho row is 1 and unused),
+    made at the first read of any of them and kept."""
 
     grid: Grid
 
@@ -136,21 +157,18 @@ class State(_Pack):
                  packed: np.ndarray | None = None):
         object.__setattr__(self, "grid", grid)
         _Pack.__init__(self, m, rho, ctilde, sigma, packed=packed)
-        shape = self.packed.shape
-        if packed is None and (shape[0] != grid.dim + 3
-                               or shape[len(shape) - grid.dim:] != grid.shape):
-            raise ValueError(f"fields of pack shape {shape} do not fit the grid {grid.shape}")
+        if packed is None:
+            shape = self.packed.shape
+            if shape[0] != grid.dim + 3 or shape[len(shape) - grid.dim:] != grid.shape:
+                raise ValueError(f"fields of pack shape {shape} do not fit the grid {grid.shape}")
 
-    def _per_mass(self, name: str) -> np.ndarray:
-        """v, c or s; all three are kept, views of one division of the pack by rho."""
-        q, dim = self.packed / self.rho, self.grid.dim
-        for key, value in (("v", q[:dim]), ("c", q[dim + 1]), ("s", q[dim + 2])):
-            object.__setattr__(self, key, value)
-        return getattr(self, name)
+    def _per_mass(self) -> None:
+        q, dim, setattr_ = self.packed / self.rho, self.grid.dim, object.__setattr__
+        setattr_(self, "v", q[:dim])
+        setattr_(self, "c", q[dim + 1])
+        setattr_(self, "s", q[dim + 2])
 
-    v = _lazy(lambda self: self._per_mass("v"))
-    c = _lazy(lambda self: self._per_mass("c"))
-    s = _lazy(lambda self: self._per_mass("s"))
+    v, c, s = _fill("_per_mass"), _fill("_per_mass"), _fill("_per_mass")
 
     def derived(self, model: ModelConfig) -> "Derived":
         """The Derived fields of this state under model.  One is kept, for
@@ -164,19 +182,23 @@ class State(_Pack):
     def validate(self, model: ModelConfig) -> None:
         """Admissibility: finite fields, rho > 0 (checked by Derived.stack),
         derived T and p finite and > 0."""
-        if not self.packed.size:
-            raise ValueError(f"an empty batch, pack shape {self.packed.shape}, has no state")
-        if not np.logical_and.reduce(np.isfinite(self.packed), axis=None):
+        packed = self.packed
+        if not packed.size:
+            raise ValueError(f"an empty batch, pack shape {packed.shape}, has no state")
+        # the sum of the pack is finite only if every entry is (inf and NaN
+        # absorb a sum); only then, or if finite entries overflow it, does
+        # the check look at each field to name the one that failed
+        if not math.isfinite(np.add.reduce(packed, axis=None)):
             for name in ("m", "rho", "ctilde", "sigma"):
                 if not np.isfinite(getattr(self, name)).all():
                     raise InadmissibleStateError(f"non-finite entries in {name}")
-        d, dim = self.derived(model), self.grid.dim
         # one min and one max over T and p side by side, then each alone to
         # name the one that failed (min is NaN if any entry is; NaN > 0 is false)
-        Tp = d.stack[dim + 2:]
+        Tp = self.derived(model).stack[self.grid.dim + 2:]
         if not (np.minimum.reduce(Tp, axis=None) > 0
                 and np.maximum.reduce(Tp, axis=None) < np.inf):
-            for name, x in (("temperature", d.eos.T), ("pressure", d.eos.p)):
+            eos = self.derived(model).eos
+            for name, x in (("temperature", eos.T), ("pressure", eos.p)):
                 if not (x.min() > 0 and x.max() < np.inf):
                     raise InadmissibleStateError(f"derived {name} must be finite and positive")
 
@@ -237,102 +259,88 @@ def _align_batch(*grads: FunctionalGradient, state: State | None = None) -> list
 
 
 class Derived:
-    """The derived fields of one state under one model, each computed on
-    first use and kept, as states are never mutated: ``eos`` (the EOS
-    point), ``stack`` (v, H_rho, mu_Gamma, T, p), ``h_hat`` (the gradient of
-    H that the brackets pair with), ``grads`` (its grad), ``gamma_xi`` (grad
-    c, Gamma, xi), ``weight`` (rho^a), ``mu_gamma``, ``weights`` (the Poisson
-    slot table) and the transport coefficients ``kappa`` and ``dcoef``, a
-    callable one called once.  The state holds its Derived
-    (``State.derived``), so this holds the state by a weak proxy: a strong
-    reference back would make a cycle only the collector frees."""
+    """The derived fields of one state under one model, each filled at its
+    first read and kept, as states are never mutated.  Two passes fill most
+    of them, each in one straight run:
+
+    - the thermo pass, which validate runs: ``eos`` (the EOS point) and
+      ``stack`` (v, H_rho, mu_Gamma, T, p), after one rho check;
+    - the kernel pass, which the tendency kernel runs: ``mu_gamma``,
+      ``h_hat`` (the gradient of H that the brackets pair with) and
+      ``grads`` (its grad).
+
+    A bracket or a diagnostic reads these alone: ``gamma_xi`` (grad c,
+    Gamma, xi), ``weight`` (rho^a), ``sigma_total`` and the transport
+    coefficients ``kappa`` and ``dcoef``, a callable one called once.  The
+    state holds its Derived (``State.derived``), so this holds the state by
+    a weak reference: a strong one would make a cycle only the collector
+    frees."""
 
     def __init__(self, state: State, model: ModelConfig):
-        self.state = weakref.proxy(state)
-        self._ref = weakref.ref(state)  # a coefficient callable gets the State itself
-        self.model = model
+        self.model, self._state = model, weakref.ref(state)
 
-    def _thermo(self, name: str):
-        """eos (the EOS point) or stack ((v, H_rho, mu_Gamma, T, p), whose
-        H_rho and mu_Gamma rows mu_gamma and h_hat fill), both kept, from
-        one pass: rho > 0 checked before the pack is divided by it, then p
-        and T computed straight into the stack."""
-        st, dim = self.state, self.state.grid.dim
-        if not np.minimum.reduce(st.rho, axis=None, initial=np.inf) > 0:  # NaN fails
+    eos, stack = _fill("_thermo"), _fill("_thermo")
+    mu_gamma, h_hat, grads = _fill("_kernel"), _fill("_kernel"), _fill("_kernel")
+    gamma_xi, weight, sigma_total = _fill("_surface"), _fill("_surface"), _fill("_sigma_total")
+    kappa, dcoef = _fill("_transport"), _fill("_transport")
+
+    def _thermo(self) -> None:
+        """rho > 0 checked (NaN fails) before the pack is divided by it, then
+        eos, with p and T computed straight into the stack."""
+        st = self._state()
+        rho, dim = st.rho, st.grid.dim
+        if not np.minimum.reduce(rho, axis=None, initial=np.inf) > 0:
             raise InadmissibleStateError("rho must be positive everywhere")
-        stack = self.stack = np.empty((dim + 4,) + st.rho.shape)
-        self.eos = _eos(st.rho, st.s, st.c, self.model.eos, stack[dim + 3], stack[dim + 2])
+        stack = self.stack = np.empty((dim + 4,) + rho.shape)
+        self.eos = _eos(rho, st.s, st.c, self.model.eos, stack[dim + 3], stack[dim + 2])
         stack[:dim] = st.v
-        return getattr(self, name)
 
-    eos = _lazy(lambda self: self._thermo("eos"))
-    stack = _lazy(lambda self: self._thermo("stack"))
-
-    @_lazy
-    def mu_gamma(self) -> np.ndarray:
-        """mu - div(u) / rho, u = lambda_f(T) rho^a Gamma xi (mu for a sharp
-        family), in its row of the stack."""
-        st, excess = self.state, 0.0
-        if self.model.is_diffuse:
+    def _kernel(self) -> None:
+        """In their rows of the stack: mu_gamma = mu - div(u) / rho, u =
+        lambda_f(T) rho^a Gamma xi (mu for a sharp family), and H_rho = -|v|^2
+        / 2 + g - c mu_Gamma, g the Gibbs energy, plus lambda_f Gamma^2 / 2
+        for a = 1.  h_hat = (v, H_rho, mu_Gamma, T), a view of the stack, is
+        transform_gradients(grad_H) for a diffuse family, to roundoff, and
+        grad_H itself for a sharp one.  grads = grad h_hat, (dim, dim + 3,
+        *members, *grid.shape) from one grad: [k, s] = d_k of slot s, so
+        [:, :dim] is grad v[k, l] = d_k v_l."""
+        st = self._state()
+        model, eos, stack, dim = self.model, self.eos, self.stack, st.grid.dim
+        mu_gamma = stack[dim + 1]
+        if model.is_diffuse:
             _, gamma, xi = self.gamma_xi
-            u = lambda_f(self.eos.T, self.model.surface) * self.weight * gamma * xi
-            excess = st.grid.div(u) / st.rho
-        return np.subtract(self.eos.mu, excess, out=self.stack[st.grid.dim + 1])
-
-    @_lazy
-    def h_hat(self) -> np.ndarray:
-        """The gradient of H that the brackets pair with, the pack (v, H_rho,
-        mu_Gamma, T), a view of the stack: transform_gradients(grad_H) for a
-        diffuse family, to roundoff, and grad_H itself for a sharp one.
-        H_rho = -|v|^2 / 2 + g - c mu_Gamma, g the Gibbs energy, plus
-        lambda_f Gamma^2 / 2 for a = 1."""
-        st, model, dim = self.state, self.model, self.state.grid.dim
-        h = -0.5 * _csum(st.v * st.v) + self.eos.g - st.c * self.mu_gamma
+            lam = lambda_f(eos.T, model.surface)
+            np.subtract(eos.mu, st.grid.div(lam * self.weight * gamma * xi) / st.rho,
+                        out=mu_gamma)
+        else:
+            mu_gamma[...] = eos.mu
+        h = np.subtract(_MINUS_HALF * _csum(st.v * st.v) + eos.g, st.c * mu_gamma,
+                        out=stack[dim])
         if model.is_diffuse and model.a == 1:
-            _, gamma, _ = self.gamma_xi
-            h += 0.5 * lambda_f(self.eos.T, model.surface) * gamma * gamma
-        self.stack[dim] = h
-        return self.stack[:dim + 3]
+            h += _HALF * lam * gamma * gamma
+        self.mu_gamma, self.h_hat = mu_gamma, stack[:dim + 3]
+        self.grads = st.grid.grad(self.h_hat)
 
-    @_lazy
-    def grads(self) -> np.ndarray:
-        """grad h_hat, (dim, dim + 3, *members, *grid.shape) from one grad:
-        [k, s] = d_k of slot s, so [:, :dim] is grad v[k, l] = d_k v_l."""
-        return self.state.grid.grad(self.h_hat)
+    def _surface(self) -> None:
+        """gamma_xi = (grad c, Gamma, xi) and weight = rho^a, the density
+        weight of the surface terms (rho itself for a = 1)."""
+        st, model = self._state(), self.model
+        gc = st.grid.grad(st.c)
+        self.gamma_xi = (gc,) + gamma_eval(gc, model.anisotropy)
+        self.weight = st.rho if model.a == 1 else st.rho ** model.a
 
-    @_lazy
-    def gamma_xi(self):
-        gc = self.state.grid.grad(self.state.c)
-        return (gc,) + gamma_eval(gc, self.model.anisotropy)
-
-    @_lazy
-    def weight(self) -> np.ndarray:
-        """rho^a, the density weight of the surface terms: rho itself for a = 1."""
-        rho = self.state.rho
-        return rho if self.model.a == 1 else rho ** self.model.a
-
-    @_lazy
-    def kappa(self):
-        return self.model.transport.kappa_of(self._ref(), self.model)
-
-    @_lazy
-    def dcoef(self):
-        return self.model.transport.dcoef_of(self._ref(), self.model)
-
-    @_lazy
-    def weights(self) -> np.ndarray:
-        """The Poisson bracket's slot table: the pack with sigma_total in the
-        sigma slot (the pack itself where the two agree)."""
-        st, sigma = self.state, self.sigma_total()
-        return st.packed if sigma is st.sigma else np.concatenate([st.packed[:-1], sigma[None]])
-
-    def sigma_total(self) -> np.ndarray:
+    def _sigma_total(self) -> None:
         """The total entropy density field (sigma itself for the sharp families)."""
-        st, lam_s = self.state, self.model.surface.lambda_s
-        if not (self.model.is_diffuse and lam_s != 0.0):
-            return st.sigma
+        st, surface = self._state(), self.model.surface
+        if not (self.model.is_diffuse and surface.lambda_s != 0.0):
+            self.sigma_total = st.sigma
+            return
         _, gamma, _ = self.gamma_xi
-        return st.sigma + 0.5 * self.weight * lam_s * gamma * gamma
+        self.sigma_total = st.sigma + _HALF * self.weight * surface.consts.lambda_s * gamma * gamma
+
+    def _transport(self) -> None:
+        st, tr = self._state(), self.model.transport
+        self.kappa, self.dcoef = tr.kappa_of(st, self.model), tr.dcoef_of(st, self.model)
 
 
 def thermo_point(state: State, model: ModelConfig):
@@ -353,7 +361,7 @@ def hamiltonian(state: State, model: ModelConfig) -> float | np.ndarray:
 
 def sigma_total(state: State, model: ModelConfig) -> np.ndarray:
     """Total entropy density field (equals sigma for the sharp families)."""
-    return state.derived(model).sigma_total()
+    return state.derived(model).sigma_total
 
 
 def entropy(state: State, model: ModelConfig) -> float | np.ndarray:
@@ -410,19 +418,20 @@ def _change_variables(Fg: FunctionalGradient, state: State, model: ModelConfig,
                               sigma=Fg.sigma)
 
 
-def _tendency_to_sigma_a(rhs: FunctionalGradient, d: Derived) -> None:
-    """Turn the total-entropy slot of a diffuse family's tendency (on Derived
-    d) into the sigma^a one, in place: sigma^a_dot = sigma_dot - d/dt(rho^a
-    lambda_s Gamma^2 / 2) by the chain rule, the transpose of transform_gradients."""
-    state, lam_s = d.state, d.model.surface.lambda_s
-    if lam_s == 0.0:
+def _tendency_to_sigma_a(rhs: np.ndarray, state: State, d: Derived) -> None:
+    """Turn the total-entropy slot of a diffuse family's tendency pack rhs
+    (laid out as State.packed; d the state's Derived) into the sigma^a one,
+    in place: sigma^a_dot = sigma_dot - d/dt(rho^a lambda_s Gamma^2 / 2) by
+    the chain rule, the transpose of transform_gradients."""
+    surface, dim = d.model.surface, state.grid.dim
+    if surface.lambda_s == 0.0:
         return
     _, gamma, xi = d.gamma_xi
-    c_dot = (rhs.ctilde - state.c * rhs.rho) / state.rho
-    sigma_dot = rhs.sigma
-    sigma_dot -= d.weight * lam_s * gamma * _csum(xi * state.grid.grad(c_dot))
+    rho_dot, sigma_dot = rhs[dim], rhs[dim + 2]
+    c_dot = (rhs[dim + 1] - state.c * rho_dot) / state.rho
+    sigma_dot -= d.weight * surface.consts.lambda_s * gamma * _csum(xi * state.grid.grad(c_dot))
     if d.model.a == 1:
-        sigma_dot -= 0.5 * lam_s * gamma * gamma * rhs.rho
+        sigma_dot -= surface.consts.half_lambda_s * gamma * gamma * rho_dot
 
 
 def transform_gradients(hatFg: FunctionalGradient, state: State,

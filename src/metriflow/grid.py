@@ -54,7 +54,10 @@ def _csum(x: np.ndarray) -> np.ndarray:
 
 def _trace(x: np.ndarray) -> np.ndarray:
     """x[0, 0] + x[1, 1] + ...: the same bits as x.trace()."""
-    return _csum([x[k, k] for k in range(len(x))])
+    out = x[0, 0]
+    for k in range(1, len(x)):
+        out = out + x[k, k]
+    return out
 
 
 def _per_axis(name: str, value, dim: int) -> tuple:
@@ -126,14 +129,16 @@ class Grid:
         elif not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
         flat = f.ravel()
-        np.subtract(flat[hi], flat[lo], out=out.ravel()[mid])
-        np.subtract(f[plus], f[minus], out=out[o])
+        np.subtract(flat[hi], flat[lo], out.ravel()[mid])
+        np.subtract(f[plus], f[minus], out[o])
         out *= scale
         return out
 
     def grad(self, f: np.ndarray) -> np.ndarray:
         """Gradient (dim, *f.shape); leading axes of f are stacked fields,
         e.g. grad(v)[k, l] = d_k v_l, at one deriv call per axis."""
+        if self.dim == 1:  # no output to split: deriv's own, with a unit axis
+            return self.deriv(f, 0)[None]
         f = np.ascontiguousarray(f)
         out = np.empty((self.dim,) + f.shape, f.dtype)
         for k in range(self.dim):

@@ -17,8 +17,9 @@ components and derivatives are zero.
 All tendencies, ideal and dissipative, come from one kernel (_tendencies,
 the divergence of the _fluxes buffer plus momentum's source and the
 production), and each is the tendency its bracket generates from the two
-slot tables: the Poisson bracket's weights (Derived.weights) and the
-4-bracket's (Lambda, kappa / T, D).  The production (S, H; S, H) pairs the
+slot tables: the Poisson bracket's weights (the pack with
+Derived.sigma_total in the sigma slot) and the 4-bracket's (Lambda,
+kappa / T, D).  The production (S, H; S, H) pairs the
 kernel's own fluxes with their gradients through _pairing.  ideal_rhs,
 dissipative_rhs and total_rhs select the kernel's parts.  The Onsager
 blocks are built from a state's cells, all at once.
@@ -33,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, UnsupportedFamilyError, require_finite
-from .functionals import (FunctionalGradient, ModelConfig, State, _align_batch,
+from .functionals import (Derived, FunctionalGradient, ModelConfig, State, _align_batch,
                           _tendency_to_sigma_a, grad_H, transform_gradients)
 from .grid import _csum, _trace
 
@@ -106,10 +107,10 @@ def _apply_tensor(coef, w: np.ndarray) -> np.ndarray:
 
 def _stress(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
     """Lambda gradv = eta (gradv + gradv^T - (2/3) I tr) + zeta I tr."""
-    trace = _trace(gradv)
+    bulk = (zeta - (2.0 / 3.0) * eta) * _trace(gradv)
     out = eta * (gradv + gradv.swapaxes(0, 1))
     for i in range(len(gradv)):
-        out[i, i] += (zeta - (2.0 / 3.0) * eta) * trace
+        out[i, i] += bulk
     return out
 
 
@@ -163,31 +164,42 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     return kn_4bracket(Fg, Hg, Gg, Hg, state, model)
 
 
+def _dissipative_fluxes(d: Derived, dim: int) -> tuple:
+    """The 4-bracket's slot table C = (Lambda, kappa / T, D) applied to the
+    gradients of H = Derived.h_hat for X = m, sigma, ctilde: (grad v, Lambda
+    grad v, grad T, kappa grad T, grad mu_Gamma, D grad mu_Gamma), in the
+    order _pairing takes them, each flux C_X grad H_X formed once."""
+    tr, grads = d.model.transport, d.grads
+    gradv, grad_mu, gradT = grads[:, :dim], grads[:, dim + 1], grads[:, dim + 2]
+    return (gradv, _stress(gradv, tr.eta, tr.zeta), gradT, _apply_tensor(d.kappa, gradT),
+            grad_mu, _apply_tensor(d.dcoef, grad_mu))
+
+
 def _fluxes(state: State, model: ModelConfig, ideal: bool = True,
             dissipative: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """(flux, production).  flux, (dim, dim + 3, *members, *grid.shape), holds
     the negated fluxes whose divergence is the tendency pack, its slots as
     State.packed: -w_s v in every slot s if ideal, w the Poisson slot table
-    (Derived.weights); if dissipative, plus C_X grad H_X in the slots X = m,
-    ctilde, sigma of the 4-bracket's slot table C = (Lambda, D, kappa / T),
-    H = Derived.h_hat = (v, H_rho, mu_Gamma, T).  production is their
-    _pairing with the gradients, the (S, H; S, H) density (None without the
-    dissipative part)."""
-    dim, d = state.grid.dim, state.derived(model)
+    (the pack, with Derived.sigma_total in the sigma slot); if dissipative,
+    plus C_X grad H_X in the slots X = m, ctilde, sigma (_dissipative_fluxes,
+    the sigma slot's over T).  production is their _pairing with the
+    gradients, the (S, H; S, H) density (None without the dissipative part)."""
+    dim, d, packed = state.grid.dim, state.derived(model), state.packed
     if ideal:
-        flux = d.weights[None] * np.negative(state.v)[:, None]
+        negv = np.negative(state.v)
+        flux = packed * negv[:, None]
+        if d.sigma_total is not state.sigma:
+            np.multiply(d.sigma_total, negv, out=flux[:, -1])
     else:
-        flux = np.zeros((dim, dim + 3) + state.rho.shape)
+        flux = np.zeros((dim,) + packed.shape)
     if not (dissipative and model.is_dissipative):
         return flux, None
-    tr, T = model.transport, d.eos.T
-    gradv, grad_mu, gradT = d.grads[:, :dim], d.grads[:, dim + 1], d.grads[:, dim + 2]
-    stress = _stress(gradv, tr.eta, tr.zeta)
-    heat, diffusion = _apply_tensor(d.kappa, gradT), _apply_tensor(d.dcoef, grad_mu)
+    pairs = _dissipative_fluxes(d, dim)
+    _, stress, _, heat, _, diffusion = pairs
     flux[:, :dim] += stress
     flux[:, dim + 1] += diffusion
-    flux[:, dim + 2] += heat / T
-    return flux, _pairing(gradv, stress, gradT, heat, grad_mu, diffusion, T)
+    flux[:, dim + 2] += heat / d.eos.T
+    return flux, _pairing(*pairs, d.eos.T)
 
 
 def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
@@ -208,17 +220,22 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
     if not (ideal or dissipative and model.is_dissipative):
         return FunctionalGradient(packed=np.zeros(state.packed.shape))
     flux, production = _fluxes(state, model, ideal, dissipative)
-    rhs = FunctionalGradient(packed=state.grid.div(flux))
+    rhs = state.grid.div(flux)
     del flux  # not read again: held, it would raise the stage's peak
-    d = state.derived(model)
-    if ideal:
-        m_dot = rhs.m
-        m_dot -= np.einsum("s...,is...->i...", d.weights, d.grads)  # sum_s w_s d_i H_s
+    d, dim = state.derived(model), state.grid.dim
+    if ideal:  # sum_s w_s d_i H_s
+        grads, sigma = d.grads, d.sigma_total
+        if sigma is state.sigma:
+            rhs[:dim] -= np.einsum("s...,is...->i...", state.packed, grads)
+        else:  # the slots but sigma, then sigma_total's term: the sum's order
+            source = np.einsum("s...,is...->i...", state.packed[:-1], grads[:, :-1])
+            source += sigma * grads[:, -1]
+            rhs[:dim] -= source
     if production is not None:
-        np.add(rhs.sigma, production, out=rhs.sigma)
+        rhs[-1] += production
     if model.is_diffuse:
-        _tendency_to_sigma_a(rhs, d)
-    return rhs
+        _tendency_to_sigma_a(rhs, state, d)
+    return FunctionalGradient(packed=rhs)
 
 
 def dissipative_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
@@ -233,9 +250,11 @@ def dissipative_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
 
 def entropy_production_rate(state: State, model: ModelConfig) -> tuple[np.ndarray, float]:
     """(pointwise production field, its integral: per member for a batch);
-    the field is the kernel's (see _fluxes), nonnegative by construction."""
+    the field is the kernel's, the _pairing of the dissipative fluxes with
+    their gradients, nonnegative by construction."""
     if model.is_dissipative:
-        _, field = _fluxes(state, model, ideal=False)
+        d = state.derived(model)
+        field = _pairing(*_dissipative_fluxes(d, state.grid.dim), d.eos.T)
     else:
         field = np.zeros(state.rho.shape)
     return field, state.grid.integrate(field)

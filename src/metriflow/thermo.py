@@ -15,11 +15,27 @@ callers call it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ParameterError, ThermoDomainError, require_finite
+
+
+def _frozen(value) -> np.ndarray:
+    """value as a read-only 0-d float array.  A ufunc takes a 0-d array
+    operand about 0.2 us faster than a Python float, with the same bits; two
+    0-d arrays combine into a slow numpy scalar, so every product a kernel
+    needs is kept whole."""
+    out = np.array(value, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def _constants(**values) -> SimpleNamespace:
+    """The values, each as _frozen."""
+    return SimpleNamespace(**{name: _frozen(value) for name, value in values.items()})
 
 
 @dataclass(frozen=True)
@@ -39,6 +55,12 @@ class EosParams:
             raise ParameterError("gamma_ad", "gamma_ad must exceed 1")
         if self.lambda_V < 0:
             raise ParameterError("lambda_V", "lambda_V must be nonnegative")
+
+    @cached_property
+    def consts(self) -> SimpleNamespace:
+        """_eos's constants (see _frozen), made at the first use."""
+        return _constants(c_v=self.c_v, gamma_ad=self.gamma_ad, g1=self.gamma_ad - 1.0,
+                          q4=0.25 * self.lambda_V, lambda_V=self.lambda_V, one=1.0)
 
 
 @dataclass(frozen=True, init=False)
@@ -66,6 +88,12 @@ class SurfaceCoefficients:
         for f in fields(self):
             require_finite(f.name, getattr(self, f.name))
 
+    @cached_property
+    def consts(self) -> SimpleNamespace:
+        """The surface terms' constants (see _frozen), made at the first use."""
+        return _constants(lambda_u=self.lambda_u, lambda_s=self.lambda_s,
+                          half_lambda_s=0.5 * self.lambda_s)
+
 
 def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
     """Evaluate u, its exact partial derivatives T, p, mu and the Gibbs energy
@@ -78,17 +106,17 @@ def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
 
 def _eos(rho, s, c, params: EosParams, p=None, T=None) -> ThermoPoint:
     """eval_eos at admissible arrays, unchecked; p and T go into p and T if given."""
-    s_cv = s / params.c_v
-    thermal = params.c_v * rho ** (params.gamma_ad - 1.0) * np.exp(s_cv)
-    c2m1 = c * c - 1.0
-    quartic = 0.25 * params.lambda_V * c2m1 ** 2
+    k = params.consts
+    s_cv = s / k.c_v
+    thermal = k.c_v * rho ** k.g1 * np.exp(s_cv)
+    c2m1 = c * c - k.one
+    quartic = k.q4 * c2m1 ** 2
     # g = u + p / rho - s T, with p / rho = (gamma_ad - 1) thermal and s T = s_cv thermal
-    return ThermoPoint(u=thermal + quartic, g=thermal * (params.gamma_ad - s_cv) + quartic,
-                       T=np.divide(thermal, params.c_v, out=T),
-                       p=np.multiply((params.gamma_ad - 1.0) * rho, thermal, out=p),
-                       mu=params.lambda_V * c * c2m1)
+    return ThermoPoint(u=thermal + quartic, g=thermal * (k.gamma_ad - s_cv) + quartic,
+                       T=np.divide(thermal, k.c_v, out=T), p=np.multiply(k.g1 * rho, thermal, out=p),
+                       mu=k.lambda_V * c * c2m1)
 
 
 def lambda_f(T, coeffs: SurfaceCoefficients):
     """Temperature-dependent surface coefficient lambda_u - T*lambda_s."""
-    return coeffs.lambda_u - np.asarray(T, dtype=float) * coeffs.lambda_s
+    return coeffs.consts.lambda_u - T * coeffs.consts.lambda_s

@@ -171,6 +171,36 @@ def test_a_snapshot_write_error_exits_2_naming_the_file(tmp_path, capsys, monkey
     assert (out / "diagnostics.csv").read_bytes() == (tmp_path / "ref" / "diagnostics.csv").read_bytes()
 
 
+def test_run_sets_both_malloc_thresholds_before_the_first_step(tmp_path, monkeypatch):
+    # glibc keeps its mmap threshold where it is once the trim threshold is
+    # set, so run sets the mmap threshold in the same place, before any step
+    events = []
+
+    class Mallopt:
+        def __call__(self, param, value):
+            events.append(("mallopt", param, value))
+            return 1
+
+    class Libc:
+        def __init__(self, name):
+            self.mallopt = Mallopt()
+
+    step_rk4 = dynamics.step_rk4
+
+    def counted(*args, **kwargs):
+        events.append(("step",))
+        return step_rk4(*args, **kwargs)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", Libc)
+    monkeypatch.setattr(dynamics, "step_rk4", counted)
+    assert run_cli("run", "--scenario", "heat_relax", "--t-end", "0.002",
+                   "--out", str(tmp_path)) == EXIT_OK
+    assert_no_child_left()
+    assert events == [("mallopt", -1, cli.TRIM_THRESHOLD), ("mallopt", -3, cli.MMAP_THRESHOLD),
+                      ("step",), ("step",)]
+    assert cli.MMAP_THRESHOLD == 32 << 20  # glibc's largest on 64-bit hosts
+
+
 def assert_a_failed_fork_exits_2_and_closes_its_files(tmp_path, capsys, monkeypatch, *argv):
     def no_fork():
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))

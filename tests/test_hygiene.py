@@ -238,6 +238,39 @@ def test_the_cli_forks_and_exits_in_one_place():
         ("_exit", "Forked.__init__"), ("fork", "Forked.__init__")]
 
 
+# run's malloc thresholds are glibc settings of the whole process: only the
+# CLI loads the C library, and only run calls mallopt
+def c_library_uses(path: Path) -> list[str]:
+    """Imports of ctypes, and reads of a name or attribute mallopt."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                  if name.split(".")[0] == "ctypes" or name == "mallopt"]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "cli.py"),
+                         ids=lambda p: p.name)
+def test_only_the_cli_touches_the_c_library(path):
+    assert c_library_uses(path) == []
+
+
+def test_the_cli_sets_the_malloc_thresholds_in_run_only():
+    uses = scoped_nodes(SRC / "cli.py", lambda node: isinstance(node, ast.Name)
+                        and node.id == "mallopt")
+    assert uses and {scope for scope, _ in uses} == {"cmd_run"}
+
+
 # verify's random fields come from the counter-based stream of fields.py; it
 # builds no numpy generator, nor an emulation that would need one to check it
 def numpy_random_uses(path: Path) -> list[str]:

@@ -8,6 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from metriflow import functionals
 from metriflow import (AnisotropyFn, Grid, ModelConfig, State,
                        SurfaceCoefficients, TransportCoefficients,
                        dissipative_rhs, gamma_eval, ideal_rhs, smooth_state,
@@ -16,7 +17,7 @@ from metriflow.dynamics import _advance
 from metriflow.functionals import FAMILIES, FunctionalGradient
 from metriflow.grid import _csum, _trace
 from metriflow.metriplectic import _apply_tensor, _pair_sum
-from metriflow.thermo import lambda_f
+from metriflow.thermo import ThermoPoint, lambda_f
 
 DISSIPATIVE = ("GNS", "CHNS0", "CHNS1")
 SLOTS = ("m", "rho", "ctilde", "sigma")
@@ -290,3 +291,42 @@ def test_component_sums_match_the_reductions(dim):
         assert np.array_equal(_pair_sum(x), x.sum(axis=(0, 1)))
         assert np.array_equal(_csum(x.reshape((-1,) + shape)), x.sum(axis=(0, 1)))
         assert np.array_equal(_trace(x), x.trace())
+
+
+def _arrays_held(d):
+    """The arrays a Derived holds, inside its tuples and its EOS point too."""
+    for value in vars(d).values():
+        items = vars(value).values() if isinstance(value, ThermoPoint) else (
+            value if isinstance(value, tuple) else (value,))
+        yield from (x for x in items if isinstance(x, np.ndarray))
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1D", "2D-fourfold"])
+def test_a_step_runs_each_pass_once_per_stage_state(monkeypatch, dim):
+    # chained steps: the EOS kernel runs once per validated state (stages 2-4
+    # and the step's end: 4 a step), the tendency kernel's pass once per
+    # stage state, and no Derived keeps a (dim + 3)-slot copy of its pack
+    model = _model("CHNS1", dim)
+    state = step_rk4(smooth_state(model.grid, model, seed=37), model, 1e-4)
+    plain_eos, plain_kernel = functionals._eos, functionals.Derived._kernel
+    eos_calls, passes = [], []
+
+    def eos(*args):
+        eos_calls.append(1)
+        return plain_eos(*args)
+
+    def kernel(d):
+        passes.append((d, d._state()))  # holds each stage state alive, so ids differ
+        return plain_kernel(d)
+
+    monkeypatch.setattr(functionals, "_eos", eos)
+    monkeypatch.setattr(functionals.Derived, "_kernel", kernel)
+    steps = 3
+    for _ in range(steps):
+        state = step_rk4(state, model, 1e-4)
+    assert len(eos_calls) == 4 * steps
+    assert len(passes) == 4 * steps and len({id(st) for _, st in passes}) == 4 * steps
+    for d, st in passes:
+        copies = [x.shape for x in _arrays_held(d)
+                  if x.shape == st.packed.shape and x.base is None]
+        assert copies == []
