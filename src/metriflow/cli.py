@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verification
-from .dynamics import diagnostics, integrate
+from .dynamics import Diagnostics, diagnostics, integrate
 from .errors import ConfigError, IntegrationError
 from .functionals import FAMILIES, State, generalized_mu, thermo_point
 from .scenarios import (SCENARIO_NAMES, SETTING_TYPES, RunConfig, Scenario,
@@ -114,19 +114,15 @@ def _write_diag_row(fh, diag) -> str:
 
 
 def _write_fields(path: Path, state, model) -> None:
-    g = state.grid
-    pt = thermo_point(state, model)
-    T = np.asarray(pt.T) * np.ones(g.shape)
-    mu_g = generalized_mu(state, model)
-    # one row per cell, in C order
-    coords = [np.broadcast_to(x, g.shape) for x in g.coords()]
-    header = ",".join(["x", "y"][:g.dim] + ["rho"] + ["mx", "my"][:g.dim]
-                      + ["ctilde", "sigma", "T", "mu_gamma"])
-    cols = [*coords, state.rho, *state.m, state.ctilde, state.sigma, T, mu_g]
-    rows = zip(*(col.ravel().tolist() for col in cols))
+    # (name, column) pairs; one row per cell, in C order
+    cols = [*zip("xy", np.broadcast_arrays(*state.grid.coords())),
+            ("rho", state.rho), *zip(("mx", "my"), state.m), ("ctilde", state.ctilde),
+            ("sigma", state.sigma), ("T", thermo_point(state, model).T),
+            ("mu_gamma", generalized_mu(state, model))]
+    rows = zip(*(col.ravel().tolist() for _, col in cols))
     fmt = ",".join(["%.17g"] * len(cols)) + "\n"  # the digits of the diagnostics rows
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(name for name, _ in cols) + "\n")
         fh.writelines(fmt % row for row in rows)
 
 
@@ -223,7 +219,7 @@ def _serve(to_fh, back_fh, diag_fh, outdir: Path, scen: Scenario) -> None:
     model, shape = scen.model, scen.state.packed.shape
     row = ""
     with diag_fh:
-        diag_fh.write("t,M,Px,Py,C,H,S,S_prod,T_min\n")
+        diag_fh.write(Diagnostics.header + "\n")
         while True:
             _put(back_fh, row)
             head, packed = to_fh.read(8), np.empty(shape)

@@ -116,6 +116,8 @@ class Diagnostics:
     entropy_production: float
     temperature_min: float
 
+    header = "t,M,Px,Py,C,H,S,S_prod,T_min"  # the names of row()'s columns
+
     def row(self) -> list[float]:
         px = self.momentum[0]
         py = self.momentum[1] if len(self.momentum) > 1 else 0.0

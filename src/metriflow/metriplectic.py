@@ -15,14 +15,14 @@ rank-4 tensor (trace factor 2/3) in dim x dim form; absent velocity
 components and derivatives are zero.
 
 All tendencies, ideal and dissipative, come from one kernel (_tendencies,
-the divergence of the _fluxes buffer plus momentum's source and the
+the divergence of one flux buffer plus momentum's source and the
 production), and each is the tendency its bracket generates from the two
 slot tables: the Poisson bracket's weights (the pack with
 Derived.sigma_total in the sigma slot) and the 4-bracket's (Lambda,
-kappa / T, D).  The production (S, H; S, H) pairs the
-kernel's own fluxes with their gradients through _pairing.  ideal_rhs,
-dissipative_rhs and total_rhs select the kernel's parts.  The Onsager
-blocks are built from a state's cells, all at once.
+kappa / T, D), which _coefficients alone applies.  The production
+(S, H; S, H) pairs the kernel's own fluxes with their gradients through
+_pairing.  ideal_rhs, dissipative_rhs and total_rhs select the kernel's
+parts.  The Onsager blocks are built from a state's cells, all at once.
 """
 
 from __future__ import annotations
@@ -119,13 +119,21 @@ def _pair_sum(x: np.ndarray) -> np.ndarray:
     return _csum(x.reshape((-1,) + x.shape[2:]))
 
 
-def _pairing(x_m, y_m, x_sigma, y_sigma, x_c, y_c, T) -> np.ndarray:
-    """The slot table (Lambda, kappa / T, D) over (m, sigma, ctilde) summed
-    pointwise, each y already contracted with its coefficient:
+def _coefficients(d: Derived, m, sigma, ctilde) -> tuple:
+    """The slot table (Lambda, kappa, D) applied to one (m, sigma, ctilde)
+    triple of slot gradients: (Lambda m, kappa sigma, D ctilde)."""
+    tr = d.model.transport
+    return (_stress(m, tr.eta, tr.zeta), _apply_tensor(d.kappa, sigma),
+            _apply_tensor(d.dcoef, ctilde))
+
+
+def _pairing(x, y, T) -> np.ndarray:
+    """The slot table (Lambda, kappa / T, D) over two (m, sigma, ctilde)
+    triples summed pointwise, y already through _coefficients:
     (x_m : y_m + x_sigma . y_sigma / T + x_c . y_c) / T.  Both the 4-bracket
     and the production (S, H; S, H), the kernel's fluxes with their
     gradients, sum through it."""
-    return (_pair_sum(x_m * y_m) + _csum(x_sigma * y_sigma) / T + _csum(x_c * y_c)) / T
+    return (_pair_sum(x[0] * y[0]) + _csum(x[1] * y[1]) / T + _csum(x[2] * y[2])) / T
 
 
 def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
@@ -144,17 +152,14 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     Fg, Gg, Kg, Ng = _align_batch(Fg, Gg, Kg, Ng, state=state)
     if model.is_diffuse:
         Fg, Gg, Kg, Ng = (transform_gradients(X, state, model) for X in (Fg, Gg, Kg, Ng))
-    g, tr, der = state.grid, model.transport, state.derived(model)
-    T = der.eos.T
+    g, der = state.grid, state.derived(model)
 
-    def d(A, B, slot):
+    def d(A, B):
         # per-slot grads: the 4-bracket never differentiates rho
-        return B.sigma * g.grad(getattr(A, slot)) - A.sigma * g.grad(getattr(B, slot))
+        return tuple(B.sigma * g.grad(getattr(A, s)) - A.sigma * g.grad(getattr(B, s))
+                     for s in ("m", "sigma", "ctilde"))
 
-    return g.integrate(_pairing(
-        d(Fg, Gg, "m"), _stress(d(Kg, Ng, "m"), tr.eta, tr.zeta),
-        d(Fg, Gg, "sigma"), _apply_tensor(der.kappa, d(Kg, Ng, "sigma")),
-        d(Fg, Gg, "ctilde"), _apply_tensor(der.dcoef, d(Kg, Ng, "ctilde")), T))
+    return g.integrate(_pairing(d(Fg, Gg), _coefficients(der, *d(Kg, Ng)), der.eos.T))
 
 
 def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
@@ -164,27 +169,38 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     return kn_4bracket(Fg, Hg, Gg, Hg, state, model)
 
 
-def _dissipative_fluxes(d: Derived, dim: int) -> tuple:
-    """The 4-bracket's slot table C = (Lambda, kappa / T, D) applied to the
-    gradients of H = Derived.h_hat for X = m, sigma, ctilde: (grad v, Lambda
-    grad v, grad T, kappa grad T, grad mu_Gamma, D grad mu_Gamma), in the
-    order _pairing takes them, each flux C_X grad H_X formed once."""
-    tr, grads = d.model.transport, d.grads
-    gradv, grad_mu, gradT = grads[:, :dim], grads[:, dim + 1], grads[:, dim + 2]
-    return (gradv, _stress(gradv, tr.eta, tr.zeta), gradT, _apply_tensor(d.kappa, gradT),
-            grad_mu, _apply_tensor(d.dcoef, grad_mu))
+def _dissipative_fluxes(d: Derived) -> tuple:
+    """The kernel's pair: the gradients of H = Derived.h_hat in the slots
+    (m, sigma, ctilde), (grad v, grad T, grad mu_Gamma), and their fluxes
+    (Lambda grad v, kappa grad T, D grad mu_Gamma), each formed once."""
+    grads, dim = d.grads, len(d.grads)
+    x = (grads[:, :dim], grads[:, dim + 2], grads[:, dim + 1])
+    return x, _coefficients(d, *x)
 
 
-def _fluxes(state: State, model: ModelConfig, ideal: bool = True,
-            dissipative: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """(flux, production).  flux, (dim, dim + 3, *members, *grid.shape), holds
-    the negated fluxes whose divergence is the tendency pack, its slots as
-    State.packed: -w_s v in every slot s if ideal, w the Poisson slot table
-    (the pack, with Derived.sigma_total in the sigma slot); if dissipative,
-    plus C_X grad H_X in the slots X = m, ctilde, sigma (_dissipative_fluxes,
-    the sigma slot's over T).  production is their _pairing with the
-    gradients, the (S, H; S, H) density (None without the dissipative part)."""
-    dim, d, packed = state.grid.dim, state.derived(model), state.packed
+def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
+                dissipative: bool = True) -> FunctionalGradient:
+    """Tendencies of (m, rho, ctilde, sigma): the ideal (bracket) part, the
+    dissipative part or their sum, all from this one code path, as views of
+    one pack laid out as State.packed: the divergence of one flux buffer of
+    negated fluxes, in the pack's slots, plus momentum's source
+    -sum_s w_s grad H_s if ideal, H = Derived.h_hat.  The fluxes are -w_s v
+    in every slot s if ideal, w the Poisson slot table (the pack, with
+    Derived.sigma_total in the sigma slot), plus C_X grad H_X for X = m,
+    ctilde, sigma if dissipative (_dissipative_fluxes, the sigma slot's
+    over T), whose _pairing with the gradients, the production, adds to
+    sigma.  Each is the tendency its bracket generates, so energy is
+    conserved exactly; the mass, concentration and total-entropy budgets
+    telescope exactly on the periodic grid, and momentum's only to O(h^2).
+    Each stage takes one Grid.deriv call per axis: grad H, kept on the
+    state's Derived; div of the flux buffer; and for a diffuse family grad c
+    and div(u) in mu_Gamma before them and grad c_dot, for the one pullback
+    of the entropy tendency to sigma^a, after them.
+    """
+    dissipative = dissipative and model.is_dissipative
+    if not (ideal or dissipative):
+        return FunctionalGradient(packed=np.zeros(state.packed.shape))
+    d, dim, packed = state.derived(model), state.grid.dim, state.packed
     if ideal:
         negv = np.negative(state.v)
         flux = packed * negv[:, None]
@@ -192,46 +208,24 @@ def _fluxes(state: State, model: ModelConfig, ideal: bool = True,
             np.multiply(d.sigma_total, negv, out=flux[:, -1])
     else:
         flux = np.zeros((dim,) + packed.shape)
-    if not (dissipative and model.is_dissipative):
-        return flux, None
-    pairs = _dissipative_fluxes(d, dim)
-    _, stress, _, heat, _, diffusion = pairs
-    flux[:, :dim] += stress
-    flux[:, dim + 1] += diffusion
-    flux[:, dim + 2] += heat / d.eos.T
-    return flux, _pairing(*pairs, d.eos.T)
-
-
-def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
-                dissipative: bool = True) -> FunctionalGradient:
-    """Tendencies of (m, rho, ctilde, sigma): the ideal (bracket) part, the
-    dissipative part or their sum, all from this one code path, returned
-    as views of one pack laid out as State.packed: the divergence of
-    _fluxes, plus momentum's source -sum_s w_s grad H_s if ideal and the
-    production if dissipative, H = Derived.h_hat.  Each is the tendency its
-    bracket generates, so energy is conserved exactly; the mass,
-    concentration and total-entropy budgets telescope exactly on the
-    periodic grid, and momentum's only to O(h^2).  Each stage takes one
-    Grid.deriv call per axis: grad H, kept on the state's Derived; div of
-    the flux buffer; and for a diffuse family grad c and div(u) in mu_Gamma
-    before them and grad c_dot, for the one pullback of the entropy tendency
-    to sigma^a, after them.
-    """
-    if not (ideal or dissipative and model.is_dissipative):
-        return FunctionalGradient(packed=np.zeros(state.packed.shape))
-    flux, production = _fluxes(state, model, ideal, dissipative)
+    if dissipative:
+        gradients, (stress, heat, diffusion) = _dissipative_fluxes(d)
+        flux[:, :dim] += stress
+        flux[:, dim + 1] += diffusion
+        flux[:, dim + 2] += heat / d.eos.T
+        production = _pairing(gradients, (stress, heat, diffusion), d.eos.T)
+        del gradients, stress, heat, diffusion  # freed before the divergence
     rhs = state.grid.div(flux)
     del flux  # not read again: held, it would raise the stage's peak
-    d, dim = state.derived(model), state.grid.dim
     if ideal:  # sum_s w_s d_i H_s
         grads, sigma = d.grads, d.sigma_total
         if sigma is state.sigma:
-            rhs[:dim] -= np.einsum("s...,is...->i...", state.packed, grads)
+            rhs[:dim] -= np.einsum("s...,is...->i...", packed, grads)
         else:  # the slots but sigma, then sigma_total's term: the sum's order
-            source = np.einsum("s...,is...->i...", state.packed[:-1], grads[:, :-1])
+            source = np.einsum("s...,is...->i...", packed[:-1], grads[:, :-1])
             source += sigma * grads[:, -1]
             rhs[:dim] -= source
-    if production is not None:
+    if dissipative:
         rhs[-1] += production
     if model.is_diffuse:
         _tendency_to_sigma_a(rhs, state, d)
@@ -254,7 +248,7 @@ def entropy_production_rate(state: State, model: ModelConfig) -> tuple[np.ndarra
     their gradients, nonnegative by construction."""
     if model.is_dissipative:
         d = state.derived(model)
-        field = _pairing(*_dissipative_fluxes(d, state.grid.dim), d.eos.T)
+        field = _pairing(*_dissipative_fluxes(d), d.eos.T)
     else:
         field = np.zeros(state.rho.shape)
     return field, state.grid.integrate(field)

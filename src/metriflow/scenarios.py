@@ -211,10 +211,12 @@ def parse_setting(key: str, value):
     """Convert one run setting to its RunConfig type; ConfigError names it.
 
     An integer setting takes an integral value only: int() would truncate
-    48.7 to 48.  A float setting must be finite.
+    48.7 to 48.  A float setting must be finite.  Neither takes a bool.
     """
     if key not in SETTING_TYPES:
         raise ConfigError(f"unknown key {key!r}")
+    if SETTING_TYPES[key] in (int, float) and isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"bad value for {key!r}: {value!r} is a bool, not a number")
     try:
         out = SETTING_TYPES[key](value)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -26,7 +26,7 @@ from .fields import random_gradient, smooth_state
 from .functionals import (DIFFUSE_FAMILIES, DISSIPATIVE_FAMILIES, FAMILIES,
                           FunctionalGradient, ModelConfig, State, grad_H, grad_S)
 from .grid import Grid
-from .metriplectic import (TransportCoefficients, _embed3_matrix, _fluxes,
+from .metriplectic import (TransportCoefficients, _dissipative_fluxes, _embed3_matrix,
                            _onsager_blocks, dissipative_rhs, entropy_production_rate,
                            kn_4bracket, metriplectic_2bracket, onsager_fluxes)
 from .thermo import EosParams, SurfaceCoefficients
@@ -213,18 +213,16 @@ def _cells3(x: np.ndarray, grid: Grid) -> np.ndarray:
 def _onsager_cells(state: State, model: ModelConfig):
     """Per cell: the asymmetry and least eigenvalue of the assembled Onsager
     matrix (mu = mu_Gamma), and the largest gap between onsager_fluxes and
-    the kernel's own fluxes, as _fluxes builds them: J_m = -stress, J_c =
-    -D grad mu_Gamma, J_s = -kappa grad T / T and J_e = T J_s + mu_Gamma J_c
-    + v . J_m; each relative to its own scale."""
+    the kernel's own fluxes, as _dissipative_fluxes forms them: J_m =
+    -stress, J_c = -D grad mu_Gamma, J_s = -heat / T and J_e = T J_s +
+    mu_Gamma J_c + v . J_m; each relative to its own scale."""
     g, dim, tr = state.grid, state.grid.dim, model.transport
     d = state.derived(model)
     T, mu = np.asarray(d.eos.T), d.mu_gamma
-    gradv, grad_mu, gradT = d.grads[:, :dim], d.grads[:, dim + 1], d.grads[:, dim + 2]
-    flux, _ = _fluxes(state, model, ideal=False)  # flux holds -J_m, -J_c and -J_s
-    K_c = -flux[:, dim + 1]
-    K_e = T * -flux[:, dim + 2] + mu * K_c + (-flux[:, :dim] * state.v).sum(axis=1)
+    (gradv, gradT, grad_mu), (stress, heat, diffusion) = _dissipative_fluxes(d)
+    K_e = T * (-heat / T) - mu * diffusion - (stress * state.v).sum(axis=1)
     K_m, K_e, K_c, T, mu, v3, gT, gv, gmu = (_cells3(x, g) for x in (
-        -flux[:, :dim], K_e, K_c, T, mu, state.v, gradT, gradv, grad_mu))
+        -stress, K_e, -diffusion, T, mu, state.v, gradT, gradv, grad_mu))
 
     blocks = _onsager_blocks(T, mu, v3, tr.eta, tr.zeta, _embed3_matrix(d.kappa),
                              _embed3_matrix(d.dcoef))

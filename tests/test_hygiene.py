@@ -165,6 +165,41 @@ def test_only_derived_resolves_the_transport_coefficients(path):
     assert coefficient_resolutions(path) == []
 
 
+# the 4-bracket's slot table (Lambda, kappa, D) is applied in one place,
+# metriplectic._coefficients; the rows of Derived.grads are laid out by
+# functionals and read by metriplectic, whose _dissipative_fluxes hands the
+# kernel's gradients and fluxes to every other reader
+SLOT_TABLE_APPLIERS = {"_stress", "_apply_tensor"}
+GRADS_MODULES = {"functionals.py", "metriplectic.py"}
+
+
+def slot_table_calls(path: Path) -> list[str]:
+    """Calls of a name in SLOT_TABLE_APPLIERS outside metriplectic._coefficients."""
+    found = scoped_nodes(path, lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) in SLOT_TABLE_APPLIERS)
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node.func)} in {scope or '<module>'}"
+            for scope, node in found if (path.name, scope) != ("metriplectic.py", "_coefficients")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_coefficients_applies_the_slot_table(path):
+    assert slot_table_calls(path) == []
+
+
+def grads_reads(path: Path) -> list[str]:
+    """Attribute reads of .grads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}: .grads" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr == "grads"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in GRADS_MODULES],
+                         ids=lambda p: p.name)
+def test_only_functionals_and_metriplectic_read_derived_grads(path):
+    assert grads_reads(path) == []
+
+
 # which family dissipates and which carries a diffuse interface is stated once,
 # in the family tables of functionals.py; every other module reads them
 def family_names() -> set[str]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metriflow import ConfigError, SCENARIO_NAMES, make_scenario, zero_crossings
-from metriflow.scenarios import analytic_capillary_force, double_tanh_profile
+from metriflow.scenarios import analytic_capillary_force, double_tanh_profile, parse_setting
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -59,6 +59,15 @@ def test_integer_settings_reject_non_integral_values():
         make_scenario("heat_relax", overrides={"n": float("inf")})
     for n in (48, "48", 48.0, np.int64(48)):
         assert make_scenario("heat_relax", overrides={"n": n}).model.grid.n == (48,)
+
+
+def test_number_settings_reject_bools():
+    for key in ("dim", "cadence", "dt", "kappa"):
+        for flag in (True, np.False_):
+            with pytest.raises(ConfigError, match=repr(key)):
+                make_scenario("heat_relax", overrides={key: flag})
+    with pytest.raises(ConfigError, match="'dt'"):
+        parse_setting("dt", True)
 
 
 def test_overrides_apply():

@@ -27,7 +27,8 @@ from metriflow import (AnisotropyFn, FunctionalGradient, Grid, ModelConfig,
 from metriflow import fields, verification
 from metriflow.fields import FourierModes, fourier_field, random_gradient
 from metriflow.functionals import DISSIPATIVE_FAMILIES, FAMILIES
-from metriflow.metriplectic import _apply_tensor, _embed3_matrix, _fluxes, _onsager_blocks
+from metriflow.metriplectic import (_apply_tensor, _dissipative_fluxes, _embed3_matrix,
+                                   _onsager_blocks)
 from metriflow.verification import (CASIMIR_SIZES, FLOOR, ORDER_MIN, _counts, _jsonable,
                                     _observed_order, model_for, onsager_suite,
                                     production_positivity_suite, verify)
@@ -689,9 +690,8 @@ def _reference_onsager(seed, level):
                 model = replace(model_for(family, grid), transport=tr)
                 state = smooth_state(grid, model, seed=int(rng.integers(0, 2 ** 31)))
                 d = state.derived(model)
-                gradv, gradT = d.grads[:, :dim], d.grads[:, dim + 2]
+                (gradv, gradT, _), (stress, heat, _) = _dissipative_fluxes(d)
                 grad_mu = grid.grad(d.mu_gamma)
-                flux, _ = _fluxes(state, model, ideal=False)
                 K_c = -_apply_tensor(tr.dcoef, grad_mu)
                 for cell in np.ndindex(grid.shape):
                     at = (slice(None),) + cell
@@ -710,8 +710,8 @@ def _reference_onsager(seed, level):
                         blocks, -gT / (T * T),
                         -_pad3(gradv[(slice(None),) + at], dim) / T + np.outer(gT, v3) / (T * T),
                         -gmu / T + mu * gT / (T * T))
-                    K_m = -flux[(slice(None), slice(0, dim)) + cell]
-                    K_e = T * -flux[(slice(None), dim + 2) + cell] + mu * K_c[at] \
+                    K_m = -stress[(slice(None),) + at]
+                    K_e = T * (-heat[at] / T) + mu * K_c[at] \
                         + (K_m * state.v[at]).sum(axis=1)
                     J = [J_m[:dim, :dim], J_e, J_c]
                     K = [K_m, _pad3(K_e, dim), _pad3(K_c[at], dim)]

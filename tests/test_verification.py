@@ -75,16 +75,15 @@ def test_wrong_trace_factor_in_the_stress_fails_the_onsager_suite(monkeypatch):
 
 
 def test_doubled_heat_flux_fails_the_onsager_suite(monkeypatch):
-    plain = metriplectic._fluxes
+    plain = metriplectic._dissipative_fluxes
 
-    def doubled(state, model, *args, **kwargs):
-        flux, closure = plain(state, model, *args, **kwargs)
-        flux[:, state.grid.dim + 2] *= 2.0
-        return flux, closure
+    def doubled(d):
+        grads, (stress, heat, diffusion) = plain(d)
+        return grads, (stress, 2.0 * heat, diffusion)
 
-    # the kernel and the suite both read the flux buffer
+    # the kernel and the suite both read the slot table's fluxes
     for module in (metriplectic, verification):
-        monkeypatch.setattr(module, "_fluxes", doubled)
+        monkeypatch.setattr(module, "_dissipative_fluxes", doubled)
     result = verification.onsager_suite(seed=1, level="fast")
     assert not result.passed
     assert result.details["worst_flux_residual"] > 1e-3
