@@ -48,8 +48,9 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     g = state.grid
     if model.is_diffuse:
         Fg, Gg = transform_gradients(Fg, state, model), transform_gradients(Gg, state, model)
-    sigma = state.derived(model).sigma_total
-    w = state.packed if sigma is state.sigma else np.concatenate([state.packed[:-1], sigma[None]])
+    d = state.derived(model)
+    sigma = d.sigma_total
+    w = state.packed if sigma is d.sigma else np.concatenate([state.packed[:-1], sigma[None]])
 
     def advect(A, B):
         # (A.m . grad) B_s for every slot s, from one grad of B's pack
@@ -77,4 +78,4 @@ def ideal_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
     Advected densities use divergence form so the global mass, concentration
     and total-entropy budgets telescope to zero exactly on the periodic grid.
     """
-    return _tendencies(state, model, dissipative=False)
+    return FunctionalGradient(packed=_tendencies(state.derived(model), dissipative=False))

@@ -4,6 +4,9 @@ The semidiscrete system is advanced with the classical four-stage
 Runge-Kutta method.  Every stage state is validated for admissibility
 (finite fields, positive density, positive derived temperature and
 pressure); a failed stage raises IntegrationError carrying the step index.
+A stage is a pack, not a State: the passes of functionals (thermo, with
+the checks, and kernel) and the tendency kernel run on its fields, and
+only the state a step returns is built as a State.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InadmissibleStateError, IntegrationError
-from .functionals import (FunctionalGradient, ModelConfig, State, entropy,
-                          hamiltonian)
+from .functionals import (FunctionalGradient, ModelConfig, State, _Fields, _kernel,
+                          _thermo, entropy, hamiltonian)
 from .metriplectic import _tendencies, entropy_production_rate
 from .thermo import _frozen, lambda_f
 
@@ -25,13 +28,7 @@ _TWO, _SIXTH = _frozen(2.0), _frozen(1.0 / 6.0)
 
 def total_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
     """Ideal plus dissipative tendencies, in one pass of the shared kernel."""
-    return _tendencies(state, model)
-
-
-def _advance(state: State, rhs: np.ndarray, dt) -> State:
-    """The state whose pack is state.packed + dt * rhs, rhs a pack and dt a
-    float or, faster, a 0-d array."""
-    return State(state.grid, packed=state.packed + dt * rhs)
+    return FunctionalGradient(packed=_tendencies(state.derived(model)))
 
 
 def _eigenvalue_bound(coef) -> float:
@@ -50,8 +47,9 @@ def stability_limit(state: State, model: ModelConfig) -> float:
     A matrix or field coefficient counts with a bound on its largest
     eigenvalue.  The classical four-stage Runge-Kutta method is stable out
     to about 2.79 on the negative real axis and 2.83 on the imaginary axis;
-    2.5 is used throughout as a margin.
+    2.5 is used throughout as a margin.  The state is validated first.
     """
+    state.validate(model)
     g = state.grid
     h = min(g.h)
     dim = g.dim
@@ -59,7 +57,7 @@ def stability_limit(state: State, model: ModelConfig) -> float:
     pt = d.eos
     rho_min = float(state.rho.min())
     cs2 = model.eos.gamma_ad * np.asarray(pt.p) / state.rho
-    vmax = float(np.abs(state.v).max() + np.sqrt(cs2.max()))
+    vmax = float(np.abs(d.v).max() + np.sqrt(cs2.max()))
     limit = 2.5 * h / (dim * max(vmax, 1e-300))
     tr = model.transport
     if tr is not None:
@@ -79,28 +77,33 @@ def stability_limit(state: State, model: ModelConfig) -> float:
 
 def step_rk4(state: State, model: ModelConfig, dt: float,
              step_index: int = 0) -> State:
-    """One classical RK4 step on whole packs; validates every stage state."""
-
-    def guard(st: State, tag: str) -> State:
-        try:
-            st.validate(model)
-        except InadmissibleStateError as exc:
-            raise IntegrationError(
-                f"inadmissible state at {tag}: {exc}", step=step_index) from exc
-        return st
-
+    """One classical RK4 step on whole packs; validates every stage state.
+    k1 is total_rhs of the state.  Stages 2-4 are packs, each run through
+    the thermo pass (validate's checks), the kernel pass and the tendency
+    kernel on its own fields; the step's end goes through the thermo pass
+    as the State returned, whose Derived keeps its fields for the next k1."""
+    grid, packed = state.grid, state.packed
     half, full = np.array(0.5 * dt, dtype=float), np.array(dt, dtype=float)
-    k1 = total_rhs(state, model).packed
-    k2 = total_rhs(guard(_advance(state, k1, half), "stage 2"), model).packed
-    k3 = total_rhs(guard(_advance(state, k2, half), "stage 3"), model).packed
-    k4 = total_rhs(guard(_advance(state, k3, full), "stage 4"), model).packed
-    # (k1 + 2 k2 + 2 k3 + k4) / 6 in place, in packs no one else holds:
-    # the same operations in the same order, so the same bits
-    k1 += np.multiply(k2, _TWO, out=k2)
-    k1 += np.multiply(k3, _TWO, out=k3)
-    k1 += k4
-    k1 *= _SIXTH
-    return guard(_advance(state, k1, full), "step end")
+    ks = [total_rhs(state, model).packed]
+    try:
+        for tag, h in (("stage 2", half), ("stage 3", half), ("stage 4", full)):
+            f = _Fields(grid=grid, packed=packed + h * ks[-1], model=model)
+            _thermo(f)
+            _kernel(f)
+            ks.append(_tendencies(f))
+            del f  # freed before the next pack: held, it would raise the step's peak
+        # (k1 + 2 k2 + 2 k3 + k4) / 6 in place, in packs no one else holds:
+        # the same operations in the same order, so the same bits
+        k1, k2, k3, k4 = ks
+        k1 += np.multiply(k2, _TWO, out=k2)
+        k1 += np.multiply(k3, _TWO, out=k3)
+        k1 += k4
+        k1 *= _SIXTH
+        tag, end = "step end", State(grid, packed=packed + full * k1)
+        _thermo(end.derived(model))
+    except InadmissibleStateError as exc:
+        raise IntegrationError(f"inadmissible state at {tag}: {exc}", step=step_index) from exc
+    return end
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,9 @@ class Diagnostics:
 
 def diagnostics(state: State, model: ModelConfig, t: float = 0.0) -> Diagnostics:
     g = state.grid
+    if state.rho.ndim != g.dim:
+        raise ValueError(f"diagnostics takes one state, not a member batch: "
+                         f"pack shape {state.packed.shape}")
     mom = tuple(float(g.integrate(state.m[i])) for i in range(g.dim))
     pt = state.derived(model).eos
     _, prod = entropy_production_rate(state, model)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -80,8 +81,8 @@ _HALF, _MINUS_HALF = _frozen(0.5), _frozen(-0.5)
 
 class _fill:
     """A field set at its first read by the named method of its object, which
-    may set others beside it, each with object.__setattr__ (frozen dataclasses
-    allow it).  It has no __set__, so the value kept shadows it.  Unlike
+    may set others beside it (with object.__setattr__ on a frozen
+    dataclass).  It has no __set__, so the value kept shadows it.  Unlike
     functools.cached_property it takes no lock (Python 3.11 takes an RLock
     on every first access), and one method fills a group of fields."""
 
@@ -168,7 +169,7 @@ class State(_Pack):
         setattr_(self, "c", q[dim + 1])
         setattr_(self, "s", q[dim + 2])
 
-    v, c, s = _fill("_per_mass"), _fill("_per_mass"), _fill("_per_mass")
+    v, c, s = (_fill("_per_mass") for _ in range(3))
 
     def derived(self, model: ModelConfig) -> "Derived":
         """The Derived fields of this state under model.  One is kept, for
@@ -176,31 +177,17 @@ class State(_Pack):
         object always gets fresh fields."""
         d = self.__dict__.get("_derived")
         if d is None or d.model is not model:
-            d = self.__dict__["_derived"] = Derived(self, model)
+            d = self.__dict__["_derived"] = Derived(
+                grid=self.grid, packed=self.packed, model=model, state=weakref.ref(self))
         return d
 
     def validate(self, model: ModelConfig) -> None:
-        """Admissibility: finite fields, rho > 0 (checked by Derived.stack),
-        derived T and p finite and > 0."""
-        packed = self.packed
-        if not packed.size:
-            raise ValueError(f"an empty batch, pack shape {packed.shape}, has no state")
-        # the sum of the pack is finite only if every entry is (inf and NaN
-        # absorb a sum); only then, or if finite entries overflow it, does
-        # the check look at each field to name the one that failed
-        if not math.isfinite(np.add.reduce(packed, axis=None)):
-            for name in ("m", "rho", "ctilde", "sigma"):
-                if not np.isfinite(getattr(self, name)).all():
-                    raise InadmissibleStateError(f"non-finite entries in {name}")
-        # one min and one max over T and p side by side, then each alone to
-        # name the one that failed (min is NaN if any entry is; NaN > 0 is false)
-        Tp = self.derived(model).stack[self.grid.dim + 2:]
-        if not (np.minimum.reduce(Tp, axis=None) > 0
-                and np.maximum.reduce(Tp, axis=None) < np.inf):
-            eos = self.derived(model).eos
-            for name, x in (("temperature", eos.T), ("pressure", eos.p)):
-                if not (x.min() > 0 and x.max() < np.inf):
-                    raise InadmissibleStateError(f"derived {name} must be finite and positive")
+        """Admissibility: not an empty batch, then the thermo pass's checks
+        (run once per state and model): finite fields, rho > 0, derived T
+        and p finite and > 0."""
+        if not self.packed.size:
+            raise _empty_batch(self.packed)
+        self.derived(model).eos  # the thermo pass raises if the state fails
 
     def replace(self, **kw) -> "State":
         """A new state, in a new pack, with the given fields replaced."""
@@ -258,89 +245,113 @@ def _align_batch(*grads: FunctionalGradient, state: State | None = None) -> list
             else FunctionalGradient(packed=_lift(X.packed, state)) for X in grads]
 
 
-class Derived:
-    """The derived fields of one state under one model, each filled at its
-    first read and kept, as states are never mutated.  Two passes fill most
-    of them, each in one straight run:
+def _empty_batch(packed: np.ndarray) -> ValueError:
+    """The error for a pack of no state, an empty member batch."""
+    return ValueError(f"an empty batch, pack shape {packed.shape}, has no state")
 
-    - the thermo pass, which validate runs: ``eos`` (the EOS point) and
-      ``stack`` (v, H_rho, mu_Gamma, T, p), after one rho check;
-    - the kernel pass, which the tendency kernel runs: ``mu_gamma``,
-      ``h_hat`` (the gradient of H that the brackets pair with) and
-      ``grads`` (its grad).
 
-    A bracket or a diagnostic reads these alone: ``gamma_xi`` (grad c,
-    Gamma, xi), ``weight`` (rho^a), ``sigma_total`` and the transport
-    coefficients ``kappa`` and ``dcoef``, a callable one called once.  The
-    state holds its Derived (``State.derived``), so this holds the state by
-    a weak reference: a strong one would make a cycle only the collector
-    frees."""
+def _thermo(f) -> None:
+    """The thermo pass on the pack f.packed under f.model, with validate's
+    checks and messages (but the empty batch's, so that an empty batch has
+    fields): every entry finite, rho > 0 (NaN fails) before the pack is
+    divided by it, then eos, with p and T computed straight into the stack
+    (v, H_rho, mu_Gamma, T, p), and T and p finite and > 0.  It sets rho and
+    sigma (the pack's rows), v and c (rows of the pack over rho), eos and
+    stack."""
+    packed, dim = f.packed, f.grid.dim
+    # the sum of the pack is finite only if every entry is (inf and NaN
+    # absorb a sum); only then, or if finite entries overflow it, does the
+    # check look at each field to name the one that failed
+    if not math.isfinite(np.add.reduce(packed, axis=None)):
+        for name, x in zip(("m", "rho", "ctilde", "sigma"),
+                           (packed[:dim], packed[dim], packed[dim + 1], packed[dim + 2])):
+            if not np.isfinite(x).all():
+                raise InadmissibleStateError(f"non-finite entries in {name}")
+    rho = f.rho = packed[dim]
+    if not np.minimum.reduce(rho, axis=None, initial=np.inf) > 0:
+        raise InadmissibleStateError("rho must be positive everywhere")
+    q = packed / rho
+    f.sigma, f.v, f.c = packed[dim + 2], q[:dim], q[dim + 1]
+    stack = f.stack = np.empty((dim + 4,) + rho.shape)
+    eos = f.eos = _eos(rho, q[dim + 2], f.c, f.model.eos, stack[dim + 3], stack[dim + 2])
+    stack[:dim] = f.v
+    # one min and one max over T and p side by side, then each alone to name
+    # the one that failed (min is NaN if any entry is; NaN > 0 is false)
+    Tp = stack[dim + 2:]
+    if not (np.minimum.reduce(Tp, axis=None, initial=np.inf) > 0
+            and np.maximum.reduce(Tp, axis=None, initial=-np.inf) < np.inf):
+        for name, x in (("temperature", eos.T), ("pressure", eos.p)):
+            if not (x.min() > 0 and x.max() < np.inf):
+                raise InadmissibleStateError(f"derived {name} must be finite and positive")
 
-    def __init__(self, state: State, model: ModelConfig):
-        self.model, self._state = model, weakref.ref(state)
 
-    eos, stack = _fill("_thermo"), _fill("_thermo")
-    mu_gamma, h_hat, grads = _fill("_kernel"), _fill("_kernel"), _fill("_kernel")
-    gamma_xi, weight, sigma_total = _fill("_surface"), _fill("_surface"), _fill("_sigma_total")
+def _kernel(f) -> None:
+    """The kernel pass, after the thermo pass; an empty batch is a ValueError.
+    For a diffuse family gamma_xi = (grad c, Gamma, xi), weight = rho^a (the
+    density weight of the surface terms) and sigma_total; for a sharp one
+    gamma_xi = (), weight None and sigma_total sigma.  In their rows of the
+    stack: mu_gamma = mu - div(u) / rho, u = lambda_f(T) rho^a Gamma xi (mu
+    for a sharp family), and H_rho = -|v|^2 / 2 + g - c mu_Gamma, g the Gibbs
+    energy, plus lambda_f Gamma^2 / 2 for a = 1.  h_hat = (v, H_rho,
+    mu_Gamma, T), a view of the stack, is transform_gradients(grad_H) for a
+    diffuse family, to roundoff, and grad_H for a sharp one.  grads = grad
+    h_hat, (dim, dim + 3, *members, *grid.shape) from one grad: [k, s] = d_k
+    of slot s.  kappa and dcoef too, where the model fixes them."""
+    packed, grid, model, eos, stack = f.packed, f.grid, f.model, f.eos, f.stack
+    if not packed.size:
+        raise _empty_batch(packed)
+    dim, rho, mu_gamma = grid.dim, f.rho, stack[grid.dim + 1]
+    if model.is_diffuse:
+        surface, gc = model.surface, grid.grad(f.c)
+        gamma, xi = gamma_eval(gc, model.anisotropy)
+        weight = f.weight = rho if model.a == 1 else rho ** model.a
+        f.gamma_xi = (gc, gamma, xi)
+        f.sigma_total = f.sigma if surface.lambda_s == 0.0 else (
+            f.sigma + _HALF * weight * surface.consts.lambda_s * gamma * gamma)
+        lam = lambda_f(eos.T, surface)
+        np.subtract(eos.mu, grid.div(lam * weight * gamma * xi) / rho, out=mu_gamma)
+    else:
+        f.gamma_xi, f.weight, f.sigma_total = (), None, f.sigma
+        mu_gamma[...] = eos.mu
+    h = np.subtract(_MINUS_HALF * _csum(f.v * f.v) + eos.g, f.c * mu_gamma, out=stack[dim])
+    if model.is_diffuse and model.a == 1:
+        h += _HALF * lam * gamma * gamma
+    f.mu_gamma, f.h_hat = mu_gamma, stack[:dim + 3]
+    f.grads = grid.grad(f.h_hat)
+    tr = model.transport
+    if tr is not None and not (callable(tr.kappa) or callable(tr.dcoef)):
+        f.kappa, f.dcoef = tr.kappa, tr.dcoef
+
+
+class _Fields(SimpleNamespace):
+    """The fields of one pack under one model, made with grid, packed and
+    model: the passes set the rest, in turn _thermo and _kernel.  The
+    stepper runs them on its stage packs, which get no State.  kappa and
+    dcoef, which _kernel sets where the model fixes them, are resolved at
+    their first read otherwise, on state(): a State of the pack."""
+
     kappa, dcoef = _fill("_transport"), _fill("_transport")
 
-    def _thermo(self) -> None:
-        """rho > 0 checked (NaN fails) before the pack is divided by it, then
-        eos, with p and T computed straight into the stack."""
-        st = self._state()
-        rho, dim = st.rho, st.grid.dim
-        if not np.minimum.reduce(rho, axis=None, initial=np.inf) > 0:
-            raise InadmissibleStateError("rho must be positive everywhere")
-        stack = self.stack = np.empty((dim + 4,) + rho.shape)
-        self.eos = _eos(rho, st.s, st.c, self.model.eos, stack[dim + 3], stack[dim + 2])
-        stack[:dim] = st.v
-
-    def _kernel(self) -> None:
-        """In their rows of the stack: mu_gamma = mu - div(u) / rho, u =
-        lambda_f(T) rho^a Gamma xi (mu for a sharp family), and H_rho = -|v|^2
-        / 2 + g - c mu_Gamma, g the Gibbs energy, plus lambda_f Gamma^2 / 2
-        for a = 1.  h_hat = (v, H_rho, mu_Gamma, T), a view of the stack, is
-        transform_gradients(grad_H) for a diffuse family, to roundoff, and
-        grad_H itself for a sharp one.  grads = grad h_hat, (dim, dim + 3,
-        *members, *grid.shape) from one grad: [k, s] = d_k of slot s, so
-        [:, :dim] is grad v[k, l] = d_k v_l."""
-        st = self._state()
-        model, eos, stack, dim = self.model, self.eos, self.stack, st.grid.dim
-        mu_gamma = stack[dim + 1]
-        if model.is_diffuse:
-            _, gamma, xi = self.gamma_xi
-            lam = lambda_f(eos.T, model.surface)
-            np.subtract(eos.mu, st.grid.div(lam * self.weight * gamma * xi) / st.rho,
-                        out=mu_gamma)
-        else:
-            mu_gamma[...] = eos.mu
-        h = np.subtract(_MINUS_HALF * _csum(st.v * st.v) + eos.g, st.c * mu_gamma,
-                        out=stack[dim])
-        if model.is_diffuse and model.a == 1:
-            h += _HALF * lam * gamma * gamma
-        self.mu_gamma, self.h_hat = mu_gamma, stack[:dim + 3]
-        self.grads = st.grid.grad(self.h_hat)
-
-    def _surface(self) -> None:
-        """gamma_xi = (grad c, Gamma, xi) and weight = rho^a, the density
-        weight of the surface terms (rho itself for a = 1)."""
-        st, model = self._state(), self.model
-        gc = st.grid.grad(st.c)
-        self.gamma_xi = (gc,) + gamma_eval(gc, model.anisotropy)
-        self.weight = st.rho if model.a == 1 else st.rho ** model.a
-
-    def _sigma_total(self) -> None:
-        """The total entropy density field (sigma itself for the sharp families)."""
-        st, surface = self._state(), self.model.surface
-        if not (self.model.is_diffuse and surface.lambda_s != 0.0):
-            self.sigma_total = st.sigma
-            return
-        _, gamma, _ = self.gamma_xi
-        self.sigma_total = st.sigma + _HALF * self.weight * surface.consts.lambda_s * gamma * gamma
+    def state(self) -> State:
+        return State(self.grid, packed=self.packed)
 
     def _transport(self) -> None:
-        st, tr = self._state(), self.model.transport
+        tr, st = self.model.transport, self.state()
         self.kappa, self.dcoef = tr.kappa_of(st, self.model), tr.dcoef_of(st, self.model)
+
+
+class Derived(_Fields):
+    """The derived fields of one state under one model (State.derived), each
+    filled at its first read by the pass that sets it and kept, as states are
+    never mutated: rho, sigma, v, c, eos and stack by _thermo, which validate
+    runs, and gamma_xi, weight, sigma_total, mu_gamma, h_hat and grads by
+    _kernel, which the tendency kernel runs.  state is a weak reference to the
+    state, which holds its Derived: a strong one makes a cycle only the
+    collector frees."""
+
+    rho, sigma, v, c, eos, stack = (_fill("_thermo") for _ in range(6))
+    gamma_xi, weight, sigma_total, mu_gamma, h_hat, grads = (_fill("_kernel") for _ in range(6))
+    _thermo, _kernel = _thermo, _kernel
 
 
 def thermo_point(state: State, model: ModelConfig):
@@ -371,10 +382,8 @@ def entropy(state: State, model: ModelConfig) -> float | np.ndarray:
 
 def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
     """Exact discrete functional derivatives of the Hamiltonian."""
-    g = state.grid
-    rho, c, v = state.rho, state.c, state.v
-    d = state.derived(model)
-    pt = d.eos
+    g, d = state.grid, state.derived(model)
+    rho, c, v, pt = d.rho, d.c, d.v, d.eos
     d_rho = -0.5 * _csum(v * v) + pt.g - c * pt.mu
     d_ctilde = pt.mu
     if model.is_diffuse and model.surface.lambda_u != 0.0:
@@ -418,19 +427,20 @@ def _change_variables(Fg: FunctionalGradient, state: State, model: ModelConfig,
                               sigma=Fg.sigma)
 
 
-def _tendency_to_sigma_a(rhs: np.ndarray, state: State, d: Derived) -> None:
+def _tendency_to_sigma_a(rhs: np.ndarray, f) -> None:
     """Turn the total-entropy slot of a diffuse family's tendency pack rhs
-    (laid out as State.packed; d the state's Derived) into the sigma^a one,
-    in place: sigma^a_dot = sigma_dot - d/dt(rho^a lambda_s Gamma^2 / 2) by
-    the chain rule, the transpose of transform_gradients."""
-    surface, dim = d.model.surface, state.grid.dim
+    (laid out as State.packed; f the fields of the pack it is the tendency
+    of) into the sigma^a one, in place: sigma^a_dot = sigma_dot -
+    d/dt(rho^a lambda_s Gamma^2 / 2) by the chain rule, the transpose of
+    transform_gradients."""
+    surface, dim = f.model.surface, f.grid.dim
     if surface.lambda_s == 0.0:
         return
-    _, gamma, xi = d.gamma_xi
+    _, gamma, xi = f.gamma_xi
     rho_dot, sigma_dot = rhs[dim], rhs[dim + 2]
-    c_dot = (rhs[dim + 1] - state.c * rho_dot) / state.rho
-    sigma_dot -= d.weight * surface.consts.lambda_s * gamma * _csum(xi * state.grid.grad(c_dot))
-    if d.model.a == 1:
+    c_dot = (rhs[dim + 1] - f.c * rho_dot) / f.rho
+    sigma_dot -= f.weight * surface.consts.lambda_s * gamma * _csum(xi * f.grid.grad(c_dot))
+    if f.model.a == 1:
         sigma_dot -= surface.consts.half_lambda_s * gamma * gamma * rho_dot
 
 

@@ -16,7 +16,8 @@ components and derivatives are zero.
 
 All tendencies, ideal and dissipative, come from one kernel (_tendencies,
 the divergence of one flux buffer plus momentum's source and the
-production), and each is the tendency its bracket generates from the two
+production, on the fields of one pack: a state's Derived, or an RK4
+stage's own), and each is the tendency its bracket generates from the two
 slot tables: the Poisson bracket's weights (the pack with
 Derived.sigma_total in the sigma slot) and the 4-bracket's (Lambda,
 kappa / T, D), which _coefficients alone applies.  The production
@@ -34,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, UnsupportedFamilyError, require_finite
-from .functionals import (Derived, FunctionalGradient, ModelConfig, State, _align_batch,
+from .functionals import (FunctionalGradient, ModelConfig, State, _align_batch,
                           _tendency_to_sigma_a, grad_H, transform_gradients)
 from .grid import _csum, _trace
 
@@ -46,7 +47,8 @@ class TransportCoefficients:
     kappa and dcoef may be nonnegative scalars (isotropic), constant
     symmetric psd matrices of shape (dim, dim), or callables
     (state, model) -> tensor field of shape (dim, dim, *members, *grid.shape),
-    called once per state by Derived.kappa and Derived.dcoef.
+    called once per state (or RK4 stage, on a State of its pack) at the first
+    read of its kappa or dcoef field.
     """
 
     eta: float = 0.0
@@ -119,12 +121,13 @@ def _pair_sum(x: np.ndarray) -> np.ndarray:
     return _csum(x.reshape((-1,) + x.shape[2:]))
 
 
-def _coefficients(d: Derived, m, sigma, ctilde) -> tuple:
+def _coefficients(f, m, sigma, ctilde) -> tuple:
     """The slot table (Lambda, kappa, D) applied to one (m, sigma, ctilde)
-    triple of slot gradients: (Lambda m, kappa sigma, D ctilde)."""
-    tr = d.model.transport
-    return (_stress(m, tr.eta, tr.zeta), _apply_tensor(d.kappa, sigma),
-            _apply_tensor(d.dcoef, ctilde))
+    triple of slot gradients, f the fields of the state (a Derived) or the
+    stage: (Lambda m, kappa sigma, D ctilde)."""
+    tr = f.model.transport
+    return (_stress(m, tr.eta, tr.zeta), _apply_tensor(f.kappa, sigma),
+            _apply_tensor(f.dcoef, ctilde))
 
 
 def _pairing(x, y, T) -> np.ndarray:
@@ -169,57 +172,61 @@ def metriplectic_2bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     return kn_4bracket(Fg, Hg, Gg, Hg, state, model)
 
 
-def _dissipative_fluxes(d: Derived) -> tuple:
-    """The kernel's pair: the gradients of H = Derived.h_hat in the slots
-    (m, sigma, ctilde), (grad v, grad T, grad mu_Gamma), and their fluxes
-    (Lambda grad v, kappa grad T, D grad mu_Gamma), each formed once."""
-    grads, dim = d.grads, len(d.grads)
+def _dissipative_fluxes(f) -> tuple:
+    """The kernel's pair, f the fields of the state: the gradients of H =
+    h_hat in the slots (m, sigma, ctilde), (grad v, grad T, grad mu_Gamma),
+    and their fluxes (Lambda grad v, kappa grad T, D grad mu_Gamma), each
+    formed once; _tendencies forms the same pair inline, a call less a stage."""
+    grads, dim = f.grads, len(f.grads)
     x = (grads[:, :dim], grads[:, dim + 2], grads[:, dim + 1])
-    return x, _coefficients(d, *x)
+    return x, _coefficients(f, *x)
 
 
-def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
-                dissipative: bool = True) -> FunctionalGradient:
-    """Tendencies of (m, rho, ctilde, sigma): the ideal (bracket) part, the
-    dissipative part or their sum, all from this one code path, as views of
+def _tendencies(f, ideal: bool = True, dissipative: bool = True) -> np.ndarray:
+    """Tendencies of (m, rho, ctilde, sigma) of the pack f.packed, f its
+    fields (functionals._Fields, a Derived for a state): the ideal (bracket)
+    part, the dissipative part or their sum, all from this one code path, in
     one pack laid out as State.packed: the divergence of one flux buffer of
-    negated fluxes, in the pack's slots, plus momentum's source
-    -sum_s w_s grad H_s if ideal, H = Derived.h_hat.  The fluxes are -w_s v
-    in every slot s if ideal, w the Poisson slot table (the pack, with
-    Derived.sigma_total in the sigma slot), plus C_X grad H_X for X = m,
-    ctilde, sigma if dissipative (_dissipative_fluxes, the sigma slot's
-    over T), whose _pairing with the gradients, the production, adds to
-    sigma.  Each is the tendency its bracket generates, so energy is
-    conserved exactly; the mass, concentration and total-entropy budgets
-    telescope exactly on the periodic grid, and momentum's only to O(h^2).
-    Each stage takes one Grid.deriv call per axis: grad H, kept on the
-    state's Derived; div of the flux buffer; and for a diffuse family grad c
-    and div(u) in mu_Gamma before them and grad c_dot, for the one pullback
-    of the entropy tendency to sigma^a, after them.
+    negated fluxes, in the pack's slots, plus momentum's source -sum_s w_s
+    grad H_s if ideal, H = h_hat.  The fluxes are -w_s v in every slot s if
+    ideal, w the Poisson slot table (the pack, with sigma_total in the sigma
+    slot), plus C_X grad H_X for X = m, ctilde, sigma if dissipative (as
+    _dissipative_fluxes forms them, the sigma slot's over T), whose _pairing
+    with the gradients, the production, adds to sigma.  Each is the tendency
+    its bracket generates, so energy is conserved exactly; the mass,
+    concentration and total-entropy budgets telescope exactly on the
+    periodic grid, and momentum's only to O(h^2).  Each stage takes one
+    Grid.deriv call per axis: grad H in the kernel pass; div of the flux
+    buffer; and for a diffuse family grad c and div(u) in mu_Gamma before
+    them and grad c_dot, for the one pullback of the entropy tendency to
+    sigma^a, after them.
     """
-    dissipative = dissipative and model.is_dissipative
+    packed, dim = f.packed, f.grid.dim
+    dissipative = dissipative and f.model.is_dissipative
     if not (ideal or dissipative):
-        return FunctionalGradient(packed=np.zeros(state.packed.shape))
-    d, dim, packed = state.derived(model), state.grid.dim, state.packed
+        return np.zeros(packed.shape)
     if ideal:
-        negv = np.negative(state.v)
+        negv = np.negative(f.v)
         flux = packed * negv[:, None]
-        if d.sigma_total is not state.sigma:
-            np.multiply(d.sigma_total, negv, out=flux[:, -1])
+        if f.sigma_total is not f.sigma:
+            np.multiply(f.sigma_total, negv, out=flux[:, -1])
     else:
         flux = np.zeros((dim,) + packed.shape)
     if dissipative:
-        gradients, (stress, heat, diffusion) = _dissipative_fluxes(d)
+        grads = f.grads
+        gradients = (grads[:, :dim], grads[:, dim + 2], grads[:, dim + 1])
+        stress, heat, diffusion = _coefficients(f, *gradients)
+        T = f.eos.T
         flux[:, :dim] += stress
         flux[:, dim + 1] += diffusion
-        flux[:, dim + 2] += heat / d.eos.T
-        production = _pairing(gradients, (stress, heat, diffusion), d.eos.T)
+        flux[:, dim + 2] += heat / T
+        production = _pairing(gradients, (stress, heat, diffusion), T)
         del gradients, stress, heat, diffusion  # freed before the divergence
-    rhs = state.grid.div(flux)
+    rhs = f.grid.div(flux)
     del flux  # not read again: held, it would raise the stage's peak
     if ideal:  # sum_s w_s d_i H_s
-        grads, sigma = d.grads, d.sigma_total
-        if sigma is state.sigma:
+        grads, sigma = f.grads, f.sigma_total
+        if sigma is f.sigma:
             rhs[:dim] -= np.einsum("s...,is...->i...", packed, grads)
         else:  # the slots but sigma, then sigma_total's term: the sum's order
             source = np.einsum("s...,is...->i...", packed[:-1], grads[:, :-1])
@@ -227,9 +234,9 @@ def _tendencies(state: State, model: ModelConfig, ideal: bool = True,
             rhs[:dim] -= source
     if dissipative:
         rhs[-1] += production
-    if model.is_diffuse:
-        _tendency_to_sigma_a(rhs, state, d)
-    return FunctionalGradient(packed=rhs)
+    if f.model.is_diffuse:
+        _tendency_to_sigma_a(rhs, f)
+    return rhs
 
 
 def dissipative_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
@@ -239,7 +246,7 @@ def dissipative_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
     tendency carries the heat-flux divergence plus the production, pulled
     back to the evolved sigma^a field for the diffuse families.
     """
-    return _tendencies(state, model, ideal=False)
+    return FunctionalGradient(packed=_tendencies(state.derived(model), ideal=False))
 
 
 def entropy_production_rate(state: State, model: ModelConfig) -> tuple[np.ndarray, float]:

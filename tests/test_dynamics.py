@@ -1,5 +1,6 @@
 """Time integration: RK4 order, admissibility guards, diagnostics."""
 
+import re
 import warnings
 
 import numpy as np
@@ -251,3 +252,24 @@ def test_entropy_production_column_positive_for_dissipative_run():
     state = smooth_state(GRID, GNS, seed=8)
     d = diagnostics(state, GNS)
     assert d.entropy_production > 0.0
+
+
+def test_diagnostics_of_a_member_batch_raise_naming_its_shape():
+    batch = smooth_state(GRID, GNS, seed=np.array([3, 4]))
+    with pytest.raises(ValueError, match=re.escape("pack shape (4, 2, 32)")):
+        diagnostics(batch, GNS)
+
+
+@pytest.mark.parametrize("scenario", ["heat_relax", "spinodal1d"], ids=["GNS", "CHNS1"])
+@pytest.mark.parametrize("call", [
+    lambda st, model: step_rk4(st, model, 1e-4),
+    lambda st, model: stability_limit(st, model),
+    lambda st, model: integrate(st, model, 1e-4, 2),
+], ids=["step_rk4", "stability_limit", "integrate"])
+def test_an_empty_batch_fails_as_validate_fails_it(call, scenario):
+    # validate's error, not numpy's from deep inside the kernel or a reduction
+    model = make_scenario(scenario, seed=0).model
+    shape = (model.grid.dim + 3, 0) + model.grid.shape
+    with pytest.raises(ValueError, match=re.escape(
+            f"an empty batch, pack shape {shape}, has no state")):
+        call(State(model.grid, packed=np.ones(shape)), model)

@@ -4,20 +4,23 @@ named fluxes they replaced, which are kept here as the reference.
 """
 
 import dataclasses
+import os
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from metriflow import functionals
+from metriflow import dynamics, functionals
 from metriflow import (AnisotropyFn, Grid, ModelConfig, State,
                        SurfaceCoefficients, TransportCoefficients,
                        dissipative_rhs, gamma_eval, ideal_rhs, smooth_state,
                        stability_limit, step_rk4, total_rhs)
-from metriflow.dynamics import _advance
 from metriflow.functionals import FAMILIES, FunctionalGradient
 from metriflow.grid import _csum, _trace
 from metriflow.metriplectic import _apply_tensor, _pair_sum
 from metriflow.thermo import ThermoPoint, lambda_f
+from metriflow.verification import model_for
 
 DISSIPATIVE = ("GNS", "CHNS0", "CHNS1")
 SLOTS = ("m", "rho", "ctilde", "sigma")
@@ -223,7 +226,7 @@ def test_stage_state_shares_memory_with_its_pack(dim):
     state = smooth_state(model.grid, model, seed=33)
     k = total_rhs(state, model)
     assert np.shares_memory(k.rho, k.packed)
-    stage = _advance(state, k.packed, 1e-4)
+    stage = State(state.grid, packed=state.packed + 1e-4 * k.packed)
     assert np.array_equal(stage.packed, state.packed + 1e-4 * k.packed)
     for i, slot in enumerate(SLOTS[1:]):
         assert np.shares_memory(getattr(stage, slot), stage.packed)
@@ -303,30 +306,71 @@ def _arrays_held(d):
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1D", "2D-fourfold"])
 def test_a_step_runs_each_pass_once_per_stage_state(monkeypatch, dim):
-    # chained steps: the EOS kernel runs once per validated state (stages 2-4
-    # and the step's end: 4 a step), the tendency kernel's pass once per
-    # stage state, and no Derived keeps a (dim + 3)-slot copy of its pack
+    # chained steps: the EOS kernel runs once per validated pack (stages 2-4
+    # and the step's end: 4 a step), the kernel pass once per stage (k1's
+    # through the state's Derived, the others on the stage's own fields);
+    # only the state returned is a State and only k1 a FunctionalGradient,
+    # and its Derived keeps no (dim + 3)-slot copy of its pack
     model = _model("CHNS1", dim)
     state = step_rk4(smooth_state(model.grid, model, seed=37), model, 1e-4)
-    plain_eos, plain_kernel = functionals._eos, functionals.Derived._kernel
-    eos_calls, passes = [], []
+    plain_eos, plain_kernel = functionals._eos, functionals._kernel
+    plain_init = functionals._Pack.__init__
+    eos_calls, passes, built = [], [], Counter()
 
     def eos(*args):
         eos_calls.append(1)
         return plain_eos(*args)
 
-    def kernel(d):
-        passes.append((d, d._state()))  # holds each stage state alive, so ids differ
-        return plain_kernel(d)
+    def kernel(f):
+        passes.append((f, f.packed))  # holds each stage pack alive, so ids differ
+        return plain_kernel(f)
+
+    def init(self, *args, **kwargs):
+        built[type(self).__name__] += 1
+        plain_init(self, *args, **kwargs)
 
     monkeypatch.setattr(functionals, "_eos", eos)
     monkeypatch.setattr(functionals.Derived, "_kernel", kernel)
+    monkeypatch.setattr(dynamics, "_kernel", kernel)
+    monkeypatch.setattr(functionals._Pack, "__init__", init)
     steps = 3
     for _ in range(steps):
         state = step_rk4(state, model, 1e-4)
     assert len(eos_calls) == 4 * steps
-    assert len(passes) == 4 * steps and len({id(st) for _, st in passes}) == 4 * steps
-    for d, st in passes:
+    assert len(passes) == 4 * steps and len({id(p) for _, p in passes}) == 4 * steps
+    assert built == {"State": steps, "FunctionalGradient": steps}
+    derived = [f for f, _ in passes if isinstance(f, functionals.Derived)]
+    assert len(derived) == steps
+    for d in derived:
         copies = [x.shape for x in _arrays_held(d)
-                  if x.shape == st.packed.shape and x.base is None]
+                  if x.shape == d.packed.shape and x.base is None and x is not d.packed]
         assert copies == []
+
+
+# Python frames of the package per RK4 stage: what is left of a stage's
+# object scaffolding once the stages run on packs (the object stage took
+# 27.25 and 55.25)
+FRAME_BUDGET = {"GE": 12, "CHNS1": 32}
+
+
+@pytest.mark.parametrize("family", sorted(FRAME_BUDGET))
+def test_a_stage_stays_within_its_frame_budget(family):
+    grid = Grid(dim=1, n=(64,), length=(1.0,))
+    model = model_for(family, grid)
+    # a first step makes the grid's slice plans and the models' constants
+    state = step_rk4(smooth_state(grid, model, seed=12), model, 1e-4)
+    src = os.path.dirname(functionals.__file__) + os.sep
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(src):
+            calls[frame.f_code.co_name] += 1
+
+    steps = 10
+    sys.setprofile(profile)
+    try:
+        for _ in range(steps):
+            state = step_rk4(state, model, 1e-4)
+    finally:
+        sys.setprofile(None)
+    assert sum(calls.values()) / (4 * steps) <= FRAME_BUDGET[family], calls
