@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InadmissibleStateError, IntegrationError
-from .functionals import (FunctionalGradient, ModelConfig, State, _Fields, _kernel,
+from .functionals import (Derived, FunctionalGradient, ModelConfig, State, _kernel,
                           _thermo, entropy, hamiltonian)
 from .metriplectic import _tendencies, entropy_production_rate
 from .thermo import _frozen, lambda_f
@@ -87,7 +87,7 @@ def step_rk4(state: State, model: ModelConfig, dt: float,
     ks = [total_rhs(state, model).packed]
     try:
         for tag, h in (("stage 2", half), ("stage 3", half), ("stage 4", full)):
-            f = _Fields(grid=grid, packed=packed + h * ks[-1], model=model)
+            f = Derived(grid=grid, packed=packed + h * ks[-1], model=model)
             _thermo(f)
             _kernel(f)
             ks.append(_tendencies(f))

@@ -169,7 +169,7 @@ class State(_Pack):
         setattr_(self, "c", q[dim + 1])
         setattr_(self, "s", q[dim + 2])
 
-    v, c, s = (_fill("_per_mass") for _ in range(3))
+    v, c, s = _fill("_per_mass"), _fill("_per_mass"), _fill("_per_mass")
 
     def derived(self, model: ModelConfig) -> "Derived":
         """The Derived fields of this state under model.  One is kept, for
@@ -178,7 +178,7 @@ class State(_Pack):
         d = self.__dict__.get("_derived")
         if d is None or d.model is not model:
             d = self.__dict__["_derived"] = Derived(
-                grid=self.grid, packed=self.packed, model=model, state=weakref.ref(self))
+                grid=self.grid, packed=self.packed, model=model, owner=weakref.ref(self))
         return d
 
     def validate(self, model: ModelConfig) -> None:
@@ -255,9 +255,9 @@ def _thermo(f) -> None:
     checks and messages (but the empty batch's, so that an empty batch has
     fields): every entry finite, rho > 0 (NaN fails) before the pack is
     divided by it, then eos, with p and T computed straight into the stack
-    (v, H_rho, mu_Gamma, T, p), and T and p finite and > 0.  It sets rho and
-    sigma (the pack's rows), v and c (rows of the pack over rho), eos and
-    stack."""
+    (v, H_rho, mu_Gamma, T, p), and T and p finite and > 0.  Only then does
+    it set rho and sigma (the pack's rows), v and c (rows of the pack over
+    rho), eos and stack: a state that fails keeps none, so it fails again."""
     packed, dim = f.packed, f.grid.dim
     # the sum of the pack is finite only if every entry is (inf and NaN
     # absorb a sum); only then, or if finite entries overflow it, does the
@@ -267,14 +267,13 @@ def _thermo(f) -> None:
                            (packed[:dim], packed[dim], packed[dim + 1], packed[dim + 2])):
             if not np.isfinite(x).all():
                 raise InadmissibleStateError(f"non-finite entries in {name}")
-    rho = f.rho = packed[dim]
+    rho = packed[dim]
     if not np.minimum.reduce(rho, axis=None, initial=np.inf) > 0:
         raise InadmissibleStateError("rho must be positive everywhere")
     q = packed / rho
-    f.sigma, f.v, f.c = packed[dim + 2], q[:dim], q[dim + 1]
-    stack = f.stack = np.empty((dim + 4,) + rho.shape)
-    eos = f.eos = _eos(rho, q[dim + 2], f.c, f.model.eos, stack[dim + 3], stack[dim + 2])
-    stack[:dim] = f.v
+    v, c, stack = q[:dim], q[dim + 1], np.empty((dim + 4,) + rho.shape)
+    eos = _eos(rho, q[dim + 2], c, f.model.eos, stack[dim + 3], stack[dim + 2])
+    stack[:dim] = v
     # one min and one max over T and p side by side, then each alone to name
     # the one that failed (min is NaN if any entry is; NaN > 0 is false)
     Tp = stack[dim + 2:]
@@ -283,6 +282,7 @@ def _thermo(f) -> None:
         for name, x in (("temperature", eos.T), ("pressure", eos.p)):
             if not (x.min() > 0 and x.max() < np.inf):
                 raise InadmissibleStateError(f"derived {name} must be finite and positive")
+    f.rho, f.sigma, f.v, f.c, f.eos, f.stack = rho, packed[dim + 2], v, c, eos, stack
 
 
 def _kernel(f) -> None:
@@ -323,35 +323,33 @@ def _kernel(f) -> None:
         f.kappa, f.dcoef = tr.kappa, tr.dcoef
 
 
-class _Fields(SimpleNamespace):
-    """The fields of one pack under one model, made with grid, packed and
-    model: the passes set the rest, in turn _thermo and _kernel.  The
-    stepper runs them on its stage packs, which get no State.  kappa and
-    dcoef, which _kernel sets where the model fixes them, are resolved at
-    their first read otherwise, on state(): a State of the pack."""
+class Derived(SimpleNamespace):
+    """The derived fields of one pack under one model, made with grid, packed
+    and model, for a state (State.derived) or for an RK4 stage's pack, which
+    gets no State.  The passes set the rest: rho, sigma, v, c, eos and stack
+    by _thermo, which validate runs, and gamma_xi, weight, sigma_total,
+    mu_gamma, h_hat and grads by _kernel, which the tendency kernel runs.  A
+    stage calls them in turn; for a state each field is filled at its first
+    read by the pass that sets it, and kept, as states are never mutated.
+    kappa and dcoef, which _kernel sets where the model fixes them, are
+    resolved at their first read otherwise, on state().  owner is a weak
+    reference to the state that holds these fields, if one does: a strong
+    one makes a cycle only the collector frees."""
 
+    rho, sigma, v, c, eos, stack = (_fill("_thermo") for _ in range(6))
+    gamma_xi, weight, sigma_total, mu_gamma, h_hat, grads = (_fill("_kernel") for _ in range(6))
     kappa, dcoef = _fill("_transport"), _fill("_transport")
+    _thermo, _kernel = _thermo, _kernel  # the passes, as methods for _fill
+    owner = None
 
     def state(self) -> State:
-        return State(self.grid, packed=self.packed)
+        """The state of these fields: its owner, or a State of the pack."""
+        st = self.owner and self.owner()
+        return State(self.grid, packed=self.packed) if st is None else st
 
     def _transport(self) -> None:
         tr, st = self.model.transport, self.state()
         self.kappa, self.dcoef = tr.kappa_of(st, self.model), tr.dcoef_of(st, self.model)
-
-
-class Derived(_Fields):
-    """The derived fields of one state under one model (State.derived), each
-    filled at its first read by the pass that sets it and kept, as states are
-    never mutated: rho, sigma, v, c, eos and stack by _thermo, which validate
-    runs, and gamma_xi, weight, sigma_total, mu_gamma, h_hat and grads by
-    _kernel, which the tendency kernel runs.  state is a weak reference to the
-    state, which holds its Derived: a strong one makes a cycle only the
-    collector frees."""
-
-    rho, sigma, v, c, eos, stack = (_fill("_thermo") for _ in range(6))
-    gamma_xi, weight, sigma_total, mu_gamma, h_hat, grads = (_fill("_kernel") for _ in range(6))
-    _thermo, _kernel = _thermo, _kernel
 
 
 def thermo_point(state: State, model: ModelConfig):

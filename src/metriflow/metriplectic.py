@@ -176,7 +176,7 @@ def _dissipative_fluxes(f) -> tuple:
     """The kernel's pair, f the fields of the state: the gradients of H =
     h_hat in the slots (m, sigma, ctilde), (grad v, grad T, grad mu_Gamma),
     and their fluxes (Lambda grad v, kappa grad T, D grad mu_Gamma), each
-    formed once; _tendencies forms the same pair inline, a call less a stage."""
+    formed once, for _tendencies and the checks that read it."""
     grads, dim = f.grads, len(f.grads)
     x = (grads[:, :dim], grads[:, dim + 2], grads[:, dim + 1])
     return x, _coefficients(f, *x)
@@ -184,7 +184,7 @@ def _dissipative_fluxes(f) -> tuple:
 
 def _tendencies(f, ideal: bool = True, dissipative: bool = True) -> np.ndarray:
     """Tendencies of (m, rho, ctilde, sigma) of the pack f.packed, f its
-    fields (functionals._Fields, a Derived for a state): the ideal (bracket)
+    fields (a functionals.Derived): the ideal (bracket)
     part, the dissipative part or their sum, all from this one code path, in
     one pack laid out as State.packed: the divergence of one flux buffer of
     negated fluxes, in the pack's slots, plus momentum's source -sum_s w_s
@@ -213,9 +213,7 @@ def _tendencies(f, ideal: bool = True, dissipative: bool = True) -> np.ndarray:
     else:
         flux = np.zeros((dim,) + packed.shape)
     if dissipative:
-        grads = f.grads
-        gradients = (grads[:, :dim], grads[:, dim + 2], grads[:, dim + 1])
-        stress, heat, diffusion = _coefficients(f, *gradients)
+        gradients, (stress, heat, diffusion) = _dissipative_fluxes(f)
         T = f.eos.T
         flux[:, :dim] += stress
         flux[:, dim + 1] += diffusion

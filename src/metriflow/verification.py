@@ -220,9 +220,9 @@ def _onsager_cells(state: State, model: ModelConfig):
     d = state.derived(model)
     T, mu = np.asarray(d.eos.T), d.mu_gamma
     (gradv, gradT, grad_mu), (stress, heat, diffusion) = _dissipative_fluxes(d)
-    K_e = T * (-heat / T) - mu * diffusion - (stress * state.v).sum(axis=1)
+    K_e = T * (-heat / T) - mu * diffusion - (stress * d.v).sum(axis=1)
     K_m, K_e, K_c, T, mu, v3, gT, gv, gmu = (_cells3(x, g) for x in (
-        -stress, K_e, -diffusion, T, mu, state.v, gradT, gradv, grad_mu))
+        -stress, K_e, -diffusion, T, mu, d.v, gradT, gradv, grad_mu))
 
     blocks = _onsager_blocks(T, mu, v3, tr.eta, tr.zeta, _embed3_matrix(d.kappa),
                              _embed3_matrix(d.dcoef))

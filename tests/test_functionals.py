@@ -14,7 +14,7 @@ from metriflow import (AnisotropyFn, EosParams, FunctionalGradient, Grid,
                        SurfaceCoefficients, TransportCoefficients,
                        UnsupportedFamilyError, diagnostics, entropy, eval_eos,
                        generalized_mu, grad_H, grad_S,
-                       hamiltonian, make_scenario, smooth_state, total_rhs)
+                       hamiltonian, integrate, make_scenario, smooth_state, total_rhs)
 from metriflow import functionals
 from metriflow.fields import random_gradient
 from metriflow.functionals import sigma_total, thermo_point
@@ -129,6 +129,28 @@ def test_validate_rejects_an_overflowing_eos(name, members):
     with np.errstate(over="ignore"), pytest.raises(
             InadmissibleStateError, match=f"derived {name} must be finite and positive"):
         bad.validate(model)
+
+
+@pytest.mark.parametrize("members", [False, True])
+@pytest.mark.parametrize("name", ["temperature", "pressure", "rho"])
+def test_an_inadmissible_state_fails_every_check_after_its_first(name, members):
+    # the thermo pass keeps no field of a state that fails it, so the second
+    # validate, thermo_point and integrate fail as the first validate did
+    grid = Grid(dim=1, n=(16,), length=(1.0,))
+    model = make_model("GNS", grid=grid)
+    good = smooth_state(grid, model, seed=2)
+    bad = {"temperature": lambda: good.replace(sigma=800.0 * good.rho),
+           "pressure": lambda: State(grid, packed=1e200 * good.packed),
+           "rho": lambda: good.replace(rho=-good.rho)}[name]()
+    if members:  # one member of three fails
+        bad = State(grid, packed=np.stack([good.packed, bad.packed, good.packed], axis=1))
+    message = ("rho must be positive everywhere" if name == "rho"
+               else f"derived {name} must be finite and positive")
+    with np.errstate(over="ignore"):
+        for check in (bad.validate, bad.validate, lambda model: thermo_point(bad, model),
+                      lambda model: integrate(bad, model, 1e-6, 1)):
+            with pytest.raises(InadmissibleStateError, match=message):
+                check(model)
 
 
 @pytest.mark.parametrize("name, slot", [("temperature", "T"), ("pressure", "p")])
