@@ -184,9 +184,9 @@ def _dissipative_fluxes(f) -> tuple:
 
 def _tendencies(f, ideal: bool = True, dissipative: bool = True) -> np.ndarray:
     """Tendencies of (m, rho, ctilde, sigma) of the pack f.packed, f its
-    fields (a functionals.Derived): the ideal (bracket)
-    part, the dissipative part or their sum, all from this one code path, in
-    one pack laid out as State.packed: the divergence of one flux buffer of
+    fields (a functionals.Derived): the ideal (bracket) part, the
+    dissipative part or their sum, all from this one code path, in one pack
+    laid out as State.packed: the divergence of one flux buffer of
     negated fluxes, in the pack's slots, plus momentum's source -sum_s w_s
     grad H_s if ideal, H = h_hat.  The fluxes are -w_s v in every slot s if
     ideal, w the Poisson slot table (the pack, with sigma_total in the sigma

@@ -379,6 +379,18 @@ def test_state_is_freed_without_the_garbage_collector():
         gc.enable()
 
 
+def test_derived_held_past_its_state_resolves_a_callable_coefficient():
+    # with its state freed, kappa and dcoef are called on a State of the pack
+    kappa = lambda st, model: 0.02 * (1.0 + st.c ** 2)
+    model = dataclasses.replace(make_model("GNS"), transport=dataclasses.replace(TRANSPORT, kappa=kappa))
+    state = smooth_state(GRID1, model, seed=1)
+    expected = kappa(state, model)
+    d = state.derived(model)
+    del state
+    assert d.owner() is None
+    assert np.array_equal(d.kappa, expected) and d.dcoef == TRANSPORT.dcoef
+
+
 @pytest.mark.parametrize("family", ["GNS", "CHNS1"])
 def test_gradients_share_no_memory_with_the_state(family):
     model = make_model(family)
