@@ -15,7 +15,7 @@ from .errors import (ConfigError, InadmissibleStateError, IntegrationError,
                      UnsupportedFamilyError)
 from .fields import random_gradient, smooth_state
 from .functionals import (FAMILIES, FunctionalGradient, ModelConfig, State,
-                          entropy, generalized_mu, grad_H, grad_S, hamiltonian,
+                          entropy, grad_H, grad_S, hamiltonian,
                           sigma_total, transform_gradients, untransform_gradients)
 from .grid import Grid
 from .metriplectic import (OnsagerBlocks, TransportCoefficients,
@@ -37,7 +37,7 @@ __all__ = [
     "UnsupportedFamilyError",
     "random_gradient", "smooth_state",
     "FAMILIES", "FunctionalGradient", "ModelConfig", "State", "entropy",
-    "generalized_mu", "grad_H", "grad_S", "hamiltonian",
+    "grad_H", "grad_S", "hamiltonian",
     "sigma_total", "transform_gradients", "untransform_gradients",
     "Grid",
     "OnsagerBlocks", "TransportCoefficients", "dissipative_rhs",

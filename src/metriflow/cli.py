@@ -43,7 +43,7 @@ import numpy as np
 from . import verification
 from .dynamics import Diagnostics, diagnostics, integrate
 from .errors import ConfigError, IntegrationError
-from .functionals import FAMILIES, State, generalized_mu, thermo_point
+from .functionals import FAMILIES, State, thermo_point
 from .scenarios import (SCENARIO_NAMES, SETTING_TYPES, RunConfig, Scenario,
                         make_scenario, parse_setting)
 
@@ -118,7 +118,7 @@ def _write_fields(path: Path, state, model) -> None:
     cols = [*zip("xy", np.broadcast_arrays(*state.grid.coords())),
             ("rho", state.rho), *zip(("mx", "my"), state.m), ("ctilde", state.ctilde),
             ("sigma", state.sigma), ("T", thermo_point(state, model).T),
-            ("mu_gamma", generalized_mu(state, model))]
+            ("mu_gamma", state.derived(model).mu_gamma)]
     rows = zip(*(col.ravel().tolist() for _, col in cols))
     fmt = ",".join(["%.17g"] * len(cols)) + "\n"  # the digits of the diagnostics rows
     with open(path, "w") as fh:

@@ -4,9 +4,9 @@ The semidiscrete system is advanced with the classical four-stage
 Runge-Kutta method.  Every stage state is validated for admissibility
 (finite fields, positive density, positive derived temperature and
 pressure); a failed stage raises IntegrationError carrying the step index.
-A stage is a pack, not a State: the passes of functionals (thermo, with
-the checks, and kernel) and the tendency kernel run on its fields, and
-only the state a step returns is built as a State.
+A stage is a pack, not a State: the fill call of functionals (the thermo
+pass, with the checks, then the kernel pass) and the tendency kernel run on
+its fields, and only the state a step returns is built as a State.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InadmissibleStateError, IntegrationError
-from .functionals import (Derived, FunctionalGradient, ModelConfig, State, _kernel,
-                          _thermo, entropy, hamiltonian)
+from .functionals import (Derived, FunctionalGradient, ModelConfig, State, _thermo,
+                          entropy, hamiltonian)
 from .metriplectic import _tendencies, entropy_production_rate
 from .thermo import _frozen, lambda_f
 
@@ -50,13 +50,10 @@ def stability_limit(state: State, model: ModelConfig) -> float:
     2.5 is used throughout as a margin.  The state is validated first.
     """
     state.validate(model)
-    g = state.grid
-    h = min(g.h)
-    dim = g.dim
-    d = state.derived(model)
-    pt = d.eos
-    rho_min = float(state.rho.min())
-    cs2 = model.eos.gamma_ad * np.asarray(pt.p) / state.rho
+    g, d = state.grid, state.derived(model)
+    h, dim, pt = min(g.h), g.dim, d.eos
+    rho_min = float(d.rho.min())
+    cs2 = model.eos.gamma_ad * np.asarray(pt.p) / d.rho
     vmax = float(np.abs(d.v).max() + np.sqrt(cs2.max()))
     limit = 2.5 * h / (dim * max(vmax, 1e-300))
     tr = model.transport
@@ -79,9 +76,9 @@ def step_rk4(state: State, model: ModelConfig, dt: float,
              step_index: int = 0) -> State:
     """One classical RK4 step on whole packs; validates every stage state.
     k1 is total_rhs of the state.  Stages 2-4 are packs, each run through
-    the thermo pass (validate's checks), the kernel pass and the tendency
-    kernel on its own fields; the step's end goes through the thermo pass
-    as the State returned, whose Derived keeps its fields for the next k1."""
+    the fill call (validate's checks, then the kernel pass) and the tendency
+    kernel on its own fields; the step's end is filled as the State
+    returned, whose Derived keeps its fields for the next k1."""
     grid, packed = state.grid, state.packed
     half, full = np.array(0.5 * dt, dtype=float), np.array(dt, dtype=float)
     ks = [total_rhs(state, model).packed]
@@ -89,7 +86,6 @@ def step_rk4(state: State, model: ModelConfig, dt: float,
         for tag, h in (("stage 2", half), ("stage 3", half), ("stage 4", full)):
             f = Derived(grid=grid, packed=packed + h * ks[-1], model=model)
             _thermo(f)
-            _kernel(f)
             ks.append(_tendencies(f))
             del f  # freed before the next pack: held, it would raise the step's peak
         # (k1 + 2 k2 + 2 k3 + k4) / 6 in place, in packs no one else holds:
@@ -100,7 +96,8 @@ def step_rk4(state: State, model: ModelConfig, dt: float,
         k1 += k4
         k1 *= _SIXTH
         tag, end = "step end", State(grid, packed=packed + full * k1)
-        _thermo(end.derived(model))
+        del ks, k1, k2, k3, k4  # freed before the end's kernel pass
+        end.derived(model)
     except InadmissibleStateError as exc:
         raise IntegrationError(f"inadmissible state at {tag}: {exc}", step=step_index) from exc
     return end

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -79,29 +80,11 @@ class ModelConfig:
 _HALF, _MINUS_HALF = _frozen(0.5), _frozen(-0.5)
 
 
-class _fill:
-    """A field set at its first read by the named method of its object, which
-    may set others beside it (with object.__setattr__ on a frozen
-    dataclass).  It has no __set__, so the value kept shadows it.  Unlike
-    functools.cached_property it takes no lock (Python 3.11 takes an RLock
-    on every first access), and one method fills a group of fields."""
-
-    def __init__(self, method: str):
-        self.method = method
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        getattr(obj, self.method)()
-        return getattr(obj, self.name)
-
-
 class _slot:
     """A slot's view of the pack, packed[index], made at its first read and
-    kept as _fill keeps a field: one view, with no method call."""
+    kept: it has no __set__, so the view kept shadows it.  Unlike
+    functools.cached_property it takes no lock (Python 3.11 takes an RLock
+    on every first access)."""
 
     def __init__(self, index):
         self.index = index
@@ -148,9 +131,9 @@ class _Pack:
 @dataclass(frozen=True, init=False, eq=False)
 class State(_Pack):
     """Grid fields (m, rho, ctilde, sigma) in one pack (see _Pack): a pack
-    (dim + 3, *members, *grid.shape) is a batch of states.  v, c and s are
-    views of one division of the pack by rho (its rho row is 1 and unused),
-    made at the first read of any of them and kept."""
+    (dim + 3, *members, *grid.shape) is a batch of states.  v, c and s, the
+    fields per unit mass, are divided out at their first read and kept, for
+    readers without a model."""
 
     grid: Grid
 
@@ -163,31 +146,38 @@ class State(_Pack):
             if shape[0] != grid.dim + 3 or shape[len(shape) - grid.dim:] != grid.shape:
                 raise ValueError(f"fields of pack shape {shape} do not fit the grid {grid.shape}")
 
-    def _per_mass(self) -> None:
-        q, dim, setattr_ = self.packed / self.rho, self.grid.dim, object.__setattr__
-        setattr_(self, "v", q[:dim])
-        setattr_(self, "c", q[dim + 1])
-        setattr_(self, "s", q[dim + 2])
+    @cached_property
+    def v(self) -> np.ndarray:
+        return self.m / self.rho
 
-    v, c, s = _fill("_per_mass"), _fill("_per_mass"), _fill("_per_mass")
+    @cached_property
+    def c(self) -> np.ndarray:
+        return self.ctilde / self.rho
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return self.sigma / self.rho
 
     def derived(self, model: ModelConfig) -> "Derived":
-        """The Derived fields of this state under model.  One is kept, for
-        the last model asked about, compared with ``is``: a fresh model
-        object always gets fresh fields."""
+        """The Derived fields of this state under model, filled by _thermo,
+        which raises if the state fails its checks.  One is kept, for the last
+        model asked about, compared with ``is``: a fresh model object always
+        gets fresh fields.  It is kept only once filled, so a state that
+        fails keeps none and fails again."""
         d = self.__dict__.get("_derived")
         if d is None or d.model is not model:
-            d = self.__dict__["_derived"] = Derived(
-                grid=self.grid, packed=self.packed, model=model, owner=weakref.ref(self))
+            d = Derived(grid=self.grid, packed=self.packed, model=model, owner=weakref.ref(self))
+            _thermo(d)
+            self.__dict__["_derived"] = d
         return d
 
     def validate(self, model: ModelConfig) -> None:
-        """Admissibility: not an empty batch, then the thermo pass's checks
-        (run once per state and model): finite fields, rho > 0, derived T
-        and p finite and > 0."""
+        """Admissibility: not an empty batch, then the checks of the fill
+        (once per state and model): finite fields, rho > 0, derived T and p
+        finite and > 0."""
         if not self.packed.size:
             raise _empty_batch(self.packed)
-        self.derived(model).eos  # the thermo pass raises if the state fails
+        self.derived(model)
 
     def replace(self, **kw) -> "State":
         """A new state, in a new pack, with the given fields replaced."""
@@ -251,13 +241,15 @@ def _empty_batch(packed: np.ndarray) -> ValueError:
 
 
 def _thermo(f) -> None:
-    """The thermo pass on the pack f.packed under f.model, with validate's
-    checks and messages (but the empty batch's, so that an empty batch has
-    fields): every entry finite, rho > 0 (NaN fails) before the pack is
-    divided by it, then eos, with p and T computed straight into the stack
-    (v, H_rho, mu_Gamma, T, p), and T and p finite and > 0.  Only then does
-    it set rho and sigma (the pack's rows), v and c (rows of the pack over
-    rho), eos and stack: a state that fails keeps none, so it fails again."""
+    """The fill call of a Derived f, for a state (State.derived) and for an
+    RK4 stage: the thermo pass on the pack f.packed under f.model, then the
+    kernel pass if the pack is not empty.  The thermo pass makes validate's
+    checks with its messages (but the empty batch's, so that an empty batch
+    has thermo fields): every entry finite, rho > 0 (NaN fails) before the
+    pack is divided by it, then eos, with p and T computed straight into the
+    stack (v, H_rho, mu_Gamma, T, p), and T and p finite and > 0.  Only then
+    does it set rho and sigma (the pack's rows), v and c (rows of the pack
+    over rho), eos and stack."""
     packed, dim = f.packed, f.grid.dim
     # the sum of the pack is finite only if every entry is (inf and NaN
     # absorb a sum); only then, or if finite entries overflow it, does the
@@ -283,10 +275,12 @@ def _thermo(f) -> None:
             if not (x.min() > 0 and x.max() < np.inf):
                 raise InadmissibleStateError(f"derived {name} must be finite and positive")
     f.rho, f.sigma, f.v, f.c, f.eos, f.stack = rho, packed[dim + 2], v, c, eos, stack
+    if packed.size:
+        _kernel(f)
 
 
 def _kernel(f) -> None:
-    """The kernel pass, after the thermo pass; an empty batch is a ValueError.
+    """The kernel pass, at the end of the thermo pass, on a non-empty pack.
     For a diffuse family gamma_xi = (grad c, Gamma, xi), weight = rho^a (the
     density weight of the surface terms) and sigma_total; for a sharp one
     gamma_xi = (), weight None and sigma_total sigma.  In their rows of the
@@ -297,9 +291,7 @@ def _kernel(f) -> None:
     diffuse family, to roundoff, and grad_H for a sharp one.  grads = grad
     h_hat, (dim, dim + 3, *members, *grid.shape) from one grad: [k, s] = d_k
     of slot s.  kappa and dcoef too, where the model fixes them."""
-    packed, grid, model, eos, stack = f.packed, f.grid, f.model, f.eos, f.stack
-    if not packed.size:
-        raise _empty_batch(packed)
+    grid, model, eos, stack = f.grid, f.model, f.eos, f.stack
     dim, rho, mu_gamma = grid.dim, f.rho, stack[grid.dim + 1]
     if model.is_diffuse:
         surface, gc = model.surface, grid.grad(f.c)
@@ -325,21 +317,16 @@ def _kernel(f) -> None:
 
 class Derived(SimpleNamespace):
     """The derived fields of one pack under one model, made with grid, packed
-    and model, for a state (State.derived) or for an RK4 stage's pack, which
-    gets no State.  The passes set the rest: rho, sigma, v, c, eos and stack
-    by _thermo, which validate runs, and gamma_xi, weight, sigma_total,
-    mu_gamma, h_hat and grads by _kernel, which the tendency kernel runs.  A
-    stage calls them in turn; for a state each field is filled at its first
-    read by the pass that sets it, and kept, as states are never mutated.
-    kappa and dcoef, which _kernel sets where the model fixes them, are
-    resolved at their first read otherwise, on state().  owner is a weak
-    reference to the state that holds these fields, if one does: a strong
-    one makes a cycle only the collector frees."""
+    and model and filled at once by _thermo, for a state (State.derived) or
+    for an RK4 stage's pack, which gets no State: rho, sigma, v, c, eos and
+    stack by the thermo pass, then gamma_xi, weight, sigma_total, mu_gamma,
+    h_hat and grads by the kernel pass, and kappa and dcoef where the model
+    fixes them.  No pass sets two kinds of field, which __getattr__ handles:
+    a callable kappa or dcoef, resolved on state() at its first read, and a
+    kernel field of an empty batch, a ValueError.  owner is a weak reference
+    to the state that holds these fields, if one does: a strong one makes a
+    cycle only the collector frees."""
 
-    rho, sigma, v, c, eos, stack = (_fill("_thermo") for _ in range(6))
-    gamma_xi, weight, sigma_total, mu_gamma, h_hat, grads = (_fill("_kernel") for _ in range(6))
-    kappa, dcoef = _fill("_transport"), _fill("_transport")
-    _thermo, _kernel = _thermo, _kernel  # the passes, as methods for _fill
     owner = None
 
     def state(self) -> State:
@@ -347,9 +334,15 @@ class Derived(SimpleNamespace):
         st = self.owner and self.owner()
         return State(self.grid, packed=self.packed) if st is None else st
 
-    def _transport(self) -> None:
-        tr, st = self.model.transport, self.state()
-        self.kappa, self.dcoef = tr.kappa_of(st, self.model), tr.dcoef_of(st, self.model)
+    def __getattr__(self, name: str):
+        if name in ("kappa", "dcoef"):
+            tr, st = self.model.transport, self.state()
+            self.kappa, self.dcoef = tr.kappa_of(st, self.model), tr.dcoef_of(st, self.model)
+            return getattr(self, name)
+        if name in ("gamma_xi", "weight", "sigma_total", "mu_gamma", "h_hat", "grads") \
+                and not self.packed.size:
+            raise _empty_batch(self.packed)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 def thermo_point(state: State, model: ModelConfig):
@@ -459,12 +452,3 @@ def untransform_gradients(Fg: FunctionalGradient, state: State,
                           model: ModelConfig) -> FunctionalGradient:
     """Inverse of transform_gradients (original variables to sigma^a ones)."""
     return _change_variables(Fg, state, model, 1.0)
-
-
-def generalized_mu(state: State, model: ModelConfig) -> np.ndarray:
-    """Generalized chemical potential with the surface-gradient correction.
-
-    mu_Gamma = mu - (1/rho) div(lambda_f(T) rho^a Gamma xi); reduces to the
-    plain chemical potential for the sharp-interface families.
-    """
-    return state.derived(model).mu_gamma

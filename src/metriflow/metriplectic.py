@@ -47,8 +47,8 @@ class TransportCoefficients:
     kappa and dcoef may be nonnegative scalars (isotropic), constant
     symmetric psd matrices of shape (dim, dim), or callables
     (state, model) -> tensor field of shape (dim, dim, *members, *grid.shape),
-    called once per state (or RK4 stage, on a State of its pack) at the first
-    read of its kappa or dcoef field.
+    called once per state (or RK4 stage, on a State of its pack), by its
+    Derived at the first read of its kappa or dcoef field.
     """
 
     eta: float = 0.0

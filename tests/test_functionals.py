@@ -12,9 +12,9 @@ import pytest
 from metriflow import (AnisotropyFn, EosParams, FunctionalGradient, Grid,
                        InadmissibleStateError, ModelConfig, ParameterError, State,
                        SurfaceCoefficients, TransportCoefficients,
-                       UnsupportedFamilyError, diagnostics, entropy, eval_eos,
-                       generalized_mu, grad_H, grad_S,
-                       hamiltonian, integrate, make_scenario, smooth_state, total_rhs)
+                       UnsupportedFamilyError, diagnostics, dissipative_rhs, entropy,
+                       entropy_production_rate, eval_eos, grad_H, grad_S, hamiltonian,
+                       ideal_rhs, integrate, make_scenario, smooth_state, total_rhs)
 from metriflow import functionals
 from metriflow.fields import random_gradient
 from metriflow.functionals import sigma_total, thermo_point
@@ -109,6 +109,39 @@ def test_hamiltonian_of_an_empty_batch_is_empty():
     # the one rho check of the Derived pass has nothing to reject here
     state = State(GRID1, packed=np.ones((4, 0) + GRID1.shape))
     assert hamiltonian(state, make_model("GNS")).shape == (0,)
+
+
+def _empty_batch(scenario):
+    model = make_scenario(scenario, seed=0).model
+    shape = (model.grid.dim + 3, 0) + model.grid.shape
+    return State(model.grid, packed=np.ones(shape)), model, re.escape(
+        f"an empty batch, pack shape {shape}, has no state")
+
+
+@pytest.mark.parametrize("scenario", ["heat_relax", "spinodal1d"], ids=["GNS", "CHNS1"])
+@pytest.mark.parametrize("call", [total_rhs, ideal_rhs, dissipative_rhs,
+                                  entropy_production_rate, entropy, sigma_total],
+                         ids=lambda call: call.__name__)
+def test_what_reads_the_kernel_pass_fails_on_an_empty_batch(call, scenario):
+    # an empty batch gets the thermo pass's fields but no kernel pass; a
+    # kernel field read raises validate's error, naming the pack shape
+    state, model, message = _empty_batch(scenario)
+    with pytest.raises(ValueError, match=message):
+        call(state, model)
+
+
+@pytest.mark.parametrize("scenario", ["heat_relax", "spinodal1d"], ids=["GNS", "CHNS1"])
+def test_energy_of_an_empty_batch_is_empty_unless_it_has_surface_terms(scenario):
+    # a sharp family's H and grad H read the thermo pass's fields only; a
+    # diffuse family's read the surface terms, kernel fields
+    state, model, message = _empty_batch(scenario)
+    if model.is_diffuse:
+        for call in (hamiltonian, grad_H):
+            with pytest.raises(ValueError, match=message):
+                call(state, model)
+    else:
+        assert hamiltonian(state, model).shape == (0,)
+        assert grad_H(state, model).packed.shape == state.packed.shape
 
 
 @pytest.mark.parametrize("members", [False, True])
@@ -319,7 +352,7 @@ def test_generalized_mu_uniform_concentration():
     model = make_model("CHE1")
     st = uniform_state(GRID1, rho=1.1, c=0.6)
     pt = eval_eos(1.1, 0.0, 0.6, model.eos)
-    assert np.allclose(generalized_mu(st, model), float(pt.mu), atol=1e-13)
+    assert np.allclose(st.derived(model).mu_gamma, float(pt.mu), atol=1e-13)
 
 
 def test_generalized_mu_a0_assembly():
@@ -332,7 +365,7 @@ def test_generalized_mu_a0_assembly():
     _, gamma, xi = st.derived(model).gamma_xi
     lam_f = lam_f_of(np.asarray(pt.T), model.surface)
     expected = np.asarray(pt.mu) - GRID1.div(lam_f * gamma * xi) / st.rho
-    assert np.allclose(generalized_mu(st, model), expected, atol=1e-12)
+    assert np.allclose(st.derived(model).mu_gamma, expected, atol=1e-12)
 
 
 def test_memo_is_not_stale_across_fresh_models():
@@ -355,7 +388,6 @@ def test_derived_is_kept_for_the_last_model_object():
     d = state.derived(model)
     assert state.derived(model) is d
     assert thermo_point(state, model) is d.eos
-    assert generalized_mu(state, model) is d.mu_gamma
     # an equal but distinct model object gets its own fields
     twin = dataclasses.replace(model)
     assert twin == model

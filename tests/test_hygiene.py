@@ -146,8 +146,8 @@ def test_only_functionals_knows_the_sigma_a_variables(path):
     assert sigma_a_reads(path) == []
 
 
-# a callable kappa or dcoef is called once per state, by Derived.kappa and
-# Derived.dcoef; every other module reads those fields
+# a callable kappa or dcoef is called once per state, by Derived.__getattr__
+# at the first read of either field; every other module reads those fields
 COEFFICIENT_RESOLVERS = {"kappa_of", "dcoef_of"}
 
 
@@ -163,6 +163,29 @@ def coefficient_resolutions(path: Path) -> list[str]:
                          ids=lambda p: p.name)
 def test_only_derived_resolves_the_transport_coefficients(path):
     assert coefficient_resolutions(path) == []
+
+
+# a Derived is filled by one call, functionals._thermo, the thermo pass,
+# which ends with the kernel pass: one is built for a state in
+# State.derived and for an RK4 stage in dynamics.step_rk4, and only the
+# fill call runs the kernel pass
+FILL_SITES = [("Derived", "dynamics.py", "step_rk4"),
+              ("Derived", "functionals.py", "State.derived"),
+              ("_kernel", "functionals.py", "_thermo")]
+
+
+def fill_sites() -> list[tuple[str, str, str]]:
+    """(name, module, scope) of every call of Derived or _kernel."""
+    def called(node):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+    return sorted((called(node), path.name, scope) for path in MODULES
+                  for scope, node in scoped_nodes(path, lambda node: isinstance(node, ast.Call)
+                                                  and called(node) in ("Derived", "_kernel")))
+
+
+def test_a_derived_is_built_and_filled_in_one_place_each():
+    assert fill_sites() == FILL_SITES
 
 
 # the 4-bracket's slot table (Lambda, kappa, D) is applied in one place,

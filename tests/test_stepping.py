@@ -11,14 +11,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from metriflow import dynamics, functionals
+from metriflow import functionals
 from metriflow import (AnisotropyFn, Grid, ModelConfig, State,
                        SurfaceCoefficients, TransportCoefficients,
                        dissipative_rhs, gamma_eval, ideal_rhs, smooth_state,
                        stability_limit, step_rk4, total_rhs)
-from metriflow.functionals import FAMILIES, FunctionalGradient
+from metriflow.functionals import FAMILIES, Derived, FunctionalGradient, _thermo
 from metriflow.grid import _csum, _trace
-from metriflow.metriplectic import _apply_tensor, _pair_sum
+from metriflow.metriplectic import _apply_tensor, _pair_sum, _tendencies
 from metriflow.thermo import ThermoPoint, lambda_f
 from metriflow.verification import model_for
 
@@ -33,8 +33,8 @@ def _coefficient(kind, dim, scale):
         return scale * (np.eye(dim) + 0.3 * (np.ones((dim, dim)) - np.eye(dim)))
 
     def field(state, model):
-        # positive, state-dependent tensor field of shape (dim, dim, *grid)
-        eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
+        # positive, state-dependent tensor field of shape (dim, dim, *members, *grid)
+        eye = np.eye(dim).reshape((dim, dim) + (1,) * state.c.ndim)
         return scale * eye * (1.0 + state.c ** 2)
     return field
 
@@ -218,6 +218,35 @@ def test_rhs_matches_the_reference_kernel(family, dim, coef_kind, route):
                           _reference_tendencies(fresh(), model, **flags), name)
 
 
+@pytest.mark.parametrize("members", [None, 3], ids=["one", "batch"])
+@pytest.mark.parametrize("family, dim, coef_kind", CASES)
+def test_a_state_and_a_stage_fill_the_same_bits(family, dim, coef_kind, members):
+    # the two routes of the one fill call: State.derived for a state, and
+    # _thermo on a Derived of the pack for an RK4 stage, which has no State
+    model = _model(family, dim, coef_kind)
+    seed = 38 if members is None else np.arange(38, 38 + members)
+    packed = smooth_state(model.grid, model, seed=seed, amp=0.15).packed
+    state = State(model.grid, packed=packed)
+    stage = Derived(grid=model.grid, packed=packed, model=model)
+    _thermo(stage)
+    _assert_same_bits(total_rhs(state, model), FunctionalGradient(packed=_tendencies(stage)),
+                      "total_rhs")
+    # the rhs resolved a callable kappa and dcoef on both
+    fields = [{name: tuple(vars(value).values()) if isinstance(value, ThermoPoint) else value
+               for name, value in vars(d).items() if name != "owner"}
+              for d in (state.derived(model), stage)]
+    assert fields[0].keys() == fields[1].keys()
+    for name, value in fields[0].items():
+        other = fields[1][name]
+        if name in ("grid", "packed", "model"):
+            assert value is other, name
+        elif isinstance(value, tuple):
+            assert len(value) == len(other), name
+            assert all(np.array_equal(a, b) for a, b in zip(value, other)), name
+        else:
+            assert np.array_equal(value, other), name
+
+
 # ------------------------------------------------------------ pack invariants
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -306,9 +335,9 @@ def _arrays_held(d):
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1D", "2D-fourfold"])
 def test_a_step_runs_each_pass_once_per_stage_state(monkeypatch, dim):
-    # chained steps: the EOS kernel runs once per validated pack (stages 2-4
-    # and the step's end: 4 a step), the kernel pass once per stage (k1's
-    # through the state's Derived, the others on the stage's own fields);
+    # chained steps: the EOS kernel and the kernel pass run once per filled
+    # pack (stages 2-4 on their own fields and the step's end through its
+    # state's Derived, which k1 of the next step reads: 4 a step);
     # only the state returned is a State and only k1 a FunctionalGradient,
     # and its Derived keeps no (dim + 3)-slot copy of its pack
     model = _model("CHNS1", dim)
@@ -330,8 +359,7 @@ def test_a_step_runs_each_pass_once_per_stage_state(monkeypatch, dim):
         plain_init(self, *args, **kwargs)
 
     monkeypatch.setattr(functionals, "_eos", eos)
-    monkeypatch.setattr(functionals.Derived, "_kernel", kernel)
-    monkeypatch.setattr(dynamics, "_kernel", kernel)
+    monkeypatch.setattr(functionals, "_kernel", kernel)
     monkeypatch.setattr(functionals._Pack, "__init__", init)
     steps = 3
     for _ in range(steps):
