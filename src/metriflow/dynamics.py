@@ -84,10 +84,12 @@ def step_rk4(state: State, model: ModelConfig, dt: float,
     ks = [total_rhs(state, model).packed]
     try:
         for tag, h in (("stage 2", half), ("stage 3", half), ("stage 4", full)):
-            f = Derived(grid=grid, packed=packed + h * ks[-1], model=model)
+            stage = h * ks[-1]  # + packed in place: a sum commutes bit for bit
+            stage += packed
+            f = Derived(grid=grid, packed=stage, model=model)
             _thermo(f)
             ks.append(_tendencies(f))
-            del f  # freed before the next pack: held, it would raise the step's peak
+            del f, stage  # freed before the next pack: held, it would raise the step's peak
         # (k1 + 2 k2 + 2 k3 + k4) / 6 in place, in packs no one else holds:
         # the same operations in the same order, so the same bits
         k1, k2, k3, k4 = ks
@@ -95,7 +97,9 @@ def step_rk4(state: State, model: ModelConfig, dt: float,
         k1 += np.multiply(k3, _TWO, out=k3)
         k1 += k4
         k1 *= _SIXTH
-        tag, end = "step end", State(grid, packed=packed + full * k1)
+        k1 *= full
+        k1 += packed
+        tag, end = "step end", State(grid, packed=k1)
         del ks, k1, k2, k3, k4  # freed before the end's kernel pass
         end.derived(model)
     except InadmissibleStateError as exc:

@@ -246,10 +246,10 @@ def _thermo(f) -> None:
     kernel pass if the pack is not empty.  The thermo pass makes validate's
     checks with its messages (but the empty batch's, so that an empty batch
     has thermo fields): every entry finite, rho > 0 (NaN fails) before the
-    pack is divided by it, then eos, with p and T computed straight into the
-    stack (v, H_rho, mu_Gamma, T, p), and T and p finite and > 0.  Only then
-    does it set rho and sigma (the pack's rows), v and c (rows of the pack
-    over rho), eos and stack."""
+    pack is divided by it, then eos, with v, p and T computed straight into
+    the stack (v, H_rho, mu_Gamma, T, p), and T and p finite and > 0.  Only
+    then does it set rho and sigma (the pack's rows), v (the stack's rows), c
+    (ctilde over rho), eos and stack."""
     packed, dim = f.packed, f.grid.dim
     # the sum of the pack is finite only if every entry is (inf and NaN
     # absorb a sum); only then, or if finite entries overflow it, does the
@@ -262,10 +262,10 @@ def _thermo(f) -> None:
     rho = packed[dim]
     if not np.minimum.reduce(rho, axis=None, initial=np.inf) > 0:
         raise InadmissibleStateError("rho must be positive everywhere")
-    q = packed / rho
-    v, c, stack = q[:dim], q[dim + 1], np.empty((dim + 4,) + rho.shape)
-    eos = _eos(rho, q[dim + 2], c, f.model.eos, stack[dim + 3], stack[dim + 2])
-    stack[:dim] = v
+    stack = np.empty((dim + 4,) + rho.shape)
+    v, cs = np.divide(packed[:dim], rho, stack[:dim]), packed[dim + 1:] / rho
+    c = cs[0]
+    eos = _eos(rho, cs[1], c, f.model.eos, stack[dim + 3], stack[dim + 2])
     # one min and one max over T and p side by side, then each alone to name
     # the one that failed (min is NaN if any entry is; NaN > 0 is false)
     Tp = stack[dim + 2:]
@@ -298,16 +298,35 @@ def _kernel(f) -> None:
         gamma, xi = gamma_eval(gc, model.anisotropy)
         weight = f.weight = rho if model.a == 1 else rho ** model.a
         f.gamma_xi = (gc, gamma, xi)
-        f.sigma_total = f.sigma if surface.lambda_s == 0.0 else (
-            f.sigma + _HALF * weight * surface.consts.lambda_s * gamma * gamma)
+        # each chain in place in the temporary it made, in its order (a sum
+        # or a product commutes bit for bit): the bits written out
+        if surface.lambda_s == 0.0:
+            f.sigma_total = f.sigma
+        else:  # sigma + 1/2 rho^a lambda_s Gamma^2
+            st = _HALF * weight
+            st *= surface.consts.lambda_s
+            st *= gamma
+            st *= gamma
+            st += f.sigma
+            f.sigma_total = st
         lam = lambda_f(eos.T, surface)
-        np.subtract(eos.mu, grid.div(lam * weight * gamma * xi) / rho, out=mu_gamma)
+        u = lam * weight  # u = lambda_f rho^a Gamma xi
+        u *= gamma
+        div_u = grid.div(u * xi)
+        div_u /= rho
+        np.subtract(eos.mu, div_u, out=mu_gamma)
     else:
         f.gamma_xi, f.weight, f.sigma_total = (), None, f.sigma
         mu_gamma[...] = eos.mu
-    h = np.subtract(_MINUS_HALF * _csum(f.v * f.v) + eos.g, f.c * mu_gamma, out=stack[dim])
-    if model.is_diffuse and model.a == 1:
-        h += _HALF * lam * gamma * gamma
+    h = _csum(f.v * f.v)  # -|v|^2 / 2 + g - c mu_Gamma
+    h *= _MINUS_HALF
+    h += eos.g
+    h = np.subtract(h, f.c * mu_gamma, out=stack[dim])
+    if model.is_diffuse and model.a == 1:  # lam's last read: + lambda_f Gamma^2 / 2
+        lam *= _HALF
+        lam *= gamma
+        lam *= gamma
+        h += lam
     f.mu_gamma, f.h_hat = mu_gamma, stack[:dim + 3]
     f.grads = grid.grad(f.h_hat)
     tr = model.transport
@@ -429,10 +448,20 @@ def _tendency_to_sigma_a(rhs: np.ndarray, f) -> None:
         return
     _, gamma, xi = f.gamma_xi
     rho_dot, sigma_dot = rhs[dim], rhs[dim + 2]
-    c_dot = (rhs[dim + 1] - f.c * rho_dot) / f.rho
-    sigma_dot -= f.weight * surface.consts.lambda_s * gamma * _csum(xi * f.grid.grad(c_dot))
+    # each chain in place in the temporary it made, in its order
+    c_dot = rhs[dim + 1] - f.c * rho_dot
+    c_dot /= f.rho
+    gc_dot = f.grid.grad(c_dot)
+    gc_dot *= xi
+    term = f.weight * surface.consts.lambda_s
+    term *= gamma
+    term *= _csum(gc_dot)
+    sigma_dot -= term
     if f.model.a == 1:
-        sigma_dot -= surface.consts.half_lambda_s * gamma * gamma * rho_dot
+        term = surface.consts.half_lambda_s * gamma
+        term *= gamma
+        term *= rho_dot
+        sigma_dot -= term
 
 
 def transform_gradients(hatFg: FunctionalGradient, state: State,

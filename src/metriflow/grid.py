@@ -45,15 +45,21 @@ class _Plans(dict):
 
 def _csum(x: np.ndarray) -> np.ndarray:
     """x[0] + x[1] + ...: the same bits as x.sum(axis=0) without a
-    reduction call (x[0] itself, a view, for one component)."""
+    reduction call.  For one component it is x[0] itself, a view of x: a
+    caller writes into it only if it made x.  Past the first sum, each term
+    adds in place."""
     out = x[0]
-    for k in range(1, len(x)):
-        out = out + x[k]
+    if len(x) > 1:
+        out = out + x[1]
+        for k in range(2, len(x)):
+            out += x[k]
     return out
 
 
 def _trace(x: np.ndarray) -> np.ndarray:
-    """x[0, 0] + x[1, 1] + ...: the same bits as x.trace()."""
+    """x[0, 0] + x[1, 1] + ...: the same bits as x.trace().  For one
+    component it is x[0, 0] itself, a view of x: a caller writes into it
+    only if it made x."""
     out = x[0, 0]
     for k in range(1, len(x)):
         out = out + x[k, k]

@@ -109,8 +109,9 @@ def _apply_tensor(coef, w: np.ndarray) -> np.ndarray:
 
 def _stress(gradv: np.ndarray, eta: float, zeta: float) -> np.ndarray:
     """Lambda gradv = eta (gradv + gradv^T - (2/3) I tr) + zeta I tr."""
-    bulk = (zeta - (2.0 / 3.0) * eta) * _trace(gradv)
-    out = eta * (gradv + gradv.swapaxes(0, 1))
+    bulk = (zeta - (2.0 / 3.0) * eta) * _trace(gradv)  # not in place: may be a view of gradv
+    out = gradv + gradv.swapaxes(0, 1)
+    out *= eta
     for i in range(len(gradv)):
         out[i, i] += bulk
     return out
@@ -136,7 +137,13 @@ def _pairing(x, y, T) -> np.ndarray:
     (x_m : y_m + x_sigma . y_sigma / T + x_c . y_c) / T.  Both the 4-bracket
     and the production (S, H; S, H), the kernel's fluxes with their
     gradients, sum through it."""
-    return (_pair_sum(x[0] * y[0]) + _csum(x[1] * y[1]) / T + _csum(x[2] * y[2])) / T
+    # the sigma term has the shape of the sum; a sum commutes bit for bit,
+    # so the bits of (m + sigma / T + c) / T
+    out = _csum(x[1] * y[1]) / T
+    out += _pair_sum(x[0] * y[0])
+    out += _csum(x[2] * y[2])
+    out /= T
+    return out
 
 
 def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
@@ -215,10 +222,11 @@ def _tendencies(f, ideal: bool = True, dissipative: bool = True) -> np.ndarray:
     if dissipative:
         gradients, (stress, heat, diffusion) = _dissipative_fluxes(f)
         T = f.eos.T
+        production = _pairing(gradients, (stress, heat, diffusion), T)
         flux[:, :dim] += stress
         flux[:, dim + 1] += diffusion
-        flux[:, dim + 2] += heat / T
-        production = _pairing(gradients, (stress, heat, diffusion), T)
+        heat /= T  # after the pairing, which reads the heat flux itself
+        flux[:, dim + 2] += heat
         del gradients, stress, heat, diffusion  # freed before the divergence
     rhs = f.grid.div(flux)
     del flux  # not read again: held, it would raise the stage's peak

@@ -66,14 +66,21 @@ class EosParams:
 @dataclass(frozen=True, init=False)
 class ThermoPoint(SimpleNamespace):
     """Thermodynamic quantities at one state point (arrays broadcast): g is
-    the specific Gibbs energy u + p / rho - s T.  SimpleNamespace's __init__
-    sets the fields in one C call."""
+    the specific Gibbs energy u + p / rho - s T.  The internal energy u =
+    thermal + quartic, the two parts of u that g shares, is formed at its
+    first read and kept: no stage reads it.  SimpleNamespace's __init__ sets
+    the fields in one C call."""
 
-    u: np.ndarray | float
     g: np.ndarray | float
     T: np.ndarray | float
     p: np.ndarray | float
     mu: np.ndarray | float
+    thermal: np.ndarray | float
+    quartic: np.ndarray | float
+
+    @cached_property
+    def u(self) -> np.ndarray | float:
+        return self.thermal + self.quartic
 
 
 @dataclass(frozen=True)
@@ -97,24 +104,40 @@ class SurfaceCoefficients:
 
 def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:
     """Evaluate u, its exact partial derivatives T, p, mu and the Gibbs energy
-    g at (rho, s, c); a rho not > 0 (NaN too) is a ThermoDomainError."""
+    g at (rho, s, c), broadcast to one shape; a rho not > 0 (NaN too) is a
+    ThermoDomainError."""
     rho = np.asarray(rho, dtype=float)
     if not np.logical_and.reduce(rho > 0, axis=None):
         raise ThermoDomainError("eval_eos requires rho > 0")
-    return _eos(rho, np.asarray(s, dtype=float), np.asarray(c, dtype=float), params)
+    # one shape, since _eos writes each chain into its first operand's temporary
+    rho, s, c = np.broadcast_arrays(rho, np.asarray(s, dtype=float), np.asarray(c, dtype=float))
+    return _eos(rho, s, c, params)
 
 
 def _eos(rho, s, c, params: EosParams, p=None, T=None) -> ThermoPoint:
-    """eval_eos at admissible arrays, unchecked; p and T go into p and T if given."""
+    """eval_eos at admissible arrays of one shape, unchecked; p and T go into
+    p and T if given."""
     k = params.consts
+    # each chain in place in the temporary it made, in its order of
+    # operations (a product commutes bit for bit), so the bits of
+    # c_v * rho ** g1 * exp(s_cv) and of the rest written out
     s_cv = s / k.c_v
-    thermal = k.c_v * rho ** k.g1 * np.exp(s_cv)
-    c2m1 = c * c - k.one
-    quartic = k.q4 * c2m1 ** 2
+    thermal = rho ** k.g1  # a numpy scalar for 0-d rho: *= then rebinds it
+    thermal *= k.c_v
+    thermal *= np.exp(s_cv)
+    c2m1 = c * c
+    c2m1 -= k.one
+    quartic = c2m1 ** 2
+    quartic *= k.q4
     # g = u + p / rho - s T, with p / rho = (gamma_ad - 1) thermal and s T = s_cv thermal
-    return ThermoPoint(u=thermal + quartic, g=thermal * (k.gamma_ad - s_cv) + quartic,
-                       T=np.divide(thermal, k.c_v, out=T), p=np.multiply(k.g1 * rho, thermal, out=p),
-                       mu=k.lambda_V * c * c2m1)
+    g = k.gamma_ad - s_cv
+    g *= thermal
+    g += quartic
+    mu = k.lambda_V * c
+    mu *= c2m1
+    return ThermoPoint(g=g, T=np.divide(thermal, k.c_v, out=T),
+                       p=np.multiply(k.g1 * rho, thermal, out=p), mu=mu,
+                       thermal=thermal, quartic=quartic)
 
 
 def lambda_f(T, coeffs: SurfaceCoefficients):
