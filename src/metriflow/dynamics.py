@@ -47,9 +47,9 @@ def stability_limit(state: State, model: ModelConfig) -> float:
     A matrix or field coefficient counts with a bound on its largest
     eigenvalue.  The classical four-stage Runge-Kutta method is stable out
     to about 2.79 on the negative real axis and 2.83 on the imaginary axis;
-    2.5 is used throughout as a margin.  The state is validated first.
+    2.5 is used throughout as a margin.  The state is validated first, by
+    its fill.
     """
-    state.validate(model)
     g, d = state.grid, state.derived(model)
     h, dim, pt = min(g.h), g.dim, d.eos
     rho_min = float(d.rho.min())

@@ -18,7 +18,6 @@ makes the bracket identities downstream hold at the advertised tolerances.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -160,23 +159,24 @@ class State(_Pack):
 
     def derived(self, model: ModelConfig) -> "Derived":
         """The Derived fields of this state under model, filled by _thermo,
-        which raises if the state fails its checks.  One is kept, for the last
+        which raises if the state fails its checks; a ValueError naming both
+        grids if the model's is not the state's.  One is kept, for the last
         model asked about, compared with ``is``: a fresh model object always
         gets fresh fields.  It is kept only once filled, so a state that
         fails keeps none and fails again."""
         d = self.__dict__.get("_derived")
         if d is None or d.model is not model:
-            d = Derived(grid=self.grid, packed=self.packed, model=model, owner=weakref.ref(self))
+            if model.grid is not self.grid and model.grid != self.grid:
+                raise ValueError(f"a state on {self.grid} under a model on {model.grid}")
+            d = Derived(grid=self.grid, packed=self.packed, model=model)
             _thermo(d)
             self.__dict__["_derived"] = d
         return d
 
     def validate(self, model: ModelConfig) -> None:
-        """Admissibility: not an empty batch, then the checks of the fill
-        (once per state and model): finite fields, rho > 0, derived T and p
-        finite and > 0."""
-        if not self.packed.size:
-            raise _empty_batch(self.packed)
+        """Admissibility, the checks of the fill (once per state and model):
+        the model's grid, not an empty batch, finite fields, rho > 0, derived
+        T and p finite and > 0."""
         self.derived(model)
 
     def replace(self, **kw) -> "State":
@@ -235,22 +235,19 @@ def _align_batch(*grads: FunctionalGradient, state: State | None = None) -> list
             else FunctionalGradient(packed=_lift(X.packed, state)) for X in grads]
 
 
-def _empty_batch(packed: np.ndarray) -> ValueError:
-    """The error for a pack of no state, an empty member batch."""
-    return ValueError(f"an empty batch, pack shape {packed.shape}, has no state")
-
-
 def _thermo(f) -> None:
     """The fill call of a Derived f, for a state (State.derived) and for an
     RK4 stage: the thermo pass on the pack f.packed under f.model, then the
-    kernel pass if the pack is not empty.  The thermo pass makes validate's
-    checks with its messages (but the empty batch's, so that an empty batch
-    has thermo fields): every entry finite, rho > 0 (NaN fails) before the
-    pack is divided by it, then eos, with v, p and T computed straight into
-    the stack (v, H_rho, mu_Gamma, T, p), and T and p finite and > 0.  Only
-    then does it set rho and sigma (the pack's rows), v (the stack's rows), c
+    kernel pass.  The thermo pass makes validate's checks with its messages:
+    a pack of at least one state (an empty batch is a ValueError naming its
+    shape), every entry finite, rho > 0 (NaN fails) before the pack is
+    divided by it, then eos, with v, p and T computed straight into the
+    stack (v, H_rho, mu_Gamma, T, p), and T and p finite and > 0.  Only then
+    does it set rho and sigma (the pack's rows), v (the stack's rows), c
     (ctilde over rho), eos and stack."""
     packed, dim = f.packed, f.grid.dim
+    if not packed.size:
+        raise ValueError(f"an empty batch, pack shape {packed.shape}, has no state")
     # the sum of the pack is finite only if every entry is (inf and NaN
     # absorb a sum); only then, or if finite entries overflow it, does the
     # check look at each field to name the one that failed
@@ -275,12 +272,11 @@ def _thermo(f) -> None:
             if not (x.min() > 0 and x.max() < np.inf):
                 raise InadmissibleStateError(f"derived {name} must be finite and positive")
     f.rho, f.sigma, f.v, f.c, f.eos, f.stack = rho, packed[dim + 2], v, c, eos, stack
-    if packed.size:
-        _kernel(f)
+    _kernel(f)
 
 
 def _kernel(f) -> None:
-    """The kernel pass, at the end of the thermo pass, on a non-empty pack.
+    """The kernel pass, at the end of the thermo pass.
     For a diffuse family gamma_xi = (grad c, Gamma, xi), weight = rho^a (the
     density weight of the surface terms) and sigma_total; for a sharp one
     gamma_xi = (), weight None and sigma_total sigma.  In their rows of the
@@ -290,7 +286,8 @@ def _kernel(f) -> None:
     mu_Gamma, T), a view of the stack, is transform_gradients(grad_H) for a
     diffuse family, to roundoff, and grad_H for a sharp one.  grads = grad
     h_hat, (dim, dim + 3, *members, *grid.shape) from one grad: [k, s] = d_k
-    of slot s.  kappa and dcoef too, where the model fixes them."""
+    of slot s.  Last, for a model with transport, kappa and dcoef: a
+    callable one is called as coef(f, model), on these fields, all set."""
     grid, model, eos, stack = f.grid, f.model, f.eos, f.stack
     dim, rho, mu_gamma = grid.dim, f.rho, stack[grid.dim + 1]
     if model.is_diffuse:
@@ -330,38 +327,18 @@ def _kernel(f) -> None:
     f.mu_gamma, f.h_hat = mu_gamma, stack[:dim + 3]
     f.grads = grid.grad(f.h_hat)
     tr = model.transport
-    if tr is not None and not (callable(tr.kappa) or callable(tr.dcoef)):
-        f.kappa, f.dcoef = tr.kappa, tr.dcoef
+    if tr is not None:
+        f.kappa = tr.kappa(f, model) if callable(tr.kappa) else tr.kappa
+        f.dcoef = tr.dcoef(f, model) if callable(tr.dcoef) else tr.dcoef
 
 
 class Derived(SimpleNamespace):
     """The derived fields of one pack under one model, made with grid, packed
-    and model and filled at once by _thermo, for a state (State.derived) or
+    and model and filled whole by _thermo, for a state (State.derived) or
     for an RK4 stage's pack, which gets no State: rho, sigma, v, c, eos and
     stack by the thermo pass, then gamma_xi, weight, sigma_total, mu_gamma,
-    h_hat and grads by the kernel pass, and kappa and dcoef where the model
-    fixes them.  No pass sets two kinds of field, which __getattr__ handles:
-    a callable kappa or dcoef, resolved on state() at its first read, and a
-    kernel field of an empty batch, a ValueError.  owner is a weak reference
-    to the state that holds these fields, if one does: a strong one makes a
-    cycle only the collector frees."""
-
-    owner = None
-
-    def state(self) -> State:
-        """The state of these fields: its owner, or a State of the pack."""
-        st = self.owner and self.owner()
-        return State(self.grid, packed=self.packed) if st is None else st
-
-    def __getattr__(self, name: str):
-        if name in ("kappa", "dcoef"):
-            tr, st = self.model.transport, self.state()
-            self.kappa, self.dcoef = tr.kappa_of(st, self.model), tr.dcoef_of(st, self.model)
-            return getattr(self, name)
-        if name in ("gamma_xi", "weight", "sigma_total", "mu_gamma", "h_hat", "grads") \
-                and not self.packed.size:
-            raise _empty_batch(self.packed)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    h_hat, grads and, for a model with transport, kappa and dcoef by the
+    kernel pass.  It holds no reference to a state."""
 
 
 def thermo_point(state: State, model: ModelConfig):

@@ -46,9 +46,11 @@ class TransportCoefficients:
 
     kappa and dcoef may be nonnegative scalars (isotropic), constant
     symmetric psd matrices of shape (dim, dim), or callables
-    (state, model) -> tensor field of shape (dim, dim, *members, *grid.shape),
-    called once per state (or RK4 stage, on a State of its pack), by its
-    Derived at the first read of its kappa or dcoef field.
+    (f, model) -> tensor field of shape (dim, dim, *members, *grid.shape).
+    f is the Derived being filled (c, rho, v, sigma, eos, mu_gamma, packed,
+    grid and the rest already set), not a State: a callable is called once
+    per fill of a pack under a model with transport, a state's or an RK4
+    stage's, at the end of the kernel pass.
     """
 
     eta: float = 0.0
@@ -71,12 +73,6 @@ class TransportCoefficients:
                 require_finite(name, float(arr))
                 if arr < 0:
                     raise ParameterError(name, f"{name} must be nonnegative, got {name} = {val}")
-
-    def kappa_of(self, state, model):
-        return self.kappa(state, model) if callable(self.kappa) else self.kappa
-
-    def dcoef_of(self, state, model):
-        return self.dcoef(state, model) if callable(self.dcoef) else self.dcoef
 
 
 PSD_TOL = 1e-12

@@ -9,6 +9,27 @@ from metriflow import Grid, OnsagerBlocks, eval_eos, lam4
 from metriflow.metriplectic import _embed3_matrix, _onsager_blocks
 
 
+def coefficient(kind, dim, scale):
+    """A kappa or dcoef of the given kind: the scalar scale, a (dim, dim)
+    psd matrix, or a callable, a positive tensor field of shape (dim, dim,
+    *members, *grid.shape) of the fill's fields f."""
+    if kind == "scalar":
+        return scale
+    if kind == "matrix":
+        return scale * (np.eye(dim) + 0.3 * (np.ones((dim, dim)) - np.eye(dim)))
+
+    def field(f, model):
+        eye = np.eye(dim).reshape((dim, dim) + (1,) * f.c.ndim)
+        return scale * eye * (1.0 + f.c ** 2)
+    return field
+
+
+def coefficient_on(coef, state, model):
+    """The transport coefficient coef on the fields of state under model:
+    a callable is called on the state's Derived, as the fill calls it."""
+    return coef(state.derived(model), model) if callable(coef) else coef
+
+
 @pytest.fixture
 def deriv_calls(monkeypatch):
     """The list to which each Grid.deriv call of the test appends its axis."""

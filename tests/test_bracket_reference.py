@@ -15,20 +15,9 @@ from metriflow.fields import random_gradient
 from metriflow.functionals import _lift
 from metriflow.grid import _csum
 from metriflow.metriplectic import _apply_tensor, _pair_sum, _stress
+from conftest import coefficient, coefficient_on
 
 TRIALS = 20
-
-
-def _coefficient(kind, dim, scale):
-    if kind == "scalar":
-        return scale
-    if kind == "matrix":
-        return scale * (np.eye(dim) + 0.3 * (np.ones((dim, dim)) - np.eye(dim)))
-
-    def field(state, model):
-        eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
-        return scale * eye * (1.0 + state.c ** 2)
-    return field
 
 
 def _model(family, dim, coef_kind):
@@ -37,8 +26,8 @@ def _model(family, dim, coef_kind):
     surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
                                lambda_s=1e-3 if diffuse else 0.0)
     tr = TransportCoefficients(eta=0.01, zeta=0.005,
-                               kappa=_coefficient(coef_kind, dim, 0.02),
-                               dcoef=_coefficient(coef_kind, dim, 0.03))
+                               kappa=coefficient(coef_kind, dim, 0.02),
+                               dcoef=coefficient(coef_kind, dim, 0.03))
     anis = AnisotropyFn(kind="fourfold", eps4=0.05) if dim == 2 else AnisotropyFn()
     return ModelConfig(family=family, grid=grid, surface=surf, transport=tr,
                        anisotropy=anis)
@@ -76,11 +65,10 @@ def _reference_kn_4bracket(Fg, Gg, Kg, Ng, state, model):
         return (B.sigma * _reference_conc_slot(A, state, model)
                 - A.sigma * _reference_conc_slot(B, state, model))
 
+    kappa, dcoef = coefficient_on(tr.kappa, state, model), coefficient_on(tr.dcoef, state, model)
     integrand = _pair_sum(d1(Fg, Gg) * _stress(d1(Kg, Ng), tr.eta, tr.zeta))
-    integrand = integrand + _csum(d2(Fg, Gg) * _apply_tensor(tr.kappa_of(state, model),
-                                                             d2(Kg, Ng))) / T
-    integrand = integrand + _csum(d3(Fg, Gg) * _apply_tensor(tr.dcoef_of(state, model),
-                                                             d3(Kg, Ng)))
+    integrand = integrand + _csum(d2(Fg, Gg) * _apply_tensor(kappa, d2(Kg, Ng))) / T
+    integrand = integrand + _csum(d3(Fg, Gg) * _apply_tensor(dcoef, d3(Kg, Ng)))
     return g.integrate(integrand / T)
 
 

@@ -13,6 +13,7 @@ from metriflow import (FAMILIES, AnisotropyFn, Grid, IntegrationError,
                        smooth_state, stability_limit, step_rk4, total_rhs)
 from metriflow.functionals import State
 from metriflow.scenarios import make_scenario
+from conftest import coefficient
 
 GRID = Grid(dim=1, n=(32,), length=(1.0,))
 GE = ModelConfig(family="GE", grid=GRID)
@@ -50,19 +51,6 @@ def test_total_rhs_reduces_to_ideal_for_ge():
         assert np.array_equal(getattr(a, slot), getattr(b, slot))
 
 
-def _coefficient(kind, dim, scale):
-    if kind == "scalar":
-        return scale
-    if kind == "matrix":
-        return scale * (np.eye(dim) + 0.3 * (np.ones((dim, dim)) - np.eye(dim)))
-
-    def field(state, model):
-        # positive, state-dependent tensor field of shape (dim, dim, *grid)
-        eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
-        return scale * eye * (1.0 + state.c ** 2)
-    return field
-
-
 def _kernel_model(family, dim, coef_kind="scalar"):
     grid = Grid(dim=dim, n=(16,) * dim, length=(1.0,) * dim)
     diffuse = family.startswith("CH")
@@ -71,8 +59,8 @@ def _kernel_model(family, dim, coef_kind="scalar"):
     tr = None
     if family in ("GNS", "CHNS0", "CHNS1"):
         tr = TransportCoefficients(eta=0.01, zeta=0.005,
-                                   kappa=_coefficient(coef_kind, dim, 0.02),
-                                   dcoef=_coefficient(coef_kind, dim, 0.03))
+                                   kappa=coefficient(coef_kind, dim, 0.02),
+                                   dcoef=coefficient(coef_kind, dim, 0.03))
     anis = AnisotropyFn(kind="fourfold", eps4=0.04) if dim == 2 else AnisotropyFn()
     return ModelConfig(family=family, grid=grid, surface=surf, transport=tr,
                        anisotropy=anis)

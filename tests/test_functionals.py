@@ -14,7 +14,8 @@ from metriflow import (AnisotropyFn, EosParams, FunctionalGradient, Grid,
                        SurfaceCoefficients, TransportCoefficients,
                        UnsupportedFamilyError, diagnostics, dissipative_rhs, entropy,
                        entropy_production_rate, eval_eos, grad_H, grad_S, hamiltonian,
-                       ideal_rhs, integrate, make_scenario, smooth_state, total_rhs)
+                       ideal_rhs, integrate, make_scenario, smooth_state, stability_limit,
+                       total_rhs)
 from metriflow import functionals
 from metriflow.fields import random_gradient
 from metriflow.functionals import sigma_total, thermo_point
@@ -97,51 +98,38 @@ def test_validate_rejects_nonfinite(name, route):
         bad_state.validate(model)
 
 
-@pytest.mark.parametrize("scenario", ["heat_relax", "spinodal1d"], ids=["GNS", "CHNS1"])
-def test_validate_rejects_an_empty_batch_naming_its_shape(scenario):
-    model = make_scenario(scenario, seed=0).model
-    shape = (model.grid.dim + 3, 0) + model.grid.shape
-    with pytest.raises(ValueError, match=re.escape(f"pack shape {shape}")):
-        State(model.grid, packed=np.ones(shape)).validate(model)
-
-
-def test_hamiltonian_of_an_empty_batch_is_empty():
-    # the one rho check of the Derived pass has nothing to reject here
-    state = State(GRID1, packed=np.ones((4, 0) + GRID1.shape))
-    assert hamiltonian(state, make_model("GNS")).shape == (0,)
-
-
-def _empty_batch(scenario):
-    model = make_scenario(scenario, seed=0).model
-    shape = (model.grid.dim + 3, 0) + model.grid.shape
-    return State(model.grid, packed=np.ones(shape)), model, re.escape(
-        f"an empty batch, pack shape {shape}, has no state")
+@pytest.mark.parametrize("model_grid, kappa", [
+    (Grid(dim=1, n=(32,), length=(2.0,)), 0.02),
+    (Grid(dim=2, n=(32,), length=(1.0,)), 0.02 * np.eye(2)),
+], ids=["length", "dim"])
+def test_a_state_under_a_model_on_another_grid_raises_naming_both(model_grid, kappa):
+    # every kernel takes the state's grid, and ModelConfig checks kappa
+    # against the model's: the two must be one grid, or an equal one
+    state = smooth_state(GRID1, make_model("GNS"), seed=1)
+    model = make_model("GNS", grid=model_grid)
+    model = dataclasses.replace(model, transport=dataclasses.replace(TRANSPORT, kappa=kappa))
+    for call in (State.validate, stability_limit):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a state on {GRID1} under a model on {model_grid}")):
+            call(state, model)
+    twin = make_model("GNS", grid=Grid(dim=1, n=(32,), length=(1.0,)))
+    assert twin.grid is not GRID1 and stability_limit(state, twin) == stability_limit(
+        state, make_model("GNS"))
 
 
 @pytest.mark.parametrize("scenario", ["heat_relax", "spinodal1d"], ids=["GNS", "CHNS1"])
-@pytest.mark.parametrize("call", [total_rhs, ideal_rhs, dissipative_rhs,
-                                  entropy_production_rate, entropy, sigma_total],
+@pytest.mark.parametrize("call", [State.validate, hamiltonian, grad_H, entropy, sigma_total,
+                                  thermo_point, total_rhs, ideal_rhs, dissipative_rhs,
+                                  entropy_production_rate],
                          ids=lambda call: call.__name__)
-def test_what_reads_the_kernel_pass_fails_on_an_empty_batch(call, scenario):
-    # an empty batch gets the thermo pass's fields but no kernel pass; a
-    # kernel field read raises validate's error, naming the pack shape
-    state, model, message = _empty_batch(scenario)
-    with pytest.raises(ValueError, match=message):
-        call(state, model)
-
-
-@pytest.mark.parametrize("scenario", ["heat_relax", "spinodal1d"], ids=["GNS", "CHNS1"])
-def test_energy_of_an_empty_batch_is_empty_unless_it_has_surface_terms(scenario):
-    # a sharp family's H and grad H read the thermo pass's fields only; a
-    # diffuse family's read the surface terms, kernel fields
-    state, model, message = _empty_batch(scenario)
-    if model.is_diffuse:
-        for call in (hamiltonian, grad_H):
-            with pytest.raises(ValueError, match=message):
-                call(state, model)
-    else:
-        assert hamiltonian(state, model).shape == (0,)
-        assert grad_H(state, model).packed.shape == state.packed.shape
+def test_every_function_of_an_empty_batch_fails_as_validate_fails_it(call, scenario):
+    # the fill rejects an empty pack before any field is set, for a sharp
+    # family and a diffuse one alike
+    model = make_scenario(scenario, seed=0).model
+    shape = (model.grid.dim + 3, 0) + model.grid.shape
+    with pytest.raises(ValueError, match=re.escape(
+            f"an empty batch, pack shape {shape}, has no state")):
+        call(State(model.grid, packed=np.ones(shape)), model)
 
 
 @pytest.mark.parametrize("members", [False, True])
@@ -265,7 +253,7 @@ def test_hamiltonian_against_refined_quadrature():
 
 
 def test_entropy_uniform_state():
-    model = make_model("CHNS1")
+    model = make_model("CHNS1", grid=GRID2)
     st = uniform_state(GRID2, rho=1.0, s=0.25)
     assert entropy(st, model) == pytest.approx(0.25, rel=1e-13)
 
@@ -396,7 +384,7 @@ def test_derived_is_kept_for_the_last_model_object():
 
 
 def test_state_is_freed_without_the_garbage_collector():
-    # the Derived a state holds must not refer back to it strongly: a cycle
+    # the Derived a state holds must not refer back to it: a cycle
     # would keep every evaluated state alive until a collection
     model = make_model("CHNS1")
     state = smooth_state(GRID1, model, seed=3)
@@ -409,18 +397,6 @@ def test_state_is_freed_without_the_garbage_collector():
         assert alive() is None
     finally:
         gc.enable()
-
-
-def test_derived_held_past_its_state_resolves_a_callable_coefficient():
-    # with its state freed, kappa and dcoef are called on a State of the pack
-    kappa = lambda st, model: 0.02 * (1.0 + st.c ** 2)
-    model = dataclasses.replace(make_model("GNS"), transport=dataclasses.replace(TRANSPORT, kappa=kappa))
-    state = smooth_state(GRID1, model, seed=1)
-    expected = kappa(state, model)
-    d = state.derived(model)
-    del state
-    assert d.owner() is None
-    assert np.array_equal(d.kappa, expected) and d.dcoef == TRANSPORT.dcoef
 
 
 @pytest.mark.parametrize("family", ["GNS", "CHNS1"])

@@ -146,23 +146,38 @@ def test_only_functionals_knows_the_sigma_a_variables(path):
     assert sigma_a_reads(path) == []
 
 
-# a callable kappa or dcoef is called once per state, by Derived.__getattr__
-# at the first read of either field; every other module reads those fields
-COEFFICIENT_RESOLVERS = {"kappa_of", "dcoef_of"}
+# a callable kappa or dcoef is called once per fill, at the end of the
+# kernel pass, on the fill's own fields; every other reader reads the
+# Derived's kappa and dcoef fields
+def transport_calls() -> list[tuple[str, str, str]]:
+    """(name, module, scope) of every call of an attribute kappa or dcoef."""
+    return sorted((node.func.attr, path.name, scope) for path in MODULES
+                  for scope, node in scoped_nodes(path, lambda node: isinstance(node, ast.Call)
+                                                  and isinstance(node.func, ast.Attribute)
+                                                  and node.func.attr in ("kappa", "dcoef")))
 
 
-def coefficient_resolutions(path: Path) -> list[str]:
-    """Attribute reads of kappa_of or dcoef_of."""
+def test_a_transport_callable_is_called_only_in_the_kernel_pass():
+    assert transport_calls() == [("dcoef", "functionals.py", "_kernel"),
+                                 ("kappa", "functionals.py", "_kernel")]
+
+
+# a Derived is a plain record, filled whole by the fill call: no method
+# computes a field later, and nothing refers back to the state it is of
+def weakref_imports(path: Path) -> list[str]:
+    """Imports of weakref or of names from it."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            and node.attr in COEFFICIENT_RESOLVERS]
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "weakref"
+                                                    for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "weakref"]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "functionals.py"],
-                         ids=lambda p: p.name)
-def test_only_derived_resolves_the_transport_coefficients(path):
-    assert coefficient_resolutions(path) == []
+def test_a_derived_is_a_plain_record_with_no_back_reference():
+    (_, derived), = scoped_nodes(SRC / "functionals.py", lambda node: isinstance(
+        node, ast.ClassDef) and node.name == "Derived")
+    assert ast.get_docstring(derived) and len(derived.body) == 1  # no method, no attribute
+    assert [line for path in sorted(SRC.glob("*.py")) for line in weakref_imports(path)] == []
 
 
 # a Derived is filled by one call, functionals._thermo, the thermo pass,

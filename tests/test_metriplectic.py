@@ -13,7 +13,7 @@ from metriflow import (Grid, ModelConfig, ParameterError, SurfaceCoefficients,
                        metriplectic_2bracket, onsager_fluxes, smooth_state, total_rhs)
 from metriflow import metriplectic
 from metriflow.fields import random_gradient
-from metriflow.functionals import State
+from metriflow.functionals import Derived, State
 from metriflow.metriplectic import PSD_TOL, _pair_sum, _stress, validate_psd_matrix
 
 GRID = Grid(dim=1, n=(24,), length=(1.0,))
@@ -116,20 +116,21 @@ def test_psd_symmetry_check_accepts_what_allclose_accepts():
 
 
 def test_callable_coefficients_resolve():
-    tr = TransportCoefficients(kappa=lambda st, m: 0.5, dcoef=0.0)
+    tr = TransportCoefficients(kappa=lambda f, m: 0.5, dcoef=0.0)
     model = model_for("GNS", transport=tr)
     state = smooth_state(GRID, model, seed=1)
-    assert tr.kappa_of(state, model) == 0.5
+    assert state.derived(model).kappa == 0.5
 
 
 @pytest.mark.parametrize("family", ["GNS", "CHNS1"])
 def test_callable_coefficients_are_called_once_per_state(family):
+    # on the fill's own Derived, every other field already set, not a State
     calls = []
 
     def counted(name, value):
-        def coefficient(state, model):
-            assert type(state) is State
-            calls.append(name)
+        def coefficient(f, model):
+            assert type(f) is Derived and hasattr(f, "grads")
+            calls.append((name, f))
             return value
         return coefficient
 
@@ -139,7 +140,8 @@ def test_callable_coefficients_are_called_once_per_state(family):
     state = smooth_state(GRID, model, seed=1)
     total_rhs(state, model)
     diagnostics(state, model)
-    assert sorted(calls) == ["dcoef", "kappa"]
+    assert [name for name, _ in calls] == ["kappa", "dcoef"]
+    assert all(f is state.derived(model) for _, f in calls)
 
 
 # ------------------------------------------------------------ viscous stress

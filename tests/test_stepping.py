@@ -21,22 +21,10 @@ from metriflow.grid import _csum, _trace
 from metriflow.metriplectic import _apply_tensor, _pair_sum, _tendencies
 from metriflow.thermo import ThermoPoint, lambda_f
 from metriflow.verification import model_for
+from conftest import coefficient, coefficient_on
 
 DISSIPATIVE = ("GNS", "CHNS0", "CHNS1")
 SLOTS = ("m", "rho", "ctilde", "sigma")
-
-
-def _coefficient(kind, dim, scale):
-    if kind == "scalar":
-        return scale
-    if kind == "matrix":
-        return scale * (np.eye(dim) + 0.3 * (np.ones((dim, dim)) - np.eye(dim)))
-
-    def field(state, model):
-        # positive, state-dependent tensor field of shape (dim, dim, *members, *grid)
-        eye = np.eye(dim).reshape((dim, dim) + (1,) * state.c.ndim)
-        return scale * eye * (1.0 + state.c ** 2)
-    return field
 
 
 def _model(family, dim, coef_kind="scalar"):
@@ -47,8 +35,8 @@ def _model(family, dim, coef_kind="scalar"):
     tr = None
     if family in DISSIPATIVE:
         tr = TransportCoefficients(eta=0.01, zeta=0.005,
-                                   kappa=_coefficient(coef_kind, dim, 0.02),
-                                   dcoef=_coefficient(coef_kind, dim, 0.03))
+                                   kappa=coefficient(coef_kind, dim, 0.02),
+                                   dcoef=coefficient(coef_kind, dim, 0.03))
     anis = AnisotropyFn(kind="fourfold", eps4=0.04) if dim == 2 else AnisotropyFn()
     return ModelConfig(family=family, grid=grid, surface=surf, transport=tr,
                        anisotropy=anis)
@@ -132,7 +120,7 @@ def _reference_tendencies(state, model, ideal=True, dissipative=True):
         add("sigma", -sig_tot * v)
     if dissipative:
         tr = model.transport
-        kappa, dcoef = tr.kappa_of(state, model), tr.dcoef_of(state, model)
+        kappa, dcoef = coefficient_on(tr.kappa, state, model), coefficient_on(tr.dcoef, state, model)
         grad_mu = g.grad(mu_gamma)
         stress = _reference_stress(gradv, tr.eta, tr.zeta)
         heat, diffusion = _apply_tensor(kappa, gradT), _apply_tensor(dcoef, grad_mu)
@@ -361,18 +349,52 @@ def test_a_step_runs_each_pass_once_per_stage_state(monkeypatch, dim):
     monkeypatch.setattr(functionals, "_eos", eos)
     monkeypatch.setattr(functionals, "_kernel", kernel)
     monkeypatch.setattr(functionals._Pack, "__init__", init)
-    steps = 3
+    steps, ends = 3, []
     for _ in range(steps):
         state = step_rk4(state, model, 1e-4)
+        ends.append(state)
     assert len(eos_calls) == 4 * steps
     assert len(passes) == 4 * steps and len({id(p) for _, p in passes}) == 4 * steps
     assert built == {"State": steps, "FunctionalGradient": steps}
-    derived = [f for f, _ in passes if f.owner is not None]  # a state's, not a stage's
-    assert len(derived) == steps
+    derived = [f for f, _ in passes if any(f is end.derived(model) for end in ends)]
+    assert len(derived) == steps  # a state's, not a stage's
     for d in derived:
         copies = [x.shape for x in _arrays_held(d)
                   if x.shape == d.packed.shape and x.base is None and x is not d.packed]
         assert copies == []
+
+
+def test_a_coefficient_of_the_temperature_reads_the_fill_it_is_called_in(monkeypatch):
+    # kappa(T) reads T off the fill's own fields, the same for a state and
+    # for a stage of the same pack, so a step runs one kernel pass per
+    # filled pack (4), and kappa is called once in each
+    calls = []
+
+    def kappa(f, model):
+        calls.append(f)
+        return 0.02 * f.eos.T[None, None]
+
+    base = _model("CHNS1", 1)
+    model = dataclasses.replace(base, transport=dataclasses.replace(base.transport, kappa=kappa))
+    packed = smooth_state(model.grid, model, seed=39, amp=0.15).packed
+    stage = Derived(grid=model.grid, packed=packed, model=model)
+    _thermo(stage)
+    _assert_same_bits(total_rhs(State(model.grid, packed=packed), model),
+                      FunctionalGradient(packed=_tendencies(stage)), "total_rhs")
+    state = step_rk4(State(model.grid, packed=packed), model, 1e-4)
+    plain_kernel, passes = functionals._kernel, []
+
+    def kernel(f):
+        passes.append(f)
+        return plain_kernel(f)
+
+    monkeypatch.setattr(functionals, "_kernel", kernel)
+    calls.clear()
+    steps = 3
+    for _ in range(steps):
+        state = step_rk4(state, model, 1e-4)
+    assert len(passes) == 4 * steps
+    assert [id(f) for f in calls] == [id(f) for f in passes]
 
 
 # Python frames of the package per RK4 stage: what is left of a stage's

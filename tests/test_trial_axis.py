@@ -32,26 +32,13 @@ from metriflow.metriplectic import (_apply_tensor, _dissipative_fluxes, _embed3_
 from metriflow.verification import (CASIMIR_SIZES, FLOOR, ORDER_MIN, _counts, _jsonable,
                                     _observed_order, model_for, onsager_suite,
                                     production_positivity_suite, verify)
+from conftest import coefficient
 
 SEEDS = np.array([3, 17, 40, 41, 1 << 30])
 
 
 def _grid(dim):
     return Grid(dim=dim, n=(16,) * dim, length=(1.0,) * dim)
-
-
-def _coefficient(kind, dim, scale):
-    if kind == "scalar":
-        return scale
-    if kind == "matrix":
-        return scale * (np.eye(dim) + 0.3 * (np.ones((dim, dim)) - np.eye(dim)))
-
-    def field(state, model):
-        # positive, state-dependent tensor field of shape (dim, dim, *grid),
-        # with the member axes of a batch of states before the grid's
-        eye = np.eye(dim).reshape((dim, dim) + (1,) * state.c.ndim)
-        return scale * eye * (1.0 + state.c ** 2)
-    return field
 
 
 def _model(family, dim, coef_kind="scalar"):
@@ -61,8 +48,8 @@ def _model(family, dim, coef_kind="scalar"):
     tr = None
     if family in DISSIPATIVE_FAMILIES:
         tr = TransportCoefficients(eta=0.01, zeta=0.005,
-                                   kappa=_coefficient(coef_kind, dim, 0.02),
-                                   dcoef=_coefficient(coef_kind, dim, 0.03))
+                                   kappa=coefficient(coef_kind, dim, 0.02),
+                                   dcoef=coefficient(coef_kind, dim, 0.03))
     anis = AnisotropyFn(kind="fourfold", eps4=0.04) if dim == 2 else AnisotropyFn()
     return ModelConfig(family=family, grid=_grid(dim), surface=surf,
                        transport=tr, anisotropy=anis)
