@@ -399,6 +399,18 @@ def test_state_is_freed_without_the_garbage_collector():
         gc.enable()
 
 
+def test_derived_held_past_its_state_resolves_a_callable_coefficient():
+    # the fill calls kappa on its own fields, so the Derived keeps the value
+    # with its state freed, and the callable sees the fields a State has
+    kappa = lambda f, model: 0.02 * (1.0 + f.c ** 2)
+    model = dataclasses.replace(make_model("GNS"), transport=dataclasses.replace(TRANSPORT, kappa=kappa))
+    state = smooth_state(GRID1, model, seed=1)
+    expected = 0.02 * (1.0 + state.c ** 2)
+    d = state.derived(model)
+    del state
+    assert np.array_equal(d.kappa, expected) and d.dcoef == TRANSPORT.dcoef
+
+
 @pytest.mark.parametrize("family", ["GNS", "CHNS1"])
 def test_gradients_share_no_memory_with_the_state(family):
     model = make_model(family)

@@ -149,17 +149,21 @@ def test_only_functionals_knows_the_sigma_a_variables(path):
 # a callable kappa or dcoef is called once per fill, at the end of the
 # kernel pass, on the fill's own fields; every other reader reads the
 # Derived's kappa and dcoef fields
-def transport_calls() -> list[tuple[str, str, str]]:
-    """(name, module, scope) of every call of an attribute kappa or dcoef."""
-    return sorted((node.func.attr, path.name, scope) for path in MODULES
-                  for scope, node in scoped_nodes(path, lambda node: isinstance(node, ast.Call)
-                                                  and isinstance(node.func, ast.Attribute)
-                                                  and node.func.attr in ("kappa", "dcoef")))
+def transport_calls(path: Path) -> list[tuple[str, str]]:
+    """(name, scope) of every call of an attribute kappa or dcoef in path."""
+    return sorted((node.func.attr, scope) for scope, node in scoped_nodes(
+        path, lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("kappa", "dcoef")))
 
 
 def test_a_transport_callable_is_called_only_in_the_kernel_pass():
-    assert transport_calls() == [("dcoef", "functionals.py", "_kernel"),
-                                 ("kappa", "functionals.py", "_kernel")]
+    assert transport_calls(SRC / "functionals.py") == [("dcoef", "_kernel"), ("kappa", "_kernel")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "functionals.py"],
+                         ids=lambda p: p.name)
+def test_only_derived_resolves_the_transport_coefficients(path):
+    assert transport_calls(path) == []
 
 
 # a Derived is a plain record, filled whole by the fill call: no method
