@@ -48,9 +48,7 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     g = state.grid
     if model.is_diffuse:
         Fg, Gg = transform_gradients(Fg, state, model), transform_gradients(Gg, state, model)
-    d = state.derived(model)
-    sigma = d.sigma_total
-    w = state.packed if sigma is d.sigma else np.concatenate([state.packed[:-1], sigma[None]])
+    w = np.concatenate([state.packed[:-1], state.derived(model).sigma_total[None]])
 
     def advect(A, B):
         # (A.m . grad) B_s for every slot s, from one grad of B's pack

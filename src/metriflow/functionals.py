@@ -67,6 +67,9 @@ class ModelConfig:
                 "lambda_u and lambda_s must be 0")
         if self.is_dissipative and self.transport is None:
             raise ValueError(f"family {self.family} requires transport coefficients")
+        if not self.is_dissipative and self.transport is not None:
+            raise ValueError(f"family {self.family} does not dissipate; "
+                             "it takes no transport coefficients")
         for name in ("kappa", "dcoef"):
             val, dim = getattr(self.transport, name, None), self.grid.dim
             if not callable(val) and np.ndim(val) == 2 and np.shape(val) != (dim, dim):
@@ -79,33 +82,13 @@ class ModelConfig:
 _HALF, _MINUS_HALF = _frozen(0.5), _frozen(-0.5)
 
 
-class _slot:
-    """A slot's view of the pack, packed[index], made at its first read and
-    kept: it has no __set__, so the view kept shadows it.  Unlike
-    functools.cached_property it takes no lock (Python 3.11 takes an RLock
-    on every first access)."""
-
-    def __init__(self, index):
-        self.index = index
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        view = obj.packed[self.index]
-        object.__setattr__(obj, self.name, view)
-        return view
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class _Pack:
     """The slots (m, rho, ctilde, sigma) as views of one pack of shape
     (dim + 3, *batch, *grid.shape): m is packed[:dim], then rho, ctilde and
     sigma.  Built from a pack, which it wraps without a copy, or from the
     four fields, broadcast to one shape and copied into a new pack.  Each
-    view is made at its first read, and kept (_slot).
+    view is made at its first read, and kept (a cached_property).
 
     The batch rule: any state may carry batch (member) axes, and it pairs
     with gradients batched along the same axes; every function of a state
@@ -124,7 +107,10 @@ class _Pack:
             raise TypeError(f"{type(self).__name__} takes the four fields or packed, not both")
         object.__setattr__(self, "packed", packed)
 
-    m, rho, ctilde, sigma = _slot(slice(None, -3)), _slot(-3), _slot(-2), _slot(-1)
+    m = cached_property(lambda self: self.packed[:-3])
+    rho = cached_property(lambda self: self.packed[-3])
+    ctilde = cached_property(lambda self: self.packed[-2])
+    sigma = cached_property(lambda self: self.packed[-1])
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -278,15 +264,17 @@ def _thermo(f) -> None:
 def _kernel(f) -> None:
     """The kernel pass, at the end of the thermo pass.
     For a diffuse family gamma_xi = (grad c, Gamma, xi), weight = rho^a (the
-    density weight of the surface terms) and sigma_total; for a sharp one
-    gamma_xi = (), weight None and sigma_total sigma.  In their rows of the
-    stack: mu_gamma = mu - div(u) / rho, u = lambda_f(T) rho^a Gamma xi (mu
-    for a sharp family), and H_rho = -|v|^2 / 2 + g - c mu_Gamma, g the Gibbs
-    energy, plus lambda_f Gamma^2 / 2 for a = 1.  h_hat = (v, H_rho,
-    mu_Gamma, T), a view of the stack, is transform_gradients(grad_H) for a
-    diffuse family, to roundoff, and grad_H for a sharp one.  grads = grad
-    h_hat, (dim, dim + 3, *members, *grid.shape) from one grad: [k, s] = d_k
-    of slot s.  Last, for a model with transport, kappa and dcoef: a
+    density weight of the surface terms) and sigma_total = sigma + rho^a
+    lambda_s Gamma^2 / 2 (sigma at lambda_s = 0: the surface terms' general
+    formulas reduce exactly at a zero coefficient, so none has a case for
+    it); for a sharp one gamma_xi = (), weight None and sigma_total sigma.
+    In their rows of the stack: mu_gamma = mu - div(u) / rho, u = lambda_f(T)
+    rho^a Gamma xi (mu for a sharp family), and H_rho = -|v|^2 / 2 + g - c
+    mu_Gamma, g the Gibbs energy, plus lambda_f Gamma^2 / 2 for a = 1.
+    h_hat = (v, H_rho, mu_Gamma, T), a view of the stack, is
+    transform_gradients(grad_H) for a diffuse family, to roundoff, and
+    grad_H for a sharp one.  grads = grad h_hat, (dim, dim + 3, *members,
+    *grid.shape) from one grad: [k, s] = d_k of slot s.  Last, for a model with transport, kappa and dcoef: a
     callable one is called as coef(f, model), on these fields, all set."""
     grid, model, eos, stack = f.grid, f.model, f.eos, f.stack
     dim, rho, mu_gamma = grid.dim, f.rho, stack[grid.dim + 1]
@@ -297,15 +285,12 @@ def _kernel(f) -> None:
         f.gamma_xi = (gc, gamma, xi)
         # each chain in place in the temporary it made, in its order (a sum
         # or a product commutes bit for bit): the bits written out
-        if surface.lambda_s == 0.0:
-            f.sigma_total = f.sigma
-        else:  # sigma + 1/2 rho^a lambda_s Gamma^2
-            st = _HALF * weight
-            st *= surface.consts.lambda_s
-            st *= gamma
-            st *= gamma
-            st += f.sigma
-            f.sigma_total = st
+        st = _HALF * weight  # sigma + 1/2 rho^a lambda_s Gamma^2
+        st *= surface.consts.lambda_s
+        st *= gamma
+        st *= gamma
+        st += f.sigma
+        f.sigma_total = st
         lam = lambda_f(eos.T, surface)
         u = lam * weight  # u = lambda_f rho^a Gamma xi
         u *= gamma
@@ -351,7 +336,7 @@ def hamiltonian(state: State, model: ModelConfig) -> float | np.ndarray:
     g = state.grid
     d = state.derived(model)
     e = 0.5 * _csum(state.m * state.m) / state.rho + state.rho * d.eos.u
-    if model.is_diffuse and model.surface.lambda_u != 0.0:
+    if model.is_diffuse:
         _, gamma, _ = d.gamma_xi
         e = e + 0.5 * d.weight * model.surface.lambda_u * gamma * gamma
     return g.integrate(e)
@@ -373,7 +358,7 @@ def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
     rho, c, v, pt = d.rho, d.c, d.v, d.eos
     d_rho = -0.5 * _csum(v * v) + pt.g - c * pt.mu
     d_ctilde = pt.mu
-    if model.is_diffuse and model.surface.lambda_u != 0.0:
+    if model.is_diffuse:
         lam_u, a = model.surface.lambda_u, model.a
         _, gamma, xi = d.gamma_xi
         div_flux = g.div(d.weight * lam_u * gamma * xi)
@@ -386,13 +371,12 @@ def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
 
 def grad_S(state: State, model: ModelConfig) -> FunctionalGradient:
     """Exact discrete functional derivatives of the entropy functional: the
-    unit sigma gradient, taken out of the sigma^a variables where the
-    surface entropy is present."""
+    unit sigma gradient, taken out of the sigma^a variables for a diffuse
+    family.  It raises as State.validate does."""
+    state.derived(model)
     unit = FunctionalGradient(packed=np.zeros(state.packed.shape))
     unit.sigma[...] = 1.0
-    if model.is_diffuse and model.surface.lambda_s != 0.0:
-        return untransform_gradients(unit, state, model)
-    return unit
+    return untransform_gradients(unit, state, model) if model.is_diffuse else unit
 
 
 def _change_variables(Fg: FunctionalGradient, state: State, model: ModelConfig,
@@ -421,8 +405,6 @@ def _tendency_to_sigma_a(rhs: np.ndarray, f) -> None:
     d/dt(rho^a lambda_s Gamma^2 / 2) by the chain rule, the transpose of
     transform_gradients."""
     surface, dim = f.model.surface, f.grid.dim
-    if surface.lambda_s == 0.0:
-        return
     _, gamma, xi = f.gamma_xi
     rho_dot, sigma_dot = rhs[dim], rhs[dim + 2]
     # each chain in place in the temporary it made, in its order

@@ -50,7 +50,10 @@ class TransportCoefficients:
     f is the Derived being filled (c, rho, v, sigma, eos, mu_gamma, packed,
     grid and the rest already set), not a State: a callable is called once
     per fill of a pack under a model with transport, a state's or an RK4
-    stage's, at the end of the kernel pass.
+    stage's, at the end of the kernel pass.  Only a model of a dissipative
+    family takes them (ModelConfig raises a ValueError naming any other
+    family): no ideal kernel reads them, and stability_limit bounds dt by
+    any a model has.
     """
 
     eta: float = 0.0
@@ -193,9 +196,10 @@ def _tendencies(f, ideal: bool = True, dissipative: bool = True) -> np.ndarray:
     negated fluxes, in the pack's slots, plus momentum's source -sum_s w_s
     grad H_s if ideal, H = h_hat.  The fluxes are -w_s v in every slot s if
     ideal, w the Poisson slot table (the pack, with sigma_total in the sigma
-    slot), plus C_X grad H_X for X = m, ctilde, sigma if dissipative (as
-    _dissipative_fluxes forms them, the sigma slot's over T), whose _pairing
-    with the gradients, the production, adds to sigma.  Each is the tendency
+    slot, for a sharp family too, whose sigma_total is its sigma), plus C_X
+    grad H_X for X = m, ctilde, sigma if dissipative (as _dissipative_fluxes
+    forms them, the sigma slot's over T), whose _pairing with the gradients,
+    the production, adds to sigma.  Each is the tendency
     its bracket generates, so energy is conserved exactly; the mass,
     concentration and total-entropy budgets telescope exactly on the
     periodic grid, and momentum's only to O(h^2).  Each stage takes one
@@ -211,8 +215,7 @@ def _tendencies(f, ideal: bool = True, dissipative: bool = True) -> np.ndarray:
     if ideal:
         negv = np.negative(f.v)
         flux = packed * negv[:, None]
-        if f.sigma_total is not f.sigma:
-            np.multiply(f.sigma_total, negv, out=flux[:, -1])
+        np.multiply(f.sigma_total, negv, out=flux[:, -1])
     else:
         flux = np.zeros((dim,) + packed.shape)
     if dissipative:
@@ -226,14 +229,11 @@ def _tendencies(f, ideal: bool = True, dissipative: bool = True) -> np.ndarray:
         del gradients, stress, heat, diffusion  # freed before the divergence
     rhs = f.grid.div(flux)
     del flux  # not read again: held, it would raise the stage's peak
-    if ideal:  # sum_s w_s d_i H_s
-        grads, sigma = f.grads, f.sigma_total
-        if sigma is f.sigma:
-            rhs[:dim] -= np.einsum("s...,is...->i...", packed, grads)
-        else:  # the slots but sigma, then sigma_total's term: the sum's order
-            source = np.einsum("s...,is...->i...", packed[:-1], grads[:, :-1])
-            source += sigma * grads[:, -1]
-            rhs[:dim] -= source
+    if ideal:  # sum_s w_s d_i H_s: the slots but sigma, then sigma_total's term
+        grads = f.grads
+        source = np.einsum("s...,is...->i...", packed[:-1], grads[:, :-1])
+        source += f.sigma_total * grads[:, -1]
+        rhs[:dim] -= source
     if dissipative:
         rhs[-1] += production
     if f.model.is_diffuse:

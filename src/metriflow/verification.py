@@ -15,6 +15,7 @@ floor accepted for residuals that are exactly zero discretely.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -381,8 +382,8 @@ def run_suites(names, seed: int, level: str) -> dict:
     entries = {}
     for name in names:
         result = _SUITES[name](seed, level)
-        entries[name] = {"passed": bool(result.passed),
-                         "details": _jsonable(result.details)}
+        entries[name] = {"passed": bool(result.passed), "details": json.loads(
+            json.dumps(result.details, default=lambda x: x.item()))}
     return entries
 
 
@@ -397,17 +398,3 @@ def verify(seed: int = 1, level: str = "fast") -> dict:
     """Run every suite; returns a JSON-serializable report."""
     return assemble_report(seed, level, run_suites(_SUITES, seed, level))
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    # bool before int: a bool is an int
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj

@@ -1,12 +1,14 @@
 """Fixtures shared by the test modules."""
 
-from dataclasses import fields
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from metriflow import Grid, OnsagerBlocks, eval_eos, lam4
+from metriflow import AnisotropyFn, Grid, OnsagerBlocks, eval_eos, lam4
 from metriflow.metriplectic import _embed3_matrix, _onsager_blocks
+from metriflow.verification import model_for
 
 
 def coefficient(kind, dim, scale):
@@ -22,6 +24,24 @@ def coefficient(kind, dim, scale):
         eye = np.eye(dim).reshape((dim, dim) + (1,) * f.c.ndim)
         return scale * eye * (1.0 + f.c ** 2)
     return field
+
+
+def model_of(family, dim, kind="scalar", n=16, eps4=0.04):
+    """verification.model_for(family, grid) on a unit grid of n cells per
+    axis, with a dissipative family's kappa and dcoef of the given kind (see
+    coefficient) and, in 2D, fourfold anisotropy of strength eps4."""
+    model, kw = model_for(family, Grid(dim=dim, n=(n,) * dim, length=(1.0,) * dim)), {}
+    if model.transport is not None:
+        kw["transport"] = replace(model.transport, kappa=coefficient(kind, dim, 0.02),
+                                  dcoef=coefficient(kind, dim, 0.03))
+    if dim == 2:
+        kw["anisotropy"] = AnisotropyFn(kind="fourfold", eps4=eps4)
+    return replace(model, **kw)
+
+
+def as_json(details) -> str:
+    """The JSON text of a verify suite's details, numpy scalars as Python's."""
+    return json.dumps(details, default=lambda x: x.item())
 
 
 def coefficient_on(coef, state, model):

@@ -9,26 +9,17 @@ function of a state runs here on a state whose Derived is already filled,
 and every input and every array that Derived holds must keep its bits.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from metriflow import (AnisotropyFn, Grid, diagnostics, dissipative_rhs,
+from metriflow import (diagnostics, dissipative_rhs,
                        entropy_production_rate, eval_eos, gamma_eval, hamiltonian,
                        ideal_rhs, kn_4bracket, poisson_bracket, smooth_state, step_rk4,
                        total_rhs)
 from metriflow.fields import random_gradient
 from metriflow.functionals import DISSIPATIVE_FAMILIES, FAMILIES
 from metriflow.thermo import ThermoPoint
-from metriflow.verification import model_for
-
-
-def _model(family, dim):
-    grid = Grid(dim=dim, n=(16,) if dim == 1 else (8, 8), length=(1.0,) * dim)
-    model = model_for(family, grid)
-    return replace(model, anisotropy=AnisotropyFn(kind="fourfold", eps4=0.04)) \
-        if dim == 2 else model
+from conftest import model_of
 
 
 # name -> the call, of (state, model, gradients, inputs)
@@ -72,7 +63,7 @@ def _arrays(state, model, gradients, inputs):
 @pytest.mark.parametrize("name, family, dim, members", CASES,
                          ids=[f"{n}-{f}-{d}D-{'batch' if k else 'one'}" for n, f, d, k in CASES])
 def test_a_function_of_a_state_keeps_every_input_and_derived_bit(name, family, dim, members):
-    model = _model(family, dim)
+    model = model_of(family, dim, n=16 if dim == 1 else 8)
     seed = 5 if members is None else np.arange(5, 5 + members)
     state = smooth_state(model.grid, model, seed=seed, amp=0.15)
     state.derived(model)  # filled first, as a step's end is for the next step

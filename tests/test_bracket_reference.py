@@ -8,29 +8,16 @@ of grad H that the 2-bracket reads are v, T and mu_Gamma.
 import numpy as np
 import pytest
 
-from metriflow import (AnisotropyFn, Grid, ModelConfig, SurfaceCoefficients,
-                       TransportCoefficients, grad_H, kn_4bracket, metriplectic_2bracket,
-                       smooth_state, transform_gradients)
+from metriflow import (grad_H, kn_4bracket, metriplectic_2bracket, smooth_state,
+                       transform_gradients)
 from metriflow.fields import random_gradient
 from metriflow.functionals import _lift
 from metriflow.grid import _csum
 from metriflow.metriplectic import _apply_tensor, _pair_sum, _stress
-from conftest import coefficient, coefficient_on
+from conftest import coefficient_on, model_of
 
 TRIALS = 20
-
-
-def _model(family, dim, coef_kind):
-    grid = Grid(dim=dim, n=32 if dim == 1 else 16, length=1.0)
-    diffuse = family.startswith("CH")
-    surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
-                               lambda_s=1e-3 if diffuse else 0.0)
-    tr = TransportCoefficients(eta=0.01, zeta=0.005,
-                               kappa=coefficient(coef_kind, dim, 0.02),
-                               dcoef=coefficient(coef_kind, dim, 0.03))
-    anis = AnisotropyFn(kind="fourfold", eps4=0.05) if dim == 2 else AnisotropyFn()
-    return ModelConfig(family=family, grid=grid, surface=surf, transport=tr,
-                       anisotropy=anis)
+CELLS = {1: 32, 2: 16}  # per axis, by dim
 
 
 CASES = [(family, dim, kind) for family in ("GNS", "CHNS0", "CHNS1") for dim in (1, 2)
@@ -76,7 +63,7 @@ def _reference_kn_4bracket(Fg, Gg, Kg, Ng, state, model):
 
 @pytest.mark.parametrize("family,dim,kind", CASES)
 def test_4bracket_gives_the_reference_bits(family, dim, kind):
-    model = _model(family, dim, kind)
+    model = model_of(family, dim, kind, n=CELLS[dim], eps4=0.05)
     state = smooth_state(model.grid, model, seed=21, amp=0.15)
     seeds = 500 + np.arange(TRIALS)
     F, G, K, N = (random_gradient(model.grid, seeds + 1000 * i) for i in range(4))
@@ -88,7 +75,7 @@ def test_4bracket_gives_the_reference_bits(family, dim, kind):
 @pytest.mark.parametrize("family,dim,kind", CASES)
 def test_2bracket_matches_the_direct_body(family, dim, kind):
     # (F, H; G, H): the reference 4-bracket with grad H in both H slots
-    model = _model(family, dim, kind)
+    model = model_of(family, dim, kind, n=CELLS[dim], eps4=0.05)
     state = smooth_state(model.grid, model, seed=22, amp=0.15)
     Hg = grad_H(state, model)
     for trial in range(TRIALS):
@@ -104,7 +91,7 @@ def test_the_2bracket_reads_v_T_and_mu_gamma_from_grad_H(family, dim):
     # the m, sigma and ctilde slots of grad H, mapped through
     # transform_gradients for a diffuse family: v and T bit for bit, and
     # mu_Gamma, whose surface part the map assembles in another order
-    model = _model(family, dim, "scalar")
+    model = model_of(family, dim, n=CELLS[dim], eps4=0.05)
     state = smooth_state(model.grid, model, seed=22, amp=0.15)
     Hg, d = grad_H(state, model), state.derived(model)
     if model.is_diffuse:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metriflow import (FunctionalGradient, Grid, ModelConfig, SurfaceCoefficients,
-                       TransportCoefficients, UnsupportedFamilyError,
+                       UnsupportedFamilyError,
                        capillary_force, entropy, grad_H, grad_S, hamiltonian,
                        ideal_rhs, parse_anisotropy, poisson_bracket, smooth_state,
                        transform_gradients, untransform_gradients)
@@ -14,23 +14,14 @@ from metriflow.fields import random_gradient
 from metriflow.functionals import DIFFUSE_FAMILIES, FAMILIES, State
 from metriflow.scenarios import analytic_capillary_force, double_tanh_profile
 from metriflow.verification import (CASIMIR_SIZES, FLOOR, _batch_of_one,
-                                    _judge_refinement)
+                                    _judge_refinement, model_for)
 
 GRID = Grid(dim=1, n=(32,), length=(1.0,))
 
 
-def model_for(family, grid=GRID):
-    diffuse = family.startswith("CH")
-    surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
-                               lambda_s=1e-3 if diffuse else 0.0)
-    tr = TransportCoefficients(eta=0.01, zeta=0.005, kappa=0.02, dcoef=0.03) \
-        if family in ("GNS", "CHNS0", "CHNS1") else None
-    return ModelConfig(family=family, grid=grid, surface=surf, transport=tr)
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 def test_self_bracket_vanishes(family):
-    model = model_for(family)
+    model = model_for(family, GRID)
     state = smooth_state(GRID, model, seed=2)
     for trial in range(20):
         F = random_gradient(GRID, seed=40 + trial)
@@ -39,7 +30,7 @@ def test_self_bracket_vanishes(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_antisymmetry(family):
-    model = model_for(family)
+    model = model_for(family, GRID)
     state = smooth_state(GRID, model, seed=2)
     rng = np.random.default_rng(3)
     for trial in range(20):
@@ -52,7 +43,7 @@ def test_antisymmetry(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_bilinearity(family):
-    model = model_for(family)
+    model = model_for(family, GRID)
     state = smooth_state(GRID, model, seed=2)
     F = random_gradient(GRID, seed=60)
     G = random_gradient(GRID, seed=61)
@@ -86,7 +77,7 @@ def test_entropy_casimir_converges(family):
 
 @pytest.mark.parametrize("family", ["CHE0", "CHE1", "CHNS0", "CHNS1"])
 def test_transform_untransform_roundtrip(family):
-    model = model_for(family)
+    model = model_for(family, GRID)
     state = smooth_state(GRID, model, seed=5)
     F = random_gradient(GRID, seed=90)
     back = untransform_gradients(transform_gradients(F, state, model), state, model)
@@ -96,7 +87,7 @@ def test_transform_untransform_roundtrip(family):
 
 
 def test_transform_passes_m_and_sigma_through():
-    model = model_for("CHNS1")
+    model = model_for("CHNS1", GRID)
     state = smooth_state(GRID, model, seed=5)
     F = random_gradient(GRID, seed=91)
     out = transform_gradients(F, state, model)
@@ -115,7 +106,7 @@ def test_transform_identity_without_lambda_s():
 
 
 def test_transform_rejects_sharp_families():
-    model = model_for("GNS")
+    model = model_for("GNS", GRID)
     state = smooth_state(GRID, model, seed=5)
     F = random_gradient(GRID, seed=93)
     with pytest.raises(UnsupportedFamilyError):
@@ -127,7 +118,7 @@ def test_transform_rejects_sharp_families():
 # ----------------------------------------------------------- capillary force
 
 def test_capillary_force_zero_for_sharp_families():
-    model = model_for("GNS")
+    model = model_for("GNS", GRID)
     state = smooth_state(GRID, model, seed=6)
     assert np.all(capillary_force(state, model) == 0.0)
 
@@ -168,7 +159,7 @@ def test_capillary_force_matches_analytic_profile():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_uniform_translation_is_equilibrium(family):
-    model = model_for(family)
+    model = model_for(family, GRID)
     rho = np.full(GRID.shape, 1.3)
     state = State(grid=GRID, m=0.4 * rho[None, :], rho=rho,
                   ctilde=0.2 * rho, sigma=0.1 * rho)
@@ -179,7 +170,7 @@ def test_uniform_translation_is_equilibrium(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_mass_and_concentration_tendencies_telescope(family):
-    model = model_for(family)
+    model = model_for(family, GRID)
     state = smooth_state(GRID, model, seed=7)
     rhs = ideal_rhs(state, model)
     assert abs(GRID.integrate(rhs.rho)) <= 1e-13
@@ -189,7 +180,7 @@ def test_mass_and_concentration_tendencies_telescope(family):
 @pytest.mark.parametrize("family", ["GE", "CHE0", "CHE1"])
 def test_ideal_entropy_rate_is_exactly_zero(family):
     # divergence form plus the exact chain rule: dS/dt telescopes away
-    model = model_for(family)
+    model = model_for(family, GRID)
     state = smooth_state(GRID, model, seed=8)
     Sg = grad_S(state, model)
     rate = Sg.dot(ideal_rhs(state, model), GRID)
@@ -231,7 +222,7 @@ def test_bracket_generates_ideal_rhs():
     # equal the bracket of that gradient with grad H
     from metriflow import grad_H
     for family in ("GE", "CHE1", "CHE0"):
-        model = model_for(family)
+        model = model_for(family, GRID)
         state = smooth_state(GRID, model, seed=10)
         Hg = grad_H(state, model)
         rhs = ideal_rhs(state, model)

@@ -6,14 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from metriflow import (FAMILIES, AnisotropyFn, Grid, IntegrationError,
-                       ModelConfig, SurfaceCoefficients,
+from metriflow import (FAMILIES, Grid, IntegrationError, ModelConfig,
                        TransportCoefficients, diagnostics,
                        dissipative_rhs, eval_eos, ideal_rhs, integrate,
                        smooth_state, stability_limit, step_rk4, total_rhs)
 from metriflow.functionals import State
 from metriflow.scenarios import make_scenario
-from conftest import coefficient
+from conftest import model_of
 
 GRID = Grid(dim=1, n=(32,), length=(1.0,))
 GE = ModelConfig(family="GE", grid=GRID)
@@ -51,26 +50,11 @@ def test_total_rhs_reduces_to_ideal_for_ge():
         assert np.array_equal(getattr(a, slot), getattr(b, slot))
 
 
-def _kernel_model(family, dim, coef_kind="scalar"):
-    grid = Grid(dim=dim, n=(16,) * dim, length=(1.0,) * dim)
-    diffuse = family.startswith("CH")
-    surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
-                               lambda_s=1e-3 if diffuse else 0.0)
-    tr = None
-    if family in ("GNS", "CHNS0", "CHNS1"):
-        tr = TransportCoefficients(eta=0.01, zeta=0.005,
-                                   kappa=coefficient(coef_kind, dim, 0.02),
-                                   dcoef=coefficient(coef_kind, dim, 0.03))
-    anis = AnisotropyFn(kind="fourfold", eps4=0.04) if dim == 2 else AnisotropyFn()
-    return ModelConfig(family=family, grid=grid, surface=surf, transport=tr,
-                       anisotropy=anis)
-
-
 @pytest.mark.parametrize("coef_kind", ["scalar", "matrix", "callable"])
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_total_rhs_is_ideal_plus_dissipative(family, dim, coef_kind):
-    model = _kernel_model(family, dim, coef_kind)
+    model = model_of(family, dim, coef_kind)
     state = smooth_state(model.grid, model, seed=21)
     total = total_rhs(state.replace(), model)
     ideal = ideal_rhs(state.replace(), model)
@@ -83,7 +67,7 @@ def test_total_rhs_is_ideal_plus_dissipative(family, dim, coef_kind):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_total_rhs_deriv_call_count(dim, deriv_calls):
-    model = _kernel_model("CHNS1", dim)
+    model = model_of("CHNS1", dim)
     fresh = smooth_state(model.grid, model, seed=22).replace()
     diagnosed = fresh.replace()
     diagnostics(diagnosed, model)

@@ -57,6 +57,13 @@ def test_dissipative_family_requires_transport():
         ModelConfig(family="GNS", grid=GRID1)
 
 
+@pytest.mark.parametrize("family", ["GE", "CHE0", "CHE1"])
+def test_an_ideal_family_rejects_transport_naming_the_family(family):
+    # its kernel reads no transport, which would only tighten stability_limit
+    with pytest.raises(ValueError, match=f"family {family} does not dissipate"):
+        dataclasses.replace(make_model(family), transport=TRANSPORT)
+
+
 def test_fourfold_anisotropy_needs_a_2d_grid():
     fourfold = AnisotropyFn(kind="fourfold", eps4=0.05)
     with pytest.raises(ParameterError, match="dim = 1") as info:
@@ -108,7 +115,7 @@ def test_a_state_under_a_model_on_another_grid_raises_naming_both(model_grid, ka
     state = smooth_state(GRID1, make_model("GNS"), seed=1)
     model = make_model("GNS", grid=model_grid)
     model = dataclasses.replace(model, transport=dataclasses.replace(TRANSPORT, kappa=kappa))
-    for call in (State.validate, stability_limit):
+    for call in (State.validate, stability_limit, grad_S):
         with pytest.raises(ValueError, match=re.escape(
                 f"a state on {GRID1} under a model on {model_grid}")):
             call(state, model)
@@ -118,9 +125,9 @@ def test_a_state_under_a_model_on_another_grid_raises_naming_both(model_grid, ka
 
 
 @pytest.mark.parametrize("scenario", ["heat_relax", "spinodal1d"], ids=["GNS", "CHNS1"])
-@pytest.mark.parametrize("call", [State.validate, hamiltonian, grad_H, entropy, sigma_total,
-                                  thermo_point, total_rhs, ideal_rhs, dissipative_rhs,
-                                  entropy_production_rate],
+@pytest.mark.parametrize("call", [State.validate, hamiltonian, grad_H, grad_S, entropy,
+                                  sigma_total, thermo_point, total_rhs, ideal_rhs,
+                                  dissipative_rhs, entropy_production_rate],
                          ids=lambda call: call.__name__)
 def test_every_function_of_an_empty_batch_fails_as_validate_fails_it(call, scenario):
     # the fill rejects an empty pack before any field is set, for a sharp
@@ -228,6 +235,20 @@ def test_hamiltonian_uniform_state():
     st = uniform_state(GRID1, rho=1.4, c=0.2, s=0.1)
     pt = eval_eos(1.4, 0.1, 0.2, model.eos)
     assert hamiltonian(st, model) == pytest.approx(1.4 * float(pt.u), rel=1e-13)
+
+
+@pytest.mark.parametrize("family, sharp", [("CHE0", "GE"), ("CHE1", "GE"),
+                                           ("CHNS0", "GNS"), ("CHNS1", "GNS")])
+def test_a_diffuse_family_without_surface_terms_gives_its_sharp_family_bits(family, sharp):
+    # the surface terms' general formulas, with no case of their own for a
+    # zero coefficient, reduce exactly there
+    model = dataclasses.replace(make_model(family), surface=SurfaceCoefficients())
+    bare = make_model(sharp)
+    state = smooth_state(GRID1, model, seed=3)
+    assert np.array_equal(sigma_total(state, model), state.sigma)
+    assert hamiltonian(state, model) == hamiltonian(state, bare)
+    for call in (grad_H, grad_S, total_rhs):
+        assert np.array_equal(call(state, model).packed, call(state, bare).packed), call
 
 
 def test_hamiltonian_sharp_reduction():

@@ -369,3 +369,55 @@ def numpy_random_uses(path: Path) -> list[str]:
 
 def test_the_field_draws_use_nothing_of_numpy_random():
     assert numpy_random_uses(SRC / "fields.py") == []
+
+
+# the general formulas of the surface terms reduce exactly at lambda_u = 0
+# or lambda_s = 0, so only ModelConfig, which rejects surface terms on a
+# sharp family, compares a surface coefficient with a number
+def surface_coefficient_tests(path: Path) -> list[str]:
+    """Comparisons of a lambda_u or lambda_s attribute with a number,
+    outside ModelConfig.__post_init__."""
+    def coefficient(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("lambda_u", "lambda_s")
+
+    def number(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+
+    found = scoped_nodes(path, lambda node: isinstance(node, ast.Compare) and any(
+        coefficient(a) and number(b) or number(a) and coefficient(b)
+        for a, b in zip([node.left] + node.comparators[:-1], node.comparators)))
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node)} in {scope or '<module>'}"
+            for scope, node in found if scope != "ModelConfig.__post_init__"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_model_config_compares_a_surface_coefficient_with_a_number(path):
+    assert surface_coefficient_tests(path) == []
+
+
+# a sharp family's sigma_total is its sigma, which only functionals knows:
+# every reader pairs with sigma_total in the sigma slot, whatever it is
+def sigma_total_identity_tests(path: Path) -> list[str]:
+    """``is`` or ``is not`` comparisons with an operand named sigma_total."""
+    def named(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "sigma_total"
+
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(named(x) for x in [node.left] + node.comparators)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_identity_test_on_sigma_total(path):
+    assert sigma_total_identity_tests(path) == []
+
+
+# lazy attributes are functools.cached_property: the package writes no
+# descriptor of its own
+def test_no_class_defines_get():
+    defined = [f"{path.name}: {scope}" for path in sorted(SRC.glob("*.py"))
+               for scope, _ in scoped_nodes(path, lambda node: isinstance(
+                   node, ast.FunctionDef) and node.name == "__get__")]
+    assert defined == []

@@ -2,12 +2,13 @@
 
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from metriflow import (Grid, ModelConfig, ParameterError, SurfaceCoefficients,
-                       TransportCoefficients, UnsupportedFamilyError, diagnostics,
+from metriflow import (Grid, ModelConfig, ParameterError, TransportCoefficients,
+                       UnsupportedFamilyError, diagnostics,
                        dissipative_rhs, entropy_production_rate, eval_eos,
                        grad_H, grad_S, kn_4bracket, lam4,
                        metriplectic_2bracket, onsager_fluxes, smooth_state, total_rhs)
@@ -15,17 +16,9 @@ from metriflow import metriplectic
 from metriflow.fields import random_gradient
 from metriflow.functionals import Derived, State
 from metriflow.metriplectic import PSD_TOL, _pair_sum, _stress, validate_psd_matrix
+from metriflow.verification import model_for
 
 GRID = Grid(dim=1, n=(24,), length=(1.0,))
-TRANSPORT = TransportCoefficients(eta=0.01, zeta=0.005, kappa=0.02, dcoef=0.03)
-
-
-def model_for(family, grid=GRID, transport=TRANSPORT):
-    diffuse = family.startswith("CH")
-    surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
-                               lambda_s=1e-3 if diffuse else 0.0)
-    tr = transport if family in ("GNS", "CHNS0", "CHNS1") else None
-    return ModelConfig(family=family, grid=grid, surface=surf, transport=tr)
 
 
 # ------------------------------------------------------- transport validation
@@ -117,7 +110,7 @@ def test_psd_symmetry_check_accepts_what_allclose_accepts():
 
 def test_callable_coefficients_resolve():
     tr = TransportCoefficients(kappa=lambda f, m: 0.5, dcoef=0.0)
-    model = model_for("GNS", transport=tr)
+    model = replace(model_for("GNS", GRID), transport=tr)
     state = smooth_state(GRID, model, seed=1)
     assert state.derived(model).kappa == 0.5
 
@@ -136,7 +129,7 @@ def test_callable_coefficients_are_called_once_per_state(family):
 
     tr = TransportCoefficients(eta=0.01, zeta=0.005, kappa=counted("kappa", 0.02),
                                dcoef=counted("dcoef", 0.03))
-    model = model_for(family, transport=tr)
+    model = replace(model_for(family, GRID), transport=tr)
     state = smooth_state(GRID, model, seed=1)
     total_rhs(state, model)
     diagnostics(state, model)
@@ -191,7 +184,7 @@ def test_dim_by_dim_production_matches_3x3_embedding(dim):
 
 @pytest.mark.parametrize("family", ["GNS", "CHNS0", "CHNS1"])
 def test_kn_symmetries(family):
-    model = model_for(family)
+    model = model_for(family, GRID)
     state = smooth_state(GRID, model, seed=3)
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -208,7 +201,7 @@ def test_kn_symmetries(family):
 
 
 def test_hhsh_vanishes_exactly():
-    model = model_for("CHNS1")
+    model = model_for("CHNS1", GRID)
     state = smooth_state(GRID, model, seed=5)
     Hg = grad_H(state, model)
     Sg = grad_S(state, model)
@@ -217,7 +210,7 @@ def test_hhsh_vanishes_exactly():
 
 @pytest.mark.parametrize("family", ["GNS", "CHNS0", "CHNS1"])
 def test_shsh_nonnegative(family):
-    model = model_for(family)
+    model = model_for(family, GRID)
     rng = np.random.default_rng(6)
     for _ in range(25):
         state = smooth_state(GRID, model, seed=int(rng.integers(1 << 30)), amp=0.15)
@@ -227,7 +220,7 @@ def test_shsh_nonnegative(family):
 
 
 def test_4bracket_rejects_ideal_families():
-    model = model_for("GE")
+    model = model_for("GE", GRID)
     state = smooth_state(GRID, model, seed=7)
     F = random_gradient(GRID, 1)
     with pytest.raises(UnsupportedFamilyError):
@@ -237,7 +230,7 @@ def test_4bracket_rejects_ideal_families():
 # -------------------------------------------------------------- 2-bracket
 
 def test_2bracket_equals_4bracket_with_H():
-    model = model_for("CHNS1")
+    model = model_for("CHNS1", GRID)
     state = smooth_state(GRID, model, seed=8)
     Hg = grad_H(state, model)
     for trial in range(8):
@@ -249,7 +242,7 @@ def test_2bracket_equals_4bracket_with_H():
 
 
 def test_2bracket_annihilates_hamiltonian():
-    model = model_for("CHNS0")
+    model = model_for("CHNS0", GRID)
     state = smooth_state(GRID, model, seed=9)
     Hg = grad_H(state, model)
     for trial in range(10):
@@ -258,7 +251,7 @@ def test_2bracket_annihilates_hamiltonian():
 
 
 def test_2bracket_symmetry():
-    model = model_for("GNS")
+    model = model_for("GNS", GRID)
     state = smooth_state(GRID, model, seed=10)
     F = random_gradient(GRID, 11)
     G = random_gradient(GRID, 12)
@@ -271,7 +264,7 @@ def test_2bracket_symmetry():
 
 @pytest.mark.parametrize("family", ["GNS", "CHNS0", "CHNS1"])
 def test_uniform_state_has_zero_dissipation(family):
-    model = model_for(family)
+    model = model_for(family, GRID)
     rho = np.full(GRID.shape, 1.2)
     state = State(grid=GRID, m=np.zeros((1,) + GRID.shape), rho=rho,
                   ctilde=0.3 * rho, sigma=0.1 * rho)
@@ -283,13 +276,13 @@ def test_uniform_state_has_zero_dissipation(family):
 
 
 def test_density_slot_never_dissipates():
-    model = model_for("CHNS1")
+    model = model_for("CHNS1", GRID)
     state = smooth_state(GRID, model, seed=13)
     assert np.all(dissipative_rhs(state, model).rho == 0.0)
 
 
 def test_ideal_families_have_zero_dissipative_rhs():
-    model = model_for("CHE1")
+    model = model_for("CHE1", GRID)
     state = smooth_state(GRID, model, seed=13)
     rhs = dissipative_rhs(state, model)
     assert np.all(rhs.sigma == 0.0) and np.all(rhs.m == 0.0)
@@ -299,7 +292,7 @@ def test_conduction_only_entropy_tendency():
     # kappa only: sigma tendency must equal div(kappa grad T / T) plus the
     # conductive production, assembled here from the same T field
     tr = TransportCoefficients(eta=0.0, zeta=0.0, kappa=0.08, dcoef=0.0)
-    model = model_for("GNS", transport=tr)
+    model = replace(model_for("GNS", GRID), transport=tr)
     state = smooth_state(GRID, model, seed=14)
     from metriflow.functionals import thermo_point
     T = np.asarray(thermo_point(state, model).T)
@@ -315,7 +308,7 @@ def test_shear_momentum_tendency_oracle():
     # single-mode transverse shear: viscous force is eta * v_y''
     g = Grid(dim=2, n=(32,), length=(1.0,))
     tr = TransportCoefficients(eta=0.05, zeta=0.0, kappa=0.0, dcoef=0.0)
-    model = model_for("GNS", grid=g, transport=tr)
+    model = replace(model_for("GNS", g), transport=tr)
     x = g.coords()[0]
     rho = np.ones(g.shape)
     m = np.zeros((2,) + g.shape)
@@ -368,7 +361,7 @@ def test_each_dissipative_flux_is_formed_once_per_rhs(monkeypatch, deriv_calls, 
 
 @pytest.mark.parametrize("family", ["GNS", "CHNS0", "CHNS1"])
 def test_entropy_rate_identities(family):
-    model = model_for(family)
+    model = model_for(family, GRID)
     state = smooth_state(GRID, model, seed=15)
     Sg = grad_S(state, model)
     Hg = grad_H(state, model)
@@ -381,7 +374,7 @@ def test_entropy_rate_identities(family):
 
 
 def test_dissipative_energy_rate_is_roundoff():
-    model = model_for("CHNS1")
+    model = model_for("CHNS1", GRID)
     state = smooth_state(GRID, model, seed=16)
     Hg = grad_H(state, model)
     rhs = dissipative_rhs(state, model)
@@ -391,7 +384,7 @@ def test_dissipative_energy_rate_is_roundoff():
 def test_production_density_matches_anisotropic_kappa():
     kap = np.array([[0.05]])
     tr = TransportCoefficients(eta=0.0, zeta=0.0, kappa=kap, dcoef=0.0)
-    model = model_for("GNS", transport=tr)
+    model = replace(model_for("GNS", GRID), transport=tr)
     state = smooth_state(GRID, model, seed=17)
     from metriflow.functionals import thermo_point
     T = np.asarray(thermo_point(state, model).T)
@@ -403,7 +396,7 @@ def test_production_density_matches_anisotropic_kappa():
 # --------------------------------------------------------------- onsager
 
 def test_onsager_rest_point_reduction(onsager_point):
-    model = model_for("GNS")
+    model = model_for("GNS", GRID)
     blocks = onsager_point(1.0, 0.0, 0.0, np.zeros(3), model)
     pt = eval_eos(1.0, 0.0, 0.0, model.eos)
     T = float(pt.T)
@@ -413,7 +406,7 @@ def test_onsager_rest_point_reduction(onsager_point):
 
 
 def test_onsager_matrix_symmetric_and_psd(onsager_point):
-    model = model_for("GNS")
+    model = model_for("GNS", GRID)
     rng = np.random.default_rng(18)
     for _ in range(50):
         blocks = onsager_point(float(rng.uniform(0.5, 2.0)),
@@ -426,7 +419,7 @@ def test_onsager_matrix_symmetric_and_psd(onsager_point):
 
 
 def test_onsager_fluxes_reduce_at_rest(onsager_point):
-    model = model_for("GNS")
+    model = model_for("GNS", GRID)
     pt = eval_eos(1.0, 0.0, 0.0, model.eos)
     T = float(pt.T)
     blocks = onsager_point(1.0, 0.0, 0.0, np.zeros(3), model)
@@ -444,6 +437,6 @@ def test_curvature_degenerate_pair():
     # K(F, F) = (F, F; F, F) vanishes: the bracket is antisymmetric in each pair
     F = random_gradient(GRID, 11)
     for family in ("GNS", "CHNS0", "CHNS1"):
-        model = model_for(family)
+        model = model_for(family, GRID)
         state = smooth_state(GRID, model, seed=12)
         assert kn_4bracket(F, F, F, F, state, model) == 0.0, family

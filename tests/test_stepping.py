@@ -12,34 +12,17 @@ import numpy as np
 import pytest
 
 from metriflow import functionals
-from metriflow import (AnisotropyFn, Grid, ModelConfig, State,
-                       SurfaceCoefficients, TransportCoefficients,
-                       dissipative_rhs, gamma_eval, ideal_rhs, smooth_state,
-                       stability_limit, step_rk4, total_rhs)
+from metriflow import (Grid, State, dissipative_rhs, gamma_eval, ideal_rhs,
+                       smooth_state, stability_limit, step_rk4, total_rhs)
 from metriflow.functionals import FAMILIES, Derived, FunctionalGradient, _thermo
 from metriflow.grid import _csum, _trace
 from metriflow.metriplectic import _apply_tensor, _pair_sum, _tendencies
 from metriflow.thermo import ThermoPoint, lambda_f
 from metriflow.verification import model_for
-from conftest import coefficient, coefficient_on
+from conftest import coefficient_on, model_of
 
 DISSIPATIVE = ("GNS", "CHNS0", "CHNS1")
 SLOTS = ("m", "rho", "ctilde", "sigma")
-
-
-def _model(family, dim, coef_kind="scalar"):
-    grid = Grid(dim=dim, n=(16,) * dim, length=(1.0,) * dim)
-    diffuse = family.startswith("CH")
-    surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
-                               lambda_s=1e-3 if diffuse else 0.0)
-    tr = None
-    if family in DISSIPATIVE:
-        tr = TransportCoefficients(eta=0.01, zeta=0.005,
-                                   kappa=coefficient(coef_kind, dim, 0.02),
-                                   dcoef=coefficient(coef_kind, dim, 0.03))
-    anis = AnisotropyFn(kind="fourfold", eps4=0.04) if dim == 2 else AnisotropyFn()
-    return ModelConfig(family=family, grid=grid, surface=surf, transport=tr,
-                       anisotropy=anis)
 
 
 # every family in 1D and 2D (fourfold anisotropy in 2D); the dissipative
@@ -177,7 +160,7 @@ def _assert_same_bits(a, b, where):
 
 @pytest.mark.parametrize("family, dim, coef_kind", CASES)
 def test_step_rk4_matches_the_per_field_reference(family, dim, coef_kind):
-    model = _model(family, dim, coef_kind)
+    model = model_of(family, dim, coef_kind)
     state = smooth_state(model.grid, model, seed=31, amp=0.15)
     dt = 0.2 * stability_limit(state, model)
     new, ref = state, state.replace()
@@ -190,7 +173,7 @@ def test_step_rk4_matches_the_per_field_reference(family, dim, coef_kind):
 @pytest.mark.parametrize("route", ["slots", "pack"])
 @pytest.mark.parametrize("family, dim, coef_kind", CASES)
 def test_rhs_matches_the_reference_kernel(family, dim, coef_kind, route):
-    model = _model(family, dim, coef_kind)
+    model = model_of(family, dim, coef_kind)
     base = smooth_state(model.grid, model, seed=32, amp=0.15)
 
     def fresh():
@@ -211,7 +194,7 @@ def test_rhs_matches_the_reference_kernel(family, dim, coef_kind, route):
 def test_a_state_and_a_stage_fill_the_same_bits(family, dim, coef_kind, members):
     # the two routes of the one fill call: State.derived for a state, and
     # _thermo on a Derived of the pack for an RK4 stage, which has no State
-    model = _model(family, dim, coef_kind)
+    model = model_of(family, dim, coef_kind)
     seed = 38 if members is None else np.arange(38, 38 + members)
     packed = smooth_state(model.grid, model, seed=seed, amp=0.15).packed
     state = State(model.grid, packed=packed)
@@ -239,7 +222,7 @@ def test_a_state_and_a_stage_fill_the_same_bits(family, dim, coef_kind, members)
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_stage_state_shares_memory_with_its_pack(dim):
-    model = _model("CHNS1", dim)
+    model = model_of("CHNS1", dim)
     state = smooth_state(model.grid, model, seed=33)
     k = total_rhs(state, model)
     assert np.shares_memory(k.rho, k.packed)
@@ -255,7 +238,7 @@ def test_stage_state_shares_memory_with_its_pack(dim):
 
 
 def test_replace_carries_no_stale_pack():
-    model = _model("CHE1", 1)
+    model = model_of("CHE1", 1)
     st = smooth_state(model.grid, model, seed=34)
     new = st.rho * 1.5
     replaced = st.replace(rho=new)
@@ -269,7 +252,7 @@ def test_replace_carries_no_stale_pack():
 
 
 def test_replace_on_a_member_batch_matches_the_single_states():
-    model = _model("CHNS1", 1)
+    model = model_of("CHNS1", 1)
     seeds = np.array([3, 17, 40])
     batch = smooth_state(model.grid, model, seed=seeds)
     sigma = batch.sigma * 1.01
@@ -282,7 +265,7 @@ def test_replace_on_a_member_batch_matches_the_single_states():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_fields_that_do_not_fit_the_grid_raise(dim):
-    model = _model("GNS", dim)
+    model = model_of("GNS", dim)
     fine = Grid(dim=dim, n=(32,) * dim, length=(1.0,) * dim)
     st = smooth_state(fine, dataclasses.replace(model, grid=fine), seed=36)
     # 32-cell fields broadcast among themselves, but not onto 16 cells
@@ -294,7 +277,7 @@ def test_fields_that_do_not_fit_the_grid_raise(dim):
 
 
 def test_state_stays_frozen_and_keeps_its_lazy_fields():
-    model = _model("GE", 1)
+    model = model_of("GE", 1)
     st = smooth_state(model.grid, model, seed=35)
     assert st.v is st.v and st.derived(model).eos is st.derived(model).eos
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -328,7 +311,7 @@ def test_a_step_runs_each_pass_once_per_stage_state(monkeypatch, dim):
     # state's Derived, which k1 of the next step reads: 4 a step);
     # only the state returned is a State and only k1 a FunctionalGradient,
     # and its Derived keeps no (dim + 3)-slot copy of its pack
-    model = _model("CHNS1", dim)
+    model = model_of("CHNS1", dim)
     state = step_rk4(smooth_state(model.grid, model, seed=37), model, 1e-4)
     plain_eos, plain_kernel = functionals._eos, functionals._kernel
     plain_init = functionals._Pack.__init__
@@ -374,7 +357,7 @@ def test_a_coefficient_of_the_temperature_reads_the_fill_it_is_called_in(monkeyp
         calls.append(f)
         return 0.02 * f.eos.T[None, None]
 
-    base = _model("CHNS1", 1)
+    base = model_of("CHNS1", 1)
     model = dataclasses.replace(base, transport=dataclasses.replace(base.transport, kappa=kappa))
     packed = smooth_state(model.grid, model, seed=39, amp=0.15).packed
     stage = Derived(grid=model.grid, packed=packed, model=model)

@@ -17,8 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from metriflow import (AnisotropyFn, FunctionalGradient, Grid, ModelConfig,
-                       State, SurfaceCoefficients, TransportCoefficients,
+from metriflow import (FunctionalGradient, Grid, State, TransportCoefficients,
                        capillary_force, dissipative_rhs, entropy, entropy_production_rate,
                        eval_eos, grad_H, grad_S, hamiltonian, ideal_rhs, kn_4bracket, lam4,
                        metriplectic_2bracket, onsager_fluxes,
@@ -29,30 +28,16 @@ from metriflow.fields import FourierModes, fourier_field, random_gradient
 from metriflow.functionals import DISSIPATIVE_FAMILIES, FAMILIES
 from metriflow.metriplectic import (_apply_tensor, _dissipative_fluxes, _embed3_matrix,
                                    _onsager_blocks)
-from metriflow.verification import (CASIMIR_SIZES, FLOOR, ORDER_MIN, _counts, _jsonable,
+from metriflow.verification import (CASIMIR_SIZES, FLOOR, ORDER_MIN, _counts,
                                     _observed_order, model_for, onsager_suite,
                                     production_positivity_suite, verify)
-from conftest import coefficient
+from conftest import as_json, model_of
 
 SEEDS = np.array([3, 17, 40, 41, 1 << 30])
 
 
 def _grid(dim):
     return Grid(dim=dim, n=(16,) * dim, length=(1.0,) * dim)
-
-
-def _model(family, dim, coef_kind="scalar"):
-    diffuse = family.startswith("CH")
-    surf = SurfaceCoefficients(lambda_u=2e-3 if diffuse else 0.0,
-                               lambda_s=1e-3 if diffuse else 0.0)
-    tr = None
-    if family in DISSIPATIVE_FAMILIES:
-        tr = TransportCoefficients(eta=0.01, zeta=0.005,
-                                   kappa=coefficient(coef_kind, dim, 0.02),
-                                   dcoef=coefficient(coef_kind, dim, 0.03))
-    anis = AnisotropyFn(kind="fourfold", eps4=0.04) if dim == 2 else AnisotropyFn()
-    return ModelConfig(family=family, grid=_grid(dim), surface=surf,
-                       transport=tr, anisotropy=anis)
 
 
 def _batches(grid, n):
@@ -117,7 +102,7 @@ def test_batched_dot_and_norm_match_single_calls(dim):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_batched_poisson_bracket_matches_single_calls(family, dim):
-    model = _model(family, dim)
+    model = model_of(family, dim)
     state = smooth_state(model.grid, model, seed=8)
     (F, G), (fs, gs) = _batches(model.grid, 2)
     loop = [poisson_bracket(f, g, state, model) for f, g in zip(fs, gs)]
@@ -131,7 +116,7 @@ def test_batched_poisson_bracket_matches_single_calls(family, dim):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("family", ["CHE0", "CHE1", "CHNS0", "CHNS1"])
 def test_batched_gradient_transforms_match_single_calls(family, dim, transform):
-    model = _model(family, dim)
+    model = model_of(family, dim)
     state = smooth_state(model.grid, model, seed=8)
     (F,), (fs,) = _batches(model.grid, 1)
     batched = transform(F, state, model)
@@ -145,7 +130,7 @@ def test_batched_gradient_transforms_match_single_calls(family, dim, transform):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_batch_of_one_broadcasts_against_a_batch(family, dim):
-    model = _model(family, dim)
+    model = model_of(family, dim)
     state = smooth_state(model.grid, model, seed=8)
     (F,), (fs,) = _batches(model.grid, 1)
     Sg = grad_S(state, model)
@@ -159,7 +144,7 @@ def test_batch_of_one_broadcasts_against_a_batch(family, dim):
 def test_gradients_with_different_numbers_of_trial_axes_raise(family):
     # in 2D a batch of 2 against one gradient would broadcast the gradient's
     # component axis against the trial axis and give wrong values unnoticed
-    model = _model(family, 2)
+    model = model_of(family, 2)
     state = smooth_state(model.grid, model, seed=8)
     F = random_gradient(model.grid, SEEDS[:2])
     G = random_gradient(model.grid, 5)
@@ -173,7 +158,7 @@ def test_gradients_with_different_numbers_of_trial_axes_raise(family):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_poisson_bracket_deriv_call_count(family, dim, deriv_calls):
-    model = _model(family, dim)
+    model = model_of(family, dim)
     state = smooth_state(model.grid, model, seed=8)
     (F, G), (fs, gs) = _batches(model.grid, 2)
     one = verification._batch_of_one(gs[0])
@@ -191,7 +176,7 @@ def test_poisson_bracket_deriv_call_count(family, dim, deriv_calls):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("family", DISSIPATIVE_FAMILIES)
 def test_batched_kn_4bracket_matches_single_calls(family, dim, coef_kind):
-    model = _model(family, dim, coef_kind)
+    model = model_of(family, dim, coef_kind)
     state = smooth_state(model.grid, model, seed=9)
     batches, singles = _batches(model.grid, 4)
     loop = [kn_4bracket(*grads, state, model) for grads in zip(*singles)]
@@ -274,7 +259,7 @@ def _reference_smooth_state(grid, model, seed, amp=0.1, kmax=3):
 @pytest.mark.parametrize("kmax", [2, 3])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_smooth_state_equals_the_per_field_reference(dim, kmax):
-    model = _model("CHNS1", dim)
+    model = model_of("CHNS1", dim)
     for seed in range(12):
         state = smooth_state(model.grid, model, seed=seed, amp=0.15, kmax=kmax)
         ref = _reference_smooth_state(model.grid, model, seed, amp=0.15, kmax=kmax)
@@ -294,7 +279,7 @@ MEMBER_CASES = [("GNS", 1), ("CHNS0", 1), ("CHNS1", 1), ("CHNS1", 2)]
 @pytest.mark.parametrize("family, dim", MEMBER_CASES)
 def test_member_batch_matches_the_single_states(family, dim, coef_kind):
     # 2D models carry the fourfold anisotropy
-    model = _model(family, dim, coef_kind)
+    model = model_of(family, dim, coef_kind)
     grid = model.grid
     batch = smooth_state(grid, model, seed=SEEDS, amp=0.15)
     singles = [smooth_state(grid, model, seed=int(s), amp=0.15) for s in SEEDS]
@@ -342,7 +327,7 @@ def _functions_of_a_state(state, model):
                          [(family, 1) for family in FAMILIES] + [("CHE1", 2), ("CHNS1", 2)])
 def test_every_function_of_a_state_takes_a_member_batch(family, dim):
     # 2D models carry the fourfold anisotropy
-    model = _model(family, dim)
+    model = model_of(family, dim)
     grid = model.grid
     seeds = SEEDS[:3]
     batched = _functions_of_a_state(smooth_state(grid, model, seed=seeds), model)
@@ -361,7 +346,7 @@ def test_every_function_of_a_state_takes_a_member_batch(family, dim):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_single_gradients_pair_with_a_member_batch(family, dim):
     # single gradients broadcast over the members of a batch of states
-    model = _model(family, dim)
+    model = model_of(family, dim)
     grid = model.grid
     F, G, K, N = (random_gradient(grid, seed) for seed in range(1, 5))
     seeds = SEEDS[:3]
@@ -380,7 +365,7 @@ def test_single_gradients_pair_with_a_member_batch(family, dim):
 def test_each_member_gets_its_own_rms_cutoff(dim):
     # beside an O(1) member, a member whose grad c is about 1e-14 keeps its
     # xi; a cutoff from the RMS of the whole batch (about 1e-12) zeroes it
-    model = _model("CHNS1", dim)
+    model = model_of("CHNS1", dim)
     grid = model.grid
     strong, weak = smooth_state(grid, model, seed=4), smooth_state(grid, model, seed=5)
     wave = np.cos(2 * np.pi * grid.coords()[0]) * np.ones(grid.shape)
@@ -444,7 +429,7 @@ def drawn_modes(monkeypatch):
 def test_draws_take_the_per_set_stream(dim, kmax, drawn_modes):
     # every number of every set, one seed at a time and as a batch, for
     # random_gradient and smooth_state
-    model = _model("CHNS1", dim)
+    model = model_of("CHNS1", dim)
     grid, seeds, n_sets = model.grid, np.arange(200), dim + 3
     batch = random_gradient(grid, seeds, kmax=kmax)
     states = smooth_state(grid, model, seed=seeds, kmax=kmax)
@@ -492,7 +477,7 @@ def test_the_drawn_modes_are_pinned(dim, kmax, drawn_modes):
 
 
 def _smooth_state_draw(grid, seed, kmax=3):
-    return smooth_state(grid, _model("CHNS1", grid.dim), seed=seed, kmax=kmax)
+    return smooth_state(grid, model_of("CHNS1", grid.dim), seed=seed, kmax=kmax)
 
 
 DRAWS = pytest.mark.parametrize("draw", [random_gradient, _smooth_state_draw],
@@ -713,26 +698,26 @@ def _reference_onsager(seed, level):
 @pytest.mark.parametrize("level, seeds", [("fast", range(4)), ("full", [1])])
 def test_batched_onsager_suite_reports_what_the_per_trial_loop_reports(level, seeds):
     for seed in seeds:
-        expected = json.dumps(_jsonable(_reference_onsager(seed, level)))
+        expected = as_json(_reference_onsager(seed, level))
         result = onsager_suite(seed, level)
         assert result.passed
-        assert json.dumps(_jsonable(result.details)) == expected, seed
+        assert as_json(result.details) == expected, seed
 
 
 @pytest.mark.parametrize("level, seeds", [("fast", range(4)), ("full", [1])])
 def test_batched_production_suite_reports_what_the_per_trial_loop_reports(level, seeds):
     for seed in seeds:
-        expected = json.dumps(_jsonable(_reference_production_positivity(seed, level)))
+        expected = as_json(_reference_production_positivity(seed, level))
         result = production_positivity_suite(seed, level)
         assert result.passed
-        assert json.dumps(_jsonable(result.details)) == expected, seed
+        assert as_json(result.details) == expected, seed
 
 
 def test_batched_suites_report_what_the_per_trial_loops_report():
     report = verify(seed=1, level="fast")["suites"]
     for name, reference in (("bracket_symmetry", _reference_bracket_symmetry),
                             ("casimir_convergence", _reference_casimir_convergence)):
-        expected = json.dumps(_jsonable(reference(1, "fast")))
+        expected = as_json(reference(1, "fast"))
         assert json.dumps(report[name]["details"]) == expected, name
 
 
