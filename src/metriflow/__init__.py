@@ -15,8 +15,7 @@ from .errors import (ConfigError, InadmissibleStateError, IntegrationError,
                      UnsupportedFamilyError)
 from .fields import random_gradient, smooth_state
 from .functionals import (FAMILIES, FunctionalGradient, ModelConfig, State,
-                          entropy, grad_H, grad_S, hamiltonian,
-                          sigma_total, transform_gradients, untransform_gradients)
+                          entropy, grad_H, grad_S, hamiltonian)
 from .grid import Grid
 from .metriplectic import (OnsagerBlocks, TransportCoefficients,
                            dissipative_rhs, entropy_production_rate,
@@ -38,7 +37,6 @@ __all__ = [
     "random_gradient", "smooth_state",
     "FAMILIES", "FunctionalGradient", "ModelConfig", "State", "entropy",
     "grad_H", "grad_S", "hamiltonian",
-    "sigma_total", "transform_gradients", "untransform_gradients",
     "Grid",
     "OnsagerBlocks", "TransportCoefficients", "dissipative_rhs",
     "entropy_production_rate", "kn_4bracket", "lam4", "metriplectic_2bracket",

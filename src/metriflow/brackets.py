@@ -3,13 +3,11 @@
 One bracket serves all families: the base Lie-Poisson bracket of the
 sharp-interface (GE/GNS) system, one pairing over the slots of the pack
 (m_1..m_dim, rho, ctilde, sigma) in which every conserved density pairs
-with the gradients' momentum slot in the same way.  The diffuse-interface
-brackets (a=1 and a=0 entropy variables sigma^a) are its pullback through
-the sigma^a change of variables, as is the metriplectic 4-bracket: the
-gradients go through transform_gradients (in functionals) and the sigma
-slot pairs with sigma_total.  transform_gradients(grad S) is the unit
-sigma gradient, which the pairing annihilates exactly, so the entropy is
-a Casimir to roundoff for every family.
+with the gradients' momentum slot in the same way.  The state's sigma is
+the total entropy density for every family (see functionals), so the
+diffuse-interface brackets are this one, with no change of variables.
+grad S is the unit sigma gradient, which the pairing annihilates exactly,
+so the entropy is a Casimir to roundoff for every family.
 
 The pairing is an explicit difference of the swapped terms, so
 antisymmetry holds to exact floating-point negation.  ideal_rhs is the
@@ -27,8 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .functionals import (FunctionalGradient, ModelConfig, State, _align_batch, _lift,
-                          transform_gradients)
+from .functionals import FunctionalGradient, ModelConfig, State, _align_batch, _lift
 from .grid import _csum
 from .metriplectic import _tendencies
 from .thermo import SurfaceCoefficients
@@ -38,17 +35,14 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
                     state: State, model: ModelConfig) -> float | np.ndarray:
     """Poisson bracket of two functional gradients,
     -integral sum_s w_s [(F.m . grad) G_s - (G.m . grad) F_s] over the pack
-    slots s, w the slot table (the state's pack with sigma_total in the
-    sigma slot), after transform_gradients for a diffuse family.
+    slots s, w the slot table (the state's pack).
 
     Fg and Gg may be batches with the same number of batch axes (sizes
     broadcast); the result is then an array over the batch axes.
     """
     Fg, Gg = _align_batch(Fg, Gg, state=state)
     g = state.grid
-    if model.is_diffuse:
-        Fg, Gg = transform_gradients(Fg, state, model), transform_gradients(Gg, state, model)
-    w = np.concatenate([state.packed[:-1], state.derived(model).sigma_total[None]])
+    state.derived(model)  # validated, as every function of a state is
 
     def advect(A, B):
         # (A.m . grad) B_s for every slot s, from one grad of B's pack
@@ -56,17 +50,19 @@ def poisson_bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
 
     pairing = advect(Fg, Gg)  # both terms have the broadcast trial shape
     pairing -= advect(Gg, Fg)
-    pairing = pairing * _lift(w, Fg)  # not in place: members widen it
+    pairing = pairing * _lift(state.packed, Fg)  # not in place: members widen it
     return -g.integrate(_csum(pairing))
 
 
 def capillary_force(state: State, model: ModelConfig) -> np.ndarray:
     """Capillary acceleration (force per unit mass) in the momentum equation:
-    the kernel's ideal momentum tendency minus that of the same state with
-    no surface terms, over rho.  Zero for the sharp-interface families.
+    the kernel's ideal momentum tendency minus that, with no surface terms,
+    of the state at the same s^a (its sigma less the surface entropy), over
+    rho.  Zero for the sharp-interface families.
     """
     bare = replace(model, surface=SurfaceCoefficients())
-    bare_m = ideal_rhs(State(state.grid, packed=state.packed), bare).m  # state keeps its Derived
+    d = state.derived(model)
+    bare_m = ideal_rhs(state.replace(sigma=d.rho * d.s), bare).m
     return (ideal_rhs(state, model).m - bare_m) / state.rho
 
 

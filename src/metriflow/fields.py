@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import FunctionalGradient, ModelConfig, State
+from .functionals import FunctionalGradient, ModelConfig, State, state_from_sigma_a
 from .grid import Grid
 
 N_MODES = 4  # Fourier modes per field
@@ -99,18 +99,17 @@ def smooth_state(grid: Grid, model: ModelConfig, seed: int | np.ndarray = 0,
     Resolution-independent: refining the grid samples the same functions.
     For a 1-D array of K seeds, the batch of the K states (member axis
     after the pack's slot axis); each equals the state of its own seed.
+    The draws are (rho, v, c, s^a), built by state_from_sigma_a.
     """
     dim = grid.dim
     # each seed draws the modes of rho, v_1..v_dim, c and s in that order; the
-    # pack takes them as (v, rho, c, s) and becomes (m, rho, ctilde, sigma)
+    # pack takes them as (v, rho, c, s^a) and becomes (m, rho, ctilde, sigma^a)
     packed = _draw_fields(grid, seed, [*range(1, dim + 1), 0, dim + 1, dim + 2], kmax)
     packed *= amp
     rho = np.add(packed[dim], 1.0, out=packed[dim])
     packed[:dim] *= rho
     packed[dim + 1:] *= rho
-    state = State(grid, packed=packed)
-    state.validate(model)
-    return state
+    return state_from_sigma_a(grid, packed, model)
 
 
 def random_gradient(grid: Grid, seed: int | np.ndarray, kmax: int = 3) -> FunctionalGradient:

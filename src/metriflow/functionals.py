@@ -2,12 +2,13 @@
 discrete functional derivatives.
 
 The state carries the conserved densities (m, rho, ctilde, sigma), as views
-of one packed array, so that an RK4 stage is one array operation.  For the
-diffuse-interface families the sigma field stores the transformed entropy
-density sigma^a; the total entropy density (sigma^a plus the gradient part)
-is reconstructed by sigma_total, and transform_gradients /
-untransform_gradients carry functional gradients across that change of
-variables.
+of one packed array, so that an RK4 stage is one array operation.  sigma is
+the total entropy density for every family: for the diffuse-interface
+families it is sigma^a + rho^a lambda_s Gamma(grad c)^2 / 2, the paper's
+entropy variable sigma^a plus its gradient part, so that S is the integral
+of sigma and the brackets are the sharp ones.  The fill recovers s^a, which
+the equation of state reads, and state_from_sigma_a builds a state from
+the paper's variables.
 
 Functional derivatives are hand-coded using the adjoint-consistent grid
 operators, so they are the exact gradients of the discrete functionals (to
@@ -141,6 +142,8 @@ class State(_Pack):
 
     @cached_property
     def s(self) -> np.ndarray:
+        """sigma / rho, the total entropy per unit mass: for a diffuse
+        family not the s^a that the equation of state reads (Derived.s)."""
         return self.sigma / self.rho
 
     def derived(self, model: ModelConfig) -> "Derived":
@@ -221,84 +224,98 @@ def _align_batch(*grads: FunctionalGradient, state: State | None = None) -> list
             else FunctionalGradient(packed=_lift(X.packed, state)) for X in grads]
 
 
+def _inadmissible(message: str, name: str, x: np.ndarray, bad: np.ndarray):
+    """InadmissibleStateError(message) followed by name, its value at the
+    first cell of x where bad holds, and that cell's index, member axes
+    first.  Formed only on the failure path."""
+    cell = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+    return InadmissibleStateError(f"{message}: {name} = {float(x[cell])} at cell {cell}")
+
+
 def _thermo(f) -> None:
     """The fill call of a Derived f, for a state (State.derived) and for an
     RK4 stage: the thermo pass on the pack f.packed under f.model, then the
-    kernel pass.  The thermo pass makes validate's checks with its messages:
+    kernel pass.  The thermo pass makes validate's checks with its messages,
+    each followed by the field, its value and index at the first bad cell:
     a pack of at least one state (an empty batch is a ValueError naming its
     shape), every entry finite, rho > 0 (NaN fails) before the pack is
-    divided by it, then eos, with v, p and T computed straight into the
-    stack (v, H_rho, mu_Gamma, T, p), and T and p finite and > 0.  Only then
-    does it set rho and sigma (the pack's rows), v (the stack's rows), c
-    (ctilde over rho), eos and stack."""
-    packed, dim = f.packed, f.grid.dim
+    divided by it, then eos at s^a, with v, p and T computed straight into
+    the stack (v, H_rho, mu_Gamma, T, p), and T and p finite and > 0.  For
+    a diffuse family gamma_xi = (grad c, Gamma, xi), weight = rho^a (the
+    density weight of the surface terms) and s^a = (sigma - rho^a lambda_s
+    Gamma^2 / 2) / rho (sigma / rho at lambda_s = 0: the surface terms'
+    general formulas reduce exactly at a zero coefficient, so none has a
+    case for it); for a sharp one gamma_xi = (), weight None and s = sigma
+    / rho.  Only once the checks pass does it set rho and sigma (the pack's
+    rows), v (the stack's rows), c (ctilde over rho), s, gamma_xi, weight,
+    eos and stack."""
+    packed, dim, model = f.packed, f.grid.dim, f.model
     if not packed.size:
         raise ValueError(f"an empty batch, pack shape {packed.shape}, has no state")
     # the sum of the pack is finite only if every entry is (inf and NaN
     # absorb a sum); only then, or if finite entries overflow it, does the
-    # check look at each field to name the one that failed
+    # check look at each row to name the field that failed
     if not math.isfinite(np.add.reduce(packed, axis=None)):
-        for name, x in zip(("m", "rho", "ctilde", "sigma"),
-                           (packed[:dim], packed[dim], packed[dim + 1], packed[dim + 2])):
+        for k, (name, x) in enumerate(zip(["m"] * dim + ["rho", "ctilde", "sigma"], packed)):
             if not np.isfinite(x).all():
-                raise InadmissibleStateError(f"non-finite entries in {name}")
+                label = f"m[{k}]" if k < dim else name
+                raise _inadmissible(f"non-finite entries in {name}", label, x, ~np.isfinite(x))
     rho = packed[dim]
     if not np.minimum.reduce(rho, axis=None, initial=np.inf) > 0:
-        raise InadmissibleStateError("rho must be positive everywhere")
+        raise _inadmissible("rho must be positive everywhere", "rho", rho, ~(rho > 0))
     stack = np.empty((dim + 4,) + rho.shape)
-    v, cs = np.divide(packed[:dim], rho, stack[:dim]), packed[dim + 1:] / rho
-    c = cs[0]
-    eos = _eos(rho, cs[1], c, f.model.eos, stack[dim + 3], stack[dim + 2])
+    v, c = np.divide(packed[:dim], rho, stack[:dim]), packed[dim + 1] / rho
+    if model.is_diffuse:
+        gc = f.grid.grad(c)
+        gamma, xi = gamma_eval(gc, model.anisotropy)
+        weight = rho if model.a == 1 else rho ** model.a
+        # each chain in place in the temporary it made, in its order (a sum
+        # or a product commutes bit for bit): the bits written out
+        s = _HALF * weight  # (sigma - 1/2 rho^a lambda_s Gamma^2) / rho
+        s *= model.surface.consts.lambda_s
+        s *= gamma
+        s *= gamma
+        s = np.subtract(packed[dim + 2], s, out=s)
+        s /= rho
+        gamma_xi = (gc, gamma, xi)
+    else:
+        s, gamma_xi, weight = packed[dim + 2] / rho, (), None
+    eos = _eos(rho, s, c, model.eos, stack[dim + 3], stack[dim + 2])
     # one min and one max over T and p side by side, then each alone to name
     # the one that failed (min is NaN if any entry is; NaN > 0 is false)
     Tp = stack[dim + 2:]
     if not (np.minimum.reduce(Tp, axis=None, initial=np.inf) > 0
             and np.maximum.reduce(Tp, axis=None, initial=-np.inf) < np.inf):
-        for name, x in (("temperature", eos.T), ("pressure", eos.p)):
+        for name, label, x in (("temperature", "T", eos.T), ("pressure", "p", eos.p)):
             if not (x.min() > 0 and x.max() < np.inf):
-                raise InadmissibleStateError(f"derived {name} must be finite and positive")
-    f.rho, f.sigma, f.v, f.c, f.eos, f.stack = rho, packed[dim + 2], v, c, eos, stack
+                raise _inadmissible(f"derived {name} must be finite and positive", label, x,
+                                    ~((x > 0) & (x < np.inf)))
+    f.rho, f.sigma, f.v, f.c, f.s = rho, packed[dim + 2], v, c, s
+    f.gamma_xi, f.weight, f.eos, f.stack = gamma_xi, weight, eos, stack
     _kernel(f)
 
 
 def _kernel(f) -> None:
-    """The kernel pass, at the end of the thermo pass.
-    For a diffuse family gamma_xi = (grad c, Gamma, xi), weight = rho^a (the
-    density weight of the surface terms) and sigma_total = sigma + rho^a
-    lambda_s Gamma^2 / 2 (sigma at lambda_s = 0: the surface terms' general
-    formulas reduce exactly at a zero coefficient, so none has a case for
-    it); for a sharp one gamma_xi = (), weight None and sigma_total sigma.
-    In their rows of the stack: mu_gamma = mu - div(u) / rho, u = lambda_f(T)
-    rho^a Gamma xi (mu for a sharp family), and H_rho = -|v|^2 / 2 + g - c
-    mu_Gamma, g the Gibbs energy, plus lambda_f Gamma^2 / 2 for a = 1.
-    h_hat = (v, H_rho, mu_Gamma, T), a view of the stack, is
-    transform_gradients(grad_H) for a diffuse family, to roundoff, and
-    grad_H for a sharp one.  grads = grad h_hat, (dim, dim + 3, *members,
-    *grid.shape) from one grad: [k, s] = d_k of slot s.  Last, for a model with transport, kappa and dcoef: a
-    callable one is called as coef(f, model), on these fields, all set."""
+    """The kernel pass, at the end of the thermo pass.  In their rows of
+    the stack: mu_gamma = mu - div(u) / rho, u = lambda_f(T) rho^a Gamma xi
+    (mu for a sharp family), and H_rho = -|v|^2 / 2 + g - c mu_Gamma, g the
+    Gibbs energy, plus lambda_f Gamma^2 / 2 for a = 1.  h_hat = (v, H_rho,
+    mu_Gamma, T), a view of the stack, is grad_H, to roundoff (bit for bit
+    for a sharp family).  grads = grad h_hat, (dim, dim + 3, *members,
+    *grid.shape) from one grad: [k, s] = d_k of slot s.  Last, for a model
+    with transport, kappa and dcoef: a callable one is called as coef(f,
+    model), on these fields, all set."""
     grid, model, eos, stack = f.grid, f.model, f.eos, f.stack
     dim, rho, mu_gamma = grid.dim, f.rho, stack[grid.dim + 1]
     if model.is_diffuse:
-        surface, gc = model.surface, grid.grad(f.c)
-        gamma, xi = gamma_eval(gc, model.anisotropy)
-        weight = f.weight = rho if model.a == 1 else rho ** model.a
-        f.gamma_xi = (gc, gamma, xi)
-        # each chain in place in the temporary it made, in its order (a sum
-        # or a product commutes bit for bit): the bits written out
-        st = _HALF * weight  # sigma + 1/2 rho^a lambda_s Gamma^2
-        st *= surface.consts.lambda_s
-        st *= gamma
-        st *= gamma
-        st += f.sigma
-        f.sigma_total = st
-        lam = lambda_f(eos.T, surface)
-        u = lam * weight  # u = lambda_f rho^a Gamma xi
+        _, gamma, xi = f.gamma_xi
+        lam = lambda_f(eos.T, model.surface)
+        u = lam * f.weight  # u = lambda_f rho^a Gamma xi
         u *= gamma
         div_u = grid.div(u * xi)
         div_u /= rho
         np.subtract(eos.mu, div_u, out=mu_gamma)
     else:
-        f.gamma_xi, f.weight, f.sigma_total = (), None, f.sigma
         mu_gamma[...] = eos.mu
     h = _csum(f.v * f.v)  # -|v|^2 / 2 + g - c mu_Gamma
     h *= _MINUS_HALF
@@ -320,10 +337,26 @@ def _kernel(f) -> None:
 class Derived(SimpleNamespace):
     """The derived fields of one pack under one model, made with grid, packed
     and model and filled whole by _thermo, for a state (State.derived) or
-    for an RK4 stage's pack, which gets no State: rho, sigma, v, c, eos and
-    stack by the thermo pass, then gamma_xi, weight, sigma_total, mu_gamma,
-    h_hat, grads and, for a model with transport, kappa and dcoef by the
-    kernel pass.  It holds no reference to a state."""
+    for an RK4 stage's pack, which gets no State: rho, sigma, v, c, s (the
+    s^a that eos is evaluated at), gamma_xi, weight, eos and stack by the
+    thermo pass, then mu_gamma, h_hat, grads and, for a model with
+    transport, kappa and dcoef by the kernel pass.  It holds no reference
+    to a state."""
+
+
+def state_from_sigma_a(grid: Grid, packed: np.ndarray, model: ModelConfig) -> State:
+    """The state of packed, laid out as State.packed but with the paper's
+    sigma^a = rho s^a in its sigma slot, validated: for a diffuse family
+    that slot becomes, in place, the total entropy density sigma^a + rho^a
+    lambda_s Gamma(grad c)^2 / 2, from which the fill recovers s^a.  The
+    one place a state is made from (rho, v, c, s^a)."""
+    if model.is_diffuse:
+        dim, rho = grid.dim, packed[grid.dim]
+        gamma, _ = gamma_eval(grid.grad(packed[dim + 1] / rho), model.anisotropy)
+        packed[dim + 2] += _HALF * rho ** model.a * model.surface.consts.lambda_s * gamma * gamma
+    state = State(grid, packed=packed)
+    state.validate(model)
+    return state
 
 
 def thermo_point(state: State, model: ModelConfig):
@@ -342,28 +375,28 @@ def hamiltonian(state: State, model: ModelConfig) -> float | np.ndarray:
     return g.integrate(e)
 
 
-def sigma_total(state: State, model: ModelConfig) -> np.ndarray:
-    """Total entropy density field (equals sigma for the sharp families)."""
-    return state.derived(model).sigma_total
-
-
 def entropy(state: State, model: ModelConfig) -> float | np.ndarray:
-    """Entropy functional: integral of the total entropy density."""
-    return state.grid.integrate(sigma_total(state, model))
+    """Entropy functional: the integral of sigma, the total entropy
+    density.  It raises as State.validate does."""
+    state.derived(model)
+    return state.grid.integrate(state.sigma)
 
 
 def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
-    """Exact discrete functional derivatives of the Hamiltonian."""
+    """Exact discrete functional derivatives of the Hamiltonian; the
+    surface terms carry lambda_f = lambda_u - T lambda_s, lambda_u's part
+    from the surface energy and T lambda_s's from the internal energy at
+    s^a."""
     g, d = state.grid, state.derived(model)
     rho, c, v, pt = d.rho, d.c, d.v, d.eos
     d_rho = -0.5 * _csum(v * v) + pt.g - c * pt.mu
     d_ctilde = pt.mu
     if model.is_diffuse:
-        lam_u, a = model.surface.lambda_u, model.a
+        lam, a = lambda_f(pt.T, model.surface), model.a
         _, gamma, xi = d.gamma_xi
-        div_flux = g.div(d.weight * lam_u * gamma * xi)
+        div_flux = g.div(d.weight * lam * gamma * xi)
         if a == 1:
-            d_rho = d_rho + 0.5 * lam_u * gamma * gamma
+            d_rho = d_rho + 0.5 * lam * gamma * gamma
         d_rho = d_rho + c * div_flux / rho
         d_ctilde = d_ctilde - div_flux / rho
     return FunctionalGradient(m=v, rho=d_rho, ctilde=d_ctilde, sigma=pt.T)
@@ -371,72 +404,8 @@ def grad_H(state: State, model: ModelConfig) -> FunctionalGradient:
 
 def grad_S(state: State, model: ModelConfig) -> FunctionalGradient:
     """Exact discrete functional derivatives of the entropy functional: the
-    unit sigma gradient, taken out of the sigma^a variables for a diffuse
-    family.  It raises as State.validate does."""
+    unit sigma gradient.  It raises as State.validate does."""
     state.derived(model)
     unit = FunctionalGradient(packed=np.zeros(state.packed.shape))
     unit.sigma[...] = 1.0
-    return untransform_gradients(unit, state, model) if model.is_diffuse else unit
-
-
-def _change_variables(Fg: FunctionalGradient, state: State, model: ModelConfig,
-                      sign: float) -> FunctionalGradient:
-    """The sigma^a change of variables on gradients: sign -1 maps sigma^a
-    gradients to sigma ones, +1 maps back.  m and sigma pass through."""
-    if not model.is_diffuse:
-        raise UnsupportedFamilyError("gradient transform applies to diffuse families only")
-    rho, lam_s = state.rho, model.surface.lambda_s
-    Fg, = _align_batch(Fg, state=state)
-    d = state.derived(model)
-    _, gamma, xi = d.gamma_xi
-    # sign * div(rho^a lambda_s Gamma xi F_sigma), the surface part
-    div_flux = sign * state.grid.div(d.weight * lam_s * gamma * _lift(xi, Fg) * Fg.sigma)
-    d_rho = Fg.rho + state.ctilde / rho ** 2 * div_flux
-    if model.a == 1:
-        d_rho = d_rho + sign * 0.5 * lam_s * gamma * gamma * Fg.sigma
-    return FunctionalGradient(m=Fg.m, rho=d_rho, ctilde=Fg.ctilde - div_flux / rho,
-                              sigma=Fg.sigma)
-
-
-def _tendency_to_sigma_a(rhs: np.ndarray, f) -> None:
-    """Turn the total-entropy slot of a diffuse family's tendency pack rhs
-    (laid out as State.packed; f the fields of the pack it is the tendency
-    of) into the sigma^a one, in place: sigma^a_dot = sigma_dot -
-    d/dt(rho^a lambda_s Gamma^2 / 2) by the chain rule, the transpose of
-    transform_gradients."""
-    surface, dim = f.model.surface, f.grid.dim
-    _, gamma, xi = f.gamma_xi
-    rho_dot, sigma_dot = rhs[dim], rhs[dim + 2]
-    # each chain in place in the temporary it made, in its order
-    c_dot = rhs[dim + 1] - f.c * rho_dot
-    c_dot /= f.rho
-    gc_dot = f.grid.grad(c_dot)
-    gc_dot *= xi
-    term = f.weight * surface.consts.lambda_s
-    term *= gamma
-    term *= _csum(gc_dot)
-    sigma_dot -= term
-    if f.model.a == 1:
-        term = surface.consts.half_lambda_s * gamma
-        term *= gamma
-        term *= rho_dot
-        sigma_dot -= term
-
-
-def transform_gradients(hatFg: FunctionalGradient, state: State,
-                        model: ModelConfig) -> FunctionalGradient:
-    """Map gradients in the transformed (sigma^a) variables to gradients in
-    the original (sigma) variables.
-
-    The m and sigma slots pass through unchanged; rho and ctilde pick up
-    the surface-gradient corrections.  With lambda_s = 0 this is the
-    identity.  hatFg may be a batch.  See untransform_gradients for the
-    inverse map.
-    """
-    return _change_variables(hatFg, state, model, -1.0)
-
-
-def untransform_gradients(Fg: FunctionalGradient, state: State,
-                          model: ModelConfig) -> FunctionalGradient:
-    """Inverse of transform_gradients (original variables to sigma^a ones)."""
-    return _change_variables(Fg, state, model, 1.0)
+    return unit

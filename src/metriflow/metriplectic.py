@@ -4,23 +4,21 @@ production, and the Onsager blocks.
 The 4-bracket uses the collocated weighted form (weight 1): two symmetric
 bilinear forms, one pointwise in the entropy slot and one built from
 gradients of the momentum / entropy / concentration slots, are combined by
-the Kulkarni-Nomizu product and integrated over the grid.  For the diffuse-
-interface families it is the sharp bracket pulled back through the sigma^a
-change of variables: the four gradients go through transform_gradients (in
-functionals), which turns the concentration slot of grad H into mu_Gamma.
-The 2-bracket is (F, H; G, H); (F, G; F, G) is the sectional curvature.
-Its slot table (Lambda for m, kappa / T for sigma, D for ctilde) is summed
-pointwise by _pairing.  Viscous contraction uses the full 3D isotropic
-rank-4 tensor (trace factor 2/3) in dim x dim form; absent velocity
-components and derivatives are zero.
+the Kulkarni-Nomizu product and integrated over the grid.  sigma is the
+total entropy density for every family (see functionals), so it is the
+sharp bracket for all of them, and the concentration slot of grad H is
+mu_Gamma.  The 2-bracket is (F, H; G, H); (F, G; F, G) is the sectional
+curvature.  Its slot table (Lambda for m, kappa / T for sigma, D for
+ctilde) is summed pointwise by _pairing.  Viscous contraction uses the full
+3D isotropic rank-4 tensor (trace factor 2/3) in dim x dim form; absent
+velocity components and derivatives are zero.
 
 All tendencies, ideal and dissipative, come from one kernel (_tendencies,
 the divergence of one flux buffer plus momentum's source and the
 production, on the fields of one pack: a state's Derived, or an RK4
 stage's own), and each is the tendency its bracket generates from the two
-slot tables: the Poisson bracket's weights (the pack with
-Derived.sigma_total in the sigma slot) and the 4-bracket's (Lambda,
-kappa / T, D), which _coefficients alone applies.  The production
+slot tables: the Poisson bracket's weights (the pack) and the 4-bracket's
+(Lambda, kappa / T, D), which _coefficients alone applies.  The production
 (S, H; S, H) pairs the kernel's own fluxes with their gradients through
 _pairing.  ideal_rhs, dissipative_rhs and total_rhs select the kernel's
 parts.  The Onsager blocks are built from a state's cells, all at once.
@@ -35,8 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, UnsupportedFamilyError, require_finite
-from .functionals import (FunctionalGradient, ModelConfig, State, _align_batch,
-                          _tendency_to_sigma_a, grad_H, transform_gradients)
+from .functionals import FunctionalGradient, ModelConfig, State, _align_batch, grad_H
 from .grid import _csum, _trace
 
 
@@ -154,13 +151,10 @@ def kn_4bracket(Fg: FunctionalGradient, Gg: FunctionalGradient,
     (S, H; S, H) >= 0 whenever the transport coefficients are psd.  The
     four gradients may be batches with the same number of batch axes
     (sizes broadcast); the result is then an array over the batch axes.
-    For a diffuse family the gradients first go through transform_gradients.
     """
     if not model.is_dissipative:
         raise UnsupportedFamilyError(f"family {model.family} has no metriplectic bracket")
     Fg, Gg, Kg, Ng = _align_batch(Fg, Gg, Kg, Ng, state=state)
-    if model.is_diffuse:
-        Fg, Gg, Kg, Ng = (transform_gradients(X, state, model) for X in (Fg, Gg, Kg, Ng))
     g, der = state.grid, state.derived(model)
 
     def d(A, B):
@@ -195,27 +189,23 @@ def _tendencies(f, ideal: bool = True, dissipative: bool = True) -> np.ndarray:
     laid out as State.packed: the divergence of one flux buffer of
     negated fluxes, in the pack's slots, plus momentum's source -sum_s w_s
     grad H_s if ideal, H = h_hat.  The fluxes are -w_s v in every slot s if
-    ideal, w the Poisson slot table (the pack, with sigma_total in the sigma
-    slot, for a sharp family too, whose sigma_total is its sigma), plus C_X
-    grad H_X for X = m, ctilde, sigma if dissipative (as _dissipative_fluxes
-    forms them, the sigma slot's over T), whose _pairing with the gradients,
-    the production, adds to sigma.  Each is the tendency
-    its bracket generates, so energy is conserved exactly; the mass,
-    concentration and total-entropy budgets telescope exactly on the
-    periodic grid, and momentum's only to O(h^2).  Each stage takes one
-    Grid.deriv call per axis: grad H in the kernel pass; div of the flux
-    buffer; and for a diffuse family grad c and div(u) in mu_Gamma before
-    them and grad c_dot, for the one pullback of the entropy tendency to
-    sigma^a, after them.
+    ideal, w the Poisson slot table (the pack), plus C_X grad H_X for X =
+    m, ctilde, sigma if dissipative (as _dissipative_fluxes forms them, the
+    sigma slot's over T), whose _pairing with the gradients, the
+    production, adds to sigma.  Each is the tendency its bracket generates,
+    so energy is conserved exactly; the mass, concentration and entropy
+    budgets telescope exactly on the periodic grid, and momentum's only to
+    O(h^2).  Each stage takes one Grid.deriv call per axis for grad H in
+    the kernel pass and for div of the flux buffer, and for a diffuse
+    family for grad c in the thermo pass and div(u) in mu_Gamma before
+    them.
     """
     packed, dim = f.packed, f.grid.dim
     dissipative = dissipative and f.model.is_dissipative
     if not (ideal or dissipative):
         return np.zeros(packed.shape)
     if ideal:
-        negv = np.negative(f.v)
-        flux = packed * negv[:, None]
-        np.multiply(f.sigma_total, negv, out=flux[:, -1])
+        flux = packed * np.negative(f.v)[:, None]
     else:
         flux = np.zeros((dim,) + packed.shape)
     if dissipative:
@@ -229,15 +219,10 @@ def _tendencies(f, ideal: bool = True, dissipative: bool = True) -> np.ndarray:
         del gradients, stress, heat, diffusion  # freed before the divergence
     rhs = f.grid.div(flux)
     del flux  # not read again: held, it would raise the stage's peak
-    if ideal:  # sum_s w_s d_i H_s: the slots but sigma, then sigma_total's term
-        grads = f.grads
-        source = np.einsum("s...,is...->i...", packed[:-1], grads[:, :-1])
-        source += f.sigma_total * grads[:, -1]
-        rhs[:dim] -= source
+    if ideal:  # sum_s w_s d_i H_s
+        rhs[:dim] -= np.einsum("s...,is...->i...", packed, f.grads)
     if dissipative:
         rhs[-1] += production
-    if f.model.is_diffuse:
-        _tendency_to_sigma_a(rhs, f)
     return rhs
 
 
@@ -245,8 +230,7 @@ def dissipative_rhs(state: State, model: ModelConfig) -> FunctionalGradient:
     """Dissipative tendencies (zero for the ideal families).
 
     Momentum and concentration are in divergence (flux) form; the entropy
-    tendency carries the heat-flux divergence plus the production, pulled
-    back to the evolved sigma^a field for the diffuse families.
+    tendency carries the heat-flux divergence plus the production.
     """
     return FunctionalGradient(packed=_tendencies(state.derived(model), ideal=False))
 

@@ -21,7 +21,8 @@ import numpy as np
 from .anisotropy import parse_anisotropy
 from .errors import ConfigError, ParameterError, require_seed
 from .fields import FourierModes, fourier_field
-from .functionals import DIFFUSE_FAMILIES, DISSIPATIVE_FAMILIES, FAMILIES, ModelConfig, State
+from .functionals import (DIFFUSE_FAMILIES, DISSIPATIVE_FAMILIES, FAMILIES, ModelConfig, State,
+                          state_from_sigma_a)
 from .grid import Grid
 from .metriplectic import TransportCoefficients
 from .thermo import EosParams, SurfaceCoefficients
@@ -187,24 +188,25 @@ def double_tanh_profile(x: np.ndarray, length: float, width: float) -> np.ndarra
             - np.tanh((x - 0.75 * length) / width) - 1.0)
 
 
-def _initial_state(name: str, grid: Grid, seed: int, p: dict) -> State:
-    x = grid.coords()
-    rho = np.ones(grid.shape)
-    v = grid.zeros_vector()
-    c = grid.zeros()
-    s = grid.zeros()
+def _initial_state(name: str, model: ModelConfig, seed: int, p: dict) -> State:
+    """The scenario's validated state at rho = 1, from (v, c, s^a), each 0
+    but where the scenario sets it (see state_from_sigma_a)."""
+    grid = model.grid
+    dim, x = grid.dim, grid.coords()
+    packed = np.zeros((dim + 3,) + grid.shape)  # (m, rho, ctilde, sigma^a) = (v, 1, c, s^a)
+    packed[dim] = 1.0
     if name in ("spinodal1d", "spinodal2d"):
-        c = _noise(grid, seed, p["noise_amp"])
+        packed[dim + 1] = _noise(grid, seed, p["noise_amp"])
     elif name == "heat_relax":
-        s = p["noise_amp"] * np.sin(2.0 * np.pi * x[0] / grid.length[0])
+        packed[dim + 2] = p["noise_amp"] * np.sin(2.0 * np.pi * x[0] / grid.length[0])
     elif name == "shear_decay":
-        v[1] = np.sin(2.0 * np.pi * x[0] / grid.length[0])
+        packed[1] = np.sin(2.0 * np.pi * x[0] / grid.length[0])
     elif name == "capillary_probe":
         # 24 cells across the interface keeps the discrete capillary force
         # within 1% of the analytic profile force
         width = 24.0 * grid.h[0]
-        c = double_tanh_profile(x[0], grid.length[0], width)
-    return State(grid=grid, m=rho * v, rho=rho, ctilde=rho * c, sigma=rho * s)
+        packed[dim + 1] = double_tanh_profile(x[0], grid.length[0], width)
+    return state_from_sigma_a(grid, packed, model)
 
 
 def parse_setting(key: str, value):
@@ -251,8 +253,7 @@ def make_scenario(name: str, seed: int = 0, overrides: dict | None = None) -> Sc
     if cadence <= 0:
         raise ConfigError(f"cadence must be positive, got {cadence}")
     model = _build_model(params)
-    state = _initial_state(name, model.grid, seed, params)
-    state.validate(model)
+    state = _initial_state(name, model, seed, params)
     return Scenario(name=name, seed=seed, model=model, state=state,
                     dt=dt, t_end=t_end, cadence=cadence, params=params)
 

@@ -155,7 +155,7 @@ def bracket_symmetry_suite(seed: int, level: str = "fast") -> SuiteResult:
 
 
 def casimir_convergence_suite(seed: int, level: str = "fast") -> SuiteResult:
-    """|{F, S^a}^a| and |{F, M}| vanish under refinement (or exactly).
+    """|{F, S}| and |{F, M}| vanish under refinement (or exactly).
 
     The trial gradients are drawn once per grid size, as one batch, and
     each Casimir is paired with all of them in one bracket call.

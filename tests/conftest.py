@@ -6,7 +6,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from metriflow import AnisotropyFn, Grid, OnsagerBlocks, eval_eos, lam4
+from metriflow import (AnisotropyFn, FunctionalGradient, Grid, OnsagerBlocks,
+                       UnsupportedFamilyError, eval_eos, lam4)
+from metriflow.functionals import _align_batch, _lift
 from metriflow.metriplectic import _embed3_matrix, _onsager_blocks
 from metriflow.verification import model_for
 
@@ -48,6 +50,38 @@ def coefficient_on(coef, state, model):
     """The transport coefficient coef on the fields of state under model:
     a callable is called on the state's Derived, as the fill calls it."""
     return coef(state.derived(model), model) if callable(coef) else coef
+
+
+def _change_variables(Fg, state, model, sign):
+    """The sigma^a change of variables on gradients at state: sign -1 maps
+    gradients in the paper's sigma^a variables to gradients in the state's
+    sigma (total entropy) variables, +1 maps back.  m and sigma pass
+    through; rho and ctilde pick up the surface-gradient corrections."""
+    if not model.is_diffuse:
+        raise UnsupportedFamilyError("gradient transform applies to diffuse families only")
+    rho, lam_s = state.rho, model.surface.lambda_s
+    Fg, = _align_batch(Fg, state=state)
+    d = state.derived(model)
+    _, gamma, xi = d.gamma_xi
+    # sign * div(rho^a lambda_s Gamma xi F_sigma), the surface part
+    div_flux = sign * state.grid.div(d.weight * lam_s * gamma * _lift(xi, Fg) * Fg.sigma)
+    d_rho = Fg.rho + state.ctilde / rho ** 2 * div_flux
+    if model.a == 1:
+        d_rho = d_rho + sign * 0.5 * lam_s * gamma * gamma * Fg.sigma
+    return FunctionalGradient(m=Fg.m, rho=d_rho, ctilde=Fg.ctilde - div_flux / rho,
+                              sigma=Fg.sigma)
+
+
+def transform_gradients(hatFg, state, model):
+    """The reference map: gradients in the paper's sigma^a variables to
+    gradients in the sigma variables the package evolves (identity at
+    lambda_s = 0).  hatFg may be a batch."""
+    return _change_variables(hatFg, state, model, -1.0)
+
+
+def untransform_gradients(Fg, state, model):
+    """Inverse of transform_gradients (sigma variables to sigma^a ones)."""
+    return _change_variables(Fg, state, model, 1.0)
 
 
 @pytest.fixture

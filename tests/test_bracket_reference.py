@@ -1,17 +1,15 @@
-"""The 4-bracket of a diffuse family is the sharp 4-bracket of the gradients
-mapped through transform_gradients, and the 2-bracket is (F, H; G, H).
-Both must give the bits of the 4-bracket written out with the hand-written
-concentration slot it replaced, kept here as the reference; and the slots
-of grad H that the 2-bracket reads are v, T and mu_Gamma.
+"""The 4-bracket is the sharp 4-bracket for every family, since sigma is
+the total entropy density, and the 2-bracket is (F, H; G, H).  Both must
+give the bits of the 4-bracket written out slot by slot, kept here as the
+reference; and the slots of grad H that the 2-bracket reads are v, T and
+mu_Gamma.  The paper's sigma^a form is checked in test_sigma_a_variables.
 """
 
 import numpy as np
 import pytest
 
-from metriflow import (grad_H, kn_4bracket, metriplectic_2bracket, smooth_state,
-                       transform_gradients)
+from metriflow import grad_H, kn_4bracket, metriplectic_2bracket, smooth_state
 from metriflow.fields import random_gradient
-from metriflow.functionals import _lift
 from metriflow.grid import _csum
 from metriflow.metriplectic import _apply_tensor, _pair_sum, _stress
 from conftest import coefficient_on, model_of
@@ -26,17 +24,6 @@ CASES = [(family, dim, kind) for family in ("GNS", "CHNS0", "CHNS1") for dim in 
 
 # ------------------------------------------------------------ reference
 
-def _reference_conc_slot(Fg, state, model):
-    """grad F_ctilde, plus the surface part of the sigma^a map written out."""
-    g = state.grid
-    if not model.is_diffuse or model.surface.lambda_s == 0.0:
-        return g.grad(Fg.ctilde)
-    d = state.derived(model)
-    _, gamma, xi = d.gamma_xi
-    flux_div = g.div(d.weight * model.surface.lambda_s * gamma * _lift(xi, Fg) * Fg.sigma)
-    return g.grad(Fg.ctilde + flux_div / state.rho)
-
-
 def _reference_kn_4bracket(Fg, Gg, Kg, Ng, state, model):
     g = state.grid
     tr = model.transport
@@ -49,8 +36,7 @@ def _reference_kn_4bracket(Fg, Gg, Kg, Ng, state, model):
         return B.sigma * g.grad(A.sigma) - A.sigma * g.grad(B.sigma)
 
     def d3(A, B):
-        return (B.sigma * _reference_conc_slot(A, state, model)
-                - A.sigma * _reference_conc_slot(B, state, model))
+        return B.sigma * g.grad(A.ctilde) - A.sigma * g.grad(B.ctilde)
 
     kappa, dcoef = coefficient_on(tr.kappa, state, model), coefficient_on(tr.dcoef, state, model)
     integrand = _pair_sum(d1(Fg, Gg) * _stress(d1(Kg, Ng), tr.eta, tr.zeta))
@@ -88,13 +74,10 @@ def test_2bracket_matches_the_direct_body(family, dim, kind):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("family", ["GNS", "CHNS0", "CHNS1"])
 def test_the_2bracket_reads_v_T_and_mu_gamma_from_grad_H(family, dim):
-    # the m, sigma and ctilde slots of grad H, mapped through
-    # transform_gradients for a diffuse family: v and T bit for bit, and
-    # mu_Gamma, whose surface part the map assembles in another order
+    # the m, sigma and ctilde slots of grad H: v and T bit for bit, and
+    # mu_Gamma, whose surface part grad_H assembles in another order
     model = model_of(family, dim, n=CELLS[dim], eps4=0.05)
     state = smooth_state(model.grid, model, seed=22, amp=0.15)
     Hg, d = grad_H(state, model), state.derived(model)
-    if model.is_diffuse:
-        Hg = transform_gradients(Hg, state, model)
     assert np.array_equal(Hg.m, state.v) and np.array_equal(Hg.sigma, d.eos.T)
     assert np.abs(Hg.ctilde - d.mu_gamma).max() <= 1e-15 * np.abs(d.mu_gamma).max()

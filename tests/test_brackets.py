@@ -1,4 +1,4 @@
-"""Poisson bracket families, gradient transforms, and the ideal tendencies."""
+"""Poisson bracket families, the reference gradient map, and the ideal tendencies."""
 
 import dataclasses
 
@@ -8,13 +8,13 @@ import pytest
 from metriflow import (FunctionalGradient, Grid, ModelConfig, SurfaceCoefficients,
                        UnsupportedFamilyError,
                        capillary_force, entropy, grad_H, grad_S, hamiltonian,
-                       ideal_rhs, parse_anisotropy, poisson_bracket, smooth_state,
-                       transform_gradients, untransform_gradients)
+                       ideal_rhs, parse_anisotropy, poisson_bracket, smooth_state)
 from metriflow.fields import random_gradient
-from metriflow.functionals import DIFFUSE_FAMILIES, FAMILIES, State
+from metriflow.functionals import DIFFUSE_FAMILIES, FAMILIES, State, state_from_sigma_a
 from metriflow.scenarios import analytic_capillary_force, double_tanh_profile
 from metriflow.verification import (CASIMIR_SIZES, FLOOR, _batch_of_one,
                                     _judge_refinement, model_for)
+from conftest import transform_gradients, untransform_gradients
 
 GRID = Grid(dim=1, n=(32,), length=(1.0,))
 
@@ -143,8 +143,9 @@ def test_capillary_force_matches_analytic_profile():
     x = g.coords()[0]
     w = 24.0 * g.h[0]
     c = double_tanh_profile(x, 1.0, w)
-    state = State(grid=g, m=g.zeros_vector(), rho=np.ones(g.shape),
-                  ctilde=c, sigma=g.zeros())
+    # s^a = 0: sigma is the surface entropy alone
+    state = state_from_sigma_a(g, State(grid=g, m=g.zeros_vector(), rho=np.ones(g.shape),
+                                        ctilde=c, sigma=g.zeros()).packed, model)
     from metriflow.functionals import thermo_point
     from metriflow.thermo import lambda_f
     lam_f = float(np.asarray(lambda_f(
@@ -179,7 +180,7 @@ def test_mass_and_concentration_tendencies_telescope(family):
 
 @pytest.mark.parametrize("family", ["GE", "CHE0", "CHE1"])
 def test_ideal_entropy_rate_is_exactly_zero(family):
-    # divergence form plus the exact chain rule: dS/dt telescopes away
+    # divergence form: dS/dt, the integral of sigma's tendency, telescopes away
     model = model_for(family, GRID)
     state = smooth_state(GRID, model, seed=8)
     Sg = grad_S(state, model)
@@ -258,9 +259,8 @@ def basis_batch(grid):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_bracket_generates_scalar_tendencies_at_roundoff(family, case):
     # {z_k, H} for every slot and cell in one call is the generated tendency,
-    # and the kernel's in every slot: rho, ctilde and sigma (through the
-    # sigma^a chain rule) to 1e-14, momentum, whose H_rho and mu_Gamma the
-    # kernel forms itself, to 1e-12
+    # and the kernel's in every slot: rho, ctilde and sigma to 1e-14,
+    # momentum, whose H_rho and mu_Gamma the kernel forms itself, to 1e-12
     model = case_model(family, case)
     grid = model.grid
     state = smooth_state(grid, model, seed=11, kmax=2)
@@ -275,8 +275,8 @@ def test_bracket_generates_scalar_tendencies_at_roundoff(family, case):
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_kernel_pairs_with_the_brackets_gradient_of_H(family, case):
-    # Derived.h_hat is grad H for a sharp family, bit for bit, and
-    # transform_gradients(grad H) for a diffuse one, formed in fewer passes
+    # Derived.h_hat is grad H for a sharp family, bit for bit, and for a
+    # diffuse one to roundoff, formed in fewer passes
     model = case_model(family, case)
     grid = model.grid
     state = smooth_state(grid, model, seed=11, kmax=2)
@@ -284,7 +284,7 @@ def test_the_kernel_pairs_with_the_brackets_gradient_of_H(family, case):
     if not model.is_diffuse:
         assert np.array_equal(h_hat, Hg.packed)
         return
-    ref = transform_gradients(Hg, state, model).packed
+    ref = Hg.packed
     for k in range(grid.dim + 3):
         assert np.abs(h_hat[k] - ref[k]).max() <= 1e-14 * np.abs(ref[k]).max(), k
 
@@ -308,8 +308,8 @@ def test_ideal_momentum_rate_is_second_order(family, dim, sizes):
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("family", DIFFUSE_FAMILIES)
 def test_entropy_casimir_at_roundoff(family, case):
-    # transform_gradients(grad S) is the unit sigma gradient, which the
-    # base pairings annihilate exactly
+    # grad S is the unit sigma gradient, which the pairings annihilate
+    # exactly
     model = case_model(family, case)
     grid = model.grid
     state = smooth_state(grid, model, seed=4)

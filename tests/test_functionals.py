@@ -18,7 +18,7 @@ from metriflow import (AnisotropyFn, EosParams, FunctionalGradient, Grid,
                        total_rhs)
 from metriflow import functionals
 from metriflow.fields import random_gradient
-from metriflow.functionals import sigma_total, thermo_point
+from metriflow.functionals import thermo_point
 
 GRID1 = Grid(dim=1, n=(32,), length=(1.0,))
 GRID2 = Grid(dim=2, n=(16,), length=(1.0,))
@@ -101,7 +101,10 @@ def test_validate_rejects_nonfinite(name, route):
         row = {"m": 0, "rho": 1, "ctilde": 2, "sigma": 3}[name]
         packed[row, 3] = np.nan
         bad_state = State(GRID1, packed=packed)
-    with pytest.raises(InadmissibleStateError, match=f"non-finite entries in {name}"):
+    # the message names the row and its first bad cell
+    label = "m[0]" if name == "m" else name
+    with pytest.raises(InadmissibleStateError, match=re.escape(
+            f"non-finite entries in {name}: {label} = nan at cell (3,)")):
         bad_state.validate(model)
 
 
@@ -126,7 +129,7 @@ def test_a_state_under_a_model_on_another_grid_raises_naming_both(model_grid, ka
 
 @pytest.mark.parametrize("scenario", ["heat_relax", "spinodal1d"], ids=["GNS", "CHNS1"])
 @pytest.mark.parametrize("call", [State.validate, hamiltonian, grad_H, grad_S, entropy,
-                                  sigma_total, thermo_point, total_rhs, ideal_rhs,
+                                  thermo_point, total_rhs, ideal_rhs,
                                   dissipative_rhs, entropy_production_rate],
                          ids=lambda call: call.__name__)
 def test_every_function_of_an_empty_batch_fails_as_validate_fails_it(call, scenario):
@@ -245,7 +248,7 @@ def test_a_diffuse_family_without_surface_terms_gives_its_sharp_family_bits(fami
     model = dataclasses.replace(make_model(family), surface=SurfaceCoefficients())
     bare = make_model(sharp)
     state = smooth_state(GRID1, model, seed=3)
-    assert np.array_equal(sigma_total(state, model), state.sigma)
+    assert np.array_equal(state.packed, smooth_state(GRID1, bare, seed=3).packed)
     assert hamiltonian(state, model) == hamiltonian(state, bare)
     for call in (grad_H, grad_S, total_rhs):
         assert np.array_equal(call(state, model).packed, call(state, bare).packed), call
@@ -287,11 +290,17 @@ def test_entropy_reduces_without_lambda_s():
 
 
 def test_sigma_total_a_independent_at_unit_density():
-    st = smooth_state(GRID1, make_model("CHE1"), seed=5).replace(
-        rho=np.ones(GRID1.shape))
+    # the sigma^a of a sharp state at unit density, raised to the total
+    # entropy density for a = 1 and for a = 0; each fill recovers it
+    sigma_a = smooth_state(GRID1, make_model("GE"), seed=5).replace(rho=np.ones(GRID1.shape))
     m1 = ModelConfig(family="CHE1", grid=GRID1, surface=SURF)
     m0 = ModelConfig(family="CHE0", grid=GRID1, surface=SURF)
-    assert np.allclose(sigma_total(st, m1), sigma_total(st, m0), atol=1e-15)
+    s1, s0 = (functionals.state_from_sigma_a(GRID1, sigma_a.packed.copy(), m)
+              for m in (m1, m0))
+    assert np.allclose(s1.sigma, s0.sigma, atol=1e-15)
+    assert not np.array_equal(s1.sigma, sigma_a.sigma)
+    for st, m in ((s1, m1), (s0, m0)):
+        assert np.allclose(st.derived(m).s, sigma_a.sigma, rtol=0, atol=1e-15)
 
 
 # ------------------------------------------------------------- gradients
@@ -347,12 +356,14 @@ def test_grad_S_sigma_slot_is_one():
         assert np.all(grad_S(st, model).sigma == 1.0)
 
 
-def test_grad_S_trivial_without_lambda_s():
-    model = make_model("GNS")
+@pytest.mark.parametrize("family", ["GNS", "CHNS1"])
+def test_grad_S_trivial_without_lambda_s(family):
+    # S is the integral of sigma for every family: the unit sigma gradient
+    model = make_model(family)
     st = smooth_state(GRID1, model, seed=12)
     Sg = grad_S(st, model)
     assert np.all(Sg.rho == 0.0) and np.all(Sg.ctilde == 0.0)
-    assert np.all(Sg.m == 0.0)
+    assert np.all(Sg.m == 0.0) and np.all(Sg.sigma == 1.0)
 
 
 # ---------------------------------------------------------- generalized mu

@@ -124,10 +124,10 @@ def test_every_module_level_definition_is_used_outside_tests():
     assert unreferenced_definitions() == []
 
 
-# the sigma^a change of variables is the one place that knows the surface
-# entropy coefficient, the density weight rho^a, the family's a and (Gamma,
-# xi); thermo's lambda_f reads lambda_s too.  Every other module goes
-# through transform_gradients, sigma_total and their kin.
+# the fill's s^a recovery and state_from_sigma_a, in functionals, are the
+# one place that knows the surface entropy coefficient, the density weight
+# rho^a, the family's a and (Gamma, xi); thermo's lambda_f reads lambda_s
+# too.  Every other module reads the state's sigma and Derived.s.
 SIGMA_A_ATTRS = {"lambda_s", "weight", "a", "gamma_xi"}
 SIGMA_A_MODULES = {"functionals.py", "thermo.py"}
 
@@ -395,23 +395,27 @@ def test_only_model_config_compares_a_surface_coefficient_with_a_number(path):
     assert surface_coefficient_tests(path) == []
 
 
-# a sharp family's sigma_total is its sigma, which only functionals knows:
-# every reader pairs with sigma_total in the sigma slot, whatever it is
-def sigma_total_identity_tests(path: Path) -> list[str]:
-    """``is`` or ``is not`` comparisons with an operand named sigma_total."""
-    def named(node):
-        return getattr(node, "id", getattr(node, "attr", None)) == "sigma_total"
-
-    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-            if isinstance(node, ast.Compare)
-            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
-            and any(named(x) for x in [node.left] + node.comparators)]
+# the package evolves the total entropy density and its brackets are the
+# sharp ones: the sigma^a change of variables on gradients and tendencies,
+# and a separate total entropy field, live only in the tests (the reference
+# map of conftest)
+RETIRED_NAMES = {"transform_gradients", "untransform_gradients", "_change_variables",
+                 "_tendency_to_sigma_a", "sigma_total"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_identity_test_on_sigma_total(path):
-    assert sigma_total_identity_tests(path) == []
+def retired_names(path: Path) -> list[str]:
+    """Names, attributes, definitions, imports and strings in RETIRED_NAMES."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = [getattr(node, key) for key in ("id", "attr", "name", "asname", "value")
+                 if isinstance(getattr(node, key, None), str)]
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names if name in RETIRED_NAMES]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_names_the_sigma_a_change_of_variables(path):
+    assert retired_names(path) == []
 
 
 # lazy attributes are functools.cached_property: the package writes no

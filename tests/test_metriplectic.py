@@ -321,7 +321,7 @@ def test_shear_momentum_tendency_oracle():
     assert np.abs(rhs.m[0]).max() <= 1e-13
 
 
-@pytest.mark.parametrize("family, derivs_per_axis", [("GNS", 2), ("CHNS1", 5)])
+@pytest.mark.parametrize("family, derivs_per_axis", [("GNS", 2), ("CHNS1", 4)])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_each_dissipative_flux_is_formed_once_per_rhs(monkeypatch, deriv_calls, family,
                                                       derivs_per_axis, dim):

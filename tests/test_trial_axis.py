@@ -19,10 +19,9 @@ import pytest
 
 from metriflow import (FunctionalGradient, Grid, State, TransportCoefficients,
                        capillary_force, dissipative_rhs, entropy, entropy_production_rate,
-                       eval_eos, grad_H, grad_S, hamiltonian, ideal_rhs, kn_4bracket, lam4,
+                       eval_eos, gamma_eval, grad_H, grad_S, hamiltonian, ideal_rhs, kn_4bracket, lam4,
                        metriplectic_2bracket, onsager_fluxes,
-                       poisson_bracket, smooth_state, step_rk4, total_rhs,
-                       transform_gradients, untransform_gradients)
+                       poisson_bracket, smooth_state, step_rk4, total_rhs)
 from metriflow import fields, verification
 from metriflow.fields import FourierModes, fourier_field, random_gradient
 from metriflow.functionals import DISSIPATIVE_FAMILIES, FAMILIES
@@ -31,7 +30,7 @@ from metriflow.metriplectic import (_apply_tensor, _dissipative_fluxes, _embed3_
 from metriflow.verification import (CASIMIR_SIZES, FLOOR, ORDER_MIN, _counts,
                                     _observed_order, model_for, onsager_suite,
                                     production_positivity_suite, verify)
-from conftest import as_json, model_of
+from conftest import as_json, model_of, transform_gradients, untransform_gradients
 
 SEEDS = np.array([3, 17, 40, 41, 1 << 30])
 
@@ -163,9 +162,9 @@ def test_poisson_bracket_deriv_call_count(family, dim, deriv_calls):
     (F, G), (fs, gs) = _batches(model.grid, 2)
     one = verification._batch_of_one(gs[0])
     poisson_bracket(fs[0], gs[0], state, model)  # the state's derived fields
-    # one grad of each gradient's pack, and for a diffuse family one div of
-    # each in transform_gradients, whatever the batch size
-    expected = (4 if model.is_diffuse else 2) * dim
+    # one grad of each gradient's pack, for every family, whatever the
+    # batch size: the brackets take no change of variables
+    expected = 2 * dim
     for pair in ((fs[0], gs[0]), (F, G), (F, one), (one, one)):
         deriv_calls.clear()
         poisson_bracket(*pair, state, model)
@@ -247,13 +246,17 @@ def _reference_field(grid, seed, j, kmax):
 
 def _reference_smooth_state(grid, model, seed, amp=0.1, kmax=3):
     """smooth_state as one fourier_field call per field: sets 0 to dim + 2
-    are rho, v_1..v_dim, c and s."""
+    are rho, v_1..v_dim, c and s^a; sigma is rho s^a plus, for a diffuse
+    family, the surface entropy rho^a lambda_s Gamma(grad c)^2 / 2."""
     dim = grid.dim
     rho = 1.0 + amp * _reference_field(grid, seed, 0, kmax)
     v = np.stack([amp * _reference_field(grid, seed, j, kmax) for j in range(1, dim + 1)])
-    c = amp * _reference_field(grid, seed, dim + 1, kmax)
-    s = amp * _reference_field(grid, seed, dim + 2, kmax)
-    return State(grid=grid, m=rho * v, rho=rho, ctilde=rho * c, sigma=rho * s)
+    ctilde = rho * (amp * _reference_field(grid, seed, dim + 1, kmax))
+    sigma = rho * (amp * _reference_field(grid, seed, dim + 2, kmax))
+    if model.is_diffuse:
+        gamma, _ = gamma_eval(grid.grad(ctilde / rho), model.anisotropy)
+        sigma = sigma + 0.5 * rho ** model.a * model.surface.lambda_s * gamma * gamma
+    return State(grid=grid, m=rho * v, rho=rho, ctilde=ctilde, sigma=sigma)
 
 
 @pytest.mark.parametrize("kmax", [2, 3])
