@@ -17,9 +17,8 @@ from .fields import random_gradient, smooth_state
 from .functionals import (FAMILIES, FunctionalGradient, ModelConfig, State,
                           entropy, grad_H, grad_S, hamiltonian)
 from .grid import Grid
-from .metriplectic import (OnsagerBlocks, TransportCoefficients,
-                           dissipative_rhs, entropy_production_rate,
-                           kn_4bracket, lam4, metriplectic_2bracket, onsager_fluxes)
+from .metriplectic import (TransportCoefficients, dissipative_rhs, entropy_production_rate,
+                           kn_4bracket, lam4, metriplectic_2bracket)
 from .scenarios import SCENARIO_NAMES, Scenario, make_scenario, zero_crossings
 from .thermo import EosParams, SurfaceCoefficients, ThermoPoint, eval_eos, lambda_f
 from .verification import verify
@@ -38,9 +37,8 @@ __all__ = [
     "FAMILIES", "FunctionalGradient", "ModelConfig", "State", "entropy",
     "grad_H", "grad_S", "hamiltonian",
     "Grid",
-    "OnsagerBlocks", "TransportCoefficients", "dissipative_rhs",
-    "entropy_production_rate", "kn_4bracket", "lam4", "metriplectic_2bracket",
-    "onsager_fluxes",
+    "TransportCoefficients", "dissipative_rhs", "entropy_production_rate",
+    "kn_4bracket", "lam4", "metriplectic_2bracket",
     "SCENARIO_NAMES", "Scenario", "make_scenario", "zero_crossings",
     "EosParams", "SurfaceCoefficients", "ThermoPoint", "eval_eos", "lambda_f",
     "verify",

@@ -1,5 +1,5 @@
 """Kulkarni-Nomizu 4-brackets, the tendency kernel and its fluxes, entropy
-production, and the Onsager blocks.
+production, and the Onsager matrix.
 
 The 4-bracket uses the collocated weighted form (weight 1): two symmetric
 bilinear forms, one pointwise in the entropy slot and one built from
@@ -21,7 +21,7 @@ slot tables: the Poisson bracket's weights (the pack) and the 4-bracket's
 (Lambda, kappa / T, D), which _coefficients alone applies.  The production
 (S, H; S, H) pairs the kernel's own fluxes with their gradients through
 _pairing.  ideal_rhs, dissipative_rhs and total_rhs select the kernel's
-parts.  The Onsager blocks are built from a state's cells, all at once.
+parts.  The Onsager matrix is built from a state's cells, all at once.
 """
 
 from __future__ import annotations
@@ -280,70 +280,27 @@ def _embed3_matrix(coef) -> np.ndarray:
     return np.pad(coef, [(0, 3 - len(coef))] * 2)
 
 
-def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat @ vec over leading axes: (..., n, n) with (..., n)."""
-    return np.matmul(mat, vec[..., None])[..., 0]
-
-
-@dataclass(frozen=True)
-class OnsagerBlocks:
-    """Blocks of the Onsager matrix relating fluxes to affinities.
-
-    Index layout (3D embedded): momentum flux rows are index pairs (i, j),
-    energy and concentration rows are single spatial indices.  The
-    momentum-concentration blocks are identically zero and not stored.
-    Every block may carry the same leading axes, one set of blocks per entry.
-    """
-
-    L_mm: np.ndarray   # (...,3,3,3,3)
-    L_me: np.ndarray   # (...,3,3,3)
-    L_ee: np.ndarray   # (...,3,3)
-    L_ec: np.ndarray   # (...,3,3)
-    L_cc: np.ndarray   # (...,3,3)
-
-    def assemble(self) -> np.ndarray:
-        """Full symmetric 15x15 matrix over (m_(ij), e_k, c_k), with the
-        blocks' leading axes in front."""
-        lead = self.L_ee.shape[:-2]
-        L_me, zero = self.L_me.reshape(lead + (9, 3)), np.zeros(lead + (9, 3))
-        return np.block([[self.L_mm.reshape(lead + (9, 9)), L_me, zero],
-                         [L_me.swapaxes(-1, -2), self.L_ee, self.L_ec],
-                         [zero.swapaxes(-1, -2), self.L_ec.swapaxes(-1, -2), self.L_cc]])
-
-
-def _onsager_blocks(T, mu, v3, eta, zeta, kap3, dmat3) -> OnsagerBlocks:
-    """Onsager blocks from the point values: T, mu, eta, zeta of shape lead,
-    v3 (*lead, 3), kap3 and dmat3 (*lead, 3, 3), for any leading axes lead
-    (none for a single point).  Raises if a temperature is not positive.
+def _onsager_matrix(T, mu, v3, eta, zeta, kap3, dmat3) -> np.ndarray:
+    """The Onsager matrix relating fluxes to affinities, symmetric, over
+    (m_(ij), e_k, c_k) in the 3D embedding: momentum flux rows are index
+    pairs (i, j), energy and concentration rows single spatial indices, and
+    the momentum-concentration blocks are zero.  T, mu, eta, zeta of shape
+    lead, v3 (*lead, 3), kap3 and dmat3 (*lead, 3, 3), for any leading axes
+    lead (none for a single point); returns lead + (15, 15).  Raises if a
+    temperature is not positive.
     """
     if (np.asarray(T) <= 0).any():
         raise ValueError("Onsager blocks require T > 0")
     lam = lam4(eta, zeta)
     t = _trailing(T, 2)
     m = _trailing(mu, 2)
-    L_mm = _trailing(T, 4) * lam
-    L_me = _trailing(T, 3) * np.einsum("...ijkl,...l->...ijk", lam, v3)
     vlamv = np.einsum("...jikl,...j,...l->...ik", lam, v3, v3)
     L_ee = t * t * kap3 + t * vlamv + t * m * m * dmat3
     L_ec = t * m * dmat3
-    L_cc = t * dmat3
-    return OnsagerBlocks(L_mm=L_mm, L_me=L_me, L_ee=L_ee, L_ec=L_ec, L_cc=L_cc)
-
-
-def onsager_fluxes(blocks: OnsagerBlocks, aff_e: np.ndarray, aff_m: np.ndarray,
-                   aff_c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Contract the blocks with affinities at one point, or at every point
-    of the blocks' leading axes (the affinities then carry them too).
-
-    aff_e = grad(1/T) (..., 3), aff_m = grad(-v/T) as (..., 3, 3) with
-    [k, l] = d_k(-v_l/T), aff_c = grad(-mu/T) (..., 3).  Returns
-    (J_m, J_e, J_c).
-    """
-    J_m = np.einsum("...ijk,...k->...ij", blocks.L_me, aff_e) \
-        + np.einsum("...ijkl,...kl->...ij", blocks.L_mm, aff_m)
-    J_e = _matvec(blocks.L_ee, aff_e) \
-        + np.einsum("...kli,...kl->...i", blocks.L_me, aff_m) \
-        + _matvec(blocks.L_ec, aff_c)
-    J_c = _matvec(blocks.L_ec.swapaxes(-1, -2), aff_e) + _matvec(blocks.L_cc, aff_c)
-    return J_m, J_e, J_c
-
+    lead = L_ee.shape[:-2]
+    L_mm = (_trailing(T, 4) * lam).reshape(lead + (9, 9))
+    L_me = (_trailing(T, 3) * np.einsum("...ijkl,...l->...ijk", lam, v3)).reshape(lead + (9, 3))
+    zero = np.zeros(lead + (9, 3))
+    return np.block([[L_mm, L_me, zero],
+                     [L_me.swapaxes(-1, -2), L_ee, L_ec],
+                     [zero.swapaxes(-1, -2), L_ec.swapaxes(-1, -2), t * dmat3]])

@@ -98,8 +98,7 @@ class SurfaceCoefficients:
     @cached_property
     def consts(self) -> SimpleNamespace:
         """The surface terms' constants (see _frozen), made at the first use."""
-        return _constants(lambda_u=self.lambda_u, lambda_s=self.lambda_s,
-                          half_lambda_s=0.5 * self.lambda_s)
+        return _constants(lambda_u=self.lambda_u, lambda_s=self.lambda_s)
 
 
 def eval_eos(rho, s, c, params: EosParams) -> ThermoPoint:

@@ -28,8 +28,8 @@ from .functionals import (DIFFUSE_FAMILIES, DISSIPATIVE_FAMILIES, FAMILIES,
                           FunctionalGradient, ModelConfig, State, grad_H, grad_S)
 from .grid import Grid
 from .metriplectic import (TransportCoefficients, _dissipative_fluxes, _embed3_matrix,
-                           _onsager_blocks, dissipative_rhs, entropy_production_rate,
-                           kn_4bracket, metriplectic_2bracket, onsager_fluxes)
+                           _onsager_matrix, dissipative_rhs, entropy_production_rate,
+                           kn_4bracket, metriplectic_2bracket)
 from .thermo import EosParams, SurfaceCoefficients
 
 ORDER_MIN = 1.9
@@ -212,11 +212,12 @@ def _cells3(x: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _onsager_cells(state: State, model: ModelConfig):
-    """Per cell: the asymmetry and least eigenvalue of the assembled Onsager
-    matrix (mu = mu_Gamma), and the largest gap between onsager_fluxes and
-    the kernel's own fluxes, as _dissipative_fluxes forms them: J_m =
-    -stress, J_c = -D grad mu_Gamma, J_s = -heat / T and J_e = T J_s +
-    mu_Gamma J_c + v . J_m; each relative to its own scale."""
+    """Per cell: the asymmetry and least eigenvalue of the Onsager matrix L
+    (mu = mu_Gamma), and the largest gap between the fluxes J = L X, X the
+    affinities (grad(-v/T), grad(1/T), grad(-mu_Gamma/T)), and the kernel's
+    own fluxes, as _dissipative_fluxes forms them: J_m = -stress, J_c = -D
+    grad mu_Gamma, J_s = -heat / T and J_e = T J_s + mu_Gamma J_c + v . J_m;
+    each relative to its own scale."""
     g, dim, tr = state.grid, state.grid.dim, model.transport
     d = state.derived(model)
     T, mu = np.asarray(d.eos.T), d.mu_gamma
@@ -225,31 +226,37 @@ def _onsager_cells(state: State, model: ModelConfig):
     K_m, K_e, K_c, T, mu, v3, gT, gv, gmu = (_cells3(x, g) for x in (
         -stress, K_e, -diffusion, T, mu, d.v, gradT, gradv, grad_mu))
 
-    blocks = _onsager_blocks(T, mu, v3, tr.eta, tr.zeta, _embed3_matrix(d.kappa),
-                             _embed3_matrix(d.dcoef))
+    L = _onsager_matrix(T, mu, v3, tr.eta, tr.zeta, _embed3_matrix(d.kappa),
+                        _embed3_matrix(d.dcoef))
     T2 = T * T
-    J_m, J_e, J_c = onsager_fluxes(
-        blocks, -gT / T2[:, None],
-        -gv / T[:, None, None] + gT[:, :, None] * v3[:, None, :] / T2[:, None, None],
-        -gmu / T[:, None] + mu[:, None] * gT / T2[:, None])
+    aff_m = -gv / T[:, None, None] + gT[:, :, None] * v3[:, None, :] / T2[:, None, None]
+    X = np.concatenate([aff_m.reshape(-1, 9), -gT / T2[:, None],
+                        -gmu / T[:, None] + mu[:, None] * gT / T2[:, None]], axis=-1)
+    J = np.matmul(L, X[..., None])[..., 0]
+    J_m = J[:, :9].reshape(-1, 3, 3)
     J_m[:, dim:] = J_m[:, :, dim:] = 0.0  # the out-of-plane stress enters no divergence
-    J = np.concatenate([J_m.reshape(-1, 9), J_e, J_c], axis=-1)
     K = np.concatenate([K_m.reshape(-1, 9), K_e, K_c], axis=-1)
-    L = blocks.assemble()
     L_t = L.swapaxes(-1, -2)
     scale = np.maximum(np.abs(L).max(axis=(-2, -1)), 1.0)
     # one scratch array, L - L^T and then 2 sym(L), holds down the peak RSS
     work = np.subtract(L, L_t)
     sym = np.abs(work, out=work).max(axis=(-2, -1)) / scale
     np.add(L, L_t, out=work)
-    return (sym, np.linalg.eigvalsh(np.multiply(work, 0.5, out=work)).min(axis=-1) / scale,
+    np.multiply(work, 0.5, out=work)
+    # eigvalsh raises on a non-finite matrix: such a cell's eigenvalue is NaN
+    bad = ~np.isfinite(work).all(axis=(-2, -1))
+    work[bad] = 0.0
+    eig = np.linalg.eigvalsh(work).min(axis=-1)
+    eig[bad] = np.nan
+    return (sym, eig / scale,
             np.abs(J - K).max(axis=-1) / np.maximum(np.abs(K).max(axis=-1), 1.0))
 
 
 def onsager_suite(seed: int, level: str = "fast") -> SuiteResult:
-    """Symmetry / psd of the assembled L, and onsager_fluxes against the
-    kernel's fluxes, at all cells at once of 1D and 2D states, each with its
-    own random transport coefficients, per dissipative family."""
+    """Symmetry / psd of the Onsager matrix L, and the fluxes L X that the
+    same L gives from the affinities X against the kernel's fluxes, at all
+    cells at once of 1D and 2D states, each with its own random transport
+    coefficients, per dissipative family."""
     n_states = _counts(level)["onsager_states"]
     rng = np.random.default_rng(seed)
     worst_sym = worst_flux = 0.0

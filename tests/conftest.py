@@ -1,15 +1,15 @@
 """Fixtures shared by the test modules."""
 
 import json
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from metriflow import (AnisotropyFn, FunctionalGradient, Grid, OnsagerBlocks,
+from metriflow import (AnisotropyFn, FunctionalGradient, Grid, State,
                        UnsupportedFamilyError, eval_eos, lam4)
 from metriflow.functionals import _align_batch, _lift
-from metriflow.metriplectic import _embed3_matrix, _onsager_blocks
+from metriflow.metriplectic import _embed3_matrix, _onsager_matrix
 from metriflow.verification import model_for
 
 
@@ -39,6 +39,15 @@ def model_of(family, dim, kind="scalar", n=16, eps4=0.04):
     if dim == 2:
         kw["anisotropy"] = AnisotropyFn(kind="fourfold", eps4=eps4)
     return replace(model, **kw)
+
+
+def uniform_state(grid, rho=1.0, v=0.0, c=0.0, s=0.0):
+    """The state with density rho, every velocity component v, concentration
+    c and entropy per unit mass s in every cell."""
+    m = np.full((grid.dim,) + grid.shape, v) * rho
+    return State(grid=grid, m=m, rho=np.full(grid.shape, rho),
+                 ctilde=np.full(grid.shape, rho * c),
+                 sigma=np.full(grid.shape, rho * s))
 
 
 def as_json(details) -> str:
@@ -98,39 +107,56 @@ def deriv_calls(monkeypatch):
     return calls
 
 
-def reference_onsager_blocks(T, mu, v3, eta, zeta, kap3, dmat3) -> OnsagerBlocks:
-    """The Onsager blocks at one point, written out without leading axes:
-    T, mu, eta and zeta floats, v3 a 3-vector, kap3 and dmat3 3x3."""
+def reference_onsager_matrix(T, mu, v3, eta, zeta, kap3, dmat3) -> np.ndarray:
+    """The 15x15 Onsager matrix at one point over (m_(ij), e_k, c_k),
+    written out block by block without leading axes: T, mu, eta and zeta
+    floats, v3 a 3-vector, kap3 and dmat3 3x3."""
     lam = lam4(eta, zeta)
-    return OnsagerBlocks(
-        L_mm=T * lam,
-        L_me=T * np.einsum("ijkl,l->ijk", lam, v3),
-        L_ee=T * T * kap3 + T * np.einsum("jikl,j,l->ik", lam, v3, v3) + T * mu * mu * dmat3,
-        L_ec=T * mu * dmat3,
-        L_cc=T * dmat3)
+    L_me = (T * np.einsum("ijkl,l->ijk", lam, v3)).reshape(9, 3)
+    L_ec = T * mu * dmat3
+    L = np.zeros((15, 15))
+    L[:9, :9] = (T * lam).reshape(9, 9)
+    L[:9, 9:12], L[9:12, :9] = L_me, L_me.T
+    L[9:12, 9:12] = T * T * kap3 + T * np.einsum("jikl,j,l->ik", lam, v3, v3) \
+        + T * mu * mu * dmat3
+    L[9:12, 12:], L[12:, 9:12] = L_ec, L_ec.T
+    L[12:, 12:] = T * dmat3
+    return L
 
 
 @pytest.fixture
 def onsager_reference():
-    """The per-point reference body of the Onsager blocks (see
-    reference_onsager_blocks), which takes _onsager_blocks' arguments."""
-    return reference_onsager_blocks
+    """The per-point reference body of the Onsager matrix (see
+    reference_onsager_matrix), which takes _onsager_matrix's arguments."""
+    return reference_onsager_matrix
 
 
 @pytest.fixture
 def onsager_point():
-    """(rho, s, c, v3, model) -> the Onsager blocks that _onsager_blocks
+    """(rho, s, c, v3, model) -> the Onsager matrix that _onsager_matrix
     gives at that thermodynamic point of model (a scalar or matrix kappa and
-    dcoef; only its eos and transport are read), each block checked bit for
-    bit against the reference body."""
+    dcoef; only its eos and transport are read), checked bit for bit
+    against the reference body."""
 
-    def blocks_at(rho, s, c, v3, model):
+    def matrix_at(rho, s, c, v3, model):
         tr, pt = model.transport, eval_eos(rho, s, c, model.eos)
         args = (float(pt.T), float(pt.mu), np.asarray(v3, dtype=float), tr.eta, tr.zeta,
                 _embed3_matrix(tr.kappa), _embed3_matrix(tr.dcoef))
-        blocks, ref = _onsager_blocks(*args), reference_onsager_blocks(*args)
-        for f in fields(OnsagerBlocks):
-            assert np.array_equal(getattr(blocks, f.name), getattr(ref, f.name)), f.name
-        return blocks
+        L = _onsager_matrix(*args)
+        assert np.array_equal(L, reference_onsager_matrix(*args))
+        return L
 
-    return blocks_at
+    return matrix_at
+
+
+def onsager_affinities(aff_m, aff_e, aff_c) -> np.ndarray:
+    """The affinity vector X over (m_(kl), e_k, c_k) that the Onsager
+    matrix takes, from grad(-v/T) as (..., 3, 3) with [k, l] = d_k(-v_l/T),
+    grad(1/T) (..., 3) and grad(-mu/T) (..., 3)."""
+    return np.concatenate([aff_m.reshape(aff_m.shape[:-2] + (9,)), aff_e, aff_c], axis=-1)
+
+
+def onsager_fluxes_of(L, X) -> tuple:
+    """(J_m as (..., 3, 3), J_e, J_c) of the fluxes L X."""
+    J = np.matmul(L, X[..., None])[..., 0]
+    return J[..., :9].reshape(J.shape[:-1] + (3, 3)), J[..., 9:12], J[..., 12:]

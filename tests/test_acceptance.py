@@ -16,7 +16,7 @@ from metriflow import (Grid, ModelConfig, SurfaceCoefficients,
                        TransportCoefficients, capillary_force, diagnostics,
                        dissipative_rhs, entropy, entropy_production_rate,
                        grad_H, grad_S, ideal_rhs, integrate, kn_4bracket,
-                       make_scenario, onsager_fluxes,
+                       make_scenario,
                        poisson_bracket, smooth_state,
                        total_rhs, zero_crossings)
 from metriflow.fields import random_gradient
@@ -24,6 +24,7 @@ from metriflow.functionals import DISSIPATIVE_FAMILIES, FAMILIES, State
 from metriflow.metriplectic import lam4
 from metriflow.scenarios import analytic_capillary_force
 from metriflow.verification import model_for
+from conftest import onsager_affinities, onsager_fluxes_of
 
 IDEAL = ("GE", "CHE0", "CHE1")
 
@@ -211,9 +212,8 @@ def test_07_onsager_matrix(onsager_point):
         c = float(rng.uniform(-1.5, 1.5))
         v3 = rng.uniform(-1, 1, size=3)
         # 3 x 3 coefficients fit no grid, so no ModelConfig takes them: a
-        # point's blocks are 3D, and onsager_point reads eos and transport only
-        blocks = onsager_point(rho, s, c, v3, SimpleNamespace(eos=model.eos, transport=tr))
-        L = blocks.assemble()
+        # point's matrix is 3D, and onsager_point reads eos and transport only
+        L = onsager_point(rho, s, c, v3, SimpleNamespace(eos=model.eos, transport=tr))
         scale = max(float(np.abs(L).max()), 1.0)
         worst_sym = max(worst_sym, float(np.abs(L - L.T).max()) / scale)
         min_eig = min(min_eig,
@@ -225,10 +225,10 @@ def test_07_onsager_matrix(onsager_point):
         gradv = rng.uniform(-1, 1, size=(3, 3))
         gradT = rng.uniform(-1, 1, size=3)
         gradmu = rng.uniform(-1, 1, size=3)
-        J_m, J_e, J_c = onsager_fluxes(
-            blocks, aff_e=-gradT / T ** 2,
+        J_m, J_e, J_c = onsager_fluxes_of(L, onsager_affinities(
             aff_m=-gradv / T + np.outer(gradT, v3) / T ** 2,
-            aff_c=-gradmu / T + mu * gradT / T ** 2)
+            aff_e=-gradT / T ** 2,
+            aff_c=-gradmu / T + mu * gradT / T ** 2))
         lam = lam4(tr.eta, tr.zeta)
         D_m = -np.einsum("ijkl,kl->ij", lam, gradv)
         D_c = -(B @ B.T) @ gradmu

@@ -12,7 +12,7 @@ from metriflow import (FAMILIES, Grid, IntegrationError, ModelConfig,
                        smooth_state, stability_limit, step_rk4, total_rhs)
 from metriflow.functionals import State
 from metriflow.scenarios import make_scenario
-from conftest import model_of
+from conftest import model_of, uniform_state
 
 GRID = Grid(dim=1, n=(32,), length=(1.0,))
 GE = ModelConfig(family="GE", grid=GRID)
@@ -21,16 +21,10 @@ GNS = ModelConfig(family="GNS", grid=GRID,
                                                   kappa=0.02, dcoef=0.0))
 
 
-def rest_state(grid, rho=1.0, c=0.0, s=0.0):
-    r = np.full(grid.shape, rho)
-    return State(grid=grid, m=np.zeros((grid.dim,) + grid.shape), rho=r,
-                 ctilde=c * r, sigma=s * r)
-
-
 def test_a_stage_with_nonpositive_rho_fails_naming_the_stage(monkeypatch):
     # k1 takes stage 2 (at dt / 2 = 0.5) to rho = 0 in one cell and -1e-3 in
     # another: the stage's one rho check fails, before any division by rho
-    state = rest_state(GRID)
+    state = uniform_state(GRID)
     k1 = np.zeros(state.packed.shape)
     k1[1, 3], k1[1, 7] = -2.0, -2.002
     monkeypatch.setattr("metriflow.dynamics.total_rhs",
@@ -97,7 +91,7 @@ def test_scenario_rhs_deriv_call_count(name, calls, deriv_calls):
 
 
 def test_fixed_point_is_bitwise_stationary():
-    state = rest_state(GRID, rho=1.0, c=0.0, s=0.2)
+    state = uniform_state(GRID, rho=1.0, c=0.0, s=0.2)
     out = step_rk4(state, GE, dt=1e-3)
     assert np.array_equal(out.m, state.m)
     assert np.array_equal(out.rho, state.rho)
@@ -140,7 +134,7 @@ def test_integration_error_carries_step_index():
 
 
 def test_integrate_rejects_bad_arguments():
-    state = rest_state(GRID)
+    state = uniform_state(GRID)
     with pytest.raises(ValueError):
         integrate(state, GE, dt=-1e-3, n_steps=10)
     with pytest.raises(ValueError):
@@ -201,7 +195,7 @@ def test_stability_limit_scales_with_resolution():
 
 
 def test_diagnostics_uniform_state():
-    st = rest_state(GRID, rho=1.5, c=0.2, s=0.1)
+    st = uniform_state(GRID, rho=1.5, c=0.2, s=0.1)
     d = diagnostics(st, GNS, t=0.3)
     pt = eval_eos(1.5, 0.1, 0.2, GNS.eos)
     assert d.t == 0.3
@@ -215,7 +209,7 @@ def test_diagnostics_uniform_state():
 
 
 def test_diagnostics_row_layout():
-    st = rest_state(GRID)
+    st = uniform_state(GRID)
     row = diagnostics(st, GE, t=1.0).row()
     assert len(row) == 9
     assert row[0] == 1.0

@@ -19,25 +19,14 @@ from metriflow import (AnisotropyFn, EosParams, FunctionalGradient, Grid,
 from metriflow import functionals
 from metriflow.fields import random_gradient
 from metriflow.functionals import thermo_point
+from metriflow.verification import model_for
+from conftest import uniform_state
 
 GRID1 = Grid(dim=1, n=(32,), length=(1.0,))
 GRID2 = Grid(dim=2, n=(16,), length=(1.0,))
 
 SURF = SurfaceCoefficients(lambda_u=2e-3, lambda_s=1e-3)
 TRANSPORT = TransportCoefficients(eta=0.01, zeta=0.005, kappa=0.02, dcoef=0.03)
-
-
-def make_model(family, grid=GRID1, **kw):
-    surf = SURF if family.startswith("CH") else SurfaceCoefficients(lambda_u=0.0, lambda_s=0.0)
-    tr = TRANSPORT if family in ("GNS", "CHNS0", "CHNS1") else None
-    return ModelConfig(family=family, grid=grid, surface=surf, transport=tr, **kw)
-
-
-def uniform_state(grid, rho=1.0, v=0.0, c=0.0, s=0.0):
-    m = np.full((grid.dim,) + grid.shape, v) * rho
-    return State(grid=grid, m=m, rho=np.full(grid.shape, rho),
-                 ctilde=np.full(grid.shape, rho * c),
-                 sigma=np.full(grid.shape, rho * s))
 
 
 # ------------------------------------------------------------ model config
@@ -61,26 +50,27 @@ def test_dissipative_family_requires_transport():
 def test_an_ideal_family_rejects_transport_naming_the_family(family):
     # its kernel reads no transport, which would only tighten stability_limit
     with pytest.raises(ValueError, match=f"family {family} does not dissipate"):
-        dataclasses.replace(make_model(family), transport=TRANSPORT)
+        dataclasses.replace(model_for(family, GRID1), transport=TRANSPORT)
 
 
 def test_fourfold_anisotropy_needs_a_2d_grid():
     fourfold = AnisotropyFn(kind="fourfold", eps4=0.05)
     with pytest.raises(ParameterError, match="dim = 1") as info:
-        make_model("CHE1", anisotropy=fourfold)
+        dataclasses.replace(model_for("CHE1", GRID1), anisotropy=fourfold)
     assert info.value.name == "anisotropy"
-    assert make_model("CHE1", grid=GRID2, anisotropy=fourfold).anisotropy == fourfold
+    model = dataclasses.replace(model_for("CHE1", GRID2), anisotropy=fourfold)
+    assert model.anisotropy == fourfold
 
 
 # ------------------------------------------------------------ state checks
 
 def test_validate_accepts_smooth_state():
-    model = make_model("CHNS1")
+    model = model_for("CHNS1", GRID1)
     smooth_state(GRID1, model, seed=1).validate(model)
 
 
 def test_validate_rejects_nonpositive_density():
-    model = make_model("GE")
+    model = model_for("GE", GRID1)
     st = uniform_state(GRID1)
     bad = st.replace(rho=st.rho - 2.0)
     with pytest.raises(InadmissibleStateError):
@@ -90,7 +80,7 @@ def test_validate_rejects_nonpositive_density():
 @pytest.mark.parametrize("route", ["slots", "pack"])
 @pytest.mark.parametrize("name", ["m", "rho", "ctilde", "sigma"])
 def test_validate_rejects_nonfinite(name, route):
-    model = make_model("GE")
+    model = model_for("GE", GRID1)
     st = uniform_state(GRID1)
     if route == "slots":
         bad = getattr(st, name).copy()
@@ -115,16 +105,16 @@ def test_validate_rejects_nonfinite(name, route):
 def test_a_state_under_a_model_on_another_grid_raises_naming_both(model_grid, kappa):
     # every kernel takes the state's grid, and ModelConfig checks kappa
     # against the model's: the two must be one grid, or an equal one
-    state = smooth_state(GRID1, make_model("GNS"), seed=1)
-    model = make_model("GNS", grid=model_grid)
+    state = smooth_state(GRID1, model_for("GNS", GRID1), seed=1)
+    model = model_for("GNS", model_grid)
     model = dataclasses.replace(model, transport=dataclasses.replace(TRANSPORT, kappa=kappa))
     for call in (State.validate, stability_limit, grad_S):
         with pytest.raises(ValueError, match=re.escape(
                 f"a state on {GRID1} under a model on {model_grid}")):
             call(state, model)
-    twin = make_model("GNS", grid=Grid(dim=1, n=(32,), length=(1.0,)))
+    twin = model_for("GNS", Grid(dim=1, n=(32,), length=(1.0,)))
     assert twin.grid is not GRID1 and stability_limit(state, twin) == stability_limit(
-        state, make_model("GNS"))
+        state, model_for("GNS", GRID1))
 
 
 @pytest.mark.parametrize("scenario", ["heat_relax", "spinodal1d"], ids=["GNS", "CHNS1"])
@@ -148,7 +138,7 @@ def test_validate_rejects_an_overflowing_eos(name, members):
     # exp(s) overflows at s = 800, so T = p = inf; at rho = 1e200, T stays
     # finite and p = (gamma - 1) rho^2 u_rho overflows alone
     grid = Grid(dim=1, n=(16,), length=(1.0,))
-    model = make_model("GNS", grid=grid)
+    model = model_for("GNS", grid)
     good = smooth_state(grid, model, seed=2)
     if name == "temperature":
         bad = good.replace(sigma=800.0 * good.rho)
@@ -168,7 +158,7 @@ def test_an_inadmissible_state_fails_every_check_after_its_first(name, members):
     # the thermo pass keeps no field of a state that fails it, so the second
     # validate, thermo_point and integrate fail as the first validate did
     grid = Grid(dim=1, n=(16,), length=(1.0,))
-    model = make_model("GNS", grid=grid)
+    model = model_for("GNS", grid)
     good = smooth_state(grid, model, seed=2)
     bad = {"temperature": lambda: good.replace(sigma=800.0 * good.rho),
            "pressure": lambda: State(grid, packed=1e200 * good.packed),
@@ -196,13 +186,13 @@ def test_validate_rejects_a_nan_eos(name, slot, monkeypatch):
         return pt
 
     monkeypatch.setattr(functionals, "_eos", with_nan)
-    model = make_model("GNS")
+    model = model_for("GNS", GRID1)
     with pytest.raises(InadmissibleStateError, match=f"derived {name} must be finite"):
         smooth_state(GRID1, model, seed=1)
 
 
 def _state_with_rho_zero_and_negative():
-    st = smooth_state(GRID1, make_model("GNS"), seed=4)
+    st = smooth_state(GRID1, model_for("GNS", GRID1), seed=4)
     rho = st.rho.copy()
     rho[3], rho[7] = 0.0, -1e-3
     return st.replace(rho=rho)
@@ -215,11 +205,12 @@ def test_validate_checks_rho_before_dividing_by_it():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InadmissibleStateError, match="rho must be positive"):
-            st.validate(make_model("GNS"))
+            st.validate(model_for("GNS", GRID1))
 
 
 def test_thermo_point_is_frozen():
-    pt = thermo_point(smooth_state(GRID1, make_model("GNS"), seed=4), make_model("GNS"))
+    model = model_for("GNS", GRID1)
+    pt = thermo_point(smooth_state(GRID1, model, seed=4), model)
     with pytest.raises(dataclasses.FrozenInstanceError):
         pt.T = pt.T * 2.0
 
@@ -234,7 +225,7 @@ def test_derived_fields():
 # -------------------------------------------------------------- functionals
 
 def test_hamiltonian_uniform_state():
-    model = make_model("CHNS1")
+    model = model_for("CHNS1", GRID1)
     st = uniform_state(GRID1, rho=1.4, c=0.2, s=0.1)
     pt = eval_eos(1.4, 0.1, 0.2, model.eos)
     assert hamiltonian(st, model) == pytest.approx(1.4 * float(pt.u), rel=1e-13)
@@ -245,8 +236,8 @@ def test_hamiltonian_uniform_state():
 def test_a_diffuse_family_without_surface_terms_gives_its_sharp_family_bits(family, sharp):
     # the surface terms' general formulas, with no case of their own for a
     # zero coefficient, reduce exactly there
-    model = dataclasses.replace(make_model(family), surface=SurfaceCoefficients())
-    bare = make_model(sharp)
+    model = dataclasses.replace(model_for(family, GRID1), surface=SurfaceCoefficients())
+    bare = model_for(sharp, GRID1)
     state = smooth_state(GRID1, model, seed=3)
     assert np.array_equal(state.packed, smooth_state(GRID1, bare, seed=3).packed)
     assert hamiltonian(state, model) == hamiltonian(state, bare)
@@ -256,7 +247,7 @@ def test_a_diffuse_family_without_surface_terms_gives_its_sharp_family_bits(fami
 
 def test_hamiltonian_sharp_reduction():
     # with no surface terms H is exactly kinetic + internal
-    model = make_model("GNS")
+    model = model_for("GNS", GRID1)
     st = smooth_state(GRID1, model, seed=3)
     pt = eval_eos(st.rho, st.s, st.c, model.eos)
     direct = GRID1.integrate(
@@ -270,14 +261,14 @@ def test_hamiltonian_against_refined_quadrature():
     vals = {}
     for n in (64, 512):
         g = Grid(dim=1, n=(n,), length=(1.0,))
-        model = make_model("CHE1", grid=g)
+        model = model_for("CHE1", g)
         st = smooth_state(g, model, seed=9)
         vals[n] = hamiltonian(st, model)
     assert vals[64] == pytest.approx(vals[512], rel=1e-3)
 
 
 def test_entropy_uniform_state():
-    model = make_model("CHNS1", grid=GRID2)
+    model = model_for("CHNS1", GRID2)
     st = uniform_state(GRID2, rho=1.0, s=0.25)
     assert entropy(st, model) == pytest.approx(0.25, rel=1e-13)
 
@@ -292,7 +283,7 @@ def test_entropy_reduces_without_lambda_s():
 def test_sigma_total_a_independent_at_unit_density():
     # the sigma^a of a sharp state at unit density, raised to the total
     # entropy density for a = 1 and for a = 0; each fill recovers it
-    sigma_a = smooth_state(GRID1, make_model("GE"), seed=5).replace(rho=np.ones(GRID1.shape))
+    sigma_a = smooth_state(GRID1, model_for("GE", GRID1), seed=5).replace(rho=np.ones(GRID1.shape))
     m1 = ModelConfig(family="CHE1", grid=GRID1, surface=SURF)
     m0 = ModelConfig(family="CHE0", grid=GRID1, surface=SURF)
     s1, s0 = (functionals.state_from_sigma_a(GRID1, sigma_a.packed.copy(), m)
@@ -314,7 +305,7 @@ def directional_derivative(value, state, direction, eps=1e-6):
 
 @pytest.mark.parametrize("family", ["GE", "GNS", "CHE0", "CHE1", "CHNS0", "CHNS1"])
 def test_grad_H_matches_directional_derivative(family):
-    model = make_model(family)
+    model = model_for(family, GRID1)
     st = smooth_state(GRID1, model, seed=8)
     Hg = grad_H(st, model)
     for trial in range(20):
@@ -326,7 +317,7 @@ def test_grad_H_matches_directional_derivative(family):
 
 @pytest.mark.parametrize("family", ["GE", "CHE0", "CHE1"])
 def test_grad_S_matches_directional_derivative(family):
-    model = make_model(family)
+    model = model_for(family, GRID1)
     st = smooth_state(GRID1, model, seed=8)
     Sg = grad_S(st, model)
     for trial in range(20):
@@ -337,13 +328,13 @@ def test_grad_S_matches_directional_derivative(family):
 
 
 def test_grad_H_momentum_slot_is_velocity():
-    model = make_model("CHNS1")
+    model = model_for("CHNS1", GRID1)
     st = smooth_state(GRID1, model, seed=10)
     assert np.allclose(grad_H(st, model).m, st.m / st.rho, atol=1e-14)
 
 
 def test_grad_H_concentration_slot_uniform():
-    model = make_model("CHE1")
+    model = model_for("CHE1", GRID1)
     st = uniform_state(GRID1, rho=1.2, c=0.4, s=0.0)
     pt = eval_eos(1.2, 0.0, 0.4, model.eos)
     assert np.allclose(grad_H(st, model).ctilde, float(pt.mu), atol=1e-14)
@@ -351,7 +342,7 @@ def test_grad_H_concentration_slot_uniform():
 
 def test_grad_S_sigma_slot_is_one():
     for family in ("GE", "CHE1", "CHNS0"):
-        model = make_model(family)
+        model = model_for(family, GRID1)
         st = smooth_state(GRID1, model, seed=11)
         assert np.all(grad_S(st, model).sigma == 1.0)
 
@@ -359,7 +350,7 @@ def test_grad_S_sigma_slot_is_one():
 @pytest.mark.parametrize("family", ["GNS", "CHNS1"])
 def test_grad_S_trivial_without_lambda_s(family):
     # S is the integral of sigma for every family: the unit sigma gradient
-    model = make_model(family)
+    model = model_for(family, GRID1)
     st = smooth_state(GRID1, model, seed=12)
     Sg = grad_S(st, model)
     assert np.all(Sg.rho == 0.0) and np.all(Sg.ctilde == 0.0)
@@ -369,7 +360,7 @@ def test_grad_S_trivial_without_lambda_s(family):
 # ---------------------------------------------------------- generalized mu
 
 def test_generalized_mu_uniform_concentration():
-    model = make_model("CHE1")
+    model = model_for("CHE1", GRID1)
     st = uniform_state(GRID1, rho=1.1, c=0.6)
     pt = eval_eos(1.1, 0.0, 0.6, model.eos)
     assert np.allclose(st.derived(model).mu_gamma, float(pt.mu), atol=1e-13)
@@ -378,7 +369,7 @@ def test_generalized_mu_uniform_concentration():
 def test_generalized_mu_a0_assembly():
     # a = 0: mu_Gamma = mu - div(lambda_f * Gamma * xi) / rho, assembled
     # here independently with the same grid operators
-    model = make_model("CHE0")
+    model = model_for("CHE0", GRID1)
     st = smooth_state(GRID1, model, seed=13)
     from metriflow.thermo import lambda_f as lam_f_of
     pt = thermo_point(st, model)
@@ -391,7 +382,7 @@ def test_generalized_mu_a0_assembly():
 def test_memo_is_not_stale_across_fresh_models():
     # a sweep that builds a fresh model per iteration on one state: freed
     # parameter objects can hand their id() to the next iteration's
-    state = smooth_state(GRID1, make_model("GE"), seed=3)
+    state = smooth_state(GRID1, model_for("GE", GRID1), seed=3)
     stale = 0
     for i in range(2000):
         model = ModelConfig(family="GE", grid=GRID1,
@@ -403,7 +394,7 @@ def test_memo_is_not_stale_across_fresh_models():
 
 
 def test_derived_is_kept_for_the_last_model_object():
-    model = make_model("CHNS1")
+    model = model_for("CHNS1", GRID1)
     state = smooth_state(GRID1, model, seed=3)
     d = state.derived(model)
     assert state.derived(model) is d
@@ -418,7 +409,7 @@ def test_derived_is_kept_for_the_last_model_object():
 def test_state_is_freed_without_the_garbage_collector():
     # the Derived a state holds must not refer back to it: a cycle
     # would keep every evaluated state alive until a collection
-    model = make_model("CHNS1")
+    model = model_for("CHNS1", GRID1)
     state = smooth_state(GRID1, model, seed=3)
     total_rhs(state, model)
     diagnostics(state, model)
@@ -435,7 +426,8 @@ def test_derived_held_past_its_state_resolves_a_callable_coefficient():
     # the fill calls kappa on its own fields, so the Derived keeps the value
     # with its state freed, and the callable sees the fields a State has
     kappa = lambda f, model: 0.02 * (1.0 + f.c ** 2)
-    model = dataclasses.replace(make_model("GNS"), transport=dataclasses.replace(TRANSPORT, kappa=kappa))
+    model = dataclasses.replace(model_for("GNS", GRID1),
+                                transport=dataclasses.replace(TRANSPORT, kappa=kappa))
     state = smooth_state(GRID1, model, seed=1)
     expected = 0.02 * (1.0 + state.c ** 2)
     d = state.derived(model)
@@ -445,7 +437,7 @@ def test_derived_held_past_its_state_resolves_a_callable_coefficient():
 
 @pytest.mark.parametrize("family", ["GNS", "CHNS1"])
 def test_gradients_share_no_memory_with_the_state(family):
-    model = make_model(family)
+    model = model_for(family, GRID1)
     st = smooth_state(GRID1, model, seed=16)
     v, packed = st.v.copy(), st.packed.copy()
     eos = st.derived(model).eos

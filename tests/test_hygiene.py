@@ -403,19 +403,32 @@ RETIRED_NAMES = {"transform_gradients", "untransform_gradients", "_change_variab
                  "_tendency_to_sigma_a", "sigma_total"}
 
 
-def retired_names(path: Path) -> list[str]:
-    """Names, attributes, definitions, imports and strings in RETIRED_NAMES."""
+def retired_names(path: Path, retired: set) -> list[str]:
+    """Names, attributes, definitions, imports and strings in retired, each
+    matched as a whole."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         names = [getattr(node, key) for key in ("id", "attr", "name", "asname", "value")
                  if isinstance(getattr(node, key, None), str)]
-        found += [f"{path.name}:{node.lineno}: {name}" for name in names if name in RETIRED_NAMES]
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names if name in retired]
     return found
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_names_the_sigma_a_change_of_variables(path):
-    assert retired_names(path) == []
+    assert retired_names(path, RETIRED_NAMES) == []
+
+
+# the Onsager matrix is one (..., 15, 15) array, built by _onsager_matrix
+# and applied to the affinities by one matmul in the onsager suite: no
+# record of its blocks, no assembly of them and no blockwise contraction
+RETIRED_ONSAGER_NAMES = {"OnsagerBlocks", "onsager_fluxes", "_onsager_blocks", "_matvec",
+                         "assemble"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_names_the_onsager_blocks(path):
+    assert retired_names(path, RETIRED_ONSAGER_NAMES) == []
 
 
 # lazy attributes are functools.cached_property: the package writes no

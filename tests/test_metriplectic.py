@@ -1,4 +1,4 @@
-"""Metriplectic 4-bracket and its curvature, dissipative tendencies, Onsager blocks."""
+"""Metriplectic 4-bracket and its curvature, dissipative tendencies, Onsager matrix."""
 
 import warnings
 from collections import Counter
@@ -11,12 +11,13 @@ from metriflow import (Grid, ModelConfig, ParameterError, TransportCoefficients,
                        UnsupportedFamilyError, diagnostics,
                        dissipative_rhs, entropy_production_rate, eval_eos,
                        grad_H, grad_S, kn_4bracket, lam4,
-                       metriplectic_2bracket, onsager_fluxes, smooth_state, total_rhs)
+                       metriplectic_2bracket, smooth_state, total_rhs)
 from metriflow import metriplectic
 from metriflow.fields import random_gradient
 from metriflow.functionals import Derived, State
 from metriflow.metriplectic import PSD_TOL, _pair_sum, _stress, validate_psd_matrix
 from metriflow.verification import model_for
+from conftest import onsager_affinities, onsager_fluxes_of
 
 GRID = Grid(dim=1, n=(24,), length=(1.0,))
 
@@ -397,23 +398,23 @@ def test_production_density_matches_anisotropic_kappa():
 
 def test_onsager_rest_point_reduction(onsager_point):
     model = model_for("GNS", GRID)
-    blocks = onsager_point(1.0, 0.0, 0.0, np.zeros(3), model)
+    L = onsager_point(1.0, 0.0, 0.0, np.zeros(3), model)
     pt = eval_eos(1.0, 0.0, 0.0, model.eos)
     T = float(pt.T)
-    assert np.allclose(blocks.L_ee, T * T * 0.02 * np.eye(3), atol=1e-14)
-    assert np.all(blocks.L_me == 0.0)
-    assert np.all(blocks.L_ec == 0.0)
+    assert np.allclose(L[9:12, 9:12], T * T * 0.02 * np.eye(3), atol=1e-14)  # L_ee
+    assert np.all(L[:9, 9:12] == 0.0)  # L_me
+    assert np.all(L[9:12, 12:] == 0.0)  # L_ec
 
 
 def test_onsager_matrix_symmetric_and_psd(onsager_point):
     model = model_for("GNS", GRID)
     rng = np.random.default_rng(18)
     for _ in range(50):
-        blocks = onsager_point(float(rng.uniform(0.5, 2.0)),
-                               float(rng.uniform(-0.5, 0.5)),
-                               float(rng.uniform(-1.5, 1.5)),
-                               rng.uniform(-1, 1, size=3), model)
-        L = blocks.assemble()
+        L = onsager_point(float(rng.uniform(0.5, 2.0)),
+                          float(rng.uniform(-0.5, 0.5)),
+                          float(rng.uniform(-1.5, 1.5)),
+                          rng.uniform(-1, 1, size=3), model)
+        assert L.shape == (15, 15)
         assert np.abs(L - L.T).max() <= 1e-13 * max(np.abs(L).max(), 1.0)
         assert np.linalg.eigvalsh(0.5 * (L + L.T)).min() >= -1e-12 * max(np.abs(L).max(), 1.0)
 
@@ -422,10 +423,10 @@ def test_onsager_fluxes_reduce_at_rest(onsager_point):
     model = model_for("GNS", GRID)
     pt = eval_eos(1.0, 0.0, 0.0, model.eos)
     T = float(pt.T)
-    blocks = onsager_point(1.0, 0.0, 0.0, np.zeros(3), model)
+    L = onsager_point(1.0, 0.0, 0.0, np.zeros(3), model)
     gradT = np.array([0.3, -0.2, 0.1])
-    J_m, J_e, J_c = onsager_fluxes(blocks, aff_e=-gradT / T ** 2,
-                                   aff_m=np.zeros((3, 3)), aff_c=np.zeros(3))
+    J_m, J_e, J_c = onsager_fluxes_of(L, onsager_affinities(
+        aff_m=np.zeros((3, 3)), aff_e=-gradT / T ** 2, aff_c=np.zeros(3)))
     assert np.allclose(J_e, -0.02 * gradT, atol=1e-13)
     assert np.all(J_m == 0.0)
     assert np.all(J_c == 0.0)

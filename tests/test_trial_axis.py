@@ -20,17 +20,17 @@ import pytest
 from metriflow import (FunctionalGradient, Grid, State, TransportCoefficients,
                        capillary_force, dissipative_rhs, entropy, entropy_production_rate,
                        eval_eos, gamma_eval, grad_H, grad_S, hamiltonian, ideal_rhs, kn_4bracket, lam4,
-                       metriplectic_2bracket, onsager_fluxes,
-                       poisson_bracket, smooth_state, step_rk4, total_rhs)
+                       metriplectic_2bracket, poisson_bracket, smooth_state, step_rk4, total_rhs)
 from metriflow import fields, verification
 from metriflow.fields import FourierModes, fourier_field, random_gradient
 from metriflow.functionals import DISSIPATIVE_FAMILIES, FAMILIES
 from metriflow.metriplectic import (_apply_tensor, _dissipative_fluxes, _embed3_matrix,
-                                   _onsager_blocks)
+                                   _onsager_matrix)
 from metriflow.verification import (CASIMIR_SIZES, FLOOR, ORDER_MIN, _counts,
                                     _observed_order, model_for, onsager_suite,
                                     production_positivity_suite, verify)
-from conftest import as_json, model_of, transform_gradients, untransform_gradients
+from conftest import (as_json, model_of, onsager_affinities, onsager_fluxes_of,
+                      transform_gradients, untransform_gradients)
 
 SEEDS = np.array([3, 17, 40, 41, 1 << 30])
 
@@ -186,7 +186,7 @@ def test_batched_kn_4bracket_matches_single_calls(family, dim, coef_kind):
 
 
 def _onsager_points(n, seed=12):
-    """n random points: the point values _onsager_blocks takes, one column
+    """n random points: the point values _onsager_matrix takes, one column
     per argument, each column stacked over the points."""
     rng = np.random.default_rng(seed)
     model = model_for("GNS", Grid(dim=1, n=(4,), length=(1.0,)))
@@ -215,24 +215,21 @@ def test_batched_lam4_stacks_the_single_tensors():
     assert lam4(0.3, 0.1).shape == (3, 3, 3, 3)
 
 
-def test_batched_onsager_blocks_assemble_and_fluxes_match_single_calls(onsager_reference):
+def test_batched_onsager_matrix_and_fluxes_match_single_calls(onsager_reference):
     args = _onsager_points(7)
-    blocks = _onsager_blocks(*args)
+    full = _onsager_matrix(*args)
     loop = [onsager_reference(float(T), float(mu), v3, float(eta), float(zeta), kap3, dmat3)
             for T, mu, v3, eta, zeta, kap3, dmat3 in zip(*args)]
-    for name in ("L_mm", "L_me", "L_ee", "L_ec", "L_cc"):
-        assert np.array_equal(getattr(blocks, name),
-                              [getattr(b, name) for b in loop]), name
-    full = blocks.assemble()
-    assert full.shape == (7, 15, 15) and loop[0].assemble().shape == (15, 15)
-    assert np.array_equal(full, [b.assemble() for b in loop])
+    assert full.shape == (7, 15, 15) and loop[0].shape == (15, 15)
+    assert np.array_equal(full, loop)
+    assert np.array_equal(full, [_onsager_matrix(*point) for point in zip(*args)])
 
     rng = np.random.default_rng(5)
     aff_e, aff_m, aff_c = (rng.uniform(-1, 1, size=(7,) + shape)
                            for shape in ((3,), (3, 3), (3,)))
-    batched = onsager_fluxes(blocks, aff_e, aff_m, aff_c)
-    per_point = [onsager_fluxes(b, e, m, c)
-                 for b, e, m, c in zip(loop, aff_e, aff_m, aff_c)]
+    X = onsager_affinities(aff_m, aff_e, aff_c)
+    batched = onsager_fluxes_of(full, X)
+    per_point = [onsager_fluxes_of(L, x) for L, x in zip(loop, X)]
     for J, J_loop in zip(batched, zip(*per_point)):
         assert J.shape == (7,) + J_loop[0].shape
         assert np.array_equal(J, J_loop)
@@ -647,7 +644,7 @@ def _pad3(x, dim):
 
 
 def _reference_onsager(seed, level):
-    """onsager_suite as one _onsager_blocks / onsager_fluxes call per cell,
+    """onsager_suite as one _onsager_matrix call and one matmul per cell,
     beside the kernel's flux fields read at that cell."""
     n_states = _counts(level)["onsager_states"]
     rng = np.random.default_rng(seed)
@@ -672,19 +669,17 @@ def _reference_onsager(seed, level):
                     at = (slice(None),) + cell
                     T, mu = float(d.eos.T[cell]), float(d.mu_gamma[cell])
                     v3 = _pad3(state.v[at], dim)
-                    blocks = _onsager_blocks(T, mu, v3, tr.eta, tr.zeta,
-                                             _embed3_matrix(tr.kappa), _embed3_matrix(tr.dcoef))
-                    L = blocks.assemble()
+                    L = _onsager_matrix(T, mu, v3, tr.eta, tr.zeta,
+                                        _embed3_matrix(tr.kappa), _embed3_matrix(tr.dcoef))
                     scale = max(float(np.abs(L).max()), 1.0)
                     worst_sym = max(worst_sym, float(np.abs(L - L.T).max()) / scale)
                     min_eig = min(min_eig,
                                   float(np.linalg.eigvalsh(0.5 * (L + L.T)).min()) / scale)
 
                     gT, gmu = _pad3(gradT[at], dim), _pad3(grad_mu[at], dim)
-                    J_m, J_e, J_c = onsager_fluxes(
-                        blocks, -gT / (T * T),
+                    J_m, J_e, J_c = onsager_fluxes_of(L, onsager_affinities(
                         -_pad3(gradv[(slice(None),) + at], dim) / T + np.outer(gT, v3) / (T * T),
-                        -gmu / T + mu * gT / (T * T))
+                        -gT / (T * T), -gmu / T + mu * gT / (T * T)))
                     K_m = -stress[(slice(None),) + at]
                     K_e = T * (-heat[at] / T) + mu * K_c[at] \
                         + (K_m * state.v[at]).sum(axis=1)

@@ -6,7 +6,7 @@ estimate must come from the asymptotic range."""
 import numpy as np
 import pytest
 
-from metriflow import dynamics, metriplectic, verification
+from metriflow import dynamics, functionals, metriplectic, verification
 from metriflow.verification import CASIMIR_SIZES, casimir_convergence_suite
 
 
@@ -90,16 +90,61 @@ def test_doubled_heat_flux_fails_the_onsager_suite(monkeypatch):
 
 
 def test_nan_flux_fails_the_onsager_suite(monkeypatch):
-    plain = verification.onsager_fluxes
+    plain = verification._onsager_matrix
 
-    def nan_energy_flux(*args):
-        J_m, J_e, J_c = plain(*args)
-        return J_m, np.full_like(J_e, np.nan), J_c
+    def nan_energy_rows(*args):
+        L = plain(*args)
+        L[..., 9:12, :] = np.nan
+        return L
 
-    monkeypatch.setattr(verification, "onsager_fluxes", nan_energy_flux)
+    monkeypatch.setattr(verification, "_onsager_matrix", nan_energy_rows)
     result = verification.onsager_suite(seed=1, level="fast")
     assert not result.passed
-    assert np.isnan(result.details["worst_flux_residual"])
+    # the symmetry, the eigenvalue and the fluxes all read the one matrix
+    for key in ("worst_symmetry", "min_eigenvalue", "worst_flux_residual"):
+        assert np.isnan(result.details[key]), key
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_the_onsager_suite_applies_the_matrix_it_certifies(monkeypatch, level):
+    plain = verification._onsager_matrix
+
+    def doubled_energy_block(*args):
+        L = plain(*args)
+        L[..., 9:12, 9:12] *= 2.0  # still symmetric and psd
+        return L
+
+    monkeypatch.setattr(verification, "_onsager_matrix", doubled_energy_block)
+    result = verification.onsager_suite(seed=1, level=level)
+    assert not result.passed
+    assert result.details["worst_symmetry"] <= 1e-13
+    assert result.details["min_eigenvalue"] >= -1e-12
+    assert result.details["worst_flux_residual"] > 0.5
+
+
+def test_grad_h_is_what_ties_verify_to_the_kernel(monkeypatch):
+    # a kernel pass whose mu_Gamma carries twice its surface part, and whose
+    # grads follow it, keeps the bracket structure: only the suites that read
+    # grad_H beside the kernel (the energy rate of the diffuse families and
+    # the production's cross path) see it, until a suite reads H's values
+    plain = functionals._kernel
+
+    def doubled_surface_mu(f):
+        plain(f)
+        if f.model.is_diffuse:
+            f.mu_gamma += f.mu_gamma - f.eos.mu
+            f.grads = f.grid.grad(f.h_hat)
+
+    monkeypatch.setattr(functionals, "_kernel", doubled_surface_mu)
+    suites = verification.verify(seed=1, level="fast")["suites"]
+    assert {name for name, entry in suites.items() if not entry["passed"]} \
+        == {"budgets", "production_positivity"}
+    budgets = suites["budgets"]["details"]
+    failed = {key for key, entry in budgets.items() if not entry["passed"]}
+    assert failed == {f"{family}:energy_rate" for family in ("CHE0", "CHE1", "CHNS0", "CHNS1")}
+    for key in failed:
+        assert min(budgets[key]["residuals"]) > 1e-7 and budgets[key]["order"] < 0.5
+    assert suites["production_positivity"]["details"]["worst_cross_path"] > 0.1
 
 
 @pytest.mark.parametrize("level", ["fast", "full"])
